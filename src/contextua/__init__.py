@@ -36,7 +36,6 @@ from .contexts import (
     context_from_projections,
     export_dot,
     generate_poset,
-    leq,
     meet_node,
     trivial_context,
 )

@@ -3,8 +3,15 @@
 A context is an orthogonal family of atomic projections summing to the
 identity. The poset generated by a catalog of contexts is the downward
 closure of the catalog: every partition-coarsening of every catalog
-context, plus the trivial context, ordered by "each atom of the smaller
-is a sum of atoms of the larger".
+context, plus the trivial context.
+
+Order rule: i <= j iff every atom of i is a sum of atoms of j. One
+dominance table decides it: ``under[q, p]`` holds iff atom p lies under
+atom q (``|qp - p| <= DOMINANCE_TOL``), over the atoms of a node list.
+Then i <= j iff, for every atom q of i, the ranks of j's atoms under q sum
+to rank(q); distinct atoms of i are orthogonal, so a j-atom lies under at
+most one of them. Dominator maps (which atom of i a j-atom lies under)
+are lookups in the same table.
 """
 
 from __future__ import annotations
@@ -162,6 +169,7 @@ class ContextPoset:
     tol: float = DEFAULT_TOL
     _covers: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)
     _dominators: dict | None = field(default=None, repr=False)
+    _table: tuple[dict[str, int], np.ndarray] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -176,13 +184,15 @@ class ContextPoset:
             return cached
         if not self.order[small, large]:
             raise ValueError(f"node {small} is not below node {large}")
-        fine = np.stack([p.matrix for p in self.atoms_of(large)])
-        out = np.full(len(fine), -1, dtype=np.int64)
-        for idx, q in enumerate(self.atoms_of(small)):
-            resid = np.abs(np.einsum("ij,njk->nik", q.matrix, fine) - fine).max(axis=(1, 2))
-            out[resid <= DOMINANCE_TOL] = idx
-        if np.any(out < 0):
+        if self._table is None:
+            self._table = _dominance_table(self.registry, self.nodes)
+        index, under = self._table
+        rows = [index[k] for k in self.nodes[small].atoms]
+        cols = [index[k] for k in self.nodes[large].atoms]
+        sub = under[np.ix_(rows, cols)]
+        if not sub.any(axis=0).all():
             raise RuntimeError("no dominating atom found; poset data is inconsistent")
+        out = sub.argmax(axis=0)
         self._dominators[key] = out
         return out
 
@@ -220,19 +230,9 @@ class ContextPoset:
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction as (small, large) pairs."""
         if self._covers is None:
-            n = len(self.nodes)
-            pairs = []
-            for i in range(n):
-                for j in range(n):
-                    if i == j or not self.order[i, j]:
-                        continue
-                    if any(
-                        self.order[i, k] and self.order[k, j] and k not in (i, j)
-                        for k in range(n)
-                    ):
-                        continue
-                    pairs.append((i, j))
-            self._covers = tuple(pairs)
+            strict = self.order & ~np.eye(len(self.nodes), dtype=bool)
+            cover = strict & ~(strict @ strict)
+            self._covers = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(cover)))
         return self._covers
 
     def down_set(self, j: int) -> list[int]:
@@ -256,23 +256,6 @@ class ContextPoset:
                         continue
                     out.append((i, j, k))
         return out
-
-
-def atom_sum_leq(
-    registry: ProjectionRegistry,
-    small: Context,
-    large: Context,
-    tol: float = DEFAULT_TOL,
-) -> bool:
-    """True iff every atom of ``small`` is a sum of atoms of ``large``."""
-    large_mats = [registry.get(k).matrix for k in large.atoms]
-    for key in small.atoms:
-        q = registry.get(key).matrix
-        under = [p for p in large_mats if max_norm(q @ p - p) <= DOMINANCE_TOL]
-        total = sum(under) if under else np.zeros_like(q)
-        if max_norm(total - q) > max(tol * small.dim, DOMINANCE_TOL):
-            return False
-    return True
 
 
 def generate_poset(
@@ -313,52 +296,41 @@ def generate_poset(
             add(coarse, f"coarsening of catalog[{idx}]")
     add(trivial_context(registry), "trivial")
 
-    order = _order_matrix(registry, nodes)
-    n = len(nodes)
+    return poset_from_nodes(registry, nodes, provenance, tol)
+
+
+def poset_from_nodes(
+    registry: ProjectionRegistry,
+    nodes: Sequence[Context],
+    generators: Sequence[str],
+    tol: float = DEFAULT_TOL,
+) -> ContextPoset:
+    """Poset on an explicit node list, ordered by its dominance table."""
+    index, under = table = _dominance_table(registry, nodes)
+    ranks = np.array([registry.get(k).rank for k in index], dtype=float)
+    member = np.zeros((len(nodes), len(index)))  # member[i, q]: q is an atom of node i
+    for i, node in enumerate(nodes):
+        member[i, [index[k] for k in node.atoms]] = 1.0
+    covered = (under * ranks) @ member.T  # covered[q, j]: rank of j's atoms under q
+    order = member @ (covered != ranks[:, None]) == 0
     # sanity: antisymmetry must hold because distinct key-sets are distinct algebras
-    both = order & order.T
-    if not np.array_equal(both, np.eye(n, dtype=bool)):
+    if not np.array_equal(order & order.T, np.eye(len(nodes), dtype=bool)):
         raise RuntimeError("order relation failed antisymmetry")
-    return ContextPoset(dim, registry, tuple(nodes), order, tuple(provenance), tol)
-
-
-def _order_matrix(registry: ProjectionRegistry, nodes: list[Context]) -> np.ndarray:
-    """Order matrix via a precomputed dominance table over registered atoms.
-
-    i <= j iff, for every atom q of i, the ranks of j's atoms lying under q
-    sum to rank(q). Distinct atoms of i are orthogonal, so a j-atom can sit
-    under at most one of them; a full rank count per atom therefore means
-    every atom of i is exactly the sum of its dominated j-atoms.
-    """
-    keys = sorted({k for node in nodes for k in node.atoms})
-    key_idx = {k: t for t, k in enumerate(keys)}
-    stack = np.stack([registry.get(k).matrix for k in keys])
-    ranks = np.array([registry.get(k).rank for k in keys])
-    prod = np.einsum("aij,bjk->abik", stack, stack)
-    dominates = (
-        np.abs(prod - stack[None, :, :, :]).max(axis=(2, 3)) <= DOMINANCE_TOL
+    return ContextPoset(
+        registry.dim, registry, tuple(nodes), order, tuple(generators), tol, _table=table
     )
-    node_atoms = [np.array([key_idx[k] for k in node.atoms]) for node in nodes]
-    n = len(nodes)
-    order = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                order[i, j] = True
-                continue
-            if len(node_atoms[i]) > len(node_atoms[j]):
-                continue
-            cols = node_atoms[j]
-            order[i, j] = all(
-                int(ranks[cols[dominates[q, cols]]].sum()) == ranks[q]
-                for q in node_atoms[i]
-            )
-    return order
 
 
-def leq(poset: ContextPoset, i: int, j: int) -> bool:
-    """Containment test between stored nodes; unknown ids raise KeyError."""
-    return poset.leq(i, j)
+def _dominance_table(
+    registry: ProjectionRegistry, nodes: Sequence[Context]
+) -> tuple[dict[str, int], np.ndarray]:
+    """Row index of every atom key of ``nodes``, and ``under[q, p]``: atom p lies under atom q."""
+    keys = sorted({k for node in nodes for k in node.atoms})
+    index = {k: t for t, k in enumerate(keys)}
+    stack = np.stack([registry.get(k).matrix for k in keys])
+    prod = np.einsum("aij,bjk->abik", stack, stack)
+    under = np.abs(prod - stack[None, :, :, :]).max(axis=(2, 3)) <= DOMINANCE_TOL
+    return index, under
 
 
 def meet_node(poset: ContextPoset, i: int, j: int) -> int:

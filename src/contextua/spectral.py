@@ -175,8 +175,6 @@ def find_global_section(poset: ContextPoset) -> ColoringCertificate:
         i: [m for m in maximal if poset.order[i, m]] for i in range(n)
     }
 
-    stats = {"expanded": 0, "backtracks": 0}
-
     def set_value(state: _SearchState, key: str, bit: int, queue: list) -> None:
         prev = state.value.get(key)
         if prev is not None:
@@ -243,37 +241,49 @@ def find_global_section(poset: ContextPoset) -> ColoringCertificate:
                 target = dom[(i, node)][a] if i != node else a
                 set_char(state, i, int(target), queue)
 
-    def solve(state: _SearchState) -> _SearchState | None:
-        pending = [m for m in order_vars if m in state.domains]
-        if not pending:
-            return state
-        m = pending[0]
-        for atom in sorted(state.domains[m]):
-            child = state.copy()
-            stats["expanded"] += 1
-            try:
-                assign(child, m, atom)
-            except _Conflict:
-                stats["backtracks"] += 1
-                continue
-            result = solve(child)
-            if result is not None:
-                return result
-            stats["backtracks"] += 1
-        return None
+    def branch(state: _SearchState):
+        """The first unassigned maximal node and its choices, or None when all are set."""
+        m = next((m for m in order_vars if m in state.domains), None)
+        return None if m is None else (state, m, iter(sorted(state.domains[m])))
 
+    # Depth-first over an explicit stack: a self-recursive closure would form a
+    # reference cycle that keeps the poset and its dominator maps alive until
+    # the cyclic collector runs.
     initial = _SearchState(
         {}, {}, {m: set(range(len(poset.nodes[m].atoms))) for m in maximal}
     )
-    found = solve(initial)
+    expanded = backtracks = 0
+    frame = branch(initial)
+    found = initial if frame is None else None
+    stack = [] if frame is None else [frame]
+    while stack:
+        state, m, atoms = stack[-1]
+        atom = next(atoms, None)
+        if atom is None:  # every choice at m failed
+            stack.pop()
+            if stack:
+                backtracks += 1
+            continue
+        child = state.copy()
+        expanded += 1
+        try:
+            assign(child, m, atom)
+        except _Conflict:
+            backtracks += 1
+            continue
+        frame = branch(child)
+        if frame is None:
+            found = child
+            break
+        stack.append(frame)
     if found is None:
         return ColoringCertificate(
-            "non_colorable", None, stats["expanded"], stats["backtracks"], exhausted=True
+            "non_colorable", None, expanded, backtracks, exhausted=True
         )
     assignment = {i: Character(i, found.chars[i]) for i in range(n)}
     section = SpectralSection(assignment, frozenset(range(n)))
     return ColoringCertificate(
-        "colorable", section, stats["expanded"], stats["backtracks"], exhausted=False
+        "colorable", section, expanded, backtracks, exhausted=False
     )
 
 

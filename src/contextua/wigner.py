@@ -13,7 +13,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .contexts import Context, ContextPoset, atom_sum_leq
+from .contexts import Context, ContextPoset, poset_from_nodes
 from .opalg import (
     DEFAULT_TOL,
     Projection,
@@ -134,23 +134,10 @@ def conjugate_poset(
     for mapped in image_atoms:
         keys = tuple(registry.register(p) for p in mapped)
         nodes.append(Context(poset.dim, keys))
-    n = len(nodes)
-    order = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                order[i, j] = True
-            elif len(nodes[i].atoms) <= len(nodes[j].atoms):
-                order[i, j] = atom_sum_leq(registry, nodes[i], nodes[j], tol)
-    image = ContextPoset(
-        poset.dim,
-        registry,
-        tuple(nodes),
-        order,
-        tuple(f"conjugate({g})" for g in poset.generators),
-        tol,
+    image = poset_from_nodes(
+        registry, nodes, [f"conjugate({g})" for g in poset.generators], tol
     )
-    return image, PosetMap(tuple(range(n)))
+    return image, PosetMap(tuple(range(len(nodes))))
 
 
 def trivial_presheaf_automorphism(

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contextua as cx
-from contextua.contexts import atom_sum_leq, meet_node
+from contextua.catalogs import bundled_scenario
+from contextua.contexts import meet_node
 from contextua.opalg import max_norm
 
 from conftest import random_basis_context, random_unitary
@@ -42,6 +46,31 @@ def brute_force_covers(order: np.ndarray) -> set[tuple[int, int]]:
             if not any(order[i, k] and order[k, j] for k in range(n) if k not in (i, j)):
                 covers.add((i, j))
     return covers
+
+
+def subset_sum_order(poset) -> np.ndarray:
+    """Oracle: i <= j iff each atom of i is the sum of some subset of j's atoms."""
+    sums = []
+    for j in range(len(poset)):
+        large = [p.matrix for p in poset.atoms_of(j)]
+        sums.append(
+            np.stack(
+                [
+                    sum(combo)
+                    for r in range(1, len(large) + 1)
+                    for combo in itertools.combinations(large, r)
+                ]
+            )
+        )
+    n = len(poset)
+    order = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            order[i, j] = all(
+                np.abs(sums[j] - q.matrix).max(axis=(1, 2)).min() < 1e-7
+                for q in poset.atoms_of(i)
+            )
+    return order
 
 
 class TestContextFromObservables:
@@ -131,46 +160,98 @@ class TestLeq:
         poset = basis_poset_c3
         t = poset.trivial_node()
         for j in range(len(poset)):
-            assert cx.leq(poset, t, j)
+            assert poset.leq(t, j)
 
     def test_distinct_maximal_incomparable(self, shared_ray_poset_c3):
         m1, m2 = shared_ray_poset_c3.maximal_nodes()
-        assert not cx.leq(shared_ray_poset_c3, m1, m2)
-        assert not cx.leq(shared_ray_poset_c3, m2, m1)
+        assert not shared_ray_poset_c3.leq(m1, m2)
+        assert not shared_ray_poset_c3.leq(m2, m1)
 
     def test_two_atom_below_maximal(self, basis_poset_c3):
         poset = basis_poset_c3
         maximal = poset.maximal_nodes()[0]
         for i in range(len(poset)):
             if len(poset.nodes[i].atoms) == 2:
-                assert cx.leq(poset, i, maximal)
+                assert poset.leq(i, maximal)
 
     def test_unknown_id(self, basis_poset_c3):
         with pytest.raises(KeyError):
-            cx.leq(basis_poset_c3, 0, 99)
+            basis_poset_c3.leq(0, 99)
 
     def test_order_soundness_subset_oracle(self, shared_ray_poset_c3, basis_poset_c3):
-        # oracle: exhaustive subset-sum reconstruction of each smaller atom
         for poset in (basis_poset_c3, shared_ray_poset_c3):
             assert len(poset) <= 50
-            for i in range(len(poset)):
-                for j in range(len(poset)):
-                    small = poset.atoms_of(i)
-                    large = poset.atoms_of(j)
-                    expected = True
-                    for q in small:
-                        found = False
-                        for r in range(1, len(large) + 1):
-                            for combo in itertools.combinations(large, r):
-                                if max_norm(sum(p.matrix for p in combo) - q.matrix) < 1e-7:
-                                    found = True
-                                    break
-                            if found:
-                                break
-                        if not found:
-                            expected = False
-                            break
-                    assert poset.leq(i, j) == expected, (i, j)
+            assert np.array_equal(poset.order, subset_sum_order(poset))
+
+
+ks18_doc = bundled_scenario("ks18-c4")
+
+
+def shared_ray_catalog_poset(seed: int, dim: int, n_bases: int):
+    """Random rotations of one basis, all keeping its first ray."""
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, dim)
+    reg = cx.ProjectionRegistry(dim)
+    catalog = []
+    for b in range(n_bases):
+        v = u.copy()
+        if b:
+            v[:, 1:] = u[:, 1:] @ random_unitary(rng, dim - 1)
+        catalog.append(
+            cx.context_from_projections(
+                reg, [np.outer(v[:, k], v[:, k].conj()) for k in range(dim)]
+            )
+        )
+    return cx.generate_poset(catalog, reg)
+
+
+def ks18_subset_poset(bases: list[int]):
+    doc = dict(ks18_doc, contexts=[ks18_doc["contexts"][b] for b in bases])
+    return cx.build_single_poset(cx.parse_scenario(json.dumps(doc)))
+
+
+class TestDominanceDifferential:
+    """Order, dominator maps and image order against direct matrix checks."""
+
+    def check(self, poset, sym_seed: int, kind: str):
+        assert np.array_equal(poset.order, subset_sum_order(poset))
+        for i, j in zip(*np.nonzero(poset.order)):
+            small, large = poset.atoms_of(i), poset.atoms_of(j)
+            expected = []
+            for p in large:
+                hits = [
+                    idx
+                    for idx, q in enumerate(small)
+                    if max_norm(q.matrix @ p.matrix - p.matrix) <= 1e-7
+                ]
+                assert len(hits) == 1
+                expected.append(hits[0])
+            assert poset.dominator_map(int(i), int(j)).tolist() == expected
+        u = random_unitary(np.random.default_rng(sym_seed), poset.dim)
+        image, pmap = cx.conjugate_poset(poset, cx.symmetry(kind, u))
+        perm = list(pmap.node_map)
+        assert np.array_equal(image.order[np.ix_(perm, perm)], poset.order)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(3, 4),
+        st.integers(1, 3),
+        st.sampled_from(["unitary", "antiunitary"]),
+    )
+    def test_shared_ray_rotations(self, seed, dim, n_bases, kind):
+        poset = shared_ray_catalog_poset(seed, dim, n_bases)
+        assert len(poset) <= 50
+        self.check(poset, seed + 1, kind)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.lists(st.integers(0, 8), min_size=2, max_size=4, unique=True),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from(["unitary", "antiunitary"]),
+    )
+    def test_ks18_subsets(self, bases, seed, kind):
+        self.check(ks18_subset_poset(bases), seed, kind)
 
 
 class TestMeetClosure:

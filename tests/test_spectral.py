@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import contextua as cx
+from contextua.catalogs import bundled_text
 from contextua.contexts import Context, ContextPoset
 from contextua.opalg import ProjectionRegistry, max_norm
 from contextua.spectral import (
@@ -95,6 +99,22 @@ class TestFindGlobalSection:
         poset = cx.generate_poset([], reg)
         with pytest.raises(ValueError):
             cx.find_global_section(poset)
+
+    @pytest.mark.parametrize("name", ["ks18-c4", "demo-c3"])
+    def test_search_leaves_no_reference_cycle(self, name):
+        # with the cyclic collector off, reference counting alone must free
+        # the poset once the caller drops it
+        poset = cx.build_single_poset(cx.parse_scenario(bundled_text(name)))
+        ref = weakref.ref(poset)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            cx.find_global_section(poset)
+            del poset
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestEnumerate:
