@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 import contextua as cx
-from contextua.bell import CorrelationTable
 
 
 def scenario_for_angle(theta: float) -> dict:
@@ -42,7 +41,6 @@ def scenario_for_angle(theta: float) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--steps", type=int, default=13)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     print(f"{'theta/pi':>9}  {'CHSH':>8}  verdict")

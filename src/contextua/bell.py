@@ -2,7 +2,13 @@
 
 Correlation tables over product contexts, no-signalling checks, the local
 deterministic-strategy LP for factorisability, and classification of
-sections by linear reconstruction of a tensor-space operator: positive
+sections by linear reconstruction of a tensor-space operator.
+
+Factorisability is one LP: min t over -t <= A w - b <= t, sum w = 1,
+w >= 0, with one 0/1 column of A per deterministic strategy. Its dual on
+the two inequality blocks is an l1-normalised Bell functional whose gap,
+value on b minus its maximum over strategies, equals t*, the reported
+reconstruction error. Reconstructed operators are classified: positive
 semidefinite means quantum, positive after partial transposition of the
 second factor means quantum up to time reversal, neither means non-quantum.
 """
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .contexts import ContextPoset
@@ -352,19 +359,22 @@ def deterministic_strategies(
     return out
 
 
-def _strategy_column(
-    pp: ProductPoset,
-    contexts: Sequence[ProductNode],
-    strategy: tuple[dict[int, int], dict[int, int]],
-) -> np.ndarray:
-    cl, cr = strategy
-    chunks = []
-    for node in contexts:
-        shape = pp.table_shape(node)
-        t = np.zeros(shape)
-        t[cl[node.left], cr[node.right]] = 1.0
-        chunks.append(t.reshape(-1))
-    return np.concatenate(chunks)
+def _strategy_matrix(
+    pp: ProductPoset, contexts: Sequence[ProductNode], strategies: Sequence[tuple[dict, dict]]
+) -> sparse.csc_array:
+    """Column s holds strategy s's tables over `contexts`, flattened and stacked."""
+    shapes = np.array([pp.table_shape(n) for n in contexts])
+    sizes = shapes.prod(axis=1)
+    offsets = np.cumsum(sizes) - sizes
+    chosen = np.array(
+        [[cl[n.left] for n in contexts] + [cr[n.right] for n in contexts] for cl, cr in strategies],
+        dtype=np.int64,
+    ).reshape(len(strategies), 2, len(contexts))
+    rows = offsets + shapes[:, 1] * chosen[:, 0] + chosen[:, 1]
+    return sparse.csc_array(
+        (np.ones(rows.size), rows.reshape(-1), np.arange(0, rows.size + 1, len(contexts))),
+        shape=(int(sizes.sum()), len(strategies)),
+    )
 
 
 def factorisability_lp(
@@ -375,9 +385,12 @@ def factorisability_lp(
 ) -> LPResult:
     """Decide membership in the convex hull of deterministic local strategies.
 
-    Feasibility is an LP with one weight per strategy; infeasibility is
-    certified by a separating functional whose value on the observed tables
-    exceeds its maximum over all deterministic strategies.
+    One LP over the strategy matrix A and the stacked tables b:
+    min t  s.t.  -t <= A w - b <= t,  sum w = 1,  w >= 0.
+    t* <= tol is factorisable, with hull weights w. Otherwise the duals
+    y+, y- of the two inequality blocks give the separating functional
+    c = y+ - y-, l1-normalised (sum |c| <= 1) by dual feasibility, and by
+    strong duality c.b - max_s c.A_s = t*, the reconstruction error.
     """
     pp = s.poset
     if contexts is None:
@@ -386,25 +399,22 @@ def factorisability_lp(
     for node in contexts:
         if node not in s.domain:
             raise KeyError(f"context {node} not in section domain")
+    if not contexts:
+        raise ValueError("no analysis context has a table in the section")
     strategies = deterministic_strategies(pp, cap=cap)
     b = np.concatenate([s.tables[n].probs.reshape(-1) for n in contexts])
-    a = np.stack(
-        [_strategy_column(pp, contexts, st) for st in strategies], axis=1
-    )
+    a = _strategy_matrix(pp, contexts, strategies)
     n_rows, n_strat = a.shape
 
-    # min t  s.t.  -t <= (A w - b) <= t,  sum w = 1,  w >= 0
     c = np.zeros(n_strat + 1)
     c[-1] = 1.0
-    a_ub = np.block(
-        [[a, -np.ones((n_rows, 1))], [-a, -np.ones((n_rows, 1))]]
-    )
+    t_col = sparse.csc_array(-np.ones((n_rows, 1)))
+    a_ub = sparse.bmat([[a, t_col], [-a, t_col]], format="csc")
     b_ub = np.concatenate([b, -b])
     a_eq = np.zeros((1, n_strat + 1))
     a_eq[0, :n_strat] = 1.0
     res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-        bounds=[(0, None)] * n_strat + [(0, None)], method="highs",
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=(0, None), method="highs"
     )
     if not res.success:
         raise RuntimeError(f"feasibility LP failed: {res.message}")
@@ -414,33 +424,17 @@ def factorisability_lp(
         err = max_norm(a @ weights - b)
         return LPResult(True, weights, float(err), n_strat)
 
-    # separating functional: max c.b - z  s.t.  c.T_s <= z, |c| <= 1
-    c_obj = np.concatenate([-b, [1.0]])
-    a_ub2 = np.hstack([a.T, -np.ones((n_strat, 1))])
-    res2 = linprog(
-        c_obj, A_ub=a_ub2, b_ub=np.zeros(n_strat),
-        bounds=[(-1, 1)] * n_rows + [(None, None)], method="highs",
-    )
-    if not res2.success:
-        raise RuntimeError(f"separating LP failed: {res2.message}")
-    coeffs = res2.x[:n_rows]
-    z = float(res2.x[-1])
-    witness = {}
-    pos = 0
-    for node in contexts:
-        shape = pp.table_shape(node)
-        for aa in range(shape[0]):
-            for bb in range(shape[1]):
-                witness[(node, aa, bb)] = float(coeffs[pos])
-                pos += 1
+    dual = res.ineqlin.marginals
+    coeffs = dual[:n_rows] - dual[n_rows:]
+    cells = [(node, i, j) for node in contexts for i, j in np.ndindex(pp.table_shape(node))]
     return LPResult(
         False,
         None,
         float(res.fun),
         n_strat,
-        witness=witness,
+        witness={cell: float(x) for cell, x in zip(cells, coeffs)},
         witness_value=float(coeffs @ b),
-        deterministic_max=z,
+        deterministic_max=float((a.T @ coeffs).max()),
     )
 
 

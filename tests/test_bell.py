@@ -7,8 +7,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import contextua as cx
+from contextua import bell
 from contextua.bell import (
     BellSection,
     CorrelationTable,
@@ -16,6 +20,8 @@ from contextua.bell import (
     deterministic_strategies,
     restrict_table,
 )
+from contextua.catalogs import bundled_text
+from contextua.cli import main
 from contextua.opalg import ProjectionRegistry, max_norm
 
 from conftest import random_basis_context, random_density, random_hermitian
@@ -174,6 +180,17 @@ class TestNoSignalling:
         assert cx.bell_functional_value(s, chsh_coefficients(contexts)) == pytest.approx(4.0)
 
 
+def strategy_section(pp, contexts, strategy):
+    """Oracle: the 0/1 tables a deterministic strategy gives on `contexts`."""
+    cl, cr = strategy
+    tables = {}
+    for node in contexts:
+        t = np.zeros(pp.table_shape(node))
+        t[cl[node.left], cr[node.right]] = 1.0
+        tables[node] = CorrelationTable(node, t)
+    return BellSection(pp, tables, frozenset(tables))
+
+
 def _chsh_locals(model):
     lefts = sorted({n.left for n in model.analysis_contexts})
     rights = sorted({n.right for n in model.analysis_contexts})
@@ -226,13 +243,7 @@ class TestFactorisability:
     def test_deterministic_tables_unit_weight(self, chsh_model):
         pp = chsh_model.poset
         strategies = deterministic_strategies(pp)
-        cl, cr = strategies[5]
-        tables = {}
-        for node in chsh_model.analysis_contexts:
-            t = np.zeros(pp.table_shape(node))
-            t[cl[node.left], cr[node.right]] = 1.0
-            tables[node] = CorrelationTable(node, t)
-        s = BellSection(pp, tables, frozenset(tables))
+        s = strategy_section(pp, chsh_model.analysis_contexts, strategies[5])
         res = cx.factorisability_lp(s, chsh_model.analysis_contexts)
         assert res.factorisable
         big = res.weights[res.weights > 1e-9]
@@ -242,6 +253,143 @@ class TestFactorisability:
         with pytest.raises(ValueError, match="too large"):
             cx.factorisability_lp(chsh_model.section, chsh_model.analysis_contexts, cap=4)
 
+    def test_no_contexts_rejected(self, chsh_model):
+        with pytest.raises(ValueError, match="no analysis context has a table"):
+            cx.factorisability_lp(chsh_model.section, [])
+
+    def test_no_tabled_context_cli_error(self, tmp_path, capsys):
+        doc = json.loads(bundled_text("chsh-c2"))
+        del doc["state"]
+        doc["product_contexts"] = [[0, 0]]
+        doc["tables"] = [{"left": 1, "right": 1, "probs": [[0.25, 0.25], [0.25, 0.25]]}]
+        path = tmp_path / "untabled.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bell-analyze", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no analysis context has a table")
+
+    def test_bundled_chsh_certificate(self, chsh_model):
+        res = cx.factorisability_lp(chsh_model.section, chsh_model.analysis_contexts)
+        check_certificate(chsh_model.poset, chsh_model.analysis_contexts, res)
+        # the l1-normalised CHSH functional: (2 sqrt 2 - 2) / 16 above the local bound
+        assert res.witness_value == pytest.approx(np.sqrt(2) / 8, abs=1e-9)
+        assert res.deterministic_max == pytest.approx(0.125, abs=1e-9)
+
+
+def check_certificate(pp, contexts, res):
+    """A negative verdict's witness: l1 <= 1, gap = t*, max checked by brute force."""
+    assert sum(abs(c) for c in res.witness.values()) <= 1 + 1e-9
+    gap = res.witness_value - res.deterministic_max
+    assert gap == pytest.approx(res.reconstruction_error, abs=1e-9)
+    brute = max(
+        cx.bell_functional_value(strategy_section(pp, contexts, strategy), res.witness)
+        for strategy in deterministic_strategies(pp)
+    )
+    assert res.deterministic_max == pytest.approx(brute, abs=1e-12)
+
+
+def dense_strategy_matrix(pp, contexts, strategies):
+    """Reference: each strategy's tables flattened in a loop, stacked densely."""
+    columns = []
+    for strategy in strategies:
+        s = strategy_section(pp, contexts, strategy)
+        columns.append(np.concatenate([s.tables[n].probs.reshape(-1) for n in contexts]))
+    return np.stack(columns, axis=1)
+
+
+def dense_min_t_lp(a, b):
+    """Reference: min t s.t. -t <= A w - b <= t, sum w = 1, w >= 0, dense."""
+    n_rows, n_strat = a.shape
+    c = np.zeros(n_strat + 1)
+    c[-1] = 1.0
+    a_ub = np.block([[a, -np.ones((n_rows, 1))], [-a, -np.ones((n_rows, 1))]])
+    a_eq = np.zeros((1, n_strat + 1))
+    a_eq[0, :n_strat] = 1.0
+    res = linprog(
+        c, A_ub=a_ub, b_ub=np.concatenate([b, -b]), A_eq=a_eq, b_eq=[1.0],
+        bounds=[(0, None)] * (n_strat + 1), method="highs",
+    )
+    assert res.success
+    if res.fun > 1e-7:
+        return False, None, float(res.fun)
+    w = np.clip(res.x[:n_strat], 0.0, None)
+    w = w / w.sum()
+    return True, w, float(max_norm(a @ w - b))
+
+
+@pytest.fixture(scope="module")
+def mub2_qutrit_pair():
+    """Two mutually unbiased qutrit bases per side; 9 x 9 strategies."""
+    reg = ProjectionRegistry(3)
+    fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    ctxs = [
+        cx.context_from_projections(reg, [np.outer(u[:, k], u[:, k].conj()) for k in range(3)])
+        for u in (np.eye(3), fourier)
+    ]
+    poset = cx.generate_poset(ctxs, reg)
+    pp = cx.product_poset(poset, poset)
+    return pp, pp.maximal_nodes()
+
+
+def _drawn_section(pp, contexts, source, rng):
+    """A section from one of four sources; 'hermitian' gives negative entries."""
+    d = pp.dims[0]
+    if source == "pr-box":
+        # b - a = x y (mod d), mixed with white noise
+        lefts = sorted({n.left for n in contexts})
+        rights = sorted({n.right for n in contexts})
+        p = rng.uniform()
+        tables = {}
+        for node in contexts:
+            xy = lefts.index(node.left) * rights.index(node.right)
+            t = np.full((d, d), (1 - p) / d**2)
+            for a in range(d):
+                t[a, (a + xy) % d] += p / d
+            tables[node] = CorrelationTable(node, t)
+        return BellSection(pp, tables, frozenset(tables))
+    if source == "separable":
+        w = sum(
+            lam * np.kron(random_density(rng, d).matrix, random_density(rng, d).matrix)
+            for lam in rng.dirichlet(np.ones(3))
+        )
+    elif source == "werner":
+        phi = np.eye(d).reshape(-1) / np.sqrt(d)
+        v = rng.uniform()
+        w = v * np.outer(phi, phi) + (1 - v) * np.eye(d * d) / d**2
+    else:
+        h = random_hermitian(rng, d * d) / d
+        w = h + (1 - np.trace(h).real) / d**2 * np.eye(d * d)
+    return cx.section_from_bipartite_state(pp, w)
+
+
+class TestSparseLPDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from(["separable", "werner", "hermitian", "pr-box"]),
+    )
+    def test_matches_dense_route(self, chsh_model, mub2_qutrit_pair, seed, qutrit, source):
+        if qutrit:
+            pp, contexts = mub2_qutrit_pair
+        else:
+            pp, contexts = chsh_model.poset, chsh_model.analysis_contexts
+        s = _drawn_section(pp, contexts, source, np.random.default_rng(seed))
+        strategies = deterministic_strategies(pp)
+        dense = dense_strategy_matrix(pp, contexts, strategies)
+        assert np.array_equal(bell._strategy_matrix(pp, contexts, strategies).toarray(), dense)
+
+        b = np.concatenate([s.tables[n].probs.reshape(-1) for n in contexts])
+        factorisable, weights, err = dense_min_t_lp(dense, b)
+        res = cx.factorisability_lp(s, contexts)
+        assert res.factorisable == factorisable
+        assert res.n_strategies == len(strategies)
+        assert res.reconstruction_error == pytest.approx(err, abs=1e-12)
+        if factorisable:
+            assert max_norm(res.weights - weights) <= 1e-12
+        else:
+            check_certificate(pp, contexts, res)
+
 
 class TestBellFunctional:
     def test_classical_bound_exhaustive(self, chsh_model):
@@ -249,15 +397,10 @@ class TestBellFunctional:
         pp = chsh_model.poset
         contexts = chsh_model.analysis_contexts
         coeffs = chsh_coefficients(contexts)
-        values = []
-        for cl, cr in deterministic_strategies(pp):
-            tables = {}
-            for node in contexts:
-                t = np.zeros(pp.table_shape(node))
-                t[cl[node.left], cr[node.right]] = 1.0
-                tables[node] = CorrelationTable(node, t)
-            s = BellSection(pp, tables, frozenset(tables))
-            values.append(cx.bell_functional_value(s, coeffs))
+        values = [
+            cx.bell_functional_value(strategy_section(pp, contexts, strategy), coeffs)
+            for strategy in deterministic_strategies(pp)
+        ]
         assert len(values) == 16
         assert max(values) == 2.0
         assert min(values) == -2.0

@@ -1,0 +1,32 @@
+"""The analysis scripts run end to end and print the expected boundaries."""
+
+from __future__ import annotations
+
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, monkeypatch, capsys, *args):
+    """Run a script as __main__ and return its printed rows, header dropped."""
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out.splitlines()[1:]
+
+
+def test_chsh_angle_scan_verdict_follows_chsh_value(monkeypatch, capsys):
+    rows = run_script("chsh_angle_scan.py", monkeypatch, capsys, "--steps", "3")
+    assert len(rows) == 3
+    for row in rows:
+        value = float(row.split()[1])
+        assert ("NOT factorisable" in row) == (value > 2), row
+
+
+def test_orientation_sweep_turns_above_one_third(monkeypatch, capsys):
+    rows = run_script("orientation_sweep.py", monkeypatch, capsys, "--steps", "3")
+    assert len(rows) == 3
+    for row in rows:
+        lam, _, verdict = row.split()
+        assert (verdict == "quantum_time_reversed") == (float(lam) > 1 / 3), row
