@@ -23,15 +23,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .contexts import ContextPoset
-from .gleason import (
-    PSD_TOL,
-    RANK_TOL,
-    RESIDUAL_TOL,
-    ProbSection,
-    context_measure,
-    hermitian_basis,
-)
-from .opalg import DEFAULT_TOL, max_norm
+from .gleason import ProbSection, context_measure, hermitian_basis, solve_hermitian
+from .opalg import TOL, max_norm
 from .spectral import dominator_index, enumerate_global_sections
 
 
@@ -163,8 +156,8 @@ class CorrelationTable:
     def right_marginal(self) -> np.ndarray:
         return self.probs.sum(axis=0)
 
-    def is_nonnegative(self, tol: float = DEFAULT_TOL) -> bool:
-        return bool(self.probs.min() >= -tol)
+    def is_nonnegative(self) -> bool:
+        return bool(self.probs.min() >= -TOL.exact)
 
 
 @dataclass(frozen=True)
@@ -178,18 +171,18 @@ class BellSection:
     def min_probability(self) -> float:
         return min(float(t.probs.min()) for t in self.tables.values())
 
-    def negative_entries(self, tol: float = DEFAULT_TOL) -> list[tuple[ProductNode, int, int]]:
+    def negative_entries(self) -> list[tuple[ProductNode, int, int]]:
         out = []
         for node in sorted(self.domain, key=lambda n: (n.left, n.right)):
             probs = self.tables[node].probs
             for (a, b), v in np.ndenumerate(probs):
-                if v < -tol:
+                if v < -TOL.exact:
                     out.append((node, a, b))
         return out
 
 
 def section_from_bipartite_state(
-    pp: ProductPoset, w, tol: float = DEFAULT_TOL
+    pp: ProductPoset, w, tol: float = TOL.exact
 ) -> BellSection:
     """Tables tr(W (p x q)) over every product context.
 
@@ -203,7 +196,7 @@ def section_from_bipartite_state(
         raise ValueError(f"state must act on the tensor space, expected {(d, d)}")
     if max_norm(w - w.conj().T) > tol:
         raise ValueError("state must be self-adjoint")
-    if abs(complex(np.trace(w)) - 1.0) > max(tol * d, tol):
+    if abs(complex(np.trace(w)) - 1.0) > tol * d:
         raise ValueError("state must have trace 1")
     tables = {
         node: CorrelationTable(node, pp.born_probabilities(node, w)) for node in pp.nodes
@@ -237,9 +230,10 @@ def restrict_table(
     return CorrelationTable(target, out)
 
 
-def verify_bell_section(s: BellSection, tol: float = 1e-7) -> bool:
+def verify_bell_section(s: BellSection) -> bool:
     """Marginalisation along the product order plus shared-pair consistency."""
     pp = s.poset
+    tol = TOL.probability
     for node in s.domain:
         t = s.tables.get(node)
         if t is None or t.context != node:
@@ -267,7 +261,7 @@ def verify_bell_section(s: BellSection, tol: float = 1e-7) -> bool:
     return True
 
 
-def check_no_signalling(s: BellSection, tol: float = 1e-9) -> bool:
+def check_no_signalling(s: BellSection, tol: float = TOL.exact) -> bool:
     """Marginals of one side must not depend on the other side's context."""
     by_left: dict[int, list[ProductNode]] = {}
     by_right: dict[int, list[ProductNode]] = {}
@@ -300,7 +294,7 @@ def marginal_prob_section(s: BellSection, side: str) -> ProbSection:
             continue
         t = s.tables[node]
         w = t.left_marginal() if side == "left" else t.right_marginal()
-        assignment[local] = context_measure(poset, local, w, tol=1e-7)
+        assignment[local] = context_measure(poset, local, w, tol=TOL.probability)
     return ProbSection(assignment, frozenset(assignment))
 
 
@@ -324,7 +318,7 @@ class LPResult:
             out["weights"] = [
                 [int(i), float(w)]
                 for i, w in enumerate(self.weights)
-                if w > 1e-9
+                if w > TOL.exact
             ]
         if self.witness is not None:
             out["witness"] = [
@@ -380,14 +374,13 @@ def _strategy_matrix(
 def factorisability_lp(
     s: BellSection,
     contexts: Sequence[ProductNode] | None = None,
-    tol: float = 1e-7,
     cap: int = 10**6,
 ) -> LPResult:
     """Decide membership in the convex hull of deterministic local strategies.
 
     One LP over the strategy matrix A and the stacked tables b:
     min t  s.t.  -t <= A w - b <= t,  sum w = 1,  w >= 0.
-    t* <= tol is factorisable, with hull weights w. Otherwise the duals
+    t* <= TOL.probability is factorisable, with hull weights w. Otherwise the duals
     y+, y- of the two inequality blocks give the separating functional
     c = y+ - y-, l1-normalised (sum |c| <= 1) by dual feasibility, and by
     strong duality c.b - max_s c.A_s = t*, the reconstruction error.
@@ -418,7 +411,7 @@ def factorisability_lp(
     )
     if not res.success:
         raise RuntimeError(f"feasibility LP failed: {res.message}")
-    if res.fun <= tol:
+    if res.fun <= TOL.probability:
         weights = np.clip(res.x[:n_strat], 0.0, None)
         weights = weights / weights.sum()
         err = max_norm(a @ weights - b)
@@ -485,7 +478,7 @@ class SectionClassification:
         return out
 
 
-def classify_section(s: BellSection, tol: float = DEFAULT_TOL) -> SectionClassification:
+def classify_section(s: BellSection) -> SectionClassification:
     """Reconstruct the tensor-space operator behind a section and classify it.
 
     The linear system tr(W (p x q)) = probs over self-adjoint trace-1 W is
@@ -501,32 +494,25 @@ def classify_section(s: BellSection, tol: float = DEFAULT_TOL) -> SectionClassif
     if min(d1, d2) < 3:
         warnings.append("Gleason uniqueness precondition violated: local dim < 3")
     domain = sorted(s.domain, key=lambda n: (n.left, n.right))
-    row_ids = pp.rows_for(domain)
-    a_full = pp.constraint_matrix()[row_ids]
-    basis = hermitian_basis(d)
-    trace_row = np.real(np.einsum("kii->k", basis))
-    a = np.vstack([a_full, trace_row])
-    b = np.concatenate([s.tables[n].probs.reshape(-1) for n in domain] + [np.ones(1)])
-    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_TOL)
-    residual = max_norm(a @ x - b)
-    if residual > RESIDUAL_TOL:
+    rows = pp.constraint_matrix()[pp.rows_for(domain)]
+    probs = np.array([v for n in domain for v in s.tables[n].probs.reshape(-1)])
+    status, w, residual, free = solve_hermitian(rows, probs, hermitian_basis(d))
+    if status == "inconsistent":
         return SectionClassification(
             "non_quantum", residual=float(residual), warnings=tuple(warnings)
         )
-    if rank < d * d:
+    if status == "underdetermined":
         return SectionClassification(
             "underdetermined",
             residual=float(residual),
-            solution_space_dim=d * d - int(rank),
+            solution_space_dim=free,
             warnings=tuple(warnings),
         )
-    w = np.einsum("k,kij->ij", x, basis)
-    w = 0.5 * (w + w.conj().T)
     floor = float(np.linalg.eigvalsh(w).min())
     pt_floor = float(np.linalg.eigvalsh(partial_transpose(w, (d1, d2))).min())
-    if floor >= -PSD_TOL:
+    if floor >= -TOL.psd:
         verdict = "quantum"
-    elif pt_floor >= -PSD_TOL:
+    elif pt_floor >= -TOL.psd:
         verdict = "quantum_time_reversed"
     else:
         verdict = "non_quantum"

@@ -30,7 +30,7 @@ from .gleason import (
     section_from_state,
     state_from_section,
 )
-from .opalg import density_matrix, max_norm
+from .opalg import TOL, density_matrix, max_norm
 from .scenario import (
     Scenario,
     build_bipartite_model,
@@ -149,7 +149,7 @@ def _cmd_ks_enumerate(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
 def _random_density(rng, dim: int):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
-    return density_matrix(m / np.trace(m).real, tol=1e-7)
+    return density_matrix(m / np.trace(m).real, tol=TOL.probability)
 
 
 def _cmd_gleason_roundtrip(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
@@ -173,7 +173,7 @@ def _cmd_gleason_roundtrip(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
     }
     if not complete:
         verdict = "underdetermined"
-    elif all(s == "unique" for s in statuses) and worst <= 1e-8:
+    elif all(s == "unique" for s in statuses) and worst <= TOL.roundtrip:
         verdict = "roundtrip_ok"
     else:
         verdict = "roundtrip_failed"
@@ -189,7 +189,7 @@ def _cmd_gleason_reconstruct(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
             if not (0 <= ctx_index < len(model.catalog_nodes)):
                 raise ValueError(f"section refers to unknown context index {ctx_index}")
             node = model.catalog_nodes[ctx_index]
-            assignment[node] = context_measure(poset, node, weights, tol=1e-7)
+            assignment[node] = context_measure(poset, node, weights, tol=TOL.probability)
         for i in range(len(poset)):
             if i in assignment:
                 continue
@@ -202,7 +202,7 @@ def _cmd_gleason_reconstruct(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
             assignment[i] = marginalise(poset, assignment[ups[0]], i)
         section = ProbSection(assignment, frozenset(range(len(poset))))
     elif sc.state is not None:
-        section = section_from_state(poset, density_matrix(sc.state, tol=1e-7))
+        section = section_from_state(poset, density_matrix(sc.state, tol=TOL.probability))
     else:
         raise ValueError("gleason-reconstruct needs a 'section' or 'state' in the scenario")
     result = state_from_section(poset, section)
@@ -221,7 +221,7 @@ def _cmd_bell_analyze(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
         raise ValueError("bell-analyze needs a 'state' or 'tables' in the scenario")
     s = model.section
     contexts = [n for n in model.analysis_contexts if n in s.domain]
-    ns = check_no_signalling(s, tol=max(tol, 1e-7))
+    ns = check_no_signalling(s, tol=TOL.probability)
     lp = factorisability_lp(s, contexts, cap=cap)
     payload = {
         "no_signalling": ns,
@@ -274,7 +274,7 @@ def _cmd_wigner_check(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
             max_transition = max(
                 max_transition, transition_probability_deviation(s, rays[:8])
             )
-    ok = order_ok and signs_ok and max_jordan <= 1e-9 and max_transition <= 1e-9
+    ok = order_ok and signs_ok and max_jordan <= TOL.exact and max_transition <= TOL.exact
     payload = {
         "n_unitaries": n_each,
         "n_antiunitaries": n_each,
@@ -311,11 +311,14 @@ _HANDLERS = {
 def run(
     command: str,
     scenario: Scenario,
-    tol: float = 1e-9,
+    tol: float = TOL.identity,
     cap: int = 10**6,
     seed: int = 0,
 ) -> RunReport:
-    """Dispatch a command on a parsed scenario and assemble the report."""
+    """Dispatch a command on a parsed scenario and assemble the report.
+
+    ``tol`` is the projection-identity tolerance of the scenario's registries.
+    """
     if command not in _HANDLERS:
         raise ValueError(f"unknown command {command!r}")
     start = time.perf_counter()
@@ -349,7 +352,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--scenario", required=True, help="path to a scenario JSON, or builtin:NAME")
     parser.add_argument("--out", default=None, help="also write the report to this path")
-    parser.add_argument("--tol", type=float, default=1e-9)
+    tol_help = "projection-identity tolerance: projections this close (max entry) are one"
+    parser.add_argument("--tol", type=float, default=TOL.identity, help=tol_help)
     parser.add_argument("--cap", type=int, default=10**6)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("json", "text", "dot"), default="json")

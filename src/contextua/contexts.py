@@ -7,7 +7,7 @@ context, plus the trivial context.
 
 Order rule: i <= j iff every atom of i is a sum of atoms of j. One
 dominance table decides it: ``under[q, p]`` holds iff atom p lies under
-atom q (``|qp - p| <= DOMINANCE_TOL``), over the atoms of a node list.
+atom q (``|qp - p| <= TOL.dominance``), over the atoms of a node list.
 Then i <= j iff, for every atom q of i, the ranks of j's atoms under q sum
 to rank(q); distinct atoms of i are orthogonal, so a j-atom lies under at
 most one of them. Dominator maps (which atom of i a j-atom lies under)
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .opalg import (
-    DEFAULT_TOL,
+    TOL,
     Projection,
     ProjectionRegistry,
     as_operator,
@@ -32,11 +32,6 @@ from .opalg import (
     max_norm,
     projection,
 )
-
-# Threshold for "atom p lies under atom q" tests; products of unit-scale
-# projections either vanish or miss by a geometric gap, so this is lax
-# relative to tol but far below any genuine mismatch.
-DOMINANCE_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,13 +59,9 @@ class Context:
         return hash((self.dim, self.key_set))
 
 
-def context_from_projections(
-    registry: ProjectionRegistry,
-    mats: Sequence,
-    tol: float = DEFAULT_TOL,
-) -> Context:
+def context_from_projections(registry: ProjectionRegistry, mats: Sequence) -> Context:
     """Validate an orthogonal, complete family and register it as a context."""
-    projs = [p if isinstance(p, Projection) else projection(p, tol) for p in mats]
+    projs = [p if isinstance(p, Projection) else projection(p) for p in mats]
     dim = registry.dim
     for p in projs:
         if p.dim != dim:
@@ -78,20 +69,16 @@ def context_from_projections(
     for i, p in enumerate(projs):
         for j, q in enumerate(projs):
             expected = p.matrix if i == j else 0.0
-            if max_norm(p.matrix @ q.matrix - expected) > max(tol, DOMINANCE_TOL / 10):
+            if max_norm(p.matrix @ q.matrix - expected) > TOL.context:
                 raise ValueError(f"atoms {i} and {j} are not orthogonal")
     total = sum(p.matrix for p in projs)
-    if max_norm(total - np.eye(dim)) > max(tol * dim, DOMINANCE_TOL / 10):
+    if max_norm(total - np.eye(dim)) > max(TOL.exact * dim, TOL.context):
         raise ValueError("atoms do not sum to the identity")
     keys = tuple(registry.register(p) for p in projs)
     return Context(dim, keys)
 
 
-def context_from_observables(
-    registry: ProjectionRegistry,
-    ops: Sequence,
-    tol: float = DEFAULT_TOL,
-) -> Context:
+def context_from_observables(registry: ProjectionRegistry, ops: Sequence) -> Context:
     """Smallest context containing every operator in ``ops``.
 
     The atoms are the common refinement of the spectral atoms of all the
@@ -107,11 +94,11 @@ def context_from_observables(
     for idx, a in enumerate(arrs):
         if a.shape[0] != dim:
             raise ValueError("observables must share one dimension")
-        if max_norm(a - a.conj().T) > tol:
+        if max_norm(a - a.conj().T) > TOL.exact:
             raise ValueError(f"observable {idx} is not self-adjoint")
     for i in range(len(arrs)):
         for j in range(i + 1, len(arrs)):
-            if not commutes(arrs[i], arrs[j], max(tol, DOMINANCE_TOL / 10)):
+            if not commutes(arrs[i], arrs[j], TOL.context):
                 raise ValueError(f"observables {i} and {j} do not commute")
 
     blocks = [np.eye(dim, dtype=complex)]
@@ -125,8 +112,8 @@ def context_from_observables(
                 refined.append(basis @ vecs[:, group])
         blocks = refined
     atoms = [Projection(b @ b.conj().T, b.shape[1]) for b in blocks]
-    atoms = [projection(p.matrix, max(tol, 1e-10)) for p in atoms]
-    return context_from_projections(registry, atoms, tol)
+    atoms = [projection(p.matrix) for p in atoms]
+    return context_from_projections(registry, atoms)
 
 
 def trivial_context(registry: ProjectionRegistry) -> Context:
@@ -166,10 +153,13 @@ class ContextPoset:
     nodes: tuple[Context, ...]
     order: np.ndarray  # order[i, j] == True iff node i is contained in node j
     generators: tuple[str, ...]
-    tol: float = DEFAULT_TOL
     _covers: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)
     _dominators: dict | None = field(default=None, repr=False)
     _table: tuple[dict[str, int], np.ndarray] | None = field(default=None, repr=False)
+    _ids: dict[Context, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._ids = {node: i for i, node in enumerate(self.nodes)}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -197,10 +187,10 @@ class ContextPoset:
         return out
 
     def node_id(self, ctx: Context) -> int:
-        for i, node in enumerate(self.nodes):
-            if node == ctx:
-                return i
-        raise KeyError("context not in poset")
+        try:
+            return self._ids[ctx]
+        except KeyError:
+            raise KeyError("context not in poset") from None
 
     def atoms_of(self, i: int) -> list[Projection]:
         return [self.registry.get(k) for k in self.nodes[i].atoms]
@@ -258,11 +248,7 @@ class ContextPoset:
         return out
 
 
-def generate_poset(
-    catalog: Sequence[Context],
-    registry: ProjectionRegistry,
-    tol: float = DEFAULT_TOL,
-) -> ContextPoset:
+def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> ContextPoset:
     """Downward-closed poset generated by the catalog.
 
     Nodes are every partition-coarsening of every catalog context plus the
@@ -296,14 +282,13 @@ def generate_poset(
             add(coarse, f"coarsening of catalog[{idx}]")
     add(trivial_context(registry), "trivial")
 
-    return poset_from_nodes(registry, nodes, provenance, tol)
+    return poset_from_nodes(registry, nodes, provenance)
 
 
 def poset_from_nodes(
     registry: ProjectionRegistry,
     nodes: Sequence[Context],
     generators: Sequence[str],
-    tol: float = DEFAULT_TOL,
 ) -> ContextPoset:
     """Poset on an explicit node list, ordered by its dominance table."""
     index, under = table = _dominance_table(registry, nodes)
@@ -317,7 +302,7 @@ def poset_from_nodes(
     if not np.array_equal(order & order.T, np.eye(len(nodes), dtype=bool)):
         raise RuntimeError("order relation failed antisymmetry")
     return ContextPoset(
-        registry.dim, registry, tuple(nodes), order, tuple(generators), tol, _table=table
+        registry.dim, registry, tuple(nodes), order, tuple(generators), _table=table
     )
 
 
@@ -329,7 +314,7 @@ def _dominance_table(
     index = {k: t for t, k in enumerate(keys)}
     stack = np.stack([registry.get(k).matrix for k in keys])
     prod = np.einsum("aij,bjk->abik", stack, stack)
-    under = np.abs(prod - stack[None, :, :, :]).max(axis=(2, 3)) <= DOMINANCE_TOL
+    under = np.abs(prod - stack[None, :, :, :]).max(axis=(2, 3)) <= TOL.dominance
     return index, under
 
 
@@ -394,7 +379,7 @@ class PresheafShape:
 
 def _elements_equal(a, b) -> bool:
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.allclose(a, b, atol=1e-10)
+        return np.allclose(a, b, atol=TOL.restriction)
     if hasattr(a, "weights") and hasattr(b, "weights"):
-        return a.context == b.context and np.allclose(a.weights, b.weights, atol=1e-10)
+        return a.context == b.context and np.allclose(a.weights, b.weights, atol=TOL.restriction)
     return a == b

@@ -12,14 +12,57 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
-EIG_CLUSTER_GAP = 1e-7
-CANONICAL_DECIMALS = 6
-CANONICAL_GRID = 10.0 ** (-CANONICAL_DECIMALS)
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Every numerical threshold, one field per decision; distances are max-entry norms.
+
+    ``--tol`` overrides ``identity`` only, as the scenario registries' tolerance.
+    """
+
+    identity: float = 1e-9  # two projections this close are one projection
+    # canonical keys round entries to this many decimals; distinct projections
+    # closer than the grid 10**-key_decimals are rejected, never merged
+    key_decimals: int = 6
+    # an exact identity of given operators holds (a = a*, p^2 = p, ab = ba, u*u = 1,
+    # tr = 1, <u, v> = 0, |v| > 0); also null singular values of meets, zero LP
+    # weights, and the Jordan and transition residuals of wigner-check
+    exact: float = 1e-9
+    context: float = 1e-8  # atoms are orthogonal and sum to 1; observables commute
+    # a computed result reproduces its input: spectral atoms sum back to the
+    # operator, a state survives a round trip, a measure extends linearly
+    roundtrip: float = 1e-8
+    rank: float = 1e-8  # relative singular-value cut-off of reconstruction ranks
+    residual: float = 1e-6  # a larger least-squares residual means an inconsistent system
+    # eigenvalues this close are one eigenvalue; a projection's trace this close
+    # to an integer is its rank
+    eigen_gap: float = 1e-7
+    dominance: float = 1e-7  # atom p lies under atom q when |qp - p| is at most this
+    psd: float = 1e-7  # an eigenvalue above -psd counts as nonnegative
+    # weights, tables and states computed from data: a weight above -probability
+    # is nonnegative, totals and marginals this close agree, an LP distance this
+    # small is zero
+    probability: float = 1e-7
+    membership: float = 1e-7  # an operator is in a context if its atom expansion misses by less
+    # a symmetry image of an atom is a projection, and image commutators match
+    # up to this times their size
+    conjugation: float = 1e-7
+    restriction: float = 1e-10  # two-step and one-step presheaf restrictions agree
+
+    @property
+    def grid(self) -> float:
+        return 10.0 ** -self.key_decimals
+
+
+TOL = Tolerances()
 
 
 class CanonicalizationError(ValueError):
-    """Raised when two distinct projections are too close for the rounding grid."""
+    """Two distinct projections are closer than the rounding grid; ``key`` is the registered one."""
+
+    def __init__(self, message: str, key: str):
+        super().__init__(message)
+        self.key = key
 
 
 def as_operator(m) -> np.ndarray:
@@ -38,12 +81,12 @@ def max_norm(m) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-def is_self_adjoint(m, tol: float = DEFAULT_TOL) -> bool:
+def is_self_adjoint(m) -> bool:
     arr = as_operator(m)
-    return max_norm(arr - arr.conj().T) <= tol
+    return max_norm(arr - arr.conj().T) <= TOL.exact
 
 
-def is_projection(m, tol: float = DEFAULT_TOL) -> bool:
+def is_projection(m, tol: float = TOL.exact) -> bool:
     """True iff ``m`` is self-adjoint and idempotent within ``tol``."""
     arr = as_operator(m)
     if max_norm(arr - arr.conj().T) > tol:
@@ -51,7 +94,7 @@ def is_projection(m, tol: float = DEFAULT_TOL) -> bool:
     return max_norm(arr @ arr - arr) <= tol
 
 
-def commutes(a, b, tol: float = DEFAULT_TOL) -> bool:
+def commutes(a, b, tol: float = TOL.exact) -> bool:
     a = as_operator(a)
     b = as_operator(b)
     if a.shape != b.shape:
@@ -89,7 +132,7 @@ class Projection:
         return Projection(_readonly(np.eye(self.dim) - self.matrix), self.dim - self.rank)
 
 
-def projection(m, tol: float = DEFAULT_TOL) -> Projection:
+def projection(m, tol: float = TOL.exact) -> Projection:
     """Build a :class:`Projection`, enforcing self-adjointness and idempotence.
 
     The rank is the rounded trace; a trace that is not close to an integer
@@ -100,7 +143,7 @@ def projection(m, tol: float = DEFAULT_TOL) -> Projection:
         raise ValueError("matrix is not a projection within tolerance")
     tr = float(np.real(np.trace(arr)))
     rank = int(round(tr))
-    if abs(tr - rank) > max(tol * arr.shape[0], 1e-7):
+    if abs(tr - rank) > max(tol * arr.shape[0], TOL.eigen_gap):
         raise ValueError(f"projection trace {tr} is not near an integer")
     return Projection(_readonly(arr), rank)
 
@@ -124,19 +167,19 @@ class Ray:
         return self.vector.shape[0]
 
 
-def ray(v, tol: float = DEFAULT_TOL) -> Ray:
+def ray(v) -> Ray:
     arr = np.array(v, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(arr))
-    if norm <= tol:
+    if norm <= TOL.exact:
         raise ValueError("degenerate ray")
     return Ray(_readonly(arr / norm))
 
 
-def rays_equivalent(r1: Ray, r2: Ray, tol: float = DEFAULT_TOL) -> bool:
+def rays_equivalent(r1: Ray, r2: Ray) -> bool:
     """Two rays are the same iff |<u, v>| = 1, i.e. they differ by a phase."""
     if r1.dim != r2.dim:
         return False
-    return abs(abs(np.vdot(r1.vector, r2.vector)) - 1.0) <= tol
+    return abs(abs(np.vdot(r1.vector, r2.vector)) - 1.0) <= TOL.exact
 
 
 def projection_from_ray(r) -> Projection:
@@ -158,32 +201,32 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def density_matrix(m, tol: float = DEFAULT_TOL, psd_tol: float | None = None) -> DensityMatrix:
+def density_matrix(m, tol: float = TOL.exact) -> DensityMatrix:
     arr = as_operator(m)
     if max_norm(arr - arr.conj().T) > tol:
         raise ValueError("density matrix must be self-adjoint")
     tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > max(tol * arr.shape[0], tol):
+    if abs(tr - 1.0) > tol * arr.shape[0]:
         raise ValueError(f"density matrix must have trace 1, got {tr}")
     floor = float(np.min(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))))
-    if floor < -(psd_tol if psd_tol is not None else tol):
+    if floor < -tol:
         raise ValueError(f"density matrix has negative eigenvalue {floor}")
     return DensityMatrix(_readonly(arr))
 
 
-def meet(p: Projection, q: Projection, tol: float = DEFAULT_TOL) -> Projection:
+def meet(p: Projection, q: Projection) -> Projection:
     """Projection onto the intersection of the two images.
 
     Computed as the null space of (1-p) + (1-q): a vector is killed by that
     positive operator exactly when it lies in both images. Singular values
-    below ``tol`` count as zero, which also fixes the rank.
+    below ``TOL.exact`` count as zero, which also fixes the rank.
     """
     if p.dim != q.dim:
         raise ValueError("projections must have equal dimension")
     d = p.dim
     a = (np.eye(d) - p.matrix) + (np.eye(d) - q.matrix)
     _, s, vh = np.linalg.svd(a)
-    null_mask = s <= max(tol, s[0] * tol if s.size else tol)
+    null_mask = s <= max(TOL.exact, s[0] * TOL.exact)
     basis = vh[null_mask].conj().T  # columns span the intersection
     rank = basis.shape[1]
     if rank == 0:
@@ -191,18 +234,18 @@ def meet(p: Projection, q: Projection, tol: float = DEFAULT_TOL) -> Projection:
     return Projection(_readonly(basis @ basis.conj().T), rank)
 
 
-def join(p: Projection, q: Projection, tol: float = DEFAULT_TOL) -> Projection:
+def join(p: Projection, q: Projection) -> Projection:
     """Projection onto the span of the two images, via 1 - ((1-p) ^ (1-q))."""
-    return meet(p.complement(), q.complement(), tol).complement()
+    return meet(p.complement(), q.complement()).complement()
 
 
-def leq_projection(p: Projection, q: Projection, tol: float = DEFAULT_TOL) -> bool:
+def leq_projection(p: Projection, q: Projection) -> bool:
     """p <= q as projections, i.e. qp = p."""
-    return max_norm(q.matrix @ p.matrix - p.matrix) <= tol
+    return max_norm(q.matrix @ p.matrix - p.matrix) <= TOL.exact
 
 
-def cluster_eigenvalues(evals: np.ndarray, gap: float = EIG_CLUSTER_GAP) -> list[np.ndarray]:
-    """Group sorted eigenvalues into clusters separated by at least ``gap``.
+def cluster_eigenvalues(evals: np.ndarray) -> list[np.ndarray]:
+    """Group sorted eigenvalues into clusters separated by at least ``TOL.eigen_gap``.
 
     Merging numerically split degenerate eigenvalues is required before
     forming spectral atoms, otherwise a single eigenspace shows up as
@@ -211,23 +254,23 @@ def cluster_eigenvalues(evals: np.ndarray, gap: float = EIG_CLUSTER_GAP) -> list
     order = np.argsort(evals)
     groups: list[list[int]] = []
     for idx in order:
-        if groups and evals[idx] - evals[groups[-1][-1]] < gap:
+        if groups and evals[idx] - evals[groups[-1][-1]] < TOL.eigen_gap:
             groups[-1].append(idx)
         else:
             groups.append([idx])
     return [np.array(g) for g in groups]
 
 
-def spectral_atoms(a, tol: float = DEFAULT_TOL) -> list[tuple[float, Projection]]:
+def spectral_atoms(a) -> list[tuple[float, Projection]]:
     """Spectral decomposition of a self-adjoint matrix into eigenvalue atoms.
 
     Returns pairs (eigenvalue, projection) with mutually orthogonal
     projections summing to the identity; eigenvalues are distinct after
     clustering. The reconstruction sum(A_i p_i) is checked against the
-    input within 10 * tol.
+    input within ``TOL.roundtrip``.
     """
     arr = as_operator(a)
-    if max_norm(arr - arr.conj().T) > tol:
+    if max_norm(arr - arr.conj().T) > TOL.exact:
         raise ValueError("spectral_atoms requires a self-adjoint matrix")
     herm = 0.5 * (arr + arr.conj().T)
     evals, vecs = np.linalg.eigh(herm)
@@ -237,21 +280,33 @@ def spectral_atoms(a, tol: float = DEFAULT_TOL) -> list[tuple[float, Projection]
         value = float(np.mean(evals[group]))
         atoms.append((value, Projection(_readonly(block @ block.conj().T), len(group))))
     recon = sum(val * p.matrix for val, p in atoms)
-    if max_norm(recon - herm) > 10 * max(tol, 1e-12):
+    if max_norm(recon - herm) > TOL.roundtrip:
         raise RuntimeError("spectral reconstruction failed beyond tolerance")
     return atoms
+
+
+def atom_coefficients(atoms, a) -> np.ndarray | None:
+    """Coefficients c_k = tr(p_k a) / rank(p_k) of a self-adjoint ``a`` over orthogonal atoms.
+
+    Returns None when sum(c_k p_k) misses ``a`` by more than
+    ``TOL.membership``, i.e. when ``a`` is not constant on each atom.
+    """
+    arr = np.asarray(a, dtype=complex)
+    coeffs = np.array([np.real(np.trace(p.matrix @ arr)) / p.rank for p in atoms])
+    recon = sum(c * p.matrix for c, p in zip(coeffs, atoms))
+    return coeffs if max_norm(recon - arr) <= TOL.membership else None
 
 
 def canonical_key(matrix) -> str:
     """Canonical identity of a projection: entries rounded to the grid.
 
     Projection matrices carry no global phase (|v><v| is phase-free), so
-    rounding the real and imaginary parts to ``CANONICAL_DECIMALS`` decimals
+    rounding the real and imaginary parts to ``TOL.key_decimals`` decimals
     is already canonical; -0.0 is normalized to 0.0 before hashing.
     """
     arr = np.asarray(matrix, dtype=complex)
-    re = np.round(arr.real, CANONICAL_DECIMALS) + 0.0
-    im = np.round(arr.imag, CANONICAL_DECIMALS) + 0.0
+    re = np.round(arr.real, TOL.key_decimals) + 0.0
+    im = np.round(arr.imag, TOL.key_decimals) + 0.0
     payload = np.ascontiguousarray(np.stack([re, im])).tobytes()
     return "p" + hashlib.sha1(payload).hexdigest()[:12]
 
@@ -259,38 +314,59 @@ def canonical_key(matrix) -> str:
 class ProjectionRegistry:
     """Registry assigning canonical keys to projections of a fixed dimension.
 
-    Cross-context identity of projections is decided here: two projections
-    are the same iff they share a canonical key and differ by at most
-    ``tol`` entrywise. A pair of distinct projections closer than the
-    rounding grid is rejected outright, since their identity would depend
-    on rounding luck.
+    Cross-context identity of projections is decided here and nowhere else:
+    a projection within ``tol`` entrywise of a registered one is that
+    projection and gets its key. A pair of distinct projections closer than
+    the rounding grid is rejected outright, since their identity would
+    depend on rounding luck.
     """
 
-    def __init__(self, dim: int, tol: float = DEFAULT_TOL):
+    def __init__(self, dim: int, tol: float = TOL.identity):
         self.dim = dim
         self.tol = tol
         self._by_key: dict[str, Projection] = {}
 
+    def find(self, p: Projection) -> str | None:
+        """Key of the registered projection identified with ``p``, or None.
+
+        Registers nothing. Raises :class:`CanonicalizationError` when a
+        registered projection is closer than the grid but not within ``tol``.
+        """
+        return self._identify(p)[1]
+
     def register(self, p) -> str:
+        """Key of ``p``, registering it under its canonical key when :meth:`find` has none."""
         if not isinstance(p, Projection):
-            p = projection(p, self.tol)
+            p = projection(p)
+        key, found = self._identify(p)
+        if found is not None:
+            return found
+        self._by_key[key] = p
+        return key
+
+    def _identify(self, p: Projection) -> tuple[str, str | None]:
+        """The canonical key of ``p`` and the key of the registered projection it is."""
         if p.dim != self.dim:
             raise ValueError(f"projection dim {p.dim} does not match registry dim {self.dim}")
         key = canonical_key(p.matrix)
         existing = self._by_key.get(key)
         if existing is not None:
             if max_norm(existing.matrix - p.matrix) <= self.tol:
-                return key
+                return key, key
             raise CanonicalizationError(
-                "distinct projections collide on the canonical rounding grid"
+                "distinct projections collide on the canonical rounding grid", key
             )
+        grid = TOL.grid
         for other_key, other in self._by_key.items():
-            if max_norm(other.matrix - p.matrix) < CANONICAL_GRID:
+            dist = max_norm(other.matrix - p.matrix)
+            if dist <= self.tol:  # jitter across a rounding boundary
+                return key, other_key
+            if dist < grid:
                 raise CanonicalizationError(
-                    f"projections {key} and {other_key} are closer than the rounding grid"
+                    f"projections {key} and {other_key} are closer than the rounding grid",
+                    other_key,
                 )
-        self._by_key[key] = p
-        return key
+        return key, None
 
     def get(self, key: str) -> Projection:
         try:

@@ -21,16 +21,13 @@ import numpy as np
 from .bell import BellSection, CorrelationTable, ProductNode, ProductPoset, product_poset
 from .contexts import Context, ContextPoset, generate_poset
 from .opalg import (
-    CANONICAL_GRID,
+    TOL,
     CanonicalizationError,
     Projection,
     ProjectionRegistry,
-    max_norm,
     projection_from_ray,
     ray,
 )
-
-INGEST_TOL = 1e-9
 
 _FRACTION = re.compile(r"^(-?\d+)\s*/\s*(\d+)$")
 _SQRT = re.compile(r"^(-?)sqrt\((\d+)\)(?:\s*/\s*(\d+))?$")
@@ -101,22 +98,24 @@ def _parse_rays(raw, dim: int, path: str) -> list[np.ndarray]:
     for i, item in enumerate(raw):
         vec = _parse_vector(item, dim, f"{path}[{i}]")
         try:
-            out.append(ray(vec, INGEST_TOL).vector)
+            out.append(ray(vec).vector)
         except ValueError as exc:
             raise ScenarioError(f"{path}[{i}]", str(exc)) from None
     return out
 
 
 def _check_ray_grid(rays: list[np.ndarray], path: str) -> None:
-    """Reject ray pairs whose projections sit below the canonical grid."""
-    projs = [projection_from_ray(ray(v)).matrix for v in rays]
-    for i in range(len(projs)):
-        for j in range(i + 1, len(projs)):
-            dist = max_norm(projs[i] - projs[j])
-            if INGEST_TOL < dist < CANONICAL_GRID:
-                raise ScenarioError(
-                    path, f"rays {i} and {j} are near-duplicates below the canonicalization grid"
-                )
+    """Reject rays whose projections the registry would neither identify nor tell apart."""
+    registry = ProjectionRegistry(len(rays[0]))
+    first: dict[str, int] = {}
+    for j, v in enumerate(rays):
+        try:
+            first.setdefault(registry.register(projection_from_ray(v)), j)
+        except CanonicalizationError as exc:
+            raise ScenarioError(
+                path,
+                f"rays {first[exc.key]} and {j} are near-duplicates below the canonicalization grid",
+            ) from None
 
 
 def _parse_contexts(raw, n_rays: int, rays: list[np.ndarray], path: str) -> list[tuple[int, ...]]:
@@ -134,7 +133,7 @@ def _parse_contexts(raw, n_rays: int, rays: list[np.ndarray], path: str) -> list
         for a in range(len(item)):
             for b in range(a + 1, len(item)):
                 overlap = abs(np.vdot(rays[item[a]], rays[item[b]]))
-                if overlap > INGEST_TOL:
+                if overlap > TOL.exact:
                     raise ScenarioError(
                         f"{path}[{c}]",
                         f"rays {item[a]} and {item[b]} are not orthogonal "
@@ -298,7 +297,7 @@ def _catalog(
     contexts: list[tuple[int, ...]],
     dim: int,
     path: str,
-    tol: float = INGEST_TOL,
+    tol: float = TOL.identity,
 ) -> tuple[ProjectionRegistry, list[Context]]:
     registry = ProjectionRegistry(dim, tol)
     catalog = []
@@ -318,17 +317,17 @@ class SingleModel:
     catalog_nodes: list[int]
 
 
-def build_single_model(sc: Scenario, tol: float = INGEST_TOL) -> SingleModel:
+def build_single_model(sc: Scenario, tol: float = TOL.identity) -> SingleModel:
     if sc.kind != "single":
         raise ValueError("expected a single-system scenario")
     registry, catalog = _catalog(
         sc.rays["main"], sc.contexts["main"], sc.dims[0], "$.contexts", tol
     )
-    poset = generate_poset(catalog, registry, tol)
+    poset = generate_poset(catalog, registry)
     return SingleModel(poset, [poset.node_id(c) for c in catalog])
 
 
-def build_single_poset(sc: Scenario, tol: float = INGEST_TOL) -> ContextPoset:
+def build_single_poset(sc: Scenario, tol: float = TOL.identity) -> ContextPoset:
     return build_single_model(sc, tol).poset
 
 
@@ -343,13 +342,13 @@ class BipartiteModel:
     right_catalog_nodes: list[int]
 
 
-def build_bipartite_model(sc: Scenario, tol: float = INGEST_TOL) -> BipartiteModel:
+def build_bipartite_model(sc: Scenario, tol: float = TOL.identity) -> BipartiteModel:
     if sc.kind != "bipartite":
         raise ValueError("expected a bipartite scenario")
     lreg, lcat = _catalog(sc.rays["left"], sc.contexts["left"], sc.dims[0], "$.contexts.left", tol)
     rreg, rcat = _catalog(sc.rays["right"], sc.contexts["right"], sc.dims[1], "$.contexts.right", tol)
-    lposet = generate_poset(lcat, lreg, tol)
-    rposet = generate_poset(rcat, rreg, tol)
+    lposet = generate_poset(lcat, lreg)
+    rposet = generate_poset(rcat, rreg)
     pp = product_poset(lposet, rposet)
     lnodes = [lposet.node_id(c) for c in lcat]
     rnodes = [rposet.node_id(c) for c in rcat]
@@ -375,5 +374,5 @@ def build_bipartite_model(sc: Scenario, tol: float = INGEST_TOL) -> BipartiteMod
     elif sc.state is not None:
         from .bell import section_from_bipartite_state
 
-        section = section_from_bipartite_state(pp, sc.state, tol=1e-7)
+        section = section_from_bipartite_state(pp, sc.state, tol=TOL.probability)
     return BipartiteModel(pp, section, analysis, lnodes, rnodes)

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .contexts import ContextPoset, PresheafShape
-from .opalg import DEFAULT_TOL, max_norm, spectral_atoms
+from .opalg import TOL, atom_coefficients, max_norm, spectral_atoms
 
 
 @dataclass(frozen=True)
@@ -386,43 +386,30 @@ def verify_section(poset: ContextPoset, s: SpectralSection) -> bool:
     return True
 
 
-def character_value(poset: ContextPoset, ch: Character, a, tol: float = DEFAULT_TOL) -> float:
+def character_value(poset: ContextPoset, ch: Character, a) -> float:
     """Value the character assigns to an operator of its context.
 
     ``a`` must be constant on the context's atoms; the value is the
     eigenvalue of ``a`` on the chosen atom.
     """
-    atoms = poset.atoms_of(ch.context)
-    arr = np.asarray(a, dtype=complex)
-    recon = np.zeros_like(arr)
-    coeffs = []
-    for p in atoms:
-        coeff = float(np.real(np.trace(p.matrix @ arr)) / p.rank)
-        coeffs.append(coeff)
-        recon = recon + coeff * p.matrix
-    if max_norm(recon - arr) > max(100 * tol, 1e-7):
+    coeffs = atom_coefficients(poset.atoms_of(ch.context), a)
+    if coeffs is None:
         raise ValueError("operator does not belong to the chosen context")
-    return coeffs[ch.chosen_atom]
+    return float(coeffs[ch.chosen_atom])
 
 
-def is_spectral_function(c, a, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``c`` is constant on each spectral atom of ``a``."""
-    atoms = spectral_atoms(a, tol)
-    arr = np.asarray(c, dtype=complex)
-    recon = np.zeros_like(arr)
-    for _, p in atoms:
-        coeff = np.trace(p.matrix @ arr) / p.rank
-        recon = recon + coeff * p.matrix
-    return max_norm(recon - arr) <= max(100 * tol, 1e-7)
+def is_spectral_function(c, a) -> bool:
+    """True iff the self-adjoint ``c`` is constant on each spectral atom of ``a``."""
+    return atom_coefficients([p for _, p in spectral_atoms(a)], c) is not None
 
 
-def ks_triple_check(a, b, c, tol: float = DEFAULT_TOL) -> bool:
+def ks_triple_check(a, b, c) -> bool:
     """Whether c is a spectral function of a and of b (a, b need not commute)."""
     for m in (a, b, c):
         arr = np.asarray(m, dtype=complex)
-        if max_norm(arr - arr.conj().T) > tol:
+        if max_norm(arr - arr.conj().T) > TOL.exact:
             raise ValueError("ks_triple_check requires self-adjoint inputs")
     shapes = {np.asarray(m).shape for m in (a, b, c)}
     if len(shapes) != 1:
         raise ValueError("ks_triple_check requires equal dimensions")
-    return is_spectral_function(c, a, tol) and is_spectral_function(c, b, tol)
+    return is_spectral_function(c, a) and is_spectral_function(c, b)

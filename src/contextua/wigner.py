@@ -15,11 +15,11 @@ import numpy as np
 
 from .contexts import Context, ContextPoset, poset_from_nodes
 from .opalg import (
-    DEFAULT_TOL,
+    TOL,
+    CanonicalizationError,
     Projection,
     ProjectionRegistry,
     as_operator,
-    canonical_key,
     is_projection,
     jordan_product,
     max_norm,
@@ -35,11 +35,11 @@ class SymmetryOp:
     matrix: np.ndarray
 
 
-def symmetry(kind: str, u, tol: float = DEFAULT_TOL) -> SymmetryOp:
+def symmetry(kind: str, u) -> SymmetryOp:
     if kind not in ("unitary", "antiunitary"):
         raise ValueError(f"kind must be unitary or antiunitary, got {kind!r}")
     arr = as_operator(u)
-    if max_norm(arr.conj().T @ arr - np.eye(arr.shape[0])) > max(tol * arr.shape[0], tol):
+    if max_norm(arr.conj().T @ arr - np.eye(arr.shape[0])) > TOL.exact * arr.shape[0]:
         raise ValueError("matrix is not unitary within tolerance")
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
@@ -89,55 +89,48 @@ class PosetMap:
         return self.node_map[i]
 
 
-def conjugate_poset(
-    poset: ContextPoset, s: SymmetryOp, tol: float = DEFAULT_TOL
-) -> tuple[ContextPoset, PosetMap]:
+def conjugate_poset(poset: ContextPoset, s: SymmetryOp) -> tuple[ContextPoset, PosetMap]:
     """Image of a poset under a symmetry, with the induced node bijection.
 
-    When every image context already exists in the original poset the map
-    lands there (a genuine automorphism, possibly a nontrivial permutation);
-    otherwise a fresh image poset is built with nodes in matching order.
+    When the poset's registry identifies every image atom and every image
+    context is a node, the map lands there (a genuine automorphism, possibly
+    a nontrivial permutation); otherwise a fresh image poset is built with
+    nodes in matching order.
     """
     image_atoms: list[list[Projection]] = []
     for i in range(len(poset)):
         mapped = []
         for p in poset.atoms_of(i):
             m = apply_symmetry(s, p.matrix)
-            if not is_projection(m, max(tol * 100, 1e-7)):
+            if not is_projection(m, TOL.conjugation):
                 raise ValueError("conjugated atom fails the projection check")
-            mapped.append(projection(m, max(tol * 100, 1e-7)))
+            mapped.append(projection(m, TOL.conjugation))
         image_atoms.append(mapped)
 
-    # try to resolve images inside the original poset (probe keys, no mutation)
-    original = {node.key_set: idx for idx, node in enumerate(poset.nodes)}
-    resolved: list[int] = []
-    for mapped in image_atoms:
-        keys = []
-        for p in mapped:
-            k = canonical_key(p.matrix)
-            if k in poset.registry and max_norm(
-                poset.registry.get(k).matrix - p.matrix
-            ) <= max(poset.registry.tol, 1e-8):
-                keys.append(k)
-            else:
-                keys = None
-                break
-        if keys is None or frozenset(keys) not in original:
-            resolved = []
-            break
-        resolved.append(original[frozenset(keys)])
-    if len(resolved) == len(poset):
-        return poset, PosetMap(tuple(resolved))
+    try:  # stops at the first image atom or context that is not in the poset
+        node_map = tuple(
+            poset.node_id(Context(poset.dim, tuple(_key_in(poset.registry, p) for p in mapped)))
+            for mapped in image_atoms
+        )
+    except (KeyError, CanonicalizationError):
+        pass
+    else:
+        return poset, PosetMap(node_map)
 
     registry = ProjectionRegistry(poset.dim, poset.registry.tol)
     nodes = []
     for mapped in image_atoms:
         keys = tuple(registry.register(p) for p in mapped)
         nodes.append(Context(poset.dim, keys))
-    image = poset_from_nodes(
-        registry, nodes, [f"conjugate({g})" for g in poset.generators], tol
-    )
+    image = poset_from_nodes(registry, nodes, [f"conjugate({g})" for g in poset.generators])
     return image, PosetMap(tuple(range(len(nodes))))
+
+
+def _key_in(registry: ProjectionRegistry, p: Projection) -> str:
+    key = registry.find(p)
+    if key is None:
+        raise KeyError("image atom is not a registered projection")
+    return key
 
 
 def trivial_presheaf_automorphism(
@@ -177,9 +170,7 @@ class JordanReport:
         }
 
 
-def jordan_check(
-    s: SymmetryOp, samples: Sequence[tuple], tol: float = DEFAULT_TOL
-) -> JordanReport:
+def jordan_check(s: SymmetryOp, samples: Sequence[tuple]) -> JordanReport:
     """Verify Jordan-product preservation and read off the commutator sign.
 
     For each self-adjoint pair (a, b): the action must satisfy
@@ -193,7 +184,7 @@ def jordan_check(
     for a, b in samples:
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex)
-        if max_norm(a - a.conj().T) > tol or max_norm(b - b.conj().T) > tol:
+        if max_norm(a - a.conj().T) > TOL.exact or max_norm(b - b.conj().T) > TOL.exact:
             raise ValueError("jordan_check requires self-adjoint samples")
         fa = apply_symmetry(s, a)
         fb = apply_symmetry(s, b)
@@ -201,15 +192,16 @@ def jordan_check(
         max_res = max(max_res, res)
         comm = a @ b - b @ a
         scale = max_norm(comm)
-        if scale <= max(tol, 1e-12):
+        if scale <= TOL.exact:
             signs.append(None)
             skipped += 1
             continue
         lifted = jordan_lift(s, comm)
         image_comm = fa @ fb - fb @ fa
-        if max_norm(lifted - image_comm) <= max(100 * tol, 1e-9) * max(1.0, scale):
+        bound = TOL.conjugation * max(1.0, scale)
+        if max_norm(lifted - image_comm) <= bound:
             signs.append(1)
-        elif max_norm(lifted + image_comm) <= max(100 * tol, 1e-9) * max(1.0, scale):
+        elif max_norm(lifted + image_comm) <= bound:
             signs.append(-1)
         else:
             signs.append(0)

@@ -146,6 +146,13 @@ class TestGeneratePoset:
         assert len(poset) == 1
         assert len(poset.nodes[0].atoms) == 1
 
+    def test_node_id_ignores_atom_order(self, shared_ray_poset_c3):
+        poset = shared_ray_poset_c3
+        for i, node in enumerate(poset.nodes):
+            assert poset.node_id(cx.Context(node.dim, node.atoms[::-1])) == i
+        with pytest.raises(KeyError, match="context not in poset"):
+            poset.node_id(cx.Context(3, ("p-unknown",)))
+
     def test_mixed_dimensions_rejected(self):
         reg2 = cx.ProjectionRegistry(2)
         reg3 = cx.ProjectionRegistry(3)
@@ -275,7 +282,7 @@ class TestConjugationStability:
         contexts = []
         for i in poset.maximal_nodes():
             mats = [u @ p.matrix @ u.conj().T for p in poset.atoms_of(i)]
-            contexts.append(cx.context_from_projections(reg, mats, tol=1e-8))
+            contexts.append(cx.context_from_projections(reg, mats))
         image = cx.generate_poset(contexts, reg)
         assert len(image) == len(poset)
         # induced bijection: match nodes through conjugated key sets

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import contextua as cx
 from contextua.opalg import (
+    TOL,
     CanonicalizationError,
     ProjectionRegistry,
     canonical_key,
@@ -243,6 +248,19 @@ class TestDensityMatrix:
             cx.density_matrix(np.diag([1.5, -0.5]))
 
 
+@st.composite
+def registry_projections(draw):
+    """A random projection in d2-d4, or a d2 ray whose off-diagonal entry sits on a rounding boundary."""
+    if draw(st.booleans()):
+        off = (draw(st.integers(1, 499_999)) + 0.5) * TOL.grid
+        theta = np.arcsin(2 * off) / 2
+        return cx.projection_from_ray(np.array([np.cos(theta), np.sin(theta)]))
+    dim = draw(st.integers(2, 4))
+    cols = random_unitary(np.random.default_rng(draw(st.integers(0, 2**31 - 1))), dim)
+    cols = cols[:, : draw(st.integers(1, dim - 1))]
+    return cx.projection(cols @ cols.conj().T)
+
+
 class TestRegistry:
     def test_same_projection_same_key(self):
         reg = ProjectionRegistry(3)
@@ -251,11 +269,58 @@ class TestRegistry:
         assert len(reg) == 1
 
     def test_jitter_identified(self):
+        # the off-diagonal entry 0.30000050000000006 sits on a 6-decimal rounding
+        # boundary, so 2e-13 of jitter downwards changes the canonical key
+        theta = np.arcsin(2 * 0.3000005) / 2
+        p = cx.projection_from_ray(np.array([np.cos(theta), np.sin(theta)]))
         reg = ProjectionRegistry(2)
-        v = np.array([0.6, 0.8])
-        p = cx.projection_from_ray(v)
-        q = cx.projection(p.matrix + 1e-12 * np.eye(2) * 0)  # same values, fresh array
-        assert reg.register(p) == reg.register(q)
+        key = reg.register(p)
+        assert canonical_key(p.matrix - 2e-13 * PAULI_X) != key
+        for eps in (2e-13, -2e-13):
+            assert reg.register(cx.projection(p.matrix + eps * PAULI_X)) == key
+        assert len(reg) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(0, 2**31 - 1), st.floats(0.0, 1.0))
+    def test_perturbation_within_tenth_of_tol_identified(self, data, seed, scale):
+        p = data.draw(registry_projections())
+        e = random_hermitian(np.random.default_rng(seed), p.dim)
+        e *= scale * TOL.identity / 10 / max_norm(e)
+        reg = ProjectionRegistry(p.dim)
+        key = reg.register(p)
+        for sign in (1, -1):
+            assert reg.register(cx.Projection(p.matrix + sign * e, p.rank)) == key
+        assert len(reg) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(0, 2**31 - 1), st.floats(0.01, 0.99))
+    def test_distinct_closer_than_grid_rejected(self, data, seed, frac):
+        p = data.draw(registry_projections())
+        h = random_hermitian(np.random.default_rng(seed), p.dim)
+        spread = max_norm(h @ p.matrix - p.matrix @ h)
+        assume(spread > 1e-3)
+        # conjugate by exp(ith) with t aimed log-uniformly inside (tol, grid)
+        target = TOL.identity ** (1 - frac) * TOL.grid**frac
+        u = expm(1j * (target / spread) * h)
+        q = cx.Projection(u @ p.matrix @ u.conj().T, p.rank)
+        assume(TOL.identity < max_norm(q.matrix - p.matrix) < TOL.grid)
+        reg = ProjectionRegistry(p.dim)
+        reg.register(p)
+        with pytest.raises(CanonicalizationError):
+            reg.find(q)
+        with pytest.raises(CanonicalizationError):
+            reg.register(q)
+        assert len(reg) == 1
+
+    def test_find_does_not_insert(self):
+        reg = ProjectionRegistry(2)
+        p = cx.projection_from_ray(np.array([0.6, 0.8]))
+        assert reg.find(p) is None
+        assert len(reg) == 0
+        key = reg.register(p)
+        assert reg.find(p) == key
+        assert reg.find(cx.projection_from_ray(np.array([1.0, 0.0]))) is None
+        assert len(reg) == 1
 
     def test_below_grid_rejected(self):
         reg = ProjectionRegistry(3)
@@ -307,3 +372,25 @@ class TestLatticeLaws:
         lhs = cx.jordan_product(a + 2.5 * b, c)
         rhs = cx.jordan_product(a, c) + 2.5 * cx.jordan_product(b, c)
         assert max_norm(lhs - rhs) < 1e-10
+
+
+class TestTolerances:
+    def test_no_threshold_literal_outside_the_record(self):
+        found = []
+        for path in sorted(Path(cx.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            record = {
+                id(n)
+                for c in ast.walk(tree)
+                if isinstance(c, ast.ClassDef) and c.name == "Tolerances"
+                for n in ast.walk(c)
+            }
+            found += [
+                f"{path.name}:{n.lineno} {n.value!r}"
+                for n in ast.walk(tree)
+                if isinstance(n, ast.Constant)
+                and isinstance(n.value, float)
+                and 0 < abs(n.value) < 1e-3
+                and id(n) not in record
+            ]
+        assert found == []

@@ -322,7 +322,7 @@ def _shared_pool_catalog(dim, n_bases, rng):
         cols = [q[:, k] / np.linalg.norm(q[:, k]) for k in range(dim)]
         pool.extend(cols)
         bases.append(
-            cx.context_from_projections(reg, [np.outer(c, c.conj()) for c in cols], tol=1e-8)
+            cx.context_from_projections(reg, [np.outer(c, c.conj()) for c in cols])
         )
     return reg, bases
 
