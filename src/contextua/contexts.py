@@ -133,17 +133,6 @@ def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
         yield [[first]] + part
 
 
-def _coarsen(registry: ProjectionRegistry, ctx: Context, blocks: list[list[int]]) -> Context:
-    atom_mats = [registry.get(k).matrix for k in ctx.atoms]
-    coarse = []
-    for block in blocks:
-        total = sum(atom_mats[i] for i in block)
-        rank = sum(registry.get(ctx.atoms[i]).rank for i in block)
-        coarse.append(Projection(total, rank))
-    keys = tuple(registry.register(p) for p in coarse)
-    return Context(ctx.dim, keys)
-
-
 @dataclass
 class ContextPoset:
     """Finite poset of contexts. Immutable once built; safe to share."""
@@ -208,8 +197,8 @@ class ContextPoset:
             raise KeyError(f"unknown node id {i!r}")
 
     def maximal_nodes(self) -> list[int]:
-        n = len(self.nodes)
-        return [i for i in range(n) if not any(self.order[i, j] and i != j for j in range(n))]
+        strict = self.order & ~np.eye(len(self.nodes), dtype=bool)
+        return [int(i) for i in np.flatnonzero(~strict.any(axis=1))]
 
     def trivial_node(self) -> int:
         for i, node in enumerate(self.nodes):
@@ -274,12 +263,21 @@ def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> 
 
     for idx, ctx in enumerate(catalog):
         add(ctx, f"catalog[{idx}]")
-        indices = list(range(len(ctx.atoms)))
-        for blocks in _set_partitions(indices):
-            if len(blocks) == len(indices):
+        atoms = [registry.get(k) for k in ctx.atoms]
+        # each distinct block is summed and registered once; a singleton is its atom
+        block_keys = {(i,): k for i, k in enumerate(ctx.atoms)}
+        for blocks in _set_partitions(list(range(len(atoms)))):
+            if len(blocks) == len(atoms):
                 continue  # the context itself
-            coarse = _coarsen(registry, ctx, [sorted(b) for b in blocks])
-            add(coarse, f"coarsening of catalog[{idx}]")
+            keys = []
+            for b in blocks:
+                block = tuple(sorted(b))
+                if block not in block_keys:
+                    total = sum(atoms[i].matrix for i in block)
+                    rank = sum(atoms[i].rank for i in block)
+                    block_keys[block] = registry.register(Projection(total, rank))
+                keys.append(block_keys[block])
+            add(Context(ctx.dim, tuple(keys)), f"coarsening of catalog[{idx}]")
     add(trivial_context(registry), "trivial")
 
     return poset_from_nodes(registry, nodes, provenance)

@@ -146,8 +146,8 @@ def hermitian_basis(d: int) -> np.ndarray:
 
 
 def _constraint_rows(basis: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    """Real rows tr(p G_k) for Hermitian p against a Hermitian basis."""
-    stacked = np.stack(mats)
+    """Real rows tr(p G_k) for Hermitian p against a Hermitian basis; no ``mats``, no rows."""
+    stacked = np.reshape(mats, (len(mats),) + basis.shape[1:])
     return np.real(np.einsum("rij,kji->rk", stacked, basis))
 
 

@@ -325,6 +325,8 @@ class ProjectionRegistry:
         self.dim = dim
         self.tol = tol
         self._by_key: dict[str, Projection] = {}
+        # registered matrices in insertion order; capacity doubles as it fills
+        self._stack = np.empty((4, dim, dim), dtype=complex)
 
     def find(self, p: Projection) -> str | None:
         """Key of the registered projection identified with ``p``, or None.
@@ -341,6 +343,10 @@ class ProjectionRegistry:
         key, found = self._identify(p)
         if found is not None:
             return found
+        n = len(self._by_key)
+        if n == len(self._stack):
+            self._stack = np.concatenate([self._stack, np.empty_like(self._stack)])
+        self._stack[n] = p.matrix
         self._by_key[key] = p
         return key
 
@@ -356,17 +362,18 @@ class ProjectionRegistry:
             raise CanonicalizationError(
                 "distinct projections collide on the canonical rounding grid", key
             )
-        grid = TOL.grid
-        for other_key, other in self._by_key.items():
-            dist = max_norm(other.matrix - p.matrix)
-            if dist <= self.tol:  # jitter across a rounding boundary
-                return key, other_key
-            if dist < grid:
-                raise CanonicalizationError(
-                    f"projections {key} and {other_key} are closer than the rounding grid",
-                    other_key,
-                )
-        return key, None
+        # the first registered projection within tol (jitter across a rounding
+        # boundary) or closer than the grid decides
+        dist = np.abs(self._stack[: len(self._by_key)] - p.matrix).max(axis=(1, 2))
+        hits = np.flatnonzero((dist <= self.tol) | (dist < TOL.grid))
+        if not hits.size:
+            return key, None
+        other_key = list(self._by_key)[hits[0]]
+        if dist[hits[0]] <= self.tol:
+            return key, other_key
+        raise CanonicalizationError(
+            f"projections {key} and {other_key} are closer than the rounding grid", other_key
+        )
 
     def get(self, key: str) -> Projection:
         try:

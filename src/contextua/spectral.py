@@ -84,15 +84,17 @@ def dominator_index(poset: ContextPoset, small: int, large: int, atom: int) -> i
 
 
 def _domination_maps(poset: ContextPoset) -> dict[tuple[int, int], np.ndarray]:
-    """For every strict pair small <= large, the atom dominator lookup."""
-    maps: dict[tuple[int, int], np.ndarray] = {}
-    n = len(poset)
-    for i in range(n):
-        for j in range(n):
-            if i == j or not poset.order[i, j]:
-                continue
-            maps[(i, j)] = poset.dominator_map(i, j)
-    return maps
+    """The atom dominator lookup of every strict pair small < large with ``large`` maximal.
+
+    Choices live on maximal nodes, so these are the only maps the search and
+    the enumerator read; any other map stays lazy in ``poset.dominator_map``.
+    """
+    return {
+        (int(i), m): poset.dominator_map(int(i), m)
+        for m in poset.maximal_nodes()
+        for i in np.flatnonzero(poset.order[:, m])
+        if i != m
+    }
 
 
 def restrict_character(poset: ContextPoset, ch: Character, target: int) -> Character:

@@ -102,9 +102,12 @@ def conjugate_poset(poset: ContextPoset, s: SymmetryOp) -> tuple[ContextPoset, P
         mapped = []
         for p in poset.atoms_of(i):
             m = apply_symmetry(s, p.matrix)
-            if not is_projection(m, TOL.conjugation):
-                raise ValueError("conjugated atom fails the projection check")
-            mapped.append(projection(m, TOL.conjugation))
+            try:
+                mapped.append(projection(m, TOL.conjugation))
+            except ValueError:
+                if is_projection(m, TOL.conjugation):
+                    raise  # projection's own trace error
+                raise ValueError("conjugated atom fails the projection check") from None
         image_atoms.append(mapped)
 
     try:  # stops at the first image atom or context that is not in the poset

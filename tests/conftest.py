@@ -7,6 +7,7 @@ import pytest
 
 import contextua as cx
 from contextua.catalogs import bundled_text
+from contextua.opalg import TOL, CanonicalizationError, canonical_key, max_norm
 
 
 def random_unitary(rng, dim):
@@ -30,6 +31,63 @@ def random_basis_context(rng, registry):
     u = random_unitary(rng, registry.dim)
     atoms = [cx.projection(np.outer(u[:, k], u[:, k].conj())) for k in range(registry.dim)]
     return cx.context_from_projections(registry, atoms)
+
+
+class LoopScanRegistry(cx.ProjectionRegistry):
+    """Reference registry: the miss path scans registered keys in a Python loop."""
+
+    def _identify(self, p):
+        key = canonical_key(p.matrix)
+        existing = self._by_key.get(key)
+        if existing is not None:
+            if max_norm(existing.matrix - p.matrix) <= self.tol:
+                return key, key
+            raise CanonicalizationError("collision on the rounding grid", key)
+        for other_key, other in self._by_key.items():
+            dist = max_norm(other.matrix - p.matrix)
+            if dist <= self.tol:
+                return key, other_key
+            if dist < TOL.grid:
+                raise CanonicalizationError("closer than the rounding grid", other_key)
+        return key, None
+
+
+def shared_ray_catalog(registry, seed, n_bases):
+    """Random rotations of one basis, all keeping its first ray, registered in ``registry``."""
+    dim = registry.dim
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, dim)
+    catalog = []
+    for b in range(n_bases):
+        v = u.copy()
+        if b:
+            v[:, 1:] = u[:, 1:] @ random_unitary(rng, dim - 1)
+        catalog.append(
+            cx.context_from_projections(
+                registry, [np.outer(v[:, k], v[:, k].conj()) for k in range(dim)]
+            )
+        )
+    return catalog
+
+
+def ks18_subset_catalog(registry, bases):
+    """The listed bases of the bundled ks18-c4 catalog, registered in a d4 ``registry``."""
+    sc = cx.parse_scenario(bundled_text("ks18-c4"))
+    rays = sc.rays["main"]
+    return [
+        cx.context_from_projections(registry, [cx.projection_from_ray(rays[i]) for i in ctx])
+        for ctx in (sc.contexts["main"][b] for b in bases)
+    ]
+
+
+def shared_ray_catalog_poset(seed, dim, n_bases):
+    reg = cx.ProjectionRegistry(dim)
+    return cx.generate_poset(shared_ray_catalog(reg, seed, n_bases), reg)
+
+
+def ks18_subset_poset(bases):
+    reg = cx.ProjectionRegistry(4)
+    return cx.generate_poset(ks18_subset_catalog(reg, bases), reg)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import re
 
 import numpy as np
@@ -12,11 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contextua as cx
-from contextua.catalogs import bundled_scenario
-from contextua.contexts import meet_node
+from contextua.contexts import Context, _set_partitions, meet_node, poset_from_nodes
 from contextua.opalg import max_norm
 
-from conftest import random_basis_context, random_unitary
+from conftest import (
+    LoopScanRegistry,
+    ks18_subset_catalog,
+    ks18_subset_poset,
+    random_basis_context,
+    random_unitary,
+    shared_ray_catalog,
+    shared_ray_catalog_poset,
+)
 
 
 def bell_number(n: int) -> int:
@@ -191,32 +197,6 @@ class TestLeq:
             assert np.array_equal(poset.order, subset_sum_order(poset))
 
 
-ks18_doc = bundled_scenario("ks18-c4")
-
-
-def shared_ray_catalog_poset(seed: int, dim: int, n_bases: int):
-    """Random rotations of one basis, all keeping its first ray."""
-    rng = np.random.default_rng(seed)
-    u = random_unitary(rng, dim)
-    reg = cx.ProjectionRegistry(dim)
-    catalog = []
-    for b in range(n_bases):
-        v = u.copy()
-        if b:
-            v[:, 1:] = u[:, 1:] @ random_unitary(rng, dim - 1)
-        catalog.append(
-            cx.context_from_projections(
-                reg, [np.outer(v[:, k], v[:, k].conj()) for k in range(dim)]
-            )
-        )
-    return cx.generate_poset(catalog, reg)
-
-
-def ks18_subset_poset(bases: list[int]):
-    doc = dict(ks18_doc, contexts=[ks18_doc["contexts"][b] for b in bases])
-    return cx.build_single_poset(cx.parse_scenario(json.dumps(doc)))
-
-
 class TestDominanceDifferential:
     """Order, dominator maps and image order against direct matrix checks."""
 
@@ -259,6 +239,60 @@ class TestDominanceDifferential:
     )
     def test_ks18_subsets(self, bases, seed, kind):
         self.check(ks18_subset_poset(bases), seed, kind)
+
+
+def reference_generate_poset(catalog, registry):
+    """The unmemoised build: every block of every partition is summed and registered."""
+    nodes, generators, seen = [], [], set()
+
+    def add(ctx, origin):
+        if ctx.key_set not in seen:
+            seen.add(ctx.key_set)
+            nodes.append(ctx)
+            generators.append(origin)
+
+    for idx, ctx in enumerate(catalog):
+        add(ctx, f"catalog[{idx}]")
+        atoms = [registry.get(k) for k in ctx.atoms]
+        for blocks in _set_partitions(list(range(len(atoms)))):
+            if len(blocks) == len(atoms):
+                continue
+            coarse = [
+                cx.Projection(
+                    sum(atoms[i].matrix for i in sorted(b)), sum(atoms[i].rank for i in b)
+                )
+                for b in blocks
+            ]
+            keys = tuple(registry.register(p) for p in coarse)
+            add(Context(ctx.dim, keys), f"coarsening of catalog[{idx}]")
+    add(cx.trivial_context(registry), "trivial")
+    return poset_from_nodes(registry, nodes, generators)
+
+
+class TestPosetBuildDifferential:
+    """generate_poset against the unmemoised build over a loop-scan registry."""
+
+    def check(self, build_catalog, dim: int):
+        reg, ref_reg = cx.ProjectionRegistry(dim), LoopScanRegistry(dim)
+        poset = cx.generate_poset(build_catalog(reg), reg)
+        ref = reference_generate_poset(build_catalog(ref_reg), ref_reg)
+        assert [n.atoms for n in poset.nodes] == [n.atoms for n in ref.nodes]
+        assert list(reg.keys()) == list(ref_reg.keys())
+        for key, p in reg.items():
+            assert np.array_equal(p.matrix, ref_reg.get(key).matrix)
+            assert p.rank == ref_reg.get(key).rank
+        assert np.array_equal(poset.order, ref.order)
+        assert poset.generators == ref.generators
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(3, 5), st.integers(1, 3))
+    def test_shared_ray_rotations(self, seed, dim, n_bases):
+        self.check(lambda reg: shared_ray_catalog(reg, seed, n_bases), dim)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.integers(0, 8), min_size=2, max_size=4, unique=True))
+    def test_ks18_subsets(self, bases):
+        self.check(lambda reg: ks18_subset_catalog(reg, bases), 4)
 
 
 class TestMeetClosure:

@@ -179,6 +179,13 @@ class TestStateFromSection:
         assert result.residual > 1e-6
 
 
+    def test_empty_domain_underdetermined(self):
+        poset = cx.generate_poset([], ProjectionRegistry(3))
+        result = cx.state_from_section(poset, cx.ProbSection({}, frozenset()))
+        assert result.status == "underdetermined"
+        assert result.solution_space_dim == 3 * 3 - 1  # only the trace is fixed
+
+
 class TestInformationalCompleteness:
     def test_single_maximal_false(self, basis_poset_c3):
         assert not cx.is_informationally_complete(basis_poset_c3)

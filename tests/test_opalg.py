@@ -23,7 +23,7 @@ from contextua.opalg import (
     zero_projection,
 )
 
-from conftest import random_hermitian, random_unitary
+from conftest import LoopScanRegistry, random_hermitian, random_unitary
 
 
 def diag_proj(*entries):
@@ -353,6 +353,69 @@ class TestRegistry:
         reg = ProjectionRegistry(2)
         with pytest.raises(ValueError, match="dim"):
             reg.register(identity_projection(3))
+
+
+# distances from p along one path u(t) p u(t)*, so that pairs of points land
+# within each tol, inside (tol, grid), just either side of the grid and far apart
+PATH_DISTANCES = (0.0, 5e-10, 3e-8, 7.5e-7, 0.9996e-6, 1.0001e-6, 1.5e-6, 1e-3)
+
+
+def register_outcomes(reg, seq):
+    """Per projection, its key or the key its CanonicalizationError names; then the key order."""
+    out = []
+    for q in seq:
+        try:
+            out.append(reg.register(q))
+        except CanonicalizationError as exc:
+            out.append(("raised", exc.key))
+    return out, list(reg.keys())
+
+
+class TestRegistryScanDifferential:
+    """The vectorised miss-path scan against a loop over the registered keys."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.data(),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([TOL.identity, 1e-7, 1e-5]),
+        st.permutations(PATH_DISTANCES + (2e-13, -2e-13, "fresh")),
+    )
+    def test_same_key_or_same_rejection(self, data, seed, tol, steps):
+        p = data.draw(registry_projections())
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng, p.dim)
+        spread = max_norm(h @ p.matrix - p.matrix @ h)
+        assume(spread > 1e-3)
+        jitter = np.zeros((p.dim, p.dim), dtype=complex)
+        jitter[0, 1] = jitter[1, 0] = 1.0
+        seq = []
+        for step in steps[: data.draw(st.integers(2, len(steps)))]:
+            if step == "fresh":
+                cols = random_unitary(rng, p.dim)[:, :1]
+                seq.append(cx.projection(cols @ cols.conj().T))
+            elif abs(step) < 1e-12:  # jitter across the rounding boundary of a d2 ray
+                seq.append(cx.Projection(p.matrix + step * jitter, p.rank))
+            else:
+                u = expm(1j * (step / spread) * h)
+                seq.append(cx.Projection(u @ p.matrix @ u.conj().T, p.rank))
+        got = register_outcomes(ProjectionRegistry(p.dim, tol), seq)
+        assert got == register_outcomes(LoopScanRegistry(p.dim, tol), seq)
+
+    def test_first_match_in_registration_order_decides(self):
+        # d2 rays whose top-left entry sits 3e-8 either side of the rounding
+        # boundary 0.3000005 (x, b) or just past the next one (p): three keys;
+        # x is within tol 1e-7 of b and closer than the grid to p only
+        def ray_projection(top_left):
+            theta = np.arccos(2 * top_left - 1) / 2
+            return cx.projection_from_ray(np.array([np.cos(theta), np.sin(theta)]))
+
+        p, b, x = (ray_projection(0.3000005 + off) for off in (1.001e-6, -3e-8, 3e-8))
+        for registry in (ProjectionRegistry, LoopScanRegistry):
+            keys, _ = register_outcomes(registry(2, 1e-7), [p, b, x])
+            assert keys == [keys[0], keys[1], ("raised", keys[0])]
+            keys, _ = register_outcomes(registry(2, 1e-7), [b, p, x])
+            assert keys == [keys[0], keys[1], keys[0]]
 
 
 class TestLatticeLaws:

@@ -7,8 +7,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contextua as cx
+from contextua import spectral
 from contextua.catalogs import bundled_text
 from contextua.contexts import Context, ContextPoset
 from contextua.opalg import ProjectionRegistry, max_norm
@@ -21,7 +24,7 @@ from contextua.spectral import (
     spectral_shape,
 )
 
-from conftest import random_basis_context
+from conftest import ks18_subset_poset, random_basis_context, shared_ray_catalog_poset
 
 
 @pytest.fixture(scope="module")
@@ -370,3 +373,59 @@ class TestOracleStress:
             assert len(enum) == direct
             assert all(cx.verify_section(poset, s) for s in enum)
             trials += 1
+
+
+def all_pairs_maps(poset):
+    """The eager route: a dominator map for every strict pair small < large."""
+    n = len(poset)
+    return {
+        (i, j): poset.dominator_map(i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and poset.order[i, j]
+    }
+
+
+catalog_sources = st.one_of(
+    st.tuples(st.integers(0, 2**31 - 1), st.integers(3, 5), st.integers(1, 3)),
+    st.tuples(st.lists(st.integers(0, 8), min_size=2, max_size=4, unique=True)),
+)
+
+
+def source_poset(source):
+    """A freshly built poset: shared-ray rotations (seed, dim, bases) or a ks18-c4 subset."""
+    return ks18_subset_poset(*source) if len(source) == 1 else shared_ray_catalog_poset(*source)
+
+
+class TestDominationMapsDifferential:
+    """Maps onto maximal nodes only, against the all-pairs route."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(catalog_sources)
+    def test_maps_onto_maximal_nodes(self, source):
+        poset, fresh = source_poset(source), source_poset(source)
+        n = len(poset)
+        maximal = [m for m in range(n) if not any(poset.order[m, j] for j in range(n) if j != m)]
+        assert poset.maximal_nodes() == maximal
+        maps = spectral._domination_maps(poset)
+        expected = {
+            (i, m): fresh.dominator_map(i, m)
+            for m in maximal
+            for i in range(n)
+            if i != m and poset.order[i, m]
+        }
+        assert maps.keys() == expected.keys()
+        assert all(np.array_equal(maps[k], expected[k]) for k in expected)
+
+    @settings(max_examples=25, deadline=None)
+    @given(catalog_sources)
+    def test_search_and_enumeration_match_all_pairs_route(self, source):
+        poset, ref_poset = source_poset(source), source_poset(source)
+        cert = cx.find_global_section(poset)
+        sections = cx.enumerate_global_sections(poset).sections
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_domination_maps", all_pairs_maps)
+            ref = cx.find_global_section(ref_poset)
+            ref_sections = cx.enumerate_global_sections(ref_poset).sections
+        assert cert.to_report(poset) == ref.to_report(ref_poset)
+        assert [s.assignment for s in sections] == [s.assignment for s in ref_sections]

@@ -81,6 +81,13 @@ class TestConjugatePoset:
             assert np.array_equal(img2.order, img3.order)
 
 
+    def test_non_projection_image_rejected(self, basis_poset_c3):
+        # bypasses symmetry()'s unitarity check: 2u maps an atom p to 4p
+        s = cx.wigner.SymmetryOp("unitary", 2.0 * np.eye(3, dtype=complex))
+        with pytest.raises(ValueError, match="conjugated atom fails the projection check"):
+            cx.conjugate_poset(basis_poset_c3, s)
+
+
 class TestJordanCheck:
     def test_unitary_sign_plus(self):
         rng = np.random.default_rng(7)

@@ -1,0 +1,63 @@
+"""Work done by one `ks-check` run: registrations and dominator maps built.
+
+Counts calls, never time, so the bounds hold on any host.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+
+from contextua import cli
+from contextua.contexts import ContextPoset
+from contextua.opalg import ProjectionRegistry
+
+from conftest import random_unitary
+
+
+@pytest.fixture
+def counters(monkeypatch):
+    counts = {"register": 0, "maps_built": 0}
+    register, dominator_map = ProjectionRegistry.register, ContextPoset.dominator_map
+
+    def counted_register(self, p):
+        counts["register"] += 1
+        return register(self, p)
+
+    def counted_map(self, small, large):
+        if (small, large) not in (self._dominators or {}):  # a cache miss builds a map
+            counts["maps_built"] += 1
+        return dominator_map(self, small, large)
+
+    monkeypatch.setattr(ProjectionRegistry, "register", counted_register)
+    monkeypatch.setattr(ContextPoset, "dominator_map", counted_map)
+    return counts
+
+
+def ks_check(scenario: str, capsys) -> dict:
+    cli.main(["ks-check", "--scenario", scenario])
+    return json.loads(capsys.readouterr().out)
+
+
+def test_rotated_d6_basis(counters, tmp_path, capsys):
+    d = 6
+    u = random_unitary(np.random.default_rng(6), d)
+    rays = [[[float(x.real), float(x.imag)] for x in u[:, k]] for k in range(d)]
+    doc = {"kind": "single", "dim": d, "rays": rays, "contexts": [list(range(d))]}
+    path = tmp_path / "basis-d6.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    report = ks_check(str(path), capsys)
+    assert report["verdict"] == "colorable"
+    nodes = report["poset"]["nodes"]
+    assert nodes == 203  # the Bell number B(6)
+    assert counters["register"] <= 2**d + 2 * d  # each distinct block once
+    assert counters["maps_built"] <= nodes - 1  # onto the one maximal node only
+
+
+def test_ks18(counters, capsys):
+    report = ks_check("builtin:ks18-c4", capsys)
+    assert report["verdict"] == "non_colorable"
+    assert counters["register"] <= 200
+    assert counters["maps_built"] <= 9 * 14  # 9 maximal nodes, 14 nodes below each
