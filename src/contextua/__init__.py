@@ -7,7 +7,7 @@ factorisability LP, quantum-realizability classification), and
 machine-checkable certificates for each verdict.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .bell import (
     BellSection,
@@ -36,7 +36,6 @@ from .contexts import (
     context_from_projections,
     export_dot,
     generate_poset,
-    meet_node,
     trivial_context,
 )
 from .gleason import (

@@ -9,7 +9,14 @@ from __future__ import annotations
 import copy
 import json
 import math
+from functools import reduce
 from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+from .contexts import context_from_observables
+from .opalg import ProjectionRegistry
 
 # omega = exp(2 pi i / 3) and its powers, in exact form
 _OMEGA = [1, ["-1/2", "sqrt(3)/2"], ["-1/2", "-sqrt(3)/2"]]
@@ -86,7 +93,59 @@ def _chsh_scenario() -> dict:
     }
 
 
-_BUNDLED: dict[str, dict] = {
+# The Mermin star: ten three-qubit Pauli observables on five lines of four
+# commuting ones (Mermin, PRL 65, 3373, 1990). The product along the first
+# line is -1 and along the others +1; as every observable lies on two
+# lines, no assignment of values +-1 meets all five products.
+_MERMIN_LINES = [
+    ["XXX", "XYY", "YXY", "YYX"],
+    ["XII", "IXI", "IIX", "XXX"],
+    ["XII", "IYI", "IIY", "XYY"],
+    ["YII", "IXI", "IIY", "YXY"],
+    ["YII", "IYI", "IIX", "YYX"],
+]
+_PAULI = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]])}
+
+
+def _mermin_star_scenario() -> dict:
+    """One context per line: the joint eigenbasis of its four observables.
+
+    Every eigenvector has entries in {0, +-1, +-i} once divided by its
+    largest entry, so the rays are written exactly.
+    """
+    registry = ProjectionRegistry(8)
+    rays: list[list] = []
+    ray_of: dict[str, int] = {}
+    contexts = []
+    for line in _MERMIN_LINES:
+        ops = [reduce(np.kron, [_PAULI[c] for c in word]) for word in line]
+        ctx = context_from_observables(registry, ops)
+        for key in ctx.atoms:
+            if key in ray_of:
+                continue
+            p = registry.get(key).matrix
+            v = p[:, np.argmax(np.abs(p).max(axis=0))]
+            v = v / v[np.argmax(np.abs(v))]
+            exact = np.round(v.real) + 1j * np.round(v.imag)
+            if not np.allclose(exact, v):
+                raise RuntimeError("Mermin-star eigenvector is not a {0, +-1, +-i} vector")
+            ray_of[key] = len(rays)
+            rays.append([int(z.real) if z.imag == 0 else [int(z.real), int(z.imag)] for z in exact])
+        contexts.append([ray_of[key] for key in ctx.atoms])
+    return {
+        "kind": "single",
+        "dim": 8,
+        "rays": rays,
+        "contexts": contexts,
+        "metadata": {
+            "name": "mermin-c8",
+            "note": "Mermin star: 10 three-qubit Pauli observables, 5 lines of 4 commuting "
+            "ones, one eigenbasis context per line; verdict recomputed on every run",
+        },
+    }
+
+
+_BUNDLED: dict[str, dict | Callable[[], dict]] = {
     "demo-c3": {
         "kind": "single",
         "dim": 3,
@@ -116,6 +175,7 @@ _BUNDLED: dict[str, dict] = {
         },
     },
     "chsh-c2": _chsh_scenario(),
+    "mermin-c8": _mermin_star_scenario,  # built on request
 }
 
 
@@ -126,7 +186,8 @@ def bundled_names() -> list[str]:
 def bundled_scenario(name: str) -> dict:
     if name not in _BUNDLED:
         raise KeyError(f"unknown bundled scenario {name!r}; have {bundled_names()}")
-    return copy.deepcopy(_BUNDLED[name])
+    doc = _BUNDLED[name]
+    return doc() if callable(doc) else copy.deepcopy(doc)
 
 
 def bundled_text(name: str) -> str:

@@ -1,9 +1,11 @@
 """Context posets: finite fragments of the poset of commutative subalgebras.
 
 A context is an orthogonal family of atomic projections summing to the
-identity. The poset generated by a catalog of contexts is the downward
-closure of the catalog: every partition-coarsening of every catalog
-context, plus the trivial context.
+identity. The poset generated by a catalog of contexts holds the catalog
+contexts, the meet (intersection algebra) of each pair of them, and the
+trivial context. Every other coarsening of a catalog context lies below
+at most one catalog context or below a stored meet, so it adds no
+constraint on a section and is not stored.
 
 Order rule: i <= j iff every atom of i is a sum of atoms of j. One
 dominance table decides it: ``under[q, p]`` holds iff atom p lies under
@@ -16,8 +18,9 @@ are lookups in the same table.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -121,18 +124,6 @@ def trivial_context(registry: ProjectionRegistry) -> Context:
     return Context(registry.dim, (key,))
 
 
-def _set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
-    """All partitions of ``items`` into nonempty blocks."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
 @dataclass
 class ContextPoset:
     """Finite poset of contexts. Immutable once built; safe to share."""
@@ -214,14 +205,6 @@ class ContextPoset:
             self._covers = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(cover)))
         return self._covers
 
-    def down_set(self, j: int) -> list[int]:
-        self._check_id(j)
-        return [i for i in range(len(self.nodes)) if self.order[i, j]]
-
-    def up_set(self, i: int) -> list[int]:
-        self._check_id(i)
-        return [j for j in range(len(self.nodes)) if self.order[i, j]]
-
     def chains3(self) -> list[tuple[int, int, int]]:
         """All chains i < j < k (strict), for functoriality checks."""
         n = len(self.nodes)
@@ -238,11 +221,16 @@ class ContextPoset:
 
 
 def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> ContextPoset:
-    """Downward-closed poset generated by the catalog.
+    """Poset of the catalog contexts, the meet of each catalog pair and the trivial context.
 
-    Nodes are every partition-coarsening of every catalog context plus the
-    trivial context; the closure is therefore stable under pairwise meets
-    (the meet of two stored contexts is a common coarsening of both).
+    Nodes come in that order: the catalog contexts, then for each pair
+    ``i < j`` the meet of ``catalog[i]`` and ``catalog[j]`` when it has more
+    than one block, then the trivial context. Any common coarsening of two
+    contexts lies below their meet, so these are the only nodes below the
+    catalog that constrain a section. A meet's blocks are the connected
+    components of the two contexts' atom overlaps ``tr(pq)``; each block's
+    sum over ``catalog[i]``'s atoms is registered, and the sum over
+    ``catalog[j]``'s atoms must be identified with it by the registry.
     """
     dim = registry.dim
     for ctx in catalog:
@@ -263,24 +251,65 @@ def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> 
 
     for idx, ctx in enumerate(catalog):
         add(ctx, f"catalog[{idx}]")
-        atoms = [registry.get(k) for k in ctx.atoms]
-        # each distinct block is summed and registered once; a singleton is its atom
-        block_keys = {(i,): k for i, k in enumerate(ctx.atoms)}
-        for blocks in _set_partitions(list(range(len(atoms)))):
-            if len(blocks) == len(atoms):
-                continue  # the context itself
-            keys = []
-            for b in blocks:
-                block = tuple(sorted(b))
-                if block not in block_keys:
-                    total = sum(atoms[i].matrix for i in block)
-                    rank = sum(atoms[i].rank for i in block)
-                    block_keys[block] = registry.register(Projection(total, rank))
-                keys.append(block_keys[block])
-            add(Context(ctx.dim, tuple(keys)), f"coarsening of catalog[{idx}]")
+    if len(catalog) > 1:
+        keys = sorted({k for ctx in catalog for k in ctx.atoms})
+        index = {k: t for t, k in enumerate(keys)}
+        flat = np.stack([registry.get(k).matrix.ravel() for k in keys])
+        # overlap[p, q]: tr(pq), the Frobenius inner product of the self-adjoint p
+        # and q, exceeds the dominance tolerance, i.e. p and q are not orthogonal
+        overlap = (flat @ flat.conj().T).real > TOL.dominance
+        for i, j in itertools.combinations(range(len(catalog)), 2):
+            meet = _meet(registry, catalog[i], catalog[j], index, overlap)
+            if meet is not None:
+                add(meet, f"meet of catalog[{i}] and catalog[{j}]")
     add(trivial_context(registry), "trivial")
 
     return poset_from_nodes(registry, nodes, provenance)
+
+
+def _meet(
+    registry: ProjectionRegistry,
+    first: Context,
+    second: Context,
+    index: dict[str, int],
+    overlap: np.ndarray,
+) -> Context | None:
+    """Intersection algebra of two contexts, or None when it is trivial.
+
+    An atom of ``second`` that overlaps an atom of ``first`` lies under the
+    same block of any common coarsening, so the blocks are the connected
+    components of the overlap graph, and each block's two atom sums are one
+    projection.
+    """
+    rows = [index[k] for k in first.atoms]
+    cols = [index[k] for k in second.atoms]
+    sub = overlap[np.ix_(rows, cols)]
+    # reach[a, b]: atoms a and b of first overlap a common atom of second;
+    # squaring until it is stable joins them along paths of such steps
+    reach = sub @ sub.T
+    closed = reach @ reach
+    while not np.array_equal(closed, reach):
+        reach, closed = closed, closed @ closed
+    label = reach.argmax(axis=1)  # each atom's block, named by its first atom
+    blocks = np.unique(label)
+    if len(blocks) == 1:
+        return None
+    other = label[sub.argmax(axis=0)]  # the block of each atom of second
+    keys = []
+    for b in blocks:
+        key = _block_key(registry, first.atoms, np.flatnonzero(label == b), registry.register)
+        if _block_key(registry, second.atoms, np.flatnonzero(other == b), registry.find) != key:
+            raise RuntimeError("the two sides of a meet block are distinct projections")
+        keys.append(key)
+    return Context(first.dim, tuple(keys))
+
+
+def _block_key(registry: ProjectionRegistry, atoms: tuple[str, ...], block, resolve) -> str | None:
+    """Key of the sum of the listed atoms: the atom itself, or ``resolve`` of the sum."""
+    if len(block) == 1:
+        return atoms[block[0]]
+    parts = [registry.get(atoms[t]) for t in block]
+    return resolve(Projection(sum(p.matrix for p in parts), sum(p.rank for p in parts)))
 
 
 def poset_from_nodes(
@@ -314,15 +343,6 @@ def _dominance_table(
     prod = np.einsum("aij,bjk->abik", stack, stack)
     under = np.abs(prod - stack[None, :, :, :]).max(axis=(2, 3)) <= TOL.dominance
     return index, under
-
-
-def meet_node(poset: ContextPoset, i: int, j: int) -> int:
-    """Order-theoretic greatest lower bound of two stored nodes."""
-    lowers = [k for k in range(len(poset)) if poset.order[k, i] and poset.order[k, j]]
-    best = [k for k in lowers if all(poset.order[m, k] for m in lowers)]
-    if len(best) != 1:
-        raise RuntimeError("stored poset has no unique greatest lower bound")
-    return best[0]
 
 
 def export_dot(poset: ContextPoset) -> str:

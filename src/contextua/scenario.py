@@ -104,20 +104,6 @@ def _parse_rays(raw, dim: int, path: str) -> list[np.ndarray]:
     return out
 
 
-def _check_ray_grid(rays: list[np.ndarray], path: str) -> None:
-    """Reject rays whose projections the registry would neither identify nor tell apart."""
-    registry = ProjectionRegistry(len(rays[0]))
-    first: dict[str, int] = {}
-    for j, v in enumerate(rays):
-        try:
-            first.setdefault(registry.register(projection_from_ray(v)), j)
-        except CanonicalizationError as exc:
-            raise ScenarioError(
-                path,
-                f"rays {first[exc.key]} and {j} are near-duplicates below the canonicalization grid",
-            ) from None
-
-
 def _parse_contexts(raw, n_rays: int, rays: list[np.ndarray], path: str) -> list[tuple[int, ...]]:
     if not isinstance(raw, list) or not raw:
         raise ScenarioError(path, "contexts must be a nonempty list")
@@ -181,7 +167,6 @@ def parse_scenario(text: str) -> Scenario:
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise ScenarioError("$.dim", f"dim must be a positive integer, got {dim!r}")
         rays = _parse_rays(doc.get("rays"), dim, "$.rays")
-        _check_ray_grid(rays, "$.rays")
         contexts = _parse_contexts(doc.get("contexts"), len(rays), rays, "$.contexts")
         for c, ctx in enumerate(contexts):
             if len(ctx) > dim:
@@ -221,8 +206,6 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("$.rays", "bipartite rays must be an object with 'left' and 'right'")
     left_rays = _parse_rays(rays_doc["left"], d1, "$.rays.left")
     right_rays = _parse_rays(rays_doc["right"], d2, "$.rays.right")
-    _check_ray_grid(left_rays, "$.rays.left")
-    _check_ray_grid(right_rays, "$.rays.right")
     ctx_doc = doc.get("contexts")
     if not isinstance(ctx_doc, dict) or set(ctx_doc) != {"left", "right"}:
         raise ScenarioError("$.contexts", "bipartite contexts must be an object with 'left' and 'right'")
@@ -278,34 +261,48 @@ def emit_scenario(sc: Scenario) -> str:
     return json.dumps(sc.document, indent=2, sort_keys=True) + "\n"
 
 
-def _context_from_ray_indices(
-    registry: ProjectionRegistry, rays: list[np.ndarray], indices: tuple[int, ...]
-) -> Context:
-    dim = registry.dim
-    atoms = [projection_from_ray(ray(rays[i])) for i in indices]
-    total = sum(p.matrix for p in atoms)
-    rank = sum(p.rank for p in atoms)
-    if rank < dim:
-        comp = np.eye(dim) - total
-        atoms.append(Projection(comp, dim - rank))
-    keys = tuple(registry.register(p) for p in atoms)
-    return Context(dim, keys)
-
-
 def _catalog(
     rays: list[np.ndarray],
     contexts: list[tuple[int, ...]],
     dim: int,
-    path: str,
+    side: str = "",
     tol: float = TOL.identity,
 ) -> tuple[ProjectionRegistry, list[Context]]:
+    """Register the rays of ``$.rays{side}`` and the contexts of ``$.contexts{side}``.
+
+    The rays that some context uses are registered in ray order, then every
+    other ray is looked up without registering it. A ray whose projection
+    the registry would neither identify with a registered one nor tell apart
+    from it is rejected.
+    """
     registry = ProjectionRegistry(dim, tol)
+    used = {i for indices in contexts for i in indices}
+    atoms = [projection_from_ray(v) for v in rays]
+    keys: dict[int, str] = {}
+    first: dict[str, int] = {}
+    for j in sorted(range(len(atoms)), key=lambda j: j not in used):
+        try:
+            if j in used:
+                keys[j] = registry.register(atoms[j])
+                first.setdefault(keys[j], j)
+            else:
+                registry.find(atoms[j])
+        except CanonicalizationError as exc:
+            raise ScenarioError(
+                f"$.rays{side}",
+                f"rays {first[exc.key]} and {j} are near-duplicates below the canonicalization grid",
+            ) from None
     catalog = []
     for c, indices in enumerate(contexts):
-        try:
-            catalog.append(_context_from_ray_indices(registry, rays, indices))
-        except CanonicalizationError as exc:
-            raise ScenarioError(f"{path}[{c}]", str(exc)) from None
+        ctx_keys = tuple(keys[i] for i in indices)
+        rank = len(indices)
+        if rank < dim:  # pad with the orthogonal complement
+            comp = Projection(np.eye(dim) - sum(atoms[i].matrix for i in indices), dim - rank)
+            try:
+                ctx_keys += (registry.register(comp),)
+            except CanonicalizationError as exc:
+                raise ScenarioError(f"$.contexts{side}[{c}]", str(exc)) from None
+        catalog.append(Context(dim, ctx_keys))
     return registry, catalog
 
 
@@ -320,9 +317,7 @@ class SingleModel:
 def build_single_model(sc: Scenario, tol: float = TOL.identity) -> SingleModel:
     if sc.kind != "single":
         raise ValueError("expected a single-system scenario")
-    registry, catalog = _catalog(
-        sc.rays["main"], sc.contexts["main"], sc.dims[0], "$.contexts", tol
-    )
+    registry, catalog = _catalog(sc.rays["main"], sc.contexts["main"], sc.dims[0], "", tol)
     poset = generate_poset(catalog, registry)
     return SingleModel(poset, [poset.node_id(c) for c in catalog])
 
@@ -345,8 +340,8 @@ class BipartiteModel:
 def build_bipartite_model(sc: Scenario, tol: float = TOL.identity) -> BipartiteModel:
     if sc.kind != "bipartite":
         raise ValueError("expected a bipartite scenario")
-    lreg, lcat = _catalog(sc.rays["left"], sc.contexts["left"], sc.dims[0], "$.contexts.left", tol)
-    rreg, rcat = _catalog(sc.rays["right"], sc.contexts["right"], sc.dims[1], "$.contexts.right", tol)
+    lreg, lcat = _catalog(sc.rays["left"], sc.contexts["left"], sc.dims[0], ".left", tol)
+    rreg, rcat = _catalog(sc.rays["right"], sc.contexts["right"], sc.dims[1], ".right", tol)
     lposet = generate_poset(lcat, lreg)
     rposet = generate_poset(rcat, rreg)
     pp = product_poset(lposet, rposet)

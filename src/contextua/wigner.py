@@ -149,13 +149,10 @@ def trivial_presheaf_automorphism(
     n = len(poset)
     if len(target) != n or len(m.node_map) != n:
         return False
-    if sorted(m.node_map) != list(range(n)):
+    perm = list(m.node_map)
+    if sorted(perm) != list(range(n)):
         return False
-    for i in range(n):
-        for j in range(n):
-            if bool(poset.order[i, j]) != bool(target.order[m(i), m(j)]):
-                return False
-    return True
+    return bool(np.array_equal(poset.order, target.order[np.ix_(perm, perm)]))
 
 
 @dataclass

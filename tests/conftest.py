@@ -7,7 +7,9 @@ import pytest
 
 import contextua as cx
 from contextua.catalogs import bundled_text
+from contextua.contexts import poset_from_nodes
 from contextua.opalg import TOL, CanonicalizationError, canonical_key, max_norm
+from contextua.scenario import _catalog
 
 
 def random_unitary(rng, dim):
@@ -80,6 +82,50 @@ def ks18_subset_catalog(registry, bases):
     ]
 
 
+def set_partitions(items):
+    """All partitions of ``items`` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def partition_closure_poset(catalog, registry):
+    """Oracle: the catalog, every partition-coarsening of each catalog context, the trivial context.
+
+    Each block of each partition is summed and registered; the order comes
+    from ``poset_from_nodes`` like the library build's.
+    """
+    nodes, generators, seen = [], [], set()
+
+    def add(ctx, origin):
+        if ctx.key_set not in seen:
+            seen.add(ctx.key_set)
+            nodes.append(ctx)
+            generators.append(origin)
+
+    for idx, ctx in enumerate(catalog):
+        add(ctx, f"catalog[{idx}]")
+        atoms = [registry.get(k) for k in ctx.atoms]
+        for blocks in set_partitions(list(range(len(atoms)))):
+            if len(blocks) == len(atoms):
+                continue
+            coarse = [
+                cx.Projection(
+                    sum(atoms[i].matrix for i in sorted(b)), sum(atoms[i].rank for i in b)
+                )
+                for b in blocks
+            ]
+            keys = tuple(registry.register(p) for p in coarse)
+            add(cx.Context(ctx.dim, keys), f"coarsening of catalog[{idx}]")
+    add(cx.trivial_context(registry), "trivial")
+    return poset_from_nodes(registry, nodes, generators)
+
+
 def shared_ray_catalog_poset(seed, dim, n_bases):
     reg = cx.ProjectionRegistry(dim)
     return cx.generate_poset(shared_ray_catalog(reg, seed, n_bases), reg)
@@ -92,10 +138,10 @@ def ks18_subset_poset(bases):
 
 @pytest.fixture(scope="session")
 def basis_poset_c3():
-    """Single diagonal basis in dimension 3: the 5-node partition poset."""
+    """Single diagonal basis in dimension 3: the 5-node partition-closure poset."""
     reg = cx.ProjectionRegistry(3)
     ctx = cx.context_from_observables(reg, [np.diag([1.0, 2.0, 3.0])])
-    return cx.generate_poset([ctx], reg)
+    return partition_closure_poset([ctx], reg)
 
 
 @pytest.fixture(scope="session")
@@ -120,6 +166,14 @@ def shared_ray_poset_c3():
 def mub_poset_c3():
     sc = cx.parse_scenario(bundled_text("mub-c3"))
     return cx.build_single_poset(sc)
+
+
+@pytest.fixture(scope="session")
+def mub_closure_poset_c3():
+    """The bundled mub-c3 catalog under the partition-closure oracle: 17 nodes."""
+    sc = cx.parse_scenario(bundled_text("mub-c3"))
+    registry, catalog = _catalog(sc.rays["main"], sc.contexts["main"], 3)
+    return partition_closure_poset(catalog, registry)
 
 
 @pytest.fixture(scope="session")

@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contextua as cx
-from contextua.contexts import Context, _set_partitions, meet_node, poset_from_nodes
 from contextua.opalg import max_norm
 
 from conftest import (
-    LoopScanRegistry,
     ks18_subset_catalog,
     ks18_subset_poset,
+    partition_closure_poset,
     random_basis_context,
+    random_density,
     random_unitary,
     shared_ray_catalog,
     shared_ray_catalog_poset,
@@ -123,7 +123,7 @@ class TestGeneratePoset:
     def test_single_maximal_c4_partition_count(self):
         reg = cx.ProjectionRegistry(4)
         ctx = cx.context_from_observables(reg, [np.diag([1.0, 2.0, 3.0, 4.0])])
-        poset = cx.generate_poset([ctx], reg)
+        poset = partition_closure_poset([ctx], reg)
         assert len(poset) == bell_number(4) == 15
 
     def test_shared_ray_contexts_share_node(self, shared_ray_poset_c3):
@@ -241,48 +241,51 @@ class TestDominanceDifferential:
         self.check(ks18_subset_poset(bases), seed, kind)
 
 
-def reference_generate_poset(catalog, registry):
-    """The unmemoised build: every block of every partition is summed and registered."""
-    nodes, generators, seen = [], [], set()
-
-    def add(ctx, origin):
-        if ctx.key_set not in seen:
-            seen.add(ctx.key_set)
-            nodes.append(ctx)
-            generators.append(origin)
-
-    for idx, ctx in enumerate(catalog):
-        add(ctx, f"catalog[{idx}]")
-        atoms = [registry.get(k) for k in ctx.atoms]
-        for blocks in _set_partitions(list(range(len(atoms)))):
-            if len(blocks) == len(atoms):
-                continue
-            coarse = [
-                cx.Projection(
-                    sum(atoms[i].matrix for i in sorted(b)), sum(atoms[i].rank for i in b)
-                )
-                for b in blocks
-            ]
-            keys = tuple(registry.register(p) for p in coarse)
-            add(Context(ctx.dim, keys), f"coarsening of catalog[{idx}]")
-    add(cx.trivial_context(registry), "trivial")
-    return poset_from_nodes(registry, nodes, generators)
+def greatest_lower_bound(order: np.ndarray, i: int, j: int) -> int:
+    """Oracle: the one common lower bound of i and j that lies above every other."""
+    lower = np.flatnonzero(order[:, i] & order[:, j])
+    top = [int(k) for k in lower if order[lower, k].all()]
+    assert len(top) == 1
+    return top[0]
 
 
-class TestPosetBuildDifferential:
-    """generate_poset against the unmemoised build over a loop-scan registry."""
+class TestMeetClosedDifferential:
+    """The meet-closed build against the partition-closure oracle on the same catalog."""
+
+    @staticmethod
+    def catalog_sections(poset, catalog) -> list[tuple[str, ...]]:
+        """Each enumerated section as the chosen atom key of every catalog context, sorted."""
+        ids = [poset.node_id(ctx) for ctx in catalog]
+        return sorted(
+            tuple(poset.nodes[i].atoms[s.assignment[i].chosen_atom] for i in ids)
+            for s in cx.enumerate_global_sections(poset)
+        )
 
     def check(self, build_catalog, dim: int):
-        reg, ref_reg = cx.ProjectionRegistry(dim), LoopScanRegistry(dim)
-        poset = cx.generate_poset(build_catalog(reg), reg)
-        ref = reference_generate_poset(build_catalog(ref_reg), ref_reg)
-        assert [n.atoms for n in poset.nodes] == [n.atoms for n in ref.nodes]
-        assert list(reg.keys()) == list(ref_reg.keys())
-        for key, p in reg.items():
-            assert np.array_equal(p.matrix, ref_reg.get(key).matrix)
-            assert p.rank == ref_reg.get(key).rank
-        assert np.array_equal(poset.order, ref.order)
-        assert poset.generators == ref.generators
+        reg, ref_reg = cx.ProjectionRegistry(dim), cx.ProjectionRegistry(dim)
+        catalog, ref_catalog = build_catalog(reg), build_catalog(ref_reg)
+        poset = cx.generate_poset(catalog, reg)
+        ref = partition_closure_poset(ref_catalog, ref_reg)
+
+        # every stored node is an oracle node, ordered as in the oracle
+        to_ref = [ref.node_id(node) for node in poset.nodes]
+        assert np.array_equal(poset.order, ref.order[np.ix_(to_ref, to_ref)])
+        # each pair's greatest lower bound in the oracle is stored, and each
+        # stored meet is the greatest lower bound of its two catalog contexts
+        ref_ids = [ref.node_id(ctx) for ctx in ref_catalog]
+        for i, j in itertools.combinations(range(len(catalog)), 2):
+            poset.node_id(ref.nodes[greatest_lower_bound(ref.order, ref_ids[i], ref_ids[j])])
+        for k, origin in enumerate(poset.generators):
+            found = re.fullmatch(r"meet of catalog\[(\d+)\] and catalog\[(\d+)\]", origin)
+            if found:
+                i, j = (ref_ids[int(t)] for t in found.groups())
+                assert to_ref[k] == greatest_lower_bound(ref.order, i, j)
+
+        assert cx.find_global_section(poset).verdict == cx.find_global_section(ref).verdict
+        got = self.catalog_sections(poset, catalog)
+        want = self.catalog_sections(ref, ref_catalog)
+        assert len(got) == len(want)
+        assert got == want
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(3, 5), st.integers(1, 3))
@@ -294,17 +297,34 @@ class TestPosetBuildDifferential:
     def test_ks18_subsets(self, bases):
         self.check(lambda reg: ks18_subset_catalog(reg, bases), 4)
 
+    def test_block_joined_along_an_overlap_path(self):
+        # no atom of the second basis overlaps both e0 and e3, yet e0..e3 are one block
+        e, s = np.eye(5), np.sqrt(0.5)
+        u, w = s * (e[1] + e[2]), s * (e[1] - e[2])
+        second = [s * (e[0] + u), s * (e[0] - u), s * (w + e[3]), s * (w - e[3]), e[4]]
 
-class TestMeetClosure:
-    def test_meets_present_and_glb(self, shared_ray_poset_c3):
-        poset = shared_ray_poset_c3
-        for i in range(len(poset)):
-            for j in range(len(poset)):
-                node = meet_node(poset, i, j)
-                assert poset.leq(node, i) and poset.leq(node, j)
-                for k in range(len(poset)):
-                    if poset.leq(k, i) and poset.leq(k, j):
-                        assert poset.leq(k, node)
+        def build_catalog(reg):
+            return [
+                cx.context_from_projections(reg, [np.outer(v, v) for v in basis])
+                for basis in (e, second)
+            ]
+
+        self.check(build_catalog, 5)
+        reg = cx.ProjectionRegistry(5)
+        poset = cx.generate_poset(build_catalog(reg), reg)
+        assert poset.generators[2] == "meet of catalog[0] and catalog[1]"
+        assert sorted(p.rank for p in poset.atoms_of(2)) == [1, 4]
+
+    def test_mub_c3_state_reconstruction(self, mub_poset_c3, mub_closure_poset_c3):
+        rho = random_density(np.random.default_rng(11), 3)
+        results = [
+            cx.state_from_section(poset, cx.section_from_state(poset, rho))
+            for poset in (mub_poset_c3, mub_closure_poset_c3)
+        ]
+        assert len(mub_poset_c3) == 5 and len(mub_closure_poset_c3) == 17
+        assert results[0].status == results[1].status == "unique"
+        assert results[0].solution_space_dim == results[1].solution_space_dim
+        assert max_norm(results[0].state.matrix - results[1].state.matrix) <= 1e-9
 
 
 class TestConjugationStability:
@@ -397,7 +417,7 @@ class TestPresheafShape:
         # needs chains whose bottom is not the one-atom trivial node
         reg = cx.ProjectionRegistry(4)
         ctx = cx.context_from_observables(reg, [np.diag([1.0, 2.0, 3.0, 4.0])])
-        poset = cx.generate_poset([ctx], reg)
+        poset = partition_closure_poset([ctx], reg)
 
         def path_dependent(ch, large, small):
             k = len(poset.nodes[small].atoms)

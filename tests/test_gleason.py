@@ -164,8 +164,8 @@ class TestStateFromSection:
         assert result.reason == "unique solution has a negative eigenvalue"
         assert result.eigenvalues.min() == pytest.approx(-0.5, abs=1e-7)
 
-    def test_inconsistent_section_infeasible(self, mub_poset_c3):
-        poset = mub_poset_c3
+    def test_inconsistent_section_infeasible(self, mub_closure_poset_c3):
+        poset = mub_closure_poset_c3
         rng = np.random.default_rng(8)
         rho = random_density(rng, 3)
         s = cx.section_from_state(poset, rho)
@@ -201,9 +201,9 @@ class TestInformationalCompleteness:
 
 
 class TestMarginalisation:
-    def test_restriction_composes(self, shared_ray_poset_c3, mub_poset_c3):
+    def test_restriction_composes(self, shared_ray_poset_c3, mub_closure_poset_c3):
         rng = np.random.default_rng(6)
-        for poset in (shared_ray_poset_c3, mub_poset_c3):
+        for poset in (shared_ray_poset_c3, mub_closure_poset_c3):
             shape = probabilistic_shape(poset)
 
             def samples(k, p=poset):

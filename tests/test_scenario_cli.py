@@ -96,8 +96,26 @@ class TestParseScenario:
             "rays": [[1, 0], [1, 1e-7]],
             "contexts": [[0]],
         }
-        with pytest.raises(ScenarioError, match="near-duplicate"):
-            cx.parse_scenario(json.dumps(doc))
+        sc = cx.parse_scenario(json.dumps(doc))
+        with pytest.raises(ScenarioError, match=r"\$\.rays: rays 0 and 1 are near-duplicate"):
+            cx.build_single_poset(sc)
+
+    def test_near_duplicates_identified_at_tol(self, tmp_path, capsys):
+        # rays 0 and 1 are 5e-8 apart: one projection at --tol 1e-6, rejected at the default
+        doc = {
+            "kind": "single",
+            "dim": 2,
+            "rays": [[1, 0], [1, 5e-8], [0, 1]],
+            "contexts": [[0, 2], [1]],
+        }
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["ks-check", "--scenario", str(path), "--tol", "1e-6"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "colorable"
+        assert report["poset"] == {"nodes": 2, "projections": 3}
+        assert main(["ks-check", "--scenario", str(path)]) == 1
+        assert "rays 0 and 1 are near-duplicates" in capsys.readouterr().err
 
     def test_unknown_kind(self):
         with pytest.raises(ScenarioError, match=r"\$\.kind"):
@@ -235,6 +253,27 @@ class TestMain:
         captured = capsys.readouterr().out
         assert json.loads(captured)["verdict"] == "colorable"
         assert json.loads(out.read_text())["verdict"] == "colorable"
+
+    def test_mermin_star_non_colorable(self, capsys):
+        assert main(["ks-check", "--scenario", "builtin:mermin-c8"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "non_colorable"
+        assert report["poset"]["nodes"] == 16  # 5 lines, 10 pairwise meets, the trivial context
+
+    def test_mermin_star_rays_are_line_eigenvectors(self):
+        # independent of the catalog builder: each context's rays are orthogonal
+        # eigenvectors of the four Pauli observables on its line
+        pauli = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]])}
+        lines = ["XXX XYY YXY YYX", "XII IXI IIX XXX", "XII IYI IIY XYY", "YII IXI IIY YXY", "YII IYI IIX YYX"]
+        sc = cx.parse_scenario(bundled_text("mermin-c8"))
+        rays, contexts = sc.rays["main"], sc.contexts["main"]
+        assert len(rays) == 40 and [len(c) for c in contexts] == [8] * 5
+        for line, ctx in zip(lines, contexts):
+            for word in line.split():
+                op = np.kron(np.kron(pauli[word[0]], pauli[word[1]]), pauli[word[2]])
+                for i in ctx:
+                    v = rays[i]
+                    assert np.allclose(op @ v, np.vdot(v, op @ v) * v)
 
     def test_scenario_file_loading(self, tmp_path, capsys):
         paths = write_bundled(tmp_path)

@@ -24,7 +24,12 @@ from contextua.spectral import (
     spectral_shape,
 )
 
-from conftest import ks18_subset_poset, random_basis_context, shared_ray_catalog_poset
+from conftest import (
+    ks18_subset_poset,
+    partition_closure_poset,
+    random_basis_context,
+    shared_ray_catalog_poset,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +37,7 @@ def shared_atom_setup():
     """Maximal context {p1, p2, p3} and the contained {p1, 1-p1}."""
     reg = ProjectionRegistry(3)
     ctx = cx.context_from_observables(reg, [np.diag([1.0, 2.0, 3.0])])
-    poset = cx.generate_poset([ctx], reg)
+    poset = partition_closure_poset([ctx], reg)
     maximal = poset.maximal_nodes()[0]
     e1 = np.diag([1.0, 0, 0]).astype(complex)
     key1 = cx.opalg.canonical_key(e1)
@@ -258,8 +263,8 @@ class TestKsTriple:
 
 
 class TestFunctorialityAndValues:
-    def test_restriction_composes_exhaustively(self, shared_ray_poset_c3, mub_poset_c3):
-        for poset in (shared_ray_poset_c3, mub_poset_c3):
+    def test_restriction_composes_exhaustively(self, shared_ray_poset_c3, mub_closure_poset_c3):
+        for poset in (shared_ray_poset_c3, mub_closure_poset_c3):
             shape = spectral_shape(poset)
             assert shape.check_functoriality(lambda k, p=poset: characters_of(p, k)) > 0
 

@@ -41,23 +41,29 @@ def ks_check(scenario: str, capsys) -> dict:
     return json.loads(capsys.readouterr().out)
 
 
-def test_rotated_d6_basis(counters, tmp_path, capsys):
-    d = 6
-    u = random_unitary(np.random.default_rng(6), d)
+def rotated_basis_check(d: int, counters, tmp_path, capsys) -> None:
+    u = random_unitary(np.random.default_rng(d), d)
     rays = [[[float(x.real), float(x.imag)] for x in u[:, k]] for k in range(d)]
     doc = {"kind": "single", "dim": d, "rays": rays, "contexts": [list(range(d))]}
-    path = tmp_path / "basis-d6.json"
+    path = tmp_path / f"basis-d{d}.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     report = ks_check(str(path), capsys)
     assert report["verdict"] == "colorable"
-    nodes = report["poset"]["nodes"]
-    assert nodes == 203  # the Bell number B(6)
-    assert counters["register"] <= 2**d + 2 * d  # each distinct block once
-    assert counters["maps_built"] <= nodes - 1  # onto the one maximal node only
+    assert report["poset"]["nodes"] == 2  # the basis and the trivial context
+    assert counters["register"] <= d + 2  # the atoms and the identity, nothing else
+    assert counters["maps_built"] <= 1  # the trivial node onto the basis
+
+
+def test_rotated_d6_basis(counters, tmp_path, capsys):
+    rotated_basis_check(6, counters, tmp_path, capsys)
+
+
+def test_rotated_d8_basis(counters, tmp_path, capsys):
+    rotated_basis_check(8, counters, tmp_path, capsys)
 
 
 def test_ks18(counters, capsys):
     report = ks_check("builtin:ks18-c4", capsys)
     assert report["verdict"] == "non_colorable"
-    assert counters["register"] <= 200
-    assert counters["maps_built"] <= 9 * 14  # 9 maximal nodes, 14 nodes below each
+    assert counters["register"] <= 18 + 18 + 1  # the rays, one block per shared-ray meet, the identity
+    assert counters["maps_built"] <= 9 * 5  # 9 maximal nodes, 4 meets and the trivial node below each
