@@ -11,7 +11,6 @@ import json
 import math
 from functools import reduce
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -145,7 +144,7 @@ def _mermin_star_scenario() -> dict:
     }
 
 
-_BUNDLED: dict[str, dict | Callable[[], dict]] = {
+_BUNDLED: dict[str, dict] = {
     "demo-c3": {
         "kind": "single",
         "dim": 3,
@@ -175,7 +174,7 @@ _BUNDLED: dict[str, dict | Callable[[], dict]] = {
         },
     },
     "chsh-c2": _chsh_scenario(),
-    "mermin-c8": _mermin_star_scenario,  # built on request
+    "mermin-c8": _mermin_star_scenario(),
 }
 
 
@@ -186,8 +185,7 @@ def bundled_names() -> list[str]:
 def bundled_scenario(name: str) -> dict:
     if name not in _BUNDLED:
         raise KeyError(f"unknown bundled scenario {name!r}; have {bundled_names()}")
-    doc = _BUNDLED[name]
-    return doc() if callable(doc) else copy.deepcopy(doc)
+    return copy.deepcopy(_BUNDLED[name])
 
 
 def bundled_text(name: str) -> str:

@@ -255,9 +255,11 @@ def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> 
         keys = sorted({k for ctx in catalog for k in ctx.atoms})
         index = {k: t for t, k in enumerate(keys)}
         flat = np.stack([registry.get(k).matrix.ravel() for k in keys])
-        # overlap[p, q]: tr(pq), the Frobenius inner product of the self-adjoint p
-        # and q, exceeds the dominance tolerance, i.e. p and q are not orthogonal
-        overlap = (flat @ flat.conj().T).real > TOL.dominance
+        # overlap[p, q]: p and q are not orthogonal. tr(pq) = |pq|_F^2 is a squared
+        # norm, so it is compared with the squared grid: distinct rays closer than
+        # the grid are rejected, so any real overlap is at least this large, and
+        # float noise on orthogonal atoms is far below it
+        overlap = (flat @ flat.conj().T).real > TOL.grid**2
         for i, j in itertools.combinations(range(len(catalog)), 2):
             meet = _meet(registry, catalog[i], catalog[j], index, overlap)
             if meet is not None:
@@ -284,12 +286,12 @@ def _meet(
     rows = [index[k] for k in first.atoms]
     cols = [index[k] for k in second.atoms]
     sub = overlap[np.ix_(rows, cols)]
-    # reach[a, b]: atoms a and b of first overlap a common atom of second;
-    # squaring until it is stable joins them along paths of such steps
+    # reach[a, b]: atoms a and b of first are joined by a path of overlaps; each
+    # squaring doubles the path length covered, and no path has more steps than
+    # first has atoms
     reach = sub @ sub.T
-    closed = reach @ reach
-    while not np.array_equal(closed, reach):
-        reach, closed = closed, closed @ closed
+    for _ in range(len(rows).bit_length()):
+        reach = reach @ reach
     label = reach.argmax(axis=1)  # each atom's block, named by its first atom
     blocks = np.unique(label)
     if len(blocks) == 1:

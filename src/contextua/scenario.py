@@ -270,16 +270,18 @@ def _catalog(
 ) -> tuple[ProjectionRegistry, list[Context]]:
     """Register the rays of ``$.rays{side}`` and the contexts of ``$.contexts{side}``.
 
-    The rays that some context uses are registered in ray order, then every
-    other ray is looked up without registering it. A ray whose projection
-    the registry would neither identify with a registered one nor tell apart
-    from it is rejected.
+    The rays that some context uses are registered in ray order. Every
+    other ray is looked up in that registry and then registered in a spare
+    one, so that unused rays are compared with each other as well. A ray
+    whose projection a registry would neither identify with a registered one
+    nor tell apart from it is rejected.
     """
     registry = ProjectionRegistry(dim, tol)
+    spare = ProjectionRegistry(dim, tol)
     used = {i for indices in contexts for i in indices}
     atoms = [projection_from_ray(v) for v in rays]
     keys: dict[int, str] = {}
-    first: dict[str, int] = {}
+    first: dict[str, int] = {}  # the first ray of each key, in either registry
     for j in sorted(range(len(atoms)), key=lambda j: j not in used):
         try:
             if j in used:
@@ -287,6 +289,7 @@ def _catalog(
                 first.setdefault(keys[j], j)
             else:
                 registry.find(atoms[j])
+                first.setdefault(spare.register(atoms[j]), j)
         except CanonicalizationError as exc:
             raise ScenarioError(
                 f"$.rays{side}",

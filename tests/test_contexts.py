@@ -315,6 +315,24 @@ class TestMeetClosedDifferential:
         assert poset.generators[2] == "meet of catalog[0] and catalog[1]"
         assert sorted(p.rank for p in poset.atoms_of(2)) == [1, 4]
 
+    def test_small_overlap_joins_a_block(self):
+        # a basis rotated by 1e-4 in the (0, 1) plane: tr(e0 b1) = sin^2 = 1e-8, a
+        # real overlap, so the meet is {e0 + e1, e2} and not a split of e0 from b0
+        e, t = np.eye(3), 1e-4
+        rotated = [np.cos(t) * e[0] + np.sin(t) * e[1], np.cos(t) * e[1] - np.sin(t) * e[0], e[2]]
+
+        def build_catalog(reg):
+            return [
+                cx.context_from_projections(reg, [np.outer(v, v) for v in basis])
+                for basis in (e, rotated)
+            ]
+
+        self.check(build_catalog, 3)
+        reg = cx.ProjectionRegistry(3)
+        poset = cx.generate_poset(build_catalog(reg), reg)
+        assert poset.generators[2] == "meet of catalog[0] and catalog[1]"
+        assert sorted(p.rank for p in poset.atoms_of(2)) == [1, 2]
+
     def test_mub_c3_state_reconstruction(self, mub_poset_c3, mub_closure_poset_c3):
         rho = random_density(np.random.default_rng(11), 3)
         results = [

@@ -100,6 +100,18 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=r"\$\.rays: rays 0 and 1 are near-duplicate"):
             cx.build_single_poset(sc)
 
+    def test_unused_near_duplicates_rejected(self):
+        # rays 2 and 3 are in no context and closer than the grid to each other only
+        doc = {
+            "kind": "single",
+            "dim": 2,
+            "rays": [[1, 0], [0, 1], [1, 1], [1, 1 + 1e-7]],
+            "contexts": [[0, 1]],
+        }
+        sc = cx.parse_scenario(json.dumps(doc))
+        with pytest.raises(ScenarioError, match=r"\$\.rays: rays 2 and 3 are near-duplicate"):
+            cx.build_single_poset(sc)
+
     def test_near_duplicates_identified_at_tol(self, tmp_path, capsys):
         # rays 0 and 1 are 5e-8 apart: one projection at --tol 1e-6, rejected at the default
         doc = {
