@@ -16,16 +16,17 @@ second factor means quantum up to time reversal, neither means non-quantum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .contexts import ContextPoset
 from .gleason import ProbSection, context_measure, hermitian_basis, solve_hermitian
 from .opalg import TOL, max_norm
-from .spectral import dominator_index, enumerate_global_sections
+from .spectral import EnumerationResult, dominator_index, enumerate_global_sections
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -332,10 +333,8 @@ class LPResult:
         return out
 
 
-def deterministic_strategies(
-    pp: ProductPoset, cap: int = 10**6
-) -> list[tuple[dict[int, int], dict[int, int]]]:
-    """All pairs of local non-contextual value assignments.
+def _local_strategies(pp: ProductPoset, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chosen atom at every node of each factor's global sections, one row per section.
 
     Local strategies are exactly the global sections of the factor posets,
     so shared projections take one value per side by construction.
@@ -344,30 +343,44 @@ def deterministic_strategies(
     right = enumerate_global_sections(pp.right, cap=cap)
     if left.truncated or right.truncated or len(left) * len(right) > cap:
         raise ValueError("instance too large")
-    out = []
-    for sl in left.sections:
-        cl = {i: ch.chosen_atom for i, ch in sl.assignment.items()}
-        for sr in right.sections:
-            cr = {i: ch.chosen_atom for i, ch in sr.assignment.items()}
-            out.append((cl, cr))
-    return out
+    return _chosen_atoms(left, len(pp.left)), _chosen_atoms(right, len(pp.right))
+
+
+def _chosen_atoms(result: EnumerationResult, n_nodes: int) -> np.ndarray:
+    return np.array(
+        [[s.assignment[i].chosen_atom for i in range(n_nodes)] for s in result],
+        dtype=np.int64,
+    ).reshape(len(result), n_nodes)
+
+
+def deterministic_strategies(
+    pp: ProductPoset, cap: int = 10**6
+) -> list[tuple[dict[int, int], dict[int, int]]]:
+    """All pairs of local non-contextual value assignments, left section major."""
+    left, right = _local_strategies(pp, cap)
+    right_maps = [dict(enumerate(row)) for row in right.tolist()]
+    return [(dict(enumerate(row)), cr) for row in left.tolist() for cr in right_maps]
 
 
 def _strategy_matrix(
-    pp: ProductPoset, contexts: Sequence[ProductNode], strategies: Sequence[tuple[dict, dict]]
+    pp: ProductPoset, contexts: Sequence[ProductNode], left: np.ndarray, right: np.ndarray
 ) -> sparse.csc_array:
-    """Column s holds strategy s's tables over `contexts`, flattened and stacked."""
+    """Column l * len(right) + r holds the tables of strategy (left[l], right[r]) over `contexts`.
+
+    This is the column order of :func:`deterministic_strategies`; each column
+    has one 1 per context, at the cell of the two chosen atoms.
+    """
+    from scipy import sparse
+
     shapes = np.array([pp.table_shape(n) for n in contexts])
     sizes = shapes.prod(axis=1)
     offsets = np.cumsum(sizes) - sizes
-    chosen = np.array(
-        [[cl[n.left] for n in contexts] + [cr[n.right] for n in contexts] for cl, cr in strategies],
-        dtype=np.int64,
-    ).reshape(len(strategies), 2, len(contexts))
-    rows = offsets + shapes[:, 1] * chosen[:, 0] + chosen[:, 1]
+    chosen_left = left[:, [n.left for n in contexts]]
+    chosen_right = right[:, [n.right for n in contexts]]
+    rows = offsets + shapes[:, 1] * chosen_left[:, None, :] + chosen_right[None, :, :]
     return sparse.csc_array(
         (np.ones(rows.size), rows.reshape(-1), np.arange(0, rows.size + 1, len(contexts))),
-        shape=(int(sizes.sum()), len(strategies)),
+        shape=(int(sizes.sum()), len(left) * len(right)),
     )
 
 
@@ -394,9 +407,12 @@ def factorisability_lp(
             raise KeyError(f"context {node} not in section domain")
     if not contexts:
         raise ValueError("no analysis context has a table in the section")
-    strategies = deterministic_strategies(pp, cap=cap)
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    left, right = _local_strategies(pp, cap)
     b = np.concatenate([s.tables[n].probs.reshape(-1) for n in contexts])
-    a = _strategy_matrix(pp, contexts, strategies)
+    a = _strategy_matrix(pp, contexts, left, right)
     n_rows, n_strat = a.shape
 
     c = np.zeros(n_strat + 1)
@@ -406,8 +422,11 @@ def factorisability_lp(
     b_ub = np.concatenate([b, -b])
     a_eq = np.zeros((1, n_strat + 1))
     a_eq[0, :n_strat] = 1.0
+    # presolve only removes rows that repeat across contexts sharing a ray; where
+    # none repeat, as across mutually unbiased bases, it costs a third of the solve
     res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=(0, None), method="highs"
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=(0, None), method="highs",
+        options={"presolve": False},
     )
     if not res.success:
         raise RuntimeError(f"feasibility LP failed: {res.message}")

@@ -260,8 +260,9 @@ def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> 
         # the grid are rejected, so any real overlap is at least this large, and
         # float noise on orthogonal atoms is far below it
         overlap = (flat @ flat.conj().T).real > TOL.grid**2
+        resolved: dict[frozenset[str], str | None] = {}
         for i, j in itertools.combinations(range(len(catalog)), 2):
-            meet = _meet(registry, catalog[i], catalog[j], index, overlap)
+            meet = _meet(registry, catalog[i], catalog[j], index, overlap, resolved)
             if meet is not None:
                 add(meet, f"meet of catalog[{i}] and catalog[{j}]")
     add(trivial_context(registry), "trivial")
@@ -275,13 +276,15 @@ def _meet(
     second: Context,
     index: dict[str, int],
     overlap: np.ndarray,
+    resolved: dict[frozenset[str], str | None],
 ) -> Context | None:
     """Intersection algebra of two contexts, or None when it is trivial.
 
     An atom of ``second`` that overlaps an atom of ``first`` lies under the
     same block of any common coarsening, so the blocks are the connected
     components of the overlap graph, and each block's two atom sums are one
-    projection.
+    projection. ``resolved`` memoises the key of each multi-atom block sum
+    by its atom keys, across the pairs of one build.
     """
     rows = [index[k] for k in first.atoms]
     cols = [index[k] for k in second.atoms]
@@ -299,19 +302,31 @@ def _meet(
     other = label[sub.argmax(axis=0)]  # the block of each atom of second
     keys = []
     for b in blocks:
-        key = _block_key(registry, first.atoms, np.flatnonzero(label == b), registry.register)
-        if _block_key(registry, second.atoms, np.flatnonzero(other == b), registry.find) != key:
+        key = _block_key(registry, first.atoms, label == b, registry.register, resolved)
+        if _block_key(registry, second.atoms, other == b, registry.find, resolved) != key:
             raise RuntimeError("the two sides of a meet block are distinct projections")
         keys.append(key)
     return Context(first.dim, tuple(keys))
 
 
-def _block_key(registry: ProjectionRegistry, atoms: tuple[str, ...], block, resolve) -> str | None:
-    """Key of the sum of the listed atoms: the atom itself, or ``resolve`` of the sum."""
+def _block_key(
+    registry: ProjectionRegistry,
+    atoms: tuple[str, ...],
+    in_block: np.ndarray,
+    resolve: Callable[[Projection], str | None],
+    resolved: dict[frozenset[str], str | None],
+) -> str | None:
+    """Key of the sum of the atoms in the block: the atom itself, or ``resolve`` of the sum."""
+    block = [atoms[t] for t in np.flatnonzero(in_block)]
     if len(block) == 1:
-        return atoms[block[0]]
-    parts = [registry.get(atoms[t]) for t in block]
-    return resolve(Projection(sum(p.matrix for p in parts), sum(p.rank for p in parts)))
+        return block[0]
+    members = frozenset(block)
+    if members not in resolved:
+        parts = [registry.get(k) for k in block]
+        resolved[members] = resolve(
+            Projection(sum(p.matrix for p in parts), sum(p.rank for p in parts))
+        )
+    return resolved[members]
 
 
 def poset_from_nodes(

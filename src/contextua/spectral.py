@@ -9,7 +9,6 @@ be played against each other as oracles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -289,65 +288,61 @@ def find_global_section(poset: ContextPoset) -> ColoringCertificate:
     )
 
 
-def enumerate_global_sections(
-    poset: ContextPoset, cap: int = 10**6, chunk: int = 1 << 16
-) -> EnumerationResult:
+def enumerate_global_sections(poset: ContextPoset, cap: int = 10**6) -> EnumerationResult:
     """Exhaustive enumeration of global sections, up to ``cap`` results.
 
-    Raw choice tuples range over the maximal nodes only; a tuple survives
-    iff all maximal nodes above each lower node restrict onto the same
-    character there. This is the independent oracle behind
-    :func:`find_global_section`.
+    Choices range over the maximal nodes only; a choice tuple survives iff
+    all maximal nodes above each lower node restrict onto the same character
+    there. The table of surviving tuples grows one maximal node at a time,
+    and each lower node's check runs as soon as its last maximal node is
+    placed. This is the independent oracle behind :func:`find_global_section`.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     dom = _domination_maps(poset)
     n = len(poset)
     maximal = sorted(poset.maximal_nodes())
-    counts = [len(poset.nodes[m].atoms) for m in maximal]
-    raw = math.prod(counts) if counts else 1
-    if raw > 10**8:
-        raise ValueError(f"raw choice space {raw} too large to enumerate")
     pos = {m: t for t, m in enumerate(maximal)}
-    checks = []
-    for i in range(n):
-        ups = [m for m in maximal if i != m and poset.order[i, m]]
-        if len(ups) >= 2:
-            checks.append((i, ups))
+    ups_of = {
+        i: [m for m in maximal if i != m and poset.order[i, m]] for i in range(n) if i not in pos
+    }
+    checks: list[list[tuple[int, list[int]]]] = [[] for _ in maximal]
+    for i, ups in ups_of.items():
+        # a one-atom node restricts every choice onto its only atom
+        if len(ups) >= 2 and len(poset.nodes[i].atoms) > 1:
+            checks[pos[ups[-1]]].append((i, ups))
 
-    sections: list[SpectralSection] = []
-    truncated = False
-    for start in range(0, raw, chunk):
-        stop = min(start + chunk, raw)
-        flat = np.arange(start, stop, dtype=np.int64)
-        combos = np.empty((flat.size, len(maximal)), dtype=np.int64)
-        rem = flat
-        for t in range(len(maximal) - 1, -1, -1):
-            combos[:, t] = rem % counts[t]
-            rem = rem // counts[t]
-        mask = np.ones(flat.size, dtype=bool)
-        for i, ups in checks:
+    # one row per surviving choice tuple, in lexicographic order; atom indices
+    # fit int16, and the cell bound keeps the table under 200 MB
+    combos = np.zeros((1, 0), dtype=np.int16)
+    for t, m in enumerate(maximal):
+        count = len(poset.nodes[m].atoms)
+        rows = len(combos) * count
+        if rows * (t + 1) > 10**8:
+            raise ValueError(f"choice table of {rows} rows too large to enumerate")
+        atoms = np.tile(np.arange(count, dtype=np.int16), len(combos))
+        combos = np.column_stack([np.repeat(combos, count, axis=0), atoms])
+        mask = np.ones(rows, dtype=bool)
+        for i, ups in checks[t]:
             ref = dom[(i, ups[0])][combos[:, pos[ups[0]]]]
-            for m in ups[1:]:
-                mask &= dom[(i, m)][combos[:, pos[m]]] == ref
-        for row in combos[mask]:
-            assignment: dict[int, Character] = {}
-            for t, m in enumerate(maximal):
-                assignment[m] = Character(m, int(row[t]))
-            for i in range(n):
-                if i in assignment:
-                    continue
-                ups = [m for m in maximal if poset.order[i, m] and i != m]
-                a = dom[(i, ups[0])][int(row[pos[ups[0]]])]
-                assignment[i] = Character(i, int(a))
-            sections.append(SpectralSection(assignment, frozenset(range(n))))
-            if len(sections) > cap:
-                truncated = True
-                sections.pop()
-                break
-        if truncated:
-            break
-    sections.sort(key=lambda s: tuple(s.assignment[i].chosen_atom for i in range(n)))
+            for u in ups[1:]:
+                mask &= dom[(i, u)][combos[:, pos[u]]] == ref
+        combos = combos[mask]
+    truncated = len(combos) > cap
+    combos = combos[:cap]
+
+    chosen = np.empty((len(combos), n), dtype=np.int64)
+    for m, t in pos.items():
+        chosen[:, m] = combos[:, t]
+    for i, ups in ups_of.items():
+        chosen[:, i] = dom[(i, ups[0])][combos[:, pos[ups[0]]]]
+    chosen = chosen[np.lexsort(chosen.T[::-1])]
+    sections = [
+        SpectralSection(
+            {i: Character(i, a) for i, a in enumerate(row)}, frozenset(range(n))
+        )
+        for row in chosen.tolist()
+    ]
     return EnumerationResult(sections, truncated)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from contextua.catalogs import bundled_text
 from contextua.contexts import poset_from_nodes
 from contextua.opalg import TOL, CanonicalizationError, canonical_key, max_norm
 from contextua.scenario import _catalog
+from contextua.spectral import Character, EnumerationResult, SpectralSection, _domination_maps
 
 
 def random_unitary(rng, dim):
@@ -124,6 +127,62 @@ def partition_closure_poset(catalog, registry):
             add(cx.Context(ctx.dim, keys), f"coarsening of catalog[{idx}]")
     add(cx.trivial_context(registry), "trivial")
     return poset_from_nodes(registry, nodes, generators)
+
+
+def full_table_sections(poset, cap=10**6, chunk=1 << 16):
+    """Reference enumeration: the full product of maximal-node choices, filtered in chunks.
+
+    Each chunk decodes its raw choice indices column by column and applies
+    every lower node's check to the whole chunk.
+    """
+    dom = _domination_maps(poset)
+    n = len(poset)
+    maximal = sorted(poset.maximal_nodes())
+    counts = [len(poset.nodes[m].atoms) for m in maximal]
+    raw = math.prod(counts) if counts else 1
+    if raw > 10**8:
+        raise ValueError(f"raw choice space {raw} too large to enumerate")
+    pos = {m: t for t, m in enumerate(maximal)}
+    checks = []
+    for i in range(n):
+        ups = [m for m in maximal if i != m and poset.order[i, m]]
+        if len(ups) >= 2:
+            checks.append((i, ups))
+
+    sections = []
+    truncated = False
+    for start in range(0, raw, chunk):
+        stop = min(start + chunk, raw)
+        flat = np.arange(start, stop, dtype=np.int64)
+        combos = np.empty((flat.size, len(maximal)), dtype=np.int64)
+        rem = flat
+        for t in range(len(maximal) - 1, -1, -1):
+            combos[:, t] = rem % counts[t]
+            rem = rem // counts[t]
+        mask = np.ones(flat.size, dtype=bool)
+        for i, ups in checks:
+            ref = dom[(i, ups[0])][combos[:, pos[ups[0]]]]
+            for m in ups[1:]:
+                mask &= dom[(i, m)][combos[:, pos[m]]] == ref
+        for row in combos[mask]:
+            assignment = {}
+            for t, m in enumerate(maximal):
+                assignment[m] = Character(m, int(row[t]))
+            for i in range(n):
+                if i in assignment:
+                    continue
+                ups = [m for m in maximal if poset.order[i, m] and i != m]
+                a = dom[(i, ups[0])][int(row[pos[ups[0]]])]
+                assignment[i] = Character(i, int(a))
+            sections.append(SpectralSection(assignment, frozenset(range(n))))
+            if len(sections) > cap:
+                truncated = True
+                sections.pop()
+                break
+        if truncated:
+            break
+    sections.sort(key=lambda s: tuple(s.assignment[i].chosen_atom for i in range(n)))
+    return EnumerationResult(sections, truncated)
 
 
 def shared_ray_catalog_poset(seed, dim, n_bases):

@@ -331,6 +331,13 @@ def mub2_qutrit_pair():
     return pp, pp.maximal_nodes()
 
 
+@pytest.fixture(scope="module")
+def shared_ray_qutrit_pair(shared_ray_poset_c3, mub2_qutrit_pair):
+    """Left: two qutrit bases sharing one ray, 5 sections, not a product of choices."""
+    pp = cx.product_poset(shared_ray_poset_c3, mub2_qutrit_pair[0].right)
+    return pp, pp.maximal_nodes()
+
+
 def _drawn_section(pp, contexts, source, rng):
     """A section from one of four sources; 'hermitian' gives negative entries."""
     d = pp.dims[0]
@@ -377,7 +384,8 @@ class TestSparseLPDifferential:
         s = _drawn_section(pp, contexts, source, np.random.default_rng(seed))
         strategies = deterministic_strategies(pp)
         dense = dense_strategy_matrix(pp, contexts, strategies)
-        assert np.array_equal(bell._strategy_matrix(pp, contexts, strategies).toarray(), dense)
+        matrix = bell._strategy_matrix(pp, contexts, *bell._local_strategies(pp, cap=10**6))
+        assert np.array_equal(matrix.toarray(), dense)
 
         b = np.concatenate([s.tables[n].probs.reshape(-1) for n in contexts])
         factorisable, weights, err = dense_min_t_lp(dense, b)
@@ -387,6 +395,35 @@ class TestSparseLPDifferential:
         assert res.reconstruction_error == pytest.approx(err, abs=1e-12)
         if factorisable:
             assert max_norm(res.weights - weights) <= 1e-12
+        else:
+            check_certificate(pp, contexts, res)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["separable", "werner", "hermitian", "pr-box"]),
+    )
+    def test_sections_not_a_product(self, shared_ray_qutrit_pair, seed, source):
+        # the column order can differ from a product order here; the hull weights
+        # are not unique (rows repeat across the shared ray), so a positive verdict's
+        # weights are checked as a certificate against the reference matrix
+        pp, contexts = shared_ray_qutrit_pair
+        s = _drawn_section(pp, contexts, source, np.random.default_rng(seed))
+        strategies = deterministic_strategies(pp)
+        dense = dense_strategy_matrix(pp, contexts, strategies)
+        matrix = bell._strategy_matrix(pp, contexts, *bell._local_strategies(pp, cap=10**6))
+        assert np.array_equal(matrix.toarray(), dense)
+
+        b = np.concatenate([s.tables[n].probs.reshape(-1) for n in contexts])
+        factorisable, _, err = dense_min_t_lp(dense, b)
+        res = cx.factorisability_lp(s, contexts)
+        assert res.factorisable == factorisable
+        assert res.n_strategies == len(strategies) == 5 * 9
+        assert res.reconstruction_error == pytest.approx(err, abs=1e-12)
+        if factorisable:
+            assert res.weights.min() >= 0
+            assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert max_norm(dense @ res.weights - b) == pytest.approx(err, abs=1e-12)
         else:
             check_certificate(pp, contexts, res)
 

@@ -437,11 +437,34 @@ class TestLatticeLaws:
         assert max_norm(lhs - rhs) < 1e-10
 
 
+def package_modules():
+    """File name and syntax tree of every module of the package."""
+    return [
+        (path.name, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(Path(cx.__file__).parent.glob("*.py"))
+    ]
+
+
+class TestImports:
+    def test_no_top_level_scipy_import(self):
+        # only the Bell LP needs scipy, and it imports the solver when it is called
+        found = [
+            f"{name}:{stmt.lineno}"
+            for name, tree in package_modules()
+            for stmt in tree.body
+            if isinstance(stmt, ast.Import)
+            and any(a.name.split(".")[0] == "scipy" for a in stmt.names)
+            or isinstance(stmt, ast.ImportFrom)
+            and stmt.level == 0
+            and stmt.module.split(".")[0] == "scipy"
+        ]
+        assert found == []
+
+
 class TestTolerances:
     def test_no_threshold_literal_outside_the_record(self):
         found = []
-        for path in sorted(Path(cx.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, tree in package_modules():
             record = {
                 id(n)
                 for c in ast.walk(tree)
@@ -449,7 +472,7 @@ class TestTolerances:
                 for n in ast.walk(c)
             }
             found += [
-                f"{path.name}:{n.lineno} {n.value!r}"
+                f"{name}:{n.lineno} {n.value!r}"
                 for n in ast.walk(tree)
                 if isinstance(n, ast.Constant)
                 and isinstance(n.value, float)

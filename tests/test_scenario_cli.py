@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +328,39 @@ class TestMain:
         bad.write_text('{"kind": "single", "dim": 2, "rays": [[1,0],[1,1]], "contexts": [[0,1]]}')
         assert main(["ks-check", "--scenario", str(bad)]) == 1
         assert "not orthogonal" in capsys.readouterr().err
+
+
+SCIPY_PROBE = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    from contextua import cli
+
+    def scipy_loaded():
+        return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+    runs = [
+        ("ks-check", "ks18-c4"),
+        ("gleason-roundtrip", "mub-c3"),
+        ("wigner-check", "mub-c3"),
+        ("bell-classify", "chsh-c2"),
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main([c, "--scenario", f"builtin:{n}"]) for c, n in runs]
+        before = scipy_loaded()
+        lp_code = cli.main(["bell-analyze", "--scenario", "builtin:chsh-c2"])
+    print(json.dumps([codes, before, lp_code, scipy_loaded()]))
+    """
+)
+
+
+def test_scipy_loaded_only_by_the_lp():
+    # a fresh interpreter: this test process has imported scipy already
+    env = dict(os.environ, PYTHONPATH=str(Path(cx.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    codes, before, lp_code, after = json.loads(out)
+    assert codes == [2, 0, 0, 0]
+    assert not before
+    assert lp_code == 2
+    assert after  # the probe sees scipy once the LP has run

@@ -25,6 +25,7 @@ from contextua.spectral import (
 )
 
 from conftest import (
+    full_table_sections,
     ks18_subset_poset,
     partition_closure_poset,
     random_basis_context,
@@ -434,3 +435,24 @@ class TestDominationMapsDifferential:
             ref_sections = cx.enumerate_global_sections(ref_poset).sections
         assert cert.to_report(poset) == ref.to_report(ref_poset)
         assert [s.assignment for s in sections] == [s.assignment for s in ref_sections]
+
+
+class TestEnumerationDifferential:
+    """The incremental choice table against the full-table reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(catalog_sources, st.one_of(st.just(10**6), st.integers(1, 12)))
+    def test_same_sections(self, source, cap):
+        poset = source_poset(source)
+        got = cx.enumerate_global_sections(poset, cap=cap)
+        want = full_table_sections(poset, cap=cap)
+        assert got.truncated == want.truncated
+        assert [s.assignment for s in got] == [s.assignment for s in want]
+        assert [s.domain for s in got] == [s.domain for s in want]
+
+    @pytest.mark.parametrize("name, count", [("ks18-c4", 0), ("demo-c3", 3), ("mub-c3", 81)])
+    def test_bundled_catalogs(self, name, count):
+        poset = cx.build_single_poset(cx.parse_scenario(bundled_text(name)))
+        got = cx.enumerate_global_sections(poset)
+        assert [s.assignment for s in got] == [s.assignment for s in full_table_sections(poset)]
+        assert len(got) == count
