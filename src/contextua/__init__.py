@@ -31,25 +31,22 @@ from .bell import (
 from .contexts import (
     Context,
     ContextPoset,
-    PresheafShape,
     context_from_observables,
     context_from_projections,
     export_dot,
     generate_poset,
+    is_section,
     trivial_context,
 )
 from .gleason import (
     ContextMeasure,
-    Dilation,
     ProbSection,
     ReconstructionResult,
     context_measure,
     hermitian_basis,
     is_informationally_complete,
     marginalise,
-    naimark_dilate,
     quasilinearity_report,
-    recovered_weights,
     section_from_state,
     state_from_section,
     verify_prob_section,

@@ -20,10 +20,10 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .contexts import ContextPoset
+from .contexts import ContextPoset, is_section
 from .gleason import ProbSection, context_measure, hermitian_basis, solve_hermitian
 from .opalg import TOL, max_norm
-from .spectral import EnumerationResult, dominator_index, enumerate_global_sections
+from .spectral import EnumerationResult, enumerate_global_sections
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -49,7 +49,6 @@ class ProductPoset:
         self._index = {node: k for k, node in enumerate(self.nodes)}
         self.order = np.kron(left.order, right.order).astype(bool)
         self.dims = (left.dim, right.dim)
-        self._rows: list[tuple[ProductNode, int, int]] | None = None
         self._row_vecs: np.ndarray | None = None
         self._row_slices: dict[ProductNode, slice] | None = None
         self._constraints: np.ndarray | None = None
@@ -72,6 +71,22 @@ class ProductPoset:
             len(self.right.nodes[node.right].atoms),
         )
 
+    def atom_keys(self, i: int) -> list[tuple[str, str]]:
+        """Key pairs of node i's atom pairs, in table row-major order."""
+        node = self.nodes[i]
+        return [
+            (lk, rk)
+            for lk in self.left.atom_keys(node.left)
+            for rk in self.right.atom_keys(node.right)
+        ]
+
+    def dominator_map(self, small: int, large: int) -> np.ndarray:
+        """Per-cell lookup: flat cell c of ``large``'s table lies under flat cell [c] of ``small``'s."""
+        below, above = self.nodes[small], self.nodes[large]
+        left = self.left.dominator_map(below.left, above.left)
+        right = self.right.dominator_map(below.right, above.right)
+        return (left[:, None] * self.table_shape(below)[1] + right[None, :]).reshape(-1)
+
     def maximal_nodes(self) -> list[ProductNode]:
         lm = set(self.left.maximal_nodes())
         rm = set(self.right.maximal_nodes())
@@ -91,22 +106,23 @@ class ProductPoset:
     # -- cached linear machinery over the tensor space ---------------------
 
     def _ensure_rows(self) -> None:
-        if self._rows is not None:
+        """One row per atom pair (p, q) of each node: ``kron(p, q).T`` flattened."""
+        if self._row_vecs is not None:
             return
-        rows: list[tuple[ProductNode, int, int]] = []
-        vecs: list[np.ndarray] = []
+        blocks: list[np.ndarray] = []
         slices: dict[ProductNode, slice] = {}
+        start = 0
         for node in self.nodes:
-            start = len(rows)
-            pl = self.left.atoms_of(node.left)
-            pr = self.right.atoms_of(node.right)
-            for a, p in enumerate(pl):
-                for b, q in enumerate(pr):
-                    rows.append((node, a, b))
-                    vecs.append(np.kron(p.matrix, q.matrix).T.reshape(-1))
-            slices[node] = slice(start, len(rows))
-        self._rows = rows
-        self._row_vecs = np.stack(vecs)
+            pl = np.stack([p.matrix for p in self.left.atoms_of(node.left)])
+            pr = np.stack([q.matrix for q in self.right.atoms_of(node.right)])
+            # [a, b, i, k, j, l] = pl[a, i, j] * pr[b, k, l], the entries of kron(p_a, q_b);
+            # the transpose to [a, b, j, l, i, k] flattens each one as kron(p, q).T
+            prod = pl[:, None, :, None, :, None] * pr[None, :, None, :, None, :]
+            block = prod.transpose(0, 1, 4, 5, 2, 3).reshape(len(pl) * len(pr), -1)
+            blocks.append(block)
+            slices[node] = slice(start, start + len(block))
+            start += len(block)
+        self._row_vecs = np.concatenate(blocks)
         self._row_slices = slices
 
     def born_probabilities(self, node: ProductNode, w: np.ndarray) -> np.ndarray:
@@ -133,10 +149,6 @@ class ProductPoset:
             sl = self._row_slices[node]
             out.extend(range(sl.start, sl.stop))
         return out
-
-    def row_labels(self) -> list[tuple[ProductNode, int, int]]:
-        self._ensure_rows()
-        return list(self._rows)
 
 
 def product_poset(p1: ContextPoset, p2: ContextPoset) -> ProductPoset:
@@ -209,57 +221,31 @@ def restrict_table(
     pp: ProductPoset, table: CorrelationTable, target: ProductNode
 ) -> CorrelationTable:
     """Presheaf restriction: coarsen both margins onto the smaller contexts."""
-    source = table.context
-    if not pp.leq(target, source):
+    if not pp.leq(target, table.context):
         raise ValueError("target is not below the table's context")
     shape = pp.table_shape(target)
-    out = np.zeros(shape)
-    left_map = [
-        dominator_index(pp.left, target.left, source.left, a)
-        if target.left != source.left
-        else a
-        for a in range(table.probs.shape[0])
-    ]
-    right_map = [
-        dominator_index(pp.right, target.right, source.right, b)
-        if target.right != source.right
-        else b
-        for b in range(table.probs.shape[1])
-    ]
-    for (a, b), v in np.ndenumerate(table.probs):
-        out[left_map[a], right_map[b]] += v
-    return CorrelationTable(target, out)
+    probs = np.bincount(
+        pp.dominator_map(pp.index(target), pp.index(table.context)),
+        weights=table.probs.reshape(-1),
+        minlength=shape[0] * shape[1],
+    )
+    return CorrelationTable(target, probs.reshape(shape))
 
 
 def verify_bell_section(s: BellSection) -> bool:
-    """Marginalisation along the product order plus shared-pair consistency."""
+    """Table shapes and totals, marginalisation along the product order, shared-pair consistency."""
     pp = s.poset
-    tol = TOL.probability
+    values = {}
     for node in s.domain:
         t = s.tables.get(node)
         if t is None or t.context != node:
             return False
         if t.probs.shape != pp.table_shape(node):
             return False
-        if abs(float(t.probs.sum()) - 1.0) > tol:
+        if abs(float(t.probs.sum()) - 1.0) > TOL.probability:
             return False
-    for small in s.domain:
-        for large in s.domain:
-            if small == large or not pp.leq(small, large):
-                continue
-            got = restrict_table(pp, s.tables[large], small).probs
-            if max_norm(got - s.tables[small].probs) > tol:
-                return False
-    seen: dict[tuple[str, str], float] = {}
-    for node in s.domain:
-        lk = pp.left.atom_keys(node.left)
-        rk = pp.right.atom_keys(node.right)
-        for (a, b), v in np.ndenumerate(s.tables[node].probs):
-            key = (lk[a], rk[b])
-            if key in seen and abs(seen[key] - v) > tol:
-                return False
-            seen.setdefault(key, float(v))
-    return True
+        values[pp.index(node)] = t.probs.reshape(-1)
+    return is_section(pp, values, TOL.probability)
 
 
 def check_no_signalling(s: BellSection, tol: float = TOL.exact) -> bool:

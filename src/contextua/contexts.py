@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -205,19 +205,38 @@ class ContextPoset:
             self._covers = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(cover)))
         return self._covers
 
-    def chains3(self) -> list[tuple[int, int, int]]:
-        """All chains i < j < k (strict), for functoriality checks."""
-        n = len(self.nodes)
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self.order[i, j]:
-                    continue
-                for k in range(n):
-                    if k in (i, j) or not self.order[j, k]:
-                        continue
-                    out.append((i, j, k))
-        return out
+
+def is_section(poset, values: Mapping[int, np.ndarray], tol: float) -> bool:
+    """Whether per-atom weights over a set of nodes form a section of the presheaf.
+
+    ``values[i]`` holds one weight per atom of node i; a character is the 0/1
+    vector of its chosen atom. ``poset`` is a :class:`ContextPoset` or a
+    product poset: anything with ``len``, ``order``, ``atom_keys`` and
+    ``dominator_map``. The domain must be down-closed. Along every inclusion i < j in it,
+    pushing j's weights forward along ``dominator_map(i, j)`` must give i's
+    weights, and a projection that is an atom of several nodes must carry
+    one weight; both within ``tol``.
+    """
+    domain = list(values)
+    inside = np.zeros(len(poset), dtype=bool)
+    inside[domain] = True
+    if (poset.order[:, domain] & ~inside[:, None]).any():
+        return False
+    for j in domain:
+        for i in domain:
+            if i == j or not poset.order[i, j]:
+                continue
+            pushed = np.bincount(
+                poset.dominator_map(i, j), weights=values[j], minlength=len(values[i])
+            )
+            if max_norm(pushed - values[i]) > tol:
+                return False
+    seen: dict = {}
+    for i in domain:
+        for key, w in zip(poset.atom_keys(i), values[i]):
+            if abs(seen.setdefault(key, w) - w) > tol:
+                return False
+    return True
 
 
 def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> ContextPoset:
@@ -377,44 +396,3 @@ def export_dot(poset: ContextPoset) -> str:
         lines.append(f"  n{large} -> n{small};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class PresheafShape:
-    """Shape data of a presheaf over a stored poset.
-
-    ``component_size`` gives the cardinality descriptor per node (or -1 for
-    infinite components such as measure simplices); ``restrict`` maps an
-    element at node j to its image at node i whenever i <= j.
-    """
-
-    poset: ContextPoset
-    component_size: tuple[int, ...]
-    restrict: Callable
-
-    def check_functoriality(self, elements_of: Callable[[int], Iterable]) -> int:
-        """Exhaustively verify restriction composition on all 3-chains.
-
-        ``elements_of(k)`` yields the component elements (or samples) at the
-        top node of each chain. Returns the number of checked triples;
-        raises AssertionError on a violation.
-        """
-        checked = 0
-        for i, j, k in self.poset.chains3():
-            for x in elements_of(k):
-                via = self.restrict(self.restrict(x, k, j), j, i)
-                direct = self.restrict(x, k, i)
-                if not _elements_equal(via, direct):
-                    raise AssertionError(
-                        f"functoriality violated along chain {i} <= {j} <= {k}"
-                    )
-                checked += 1
-        return checked
-
-
-def _elements_equal(a, b) -> bool:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.allclose(a, b, atol=TOL.restriction)
-    if hasattr(a, "weights") and hasattr(b, "weights"):
-        return a.context == b.context and np.allclose(a.weights, b.weights, atol=TOL.restriction)
-    return a == b

@@ -1,4 +1,4 @@
-"""Probabilistic presheaf: per-context measures, reconstruction, dilation.
+"""Probabilistic presheaf: per-context measures and state reconstruction.
 
 Each context carries a finitely additive probability measure given by one
 weight per atom; restriction is marginalisation. A section over the whole
@@ -13,11 +13,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .contexts import ContextPoset, PresheafShape
+from .contexts import ContextPoset, is_section
 from .opalg import (
     TOL,
     DensityMatrix,
-    Projection,
     atom_coefficients,
     density_matrix,
     max_norm,
@@ -68,48 +67,24 @@ def marginalise(
         return m
     if not poset.order[target, m.context]:
         raise ValueError(f"target {target} is not below context {m.context}")
-    dom = poset.dominator_map(target, m.context)
-    out = np.zeros(len(poset.nodes[target].atoms))
-    np.add.at(out, dom, np.asarray(m.weights))
+    out = np.bincount(
+        poset.dominator_map(target, m.context),
+        weights=m.weights,
+        minlength=len(poset.nodes[target].atoms),
+    )
     out.flags.writeable = False
     return ContextMeasure(target, out)
 
 
-def probabilistic_shape(poset: ContextPoset) -> PresheafShape:
-    sizes = tuple(-1 for _ in poset.nodes)  # measure simplices, not finite sets
-
-    def restrict(m: ContextMeasure, large: int, small: int) -> ContextMeasure:
-        assert m.context == large
-        return marginalise(poset, m, small)
-
-    return PresheafShape(poset, sizes, restrict)
-
-
 def verify_prob_section(poset: ContextPoset, s: ProbSection) -> bool:
     """Marginalisation compatibility plus equal weights on shared projections."""
-    check_tol = TOL.probability
+    values = {}
     for node in s.domain:
         m = s.assignment.get(node)
         if m is None or m.context != node:
             return False
-        for i in range(len(poset)):
-            if poset.order[i, node] and i not in s.domain:
-                return False
-    for i in s.domain:
-        for j in s.domain:
-            if i == j or not poset.order[i, j]:
-                continue
-            got = marginalise(poset, s.assignment[j], i).weights
-            if max_norm(got - s.assignment[i].weights) > check_tol:
-                return False
-    seen: dict[str, float] = {}
-    for node in s.domain:
-        for idx, key in enumerate(poset.atom_keys(node)):
-            w = float(s.assignment[node].weights[idx])
-            if key in seen and abs(seen[key] - w) > check_tol:
-                return False
-            seen.setdefault(key, w)
-    return True
+        values[node] = np.asarray(m.weights)
+    return is_section(poset, values, TOL.probability)
 
 
 def section_from_state(poset: ContextPoset, rho: DensityMatrix) -> ProbSection:
@@ -245,36 +220,6 @@ def is_informationally_complete(poset: ContextPoset) -> bool:
     mats.append(np.eye(d, dtype=complex))
     a = _constraint_rows(basis, mats)
     return int(np.linalg.matrix_rank(a, tol=TOL.rank)) == d * d
-
-
-@dataclass(frozen=True)
-class Dilation:
-    """Per-context Naimark dilation: embedding projections and a unit vector."""
-
-    context: int
-    ancilla_dim: int
-    embedding: tuple[Projection, ...]
-    vector: np.ndarray
-
-
-def naimark_dilate(m: ContextMeasure) -> Dilation:
-    """Dilate a measure to coordinate projections and the sqrt-weight vector."""
-    k = len(m.weights)
-    embedding = []
-    for i in range(k):
-        e = np.zeros((k, k), dtype=complex)
-        e[i, i] = 1.0
-        embedding.append(Projection(e, 1))
-    v = np.sqrt(np.asarray(m.weights, dtype=float)).astype(complex)
-    v.flags.writeable = False
-    return Dilation(m.context, k, tuple(embedding), v)
-
-
-def recovered_weights(d: Dilation) -> np.ndarray:
-    """Weights <v, phi(p_i) v> read back from a dilation."""
-    return np.array(
-        [float(np.real(np.vdot(d.vector, p.matrix @ d.vector))) for p in d.embedding]
-    )
 
 
 @dataclass

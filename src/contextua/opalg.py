@@ -47,7 +47,6 @@ class Tolerances:
     # a symmetry image of an atom is a projection, and image commutators match
     # up to this times their size
     conjugation: float = 1e-7
-    restriction: float = 1e-10  # two-step and one-step presheaf restrictions agree
 
     @property
     def grid(self) -> float:
@@ -79,11 +78,6 @@ def max_norm(m) -> float:
     """Max-entry absolute norm, the equality yardstick used throughout."""
     arr = np.asarray(m)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
-
-
-def is_self_adjoint(m) -> bool:
-    arr = as_operator(m)
-    return max_norm(arr - arr.conj().T) <= TOL.exact
 
 
 def is_projection(m, tol: float = TOL.exact) -> bool:

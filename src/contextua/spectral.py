@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .contexts import ContextPoset, PresheafShape
+from .contexts import ContextPoset, is_section
 from .opalg import TOL, atom_coefficients, max_norm, spectral_atoms
 
 
@@ -77,11 +77,6 @@ class EnumerationResult:
         return len(self.sections)
 
 
-def dominator_index(poset: ContextPoset, small: int, large: int, atom: int) -> int:
-    """Index of the atom of ``small`` dominating atom ``atom`` of ``large``."""
-    return int(poset.dominator_map(small, large)[atom])
-
-
 def _domination_maps(poset: ContextPoset) -> dict[tuple[int, int], np.ndarray]:
     """The atom dominator lookup of every strict pair small < large with ``large`` maximal.
 
@@ -103,22 +98,7 @@ def restrict_character(poset: ContextPoset, ch: Character, target: int) -> Chara
         return ch
     if not poset.order[target, ch.context]:
         raise ValueError(f"target node {target} is not below context {ch.context}")
-    idx = dominator_index(poset, target, ch.context, ch.chosen_atom)
-    return Character(target, idx)
-
-
-def characters_of(poset: ContextPoset, node: int) -> list[Character]:
-    return [Character(node, a) for a in range(len(poset.nodes[node].atoms))]
-
-
-def spectral_shape(poset: ContextPoset) -> PresheafShape:
-    sizes = tuple(len(node.atoms) for node in poset.nodes)
-
-    def restrict(ch: Character, large: int, small: int) -> Character:
-        assert ch.context == large
-        return restrict_character(poset, ch, small)
-
-    return PresheafShape(poset, sizes, restrict)
+    return Character(target, int(poset.dominator_map(target, ch.context)[ch.chosen_atom]))
 
 
 class _Conflict(Exception):
@@ -353,34 +333,21 @@ def verify_section(poset: ContextPoset, s: SpectralSection) -> bool:
     context is the restriction of the larger one. (2) A projection that is
     an atom of several domain contexts gets one value everywhere.
     Also requires the domain to be down-closed and choices in range.
+    Each character enters :func:`~contextua.contexts.is_section` as the
+    0/1 weight vector of its chosen atom, compared exactly.
     """
-    n = len(poset)
+    values = {}
     for node in s.domain:
-        if not (0 <= node < n):
+        if not (0 <= node < len(poset)):
             return False
         ch = s.assignment.get(node)
         if ch is None or ch.context != node:
             return False
-        if not (0 <= ch.chosen_atom < len(poset.nodes[node].atoms)):
+        count = len(poset.nodes[node].atoms)
+        if not (0 <= ch.chosen_atom < count):
             return False
-        for i in range(n):
-            if poset.order[i, node] and i not in s.domain:
-                return False
-    for i in s.domain:
-        for j in s.domain:
-            if i == j or not poset.order[i, j]:
-                continue
-            want = dominator_index(poset, i, j, s.assignment[j].chosen_atom)
-            if s.assignment[i].chosen_atom != want:
-                return False
-    values: dict[str, int] = {}
-    for node in s.domain:
-        chosen = s.assignment[node].chosen_atom
-        for idx, key in enumerate(poset.atom_keys(node)):
-            bit = 1 if idx == chosen else 0
-            if values.setdefault(key, bit) != bit:
-                return False
-    return True
+        values[node] = np.eye(count)[ch.chosen_atom]
+    return is_section(poset, values, 0.0)
 
 
 def character_value(poset: ContextPoset, ch: Character, a) -> float:

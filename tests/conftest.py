@@ -129,6 +129,32 @@ def partition_closure_poset(catalog, registry):
     return poset_from_nodes(registry, nodes, generators)
 
 
+def strict_chains3(order):
+    """All chains i < j < k (strict) of an order matrix, for functoriality checks."""
+    n = len(order)
+    return [
+        (i, j, k)
+        for i in range(n)
+        for j in range(n)
+        if i != j and order[i, j]
+        for k in range(n)
+        if k not in (i, j) and order[j, k]
+    ]
+
+
+def loop_restrict_table(pp, table, target):
+    """Reference table restriction: a Python loop over the atom pairs of the table."""
+    source = table.context
+    if not pp.leq(target, source):
+        raise ValueError("target is not below the table's context")
+    out = np.zeros(pp.table_shape(target))
+    left_map = pp.left.dominator_map(target.left, source.left)
+    right_map = pp.right.dominator_map(target.right, source.right)
+    for (a, b), v in np.ndenumerate(table.probs):
+        out[left_map[a], right_map[b]] += v
+    return cx.CorrelationTable(target, out)
+
+
 def full_table_sections(poset, cap=10**6, chunk=1 << 16):
     """Reference enumeration: the full product of maximal-node choices, filtered in chunks.
 
@@ -219,6 +245,17 @@ def shared_ray_poset_c3():
         [np.outer(e[:, 0], e[:, 0]), np.outer(v2, v2), np.outer(v3, v3)],
     )
     return cx.generate_poset([first, second], reg)
+
+
+@pytest.fixture(scope="session")
+def shared_ray_no_meet_c3(shared_ray_poset_c3):
+    """The same two contexts and the trivial one, without their meet: only
+    the shared ray itself ties the two contexts' weights together."""
+    poset = shared_ray_poset_c3
+    keep = [i for i in range(len(poset)) if not poset.generators[i].startswith("meet")]
+    return poset_from_nodes(
+        poset.registry, [poset.nodes[i] for i in keep], [poset.generators[i] for i in keep]
+    )
 
 
 @pytest.fixture(scope="session")

@@ -19,9 +19,8 @@ import pytest
 import contextua as cx
 from contextua.bell import BellSection, CorrelationTable, ProductNode
 from contextua.catalogs import bundled_text
-from contextua.gleason import context_measure, probabilistic_shape
+from contextua.gleason import context_measure
 from contextua.opalg import ProjectionRegistry, max_norm
-from contextua.spectral import characters_of, spectral_shape
 from contextua.wigner import transition_probability_deviation
 
 from conftest import (
@@ -29,6 +28,7 @@ from conftest import (
     random_density,
     random_hermitian,
     random_unitary,
+    strict_chains3,
 )
 from test_bell import chsh_coefficients, chsh_operator
 
@@ -262,33 +262,28 @@ def test_criterion_7_presheaf_functoriality(chsh_model):
         checked = 0
         for name in ("demo-c3", "ks18-c4", "mub-c3"):
             poset = cx.build_single_poset(cx.parse_scenario(bundled_text(name)))
-            shape = spectral_shape(poset)
-            checked += shape.check_functoriality(lambda k, p=poset: characters_of(p, k))
-            pshape = probabilistic_shape(poset)
-
-            def measures(k, p=poset):
-                return [
-                    context_measure(p, k, rng.dirichlet(np.ones(len(p.nodes[k].atoms))))
-                    for _ in range(2)
-                ]
-
-            checked += pshape.check_functoriality(measures)
+            for i, j, k in strict_chains3(poset.order):
+                count = len(poset.nodes[k].atoms)
+                for a in range(count):
+                    ch = cx.Character(k, a)
+                    via = cx.restrict_character(poset, cx.restrict_character(poset, ch, j), i)
+                    assert via == cx.restrict_character(poset, ch, i)
+                    checked += 1
+                for _ in range(2):
+                    m = context_measure(poset, k, rng.dirichlet(np.ones(count)))
+                    via = cx.marginalise(poset, cx.marginalise(poset, m, j), i)
+                    direct = cx.marginalise(poset, m, i)
+                    assert via.context == direct.context == i
+                    assert max_norm(via.weights - direct.weights) <= 1e-10
+                    checked += 1
 
         # Bell presheaf over the bundled bipartite poset: table coarsening
         pp = chsh_model.poset
         s = chsh_model.section
-        for i in range(len(pp)):
-            for j in range(len(pp)):
-                if i == j or not pp.order[i, j]:
-                    continue
-                for k in range(len(pp)):
-                    if k in (i, j) or not pp.order[j, k]:
-                        continue
-                    top = s.tables[pp.nodes[k]]
-                    via = cx.restrict_table(
-                        pp, cx.restrict_table(pp, top, pp.nodes[j]), pp.nodes[i]
-                    )
-                    direct = cx.restrict_table(pp, top, pp.nodes[i])
-                    assert max_norm(via.probs - direct.probs) <= 1e-10
-                    checked += 1
-        assert checked > 0
+        for i, j, k in strict_chains3(pp.order):
+            top = s.tables[pp.nodes[k]]
+            via = cx.restrict_table(pp, cx.restrict_table(pp, top, pp.nodes[j]), pp.nodes[i])
+            direct = cx.restrict_table(pp, top, pp.nodes[i])
+            assert max_norm(via.probs - direct.probs) <= 1e-10
+            checked += 1
+        assert checked >= 224

@@ -24,7 +24,13 @@ from contextua.catalogs import bundled_text
 from contextua.cli import main
 from contextua.opalg import ProjectionRegistry, max_norm
 
-from conftest import random_basis_context, random_density, random_hermitian
+from conftest import (
+    loop_restrict_table,
+    random_basis_context,
+    random_density,
+    random_hermitian,
+    strict_chains3,
+)
 from test_contexts import brute_force_covers
 
 
@@ -106,6 +112,20 @@ class TestProductPoset:
             if np.array_equal(before, closure):
                 break
         assert np.array_equal(closure, pp.order)
+
+    def test_rows_match_kron(self, mub3_pair):
+        pp = mub3_pair
+        pp._ensure_rows()
+        for node in pp.nodes:
+            rows = pp._row_vecs[pp._row_slices[node]]
+            pairs = [
+                (p, q)
+                for p in pp.left.atoms_of(node.left)
+                for q in pp.right.atoms_of(node.right)
+            ]
+            assert len(rows) == len(pairs)
+            for row, (p, q) in zip(rows, pairs):
+                assert np.array_equal(row, np.kron(p.matrix, q.matrix).T.ravel())
 
 
 class TestSectionFromState:
@@ -540,21 +560,89 @@ class TestRestrictTable:
         w = random_hermitian(rng, 4)
         w = w / np.trace(w).real
         s = cx.section_from_bipartite_state(pp, w)
-        n = len(pp)
         checked = 0
-        for i in range(n):
-            for j in range(n):
-                if i == j or not pp.order[i, j]:
-                    continue
-                for k in range(n):
-                    if k in (i, j) or not pp.order[j, k]:
-                        continue
-                    top = s.tables[pp.nodes[k]]
-                    via = restrict_table(pp, restrict_table(pp, top, pp.nodes[j]), pp.nodes[i])
-                    direct = restrict_table(pp, top, pp.nodes[i])
-                    assert max_norm(via.probs - direct.probs) < 1e-10
-                    checked += 1
+        for i, j, k in strict_chains3(pp.order):
+            top = s.tables[pp.nodes[k]]
+            via = restrict_table(pp, restrict_table(pp, top, pp.nodes[j]), pp.nodes[i])
+            direct = restrict_table(pp, top, pp.nodes[i])
+            assert max_norm(via.probs - direct.probs) < 1e-10
+            checked += 1
         assert checked > 0
+
+    def test_matches_loop_reference(self, mub3_pair, chsh_model):
+        rng = np.random.default_rng(29)
+        for pp in (mub3_pair, chsh_model.poset):
+            d = pp.dims[0] * pp.dims[1]
+            w = random_hermitian(rng, d)
+            s = cx.section_from_bipartite_state(pp, w / np.trace(w).real)
+            checked = 0
+            for i, j in zip(*np.nonzero(pp.order)):
+                small, large = pp.nodes[i], pp.nodes[j]
+                got = restrict_table(pp, s.tables[large], small)
+                want = loop_restrict_table(pp, s.tables[large], small)
+                assert got.context == small
+                assert np.array_equal(got.probs, want.probs)
+                checked += 1
+            assert checked > len(pp)
+
+
+def _replace_tables(s, tables):
+    return BellSection(s.poset, tables, frozenset(tables))
+
+
+class TestVerifyBellSection:
+    def test_perturbed_lower_table(self, chsh_model):
+        s = chsh_model.section
+        (x0, _), _ = _chsh_locals(chsh_model)
+        node = ProductNode(x0, chsh_model.poset.right.trivial_node())
+        tables = dict(s.tables)
+        probs = s.tables[node].probs + np.array([[1e-3], [-1e-3]])
+        tables[node] = CorrelationTable(node, probs)
+        assert not cx.verify_bell_section(_replace_tables(s, tables))
+
+    def test_shared_pair_mismatch(self, shared_ray_no_meet_c3):
+        # only the shared (ray, identity) pair can expose a mismatch
+        left = shared_ray_no_meet_c3
+        pp = cx.product_poset(left, cx.generate_poset([], ProjectionRegistry(2)))
+        first, second = left.maximal_nodes()
+        shared = set(left.atom_keys(first)) & set(left.atom_keys(second))
+        assert len(shared) == 1
+        key = shared.pop()
+
+        def section(shared_weight):
+            """Weight 0.5 on the shared ray in ``first``, ``shared_weight`` in ``second``."""
+            tables = {}
+            for node in pp.nodes:
+                w = np.ones((1, 1))
+                if node.left in (first, second):
+                    at = left.atom_keys(node.left).index(key)
+                    top = 0.5 if node.left == first else shared_weight
+                    w = np.full((3, 1), (1 - top) / 2)
+                    w[at] = top
+                tables[node] = CorrelationTable(node, w)
+            return BellSection(pp, tables, frozenset(tables))
+
+        assert cx.verify_bell_section(section(0.5))
+        assert not cx.verify_bell_section(section(0.4))
+
+    def test_not_down_closed(self, chsh_model):
+        s = chsh_model.section
+        top = chsh_model.analysis_contexts[0]
+        assert not cx.verify_bell_section(_replace_tables(s, {top: s.tables[top]}))
+
+    def test_wrong_shape(self, chsh_model):
+        s = chsh_model.section
+        (x0, _), _ = _chsh_locals(chsh_model)
+        node = ProductNode(x0, chsh_model.poset.right.trivial_node())
+        tables = dict(s.tables)
+        tables[node] = CorrelationTable(node, s.tables[node].probs.reshape(1, 2))
+        assert not cx.verify_bell_section(_replace_tables(s, tables))
+
+    def test_total_not_one(self, chsh_model):
+        # halving every table keeps marginalisation and sharing intact
+        s = chsh_model.section
+        tables = {n: CorrelationTable(n, 0.5 * t.probs) for n, t in s.tables.items()}
+        assert not cx.verify_bell_section(_replace_tables(s, tables))
 
 
 class TestMaximallyEntangledC3:

@@ -421,35 +421,6 @@ class TestExportDot:
         assert "// node n0: catalog[0]" in text
 
 
-class TestPresheafShape:
-    def test_functoriality_checker_accepts(self, basis_poset_c3):
-        from contextua.spectral import spectral_shape, characters_of
-
-        shape = spectral_shape(basis_poset_c3)
-        checked = shape.check_functoriality(
-            lambda k: characters_of(basis_poset_c3, k)
-        )
-        assert checked > 0
-
-    def test_functoriality_checker_rejects(self):
-        # needs chains whose bottom is not the one-atom trivial node
-        reg = cx.ProjectionRegistry(4)
-        ctx = cx.context_from_observables(reg, [np.diag([1.0, 2.0, 3.0, 4.0])])
-        poset = partition_closure_poset([ctx], reg)
-
-        def path_dependent(ch, large, small):
-            k = len(poset.nodes[small].atoms)
-            return cx.Character(small, (ch.chosen_atom + large) % k)
-
-        shape = cx.PresheafShape(
-            poset, tuple(len(n.atoms) for n in poset.nodes), path_dependent
-        )
-        from contextua.spectral import characters_of
-
-        with pytest.raises(AssertionError):
-            shape.check_functoriality(lambda k: characters_of(poset, k))
-
-
 class TestObservableValidation:
     def test_rejects_non_self_adjoint(self):
         reg = cx.ProjectionRegistry(2)

@@ -1,4 +1,4 @@
-"""Probabilistic presheaf: Born sections, reconstruction, Naimark dilation."""
+"""Probabilistic presheaf: Born sections, reconstruction, section checks."""
 
 from __future__ import annotations
 
@@ -11,18 +11,16 @@ from scipy.optimize import linprog
 import contextua as cx
 from contextua.gleason import (
     ContextMeasure,
-    Dilation,
     context_measure,
     hermitian_basis,
     marginalise,
     measure_value,
-    probabilistic_shape,
     quasilinearity_report,
-    recovered_weights,
 )
+from contextua.contexts import poset_from_nodes
 from contextua.opalg import ProjectionRegistry, max_norm
 
-from conftest import random_basis_context, random_density, random_hermitian
+from conftest import random_basis_context, random_density, random_hermitian, strict_chains3
 
 
 def independent_span_rank(mats, dim):
@@ -101,6 +99,49 @@ class TestSectionFromState:
                 assert cx.verify_prob_section(poset, s)
                 trials += 1
         assert trials >= 100
+
+
+def _edited(s, node, weights):
+    """``s`` with the measure at ``node`` replaced, unvalidated."""
+    assignment = dict(s.assignment)
+    assignment[node] = ContextMeasure(node, np.asarray(weights, dtype=float))
+    return cx.ProbSection(assignment, s.domain)
+
+
+class TestVerifyProbSection:
+    def test_perturbed_lower_weight(self):
+        # {V, halves, trivial}: the halves' atoms are sums of V's atoms and
+        # shared with no other node, so only marginalisation sees the change
+        reg = ProjectionRegistry(4)
+        v = cx.context_from_observables(reg, [np.diag([1.0, 2.0, 3.0, 4.0])])
+        halves = cx.context_from_observables(reg, [np.diag([1.0, 1.0, 2.0, 2.0])])
+        poset = poset_from_nodes(reg, [v, halves, cx.trivial_context(reg)], ["v", "h", "t"])
+        s = cx.section_from_state(poset, cx.density_matrix(np.diag([0.1, 0.2, 0.3, 0.4])))
+        assert cx.verify_prob_section(poset, s)
+        assert not cx.verify_prob_section(poset, _edited(s, 1, [0.3 + 1e-3, 0.7 - 1e-3]))
+
+    def test_shared_key_mismatch(self, shared_ray_no_meet_c3):
+        poset = shared_ray_no_meet_c3
+        first, second = poset.maximal_nodes()
+        rng = np.random.default_rng(8)
+        s = cx.section_from_state(poset, random_density(rng, 3))
+        assert cx.verify_prob_section(poset, s)
+        w = np.array(s.assignment[second].weights)
+        shared = poset.atom_keys(second).index(
+            (set(poset.atom_keys(first)) & set(poset.atom_keys(second))).pop()
+        )
+        other = (shared + 1) % 3
+        w[shared] += 1e-3
+        w[other] -= 1e-3
+        assert not cx.verify_prob_section(poset, _edited(s, second, w))
+
+    def test_not_down_closed(self, mub_poset_c3):
+        rng = np.random.default_rng(9)
+        s = cx.section_from_state(mub_poset_c3, random_density(rng, 3))
+        m = mub_poset_c3.maximal_nodes()[0]
+        assert not cx.verify_prob_section(
+            mub_poset_c3, cx.ProbSection({m: s.assignment[m]}, frozenset({m}))
+        )
 
 
 class TestStateFromSection:
@@ -203,17 +244,18 @@ class TestInformationalCompleteness:
 class TestMarginalisation:
     def test_restriction_composes(self, shared_ray_poset_c3, mub_closure_poset_c3):
         rng = np.random.default_rng(6)
+        checked = 0
         for poset in (shared_ray_poset_c3, mub_closure_poset_c3):
-            shape = probabilistic_shape(poset)
-
-            def samples(k, p=poset):
-                out = []
+            for i, j, k in strict_chains3(poset.order):
                 for _ in range(3):
-                    w = rng.dirichlet(np.ones(len(p.nodes[k].atoms)))
-                    out.append(context_measure(p, k, w))
-                return out
-
-            assert shape.check_functoriality(samples) > 0
+                    w = rng.dirichlet(np.ones(len(poset.nodes[k].atoms)))
+                    m = context_measure(poset, k, w)
+                    via = marginalise(poset, marginalise(poset, m, j), i)
+                    direct = marginalise(poset, m, i)
+                    assert via.context == direct.context == i
+                    assert max_norm(via.weights - direct.weights) <= 1e-10
+                    checked += 1
+        assert checked > 0
 
     def test_additivity_closure(self, mub_poset_c3):
         # mu(p v q) = mu(p) + mu(q) for orthogonal projections in one context
@@ -230,44 +272,6 @@ class TestMarginalisation:
                 assert lhs == pytest.approx(
                     float(m.weights[i] + m.weights[j]), abs=1e-8
                 )
-
-
-class TestNaimark:
-    def test_point_mass(self, basis_poset_c3):
-        m = context_measure(basis_poset_c3, basis_poset_c3.maximal_nodes()[0], [1, 0, 0])
-        d = cx.naimark_dilate(m)
-        assert d.ancilla_dim == 3
-        assert np.allclose(d.vector, [1, 0, 0])
-        assert np.allclose(recovered_weights(d), m.weights)
-
-    def test_uniform_exact(self, basis_poset_c3):
-        m = context_measure(
-            basis_poset_c3, basis_poset_c3.maximal_nodes()[0], [1 / 3, 1 / 3, 1 / 3]
-        )
-        d = cx.naimark_dilate(m)
-        assert np.allclose(d.vector, np.ones(3) / np.sqrt(3))
-        assert np.array_equal(recovered_weights(d), np.asarray(m.weights))
-
-    def test_phase_freedom(self, basis_poset_c3):
-        m = context_measure(basis_poset_c3, basis_poset_c3.maximal_nodes()[0], [0.5, 0.3, 0.2])
-        d = cx.naimark_dilate(m)
-        phased = Dilation(d.context, d.ancilla_dim, d.embedding, np.exp(0.9j) * d.vector)
-        assert np.allclose(recovered_weights(phased), recovered_weights(d))
-
-    def test_embedding_is_resolution(self, basis_poset_c3):
-        m = context_measure(basis_poset_c3, basis_poset_c3.maximal_nodes()[0], [0.2, 0.2, 0.6])
-        d = cx.naimark_dilate(m)
-        total = sum(p.matrix for p in d.embedding)
-        assert np.array_equal(total, np.eye(3))
-
-    def test_dilation_soundness_random(self, mub_poset_c3):
-        rng = np.random.default_rng(12)
-        for node in range(len(mub_poset_c3)):
-            w = rng.dirichlet(np.ones(len(mub_poset_c3.nodes[node].atoms)))
-            m = context_measure(mub_poset_c3, node, w)
-            assert np.allclose(
-                recovered_weights(cx.naimark_dilate(m)), np.asarray(m.weights), atol=1e-15
-            )
 
 
 class TestQuasilinearity:
@@ -291,9 +295,9 @@ class TestExtremePoints:
     def test_characters_embed_as_measures(self, basis_poset_c3):
         poset = basis_poset_c3
         node = poset.maximal_nodes()[0]
-        for ch in cx.spectral.characters_of(poset, node):
+        for a in range(len(poset.nodes[node].atoms)):
             w = np.zeros(3)
-            w[ch.chosen_atom] = 1.0
+            w[a] = 1.0
             m = context_measure(poset, node, w)  # validates the constraints
             assert float(np.asarray(m.weights).sum()) == 1.0
 

@@ -19,9 +19,6 @@ from contextua.spectral import (
     Character,
     SpectralSection,
     character_value,
-    characters_of,
-    dominator_index,
-    spectral_shape,
 )
 
 from conftest import (
@@ -30,6 +27,7 @@ from conftest import (
     partition_closure_poset,
     random_basis_context,
     shared_ray_catalog_poset,
+    strict_chains3,
 )
 
 
@@ -265,9 +263,15 @@ class TestKsTriple:
 
 class TestFunctorialityAndValues:
     def test_restriction_composes_exhaustively(self, shared_ray_poset_c3, mub_closure_poset_c3):
+        checked = 0
         for poset in (shared_ray_poset_c3, mub_closure_poset_c3):
-            shape = spectral_shape(poset)
-            assert shape.check_functoriality(lambda k, p=poset: characters_of(p, k)) > 0
+            for i, j, k in strict_chains3(poset.order):
+                for a in range(len(poset.nodes[k].atoms)):
+                    ch = Character(k, a)
+                    via = cx.restrict_character(poset, cx.restrict_character(poset, ch, j), i)
+                    assert via == cx.restrict_character(poset, ch, i)
+                    checked += 1
+        assert checked > 0
 
     def test_spectrum_rule_and_functional_composition(self, mub_poset_c3):
         poset = mub_poset_c3
