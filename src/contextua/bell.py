@@ -303,9 +303,7 @@ class LPResult:
         }
         if self.weights is not None:
             out["weights"] = [
-                [int(i), float(w)]
-                for i, w in enumerate(self.weights)
-                if w > TOL.exact
+                [int(i), float(self.weights[i])] for i in np.flatnonzero(self.weights > TOL.exact)
             ]
         if self.witness is not None:
             out["witness"] = [

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -291,18 +292,35 @@ def atom_coefficients(atoms, a) -> np.ndarray | None:
     return coeffs if max_norm(recon - arr) <= TOL.membership else None
 
 
-def canonical_key(matrix) -> str:
-    """Canonical identity of a projection: entries rounded to the grid.
+def canonical_keys(mats) -> list[str]:
+    """Canonical identity of each projection of an (m, d, d) stack: entries rounded to the grid.
 
     Projection matrices carry no global phase (|v><v| is phase-free), so
     rounding the real and imaginary parts to ``TOL.key_decimals`` decimals
     is already canonical; -0.0 is normalized to 0.0 before hashing.
     """
-    arr = np.asarray(matrix, dtype=complex)
-    re = np.round(arr.real, TOL.key_decimals) + 0.0
-    im = np.round(arr.imag, TOL.key_decimals) + 0.0
-    payload = np.ascontiguousarray(np.stack([re, im])).tobytes()
-    return "p" + hashlib.sha1(payload).hexdigest()[:12]
+    arr = np.asarray(mats, dtype=complex)
+    parts = np.round(np.stack([arr.real, arr.imag], axis=-3), TOL.key_decimals) + 0.0
+    return ["p" + hashlib.sha1(part.tobytes()).hexdigest()[:12] for part in parts]
+
+
+def canonical_key(matrix) -> str:
+    """Canonical identity of one projection; see :func:`canonical_keys`."""
+    return canonical_keys(np.asarray(matrix, dtype=complex)[None])[0]
+
+
+# entries of one block of a registry distance table, bounding its temporaries
+_DISTANCE_BLOCK = 1 << 20
+
+
+def _distances(rows: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """``dist[s, t]``: max-entry distance between ``rows[s]`` and ``pool[t]``."""
+    out = np.empty((len(rows), len(pool)))
+    step = max(1, _DISTANCE_BLOCK // max(1, pool.size))
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step, None] - pool[None]
+        out[start : start + step] = np.abs(block).max(axis=(2, 3))
+    return out
 
 
 class ProjectionRegistry:
@@ -337,34 +355,87 @@ class ProjectionRegistry:
         key, found = self._identify(p)
         if found is not None:
             return found
+        self._add(key, p)
+        return key
+
+    def find_many(self, ps: Sequence[Projection]) -> list[str | None]:
+        """:meth:`find` of each projection, from one rounding and one distance table.
+
+        Raises the :class:`CanonicalizationError` of the first projection
+        that :meth:`find` rejects.
+        """
+        stack, keys = self._batch(ps)
+        dist = _distances(stack, self._stack[: len(self._by_key)])
+        return [self._decide(key, m, row) for key, m, row in zip(keys, stack, dist)]
+
+    def register_many(self, ps: Sequence[Projection]) -> list[str]:
+        """:meth:`register` of each projection in turn, from one rounding and one distance table.
+
+        A projection is identified with a registered one or with an earlier
+        one of the batch, exactly as registering them one at a time would;
+        on a :class:`CanonicalizationError` the earlier ones stay registered.
+        """
+        stack, keys = self._batch(ps)
+        n = len(self._by_key)
+        dist = _distances(stack, np.concatenate([self._stack[:n], stack]))
+        cols = list(range(n))  # columns of the registered projections, in insertion order
+        out = []
+        for t, (key, p) in enumerate(zip(keys, ps)):
+            found = self._decide(key, p.matrix, dist[t, cols])
+            if found is None:
+                self._add(key, p)
+                cols.append(n + t)
+                found = key
+            out.append(found)
+        return out
+
+    def _batch(self, ps: Sequence[Projection]) -> tuple[np.ndarray, list[str]]:
+        for p in ps:
+            self._check_dim(p)
+        stack = np.array([p.matrix for p in ps], dtype=complex).reshape(-1, self.dim, self.dim)
+        return stack, canonical_keys(stack)
+
+    def _add(self, key: str, p: Projection) -> None:
         n = len(self._by_key)
         if n == len(self._stack):
             self._stack = np.concatenate([self._stack, np.empty_like(self._stack)])
         self._stack[n] = p.matrix
         self._by_key[key] = p
-        return key
+
+    def _check_dim(self, p: Projection) -> None:
+        if p.dim != self.dim:
+            raise ValueError(f"projection dim {p.dim} does not match registry dim {self.dim}")
 
     def _identify(self, p: Projection) -> tuple[str, str | None]:
         """The canonical key of ``p`` and the key of the registered projection it is."""
-        if p.dim != self.dim:
-            raise ValueError(f"projection dim {p.dim} does not match registry dim {self.dim}")
+        self._check_dim(p)
         key = canonical_key(p.matrix)
+        dist = None  # an equal canonical key decides without the distance scan
+        if key not in self._by_key:
+            dist = np.abs(self._stack[: len(self._by_key)] - p.matrix).max(axis=(1, 2))
+        return key, self._decide(key, p.matrix, dist)
+
+    def _decide(self, key: str, m: np.ndarray, dist: np.ndarray | None) -> str | None:
+        """Key of the registered projection that matrix ``m`` of canonical key ``key`` is, or None.
+
+        ``dist[t]`` is the distance from ``m`` to the t-th registered
+        projection; it is read only when no projection has ``key``.
+        """
         existing = self._by_key.get(key)
         if existing is not None:
-            if max_norm(existing.matrix - p.matrix) <= self.tol:
-                return key, key
+            if max_norm(existing.matrix - m) <= self.tol:
+                return key
             raise CanonicalizationError(
                 "distinct projections collide on the canonical rounding grid", key
             )
         # the first registered projection within tol (jitter across a rounding
         # boundary) or closer than the grid decides
-        dist = np.abs(self._stack[: len(self._by_key)] - p.matrix).max(axis=(1, 2))
         hits = np.flatnonzero((dist <= self.tol) | (dist < TOL.grid))
         if not hits.size:
-            return key, None
+            return None
         other_key = list(self._by_key)[hits[0]]
         if dist[hits[0]] <= self.tol:
-            return key, other_key
+            return other_key
         raise CanonicalizationError(
             f"projections {key} and {other_key} are closer than the rounding grid", other_key
         )

@@ -4,6 +4,10 @@ Unitary and antiunitary conjugation sends contexts to contexts and induces
 order automorphisms of generated posets; both kinds preserve the Jordan
 product, and the sign picked up by commutators separates them. That sign
 is the operational time orientation.
+
+A poset is conjugated once per distinct atom key, as one stacked product;
+the images are checked as projections and identified by the registry in
+one batch. The Jordan and transition checks likewise run on stacked samples.
 """
 
 from __future__ import annotations
@@ -20,10 +24,7 @@ from .opalg import (
     Projection,
     ProjectionRegistry,
     as_operator,
-    is_projection,
-    jordan_product,
     max_norm,
-    projection,
 )
 
 
@@ -47,7 +48,10 @@ def symmetry(kind: str, u) -> SymmetryOp:
 
 
 def apply_symmetry(s: SymmetryOp, x) -> np.ndarray:
-    """Conjugation action on operators: u x u*, with conjugation first if antiunitary."""
+    """Conjugation action on operators: u x u*, with conjugation first if antiunitary.
+
+    ``x`` may be one operator or a stack of them along the leading axes.
+    """
     arr = np.asarray(x, dtype=complex)
     if s.kind == "antiunitary":
         arr = arr.conj()
@@ -63,9 +67,13 @@ def jordan_lift(s: SymmetryOp, x) -> np.ndarray:
     is the linear extension that is the Jordan automorphism.
     """
     arr = np.asarray(x, dtype=complex)
-    a = 0.5 * (arr + arr.conj().T)
-    b = (arr - arr.conj().T) / 2j
-    return apply_symmetry(s, a) + 1j * apply_symmetry(s, b)
+    adj = _adjoint(arr)
+    return apply_symmetry(s, 0.5 * (arr + adj)) + 1j * apply_symmetry(s, (arr - adj) / 2j)
+
+
+def _adjoint(arr: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of an operator or of each operator of a stack."""
+    return arr.conj().swapaxes(-1, -2)
 
 
 def compose(s2: SymmetryOp, s1: SymmetryOp) -> SymmetryOp:
@@ -95,45 +103,56 @@ def conjugate_poset(poset: ContextPoset, s: SymmetryOp) -> tuple[ContextPoset, P
     When the poset's registry identifies every image atom and every image
     context is a node, the map lands there (a genuine automorphism, possibly
     a nontrivial permutation); otherwise a fresh image poset is built with
-    nodes in matching order.
+    nodes in matching order, its order computed from the image atoms.
     """
-    image_atoms: list[list[Projection]] = []
-    for i in range(len(poset)):
-        mapped = []
-        for p in poset.atoms_of(i):
-            m = apply_symmetry(s, p.matrix)
-            try:
-                mapped.append(projection(m, TOL.conjugation))
-            except ValueError:
-                if is_projection(m, TOL.conjugation):
-                    raise  # projection's own trace error
-                raise ValueError("conjugated atom fails the projection check") from None
-        image_atoms.append(mapped)
+    sources = list(dict.fromkeys(k for node in poset.nodes for k in node.atoms))
+    slot = {k: t for t, k in enumerate(sources)}
+    stack = np.array([poset.registry.get(k).matrix for k in sources])
+    images = apply_symmetry(s, stack)
+    ranks = _projection_ranks(images)
+    images.flags.writeable = False
+    mapped = [Projection(m, r) for m, r in zip(images, ranks)]
 
-    try:  # stops at the first image atom or context that is not in the poset
-        node_map = tuple(
-            poset.node_id(Context(poset.dim, tuple(_key_in(poset.registry, p) for p in mapped)))
-            for mapped in image_atoms
-        )
+    def image_nodes(keys: list[str]) -> list[Context]:
+        return [Context(poset.dim, tuple(keys[slot[k]] for k in node.atoms)) for node in poset.nodes]
+
+    try:  # an image atom or context that is not in the poset means a rebuild
+        found = poset.registry.find_many(mapped)
+        if None not in found:
+            return poset, PosetMap(tuple(poset.node_id(c) for c in image_nodes(found)))
     except (KeyError, CanonicalizationError):
         pass
-    else:
-        return poset, PosetMap(node_map)
 
     registry = ProjectionRegistry(poset.dim, poset.registry.tol)
-    nodes = []
-    for mapped in image_atoms:
-        keys = tuple(registry.register(p) for p in mapped)
-        nodes.append(Context(poset.dim, keys))
+    nodes = image_nodes(registry.register_many(mapped))
     image = poset_from_nodes(registry, nodes, [f"conjugate({g})" for g in poset.generators])
     return image, PosetMap(tuple(range(len(nodes))))
 
 
-def _key_in(registry: ProjectionRegistry, p: Projection) -> str:
-    key = registry.find(p)
-    if key is None:
-        raise KeyError("image atom is not a registered projection")
-    return key
+def _projection_ranks(images: np.ndarray) -> list[int]:
+    """Rank of each conjugated atom of an (m, d, d) stack, checked as ``projection`` checks one.
+
+    An image passes when its entries are finite, it is self-adjoint and
+    idempotent within ``TOL.conjugation``, and its trace is near an integer,
+    the rank. Raises for the first image in stack order that fails.
+    """
+    tol = TOL.conjugation
+    finite = np.isfinite(images).all(axis=(1, 2))
+    # NaN distances compare False, so a non-finite image fails both checks
+    adjoint = np.abs(images - _adjoint(images)).max(axis=(1, 2)) <= tol
+    idempotent = np.abs(images @ images - images).max(axis=(1, 2)) <= tol
+    traces = np.trace(images, axis1=1, axis2=2).real
+    ranks = np.rint(traces)
+    integral = np.abs(traces - ranks) <= max(tol * images.shape[-1], TOL.eigen_gap)
+    bad = np.flatnonzero(~(finite & adjoint & idempotent & integral))
+    if bad.size:
+        t = bad[0]
+        if not finite[t]:
+            raise ValueError("operator entries must be finite")
+        if not (adjoint[t] and idempotent[t]):
+            raise ValueError("conjugated atom fails the projection check")
+        raise ValueError(f"projection trace {float(traces[t])} is not near an integer")
+    return [int(r) for r in ranks]
 
 
 def trivial_presheaf_automorphism(
@@ -177,47 +196,48 @@ def jordan_check(s: SymmetryOp, samples: Sequence[tuple]) -> JordanReport:
     phi(a.b) = phi(a).phi(b); the linear lift satisfies
     phi([a,b]) = sign * [phi(a), phi(b)] with sign +1 for unitaries and -1
     for antiunitaries. Pairs with [a, b] = 0 carry no sign information.
+    All pairs are checked in one stacked pass.
     """
-    max_res = 0.0
-    signs: list[int | None] = []
-    skipped = 0
-    for a, b in samples:
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
-        if max_norm(a - a.conj().T) > TOL.exact or max_norm(b - b.conj().T) > TOL.exact:
+    d = s.matrix.shape[0]
+    pairs = np.asarray(samples, dtype=complex).reshape(len(samples), 2, d, d)
+    a, b = pairs[:, 0], pairs[:, 1]
+    # a NaN distance passes the self-adjointness test; the entries are then
+    # rejected as not finite, so the first failing pair decides which error
+    skew = (np.abs(pairs - _adjoint(pairs)).max(axis=(2, 3)) > TOL.exact).any(axis=1)
+    bad = np.flatnonzero(skew | ~np.isfinite(pairs).all(axis=(1, 2, 3)))
+    if bad.size:
+        if skew[bad[0]]:
             raise ValueError("jordan_check requires self-adjoint samples")
-        fa = apply_symmetry(s, a)
-        fb = apply_symmetry(s, b)
-        res = max_norm(apply_symmetry(s, jordan_product(a, b)) - jordan_product(fa, fb))
-        max_res = max(max_res, res)
-        comm = a @ b - b @ a
-        scale = max_norm(comm)
-        if scale <= TOL.exact:
-            signs.append(None)
-            skipped += 1
-            continue
-        lifted = jordan_lift(s, comm)
-        image_comm = fa @ fb - fb @ fa
-        bound = TOL.conjugation * max(1.0, scale)
-        if max_norm(lifted - image_comm) <= bound:
-            signs.append(1)
-        elif max_norm(lifted + image_comm) <= bound:
-            signs.append(-1)
-        else:
-            signs.append(0)
+        raise ValueError("operator entries must be finite")
+    fa = apply_symmetry(s, a)
+    fb = apply_symmetry(s, b)
+    res = _max_norms(apply_symmetry(s, 0.5 * (a @ b + b @ a)) - 0.5 * (fa @ fb + fb @ fa))
+    comm = a @ b - b @ a
+    scale = _max_norms(comm)
+    lifted = jordan_lift(s, comm)
+    image_comm = fa @ fb - fb @ fa
+    bound = TOL.conjugation * np.maximum(1.0, scale)
+    signs: list[int | None] = [
+        None if sc <= TOL.exact else 1 if plus <= bd else -1 if minus <= bd else 0
+        for sc, bd, plus, minus in zip(
+            scale, bound, _max_norms(lifted - image_comm), _max_norms(lifted + image_comm)
+        )
+    ]
     determined = {x for x in signs if x is not None}
     overall = determined.pop() if len(determined) == 1 else None
-    return JordanReport(max_res, signs, overall, skipped)
+    return JordanReport(float(res.max(initial=0.0)), signs, overall, signs.count(None))
 
 
 def transition_probability_deviation(s: SymmetryOp, rays: Sequence) -> float:
     """Largest |tr(phi(p)phi(q)) - tr(pq)| over the given rank-1 pairs."""
-    worst = 0.0
-    mats = [np.asarray(p.matrix if hasattr(p, "matrix") else p, dtype=complex) for p in rays]
-    images = [apply_symmetry(s, m) for m in mats]
-    for i, p in enumerate(mats):
-        for j, q in enumerate(mats):
-            before = float(np.real(np.trace(p @ q)))
-            after = float(np.real(np.trace(images[i] @ images[j])))
-            worst = max(worst, abs(after - before))
-    return worst
+    d = s.matrix.shape[0]
+    mats = np.array([getattr(p, "matrix", p) for p in rays], dtype=complex).reshape(len(rays), d, d)
+    images = apply_symmetry(s, mats)
+    before = np.einsum("aij,bji->ab", mats, mats).real
+    after = np.einsum("aij,bji->ab", images, images).real
+    return float(np.abs(after - before).max(initial=0.0))
+
+
+def _max_norms(stack: np.ndarray) -> np.ndarray:
+    """Max-entry norm of each operator of a stack."""
+    return np.abs(stack).max(axis=(1, 2), initial=0.0)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import contextua as cx
 from contextua.catalogs import bundled_text
@@ -13,6 +15,11 @@ from contextua.contexts import poset_from_nodes
 from contextua.opalg import TOL, CanonicalizationError, canonical_key, max_norm
 from contextua.scenario import _catalog
 from contextua.spectral import Character, EnumerationResult, SpectralSection, _domination_maps
+from contextua.wigner import JordanReport, PosetMap, apply_symmetry, jordan_lift
+
+# HYPOTHESIS_PROFILE=ci runs the tests that do not fix max_examples five times deeper
+settings.register_profile("ci", max_examples=5 * settings.get_profile("default").max_examples)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_unitary(rng, dim):
@@ -55,6 +62,89 @@ class LoopScanRegistry(cx.ProjectionRegistry):
             if dist < TOL.grid:
                 raise CanonicalizationError("closer than the rounding grid", other_key)
         return key, None
+
+
+def loop_image_check(m):
+    """Reference check of one conjugated atom: ``projection``, with the conjugation's message."""
+    try:
+        return cx.projection(m, TOL.conjugation)
+    except ValueError:
+        if cx.is_projection(m, TOL.conjugation):
+            raise  # projection's own trace error
+        raise ValueError("conjugated atom fails the projection check") from None
+
+
+def loop_conjugate_poset(poset, s):
+    """Reference conjugation: one ``projection`` check and one registry call per (node, atom)."""
+    image_atoms = [
+        [loop_image_check(apply_symmetry(s, p.matrix)) for p in poset.atoms_of(i)]
+        for i in range(len(poset))
+    ]
+
+    def key_in(p):
+        key = poset.registry.find(p)
+        if key is None:
+            raise KeyError("image atom is not a registered projection")
+        return key
+
+    try:  # stops at the first image atom or context that is not in the poset
+        node_map = tuple(
+            poset.node_id(cx.Context(poset.dim, tuple(key_in(p) for p in mapped)))
+            for mapped in image_atoms
+        )
+    except (KeyError, CanonicalizationError):
+        pass
+    else:
+        return poset, PosetMap(node_map)
+
+    registry = cx.ProjectionRegistry(poset.dim, poset.registry.tol)
+    nodes = [cx.Context(poset.dim, tuple(registry.register(p) for p in m)) for m in image_atoms]
+    image = poset_from_nodes(registry, nodes, [f"conjugate({g})" for g in poset.generators])
+    return image, PosetMap(tuple(range(len(nodes))))
+
+
+def loop_jordan_check(s, samples):
+    """Reference Jordan check: one pair at a time."""
+    max_res = 0.0
+    signs = []
+    for a, b in samples:
+        a = np.asarray(a, dtype=complex)
+        b = np.asarray(b, dtype=complex)
+        if max_norm(a - a.conj().T) > TOL.exact or max_norm(b - b.conj().T) > TOL.exact:
+            raise ValueError("jordan_check requires self-adjoint samples")
+        fa = apply_symmetry(s, a)
+        fb = apply_symmetry(s, b)
+        res = max_norm(apply_symmetry(s, cx.jordan_product(a, b)) - cx.jordan_product(fa, fb))
+        max_res = max(max_res, res)
+        comm = a @ b - b @ a
+        scale = max_norm(comm)
+        if scale <= TOL.exact:
+            signs.append(None)
+            continue
+        lifted = jordan_lift(s, comm)
+        image_comm = fa @ fb - fb @ fa
+        bound = TOL.conjugation * max(1.0, scale)
+        if max_norm(lifted - image_comm) <= bound:
+            signs.append(1)
+        elif max_norm(lifted + image_comm) <= bound:
+            signs.append(-1)
+        else:
+            signs.append(0)
+    determined = {x for x in signs if x is not None}
+    overall = determined.pop() if len(determined) == 1 else None
+    return JordanReport(max_res, signs, overall, signs.count(None))
+
+
+def loop_transition_deviation(s, rays):
+    """Reference transition check: one trace per ordered pair of rays."""
+    mats = [np.asarray(getattr(p, "matrix", p), dtype=complex) for p in rays]
+    images = [apply_symmetry(s, m) for m in mats]
+    worst = 0.0
+    for p, fp in zip(mats, images):
+        for q, fq in zip(mats, images):
+            before = float(np.real(np.trace(p @ q)))
+            worst = max(worst, abs(float(np.real(np.trace(fp @ fq))) - before))
+    return worst
 
 
 def shared_ray_catalog(registry, seed, n_bases):

@@ -261,6 +261,13 @@ def registry_projections(draw):
     return cx.projection(cols @ cols.conj().T)
 
 
+def boundary_ray():
+    """A d2 ray whose off-diagonal entry 0.30000050000000006 sits on a 6-decimal
+    rounding boundary, so 2e-13 of jitter downwards changes the canonical key."""
+    theta = np.arcsin(2 * 0.3000005) / 2
+    return cx.projection_from_ray(np.array([np.cos(theta), np.sin(theta)]))
+
+
 class TestRegistry:
     def test_same_projection_same_key(self):
         reg = ProjectionRegistry(3)
@@ -269,10 +276,7 @@ class TestRegistry:
         assert len(reg) == 1
 
     def test_jitter_identified(self):
-        # the off-diagonal entry 0.30000050000000006 sits on a 6-decimal rounding
-        # boundary, so 2e-13 of jitter downwards changes the canonical key
-        theta = np.arcsin(2 * 0.3000005) / 2
-        p = cx.projection_from_ray(np.array([np.cos(theta), np.sin(theta)]))
+        p = boundary_ray()
         reg = ProjectionRegistry(2)
         key = reg.register(p)
         assert canonical_key(p.matrix - 2e-13 * PAULI_X) != key
@@ -331,6 +335,24 @@ class TestRegistry:
         with pytest.raises(CanonicalizationError):
             reg.register(cx.projection_from_ray(w))
 
+    def test_rejection_names_the_registered_key(self):
+        # distance 1e-7 from e1, between tol and the grid: the same canonical key
+        # (collision) or, across a rounding boundary, a different one (scan)
+        reg = ProjectionRegistry(3)
+        key = reg.register(cx.projection_from_ray(np.array([1.0, 0.0, 0.0])))
+        with pytest.raises(CanonicalizationError) as exc:
+            reg.register(cx.projection_from_ray(np.array([1.0, 1e-7, 0.0])))
+        assert exc.value.key == key
+        p = boundary_ray()
+        reg = ProjectionRegistry(2)
+        key = reg.register(p)
+        q = cx.Projection(p.matrix - 1e-7 * PAULI_X, 1)
+        assert canonical_key(q.matrix) != key
+        with pytest.raises(CanonicalizationError, match=key) as exc:
+            reg.register(q)
+        assert exc.value.key == key
+        assert list(reg.keys()) == [key]
+
     def test_distinct_rays_coexist(self):
         reg = ProjectionRegistry(2)
         k1 = reg.register(cx.projection_from_ray(np.array([1.0, 0.0])))
@@ -371,6 +393,83 @@ def register_outcomes(reg, seq):
     return out, list(reg.keys())
 
 
+def path_sequence(data, seed, steps):
+    """Projections at the given distances along one path from a drawn p, in the given order.
+
+    A tiny step jitters across the rounding boundary of a d2 ray; "fresh" is a random ray.
+    """
+    p = data.draw(registry_projections())
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, p.dim)
+    spread = max_norm(h @ p.matrix - p.matrix @ h)
+    assume(spread > 1e-3)
+    jitter = np.zeros((p.dim, p.dim), dtype=complex)
+    jitter[0, 1] = jitter[1, 0] = 1.0
+    seq = []
+    for step in steps[: data.draw(st.integers(2, len(steps)))]:
+        if step == "fresh":
+            cols = random_unitary(rng, p.dim)[:, :1]
+            seq.append(cx.projection(cols @ cols.conj().T))
+        elif abs(step) < 1e-12:
+            seq.append(cx.Projection(p.matrix + step * jitter, p.rank))
+        else:
+            u = expm(1j * (step / spread) * h)
+            seq.append(cx.Projection(u @ p.matrix @ u.conj().T, p.rank))
+    return seq
+
+
+def outcome(call):
+    """What ``call()`` returns, or the key its CanonicalizationError names; then the error message."""
+    try:
+        return call(), None
+    except CanonicalizationError as exc:
+        return ("raised", exc.key), str(exc)
+
+
+class TestRegistryBatchDifferential:
+    """Batched find and register against one projection at a time."""
+
+    @settings(deadline=None)
+    @given(
+        st.data(),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([TOL.identity, 1e-7, 1e-5]),
+        st.permutations(PATH_DISTANCES + (2e-13, -2e-13, "fresh")),
+    )
+    def test_same_keys_or_same_rejection(self, data, seed, tol, steps):
+        seq = path_sequence(data, seed, steps)
+        # a registered head, so the batch meets registered projections and its own
+        head = data.draw(st.integers(0, len(seq)))
+        batch = seq[head:]
+
+        def registry(cls):
+            reg = cls(seq[0].dim, tol)
+            register_outcomes(reg, seq[:head])
+            return reg
+
+        for one, many in (
+            (ProjectionRegistry.find, ProjectionRegistry.find_many),
+            (ProjectionRegistry.register, ProjectionRegistry.register_many),
+        ):
+            reg = registry(ProjectionRegistry)
+            (got, message), keys = outcome(lambda: many(reg, batch)), list(reg.keys())
+            ref = registry(ProjectionRegistry)
+            assert outcome(lambda: [one(ref, q) for q in batch]) == (got, message)
+            assert list(ref.keys()) == keys
+            loop = registry(LoopScanRegistry)  # the loop scan words its errors its own way
+            assert outcome(lambda: [one(loop, q) for q in batch])[0] == got
+            assert list(loop.keys()) == keys
+
+    def test_within_batch_identification(self):
+        # the jittered copy has another canonical key; it is the batch's first entry
+        p = boundary_ray()
+        q = cx.Projection(p.matrix - 2e-13 * PAULI_X, 1)
+        assert canonical_key(q.matrix) != canonical_key(p.matrix)
+        reg = ProjectionRegistry(2)
+        assert reg.register_many([p, q, p]) == [canonical_key(p.matrix)] * 3
+        assert len(reg) == 1
+
+
 class TestRegistryScanDifferential:
     """The vectorised miss-path scan against a loop over the registered keys."""
 
@@ -382,25 +481,10 @@ class TestRegistryScanDifferential:
         st.permutations(PATH_DISTANCES + (2e-13, -2e-13, "fresh")),
     )
     def test_same_key_or_same_rejection(self, data, seed, tol, steps):
-        p = data.draw(registry_projections())
-        rng = np.random.default_rng(seed)
-        h = random_hermitian(rng, p.dim)
-        spread = max_norm(h @ p.matrix - p.matrix @ h)
-        assume(spread > 1e-3)
-        jitter = np.zeros((p.dim, p.dim), dtype=complex)
-        jitter[0, 1] = jitter[1, 0] = 1.0
-        seq = []
-        for step in steps[: data.draw(st.integers(2, len(steps)))]:
-            if step == "fresh":
-                cols = random_unitary(rng, p.dim)[:, :1]
-                seq.append(cx.projection(cols @ cols.conj().T))
-            elif abs(step) < 1e-12:  # jitter across the rounding boundary of a d2 ray
-                seq.append(cx.Projection(p.matrix + step * jitter, p.rank))
-            else:
-                u = expm(1j * (step / spread) * h)
-                seq.append(cx.Projection(u @ p.matrix @ u.conj().T, p.rank))
-        got = register_outcomes(ProjectionRegistry(p.dim, tol), seq)
-        assert got == register_outcomes(LoopScanRegistry(p.dim, tol), seq)
+        seq = path_sequence(data, seed, steps)
+        dim = seq[0].dim
+        got = register_outcomes(ProjectionRegistry(dim, tol), seq)
+        assert got == register_outcomes(LoopScanRegistry(dim, tol), seq)
 
     def test_first_match_in_registration_order_decides(self):
         # d2 rays whose top-left entry sits 3e-8 either side of the rounding

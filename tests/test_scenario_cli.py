@@ -181,6 +181,9 @@ GOLDEN_EXIT_CODES = [
     ("bell-analyze", "chsh-c2", 2, "not_factorisable"),
     ("bell-classify", "chsh-c2", 0, "underdetermined"),
     ("wigner-check", "mub-c3", 0, "wigner_ok"),
+    ("wigner-check", "demo-c3", 0, "wigner_ok"),
+    ("wigner-check", "ks18-c4", 0, "wigner_ok"),
+    ("wigner-check", "mermin-c8", 0, "wigner_ok"),  # the only d8 symmetry path
     ("poset-export", "demo-c3", 0, "exported"),
 ]
 

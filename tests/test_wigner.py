@@ -2,14 +2,30 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contextua as cx
-from contextua.opalg import max_norm
-from contextua.wigner import PosetMap, jordan_lift, transition_probability_deviation
+from contextua.opalg import TOL, max_norm
+from contextua.wigner import (
+    PosetMap,
+    _projection_ranks,
+    jordan_lift,
+    transition_probability_deviation,
+)
 
-from conftest import random_hermitian, random_unitary
+from conftest import (
+    loop_conjugate_poset,
+    loop_image_check,
+    loop_jordan_check,
+    loop_transition_deviation,
+    random_hermitian,
+    random_unitary,
+)
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -18,6 +34,46 @@ PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 
 def sa_samples(rng, dim, count):
     return [(random_hermitian(rng, dim), random_hermitian(rng, dim)) for _ in range(count)]
+
+
+def weyl_clifford(dim, a, b, kind):
+    """X^a Z^b on C^dim, followed by complex conjugation when antiunitary."""
+    x = np.roll(np.eye(dim), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
+    return cx.symmetry(kind, np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b))
+
+
+@st.composite
+def symmetries(draw, dim):
+    """Haar-random, Weyl-Clifford or signed-permutation symmetries, of either kind."""
+    kind = draw(st.sampled_from(["unitary", "antiunitary"]))
+    family = draw(st.sampled_from(["haar", "weyl", "signed-permutation"]))
+    if family == "weyl":
+        return weyl_clifford(dim, draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)), kind)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "haar":
+        return cx.symmetry(kind, random_unitary(rng, dim))
+    return cx.symmetry(kind, np.eye(dim)[rng.permutation(dim)] * rng.choice([-1.0, 1.0], dim))
+
+
+# d2 matrices that fail exactly one check of a conjugated atom
+IMAGE_FAULTS = {
+    "non-finite": np.full((2, 2), np.nan),
+    "not-self-adjoint": np.array([[1.0, 1.0], [0.0, 0.0]]),  # idempotent, trace 1
+    "not-idempotent": 2.0 * np.diag([1.0, 0.0]),
+    # (1-z)^2 - (1-z) stays within tol, but the trace misses 2 by more than 2 tol
+    "trace": (1 - TOL.conjugation * (1 + 5e-8)) * np.eye(2),
+}
+
+
+def assert_same_conjugation(poset, s):
+    image, pmap = cx.conjugate_poset(poset, s)
+    ref, ref_map = loop_conjugate_poset(poset, s)
+    assert (image is poset) == (ref is poset)
+    assert pmap.node_map == ref_map.node_map
+    assert [node.atoms for node in image.nodes] == [node.atoms for node in ref.nodes]
+    assert np.array_equal(image.order, ref.order)
+    return image
 
 
 class TestSymmetryOp:
@@ -87,6 +143,48 @@ class TestConjugatePoset:
         with pytest.raises(ValueError, match="conjugated atom fails the projection check"):
             cx.conjugate_poset(basis_poset_c3, s)
 
+    def test_non_finite_image_rejected(self, basis_poset_c3):
+        s = cx.wigner.SymmetryOp("unitary", np.full((3, 3), np.nan, dtype=complex))
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            cx.conjugate_poset(basis_poset_c3, s)
+
+
+class TestConjugationDifferential:
+    """The stacked conjugation against one check and one registry call per (node, atom)."""
+
+    @settings(deadline=None)
+    @given(data=st.data(), which=st.integers(0, 3))
+    def test_same_image_as_loop(
+        self, data, which, basis_poset_c3, shared_ray_poset_c3, mub_poset_c3, ks18_poset
+    ):
+        poset = (basis_poset_c3, shared_ray_poset_c3, mub_poset_c3, ks18_poset)[which]
+        assert_same_conjugation(poset, data.draw(symmetries(poset.dim)))
+
+    def test_weyl_clifford_maps(self, mub_poset_c3, ks18_poset):
+        maps = [(a, b, kind) for a in range(3) for b in range(3) for kind in ("unitary", "antiunitary")]
+        for a, b, kind in maps:  # they permute the MUBs of d3
+            image = assert_same_conjugation(mub_poset_c3, weyl_clifford(3, a, b, kind))
+            assert image is mub_poset_c3
+        # in d4 some of them keep ks18 and some leave it, so both routes run
+        images = [assert_same_conjugation(ks18_poset, weyl_clifford(4, a, b, k)) for a, b, k in maps]
+        assert {image is ks18_poset for image in images} == {True, False}
+
+    @pytest.mark.parametrize(
+        "faults",
+        [(f,) for f in IMAGE_FAULTS] + list(itertools.permutations(IMAGE_FAULTS, 2)),
+    )
+    def test_image_checks_match_projection(self, faults):
+        # each faulty image follows a good one; the first in stack order decides the error
+        good = [np.diag([1.0, 0.0]), 0.5 * np.ones((2, 2))]
+        stack = np.array([m for f in faults for m in (good[0], IMAGE_FAULTS[f])] + good, dtype=complex)
+        with pytest.raises(ValueError) as want:
+            for m in stack:
+                loop_image_check(m)
+        with pytest.raises(ValueError) as got:
+            _projection_ranks(stack)
+        assert str(got.value) == str(want.value)
+        assert _projection_ranks(np.array(good, dtype=complex)) == [1, 1]
+
 
 class TestJordanCheck:
     def test_unitary_sign_plus(self):
@@ -118,6 +216,12 @@ class TestJordanCheck:
         assert rep.sign is None
         assert rep.n_commuting_skipped == 1
 
+    def test_non_self_adjoint_sample_rejected(self):
+        s = cx.symmetry("unitary", np.eye(2))
+        raising = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(ValueError, match="requires self-adjoint samples"):
+            cx.jordan_check(s, [(PAULI_Z, PAULI_X), (PAULI_X, raising)])
+
     def test_sign_separates_on_all_noncommuting(self):
         rng = np.random.default_rng(15)
         trials = 0
@@ -139,6 +243,47 @@ class TestJordanCheck:
         lhs = jordan_lift(s, 2.0 * x + 1j * y)
         rhs = 2.0 * jordan_lift(s, x) + 1j * jordan_lift(s, y)
         assert max_norm(lhs - rhs) < 1e-10
+
+
+class TestStackedChecksDifferential:
+    """Stacked Jordan and transition checks against one pair at a time."""
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 5),
+        st.sampled_from(["unitary", "antiunitary"]),
+        st.lists(st.sampled_from(["random", "commuting", "tiny"]), max_size=6),
+    )
+    def test_jordan_check_matches_loop(self, seed, dim, kind, pair_kinds):
+        rng = np.random.default_rng(seed)
+        s = cx.symmetry(kind, random_unitary(rng, dim))
+        samples = []
+        for pair in pair_kinds:  # commuting and tiny pairs are skipped for the sign
+            a = random_hermitian(rng, dim)
+            if pair == "commuting":
+                samples.append((a, a @ a))
+            else:
+                samples.append((a, random_hermitian(rng, dim) * (1e-12 if pair == "tiny" else 1.0)))
+        got = cx.jordan_check(s, samples)
+        want = loop_jordan_check(s, samples)
+        assert got.signs == want.signs
+        assert (got.sign, got.n_commuting_skipped) == (want.sign, want.n_commuting_skipped)
+        assert abs(got.max_jordan_residual - want.max_jordan_residual) <= 1e-12
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 5),
+        st.sampled_from(["unitary", "antiunitary"]),
+        st.integers(0, 9),
+    )
+    def test_transition_deviation_matches_loop(self, seed, dim, kind, n_rays):
+        rng = np.random.default_rng(seed)
+        s = cx.symmetry(kind, random_unitary(rng, dim))
+        rays = [cx.projection_from_ray(random_unitary(rng, dim)[:, 0]) for _ in range(n_rays)]
+        got = transition_probability_deviation(s, rays)
+        assert abs(got - loop_transition_deviation(s, rays)) <= 1e-12
 
 
 class TestTrivialPresheafAutomorphism:
