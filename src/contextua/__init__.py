@@ -42,11 +42,13 @@ from .gleason import (
     ContextMeasure,
     ProbSection,
     ReconstructionResult,
+    born_weights,
     context_measure,
     hermitian_basis,
     is_informationally_complete,
     marginalise,
     quasilinearity_report,
+    reconstruct_operator,
     section_from_state,
     state_from_section,
     verify_prob_section,

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .contexts import ContextPoset, is_section
-from .gleason import ProbSection, context_measure, hermitian_basis, solve_hermitian
+from .gleason import ProbSection, born_weights, context_measure, reconstruct_operator
 from .opalg import TOL, max_norm
 from .spectral import EnumerationResult, enumerate_global_sections
 
@@ -49,9 +49,7 @@ class ProductPoset:
         self._index = {node: k for k, node in enumerate(self.nodes)}
         self.order = np.kron(left.order, right.order).astype(bool)
         self.dims = (left.dim, right.dim)
-        self._row_vecs: np.ndarray | None = None
-        self._row_slices: dict[ProductNode, slice] | None = None
-        self._constraints: np.ndarray | None = None
+        self.dim = left.dim * right.dim
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -80,6 +78,15 @@ class ProductPoset:
             for rk in self.right.atom_keys(node.right)
         ]
 
+    def atom_matrices(self, i: int) -> np.ndarray:
+        """``kron(p, q)`` for each atom pair of node i, in table row-major order."""
+        node = self.nodes[i]
+        pl = self.left.atom_matrices(node.left)
+        pr = self.right.atom_matrices(node.right)
+        # [a, b, i, k, j, l] = pl[a, i, j] * pr[b, k, l], the entries of kron(p_a, q_b)
+        prod = pl[:, None, :, None, :, None] * pr[None, :, None, :, None, :]
+        return prod.reshape(len(pl) * len(pr), self.dim, self.dim)
+
     def dominator_map(self, small: int, large: int) -> np.ndarray:
         """Per-cell lookup: flat cell c of ``large``'s table lies under flat cell [c] of ``small``'s."""
         below, above = self.nodes[small], self.nodes[large]
@@ -103,53 +110,6 @@ class ProductPoset:
                 out.append((ProductNode(l, i), ProductNode(l, j)))
         return out
 
-    # -- cached linear machinery over the tensor space ---------------------
-
-    def _ensure_rows(self) -> None:
-        """One row per atom pair (p, q) of each node: ``kron(p, q).T`` flattened."""
-        if self._row_vecs is not None:
-            return
-        blocks: list[np.ndarray] = []
-        slices: dict[ProductNode, slice] = {}
-        start = 0
-        for node in self.nodes:
-            pl = np.stack([p.matrix for p in self.left.atoms_of(node.left)])
-            pr = np.stack([q.matrix for q in self.right.atoms_of(node.right)])
-            # [a, b, i, k, j, l] = pl[a, i, j] * pr[b, k, l], the entries of kron(p_a, q_b);
-            # the transpose to [a, b, j, l, i, k] flattens each one as kron(p, q).T
-            prod = pl[:, None, :, None, :, None] * pr[None, :, None, :, None, :]
-            block = prod.transpose(0, 1, 4, 5, 2, 3).reshape(len(pl) * len(pr), -1)
-            blocks.append(block)
-            slices[node] = slice(start, start + len(block))
-            start += len(block)
-        self._row_vecs = np.concatenate(blocks)
-        self._row_slices = slices
-
-    def born_probabilities(self, node: ProductNode, w: np.ndarray) -> np.ndarray:
-        """Table of Re tr(W (p x q)) for the node's atom pairs."""
-        self._ensure_rows()
-        sl = self._row_slices[node]
-        flat = np.real(self._row_vecs[sl] @ w.reshape(-1))
-        return flat.reshape(self.table_shape(node))
-
-    def constraint_matrix(self) -> np.ndarray:
-        """Real rows tr((p x q) G_k) against the tensor Hermitian basis."""
-        if self._constraints is None:
-            self._ensure_rows()
-            d = self.dims[0] * self.dims[1]
-            basis = hermitian_basis(d)
-            g_vecs = basis.reshape(len(basis), -1)
-            self._constraints = np.real(self._row_vecs @ g_vecs.T)
-        return self._constraints
-
-    def rows_for(self, domain: Sequence[ProductNode]) -> list[int]:
-        self._ensure_rows()
-        out: list[int] = []
-        for node in domain:
-            sl = self._row_slices[node]
-            out.extend(range(sl.start, sl.stop))
-        return out
-
 
 def product_poset(p1: ContextPoset, p2: ContextPoset) -> ProductPoset:
     """Product order: (i1, i2) <= (j1, j2) iff i1 <= j1 and i2 <= j2."""
@@ -168,9 +128,6 @@ class CorrelationTable:
 
     def right_marginal(self) -> np.ndarray:
         return self.probs.sum(axis=0)
-
-    def is_nonnegative(self) -> bool:
-        return bool(self.probs.min() >= -TOL.exact)
 
 
 @dataclass(frozen=True)
@@ -204,7 +161,7 @@ def section_from_bipartite_state(
     can be generated. Negative entries are reported by the section.
     """
     w = np.asarray(w, dtype=complex)
-    d = pp.dims[0] * pp.dims[1]
+    d = pp.dim
     if w.shape != (d, d):
         raise ValueError(f"state must act on the tensor space, expected {(d, d)}")
     if max_norm(w - w.conj().T) > tol:
@@ -212,7 +169,8 @@ def section_from_bipartite_state(
     if abs(complex(np.trace(w)) - 1.0) > tol * d:
         raise ValueError("state must have trace 1")
     tables = {
-        node: CorrelationTable(node, pp.born_probabilities(node, w)) for node in pp.nodes
+        node: CorrelationTable(node, born_weights(pp, k, w).reshape(pp.table_shape(node)))
+        for k, node in enumerate(pp.nodes)
     }
     return BellSection(pp, tables, frozenset(pp.nodes))
 
@@ -385,7 +343,9 @@ def factorisability_lp(
     pp = s.poset
     if contexts is None:
         contexts = [n for n in pp.maximal_nodes() if n in s.domain]
-    contexts = list(contexts)
+    # a repeated context adds only copies of its rows, but its cells would share
+    # one witness key; two catalog contexts that are one node repeat a pair
+    contexts = list(dict.fromkeys(contexts))
     for node in contexts:
         if node not in s.domain:
             raise KeyError(f"context {node} not in section domain")
@@ -492,14 +452,11 @@ def classify_section(s: BellSection) -> SectionClassification:
     """
     pp = s.poset
     d1, d2 = pp.dims
-    d = d1 * d2
     warnings = []
     if min(d1, d2) < 3:
         warnings.append("Gleason uniqueness precondition violated: local dim < 3")
-    domain = sorted(s.domain, key=lambda n: (n.left, n.right))
-    rows = pp.constraint_matrix()[pp.rows_for(domain)]
-    probs = np.array([v for n in domain for v in s.tables[n].probs.reshape(-1)])
-    status, w, residual, free = solve_hermitian(rows, probs, hermitian_basis(d))
+    values = {pp.index(n): s.tables[n].probs for n in s.domain}
+    status, w, residual, free = reconstruct_operator(pp, values)
     if status == "inconsistent":
         return SectionClassification(
             "non_quantum", residual=float(residual), warnings=tuple(warnings)

@@ -186,8 +186,6 @@ def _cmd_gleason_reconstruct(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
     if sc.section is not None:
         assignment = {}
         for ctx_index, weights in sc.section:
-            if not (0 <= ctx_index < len(model.catalog_nodes)):
-                raise ValueError(f"section refers to unknown context index {ctx_index}")
             node = model.catalog_nodes[ctx_index]
             assignment[node] = context_measure(poset, node, weights, tol=TOL.probability)
         for i in range(len(poset)):

@@ -175,6 +175,10 @@ class ContextPoset:
     def atoms_of(self, i: int) -> list[Projection]:
         return [self.registry.get(k) for k in self.nodes[i].atoms]
 
+    def atom_matrices(self, i: int) -> np.ndarray:
+        """The atoms of node i as one ``(k, d, d)`` stack, in atom order."""
+        return np.stack([p.matrix for p in self.atoms_of(i)])
+
     def atom_keys(self, i: int) -> tuple[str, ...]:
         return self.nodes[i].atoms
 
@@ -376,7 +380,11 @@ def _dominance_table(
     keys = sorted({k for node in nodes for k in node.atoms})
     index = {k: t for t, k in enumerate(keys)}
     stack = np.stack([registry.get(k).matrix for k in keys])
-    prod = np.einsum("aij,bjk->abik", stack, stack)
+    n, d = len(keys), registry.dim
+    # prod[a, b] = stack[a] @ stack[b], as one BLAS product of the stacked rows and columns
+    prod = (stack.reshape(n * d, d) @ stack.transpose(1, 0, 2).reshape(d, n * d)).reshape(
+        n, d, n, d
+    ).transpose(0, 2, 1, 3)
     under = np.abs(prod - stack[None, :, :, :]).max(axis=(2, 3)) <= TOL.dominance
     return index, under
 

@@ -87,16 +87,25 @@ def verify_prob_section(poset: ContextPoset, s: ProbSection) -> bool:
     return is_section(poset, values, TOL.probability)
 
 
+def born_weights(poset, node: int, w: np.ndarray) -> np.ndarray:
+    """Born weights Re tr(W P) of the atoms P of one node, in ``atom_matrices`` order.
+
+    ``poset`` is a :class:`ContextPoset` or a product poset: anything with
+    ``atom_matrices``; ``w`` is an operator on its ``dim``-dimensional space.
+    """
+    atoms = poset.atom_matrices(node)
+    # tr(W P) = sum_ij P[i, j] W[j, i]: each flattened atom against the flattened transpose
+    return np.real(atoms.reshape(len(atoms), -1) @ np.asarray(w).T.reshape(-1))
+
+
 def section_from_state(poset: ContextPoset, rho: DensityMatrix) -> ProbSection:
     """Born weights tr(rho p) per atom, in every context of the poset."""
     if rho.dim != poset.dim:
         raise ValueError(f"state dim {rho.dim} does not match poset dim {poset.dim}")
-    assignment = {}
-    for i in range(len(poset)):
-        w = np.array(
-            [float(np.real(np.trace(rho.matrix @ p.matrix))) for p in poset.atoms_of(i)]
-        )
-        assignment[i] = context_measure(poset, i, w, tol=TOL.probability)
+    assignment = {
+        i: context_measure(poset, i, born_weights(poset, i, rho.matrix), tol=TOL.probability)
+        for i in range(len(poset))
+    }
     return ProbSection(assignment, frozenset(range(len(poset))))
 
 
@@ -120,10 +129,10 @@ def hermitian_basis(d: int) -> np.ndarray:
     return np.stack(mats)
 
 
-def _constraint_rows(basis: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    """Real rows tr(p G_k) for Hermitian p against a Hermitian basis; no ``mats``, no rows."""
-    stacked = np.reshape(mats, (len(mats),) + basis.shape[1:])
-    return np.real(np.einsum("rij,kji->rk", stacked, basis))
+def _constraint_rows(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Real rows tr(p G_k) for a ``(r, d, d)`` stack of Hermitian p against a Hermitian basis."""
+    transposed = basis.transpose(0, 2, 1).reshape(len(basis), -1)
+    return np.real(mats.reshape(len(mats), -1) @ transposed.T)
 
 
 @dataclass
@@ -144,26 +153,25 @@ class ReconstructionResult:
         return out
 
 
-def _section_constraints(poset: ContextPoset, s: ProbSection, basis: np.ndarray):
-    mats, vals = [], []
-    for node in sorted(s.domain):
-        atoms = poset.atoms_of(node)
-        for idx, p in enumerate(atoms):
-            mats.append(p.matrix)
-            vals.append(float(s.assignment[node].weights[idx]))
-    return _constraint_rows(basis, mats), np.array(vals)
+def reconstruct_operator(poset, values: Mapping[int, np.ndarray]):
+    """Least-squares Hermitian X with tr X = 1 and tr(X P) = weight for every atom P.
 
-
-def solve_hermitian(rows: np.ndarray, values: np.ndarray, basis: np.ndarray):
-    """Least-squares X = sum x_k G_k with tr X = 1 and ``rows @ x = values``.
-
-    Returns (status, X, residual, free): status is "inconsistent" when the
-    residual exceeds ``TOL.residual``, "underdetermined" when ``free`` > 0
-    directions are left at rank cut-off ``TOL.rank``, else "unique" with
-    the Hermitian solution X.
+    ``values[i]`` holds the flat weights of node i's atoms in ``atom_matrices``
+    order, as for :func:`contexts.is_section`; ``poset`` is anything with
+    ``dim`` and ``atom_matrices``. Each atom P of the nodes, in ascending node
+    order, and then the identity give one row tr(P G_k) over the Hermitian
+    basis G, solved by least squares. Returns (status, X, residual, free):
+    status is "inconsistent" when the residual exceeds ``TOL.residual``,
+    "underdetermined" when ``free`` > 0 directions are left at rank cut-off
+    ``TOL.rank``, else "unique" with the Hermitian solution X.
     """
-    a = np.vstack([rows, np.real(np.einsum("kii->k", basis))])
-    b = np.append(values, 1.0)
+    basis = hermitian_basis(poset.dim)
+    nodes = sorted(values)
+    mats = np.concatenate(
+        [poset.atom_matrices(i) for i in nodes] + [np.eye(poset.dim, dtype=complex)[None]]
+    )
+    a = _constraint_rows(basis, mats)
+    b = np.concatenate([np.ravel(values[i]) for i in nodes] + [[1.0]])
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=TOL.rank)
     residual = max_norm(a @ x - b)
     free = len(basis) - int(rank)
@@ -183,8 +191,8 @@ def state_from_section(poset: ContextPoset, s: ProbSection) -> ReconstructionRes
     is underdetermined; a unique solution is a density matrix iff its
     spectrum clears -TOL.psd.
     """
-    basis = hermitian_basis(poset.dim)
-    status, mat, residual, free = solve_hermitian(*_section_constraints(poset, s, basis), basis)
+    values = {i: s.assignment[i].weights for i in s.domain}
+    status, mat, residual, free = reconstruct_operator(poset, values)
     if status == "inconsistent":
         return ReconstructionResult(
             "infeasible", residual=residual, reason="inconsistent linear system"
@@ -218,7 +226,7 @@ def is_informationally_complete(poset: ContextPoset) -> bool:
     basis = hermitian_basis(d)
     mats = [p.matrix for _, p in poset.registry.items()]
     mats.append(np.eye(d, dtype=complex))
-    a = _constraint_rows(basis, mats)
+    a = _constraint_rows(basis, np.stack(mats))
     return int(np.linalg.matrix_rank(a, tol=TOL.rank)) == d * d
 
 

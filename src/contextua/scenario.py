@@ -77,6 +77,22 @@ def parse_entry(entry, path: str) -> complex:
     raise ScenarioError(path, "entry must be a number, string, or [re, im] pair")
 
 
+def _parse_index(raw, n: int, path: str, what: str) -> int:
+    """A JSON integer in [0, n); JSON ``true`` is not the integer 1."""
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise ScenarioError(path, f"{what} must be a JSON integer, got {raw!r}")
+    if not 0 <= raw < n:
+        raise ScenarioError(path, f"{what} {raw} out of range")
+    return raw
+
+
+def _parse_reals(raw, path: str) -> np.ndarray:
+    """A JSON list of numbers or exact-form strings."""
+    if not isinstance(raw, list):
+        raise ScenarioError(path, f"must be a list, got {type(raw).__name__}")
+    return np.array([parse_real(x, f"{path}[{k}]") for k, x in enumerate(raw)])
+
+
 def _parse_vector(raw, dim: int, path: str) -> np.ndarray:
     if not isinstance(raw, list):
         raise ScenarioError(path, "vector must be a list")
@@ -112,8 +128,7 @@ def _parse_contexts(raw, n_rays: int, rays: list[np.ndarray], path: str) -> list
         if not isinstance(item, list) or not item:
             raise ScenarioError(f"{path}[{c}]", "context must be a nonempty list of ray indices")
         for k, idx in enumerate(item):
-            if not isinstance(idx, int) or isinstance(idx, bool) or not (0 <= idx < n_rays):
-                raise ScenarioError(f"{path}[{c}][{k}]", f"ray index {idx!r} out of range")
+            _parse_index(idx, n_rays, f"{path}[{c}][{k}]", "ray index")
         if len(set(item)) != len(item):
             raise ScenarioError(f"{path}[{c}]", "repeated ray index in context")
         for a in range(len(item)):
@@ -179,15 +194,18 @@ def parse_scenario(text: str) -> Scenario:
             raw = doc["section"]
             if not isinstance(raw, list):
                 raise ScenarioError("$.section", "section must be a list")
-            entries = []
+            entries = {}
             for i, item in enumerate(raw):
                 if not isinstance(item, dict) or "context" not in item or "weights" not in item:
                     raise ScenarioError(
                         f"$.section[{i}]", "each entry needs 'context' and 'weights'"
                     )
-                w = [parse_real(x, f"$.section[{i}].weights[{k}]") for k, x in enumerate(item["weights"])]
-                entries.append((item["context"], np.array(w)))
-            section = tuple(entries)
+                path = f"$.section[{i}].context"
+                c = _parse_index(item["context"], len(contexts), path, "context index")
+                if c in entries:
+                    raise ScenarioError(path, f"context {c} already has weights")
+                entries[c] = _parse_reals(item["weights"], f"$.section[{i}].weights")
+            section = tuple(entries.items())
         return Scenario(
             "single", (dim,), {"main": rays}, {"main": contexts},
             None, state, None, section, metadata, doc,
@@ -218,14 +236,13 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError("$.product_contexts", "must be a list of [left, right] pairs")
         pairs = []
         for i, item in enumerate(raw):
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or not (0 <= item[0] < len(left_ctx))
-                or not (0 <= item[1] < len(right_ctx))
-            ):
-                raise ScenarioError(f"$.product_contexts[{i}]", f"invalid pair {item!r}")
-            pairs.append((item[0], item[1]))
+            path = f"$.product_contexts[{i}]"
+            if not isinstance(item, list) or len(item) != 2:
+                raise ScenarioError(path, f"invalid pair {item!r}")
+            pairs.append((
+                _parse_index(item[0], len(left_ctx), path + "[0]", "left context index"),
+                _parse_index(item[1], len(right_ctx), path + "[1]", "right context index"),
+            ))
         product = tuple(pairs)
     state = None
     if "state" in doc:
@@ -235,21 +252,23 @@ def parse_scenario(text: str) -> Scenario:
         raw = doc["tables"]
         if not isinstance(raw, list):
             raise ScenarioError("$.tables", "tables must be a list")
-        entries = []
+        entries = {}
         for i, item in enumerate(raw):
+            at = f"$.tables[{i}]"
             if not isinstance(item, dict) or not {"left", "right", "probs"} <= set(item):
-                raise ScenarioError(f"$.tables[{i}]", "each table needs 'left', 'right', 'probs'")
-            li, ri = item["left"], item["right"]
-            if not (0 <= li < len(left_ctx) and 0 <= ri < len(right_ctx)):
-                raise ScenarioError(f"$.tables[{i}]", f"context pair ({li}, {ri}) out of range")
-            probs = np.array(
-                [
-                    [parse_real(x, f"$.tables[{i}].probs[{r}][{c}]") for c, x in enumerate(row)]
-                    for r, row in enumerate(item["probs"])
-                ]
-            )
-            entries.append((li, ri, probs))
-        tables = tuple(entries)
+                raise ScenarioError(at, "each table needs 'left', 'right', 'probs'")
+            li = _parse_index(item["left"], len(left_ctx), at + ".left", "left context index")
+            ri = _parse_index(item["right"], len(right_ctx), at + ".right", "right context index")
+            if (li, ri) in entries:
+                raise ScenarioError(at, f"context pair ({li}, {ri}) already has a table")
+            probs = item["probs"]
+            if not isinstance(probs, list):
+                raise ScenarioError(at + ".probs", "must be a list of rows")
+            rows = [_parse_reals(row, f"{at}.probs[{r}]") for r, row in enumerate(probs)]
+            if len({len(row) for row in rows}) > 1:
+                raise ScenarioError(at + ".probs", "rows must have equal length")
+            entries[li, ri] = np.array(rows)
+        tables = tuple((li, ri, probs) for (li, ri), probs in entries.items())
     return Scenario(
         "bipartite", (d1, d2), {"left": left_rays, "right": right_rays},
         {"left": left_ctx, "right": right_ctx}, product, state, tables, None, metadata, doc,

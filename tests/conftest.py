@@ -10,8 +10,10 @@ import pytest
 from hypothesis import settings
 
 import contextua as cx
+from contextua.bell import SectionClassification
 from contextua.catalogs import bundled_text
 from contextua.contexts import poset_from_nodes
+from contextua.gleason import hermitian_basis
 from contextua.opalg import TOL, CanonicalizationError, canonical_key, max_norm
 from contextua.scenario import _catalog
 from contextua.spectral import Character, EnumerationResult, SpectralSection, _domination_maps
@@ -243,6 +245,55 @@ def loop_restrict_table(pp, table, target):
     for (a, b), v in np.ndenumerate(table.probs):
         out[left_map[a], right_map[b]] += v
     return cx.CorrelationTable(target, out)
+
+
+def kron_rows(pp, node):
+    """Reference Born rows of one product node: ``kron(p, q).T`` flattened, atom pairs row-major."""
+    return np.stack(
+        [
+            np.kron(p.matrix, q.matrix).T.ravel()
+            for p in pp.left.atoms_of(node.left)
+            for q in pp.right.atoms_of(node.right)
+        ]
+    )
+
+
+def kron_row_tables(pp, w):
+    """Reference tables tr(W (p x q)): each node's kron rows against the flattened W."""
+    w = np.asarray(w, dtype=complex).ravel()
+    return {
+        node: np.real(kron_rows(pp, node) @ w).reshape(pp.table_shape(node)) for node in pp.nodes
+    }
+
+
+def kron_row_classify(s):
+    """Reference classification: kron rows against ``hermitian_basis``, then least squares."""
+    pp = s.poset
+    d1, d2 = pp.dims
+    basis = hermitian_basis(d1 * d2)
+    domain = sorted(s.domain, key=lambda n: (n.left, n.right))
+    rows = [kron_rows(pp, n) for n in domain] + [np.zeros((0, (d1 * d2) ** 2))]
+    a = np.real(np.concatenate(rows) @ basis.reshape(len(basis), -1).T)
+    a = np.vstack([a, np.real(np.einsum("kii->k", basis))])
+    b = np.append([v for n in domain for v in s.tables[n].probs.ravel()], 1.0)
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=TOL.rank)
+    residual = float(max_norm(a @ x - b))
+    free = len(basis) - int(rank)
+    if residual > TOL.residual:
+        return SectionClassification("non_quantum", residual=residual)
+    if free > 0:
+        return SectionClassification("underdetermined", residual=residual, solution_space_dim=free)
+    w = np.einsum("k,kij->ij", x, basis)
+    w = 0.5 * (w + w.conj().T)
+    floor = float(np.linalg.eigvalsh(w).min())
+    pt_floor = float(np.linalg.eigvalsh(cx.partial_transpose(w, (d1, d2))).min())
+    if floor >= -TOL.psd:
+        verdict = "quantum"
+    elif pt_floor >= -TOL.psd:
+        verdict = "quantum_time_reversed"
+    else:
+        verdict = "non_quantum"
+    return SectionClassification(verdict, w, floor, pt_floor, residual)
 
 
 def full_table_sections(poset, cap=10**6, chunk=1 << 16):

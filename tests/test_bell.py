@@ -25,6 +25,8 @@ from contextua.cli import main
 from contextua.opalg import ProjectionRegistry, max_norm
 
 from conftest import (
+    kron_row_classify,
+    kron_row_tables,
     loop_restrict_table,
     random_basis_context,
     random_density,
@@ -115,17 +117,17 @@ class TestProductPoset:
 
     def test_rows_match_kron(self, mub3_pair):
         pp = mub3_pair
-        pp._ensure_rows()
-        for node in pp.nodes:
-            rows = pp._row_vecs[pp._row_slices[node]]
+        assert pp.dim == 9
+        for k, node in enumerate(pp.nodes):
+            stack = pp.atom_matrices(k)
             pairs = [
                 (p, q)
                 for p in pp.left.atoms_of(node.left)
                 for q in pp.right.atoms_of(node.right)
             ]
-            assert len(rows) == len(pairs)
-            for row, (p, q) in zip(rows, pairs):
-                assert np.array_equal(row, np.kron(p.matrix, q.matrix).T.ravel())
+            assert stack.shape == (len(pairs), 9, 9)
+            for atom, (p, q) in zip(stack, pairs):
+                assert np.array_equal(atom, np.kron(p.matrix, q.matrix))
 
 
 class TestSectionFromState:
@@ -170,6 +172,41 @@ class TestSectionFromState:
         assert s.min_probability() >= -1e-12
         assert not s.negative_entries()
         assert cx.check_no_signalling(s)
+
+
+class TestBornRuleDifferential:
+    """Tables and classification against the kron-row reference route."""
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(["mub3", "mub2", "chsh"]),
+        st.integers(0, 2**31 - 1),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_matches_kron_rows(self, mub3_pair, mub2_model, chsh_model, which, seed, psd, pt):
+        pp = {"mub3": mub3_pair, "mub2": mub2_model.poset, "chsh": chsh_model.poset}[which]
+        rng = np.random.default_rng(seed)
+        if psd:
+            w = random_density(rng, pp.dim).matrix
+        else:  # trace 1, with a traceless part large enough to leave the PSD cone
+            h = random_hermitian(rng, pp.dim)
+            w = (np.eye(pp.dim) + h - np.trace(h).real / pp.dim * np.eye(pp.dim)) / pp.dim
+        if pt:
+            w = cx.partial_transpose(w, pp.dims)
+        s = cx.section_from_bipartite_state(pp, w)
+        expected = kron_row_tables(pp, w)
+        for node in pp.nodes:
+            assert max_norm(s.tables[node].probs - expected[node]) <= 1e-12
+        got, ref = cx.classify_section(s), kron_row_classify(s)
+        assert got.verdict == ref.verdict
+        assert got.solution_space_dim == ref.solution_space_dim
+        assert got.residual == pytest.approx(ref.residual, abs=1e-10)
+        for floor in ("eigen_floor", "pt_eigen_floor"):
+            a, b = getattr(got, floor), getattr(ref, floor)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a == pytest.approx(b, abs=1e-10)
 
 
 class TestNoSignalling:
@@ -276,6 +313,14 @@ class TestFactorisability:
     def test_no_contexts_rejected(self, chsh_model):
         with pytest.raises(ValueError, match="no analysis context has a table"):
             cx.factorisability_lp(chsh_model.section, [])
+
+    def test_repeated_context_counted_once(self, chsh_model):
+        # with both copies in the LP, the witness kept one copy's coefficients per
+        # cell and no longer reproduced witness_value or deterministic_max
+        contexts = chsh_model.analysis_contexts
+        res = cx.factorisability_lp(chsh_model.section, [contexts[0], *contexts])
+        assert res.to_report() == cx.factorisability_lp(chsh_model.section, contexts).to_report()
+        check_certificate(chsh_model.poset, contexts, res)
 
     def test_no_tabled_context_cli_error(self, tmp_path, capsys):
         doc = json.loads(bundled_text("chsh-c2"))

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contextua as cx
-from contextua.opalg import max_norm
+from contextua.catalogs import bundled_text
+from contextua.contexts import _dominance_table
+from contextua.opalg import TOL, max_norm
 
 from conftest import (
     ks18_subset_catalog,
@@ -197,10 +199,26 @@ class TestLeq:
             assert np.array_equal(poset.order, subset_sum_order(poset))
 
 
+def einsum_dominance_table(registry, nodes):
+    """Reference dominance table: every atom product formed by one einsum."""
+    keys = sorted({k for node in nodes for k in node.atoms})
+    stack = np.stack([registry.get(k).matrix for k in keys])
+    prod = np.einsum("aij,bjk->abik", stack, stack)
+    return keys, np.abs(prod - stack[None, :, :, :]).max(axis=(2, 3)) <= TOL.dominance
+
+
+def check_dominance_table(registry, nodes):
+    index, under = _dominance_table(registry, nodes)
+    keys, expected = einsum_dominance_table(registry, nodes)
+    assert list(index) == keys
+    assert np.array_equal(under, expected)
+
+
 class TestDominanceDifferential:
     """Order, dominator maps and image order against direct matrix checks."""
 
     def check(self, poset, sym_seed: int, kind: str):
+        check_dominance_table(poset.registry, poset.nodes)
         assert np.array_equal(poset.order, subset_sum_order(poset))
         for i, j in zip(*np.nonzero(poset.order)):
             small, large = poset.atoms_of(i), poset.atoms_of(j)
@@ -239,6 +257,11 @@ class TestDominanceDifferential:
     )
     def test_ks18_subsets(self, bases, seed, kind):
         self.check(ks18_subset_poset(bases), seed, kind)
+
+    @pytest.mark.parametrize("name", ["demo-c3", "ks18-c4", "mermin-c8", "mub-c3"])
+    def test_bundled_tables_match_einsum(self, name):
+        poset = cx.build_single_poset(cx.parse_scenario(bundled_text(name)))
+        check_dominance_table(poset.registry, poset.nodes)
 
 
 def greatest_lower_bound(order: np.ndarray, i: int, j: int) -> int:

@@ -82,6 +82,17 @@ class TestSectionFromState:
                     float(m.weights[i]) + float(m.weights[j]), abs=1e-9
                 )
 
+    @pytest.mark.parametrize("fixture", ["mub_poset_c3", "ks18_poset"])
+    def test_weights_match_trace_loop(self, request, fixture):
+        poset = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(29)
+        for _ in range(3):
+            rho = random_density(rng, poset.dim)
+            s = cx.section_from_state(poset, rho)
+            for i in range(len(poset)):
+                loop = [float(np.real(np.trace(rho.matrix @ p.matrix))) for p in poset.atoms_of(i)]
+                assert max_norm(s.assignment[i].weights - np.array(loop)) <= 1e-12
+
     def test_dim_mismatch(self, basis_poset_c3):
         with pytest.raises(ValueError, match="dim"):
             cx.section_from_state(basis_poset_c3, cx.density_matrix(np.eye(4) / 4))

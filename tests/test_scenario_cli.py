@@ -367,3 +367,84 @@ def test_scipy_loaded_only_by_the_lp():
     assert not before
     assert lp_code == 2
     assert after  # the probe sees scipy once the LP has run
+
+
+def chsh_tables_doc():
+    """chsh-c2 with explicit tables for context pairs (0, 0) and (0, 1) in place of the state."""
+    doc = bundled_scenario("chsh-c2")
+    del doc["state"]
+    doc["product_contexts"] = [[0, 0], [0, 1]]
+    doc["tables"] = [
+        {"left": 0, "right": r, "probs": [[0.5, 0.0], [0.0, 0.5]]} for r in range(2)
+    ]
+    return doc
+
+
+def mub_section_doc():
+    """mub-c3 with the maximally mixed weights on every catalog context."""
+    doc = bundled_scenario("mub-c3")
+    doc["section"] = [{"context": c, "weights": ["1/3"] * 3} for c in range(4)]
+    return doc
+
+
+def run_doc(tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, "--scenario", str(path)])
+    return code, capsys.readouterr()
+
+
+def set_in(doc, keys, value):
+    target = doc
+    for k in keys[:-1]:
+        target = target[k]
+    target[keys[-1]] = value
+    return doc
+
+
+BIPARTITE, SINGLE = ("bell-classify", chsh_tables_doc), ("gleason-reconstruct", mub_section_doc)
+
+REJECTED_INPUTS = [
+    # indices are JSON integers: true is not 1, 0.0 and "0" are not 0
+    (BIPARTITE, ("product_contexts", 0, 0), True, "$.product_contexts[0][0]: left context index must be a JSON integer"),
+    (BIPARTITE, ("product_contexts", 0, 1), 0.0, "$.product_contexts[0][1]: right context index must be a JSON integer"),
+    (BIPARTITE, ("tables", 0, "left"), True, "$.tables[0].left: left context index must be a JSON integer"),
+    (BIPARTITE, ("tables", 0, "left"), 0.0, "$.tables[0].left: left context index must be a JSON integer"),
+    (BIPARTITE, ("tables", 0, "right"), "0", "$.tables[0].right: right context index must be a JSON integer"),
+    (BIPARTITE, ("tables", 0, "right"), 2, "$.tables[0].right: right context index 2 out of range"),
+    (BIPARTITE, ("contexts", "left", 1, 0), True, "$.contexts.left[1][0]: ray index must be a JSON integer"),
+    (SINGLE, ("section", 0, "context"), True, "$.section[0].context: context index must be a JSON integer"),
+    (SINGLE, ("section", 0, "context"), "0", "$.section[0].context: context index must be a JSON integer"),
+    (SINGLE, ("section", 0, "context"), 4, "$.section[0].context: context index 4 out of range"),
+    # numeric arrays are lists, with equal-length table rows
+    (SINGLE, ("section", 0, "weights"), "100", "$.section[0].weights: must be a list"),
+    (SINGLE, ("section", 0, "weights"), 1, "$.section[0].weights: must be a list"),
+    (BIPARTITE, ("tables", 0, "probs"), "1111", "$.tables[0].probs: must be a list of rows"),
+    (BIPARTITE, ("tables", 0, "probs"), ["10", "01"], "$.tables[0].probs[0]: must be a list"),
+    (BIPARTITE, ("tables", 0, "probs"), [[0.5, 0.5], [0.0]], "$.tables[0].probs: rows must have equal length"),
+    # each section context and each table pair appears once
+    (SINGLE, ("section", 1, "context"), 0, "$.section[1].context: context 0 already has weights"),
+    (BIPARTITE, ("tables", 1, "right"), 0, "$.tables[1]: context pair (0, 0) already has a table"),
+]
+
+
+class TestScenarioValidation:
+    @pytest.mark.parametrize("command_doc,keys,value,message", REJECTED_INPUTS)
+    def test_rejected_at_its_path(self, tmp_path, capsys, command_doc, keys, value, message):
+        command, make = command_doc
+        assert run_doc(tmp_path, capsys, command, make())[0] == 0  # the unchanged document passes
+        code, out = run_doc(tmp_path, capsys, command, set_in(make(), keys, value))
+        assert code == 1
+        assert out.err.startswith(f"error: {message}")
+
+    def test_true_does_not_stand_for_index_one(self, tmp_path, capsys):
+        # read as 1, true dropped pair (0, 0) and made CHSH look factorisable
+        doc = bundled_scenario("chsh-c2")
+        doc["product_contexts"] = [[True, 0], [0, 1], [1, 0], [1, 1]]
+        code, out = run_doc(tmp_path, capsys, "bell-analyze", doc)
+        assert code == 1
+        assert "$.product_contexts[0][0]" in out.err
+        doc["product_contexts"][0] = [0, 0]
+        code, out = run_doc(tmp_path, capsys, "bell-analyze", doc)
+        assert code == 2
+        assert json.loads(out.out)["verdict"] == "not_factorisable"

@@ -1,10 +1,13 @@
-"""The analysis scripts run end to end and print the expected boundaries."""
+"""The scripts run end to end and print the expected boundaries; their outputs are current."""
 
 from __future__ import annotations
 
+import json
 import runpy
 import sys
 from pathlib import Path
+
+from contextua.catalogs import bundled_names, bundled_scenario
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -30,3 +33,12 @@ def test_orientation_sweep_turns_above_one_third(monkeypatch, capsys):
     for row in rows:
         lam, _, verdict = row.split()
         assert (verdict == "quantum_time_reversed") == (float(lam) > 1 / 3), row
+
+
+def test_committed_catalogs_match_the_bundled_scenarios():
+    # scripts/make_catalogs.py writes catalogs/ from contextua.catalogs; the two must not drift
+    committed = {path.stem: path for path in (SCRIPTS.parent / "catalogs").glob("*")}
+    assert sorted(committed) == bundled_names()
+    for name, path in committed.items():
+        assert path.suffix == ".json"
+        assert json.loads(path.read_text(encoding="utf-8")) == bundled_scenario(name), name
