@@ -11,6 +11,7 @@ import json
 import math
 from functools import reduce
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -103,20 +104,26 @@ _MERMIN_LINES = [
     ["YII", "IXI", "IIY", "YXY"],
     ["YII", "IYI", "IIX", "YYX"],
 ]
-_PAULI = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]])}
+_PAULI = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]),
+}
 
 
-def _mermin_star_scenario() -> dict:
-    """One context per line: the joint eigenbasis of its four observables.
+def _eigenbasis_scenario(dim: int, lines: list[list[str]], metadata: dict) -> dict:
+    """One context per line of commuting Pauli words: the joint eigenbasis of its observables.
 
-    Every eigenvector has entries in {0, +-1, +-i} once divided by its
-    largest entry, so the rays are written exactly.
+    Each ray is a column of its eigenprojector. Every eigenvector of
+    commuting Pauli operators has entries in {0, +-1, +-i} once divided by
+    its largest entry, so the rays are written exactly.
     """
-    registry = ProjectionRegistry(8)
+    registry = ProjectionRegistry(dim)
     rays: list[list] = []
     ray_of: dict[str, int] = {}
     contexts = []
-    for line in _MERMIN_LINES:
+    for line in lines:
         ops = [reduce(np.kron, [_PAULI[c] for c in word]) for word in line]
         ctx = context_from_observables(registry, ops)
         for key in ctx.atoms:
@@ -127,32 +134,73 @@ def _mermin_star_scenario() -> dict:
             v = v / v[np.argmax(np.abs(v))]
             exact = np.round(v.real) + 1j * np.round(v.imag)
             if not np.allclose(exact, v):
-                raise RuntimeError("Mermin-star eigenvector is not a {0, +-1, +-i} vector")
+                raise RuntimeError("Pauli eigenvector is not a {0, +-1, +-i} vector")
             ray_of[key] = len(rays)
             rays.append([int(z.real) if z.imag == 0 else [int(z.real), int(z.imag)] for z in exact])
         contexts.append([ray_of[key] for key in ctx.atoms])
-    return {
-        "kind": "single",
-        "dim": 8,
-        "rays": rays,
-        "contexts": contexts,
-        "metadata": {
-            "name": "mermin-c8",
-            "note": "Mermin star: 10 three-qubit Pauli observables, 5 lines of 4 commuting "
-            "ones, one eigenbasis context per line; verdict recomputed on every run",
+    return {"kind": "single", "dim": dim, "rays": rays, "contexts": contexts, "metadata": metadata}
+
+
+def _lagrangian_subspaces(n: int) -> list[list[int]]:
+    """Every maximal isotropic subspace of GF(2)^{2n}, as a basis of n vectors.
+
+    Vector ``v`` stands for the n-qubit Pauli word with X part ``v >> n`` and
+    Z part ``v`` mod 2^n; isotropic means the words pairwise commute.
+    Subspaces come in the order of their sorted elements.
+    """
+
+    def commute(a: int, b: int) -> bool:
+        return bin((a >> n) & b ^ a & (b >> n)).count("1") % 2 == 0
+
+    found: dict[tuple[int, ...], list[int]] = {}
+
+    def grow(basis: list[int], span: set[int]) -> None:
+        if len(basis) == n:
+            found.setdefault(tuple(sorted(span)), basis)
+            return
+        for v in range(max(basis, default=0) + 1, 1 << (2 * n)):
+            if v not in span and all(commute(v, b) for b in basis):
+                grow(basis + [v], span | {v ^ w for w in span})
+
+    grow([], {0})
+    return [found[k] for k in sorted(found)]
+
+
+def stabilizer_scenario(n: int) -> dict:
+    """All n-qubit stabilizer bases: one context per maximal commuting set of Pauli operators.
+
+    Each Lagrangian subspace of GF(2)^{2n} gives n commuting Pauli words,
+    whose joint eigenbasis is the context: 15 bases for two qubits, 135
+    for three.
+    """
+
+    def word(v: int) -> str:
+        # qubit q: X bit v >> (n + q), Z bit v >> q; X and Z together are Y
+        return "".join("IZXY"[2 * (v >> (n + q) & 1) + (v >> q & 1)] for q in range(n))
+
+    lines = [[word(v) for v in basis] for basis in _lagrangian_subspaces(n)]
+    return _eigenbasis_scenario(
+        1 << n,
+        lines,
+        {
+            "name": f"pauli-c{1 << n}",
+            "note": f"all {len(lines)} {n}-qubit stabilizer bases, one per maximal commuting "
+            "set of Pauli operators; verdict recomputed on every run",
         },
-    }
+    )
 
 
-_BUNDLED: dict[str, dict] = {
-    "demo-c3": {
+# each document is built when it is asked for: importing the package
+# computes no eigenbasis
+_BUNDLED: dict[str, Callable[[], dict]] = {
+    "demo-c3": lambda: {
         "kind": "single",
         "dim": 3,
         "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         "contexts": [[0, 1, 2]],
         "metadata": {"name": "demo-c3", "note": "one orthonormal basis; colorable"},
     },
-    "ks18-c4": {
+    "ks18-c4": lambda: {
         "kind": "single",
         "dim": 4,
         "rays": _KS18_RAYS,
@@ -163,7 +211,7 @@ _BUNDLED: dict[str, dict] = {
             "verdict recomputed by exhaustive search on every run",
         },
     },
-    "mub-c3": {
+    "mub-c3": lambda: {
         "kind": "single",
         "dim": 3,
         "rays": _mub_c3_rays(),
@@ -173,8 +221,17 @@ _BUNDLED: dict[str, dict] = {
             "note": "four mutually unbiased bases; informationally complete",
         },
     },
-    "chsh-c2": _chsh_scenario(),
-    "mermin-c8": _mermin_star_scenario(),
+    "chsh-c2": _chsh_scenario,
+    "mermin-c8": lambda: _eigenbasis_scenario(
+        8,
+        _MERMIN_LINES,
+        {
+            "name": "mermin-c8",
+            "note": "Mermin star: 10 three-qubit Pauli observables, 5 lines of 4 commuting "
+            "ones, one eigenbasis context per line; verdict recomputed on every run",
+        },
+    ),
+    "pauli-c4": lambda: stabilizer_scenario(2),
 }
 
 
@@ -185,7 +242,7 @@ def bundled_names() -> list[str]:
 def bundled_scenario(name: str) -> dict:
     if name not in _BUNDLED:
         raise KeyError(f"unknown bundled scenario {name!r}; have {bundled_names()}")
-    return copy.deepcopy(_BUNDLED[name])
+    return copy.deepcopy(_BUNDLED[name]())
 
 
 def bundled_text(name: str) -> str:

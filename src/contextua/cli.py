@@ -184,10 +184,10 @@ def _cmd_gleason_reconstruct(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
     model = build_single_model(sc, tol)
     poset = model.poset
     if sc.section is not None:
-        assignment = {}
-        for ctx_index, weights in sc.section:
-            node = model.catalog_nodes[ctx_index]
-            assignment[node] = context_measure(poset, node, weights, tol=TOL.probability)
+        assignment = {
+            node: context_measure(poset, node, weights, tol=TOL.probability)
+            for node, weights in model.section_weights(sc.section).items()
+        }
         for i in range(len(poset)):
             if i in assignment:
                 continue

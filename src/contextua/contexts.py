@@ -18,9 +18,8 @@ are lookups in the same table.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .opalg import (
     identity_projection,
     max_norm,
     projection,
+    real_gram,
 )
 
 
@@ -145,11 +145,15 @@ class ContextPoset:
         return len(self.nodes)
 
     def dominator_map(self, small: int, large: int) -> np.ndarray:
-        """Per-atom lookup: atom a of ``large`` lies under entry [a] of ``small``."""
+        """Per-atom lookup: atom a of ``large`` lies under entry [a] of ``small``.
+
+        A cache miss fills the cache for every node below ``large`` at once,
+        from one lookup of their atoms' rows against ``large``'s atom columns
+        in the dominance table.
+        """
         if self._dominators is None:
             self._dominators = {}
-        key = (small, large)
-        cached = self._dominators.get(key)
+        cached = self._dominators.get((small, large))
         if cached is not None:
             return cached
         if not self.order[small, large]:
@@ -157,14 +161,21 @@ class ContextPoset:
         if self._table is None:
             self._table = _dominance_table(self.registry, self.nodes)
         index, under = self._table
-        rows = [index[k] for k in self.nodes[small].atoms]
+        below = [int(i) for i in np.flatnonzero(self.order[:, large])]
+        rows, slot, starts = [], [], []  # atom rows of the nodes below, in node order
+        for i in below:
+            starts.append(len(rows))
+            rows += [index[k] for k in self.nodes[i].atoms]
+            slot += range(len(self.nodes[i].atoms))
         cols = [index[k] for k in self.nodes[large].atoms]
-        sub = under[np.ix_(rows, cols)]
-        if not sub.any(axis=0).all():
+        # per node below and atom of large: the first dominating atom; len(rows) means none
+        first = np.minimum.reduceat(
+            np.where(under[rows][:, cols], np.array(slot)[:, None], len(rows)), starts, axis=0
+        )
+        if (first == len(rows)).any():
             raise RuntimeError("no dominating atom found; poset data is inconsistent")
-        out = sub.argmax(axis=0)
-        self._dominators[key] = out
-        return out
+        self._dominators.update(((i, large), out) for i, out in zip(below, first))
+        return self._dominators[small, large]
 
     def node_id(self, ctx: Context) -> int:
         try:
@@ -243,6 +254,10 @@ def is_section(poset, values: Mapping[int, np.ndarray], tol: float) -> bool:
     return True
 
 
+# entries of one block of a batched product or screen, bounding its temporaries
+_BLOCK = 1 << 20
+
+
 def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> ContextPoset:
     """Poset of the catalog contexts, the meet of each catalog pair and the trivial context.
 
@@ -274,82 +289,104 @@ def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> 
 
     for idx, ctx in enumerate(catalog):
         add(ctx, f"catalog[{idx}]")
-    if len(catalog) > 1:
-        keys = sorted({k for ctx in catalog for k in ctx.atoms})
-        index = {k: t for t, k in enumerate(keys)}
-        flat = np.stack([registry.get(k).matrix.ravel() for k in keys])
-        # overlap[p, q]: p and q are not orthogonal. tr(pq) = |pq|_F^2 is a squared
-        # norm, so it is compared with the squared grid: distinct rays closer than
-        # the grid are rejected, so any real overlap is at least this large, and
-        # float noise on orthogonal atoms is far below it
-        overlap = (flat @ flat.conj().T).real > TOL.grid**2
-        resolved: dict[frozenset[str], str | None] = {}
-        for i, j in itertools.combinations(range(len(catalog)), 2):
-            meet = _meet(registry, catalog[i], catalog[j], index, overlap, resolved)
-            if meet is not None:
-                add(meet, f"meet of catalog[{i}] and catalog[{j}]")
+    for i, j, meet in _meets(registry, catalog):
+        add(meet, f"meet of catalog[{i}] and catalog[{j}]")
     add(trivial_context(registry), "trivial")
 
     return poset_from_nodes(registry, nodes, provenance)
 
 
-def _meet(
-    registry: ProjectionRegistry,
-    first: Context,
-    second: Context,
-    index: dict[str, int],
-    overlap: np.ndarray,
-    resolved: dict[frozenset[str], str | None],
-) -> Context | None:
-    """Intersection algebra of two contexts, or None when it is trivial.
+def _meets(
+    registry: ProjectionRegistry, catalog: Sequence[Context]
+) -> list[tuple[int, int, Context]]:
+    """The meet of each catalog pair ``i < j`` that has more than one block, in pair order.
 
-    An atom of ``second`` that overlaps an atom of ``first`` lies under the
-    same block of any common coarsening, so the blocks are the connected
-    components of the overlap graph, and each block's two atom sums are one
-    projection. ``resolved`` memoises the key of each multi-atom block sum
-    by its atom keys, across the pairs of one build.
+    An atom of the second context that overlaps an atom of the first lies
+    under the same block of any common coarsening, so the blocks are the
+    connected components of the two contexts' overlap graph, and each
+    block's two atom sums are one projection. Every pair is labelled in one
+    stacked reachability closure. Each distinct multi-atom set of atoms is
+    summed once: the first-side sums are registered in pair and block order,
+    the other second-side sums are looked up, and the two keys of every block
+    must agree.
     """
-    rows = [index[k] for k in first.atoms]
-    cols = [index[k] for k in second.atoms]
-    sub = overlap[np.ix_(rows, cols)]
-    # reach[a, b]: atoms a and b of first are joined by a path of overlaps; each
-    # squaring doubles the path length covered, and no path has more steps than
-    # first has atoms
-    reach = sub @ sub.T
-    for _ in range(len(rows).bit_length()):
+    if len(catalog) < 2:
+        return []
+    keys = sorted({k for ctx in catalog for k in ctx.atoms})
+    index = {k: t for t, k in enumerate(keys)}
+    n = len(keys)
+    stack = np.array([registry.get(k).matrix for k in keys])
+    # overlap[p, q]: p and q are not orthogonal. tr(pq) = |pq|_F^2 is a squared
+    # norm, so it is compared with the squared grid: distinct rays closer than
+    # the grid are rejected, so any real overlap is at least this large, and
+    # float noise on orthogonal atoms is far below it. Index n pads a context
+    # with fewer atoms than the widest; it overlaps nothing.
+    overlap = np.zeros((n + 1, n + 1), dtype=bool)
+    overlap[:n, :n] = real_gram(stack, stack) > TOL.grid**2
+    width = max(len(ctx.atoms) for ctx in catalog)
+    atoms = np.array(
+        [[index[k] for k in ctx.atoms] + [n] * (width - len(ctx.atoms)) for ctx in catalog]
+    )
+    pair_i, pair_j = np.nonzero(np.arange(len(catalog))[:, None] < np.arange(len(catalog)))
+    rows, cols = atoms[pair_i], atoms[pair_j]
+    sub = overlap[rows[:, :, None], cols[:, None, :]]
+    # reach[p, a, b]: atoms a and b of the first context are joined by a path of
+    # overlaps; each squaring doubles the path length covered, and no path has
+    # more steps than there are atoms. Every atom of a context overlaps some atom
+    # of the other, which sums to the identity, so it reaches itself.
+    reach = sub @ sub.transpose(0, 2, 1)
+    for _ in range(width.bit_length()):
         reach = reach @ reach
-    label = reach.argmax(axis=1)  # each atom's block, named by its first atom
-    blocks = np.unique(label)
-    if len(blocks) == 1:
-        return None
-    other = label[sub.argmax(axis=0)]  # the block of each atom of second
-    keys = []
-    for b in blocks:
-        key = _block_key(registry, first.atoms, label == b, registry.register, resolved)
-        if _block_key(registry, second.atoms, other == b, registry.find, resolved) != key:
-            raise RuntimeError("the two sides of a meet block are distinct projections")
-        keys.append(key)
-    return Context(first.dim, tuple(keys))
-
-
-def _block_key(
-    registry: ProjectionRegistry,
-    atoms: tuple[str, ...],
-    in_block: np.ndarray,
-    resolve: Callable[[Projection], str | None],
-    resolved: dict[frozenset[str], str | None],
-) -> str | None:
-    """Key of the sum of the atoms in the block: the atom itself, or ``resolve`` of the sum."""
-    block = [atoms[t] for t in np.flatnonzero(in_block)]
-    if len(block) == 1:
-        return block[0]
-    members = frozenset(block)
-    if members not in resolved:
-        parts = [registry.get(k) for k in block]
-        resolved[members] = resolve(
-            Projection(sum(p.matrix for p in parts), sum(p.rank for p in parts))
-        )
-    return resolved[members]
+    # each atom's block, named by its first atom; a padding atom reaches nothing,
+    # lands in block 0 and, as index n, drops out of every block's atom set
+    label = reach.argmax(axis=2)
+    root = label == np.arange(width)
+    pairs = np.flatnonzero(root.sum(axis=1) > 1)
+    if not pairs.size:
+        return []
+    rows, cols, sub, label, root = rows[pairs], cols[pairs], sub[pairs], label[pairs], root[pairs]
+    other = label[np.arange(len(pairs))[:, None], sub.argmax(axis=1)]  # each second atom's block
+    blocks = np.arange(width)[None, :, None]
+    # the atoms of each block on each side, sorted, padded with n: one row per block
+    first = np.sort(np.where(label[:, None, :] == blocks, rows[:, None, :], n), axis=2)[root]
+    second = np.sort(np.where(other[:, None, :] == blocks, cols[:, None, :], n), axis=2)[root]
+    sides = np.concatenate([first, second])
+    multi = np.flatnonzero(sides[:, 1] < n)
+    distinct, seen_at, inverse = np.unique(
+        sides[multi], axis=0, return_index=True, return_inverse=True
+    )
+    # each set's sum: its 0/1 membership row times the flattened atoms, in blocks of rows
+    flat = stack.reshape(n, -1).view(float)
+    sums = np.empty((len(distinct), flat.shape[1]))
+    step = max(1, _BLOCK // (n + 1))
+    for start in range(0, len(distinct), step):
+        sets = distinct[start : start + step]
+        member = np.zeros((len(sets), n + 1))
+        member[np.arange(len(sets))[:, None], sets] = 1.0
+        sums[start : start + step] = member[:, :n] @ flat
+    sums = sums.view(complex).reshape(-1, registry.dim, registry.dim)
+    ranks = np.array([registry.get(k).rank for k in keys] + [0])
+    sums.flags.writeable = False
+    parts = [Projection(m, int(r)) for m, r in zip(sums, ranks[distinct].sum(axis=1))]
+    # a set of atoms that is some block's first side is registered, in the order its
+    # first-side blocks come; a set that is only ever a second side is looked up
+    on_first = multi[seen_at] < len(first)
+    registered = np.flatnonzero(on_first)[np.argsort(multi[seen_at][on_first])]
+    looked_up = np.flatnonzero(~on_first)
+    resolved = np.empty(len(distinct), dtype=object)
+    resolved[registered] = registry.register_many([parts[u] for u in registered])
+    resolved[looked_up] = registry.find_many([parts[u] for u in looked_up])
+    block_keys = np.array(keys + [None], dtype=object)[sides[:, 0]]
+    block_keys[multi] = resolved[inverse.reshape(-1)]
+    first_keys, second_keys = block_keys[: len(first)], block_keys[len(first) :]
+    if (first_keys != second_keys).any():
+        raise RuntimeError("the two sides of a meet block are distinct projections")
+    per_pair = np.split(first_keys, np.cumsum(root.sum(axis=1))[:-1])
+    dim = catalog[0].dim
+    return [
+        (int(pair_i[p]), int(pair_j[p]), Context(dim, tuple(k)))
+        for p, k in zip(pairs, per_pair)
+    ]
 
 
 def poset_from_nodes(
@@ -373,19 +410,40 @@ def poset_from_nodes(
     )
 
 
+# |qp - p|_F^2 = rank p - tr(qp) for projections p and q. A pair that passes the
+# max-entry test |qp - p| <= TOL.dominance has |qp - p|_F <= d TOL.dominance, so its
+# gap is at most d^2 TOL.dominance^2, and the Gram entry errs by at most about
+# d^3 eps: both stay below this bound for every d < 10^4, far past any d x d stack
+# held in memory. It is a screen, not a tolerance: the max-entry test decides every
+# survivor, since near d >= 16 that rounding error reaches TOL.dominance^2 itself.
+_DOMINANCE_SCREEN = 1e-3
+
+
 def _dominance_table(
     registry: ProjectionRegistry, nodes: Sequence[Context]
 ) -> tuple[dict[str, int], np.ndarray]:
-    """Row index of every atom key of ``nodes``, and ``under[q, p]``: atom p lies under atom q."""
+    """Row index of every atom key of ``nodes``, and ``under[q, p]``: atom p lies under atom q.
+
+    One Gram product per block of rows screens the pairs; the max-entry test
+    runs on the survivors only, as one batched product per chunk.
+    """
     keys = sorted({k for node in nodes for k in node.atoms})
     index = {k: t for t, k in enumerate(keys)}
-    stack = np.stack([registry.get(k).matrix for k in keys])
-    n, d = len(keys), registry.dim
-    # prod[a, b] = stack[a] @ stack[b], as one BLAS product of the stacked rows and columns
-    prod = (stack.reshape(n * d, d) @ stack.transpose(1, 0, 2).reshape(d, n * d)).reshape(
-        n, d, n, d
-    ).transpose(0, 2, 1, 3)
-    under = np.abs(prod - stack[None, :, :, :]).max(axis=(2, 3)) <= TOL.dominance
+    atoms = [registry.get(k) for k in keys]
+    stack = np.array([p.matrix for p in atoms])
+    # tr(qp) >= rank p - screen, i.e. the gap is within the screen
+    floor = np.array([p.rank for p in atoms]) - _DOMINANCE_SCREEN
+    n = len(keys)
+    under = np.zeros((n, n), dtype=bool)
+    step = max(1, _BLOCK // n)  # rows per Gram block
+    pairs = max(1, _BLOCK // stack[0].size)  # survivors per batched product
+    for start in range(0, n, step):
+        q, p = np.nonzero(real_gram(stack[start : start + step], stack) >= floor)
+        q += start
+        for c in range(0, len(q), pairs):
+            qc, pc = q[c : c + pairs], p[c : c + pairs]
+            below = stack[pc]
+            under[qc, pc] = np.abs(stack[qc] @ below - below).max(axis=(1, 2)) <= TOL.dominance
     return index, under
 
 

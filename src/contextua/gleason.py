@@ -110,23 +110,23 @@ def section_from_state(poset: ContextPoset, rho: DensityMatrix) -> ProbSection:
 
 
 def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal (Hilbert-Schmidt) real basis of d x d Hermitian matrices."""
-    mats = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    for k in range(1, d):
-        for j in range(k):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1 / np.sqrt(2)
-            mats.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j / np.sqrt(2)
-            m[k, j] = 1j / np.sqrt(2)
-            mats.append(m)
-    for ell in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(ell), np.arange(ell)] = 1.0
-        m[ell, ell] = -float(ell)
-        mats.append(m / np.sqrt(ell * (ell + 1)))
-    return np.stack(mats)
+    """Orthonormal (Hilbert-Schmidt) real basis of d x d Hermitian matrices.
+
+    The identity, then for each pair j < k (by k, then j) the symmetric and
+    the antisymmetric off-diagonal element, then the traceless diagonals.
+    """
+    out = np.zeros((d * d, d, d), dtype=complex)
+    diag = np.arange(d)
+    out[0, diag, diag] = (1 + 0j) / np.sqrt(d)
+    k, j = np.nonzero(diag[:, None] > diag)
+    sym = 1 + 2 * np.arange(len(k))
+    out[sym, j, k] = out[sym, k, j] = 1 / np.sqrt(2)
+    out[sym + 1, j, k] = -1j / np.sqrt(2)
+    out[sym + 1, k, j] = 1j / np.sqrt(2)
+    ell = diag[1:, None]
+    entries = (diag < ell) - ell * (diag == ell)  # ell ones, then -ell
+    out[1 + 2 * len(k) :, diag, diag] = entries.astype(complex) / np.sqrt(ell * (ell + 1))
+    return out
 
 
 def _constraint_rows(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:

@@ -309,18 +309,57 @@ def canonical_key(matrix) -> str:
     return canonical_keys(np.asarray(matrix, dtype=complex)[None])[0]
 
 
-# entries of one block of a registry distance table, bounding its temporaries
+# entries of one block of the registry's screened scan, bounding its temporaries
 _DISTANCE_BLOCK = 1 << 20
+# A pair within max-entry distance r has squared Frobenius distance at most d^2 r^2
+# (d^2 entries, each at most r). The Gram form |a|^2 + |b|^2 - 2 Re<a, b> of that
+# distance errs by less than d^3 eps for projections (|a|^2 = rank <= d), which stays
+# below 3 d^2 r^2 for r >= TOL.grid while d < 10^4; so screening at this multiple of
+# d^2 r^2 drops no pair within r. It is a screen, not a tolerance: survivors are
+# compared entrywise.
+_IDENTITY_SCREEN = 4.0
 
 
-def _distances(rows: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """``dist[s, t]``: max-entry distance between ``rows[s]`` and ``pool[t]``."""
-    out = np.empty((len(rows), len(pool)))
-    step = max(1, _DISTANCE_BLOCK // max(1, pool.size))
+def real_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``g[s, t] = Re tr(a[s]* b[t])`` for two complex stacks, as one real product.
+
+    For self-adjoint a[s] and b[t] this is ``tr(a[s] b[t])``. The real and
+    imaginary parts of the flattened entries are read as one real row each.
+    """
+    return _real_rows(a) @ _real_rows(b).T
+
+
+def _real_rows(a: np.ndarray) -> np.ndarray:
+    """Each matrix of a complex stack as one real row: its entries' real and imaginary parts."""
+    return np.ascontiguousarray(a, dtype=complex).reshape(len(a), -1).view(float)
+
+
+def _near_pairs(
+    rows: np.ndarray, pool: np.ndarray, reach: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs ``(s, t)`` that the screen keeps, sorted, with the max-entry distance of each.
+
+    One Gram product per block of rows screens the pairs by squared
+    Frobenius distance; only the survivors are compared entrywise. Every
+    pair within ``reach`` survives.
+    """
+    found = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
+    if not (len(rows) and len(pool)):
+        return found[0]
+    bound = _IDENTITY_SCREEN * (pool.shape[-1] * reach) ** 2
+    pool_norms = (np.abs(pool) ** 2).sum(axis=(1, 2))
+    step = max(1, _DISTANCE_BLOCK // len(pool))  # rows per Gram block
+    pairs = max(1, _DISTANCE_BLOCK // pool[0].size)  # survivors per entrywise comparison
     for start in range(0, len(rows), step):
-        block = rows[start : start + step, None] - pool[None]
-        out[start : start + step] = np.abs(block).max(axis=(2, 3))
-    return out
+        block = rows[start : start + step]
+        norms = (np.abs(block) ** 2).sum(axis=(1, 2))
+        gap = norms[:, None] + pool_norms[None, :] - 2 * real_gram(block, pool)
+        s, t = np.nonzero(gap <= bound)
+        for c in range(0, len(s), pairs):
+            sc, tc = s[c : c + pairs], t[c : c + pairs]
+            found.append((start + sc, tc, np.abs(block[sc] - pool[tc]).max(axis=(1, 2))))
+    s, t, dist = (np.concatenate(part) for part in zip(*found))
+    return s, t, dist
 
 
 class ProjectionRegistry:
@@ -337,6 +376,7 @@ class ProjectionRegistry:
         self.dim = dim
         self.tol = tol
         self._by_key: dict[str, Projection] = {}
+        self._order: list[str] = []  # registered keys in insertion order
         # registered matrices in insertion order; capacity doubles as it fills
         self._stack = np.empty((4, dim, dim), dtype=complex)
 
@@ -359,34 +399,60 @@ class ProjectionRegistry:
         return key
 
     def find_many(self, ps: Sequence[Projection]) -> list[str | None]:
-        """:meth:`find` of each projection, from one rounding and one distance table.
+        """:meth:`find` of each projection, from one rounding and one screened scan.
 
         Raises the :class:`CanonicalizationError` of the first projection
         that :meth:`find` rejects.
         """
         stack, keys = self._batch(ps)
-        dist = _distances(stack, self._stack[: len(self._by_key)])
-        return [self._decide(key, m, row) for key, m, row in zip(keys, stack, dist)]
+        scan = [t for t, key in enumerate(keys) if key not in self._by_key]
+        near = self._near(stack, scan, self._stack[: len(self._order)])
+        return [self._decide(k, m, near.get(t, ())) for t, (k, m) in enumerate(zip(keys, stack))]
 
     def register_many(self, ps: Sequence[Projection]) -> list[str]:
-        """:meth:`register` of each projection in turn, from one rounding and one distance table.
+        """:meth:`register` of each projection in turn, from one rounding and one screened scan.
 
         A projection is identified with a registered one or with an earlier
         one of the batch, exactly as registering them one at a time would;
         on a :class:`CanonicalizationError` the earlier ones stay registered.
+        Only the first projection of each new canonical key is scanned: a
+        later one is decided by that key once the first is registered under
+        it. Should the first be identified with another key instead, the rest
+        of the batch is registered one at a time.
         """
         stack, keys = self._batch(ps)
-        n = len(self._by_key)
-        dist = _distances(stack, np.concatenate([self._stack[:n], stack]))
-        cols = list(range(n))  # columns of the registered projections, in insertion order
+        n = len(self._order)
+        first: dict[str, int] = {}
+        for t, key in enumerate(keys):
+            if key not in self._by_key:
+                first.setdefault(key, t)
+        scan = list(first.values())
+        near = self._near(stack, scan, np.concatenate([self._stack[:n], stack[scan]]))
+        # insertion position of each pool column; -1 while its batch row is not registered
+        position = list(range(n)) + [-1] * len(scan)
+        column = {t: n + j for j, t in enumerate(scan)}
         out = []
         for t, (key, p) in enumerate(zip(keys, ps)):
-            found = self._decide(key, p.matrix, dist[t, cols])
+            if key not in self._by_key and t not in column:
+                return out + [self.register(q) for q in ps[t:]]
+            hits = [(position[c], d) for c, d in near.get(t, ()) if position[c] >= 0]
+            found = self._decide(key, p.matrix, hits)
             if found is None:
+                position[column[t]] = len(self._order)
                 self._add(key, p)
-                cols.append(n + t)
                 found = key
             out.append(found)
+        return out
+
+    def _near(
+        self, stack: np.ndarray, scan: list[int], pool: np.ndarray
+    ) -> dict[int, list[tuple[int, float]]]:
+        """Per row of ``stack`` in ``scan``: each pool column that decides it, and the distance."""
+        s, t, dist = _near_pairs(stack[scan], pool, max(self.tol, TOL.grid))
+        hit = self._decides(dist)
+        out: dict[int, list[tuple[int, float]]] = {}
+        for row, col, d in zip(s[hit].tolist(), t[hit].tolist(), dist[hit].tolist()):
+            out.setdefault(scan[row], []).append((col, d))
         return out
 
     def _batch(self, ps: Sequence[Projection]) -> tuple[np.ndarray, list[str]]:
@@ -396,11 +462,12 @@ class ProjectionRegistry:
         return stack, canonical_keys(stack)
 
     def _add(self, key: str, p: Projection) -> None:
-        n = len(self._by_key)
+        n = len(self._order)
         if n == len(self._stack):
             self._stack = np.concatenate([self._stack, np.empty_like(self._stack)])
         self._stack[n] = p.matrix
         self._by_key[key] = p
+        self._order.append(key)
 
     def _check_dim(self, p: Projection) -> None:
         if p.dim != self.dim:
@@ -410,16 +477,25 @@ class ProjectionRegistry:
         """The canonical key of ``p`` and the key of the registered projection it is."""
         self._check_dim(p)
         key = canonical_key(p.matrix)
-        dist = None  # an equal canonical key decides without the distance scan
+        hits = []  # an equal canonical key decides without the distance scan
         if key not in self._by_key:
-            dist = np.abs(self._stack[: len(self._by_key)] - p.matrix).max(axis=(1, 2))
-        return key, self._decide(key, p.matrix, dist)
+            dist = np.abs(self._stack[: len(self._order)] - p.matrix).max(axis=(1, 2))
+            found = np.flatnonzero(self._decides(dist))
+            hits = zip(found.tolist(), dist[found].tolist())
+        return key, self._decide(key, p.matrix, hits)
 
-    def _decide(self, key: str, m: np.ndarray, dist: np.ndarray | None) -> str | None:
+    def _decides(self, dist: np.ndarray) -> np.ndarray:
+        """Whether a registered projection at each distance decides: within tol (jitter
+        across a rounding boundary) it is the projection, closer than the grid it is rejected."""
+        return (dist <= self.tol) | (dist < TOL.grid)
+
+    def _decide(self, key: str, m: np.ndarray, hits) -> str | None:
         """Key of the registered projection that matrix ``m`` of canonical key ``key`` is, or None.
 
-        ``dist[t]`` is the distance from ``m`` to the t-th registered
-        projection; it is read only when no projection has ``key``.
+        ``hits`` lists the insertion position and distance of every
+        registered projection that :meth:`_decides` for ``m``, in insertion
+        order; it is read only when no projection has ``key``, and its first
+        entry decides.
         """
         existing = self._by_key.get(key)
         if existing is not None:
@@ -428,17 +504,14 @@ class ProjectionRegistry:
             raise CanonicalizationError(
                 "distinct projections collide on the canonical rounding grid", key
             )
-        # the first registered projection within tol (jitter across a rounding
-        # boundary) or closer than the grid decides
-        hits = np.flatnonzero((dist <= self.tol) | (dist < TOL.grid))
-        if not hits.size:
-            return None
-        other_key = list(self._by_key)[hits[0]]
-        if dist[hits[0]] <= self.tol:
-            return other_key
-        raise CanonicalizationError(
-            f"projections {key} and {other_key} are closer than the rounding grid", other_key
-        )
+        for position, dist in hits:
+            other_key = self._order[position]
+            if dist <= self.tol:
+                return other_key
+            raise CanonicalizationError(
+                f"projections {key} and {other_key} are closer than the rounding grid", other_key
+            )
+        return None
 
     def get(self, key: str) -> Projection:
         try:

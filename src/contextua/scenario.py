@@ -25,6 +25,7 @@ from .opalg import (
     CanonicalizationError,
     Projection,
     ProjectionRegistry,
+    max_norm,
     projection_from_ray,
     ray,
 )
@@ -328,12 +329,42 @@ def _catalog(
     return registry, catalog
 
 
+def _node_positions(poset: ContextPoset, node: int, ctx: Context) -> list[int]:
+    """Where each atom of catalog context ``ctx`` sits in the atom order of ``node``, its node."""
+    slot = {k: t for t, k in enumerate(poset.nodes[node].atoms)}
+    return [slot[k] for k in ctx.atoms]
+
+
+def _merge_entry(entries: dict, node, values: np.ndarray, path: str) -> None:
+    """Store per-atom ``values`` under ``node``; an earlier entry there must agree."""
+    earlier = entries.setdefault(node, values)
+    if earlier is not values and max_norm(earlier - values) > TOL.probability:
+        raise ScenarioError(path, "disagrees with an earlier entry for the same poset context")
+
+
 @dataclass
 class SingleModel:
     """A single-system scenario realized as a poset, with catalog node ids."""
 
     poset: ContextPoset
     catalog_nodes: list[int]
+    catalog: list[Context]
+
+    def section_weights(self, section) -> dict[int, np.ndarray]:
+        """A scenario's ``section`` as weights per poset node, in the node's atom order.
+
+        Each entry lists its weights in the ray order of the catalog context
+        it names. Two entries on one node must agree within ``TOL.probability``.
+        """
+        out: dict[int, np.ndarray] = {}
+        for i, (c, weights) in enumerate(section):
+            node, ctx = self.catalog_nodes[c], self.catalog[c]
+            if len(weights) != len(ctx.atoms):
+                raise ScenarioError(f"$.section[{i}].weights", "one weight per atom required")
+            values = np.empty(len(weights))
+            values[_node_positions(self.poset, node, ctx)] = weights
+            _merge_entry(out, node, values, f"$.section[{i}]")
+        return out
 
 
 def build_single_model(sc: Scenario, tol: float = TOL.identity) -> SingleModel:
@@ -341,7 +372,7 @@ def build_single_model(sc: Scenario, tol: float = TOL.identity) -> SingleModel:
         raise ValueError("expected a single-system scenario")
     registry, catalog = _catalog(sc.rays["main"], sc.contexts["main"], sc.dims[0], "", tol)
     poset = generate_poset(catalog, registry)
-    return SingleModel(poset, [poset.node_id(c) for c in catalog])
+    return SingleModel(poset, [poset.node_id(c) for c in catalog], catalog)
 
 
 def build_single_poset(sc: Scenario, tol: float = TOL.identity) -> ContextPoset:
@@ -376,8 +407,9 @@ def build_bipartite_model(sc: Scenario, tol: float = TOL.identity) -> BipartiteM
 
     section = None
     if sc.tables is not None:
-        tables = {}
-        for li, ri, probs in sc.tables:
+        # each table lists outcomes in the ray order of its catalog contexts
+        tables: dict[ProductNode, np.ndarray] = {}
+        for i, (li, ri, probs) in enumerate(sc.tables):
             node = ProductNode(lnodes[li], rnodes[ri])
             want = pp.table_shape(node)
             if probs.shape != want:
@@ -386,8 +418,15 @@ def build_bipartite_model(sc: Scenario, tol: float = TOL.identity) -> BipartiteM
                     f"table for context pair ({li}, {ri}) has shape {probs.shape}, "
                     f"expected {want}",
                 )
-            tables[node] = CorrelationTable(node, probs)
-        section = BellSection(pp, tables, frozenset(tables))
+            values = np.empty(want)
+            values[np.ix_(
+                _node_positions(lposet, node.left, lcat[li]),
+                _node_positions(rposet, node.right, rcat[ri]),
+            )] = probs
+            _merge_entry(tables, node, values, f"$.tables[{i}]")
+        section = BellSection(
+            pp, {n: CorrelationTable(n, v) for n, v in tables.items()}, frozenset(tables)
+        )
     elif sc.state is not None:
         from .bell import section_from_bipartite_state
 

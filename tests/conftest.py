@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 import contextua as cx
+from contextua import contexts
 from contextua.bell import SectionClassification
 from contextua.catalogs import bundled_text
 from contextua.contexts import poset_from_nodes
@@ -64,6 +66,124 @@ class LoopScanRegistry(cx.ProjectionRegistry):
             if dist < TOL.grid:
                 raise CanonicalizationError("closer than the rounding grid", other_key)
         return key, None
+
+
+def full_scan_distances(rows, pool):
+    """Reference registry distance table: ``dist[s, t]``, every entry compared entrywise."""
+    if not (len(rows) and len(pool)):
+        return np.zeros((len(rows), len(pool)))
+    return np.abs(rows[:, None] - pool[None]).max(axis=(2, 3))
+
+
+def einsum_dominance_table(registry, nodes):
+    """Reference dominance table: every atom product formed by one einsum, no screen."""
+    keys = sorted({k for node in nodes for k in node.atoms})
+    stack = np.stack([registry.get(k).matrix for k in keys])
+    prod = np.einsum("aij,bjk->abik", stack, stack)
+    under = np.abs(prod - stack[None, :, :, :]).max(axis=(2, 3)) <= TOL.dominance
+    return {k: t for t, k in enumerate(keys)}, under
+
+
+def ix_dominator_map(poset, small, large):
+    """Reference dominator map: one pair's block of the poset's dominance table, by ``np.ix_``."""
+    index, under = poset._table
+    rows = [index[k] for k in poset.nodes[small].atoms]
+    cols = [index[k] for k in poset.nodes[large].atoms]
+    sub = under[np.ix_(rows, cols)]
+    if not sub.any(axis=0).all():
+        raise RuntimeError("no dominating atom found; poset data is inconsistent")
+    return sub.argmax(axis=0)
+
+
+def pairwise_meet(registry, first, second, index, overlap, resolved):
+    """Reference meet of two contexts, or None when it is trivial: one pair at a time.
+
+    The blocks are the connected components of the overlap graph; each
+    multi-atom block's first-side sum is registered and its second-side sum
+    looked up, one ``register`` or ``find`` at a time, memoised in
+    ``resolved`` by atom keys.
+    """
+    rows = [index[k] for k in first.atoms]
+    cols = [index[k] for k in second.atoms]
+    sub = overlap[np.ix_(rows, cols)]
+    reach = sub @ sub.T
+    for _ in range(len(rows).bit_length()):
+        reach = reach @ reach
+    label = reach.argmax(axis=1)
+    blocks = np.unique(label)
+    if len(blocks) == 1:
+        return None
+    other = label[sub.argmax(axis=0)]
+    keys = []
+    for b in blocks:
+        key = block_key(registry, first.atoms, label == b, registry.register, resolved)
+        if block_key(registry, second.atoms, other == b, registry.find, resolved) != key:
+            raise RuntimeError("the two sides of a meet block are distinct projections")
+        keys.append(key)
+    return cx.Context(first.dim, tuple(keys))
+
+
+def block_key(registry, atoms, in_block, resolve, resolved):
+    """Key of the sum of the atoms in the block: the atom itself, or ``resolve`` of the sum."""
+    block = [atoms[t] for t in np.flatnonzero(in_block)]
+    if len(block) == 1:
+        return block[0]
+    members = frozenset(block)
+    if members not in resolved:
+        parts = [registry.get(k) for k in block]
+        resolved[members] = resolve(
+            cx.Projection(sum(p.matrix for p in parts), sum(p.rank for p in parts))
+        )
+    return resolved[members]
+
+
+def pairwise_meet_poset(catalog, registry):
+    """Reference build: the library's node list from one ``pairwise_meet`` per catalog pair,
+    ordered from the unscreened einsum dominance table."""
+    nodes, generators, seen = [], [], set()
+
+    def add(ctx, origin):
+        if ctx.key_set not in seen:
+            seen.add(ctx.key_set)
+            nodes.append(ctx)
+            generators.append(origin)
+
+    for idx, ctx in enumerate(catalog):
+        add(ctx, f"catalog[{idx}]")
+    if len(catalog) > 1:
+        keys = sorted({k for ctx in catalog for k in ctx.atoms})
+        index = {k: t for t, k in enumerate(keys)}
+        flat = np.stack([registry.get(k).matrix.ravel() for k in keys])
+        overlap = (flat @ flat.conj().T).real > TOL.grid**2
+        resolved = {}
+        for i, j in itertools.combinations(range(len(catalog)), 2):
+            meet = pairwise_meet(registry, catalog[i], catalog[j], index, overlap, resolved)
+            if meet is not None:
+                add(meet, f"meet of catalog[{i}] and catalog[{j}]")
+    add(cx.trivial_context(registry), "trivial")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contexts, "_dominance_table", einsum_dominance_table)
+        return poset_from_nodes(registry, nodes, generators)
+
+
+def loop_hermitian_basis(d):
+    """Reference Hermitian basis: one matrix at a time, in a Python loop."""
+    mats = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    for k in range(1, d):
+        for j in range(k):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = m[k, j] = 1 / np.sqrt(2)
+            mats.append(m)
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1j / np.sqrt(2)
+            m[k, j] = 1j / np.sqrt(2)
+            mats.append(m)
+    for ell in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        m[np.arange(ell), np.arange(ell)] = 1.0
+        m[ell, ell] = -float(ell)
+        mats.append(m / np.sqrt(ell * (ell + 1)))
+    return np.stack(mats)
 
 
 def loop_image_check(m):
@@ -175,6 +295,30 @@ def ks18_subset_catalog(registry, bases):
         cx.context_from_projections(registry, [cx.projection_from_ray(rays[i]) for i in ctx])
         for ctx in (sc.contexts["main"][b] for b in bases)
     ]
+
+
+def pauli_subset_catalog(registry, bases, jitter=0.0, seed=0):
+    """The listed bases of the bundled pauli-c4 catalog, registered in a d4 ``registry``.
+
+    With ``jitter``, each basis is first turned by its own unitary
+    exp(i jitter H), |H| = 1, so rays that bases share differ by about that much.
+    """
+    sc = cx.parse_scenario(bundled_text("pauli-c4"))
+    rays = np.array(sc.rays["main"])
+    rng = np.random.default_rng(seed)
+    catalog = []
+    for b in bases:
+        vecs = rays[list(sc.contexts["main"][b])].T
+        if jitter:
+            h = random_hermitian(rng, 4)
+            w, v = np.linalg.eigh(h / np.abs(np.linalg.eigvalsh(h)).max())
+            vecs = (v * np.exp(1j * jitter * w)) @ v.conj().T @ vecs
+        catalog.append(
+            cx.context_from_projections(
+                registry, [np.outer(vecs[:, k], vecs[:, k].conj()) for k in range(4)]
+            )
+        )
+    return catalog
 
 
 def set_partitions(items):

@@ -16,9 +16,13 @@ from contextua.contexts import _dominance_table
 from contextua.opalg import TOL, max_norm
 
 from conftest import (
+    einsum_dominance_table,
+    ix_dominator_map,
     ks18_subset_catalog,
     ks18_subset_poset,
+    pairwise_meet_poset,
     partition_closure_poset,
+    pauli_subset_catalog,
     random_basis_context,
     random_density,
     random_unitary,
@@ -199,18 +203,10 @@ class TestLeq:
             assert np.array_equal(poset.order, subset_sum_order(poset))
 
 
-def einsum_dominance_table(registry, nodes):
-    """Reference dominance table: every atom product formed by one einsum."""
-    keys = sorted({k for node in nodes for k in node.atoms})
-    stack = np.stack([registry.get(k).matrix for k in keys])
-    prod = np.einsum("aij,bjk->abik", stack, stack)
-    return keys, np.abs(prod - stack[None, :, :, :]).max(axis=(2, 3)) <= TOL.dominance
-
-
 def check_dominance_table(registry, nodes):
     index, under = _dominance_table(registry, nodes)
     keys, expected = einsum_dominance_table(registry, nodes)
-    assert list(index) == keys
+    assert index == keys
     assert np.array_equal(under, expected)
 
 
@@ -366,6 +362,92 @@ class TestMeetClosedDifferential:
         assert results[0].status == results[1].status == "unique"
         assert results[0].solution_space_dim == results[1].solution_space_dim
         assert max_norm(results[0].state.matrix - results[1].state.matrix) <= 1e-9
+
+
+def build_outcome(build):
+    """What ``build()`` returns, or the exception it raises."""
+    try:
+        return build(), None
+    except (RuntimeError, ValueError) as exc:
+        return None, exc
+
+
+class TestBatchedBuildDifferential:
+    """The batched build against one meet, one registry call and one dominator map at a time.
+
+    The reference is the pairwise meet route ordered from the unscreened
+    einsum dominance table; dominator maps are compared with a per-pair
+    ``np.ix_`` lookup in that table.
+    """
+
+    def check(self, build_catalog, dim: int, tol: float = TOL.identity):
+        reg, ref_reg = cx.ProjectionRegistry(dim, tol), cx.ProjectionRegistry(dim, tol)
+        poset, error = build_outcome(lambda: cx.generate_poset(build_catalog(reg), reg))
+        ref, ref_error = build_outcome(lambda: pairwise_meet_poset(build_catalog(ref_reg), ref_reg))
+        # a build with several inconsistent blocks may report another one of them
+        # first: the batched build registers every first side before any lookup
+        assert (error is None) == (ref_error is None), (error, ref_error)
+        if ref is None:
+            return
+        assert list(reg.keys()) == list(ref_reg.keys())
+        assert [node.atoms for node in poset.nodes] == [node.atoms for node in ref.nodes]
+        assert poset.generators == ref.generators
+        assert np.array_equal(poset.order, ref.order)
+        index, under = poset._table
+        assert index == ref._table[0]
+        assert np.array_equal(under, ref._table[1])
+        for i, j in zip(*np.nonzero(poset.order)):
+            assert np.array_equal(poset.dominator_map(i, j), ix_dominator_map(ref, i, j))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(3, 5), st.integers(1, 4))
+    def test_shared_ray_rotations(self, seed, dim, n_bases):
+        self.check(lambda reg: shared_ray_catalog(reg, seed, n_bases), dim)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.integers(0, 8), min_size=2, max_size=9, unique=True))
+    def test_ks18_subsets(self, bases):
+        self.check(lambda reg: ks18_subset_catalog(reg, bases), 4)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.integers(0, 14), min_size=2, max_size=15, unique=True))
+    def test_pauli_subsets(self, bases):
+        self.check(lambda reg: pauli_subset_catalog(reg, bases), 4)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(st.integers(0, 14), min_size=2, max_size=5, unique=True),
+        st.sampled_from([3e-8, 8e-8, 1.2e-7, 3e-7, 2e-6]),
+        st.sampled_from([TOL.identity, 1e-5]),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_near_threshold_jitter(self, bases, jitter, tol, seed):
+        # each basis turned by its own small unitary: shared rays and the sums of
+        # the two sides of a meet block differ by about the jitter, so the
+        # dominance test |qp - p| <= TOL.dominance and the registry's tol and
+        # grid decide near their thresholds, or the build fails the same way
+        self.check(lambda reg: pauli_subset_catalog(reg, bases, jitter, seed), 4, tol)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 14), st.integers(1, 4)), min_size=2, max_size=5))
+    def test_padded_pauli_contexts(self, picks):
+        # the first 1-4 rays of pauli-c4 bases, each padded with its complement:
+        # contexts of unequal width, with atoms of rank above one
+        sc = cx.parse_scenario(bundled_text("pauli-c4"))
+
+        def build_catalog(reg):
+            catalog = []
+            for b, k in picks:
+                rays = [sc.rays["main"][i] for i in sc.contexts["main"][b][:k]]
+                mats = [np.outer(v, v.conj()) for v in rays]
+                pad = [np.eye(4) - sum(mats)][: 4 - k]
+                catalog.append(cx.context_from_projections(reg, mats + pad))
+            return catalog
+
+        self.check(build_catalog, 4)
+
+    def test_full_pauli_c4(self):
+        self.check(lambda reg: pauli_subset_catalog(reg, range(15)), 4)
 
 
 class TestConjugationStability:

@@ -20,7 +20,13 @@ from contextua.gleason import (
 from contextua.contexts import poset_from_nodes
 from contextua.opalg import ProjectionRegistry, max_norm
 
-from conftest import random_basis_context, random_density, random_hermitian, strict_chains3
+from conftest import (
+    loop_hermitian_basis,
+    random_basis_context,
+    random_density,
+    random_hermitian,
+    strict_chains3,
+)
 
 
 def independent_span_rank(mats, dim):
@@ -350,3 +356,11 @@ class TestContextMeasureValidation:
     def test_rejects_bad_total(self, basis_poset_c3):
         with pytest.raises(ValueError, match="sum to 1"):
             context_measure(basis_poset_c3, basis_poset_c3.maximal_nodes()[0], [0.5, 0.2, 0.2])
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_hermitian_basis_matches_the_loop(d):
+    basis = hermitian_basis(d)
+    assert np.array_equal(basis, loop_hermitian_basis(d))
+    gram = np.einsum("aij,bij->ab", basis.conj(), basis)
+    assert max_norm(gram - np.eye(d * d)) <= 1e-12

@@ -16,6 +16,7 @@ from contextua.opalg import (
     TOL,
     CanonicalizationError,
     ProjectionRegistry,
+    _near_pairs,
     canonical_key,
     identity_projection,
     leq_projection,
@@ -23,7 +24,7 @@ from contextua.opalg import (
     zero_projection,
 )
 
-from conftest import LoopScanRegistry, random_hermitian, random_unitary
+from conftest import LoopScanRegistry, full_scan_distances, random_hermitian, random_unitary
 
 
 def diag_proj(*entries):
@@ -439,7 +440,10 @@ class TestRegistryBatchDifferential:
     def test_same_keys_or_same_rejection(self, data, seed, tol, steps):
         seq = path_sequence(data, seed, steps)
         # a registered head, so the batch meets registered projections and its own
-        head = data.draw(st.integers(0, len(seq)))
+        self.check(seq, data.draw(st.integers(0, len(seq))), tol)
+
+    @staticmethod
+    def check(seq, head, tol):
         batch = seq[head:]
 
         def registry(cls):
@@ -460,6 +464,19 @@ class TestRegistryBatchDifferential:
             assert outcome(lambda: [one(loop, q) for q in batch])[0] == got
             assert list(loop.keys()) == keys
 
+    @pytest.mark.parametrize("tol", [TOL.identity, 1e-7, 1e-5])
+    @pytest.mark.parametrize("second", [-3e-13, -5e-10, -5e-8, -4e-7])
+    @pytest.mark.parametrize("registered", [True, False])
+    def test_repeated_key_after_identification(self, tol, second, registered):
+        # q sits 2e-13 below p across a rounding boundary: another canonical key,
+        # identified with p. The later r shares q's key, so its own distance to p
+        # (within tol, or closer than the grid) decides, also in one batch
+        p = boundary_ray()
+        q, r = (cx.Projection(p.matrix + eps * PAULI_X, 1) for eps in (-2e-13, second))
+        assert canonical_key(q.matrix) == canonical_key(r.matrix) != canonical_key(p.matrix)
+        seq = [p, q, r, q]
+        self.check(seq, 1 if registered else 0, tol)
+
     def test_within_batch_identification(self):
         # the jittered copy has another canonical key; it is the batch's first entry
         p = boundary_ray()
@@ -468,6 +485,38 @@ class TestRegistryBatchDifferential:
         reg = ProjectionRegistry(2)
         assert reg.register_many([p, q, p]) == [canonical_key(p.matrix)] * 3
         assert len(reg) == 1
+
+
+class TestNearPairsDifferential:
+    """The screened scan against every pair compared entrywise."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 5),
+        st.lists(st.sampled_from(PATH_DISTANCES + (2e-13,)), min_size=1, max_size=12),
+        st.sampled_from([TOL.grid, 1e-5, 1e-3]),
+    )
+    def test_every_pair_within_reach_is_exact(self, seed, dim, distances, reach):
+        rng = np.random.default_rng(seed)
+        base = random_unitary(rng, dim)[:, : max(1, dim // 2)]
+        p = base @ base.conj().T
+        h = random_hermitian(rng, dim)
+        pool = []
+        for dist in distances:  # rotations of p by about ``dist``, plus random projections
+            u = expm(1j * dist * h / max_norm(h))
+            pool.append(u @ p @ u.conj().T)
+            cols = random_unitary(rng, dim)[:, : rng.integers(1, dim + 1)]
+            pool.append(cols @ cols.conj().T)
+        pool = np.array(pool)
+        rows = pool[rng.permutation(len(pool))[: rng.integers(1, len(pool) + 1)]]
+        want = full_scan_distances(rows, pool)
+        s, t, dist = _near_pairs(rows, pool, reach)
+        assert np.array_equal(dist, want[s, t])
+        assert list(zip(s, t)) == sorted(zip(s, t))
+        listed = np.zeros(want.shape, dtype=bool)
+        listed[s, t] = True
+        assert listed[want <= reach].all()
 
 
 class TestRegistryScanDifferential:

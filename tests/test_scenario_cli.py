@@ -448,3 +448,175 @@ class TestScenarioValidation:
         code, out = run_doc(tmp_path, capsys, "bell-analyze", doc)
         assert code == 2
         assert json.loads(out.out)["verdict"] == "not_factorisable"
+
+
+def ray_vectors(raw):
+    """Normalized ray vectors of a scenario's JSON ray list."""
+    vecs = [np.array([parse_entry(e, "$") for e in r]) for r in raw]
+    return [v / np.linalg.norm(v) for v in vecs]
+
+
+def born_table(rho, left, right):
+    """tr(rho (|u><u| x |v><v|)) for every ray u of ``left`` and v of ``right``."""
+    return [
+        [float(np.real(np.vdot(np.kron(u, v), rho @ np.kron(u, v)))) for v in right] for u in left
+    ]
+
+
+class TestCatalogContextOrder:
+    """Table rows and columns and section weights follow the ray order of the catalog
+    context they name, also when two catalog contexts are one basis in two orders."""
+
+    QUBIT_RAYS = [[1, 0], [0, 1], [1, 1], [1, -1], [1, [0, 1]], [1, [0, -1]]]
+
+    def reordered_doc(self, tables):
+        return {
+            "kind": "bipartite",
+            "dims": [2, 2],
+            "rays": {"left": [[1, 0], [0, 1]], "right": [[1, 0], [0, 1]]},
+            "contexts": {"left": [[0, 1]], "right": [[0, 1], [1, 0]]},
+            "tables": [
+                {"left": 0, "right": r, "probs": probs} for r, probs in enumerate(tables)
+            ],
+        }
+
+    def test_bell_analyze_reads_each_table_in_its_context_order(self, tmp_path, capsys):
+        # one correlated table, written once per ray order of the right basis
+        doc = self.reordered_doc([[[0.5, 0], [0, 0.5]], [[0, 0.5], [0.5, 0]]])
+        code, out = run_doc(tmp_path, capsys, "bell-analyze", doc)
+        assert code == 0
+        report = json.loads(out.out)
+        assert report["verdict"] == "factorisable"
+        # the hull weights sit on the two correlated strategies, not the anticorrelated ones
+        assert sorted(s for s, _ in report["lp"]["weights"]) == [0, 3]
+
+    @pytest.mark.parametrize("command", ["bell-analyze", "bell-classify"])
+    def test_disagreeing_tables_on_one_node_rejected(self, tmp_path, capsys, command):
+        # the second table, read in its own ray order, is anticorrelated
+        doc = self.reordered_doc([[[0.5, 0], [0, 0.5]], [[0.5, 0], [0, 0.5]]])
+        code, out = run_doc(tmp_path, capsys, command, doc)
+        assert code == 1
+        assert out.err.startswith("error: $.tables[1]: disagrees")
+
+    def test_bell_classify_reads_each_table_in_its_context_order(self, tmp_path, capsys):
+        # three qubit MUBs per side and a noisy Bell state; a fourth right context
+        # lists the first basis backwards, with its tables written in that order
+        rays = ray_vectors(self.QUBIT_RAYS)
+        psi = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        rho = 0.8 * np.outer(psi, psi) + 0.05 * np.eye(4)
+        contexts = [[0, 1], [2, 3], [4, 5]]
+        reports = []
+        for right in (contexts, contexts + [[1, 0]]):
+            doc = {
+                "kind": "bipartite",
+                "dims": [2, 2],
+                "rays": {"left": self.QUBIT_RAYS, "right": self.QUBIT_RAYS},
+                "contexts": {"left": contexts, "right": right},
+                "tables": [
+                    {
+                        "left": i,
+                        "right": j,
+                        "probs": born_table(rho, [rays[a] for a in lc], [rays[b] for b in rc]),
+                    }
+                    for i, lc in enumerate(contexts)
+                    for j, rc in enumerate(right)
+                ],
+            }
+            code, out = run_doc(tmp_path, capsys, "bell-classify", doc)
+            assert code == 0
+            reports.append(json.loads(out.out))
+        assert [r["verdict"] for r in reports] == ["quantum", "quantum"]
+        witness = [np.array(r["witness"]) for r in reports]
+        assert np.abs(witness[0] - witness[1]).max() <= 1e-9
+
+    # a state that no mub-c3 basis sees uniformly
+    RHO = np.array([[0.5, 0.1 + 0.05j, 0], [0.1 - 0.05j, 0.3, 0], [0, 0, 0.2]])
+
+    def mub_doc_with_reversed_basis(self, rho):
+        doc = bundled_scenario("mub-c3")
+        doc["contexts"].append(doc["contexts"][1][::-1])
+        rays = ray_vectors(doc["rays"])
+        born = [float(np.real(np.vdot(v, rho @ v))) for v in rays]
+        doc["section"] = [
+            {"context": c, "weights": [born[i] for i in ctx]} for c, ctx in enumerate(doc["contexts"])
+        ]
+        return doc
+
+    def test_gleason_reconstruct_reads_each_section_entry_in_its_context_order(
+        self, tmp_path, capsys
+    ):
+        doc = self.mub_doc_with_reversed_basis(self.RHO)
+        code, out = run_doc(tmp_path, capsys, "gleason-reconstruct", doc)
+        assert code == 0
+        report = json.loads(out.out)
+        assert report["verdict"] == "unique"
+        got = np.array([[complex(re, im) for re, im in row] for row in report["state"]])
+        assert np.abs(got - self.RHO).max() <= 1e-8
+
+    def test_disagreeing_section_entries_on_one_node_rejected(self, tmp_path, capsys):
+        doc = self.mub_doc_with_reversed_basis(self.RHO)
+        doc["section"][4]["weights"] = doc["section"][1]["weights"]  # in the wrong order
+        code, out = run_doc(tmp_path, capsys, "gleason-reconstruct", doc)
+        assert code == 1
+        assert out.err.startswith("error: $.section[4]: disagrees")
+
+
+THREE_QUBIT_DOC = textwrap.dedent(
+    """
+    import json, sys
+    from contextua.catalogs import stabilizer_scenario
+
+    with open(sys.argv[1], "w", encoding="utf-8") as f:
+        json.dump(stabilizer_scenario(3), f)
+    """
+)
+
+
+class TestStabilizerCatalogs:
+    def test_pauli_c4_rays_are_stabilizer_states(self):
+        # independent of the catalog builder: each ray is a +-1 eigenvector of exactly three
+        # non-identity two-qubit Pauli operators, the same three across its basis,
+        # and the 15 bases are the 15 maximal commuting sets
+        pauli = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])]
+        pauli.append(np.diag([1, -1]))
+        ops = [np.kron(a, b) for a in pauli for b in pauli][1:]
+        sc = cx.parse_scenario(bundled_text("pauli-c4"))
+        rays, contexts = sc.rays["main"], sc.contexts["main"]
+        assert len(rays) == 60 and [len(c) for c in contexts] == [4] * 15
+        groups = set()
+        for ctx in contexts:
+            stabilizers = {
+                tuple(k for k, op in enumerate(ops) if abs(abs(np.vdot(v, op @ v)) - 1) < 1e-12)
+                for v in (rays[i] for i in ctx)
+            }
+            assert len(stabilizers) == 1
+            (group,) = stabilizers
+            assert len(group) == 3
+            groups.add(group)
+        assert len(groups) == 15
+
+    def test_pauli_c4_non_colorable(self, capsys):
+        assert main(["ks-check", "--scenario", "builtin:pauli-c4"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "non_colorable"
+        assert (report["poset"]["nodes"], report["poset"]["projections"]) == (31, 91)
+
+    def test_three_qubit_set_runs_in_bounded_memory(self, tmp_path):
+        # all 135 three-qubit stabilizer bases (1080 rays) in a fresh interpreter;
+        # the child's own peak RSS comes from wait4
+        env = dict(os.environ, PYTHONPATH=str(Path(cx.__file__).resolve().parents[1]))
+        doc = tmp_path / "pauli-c8.json"
+        subprocess.run([sys.executable, "-c", THREE_QUBIT_DOC, str(doc)], env=env, check=True)
+        out = tmp_path / "report.json"
+        with open(out, "w", encoding="utf-8") as stdout:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "contextua.cli", "ks-check", "--scenario", str(doc)],
+                env=env,
+                stdout=stdout,
+            )
+            _, status, usage = os.wait4(child.pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 2
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["verdict"] == "non_colorable"
+        assert (report["poset"]["nodes"], report["poset"]["projections"]) == (514, 2467)
+        assert usage.ru_maxrss < 500 * 1024  # kilobytes on Linux
