@@ -5,10 +5,23 @@ deterministic-strategy LP for factorisability, and classification of
 sections by linear reconstruction of a tensor-space operator.
 
 Factorisability is one LP: min t over -t <= A w - b <= t, sum w = 1,
-w >= 0, with one 0/1 column of A per deterministic strategy. Its dual on
-the two inequality blocks is an l1-normalised Bell functional whose gap,
-value on b minus its maximum over strategies, equals t*, the reported
-reconstruction error. Reconstructed operators are classified: positive
+w >= 0, with one 0/1 column of A per deterministic strategy, a pair of
+global sections of the two factors. Its dual on the two inequality blocks
+is an l1-normalised Bell functional whose gap, value on b minus its
+maximum over strategies, equals t*, the reported reconstruction error.
+
+The right factor's global sections are a free product over its
+components: maximal nodes linked through a common node of more than one
+atom (:func:`~contextua.spectral.section_components`). A table's cells
+read one component each, so only each component's marginal of w enters
+A w (Vorob'ev's extension over disjoint covers), and the LP is solved over
+groups of components instead: a variable m[l, g, s] per left section l,
+group g and section s of the group, with one mass per l in every group.
+Components merge into a group while that adds no column (a * b <= a + b),
+so a right factor of one group gives the strategy LP column for column.
+t* and the cell-row duals are those of the strategy LP; positive weights
+are mapped back to strategies by a north-west-corner coupling of each
+l's group distributions. Reconstructed operators are classified: positive
 semidefinite means quantum, positive after partial transposition of the
 second factor means quantum up to time reversal, neither means non-quantum.
 """
@@ -16,17 +29,14 @@ second factor means quantum up to time reversal, neither means non-quantum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .contexts import ContextPoset, is_section
 from .gleason import ProbSection, born_weights, context_measure, reconstruct_operator
 from .opalg import TOL, max_norm
-from .spectral import EnumerationResult, enumerate_global_sections
-
-if TYPE_CHECKING:
-    from scipy import sparse
+from .spectral import EnumerationResult, enumerate_global_sections, section_components
 
 
 @dataclass(frozen=True)
@@ -304,26 +314,140 @@ def deterministic_strategies(
     return [(dict(enumerate(row)), cr) for row in left.tolist() for cr in right_maps]
 
 
-def _strategy_matrix(
-    pp: ProductPoset, contexts: Sequence[ProductNode], left: np.ndarray, right: np.ndarray
-) -> sparse.csc_array:
-    """Column l * len(right) + r holds the tables of strategy (left[l], right[r]) over `contexts`.
+@dataclass(frozen=True)
+class _Cells:
+    """Where each context's table sits in the stacked cell rows of the LP."""
 
-    This is the column order of :func:`deterministic_strategies`; each column
-    has one 1 per context, at the cell of the two chosen atoms.
+    offset: np.ndarray  # first row of each context's table
+    stride: np.ndarray  # right atom count of each context
+    left: list[int]  # left node of each context
+    right: list[int]  # right node of each context
+    n_rows: int
+
+    @classmethod
+    def of(cls, pp: ProductPoset, contexts: Sequence[ProductNode]) -> "_Cells":
+        shapes = np.array([pp.table_shape(n) for n in contexts])
+        sizes = shapes.prod(axis=1)
+        return cls(
+            np.cumsum(sizes) - sizes,
+            shapes[:, 1],
+            [n.left for n in contexts],
+            [n.right for n in contexts],
+            int(sizes.sum()),
+        )
+
+    def rows(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The cell each context reads in chosen-atom rows ``left`` and ``right``.
+
+        The two broadcast against each other; contexts run along the last axis.
+        """
+        return self.offset + self.stride * left[..., self.left] + right[..., self.right]
+
+
+def _columns(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every 1 in 0/1 columns given as blocks of row lists.
+
+    Each leading index of a block is one column, with a 1 at each row it lists.
     """
-    from scipy import sparse
+    counts = [np.full(int(np.prod(b.shape[:-1])), b.shape[-1]) for b in blocks]
+    rows = np.concatenate([b.reshape(-1) for b in blocks])
+    return rows, np.repeat(np.arange(sum(map(len, counts))), np.concatenate(counts))
 
-    shapes = np.array([pp.table_shape(n) for n in contexts])
-    sizes = shapes.prod(axis=1)
-    offsets = np.cumsum(sizes) - sizes
-    chosen_left = left[:, [n.left for n in contexts]]
-    chosen_right = right[:, [n.right for n in contexts]]
-    rows = offsets + shapes[:, 1] * chosen_left[:, None, :] + chosen_right[None, :, :]
-    return sparse.csc_array(
-        (np.ones(rows.size), rows.reshape(-1), np.arange(0, rows.size + 1, len(contexts))),
-        shape=(int(sizes.sum()), len(left) * len(right)),
-    )
+
+@dataclass(frozen=True)
+class _Groups:
+    """The right sections as a product of groups of independent components.
+
+    ``reps[g][s]`` is a right section whose restriction to group g is group
+    section s; ``index`` holds the right section of each tuple of group
+    sections, in mixed radix with group 0 most significant; ``owner[i]`` is
+    the group that fixes the chosen atom of right node i.
+    """
+
+    reps: list[np.ndarray]
+    index: np.ndarray
+    owner: np.ndarray
+
+    @property
+    def sizes(self) -> list[int]:
+        return [len(rep) for rep in self.reps]
+
+    def full_index(self, sections: np.ndarray) -> np.ndarray:
+        """The right section of each row of per-group section indices."""
+        return self.index[np.ravel_multi_index(sections.T, self.sizes)]
+
+
+def _right_groups(poset: ContextPoset, right: np.ndarray) -> _Groups:
+    """Group the right factor's components, merging while a merge adds no columns.
+
+    A group of a sections and one of b sections take a + b columns per left
+    section apart and a * b merged; a * b <= a + b only when one of them is 1
+    or both are 2. So a factor of at most four sections is one group, and is
+    not labelled.
+    """
+    n = len(right)
+    whole = np.arange(n)
+    single = _Groups([whole], whole, np.zeros(len(poset), dtype=np.int64))
+    if n <= 4:
+        return single
+    labels = section_components(poset)
+    maximal = np.array(poset.maximal_nodes())
+    sizes: list[int] = []
+    codes: list[np.ndarray] = []
+    group_of = np.empty(labels.max() + 1, dtype=np.int64)
+    for c in range(len(group_of)):
+        # a component's sections are the distinct choices at its maximal nodes
+        _, code = np.unique(right[:, maximal[labels == c]], axis=0, return_inverse=True)
+        k = int(code.max()) + 1
+        g = next((g for g, a in enumerate(sizes) if a * k <= a + k), len(sizes))
+        if g == len(sizes):
+            sizes.append(k)
+            codes.append(code.reshape(-1))
+        else:
+            # the sections are a free product, so the merged codes fill 0 .. a k - 1
+            codes[g] = codes[g] * k + code.reshape(-1)
+            sizes[g] *= k
+        group_of[c] = g
+    if len(sizes) == 1:  # keep the strategy order, not the merged codes' order
+        return single
+    reps = []
+    for k, code in zip(sizes, codes):
+        rep = np.empty(k, dtype=np.int64)
+        rep[code] = whole
+        reps.append(rep)
+    index = np.empty(n, dtype=np.int64)
+    index[np.ravel_multi_index(codes, sizes)] = whole
+    # a node's choice is fixed by any maximal node above it: all of them lie in
+    # one component unless the node has a single atom, which needs no choice
+    above = poset.order[:, maximal].argmax(axis=1)
+    return _Groups(reps, index, group_of[labels[above]])
+
+
+def _couple(masses: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """North-west-corner coupling of each row's group distributions.
+
+    ``masses[g]`` holds one row per left section, one column per section of
+    group g. Each row's distributions are normalised, their cumulative sums
+    merged, and every gap between consecutive breakpoints becomes one term:
+    at most 1 + sum(k_g - 1) terms per row. The term weights carry the row's
+    mean group mass, and each group's marginal reproduces its row.
+    Returns the row, the per-group section indices and the weight of each term.
+    """
+    totals = np.stack([m.sum(axis=1) for m in masses])
+    live = (totals > 0).all(axis=0)
+    ends = []
+    for m, total in zip(masses, totals):
+        cum = np.minimum(np.cumsum(m[live], axis=1) / total[live, None], 1.0)
+        cum[:, -1] = 1.0
+        ends.append(cum)
+    points = np.sort(np.concatenate([np.zeros((len(ends[0]), 1)), *ends], axis=1), axis=1)
+    starts, widths = points[:, :-1], np.diff(points, axis=1)
+    row, term = np.nonzero(widths > 0)
+    lo = starts[row, term]
+    # the section of group g that holds an interval: how many of its ends lie at or before it
+    sections = np.stack([(cum[row] <= lo[:, None]).sum(axis=1) for cum in ends], axis=1)
+    weights = widths[row, term] * totals[:, live].mean(axis=0)[row]
+    return np.flatnonzero(live)[row], sections, weights
 
 
 def factorisability_lp(
@@ -333,12 +457,16 @@ def factorisability_lp(
 ) -> LPResult:
     """Decide membership in the convex hull of deterministic local strategies.
 
-    One LP over the strategy matrix A and the stacked tables b:
-    min t  s.t.  -t <= A w - b <= t,  sum w = 1,  w >= 0.
-    t* <= TOL.probability is factorisable, with hull weights w. Otherwise the duals
-    y+, y- of the two inequality blocks give the separating functional
-    c = y+ - y-, l1-normalised (sum |c| <= 1) by dual feasibility, and by
-    strong duality c.b - max_s c.A_s = t*, the reconstruction error.
+    The LP is min t  s.t.  -t <= A w - b <= t,  sum w = 1,  w >= 0, over one
+    weight per strategy, solved over the right factor's groups (module
+    docstring): a variable m[l, g, s] per left section l, group g and group
+    section s, each cell row summing the m of its own group, and every l
+    carrying one mass in every group. t* <= TOL.probability is
+    factorisable, with hull weights coupled back onto whole strategies.
+    Otherwise the duals y+, y- of the two inequality blocks give the
+    separating functional c = y+ - y-, l1-normalised (sum |c| <= 1) by dual
+    feasibility, and by strong duality c.b - max_s c.A_s = t*, the
+    reconstruction error.
     """
     pp = s.poset
     if contexts is None:
@@ -351,46 +479,109 @@ def factorisability_lp(
             raise KeyError(f"context {node} not in section domain")
     if not contexts:
         raise ValueError("no analysis context has a table in the section")
+    left, right = _local_strategies(pp, cap)
+    for side, chosen in (("left", left), ("right", right)):
+        if not len(chosen):
+            raise ValueError(
+                f"the {side} factor has no global sections, so no local strategy exists"
+            )
     from scipy import sparse
     from scipy.optimize import linprog
 
-    left, right = _local_strategies(pp, cap)
     b = np.concatenate([s.tables[n].probs.reshape(-1) for n in contexts])
-    a = _strategy_matrix(pp, contexts, left, right)
-    n_rows, n_strat = a.shape
+    cells = _Cells.of(pp, contexts)
+    groups = _right_groups(pp.right, right)
+    n_left, sizes = len(left), groups.sizes
+    in_group = groups.owner[cells.right]
+    # columns group major, then left section, then group section: with one group,
+    # column l * len(right) + r is strategy (left[l], right[r]), the order of
+    # deterministic_strategies
+    rows, cols = _columns(
+        [
+            cells.rows(left[:, None], right[rep][None, :])[..., in_group == g]
+            for g, rep in enumerate(groups.reps)
+        ]
+    )
+    starts = n_left * np.cumsum([0, *sizes])
+    n_rows, n_cols = cells.n_rows, starts[-1]
 
-    c = np.zeros(n_strat + 1)
+    c = np.zeros(n_cols + 1)
     c[-1] = 1.0
-    t_col = sparse.csc_array(-np.ones((n_rows, 1)))
-    a_ub = sparse.bmat([[a, t_col], [-a, t_col]], format="csc")
+    # [[A, -1], [-A, -1]] (w, t) <= (b, -b), in the coordinate form linprog converts to
+    a_ub = sparse.coo_array(
+        (
+            np.concatenate([np.ones(len(rows)), -np.ones(len(rows) + 2 * n_rows)]),
+            (
+                np.concatenate([rows, rows + n_rows, np.arange(2 * n_rows)]),
+                np.concatenate([cols, cols, np.full(2 * n_rows, n_cols)]),
+            ),
+        ),
+        shape=(2 * n_rows, n_cols + 1),
+    )
     b_ub = np.concatenate([b, -b])
-    a_eq = np.zeros((1, n_strat + 1))
-    a_eq[0, :n_strat] = 1.0
+    # row 0: group 0 carries mass 1; row 1 + (g - 1) L + l: l's mass in group g
+    # equals its mass in group 0
+    eq_rows, eq_cols, eq_vals = [np.zeros(starts[1])], [np.arange(starts[1])], [np.ones(starts[1])]
+    first = np.repeat(np.arange(n_left), sizes[0])
+    for g in range(1, len(sizes)):
+        row = 1 + (g - 1) * n_left
+        eq_rows += [row + first, row + np.repeat(np.arange(n_left), sizes[g])]
+        eq_cols += [np.arange(starts[1]), np.arange(starts[g], starts[g + 1])]
+        eq_vals += [-np.ones(starts[1]), np.ones(starts[g + 1] - starts[g])]
+    n_eq = 1 + (len(sizes) - 1) * n_left
+    a_eq = sparse.coo_array(
+        (np.concatenate(eq_vals), (np.concatenate(eq_rows), np.concatenate(eq_cols))),
+        shape=(n_eq, n_cols + 1),
+    )
+    b_eq = np.zeros(n_eq)
+    b_eq[0] = 1.0
     # presolve only removes rows that repeat across contexts sharing a ray; where
-    # none repeat, as across mutually unbiased bases, it costs a third of the solve
+    # none repeat, as across mutually unbiased bases, it only adds time
     res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=(0, None), method="highs",
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
         options={"presolve": False},
     )
     if not res.success:
         raise RuntimeError(f"feasibility LP failed: {res.message}")
+    n_strat = n_left * len(right)
     if res.fun <= TOL.probability:
-        weights = np.clip(res.x[:n_strat], 0.0, None)
+        masses = [
+            np.clip(res.x[lo:hi], 0.0, None).reshape(n_left, k)
+            for lo, hi, k in zip(starts[:-1], starts[1:], sizes)
+        ]
+        if len(masses) == 1:
+            weights = masses[0].reshape(-1)
+        else:
+            owners, sections, mass = _couple(masses)
+            weights = np.zeros(n_strat)
+            weights[owners * len(right) + groups.full_index(sections)] = mass
         weights = weights / weights.sum()
-        err = max_norm(a @ weights - b)
-        return LPResult(True, weights, float(err), n_strat)
+        support = np.flatnonzero(weights)
+        ls, rs = np.divmod(support, len(right))
+        hit = cells.rows(left[ls], right[rs])
+        fit = np.bincount(
+            hit.reshape(-1), weights=np.repeat(weights[support], hit.shape[1]), minlength=n_rows
+        )
+        return LPResult(True, weights, float(max_norm(fit - b)), n_strat)
 
     dual = res.ineqlin.marginals
     coeffs = dual[:n_rows] - dual[n_rows:]
-    cells = [(node, i, j) for node in contexts for i, j in np.ndindex(pp.table_shape(node))]
+    values = np.bincount(cols, weights=coeffs[rows], minlength=n_cols)
+    # strategies are free tuples of group sections, so the best one takes the best
+    # section of every group
+    best = sum(
+        values[lo:hi].reshape(n_left, k).max(axis=1)
+        for lo, hi, k in zip(starts[:-1], starts[1:], sizes)
+    )
+    entries = [(node, i, j) for node in contexts for i, j in np.ndindex(pp.table_shape(node))]
     return LPResult(
         False,
         None,
         float(res.fun),
         n_strat,
-        witness={cell: float(x) for cell, x in zip(cells, coeffs)},
+        witness={cell: float(x) for cell, x in zip(entries, coeffs)},
         witness_value=float(coeffs @ b),
-        deterministic_max=float((a.T @ coeffs).max()),
+        deterministic_max=float(best.max()),
     )
 
 

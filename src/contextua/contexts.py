@@ -400,7 +400,13 @@ def poset_from_nodes(
     member = np.zeros((len(nodes), len(index)))  # member[i, q]: q is an atom of node i
     for i, node in enumerate(nodes):
         member[i, [index[k] for k in node.atoms]] = 1.0
-    covered = (under * ranks) @ member.T  # covered[q, j]: rank of j's atoms under q
+    # covered[q, j]: rank of j's atoms under q, in row blocks so that no float
+    # copy of the whole dominance table is made; the sums are small integers, exact
+    weighted = (member * ranks).T
+    covered = np.empty((len(index), len(nodes)))
+    step = max(1, _BLOCK // len(index))
+    for start in range(0, len(index), step):
+        covered[start : start + step] = under[start : start + step] @ weighted
     order = member @ (covered != ranks[:, None]) == 0
     # sanity: antisymmetry must hold because distinct key-sets are distinct algebras
     if not np.array_equal(order & order.T, np.eye(len(nodes), dtype=bool)):

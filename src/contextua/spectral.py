@@ -326,6 +326,26 @@ def enumerate_global_sections(poset: ContextPoset, cap: int = 10**6) -> Enumerat
     return EnumerationResult(sections, truncated)
 
 
+def section_components(poset: ContextPoset) -> np.ndarray:
+    """Component label of each maximal node, in ``maximal_nodes`` order.
+
+    Two maximal nodes are linked when they lie above a common node with
+    more than one atom: these are the only pairs whose choices
+    :func:`enumerate_global_sections` checks against each other. So the
+    global sections are the free product of one section per component.
+    Labels count from 0 in order of each component's first maximal node.
+    """
+    maximal = poset.maximal_nodes()
+    multi = [i for i, node in enumerate(poset.nodes) if len(node.atoms) > 1]
+    link = poset.order[np.ix_(multi, maximal)]
+    # reach[a, b]: a and b are joined by a path of links; each squaring doubles
+    # the path length covered
+    reach = (link.T @ link) | np.eye(len(maximal), dtype=bool)
+    for _ in range(len(maximal).bit_length()):
+        reach = reach @ reach
+    return np.unique(reach.argmax(axis=1), return_inverse=True)[1]
+
+
 def verify_section(poset: ContextPoset, s: SpectralSection) -> bool:
     """Exact check of both section invariants.
 

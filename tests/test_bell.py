@@ -23,6 +23,7 @@ from contextua.bell import (
 from contextua.catalogs import bundled_text
 from contextua.cli import main
 from contextua.opalg import ProjectionRegistry, max_norm
+from contextua.spectral import section_components
 
 from conftest import (
     kron_row_classify,
@@ -333,12 +334,42 @@ class TestFactorisability:
         err = capsys.readouterr().err
         assert err.startswith("error: no analysis context has a table")
 
+    def test_no_global_sections_cli_error(self, tmp_path, capsys):
+        # a Kochen-Specker factor has no local strategy, so there is no LP to pose
+        path = tmp_path / "ks-left.json"
+        path.write_text(json.dumps(ks18_times_basis_doc("left")))
+        assert main(["bell-analyze", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the left factor has no global sections")
+
+    def test_no_global_sections_named_side(self):
+        model = cx.build_bipartite_model(
+            cx.parse_scenario(json.dumps(ks18_times_basis_doc("right")))
+        )
+        with pytest.raises(ValueError, match="^the right factor has no global sections"):
+            cx.factorisability_lp(model.section)
+
     def test_bundled_chsh_certificate(self, chsh_model):
         res = cx.factorisability_lp(chsh_model.section, chsh_model.analysis_contexts)
         check_certificate(chsh_model.poset, chsh_model.analysis_contexts, res)
         # the l1-normalised CHSH functional: (2 sqrt 2 - 2) / 16 above the local bound
         assert res.witness_value == pytest.approx(np.sqrt(2) / 8, abs=1e-9)
         assert res.deterministic_max == pytest.approx(0.125, abs=1e-9)
+
+
+def ks18_times_basis_doc(ks_side):
+    """ks18-c4 on one side and one qubit basis on the other, in the maximally mixed state."""
+    ks = json.loads(bundled_text("ks18-c4"))
+    basis = {"rays": [[1, 0], [0, 1]], "contexts": [[0, 1]], "dim": 2}
+    sides = {ks_side: ks, "right" if ks_side == "left" else "left": basis}
+    d = ks["dim"] * basis["dim"]
+    return {
+        "kind": "bipartite",
+        "dims": [sides["left"]["dim"], sides["right"]["dim"]],
+        "rays": {side: sides[side]["rays"] for side in ("left", "right")},
+        "contexts": {side: sides[side]["contexts"] for side in ("left", "right")},
+        "state": (np.eye(d) / d).tolist(),
+    }
 
 
 def check_certificate(pp, contexts, res):
@@ -353,6 +384,13 @@ def check_certificate(pp, contexts, res):
     assert res.deterministic_max == pytest.approx(brute, abs=1e-12)
 
 
+def check_hull_weights(dense, b, err, res):
+    """A positive verdict's weights: a distribution that fits the tables to within err."""
+    assert res.weights.min() >= 0
+    assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert max_norm(dense @ res.weights - b) == pytest.approx(err, abs=1e-12)
+
+
 def dense_strategy_matrix(pp, contexts, strategies):
     """Reference: each strategy's tables flattened in a loop, stacked densely."""
     columns = []
@@ -360,6 +398,16 @@ def dense_strategy_matrix(pp, contexts, strategies):
         s = strategy_section(pp, contexts, strategy)
         columns.append(np.concatenate([s.tables[n].probs.reshape(-1) for n in contexts]))
     return np.stack(columns, axis=1)
+
+
+def cell_block(pp, contexts):
+    """The LP's cell rows over every strategy, as one group lays them out."""
+    left, right = bell._local_strategies(pp, cap=10**6)
+    cells = bell._Cells.of(pp, contexts)
+    rows, cols = bell._columns([cells.rows(left[:, None], right[None, :])])
+    block = np.zeros((cells.n_rows, len(left) * len(right)))
+    block[rows, cols] = 1.0
+    return block
 
 
 def dense_min_t_lp(a, b):
@@ -403,6 +451,46 @@ def shared_ray_qutrit_pair(shared_ray_poset_c3, mub2_qutrit_pair):
     return pp, pp.maximal_nodes()
 
 
+@pytest.fixture(scope="module")
+def grouped_qutrit_pair(mub2_qutrit_pair):
+    """Right: two bases sharing a ray (5 sections) and a basis sharing nothing (3).
+
+    Two groups of the right factor, the first not a product of choices.
+    """
+    reg = ProjectionRegistry(3)
+    e = np.eye(3)
+    c, s = np.cos(0.7), np.sin(0.7)
+    fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    bases = (e, np.column_stack([e[:, 0], [0, c, s], [0, -s, c]]), fourier)
+    ctxs = [
+        cx.context_from_projections(reg, [np.outer(u[:, k], u[:, k].conj()) for k in range(3)])
+        for u in bases
+    ]
+    pp = cx.product_poset(mub2_qutrit_pair[0].left, cx.generate_poset(ctxs, reg))
+    return pp, pp.maximal_nodes()
+
+
+@pytest.fixture(scope="module")
+def interleaved_qutrit_pair(mub2_qutrit_pair):
+    """Right: a ray and its complement, a basis, another ray and its complement.
+
+    Components of 2, 3 and 2 sections: the first and the last merge into one
+    group (2 * 2 <= 2 + 2), so group sections are not in strategy order.
+    """
+    reg = ProjectionRegistry(3)
+    fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    f, g = np.array([1.0, 2.0, 2.0]) / 3, np.array([1.0, -1.0, 1.0]) / np.sqrt(3)
+    ctxs = [
+        cx.context_from_projections(reg, [np.outer(f, f), np.eye(3) - np.outer(f, f)]),
+        cx.context_from_projections(
+            reg, [np.outer(fourier[:, k], fourier[:, k].conj()) for k in range(3)]
+        ),
+        cx.context_from_projections(reg, [np.outer(g, g), np.eye(3) - np.outer(g, g)]),
+    ]
+    pp = cx.product_poset(mub2_qutrit_pair[0].left, cx.generate_poset(ctxs, reg))
+    return pp, pp.maximal_nodes()
+
+
 def _drawn_section(pp, contexts, source, rng):
     """A section from one of four sources; 'hermitian' gives negative entries."""
     d = pp.dims[0]
@@ -414,9 +502,10 @@ def _drawn_section(pp, contexts, source, rng):
         tables = {}
         for node in contexts:
             xy = lefts.index(node.left) * rights.index(node.right)
-            t = np.full((d, d), (1 - p) / d**2)
-            for a in range(d):
-                t[a, (a + xy) % d] += p / d
+            na, nb = pp.table_shape(node)
+            t = np.full((na, nb), (1 - p) / (na * nb))
+            for a in range(na):
+                t[a, (a + xy) % nb] += p / na
             tables[node] = CorrelationTable(node, t)
         return BellSection(pp, tables, frozenset(tables))
     if source == "separable":
@@ -449,8 +538,7 @@ class TestSparseLPDifferential:
         s = _drawn_section(pp, contexts, source, np.random.default_rng(seed))
         strategies = deterministic_strategies(pp)
         dense = dense_strategy_matrix(pp, contexts, strategies)
-        matrix = bell._strategy_matrix(pp, contexts, *bell._local_strategies(pp, cap=10**6))
-        assert np.array_equal(matrix.toarray(), dense)
+        assert np.array_equal(cell_block(pp, contexts), dense)
 
         b = np.concatenate([s.tables[n].probs.reshape(-1) for n in contexts])
         factorisable, weights, err = dense_min_t_lp(dense, b)
@@ -458,7 +546,12 @@ class TestSparseLPDifferential:
         assert res.factorisable == factorisable
         assert res.n_strategies == len(strategies)
         assert res.reconstruction_error == pytest.approx(err, abs=1e-12)
-        if factorisable:
+        if factorisable and qutrit:
+            # hull weights are not unique, and the qutrit LP is solved over the right
+            # factor's two bases separately, so it may end at another optimal vertex
+            check_hull_weights(dense, b, err, res)
+        elif factorisable:
+            # one group: the qubit LP is the dense one column for column
             assert max_norm(res.weights - weights) <= 1e-12
         else:
             check_certificate(pp, contexts, res)
@@ -476,8 +569,7 @@ class TestSparseLPDifferential:
         s = _drawn_section(pp, contexts, source, np.random.default_rng(seed))
         strategies = deterministic_strategies(pp)
         dense = dense_strategy_matrix(pp, contexts, strategies)
-        matrix = bell._strategy_matrix(pp, contexts, *bell._local_strategies(pp, cap=10**6))
-        assert np.array_equal(matrix.toarray(), dense)
+        assert np.array_equal(cell_block(pp, contexts), dense)
 
         b = np.concatenate([s.tables[n].probs.reshape(-1) for n in contexts])
         factorisable, _, err = dense_min_t_lp(dense, b)
@@ -486,11 +578,102 @@ class TestSparseLPDifferential:
         assert res.n_strategies == len(strategies) == 5 * 9
         assert res.reconstruction_error == pytest.approx(err, abs=1e-12)
         if factorisable:
-            assert res.weights.min() >= 0
-            assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
-            assert max_norm(dense @ res.weights - b) == pytest.approx(err, abs=1e-12)
+            check_hull_weights(dense, b, err, res)
         else:
             check_certificate(pp, contexts, res)
+
+
+class TestGroupedLPDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["separable", "werner", "hermitian", "pr-box"]),
+        st.sampled_from(["chsh", "mub2", "grouped", "interleaved"]),
+    )
+    def test_matches_dense_lp(
+        self,
+        chsh_model,
+        mub2_qutrit_pair,
+        grouped_qutrit_pair,
+        interleaved_qutrit_pair,
+        seed,
+        source,
+        product,
+    ):
+        # one group (chsh), two free groups (mub2), a group of two bases sharing a
+        # ray next to a free one (grouped), and a group of two components that are
+        # not adjacent (interleaved)
+        pp, contexts = {
+            "chsh": (chsh_model.poset, chsh_model.analysis_contexts),
+            "mub2": mub2_qutrit_pair,
+            "grouped": grouped_qutrit_pair,
+            "interleaved": interleaved_qutrit_pair,
+        }[product]
+        s = _drawn_section(pp, contexts, source, np.random.default_rng(seed))
+        strategies = deterministic_strategies(pp)
+        dense = dense_strategy_matrix(pp, contexts, strategies)
+        b = np.concatenate([s.tables[n].probs.reshape(-1) for n in contexts])
+        factorisable, _, err = dense_min_t_lp(dense, b)
+        res = cx.factorisability_lp(s, contexts)
+        assert res.factorisable == factorisable
+        assert res.n_strategies == len(strategies)
+        assert res.reconstruction_error == pytest.approx(err, abs=1e-12)
+        if factorisable:
+            check_hull_weights(dense, b, err, res)
+        else:
+            check_certificate(pp, contexts, res)
+
+
+class TestRightGroups:
+    def test_component_labels(self, mub_poset_c3, ks18_poset, chsh_model):
+        assert section_components(mub_poset_c3).tolist() == [0, 1, 2, 3]
+        assert section_components(ks18_poset).tolist() == [0] * 9
+        assert section_components(chsh_model.poset.right).tolist() == [0, 1]
+
+    def test_groups(
+        self, chsh_model, mub2_model, mub3_pair, grouped_qutrit_pair, interleaved_qutrit_pair
+    ):
+        # chsh: two components of 2 sections merge (2 * 2 <= 2 + 2); three qubit
+        # bases: the third would make 8 > 4 + 2; qutrit bases never merge
+        cases = [
+            (chsh_model.poset, [4]),
+            (mub2_model.poset, [4, 2]),
+            (mub3_pair, [3, 3, 3, 3]),
+            (grouped_qutrit_pair[0], [5, 3]),
+            (interleaved_qutrit_pair[0], [4, 3]),
+        ]
+        for pp, sizes in cases:
+            _, right = bell._local_strategies(pp, cap=10**6)
+            groups = bell._right_groups(pp.right, right)
+            assert groups.sizes == sizes
+            # every tuple of group sections is one right section, and each group's
+            # representative agrees with it on the nodes that group fixes
+            tuples = np.array(list(itertools.product(*map(range, sizes))))
+            full = groups.full_index(tuples)
+            assert sorted(full.tolist()) == list(range(len(right)))
+            for g, rep in enumerate(groups.reps):
+                owned = groups.owner == g
+                assert np.array_equal(right[rep[tuples[:, g]]][:, owned], right[full][:, owned])
+
+    def test_coupling_reproduces_masses(self):
+        # dyadic masses with power-of-two row totals: every step is exact
+        rng = np.random.default_rng(5)
+        sizes, n = [5, 3, 1, 4], 12
+        totals = 2.0 ** -rng.integers(0, 6, n)
+        totals[3] = 0.0
+        masses = []
+        for k in sizes:
+            cuts = np.sort(rng.integers(0, 65, (n, k - 1)), axis=1)
+            edges = np.concatenate([np.zeros((n, 1)), cuts, np.full((n, 1), 64)], axis=1)
+            masses.append(np.diff(edges, axis=1) / 64 * totals[:, None])
+        rows, sections, weights = bell._couple(masses)
+        assert (weights > 0).all()
+        for g, m in enumerate(masses):
+            back = np.zeros_like(m)
+            np.add.at(back, (rows, sections[:, g]), weights)
+            assert np.array_equal(back, m)
+        assert np.bincount(rows, minlength=n).max() <= 1 + sum(k - 1 for k in sizes)
+        assert len(set(zip(rows.tolist(), map(tuple, sections.tolist())))) == len(rows)
 
 
 class TestBellFunctional:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import contextua as cx
 from contextua.catalogs import bundled_text
-from contextua.contexts import _dominance_table
+from contextua import contexts
+from contextua.contexts import _dominance_table, poset_from_nodes
 from contextua.opalg import TOL, max_norm
 
 from conftest import (
@@ -253,6 +254,15 @@ class TestDominanceDifferential:
     )
     def test_ks18_subsets(self, bases, seed, kind):
         self.check(ks18_subset_poset(bases), seed, kind)
+
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        # pauli-c4 has 91 atom keys; blocks of 64 entries split every product
+        # in poset_from_nodes and _dominance_table into single rows
+        poset = cx.build_single_poset(cx.parse_scenario(bundled_text("pauli-c4")))
+        monkeypatch.setattr(contexts, "_BLOCK", 64)
+        blocked = poset_from_nodes(poset.registry, poset.nodes, poset.generators)
+        assert np.array_equal(blocked.order, poset.order)
+        assert np.array_equal(blocked.order, subset_sum_order(poset))
 
     @pytest.mark.parametrize("name", ["demo-c3", "ks18-c4", "mermin-c8", "mub-c3"])
     def test_bundled_tables_match_einsum(self, name):
