@@ -36,7 +36,7 @@ import numpy as np
 from .contexts import ContextPoset, is_section
 from .gleason import ProbSection, born_weights, context_measure, reconstruct_operator
 from .opalg import TOL, max_norm
-from .spectral import EnumerationResult, enumerate_global_sections, section_components
+from .spectral import enumerate_global_sections, section_components
 
 
 @dataclass(frozen=True)
@@ -295,14 +295,7 @@ def _local_strategies(pp: ProductPoset, cap: int) -> tuple[np.ndarray, np.ndarra
     right = enumerate_global_sections(pp.right, cap=cap)
     if left.truncated or right.truncated or len(left) * len(right) > cap:
         raise ValueError("instance too large")
-    return _chosen_atoms(left, len(pp.left)), _chosen_atoms(right, len(pp.right))
-
-
-def _chosen_atoms(result: EnumerationResult, n_nodes: int) -> np.ndarray:
-    return np.array(
-        [[s.assignment[i].chosen_atom for i in range(n_nodes)] for s in result],
-        dtype=np.int64,
-    ).reshape(len(result), n_nodes)
+    return left.chosen, right.chosen
 
 
 def deterministic_strategies(

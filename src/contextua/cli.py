@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -141,7 +142,7 @@ def _cmd_ks_enumerate(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
     payload = {
         "count": len(result),
         "truncated": result.truncated,
-        "sections": [s.value_table(poset) for s in result.sections[: min(cap, 100)]],
+        "sections": [s.value_table(poset) for s in islice(result, min(cap, 100))],
     }
     return verdict, payload
 

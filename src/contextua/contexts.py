@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import opalg
 from .opalg import (
     TOL,
     Projection,
@@ -34,6 +35,7 @@ from .opalg import (
     max_norm,
     projection,
     real_gram,
+    screened_pairs,
 )
 
 
@@ -69,16 +71,16 @@ def context_from_projections(registry: ProjectionRegistry, mats: Sequence) -> Co
     for p in projs:
         if p.dim != dim:
             raise ValueError("atom dimension does not match registry")
-    for i, p in enumerate(projs):
-        for j, q in enumerate(projs):
-            expected = p.matrix if i == j else 0.0
-            if max_norm(p.matrix @ q.matrix - expected) > TOL.context:
-                raise ValueError(f"atoms {i} and {j} are not orthogonal")
-    total = sum(p.matrix for p in projs)
-    if max_norm(total - np.eye(dim)) > max(TOL.exact * dim, TOL.context):
+    stack = np.array([p.matrix for p in projs], dtype=complex).reshape(-1, dim, dim)
+    for i, p in enumerate(stack):  # p p_j is p itself at j = i and 0 elsewhere
+        gap = p @ stack
+        gap[i] -= p
+        bad = np.flatnonzero(np.abs(gap).max(axis=(1, 2)) > TOL.context)
+        if bad.size:
+            raise ValueError(f"atoms {i} and {bad[0]} are not orthogonal")
+    if max_norm(stack.sum(axis=0) - np.eye(dim)) > max(TOL.exact * dim, TOL.context):
         raise ValueError("atoms do not sum to the identity")
-    keys = tuple(registry.register(p) for p in projs)
-    return Context(dim, keys)
+    return Context(dim, tuple(registry.register_many(projs)))
 
 
 def context_from_observables(registry: ProjectionRegistry, ops: Sequence) -> Context:
@@ -254,10 +256,6 @@ def is_section(poset, values: Mapping[int, np.ndarray], tol: float) -> bool:
     return True
 
 
-# entries of one block of a batched product or screen, bounding its temporaries
-_BLOCK = 1 << 20
-
-
 def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> ContextPoset:
     """Poset of the catalog contexts, the meet of each catalog pair and the trivial context.
 
@@ -358,7 +356,7 @@ def _meets(
     # each set's sum: its 0/1 membership row times the flattened atoms, in blocks of rows
     flat = stack.reshape(n, -1).view(float)
     sums = np.empty((len(distinct), flat.shape[1]))
-    step = max(1, _BLOCK // (n + 1))
+    step = max(1, opalg.BLOCK // (n + 1))
     for start in range(0, len(distinct), step):
         sets = distinct[start : start + step]
         member = np.zeros((len(sets), n + 1))
@@ -404,7 +402,7 @@ def poset_from_nodes(
     # copy of the whole dominance table is made; the sums are small integers, exact
     weighted = (member * ranks).T
     covered = np.empty((len(index), len(nodes)))
-    step = max(1, _BLOCK // len(index))
+    step = max(1, opalg.BLOCK // len(index))
     for start in range(0, len(index), step):
         covered[start : start + step] = under[start : start + step] @ weighted
     order = member @ (covered != ranks[:, None]) == 0
@@ -430,8 +428,8 @@ def _dominance_table(
 ) -> tuple[dict[str, int], np.ndarray]:
     """Row index of every atom key of ``nodes``, and ``under[q, p]``: atom p lies under atom q.
 
-    One Gram product per block of rows screens the pairs; the max-entry test
-    runs on the survivors only, as one batched product per chunk.
+    The Gram products screen the pairs; the max-entry test runs on the
+    survivors only (:func:`~contextua.opalg.screened_pairs`).
     """
     keys = sorted({k for node in nodes for k in node.atoms})
     index = {k: t for t, k in enumerate(keys)}
@@ -439,17 +437,11 @@ def _dominance_table(
     stack = np.array([p.matrix for p in atoms])
     # tr(qp) >= rank p - screen, i.e. the gap is within the screen
     floor = np.array([p.rank for p in atoms]) - _DOMINANCE_SCREEN
-    n = len(keys)
-    under = np.zeros((n, n), dtype=bool)
-    step = max(1, _BLOCK // n)  # rows per Gram block
-    pairs = max(1, _BLOCK // stack[0].size)  # survivors per batched product
-    for start in range(0, n, step):
-        q, p = np.nonzero(real_gram(stack[start : start + step], stack) >= floor)
-        q += start
-        for c in range(0, len(q), pairs):
-            qc, pc = q[c : c + pairs], p[c : c + pairs]
-            below = stack[pc]
-            under[qc, pc] = np.abs(stack[qc] @ below - below).max(axis=(1, 2)) <= TOL.dominance
+    q, p, gap = screened_pairs(  # rows q above, pool columns p below
+        stack, stack, lambda _, gram: gram >= floor, lambda a, b: np.abs(a @ b - b).max(axis=(1, 2))
+    )
+    under = np.zeros((len(keys), len(keys)), dtype=bool)
+    under[q, p] = gap <= TOL.dominance
     return index, under
 
 

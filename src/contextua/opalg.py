@@ -58,11 +58,13 @@ TOL = Tolerances()
 
 
 class CanonicalizationError(ValueError):
-    """Two distinct projections are closer than the rounding grid; ``key`` is the registered one."""
+    """Two distinct projections are closer than the rounding grid: ``key`` is the
+    registered one, ``index`` the rejected one's place in its batch."""
 
-    def __init__(self, message: str, key: str):
+    def __init__(self, message: str, key: str, index: int):
         super().__init__(message)
         self.key = key
+        self.index = index
 
 
 def as_operator(m) -> np.ndarray:
@@ -309,8 +311,8 @@ def canonical_key(matrix) -> str:
     return canonical_keys(np.asarray(matrix, dtype=complex)[None])[0]
 
 
-# entries of one block of the registry's screened scan, bounding its temporaries
-_DISTANCE_BLOCK = 1 << 20
+# entries of one block of a batched product or screen, bounding its temporaries
+BLOCK = 1 << 20
 # A pair within max-entry distance r has squared Frobenius distance at most d^2 r^2
 # (d^2 entries, each at most r). The Gram form |a|^2 + |b|^2 - 2 Re<a, b> of that
 # distance errs by less than d^3 eps for projections (|a|^2 = rank <= d), which stays
@@ -334,32 +336,48 @@ def _real_rows(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=complex).reshape(len(a), -1).view(float)
 
 
+def screened_pairs(
+    rows: np.ndarray, pool: np.ndarray, keep, measure
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs ``(s, t)`` of two stacks that a Gram screen keeps, sorted, with the measure of each.
+
+    ``keep(block, gram)`` marks the pairs to keep from a block of rows' :func:`real_gram`
+    against ``pool``; ``measure(a, b)`` gives one value per kept pair from the stacked
+    matrices of its two sides, a chunk of pairs at a time. ``BLOCK`` bounds both.
+    """
+    found = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
+    if len(rows) and len(pool):
+        step = max(1, BLOCK // len(pool))  # rows per Gram block
+        chunk = max(1, BLOCK // pool[0].size)  # kept pairs per measured chunk
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            s, t = np.nonzero(keep(block, real_gram(block, pool)))
+            for c in range(0, len(s), chunk):
+                sc, tc = s[c : c + chunk], t[c : c + chunk]
+                found.append((start + sc, tc, measure(block[sc], pool[tc])))
+    s, t, value = (np.concatenate(part) for part in zip(*found))
+    return s, t, value
+
+
 def _near_pairs(
     rows: np.ndarray, pool: np.ndarray, reach: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairs ``(s, t)`` that the screen keeps, sorted, with the max-entry distance of each.
-
-    One Gram product per block of rows screens the pairs by squared
-    Frobenius distance; only the survivors are compared entrywise. Every
-    pair within ``reach`` survives.
-    """
-    found = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
-    if not (len(rows) and len(pool)):
-        return found[0]
+    """Sorted pairs ``(s, t)`` with their max-entry distances, every pair within ``reach`` among
+    them; several rows are screened by squared Frobenius distance first."""
+    if len(rows) == 1:  # a screen pays for its pass over the pool only across several rows
+        dist = np.abs(pool - rows[0]).max(axis=(1, 2))
+        t = np.flatnonzero(dist <= reach)
+        return np.zeros(len(t), dtype=int), t, dist[t]
     bound = _IDENTITY_SCREEN * (pool.shape[-1] * reach) ** 2
     pool_norms = (np.abs(pool) ** 2).sum(axis=(1, 2))
-    step = max(1, _DISTANCE_BLOCK // len(pool))  # rows per Gram block
-    pairs = max(1, _DISTANCE_BLOCK // pool[0].size)  # survivors per entrywise comparison
-    for start in range(0, len(rows), step):
-        block = rows[start : start + step]
-        norms = (np.abs(block) ** 2).sum(axis=(1, 2))
-        gap = norms[:, None] + pool_norms[None, :] - 2 * real_gram(block, pool)
-        s, t = np.nonzero(gap <= bound)
-        for c in range(0, len(s), pairs):
-            sc, tc = s[c : c + pairs], t[c : c + pairs]
-            found.append((start + sc, tc, np.abs(block[sc] - pool[tc]).max(axis=(1, 2))))
-    s, t, dist = (np.concatenate(part) for part in zip(*found))
-    return s, t, dist
+
+    def keep(block, gram):
+        gram *= -2.0  # in place: the squared distances of a block of pairs
+        gram += (np.abs(block) ** 2).sum(axis=(1, 2))[:, None]
+        gram += pool_norms
+        return gram <= bound
+
+    return screened_pairs(rows, pool, keep, lambda a, b: np.abs(a - b).max(axis=(1, 2)))
 
 
 class ProjectionRegistry:
@@ -369,7 +387,10 @@ class ProjectionRegistry:
     a projection within ``tol`` entrywise of a registered one is that
     projection and gets its key. A pair of distinct projections closer than
     the rounding grid is rejected outright, since their identity would
-    depend on rounding luck.
+    depend on rounding luck. Every call decides a batch, :meth:`find` and
+    :meth:`register` a batch of one: a registered canonical key decides
+    without a scan, and screened scans (:func:`_near_pairs`) find the
+    registered projections that decide the other rows.
     """
 
     def __init__(self, dim: int, tol: float = TOL.identity):
@@ -381,75 +402,73 @@ class ProjectionRegistry:
         self._stack = np.empty((4, dim, dim), dtype=complex)
 
     def find(self, p: Projection) -> str | None:
-        """Key of the registered projection identified with ``p``, or None.
-
-        Registers nothing. Raises :class:`CanonicalizationError` when a
-        registered projection is closer than the grid but not within ``tol``.
-        """
-        return self._identify(p)[1]
+        """:meth:`find_many` of ``p`` alone."""
+        return self.find_many([p])[0]
 
     def register(self, p) -> str:
-        """Key of ``p``, registering it under its canonical key when :meth:`find` has none."""
+        """:meth:`register_many` of ``p`` alone, a :class:`Projection` or a matrix."""
         if not isinstance(p, Projection):
             p = projection(p)
-        key, found = self._identify(p)
-        if found is not None:
-            return found
-        self._add(key, p)
-        return key
+        return self.register_many([p])[0]
 
     def find_many(self, ps: Sequence[Projection]) -> list[str | None]:
-        """:meth:`find` of each projection, from one rounding and one screened scan.
+        """Key of the registered projection identified with each of ``ps``, or None.
 
-        Raises the :class:`CanonicalizationError` of the first projection
-        that :meth:`find` rejects.
+        Registers nothing. Raises the :class:`CanonicalizationError` of the
+        first projection that a registered one lies closer to than the grid
+        but not within ``tol``.
         """
+        if not ps:
+            return []
         stack, keys = self._batch(ps)
         scan = [t for t, key in enumerate(keys) if key not in self._by_key]
         near = self._near(stack, scan, self._stack[: len(self._order)])
-        return [self._decide(k, m, near.get(t, ())) for t, (k, m) in enumerate(zip(keys, stack))]
+        return [self._decide(t, k, m, near.get(t, ())) for t, (k, m) in enumerate(zip(keys, stack))]
 
     def register_many(self, ps: Sequence[Projection]) -> list[str]:
-        """:meth:`register` of each projection in turn, from one rounding and one screened scan.
+        """Key of each of ``ps`` in turn, registering under its canonical key each that is new.
 
         A projection is identified with a registered one or with an earlier
         one of the batch, exactly as registering them one at a time would;
         on a :class:`CanonicalizationError` the earlier ones stay registered.
-        Only the first projection of each new canonical key is scanned: a
-        later one is decided by that key once the first is registered under
-        it. Should the first be identified with another key instead, the rest
-        of the batch is registered one at a time.
+        The object given is the one stored. Each round of the batch scans the
+        first row of each unregistered canonical key, against the registered
+        projections and those rows; a later row of that key is decided by the
+        key, or starts the next round if the first row got another key.
         """
+        if not ps:
+            return []
         stack, keys = self._batch(ps)
-        n = len(self._order)
-        first: dict[str, int] = {}
-        for t, key in enumerate(keys):
-            if key not in self._by_key:
-                first.setdefault(key, t)
-        scan = list(first.values())
-        near = self._near(stack, scan, np.concatenate([self._stack[:n], stack[scan]]))
-        # insertion position of each pool column; -1 while its batch row is not registered
-        position = list(range(n)) + [-1] * len(scan)
-        column = {t: n + j for j, t in enumerate(scan)}
-        out = []
-        for t, (key, p) in enumerate(zip(keys, ps)):
-            if key not in self._by_key and t not in column:
-                return out + [self.register(q) for q in ps[t:]]
-            hits = [(position[c], d) for c, d in near.get(t, ()) if position[c] >= 0]
-            found = self._decide(key, p.matrix, hits)
-            if found is None:
-                position[column[t]] = len(self._order)
-                self._add(key, p)
-                found = key
-            out.append(found)
+        out: list[str] = []
+        while len(out) < len(ps):
+            start, n = len(out), len(self._order)
+            back = range(len(ps) - 1, start - 1, -1)  # backwards: each key ends at its first row
+            scan = sorted({keys[t]: t for t in back if keys[t] not in self._by_key}.values())
+            near = self._near(stack, scan, np.concatenate([self._stack[:n], stack[scan]]))
+            # insertion position of each pool column; -1 while its batch row is not registered
+            position = list(range(n)) + [-1] * len(scan)
+            column = {t: n + j for j, t in enumerate(scan)}
+            for t in range(start, len(ps)):
+                if keys[t] not in self._by_key and t not in column:
+                    break  # the next round scans this row
+                hits = [(position[c], d) for c, d in near.get(t, ()) if position[c] >= 0]
+                found = self._decide(t, keys[t], stack[t], hits)
+                if found is None:
+                    position[column[t]] = len(self._order)
+                    self._add(keys[t], ps[t])
+                    found = keys[t]
+                out.append(found)
         return out
 
     def _near(
         self, stack: np.ndarray, scan: list[int], pool: np.ndarray
     ) -> dict[int, list[tuple[int, float]]]:
         """Per row of ``stack`` in ``scan``: each pool column that decides it, and the distance."""
+        if not scan:
+            return {}
         s, t, dist = _near_pairs(stack[scan], pool, max(self.tol, TOL.grid))
-        hit = self._decides(dist)
+        # within tol: the projection (jitter across a rounding boundary); below the grid: rejected
+        hit = (dist <= self.tol) | (dist < TOL.grid)
         out: dict[int, list[tuple[int, float]]] = {}
         for row, col, d in zip(s[hit].tolist(), t[hit].tolist(), dist[hit].tolist()):
             out.setdefault(scan[row], []).append((col, d))
@@ -457,7 +476,8 @@ class ProjectionRegistry:
 
     def _batch(self, ps: Sequence[Projection]) -> tuple[np.ndarray, list[str]]:
         for p in ps:
-            self._check_dim(p)
+            if p.dim != self.dim:
+                raise ValueError(f"projection dim {p.dim} does not match registry dim {self.dim}")
         stack = np.array([p.matrix for p in ps], dtype=complex).reshape(-1, self.dim, self.dim)
         return stack, canonical_keys(stack)
 
@@ -469,47 +489,29 @@ class ProjectionRegistry:
         self._by_key[key] = p
         self._order.append(key)
 
-    def _check_dim(self, p: Projection) -> None:
-        if p.dim != self.dim:
-            raise ValueError(f"projection dim {p.dim} does not match registry dim {self.dim}")
-
-    def _identify(self, p: Projection) -> tuple[str, str | None]:
-        """The canonical key of ``p`` and the key of the registered projection it is."""
-        self._check_dim(p)
-        key = canonical_key(p.matrix)
-        hits = []  # an equal canonical key decides without the distance scan
-        if key not in self._by_key:
-            dist = np.abs(self._stack[: len(self._order)] - p.matrix).max(axis=(1, 2))
-            found = np.flatnonzero(self._decides(dist))
-            hits = zip(found.tolist(), dist[found].tolist())
-        return key, self._decide(key, p.matrix, hits)
-
-    def _decides(self, dist: np.ndarray) -> np.ndarray:
-        """Whether a registered projection at each distance decides: within tol (jitter
-        across a rounding boundary) it is the projection, closer than the grid it is rejected."""
-        return (dist <= self.tol) | (dist < TOL.grid)
-
-    def _decide(self, key: str, m: np.ndarray, hits) -> str | None:
+    def _decide(self, index: int, key: str, m: np.ndarray, hits) -> str | None:
         """Key of the registered projection that matrix ``m`` of canonical key ``key`` is, or None.
 
         ``hits`` lists the insertion position and distance of every
-        registered projection that :meth:`_decides` for ``m``, in insertion
+        registered projection that decides for ``m`` (:meth:`_near`), in insertion
         order; it is read only when no projection has ``key``, and its first
-        entry decides.
+        entry decides. A rejection carries ``index``, ``m``'s place in its batch.
         """
         existing = self._by_key.get(key)
         if existing is not None:
             if max_norm(existing.matrix - m) <= self.tol:
                 return key
             raise CanonicalizationError(
-                "distinct projections collide on the canonical rounding grid", key
+                "distinct projections collide on the canonical rounding grid", key, index
             )
         for position, dist in hits:
             other_key = self._order[position]
             if dist <= self.tol:
                 return other_key
             raise CanonicalizationError(
-                f"projections {key} and {other_key} are closer than the rounding grid", other_key
+                f"projections {key} and {other_key} are closer than the rounding grid",
+                other_key,
+                index,
             )
         return None
 

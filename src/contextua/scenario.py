@@ -290,42 +290,51 @@ def _catalog(
 ) -> tuple[ProjectionRegistry, list[Context]]:
     """Register the rays of ``$.rays{side}`` and the contexts of ``$.contexts{side}``.
 
-    The rays that some context uses are registered in ray order. Every
-    other ray is looked up in that registry and then registered in a spare
-    one, so that unused rays are compared with each other as well. A ray
-    whose projection a registry would neither identify with a registered one
-    nor tell apart from it is rejected.
+    In one batch each: the rays that some context uses are registered in ray
+    order; every other ray is looked up in that registry, and registered in a
+    spare one so that unused rays are compared with each other as well; the
+    padding complements are registered in context order. A ray whose
+    projection a registry would neither identify with a registered one nor
+    tell apart from it is rejected, named with the ray that registry holds.
     """
-    registry = ProjectionRegistry(dim, tol)
-    spare = ProjectionRegistry(dim, tol)
-    used = {i for indices in contexts for i in indices}
+    registry, spare = ProjectionRegistry(dim, tol), ProjectionRegistry(dim, tol)
+    used = sorted({i for indices in contexts for i in indices})
+    unused = sorted(set(range(len(rays))) - set(used))
     atoms = [projection_from_ray(v) for v in rays]
-    keys: dict[int, str] = {}
-    first: dict[str, int] = {}  # the first ray of each key, in either registry
-    for j in sorted(range(len(atoms)), key=lambda j: j not in used):
+    ray_of = {id(p): j for j, p in enumerate(atoms)}  # a registry holds the atom it was given
+
+    def ingest(reg: ProjectionRegistry, call, batch: list[int]) -> list:
+        """``call`` on the atoms of the rays in ``batch``; a rejection names two rays."""
         try:
-            if j in used:
-                keys[j] = registry.register(atoms[j])
-                first.setdefault(keys[j], j)
-            else:
-                registry.find(atoms[j])
-                first.setdefault(spare.register(atoms[j]), j)
+            return call([atoms[j] for j in batch])
         except CanonicalizationError as exc:
-            raise ScenarioError(
-                f"$.rays{side}",
-                f"rays {first[exc.key]} and {j} are near-duplicates below the canonicalization grid",
-            ) from None
-    catalog = []
-    for c, indices in enumerate(contexts):
-        ctx_keys = tuple(keys[i] for i in indices)
-        rank = len(indices)
-        if rank < dim:  # pad with the orthogonal complement
-            comp = Projection(np.eye(dim) - sum(atoms[i].matrix for i in indices), dim - rank)
-            try:
-                ctx_keys += (registry.register(comp),)
-            except CanonicalizationError as exc:
-                raise ScenarioError(f"$.contexts{side}[{c}]", str(exc)) from None
-        catalog.append(Context(dim, ctx_keys))
+            earlier, later = ray_of[id(reg.get(exc.key))], batch[exc.index]
+            message = f"rays {earlier} and {later} are near-duplicates below the canonicalization grid"
+            raise ScenarioError(f"$.rays{side}", message) from None
+
+    keys = dict(zip(used, ingest(registry, registry.register_many, used)))
+    looked_up = len(unused)  # the unused rays before the first one the lookup rejects
+    try:
+        registry.find_many([atoms[j] for j in unused])
+    except CanonicalizationError as exc:
+        looked_up = exc.index
+    # the earliest rejected unused ray is named, its lookup before its spare registration
+    ingest(spare, spare.register_many, unused[:looked_up])
+    if looked_up < len(unused):  # the rejected lookup again, alone, to name its rays
+        ingest(registry, registry.find_many, unused[looked_up : looked_up + 1])
+    padded = [c for c, indices in enumerate(contexts) if len(indices) < dim]
+    complements = [
+        Projection(np.eye(dim) - sum(atoms[i].matrix for i in contexts[c]), dim - len(contexts[c]))
+        for c in padded
+    ]
+    try:
+        padding = dict(zip(padded, registry.register_many(complements)))
+    except CanonicalizationError as exc:
+        raise ScenarioError(f"$.contexts{side}[{padded[exc.index]}]", str(exc)) from None
+    catalog = [
+        Context(dim, tuple(keys[i] for i in indices) + ((padding[c],) if c in padding else ()))
+        for c, indices in enumerate(contexts)
+    ]
     return registry, catalog
 
 

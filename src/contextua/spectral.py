@@ -67,14 +67,23 @@ class ColoringCertificate:
 
 @dataclass
 class EnumerationResult:
-    sections: list[SpectralSection]
+    """Global sections as sorted rows: ``chosen[r, i]`` is the chosen atom of node i in
+    section r. Iteration yields each row as a :class:`SpectralSection`."""
+
+    chosen: np.ndarray  # int64, one row per section
     truncated: bool
 
+    @property
+    def sections(self) -> list[SpectralSection]:
+        return list(self)
+
     def __iter__(self):
-        return iter(self.sections)
+        domain = frozenset(range(self.chosen.shape[1]))
+        for row in self.chosen:
+            yield SpectralSection({i: Character(i, a) for i, a in enumerate(row.tolist())}, domain)
 
     def __len__(self):
-        return len(self.sections)
+        return len(self.chosen)
 
 
 def _domination_maps(poset: ContextPoset) -> dict[tuple[int, int], np.ndarray]:
@@ -316,14 +325,7 @@ def enumerate_global_sections(poset: ContextPoset, cap: int = 10**6) -> Enumerat
         chosen[:, m] = combos[:, t]
     for i, ups in ups_of.items():
         chosen[:, i] = dom[(i, ups[0])][combos[:, pos[ups[0]]]]
-    chosen = chosen[np.lexsort(chosen.T[::-1])]
-    sections = [
-        SpectralSection(
-            {i: Character(i, a) for i, a in enumerate(row)}, frozenset(range(n))
-        )
-        for row in chosen.tolist()
-    ]
-    return EnumerationResult(sections, truncated)
+    return EnumerationResult(chosen[np.lexsort(chosen.T[::-1])], truncated)
 
 
 def section_components(poset: ContextPoset) -> np.ndarray:

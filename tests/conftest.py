@@ -18,7 +18,7 @@ from contextua.contexts import poset_from_nodes
 from contextua.gleason import hermitian_basis
 from contextua.opalg import TOL, CanonicalizationError, canonical_key, max_norm
 from contextua.scenario import _catalog
-from contextua.spectral import Character, EnumerationResult, SpectralSection, _domination_maps
+from contextua.spectral import EnumerationResult, _domination_maps
 from contextua.wigner import JordanReport, PosetMap, apply_symmetry, jordan_lift
 
 # HYPOTHESIS_PROFILE=ci runs the tests that do not fix max_examples five times deeper
@@ -50,22 +50,41 @@ def random_basis_context(rng, registry):
 
 
 class LoopScanRegistry(cx.ProjectionRegistry):
-    """Reference registry: the miss path scans registered keys in a Python loop."""
+    """Reference registry: each projection in turn against every registered one, in a Python loop.
 
-    def _identify(self, p):
+    It keeps its projections in ``_by_key`` only, so the inherited ``find``,
+    ``register``, ``keys`` and ``get`` read them; no batch code runs.
+    """
+
+    def find_many(self, ps):
+        return [self._loop_find(t, p) for t, p in enumerate(ps)]
+
+    def register_many(self, ps):
+        out = []
+        for t, p in enumerate(ps):
+            key = self._loop_find(t, p)
+            if key is None:
+                key = canonical_key(p.matrix)
+                self._by_key[key] = p
+            out.append(key)
+        return out
+
+    def _loop_find(self, index, p):
+        if p.dim != self.dim:
+            raise ValueError("projection dim does not match registry dim")
         key = canonical_key(p.matrix)
         existing = self._by_key.get(key)
         if existing is not None:
             if max_norm(existing.matrix - p.matrix) <= self.tol:
-                return key, key
-            raise CanonicalizationError("collision on the rounding grid", key)
+                return key
+            raise CanonicalizationError("collision on the rounding grid", key, index)
         for other_key, other in self._by_key.items():
             dist = max_norm(other.matrix - p.matrix)
             if dist <= self.tol:
-                return key, other_key
+                return other_key
             if dist < TOL.grid:
-                raise CanonicalizationError("closer than the rounding grid", other_key)
-        return key, None
+                raise CanonicalizationError("closer than the rounding grid", other_key, index)
+        return None
 
 
 def full_scan_distances(rows, pool):
@@ -460,7 +479,7 @@ def full_table_sections(poset, cap=10**6, chunk=1 << 16):
         if len(ups) >= 2:
             checks.append((i, ups))
 
-    sections = []
+    rows = []
     truncated = False
     for start in range(0, raw, chunk):
         stop = min(start + chunk, raw)
@@ -476,24 +495,23 @@ def full_table_sections(poset, cap=10**6, chunk=1 << 16):
             for m in ups[1:]:
                 mask &= dom[(i, m)][combos[:, pos[m]]] == ref
         for row in combos[mask]:
-            assignment = {}
+            chosen = [0] * n
             for t, m in enumerate(maximal):
-                assignment[m] = Character(m, int(row[t]))
+                chosen[m] = int(row[t])
             for i in range(n):
-                if i in assignment:
+                if i in pos:
                     continue
                 ups = [m for m in maximal if poset.order[i, m] and i != m]
-                a = dom[(i, ups[0])][int(row[pos[ups[0]]])]
-                assignment[i] = Character(i, int(a))
-            sections.append(SpectralSection(assignment, frozenset(range(n))))
-            if len(sections) > cap:
+                chosen[i] = int(dom[(i, ups[0])][int(row[pos[ups[0]]])])
+            rows.append(tuple(chosen))
+            if len(rows) > cap:
                 truncated = True
-                sections.pop()
+                rows.pop()
                 break
         if truncated:
             break
-    sections.sort(key=lambda s: tuple(s.assignment[i].chosen_atom for i in range(n)))
-    return EnumerationResult(sections, truncated)
+    rows.sort()
+    return EnumerationResult(np.array(rows, dtype=np.int64).reshape(len(rows), n), truncated)
 
 
 def shared_ray_catalog_poset(seed, dim, n_bases):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import contextua as cx
 from contextua.catalogs import bundled_text
-from contextua import contexts
+from contextua import opalg
 from contextua.contexts import _dominance_table, poset_from_nodes
 from contextua.opalg import TOL, max_norm
 
@@ -118,6 +118,36 @@ class TestContextFromObservables:
         z = np.diag([1.0, -1.0]).astype(complex)
         with pytest.raises(ValueError, match="0 and 1 do not commute"):
             cx.context_from_observables(reg, [x, z])
+
+
+def ray_atom(*v):
+    v = np.array(v, dtype=complex) / np.linalg.norm(v)
+    return cx.Projection(np.outer(v, v.conj()), 1)
+
+
+class TestContextFromProjections:
+    @pytest.mark.parametrize(
+        "atoms,pair",
+        [
+            # the first failing pair in row-major order is named, here (0, 2), not (1, 2)
+            ([ray_atom(1, 0, 0), ray_atom(0, 1, 0), ray_atom(1, 1, 0)], (0, 2)),
+            # an atom that is not idempotent fails against itself
+            ([ray_atom(1, 0, 0), cx.Projection(np.diag([0, 0.5, 0]).astype(complex), 1)], (1, 1)),
+            ([ray_atom(0, 0, 1), ray_atom(1, 1, 0), ray_atom(1, 0, 0)], (1, 2)),
+        ],
+    )
+    def test_error_names_the_first_failing_pair(self, atoms, pair):
+        reg = cx.ProjectionRegistry(3)
+        with pytest.raises(ValueError, match=f"atoms {pair[0]} and {pair[1]} are not orthogonal"):
+            cx.context_from_projections(reg, atoms)
+        assert len(reg) == 0
+
+    def test_registers_each_atom_once(self):
+        reg = cx.ProjectionRegistry(3)
+        atoms = [ray_atom(1, 1, 0), ray_atom(1, -1, 0), ray_atom(0, 0, 1)]
+        ctx = cx.context_from_projections(reg, atoms)
+        assert all(reg.get(k) is p for k, p in zip(ctx.atoms, atoms))  # the objects given
+        assert len(reg) == 3
 
 
 class TestGeneratePoset:
@@ -259,7 +289,7 @@ class TestDominanceDifferential:
         # pauli-c4 has 91 atom keys; blocks of 64 entries split every product
         # in poset_from_nodes and _dominance_table into single rows
         poset = cx.build_single_poset(cx.parse_scenario(bundled_text("pauli-c4")))
-        monkeypatch.setattr(contexts, "_BLOCK", 64)
+        monkeypatch.setattr(opalg, "BLOCK", 64)
         blocked = poset_from_nodes(poset.registry, poset.nodes, poset.generators)
         assert np.array_equal(blocked.order, poset.order)
         assert np.array_equal(blocked.order, subset_sum_order(poset))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from contextua.opalg import (
     TOL,
     CanonicalizationError,
     ProjectionRegistry,
+    Tolerances,
     _near_pairs,
     canonical_key,
     identity_projection,
@@ -420,15 +422,16 @@ def path_sequence(data, seed, steps):
 
 
 def outcome(call):
-    """What ``call()`` returns, or the key its CanonicalizationError names; then the error message."""
+    """What ``call()`` returns, or the key its CanonicalizationError names; then the error
+    message and the rejected projection's place in its batch."""
     try:
-        return call(), None
+        return call(), None, None
     except CanonicalizationError as exc:
-        return ("raised", exc.key), str(exc)
+        return ("raised", exc.key), str(exc), exc.index
 
 
 class TestRegistryBatchDifferential:
-    """Batched find and register against one projection at a time."""
+    """Batched find and register against batches of one and against the loop reference."""
 
     @settings(deadline=None)
     @given(
@@ -451,17 +454,16 @@ class TestRegistryBatchDifferential:
             register_outcomes(reg, seq[:head])
             return reg
 
-        for one, many in (
-            (ProjectionRegistry.find, ProjectionRegistry.find_many),
-            (ProjectionRegistry.register, ProjectionRegistry.register_many),
-        ):
+        for one, many in (("find", "find_many"), ("register", "register_many")):
             reg = registry(ProjectionRegistry)
-            (got, message), keys = outcome(lambda: many(reg, batch)), list(reg.keys())
+            got, message, index = outcome(lambda: getattr(reg, many)(batch))
+            keys = list(reg.keys())
             ref = registry(ProjectionRegistry)
-            assert outcome(lambda: [one(ref, q) for q in batch]) == (got, message)
+            assert outcome(lambda: [getattr(ref, one)(q) for q in batch])[:2] == (got, message)
             assert list(ref.keys()) == keys
             loop = registry(LoopScanRegistry)  # the loop scan words its errors its own way
-            assert outcome(lambda: [one(loop, q) for q in batch])[0] == got
+            loop_got, _, loop_index = outcome(lambda: getattr(loop, many)(batch))
+            assert (loop_got, loop_index) == (got, index)
             assert list(loop.keys()) == keys
 
     @pytest.mark.parametrize("tol", [TOL.identity, 1e-7, 1e-5])
@@ -476,6 +478,23 @@ class TestRegistryBatchDifferential:
         assert canonical_key(q.matrix) == canonical_key(r.matrix) != canonical_key(p.matrix)
         seq = [p, q, r, q]
         self.check(seq, 1 if registered else 0, tol)
+
+    def test_rejection_carries_its_batch_position(self):
+        # the third projection is 1e-7 from the first: closer than the grid, not within tol
+        p = cx.projection_from_ray(np.array([1.0, 0.0, 0.0]))
+        q = cx.projection_from_ray(np.array([0.0, 1.0, 0.0]))
+        near_p = cx.projection_from_ray(np.array([1.0, 1e-7, 0.0]))
+        reg = ProjectionRegistry(3)
+        with pytest.raises(CanonicalizationError) as exc:
+            reg.register_many([p, q, near_p, q])
+        assert (exc.value.key, exc.value.index) == (canonical_key(p.matrix), 2)
+        assert len(reg) == 2  # the projections before the rejected one stay registered
+        with pytest.raises(CanonicalizationError) as exc:
+            reg.find_many([q, q, near_p, p])
+        assert exc.value.index == 2
+        with pytest.raises(CanonicalizationError) as exc:
+            reg.register(near_p)
+        assert exc.value.index == 0
 
     def test_within_batch_identification(self):
         # the jittered copy has another canonical key; it is the batch's first entry
@@ -612,4 +631,28 @@ class TestTolerances:
                 and 0 < abs(n.value) < 1e-3
                 and id(n) not in record
             ]
+        assert found == []
+
+    def test_readme_table_lists_every_field_with_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| field | value | what it decides |\n|---|---|---|\n", 1)[1]
+        rows = [line.split(" | ")[:2] for line in table.split("\n\n", 1)[0].splitlines()]
+        listed = [(name.strip("| `"), float(value.strip("`"))) for name, value in rows]
+        assert listed == [(f.name, float(f.default)) for f in fields(Tolerances)]
+
+
+class TestRegistryCallSites:
+    def test_no_loop_calls_the_registry_once_per_projection(self):
+        # a batch of one costs about as much as a batch of many: loops pass one batch
+        loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        found = [
+            f"{name}:{call.lineno}"
+            for name, tree in package_modules()
+            for loop in ast.walk(tree)
+            if isinstance(loop, loops)
+            for call in ast.walk(loop)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("find", "register")
+        ]
         assert found == []

@@ -117,6 +117,55 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=r"\$\.rays: rays 2 and 3 are near-duplicate"):
             cx.build_single_poset(sc)
 
+    def test_unused_near_duplicate_of_a_used_ray(self):
+        # ray 2 is in no context and 1e-7 from ray 0: its lookup is rejected
+        doc = {
+            "kind": "single",
+            "dim": 2,
+            "rays": [[1, 0], [0, 1], [1, 1e-7]],
+            "contexts": [[0, 1]],
+        }
+        sc = cx.parse_scenario(json.dumps(doc))
+        with pytest.raises(ScenarioError, match=r"\$\.rays: rays 0 and 2 are near-duplicate"):
+            cx.build_single_poset(sc)
+
+    @pytest.mark.parametrize(
+        "unused,named",
+        [
+            # ray 3 collides with ray 2 among the unused rays before ray 4's lookup fails
+            ([[1, 1], [1, 1 + 1e-7], [1, 1e-7]], "rays 2 and 3"),
+            # ray 2's lookup fails before ray 4 collides with ray 3 among the unused rays
+            ([[1, 1e-7], [1, 1], [1, 1 + 1e-7]], "rays 0 and 2"),
+            # ray 3 is 7.5e-7 from ray 0 and from ray 2, which is 1.5e-6 from ray 0:
+            # both its lookup and its spare registration fail, and the lookup is named
+            ([[1, 1.5e-6], [1, 0.75e-6]], "rays 0 and 3"),
+            # rays 2 and 3 are each within tol of ray 0, but 1.6e-9 from each other:
+            # the spare registry rejects ray 3 against ray 2, the ray it holds
+            ([[1, 0.8e-9], [1, -0.8e-9]], "rays 2 and 3"),
+        ],
+    )
+    def test_earliest_rejected_unused_ray_named(self, unused, named):
+        rays = [[1, 0], [0, 1]] + unused
+        doc = {"kind": "single", "dim": 2, "rays": rays, "contexts": [[0, 1]]}
+        sc = cx.parse_scenario(json.dumps(doc))
+        with pytest.raises(ScenarioError, match=rf"\$\.rays: {named} are near-duplicates"):
+            cx.build_single_poset(sc)
+
+    def test_complement_collision_names_its_context(self):
+        # contexts 0 and 2 are padded; context 2 spans a plane whose normal is e3
+        # tilted by 1e-7, so its complement is closer than the grid to ray 2
+        e1, w = np.eye(3)[0], np.array([0.0, 1.0, -1e-7]) / np.hypot(1.0, 1e-7)
+        u, v = (e1 + w) / np.sqrt(2), (e1 - w) / np.sqrt(2)
+        doc = {
+            "kind": "single",
+            "dim": 3,
+            "rays": np.vstack([np.eye(3), u, v]).tolist(),
+            "contexts": [[0, 1], [0, 1, 2], [3, 4]],
+        }
+        sc = cx.parse_scenario(json.dumps(doc))
+        with pytest.raises(ScenarioError, match=r"^\$\.contexts\[2\]: .*rounding grid"):
+            cx.build_single_poset(sc)
+
     def test_near_duplicates_identified_at_tol(self, tmp_path, capsys):
         # rays 0 and 1 are 5e-8 apart: one projection at --tol 1e-6, rejected at the default
         doc = {

@@ -20,18 +20,18 @@ from conftest import random_unitary
 @pytest.fixture
 def counters(monkeypatch):
     counts = {"register": 0, "maps_built": 0}
-    register, dominator_map = ProjectionRegistry.register, ContextPoset.dominator_map
+    register_many, dominator_map = ProjectionRegistry.register_many, ContextPoset.dominator_map
 
-    def counted_register(self, p):
-        counts["register"] += 1
-        return register(self, p)
+    def counted_register(self, ps):  # every registration is a batch; count its projections
+        counts["register"] += len(ps)
+        return register_many(self, ps)
 
     def counted_map(self, small, large):
         if (small, large) not in (self._dominators or {}):  # a cache miss builds a map
             counts["maps_built"] += 1
         return dominator_map(self, small, large)
 
-    monkeypatch.setattr(ProjectionRegistry, "register", counted_register)
+    monkeypatch.setattr(ProjectionRegistry, "register_many", counted_register)
     monkeypatch.setattr(ContextPoset, "dominator_map", counted_map)
     return counts
 
