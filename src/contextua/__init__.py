@@ -7,7 +7,7 @@ factorisability LP, quantum-realizability classification), and
 machine-checkable certificates for each verdict.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .bell import (
     BellSection,

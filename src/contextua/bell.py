@@ -289,11 +289,12 @@ def _local_strategies(pp: ProductPoset, cap: int) -> tuple[np.ndarray, np.ndarra
     """Chosen atom at every node of each factor's global sections, one row per section.
 
     Local strategies are exactly the global sections of the factor posets,
-    so shared projections take one value per side by construction.
+    so shared projections take one value per side by construction. Either
+    side having more than ``cap`` sections is too large.
     """
     left = enumerate_global_sections(pp.left, cap=cap)
     right = enumerate_global_sections(pp.right, cap=cap)
-    if left.truncated or right.truncated or len(left) * len(right) > cap:
+    if left.truncated or right.truncated:
         raise ValueError("instance too large")
     return left.chosen, right.chosen
 
@@ -301,8 +302,13 @@ def _local_strategies(pp: ProductPoset, cap: int) -> tuple[np.ndarray, np.ndarra
 def deterministic_strategies(
     pp: ProductPoset, cap: int = 10**6
 ) -> list[tuple[dict[int, int], dict[int, int]]]:
-    """All pairs of local non-contextual value assignments, left section major."""
+    """All pairs of local non-contextual value assignments, left section major.
+
+    More than ``cap`` pairs is too large.
+    """
     left, right = _local_strategies(pp, cap)
+    if len(left) * len(right) > cap:
+        raise ValueError("instance too large")
     right_maps = [dict(enumerate(row)) for row in right.tolist()]
     return [(dict(enumerate(row)), cr) for row in left.tolist() for cr in right_maps]
 
@@ -459,7 +465,8 @@ def factorisability_lp(
     Otherwise the duals y+, y- of the two inequality blocks give the
     separating functional c = y+ - y-, l1-normalised (sum |c| <= 1) by dual
     feasibility, and by strong duality c.b - max_s c.A_s = t*, the
-    reconstruction error.
+    reconstruction error. More than ``cap`` LP columns, or sections on
+    either side, is too large.
     """
     pp = s.poset
     if contexts is None:
@@ -478,13 +485,16 @@ def factorisability_lp(
             raise ValueError(
                 f"the {side} factor has no global sections, so no local strategy exists"
             )
+    groups = _right_groups(pp.right, right)
+    n_left, sizes = len(left), groups.sizes
+    starts = n_left * np.cumsum([0, *sizes])
+    if starts[-1] > cap:
+        raise ValueError("instance too large")
     from scipy import sparse
     from scipy.optimize import linprog
 
     b = np.concatenate([s.tables[n].probs.reshape(-1) for n in contexts])
     cells = _Cells.of(pp, contexts)
-    groups = _right_groups(pp.right, right)
-    n_left, sizes = len(left), groups.sizes
     in_group = groups.owner[cells.right]
     # columns group major, then left section, then group section: with one group,
     # column l * len(right) + r is strategy (left[l], right[r]), the order of
@@ -495,7 +505,6 @@ def factorisability_lp(
             for g, rep in enumerate(groups.reps)
         ]
     )
-    starts = n_left * np.cumsum([0, *sizes])
     n_rows, n_cols = cells.n_rows, starts[-1]
 
     c = np.zeros(n_cols + 1)

@@ -2,10 +2,14 @@
 
 A context is an orthogonal family of atomic projections summing to the
 identity. The poset generated by a catalog of contexts holds the catalog
-contexts, the meet (intersection algebra) of each pair of them, and the
-trivial context. Every other coarsening of a catalog context lies below
-at most one catalog context or below a stored meet, so it adds no
-constraint on a section and is not stored.
+contexts, the meet (intersection algebra) of each pair of them that
+carries a constraint, and the trivial context. Every other coarsening of
+a catalog context lies below at most one catalog context or below a
+meet, so it adds no constraint on a section and is not stored. A meet
+whose blocks are shared atoms of both contexts, apart from at most one
+block, is not stored either: it only says that both contexts give each
+shared atom one value, and a section gives every projection key one
+value anyway (:func:`is_section`).
 
 Order rule: i <= j iff every atom of i is a sum of atoms of j. One
 dominance table decides it: ``under[q, p]`` holds iff atom p lies under
@@ -257,16 +261,17 @@ def is_section(poset, values: Mapping[int, np.ndarray], tol: float) -> bool:
 
 
 def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> ContextPoset:
-    """Poset of the catalog contexts, the meet of each catalog pair and the trivial context.
+    """Poset of the catalog contexts, their constraining meets and the trivial context.
 
     Nodes come in that order: the catalog contexts, then for each pair
-    ``i < j`` the meet of ``catalog[i]`` and ``catalog[j]`` when it has more
-    than one block, then the trivial context. Any common coarsening of two
-    contexts lies below their meet, so these are the only nodes below the
-    catalog that constrain a section. A meet's blocks are the connected
-    components of the two contexts' atom overlaps ``tr(pq)``; each block's
-    sum over ``catalog[i]``'s atoms is registered, and the sum over
-    ``catalog[j]``'s atoms must be identified with it by the registry.
+    ``i < j`` the meet of ``catalog[i]`` and ``catalog[j]`` when it carries a
+    constraint (:func:`_meets`), then the trivial context. Any common
+    coarsening of two contexts lies below their meet, so these are the only
+    nodes below the catalog that constrain a section beyond the one value
+    per projection key. A meet's blocks are the connected components of the
+    two contexts' atom overlaps ``tr(pq)``; each block's sum over
+    ``catalog[i]``'s atoms is registered, and the sum over ``catalog[j]``'s
+    atoms must be identified with it by the registry.
     """
     dim = registry.dim
     for ctx in catalog:
@@ -297,16 +302,20 @@ def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> 
 def _meets(
     registry: ProjectionRegistry, catalog: Sequence[Context]
 ) -> list[tuple[int, int, Context]]:
-    """The meet of each catalog pair ``i < j`` that has more than one block, in pair order.
+    """The meet of each catalog pair ``i < j`` that carries a constraint, in pair order.
 
     An atom of the second context that overlaps an atom of the first lies
     under the same block of any common coarsening, so the blocks are the
     connected components of the two contexts' overlap graph, and each
     block's two atom sums are one projection. Every pair is labelled in one
-    stacked reachability closure. Each distinct multi-atom set of atoms is
-    summed once: the first-side sums are registered in pair and block order,
-    the other second-side sums are looked up, and the two keys of every block
-    must agree.
+    stacked reachability closure. A pair is dropped when all its blocks but
+    at most one are shared atoms (one atom, the same key, on both sides):
+    that meet only says both contexts give each shared atom one value, which
+    the key table already enforces. The drop is decided from the labels,
+    before any block is summed. Each distinct multi-atom set of atoms of the
+    kept pairs is summed once: the first-side sums are registered in pair and
+    block order, the other second-side sums are looked up, and the two keys
+    of every block must agree.
     """
     if len(catalog) < 2:
         return []
@@ -348,6 +357,16 @@ def _meets(
     # the atoms of each block on each side, sorted, padded with n: one row per block
     first = np.sort(np.where(label[:, None, :] == blocks, rows[:, None, :], n), axis=2)[root]
     second = np.sort(np.where(other[:, None, :] == blocks, cols[:, None, :], n), axis=2)[root]
+    # a block that is one atom of both contexts is a shared atom; a meet of shared
+    # atoms and at most one other block (their complement) only says that both
+    # contexts give each shared atom one value, which the key table already says
+    shared = (first[:, 1] == n) & (second[:, 1] == n) & (first[:, 0] == second[:, 0])
+    owner = np.nonzero(root)[0]  # the pair of each block row
+    keep = np.bincount(owner[~shared], minlength=len(pairs)) > 1
+    if not keep.any():
+        return []
+    pairs, root = pairs[keep], root[keep]
+    first, second = first[keep[owner]], second[keep[owner]]
     sides = np.concatenate([first, second])
     multi = np.flatnonzero(sides[:, 1] < n)
     distinct, seen_at, inverse = np.unique(

@@ -130,14 +130,17 @@ class _SearchState:
         )
 
 
-def _sharing_order(poset: ContextPoset, node_ids: list[int]) -> list[int]:
-    """Sort by descending degree in the projection-sharing graph, ties by id."""
-    keysets = {i: set(poset.atom_keys(i)) for i in range(len(poset))}
-    degree = {}
-    for i in node_ids:
-        degree[i] = sum(
-            1 for j in range(len(poset)) if j != i and keysets[i] & keysets[j]
-        )
+def _sharing_order(
+    poset: ContextPoset, node_ids: list[int], occurrences: Mapping[str, list[tuple[int, int]]]
+) -> list[int]:
+    """Sort by descending degree in the projection-sharing graph, ties by id.
+
+    A node's neighbours are the other nodes in the ``occurrences`` of its atom keys.
+    """
+    degree = {
+        i: len({j for key in poset.atom_keys(i) for j, _ in occurrences[key]}) - 1
+        for i in node_ids
+    }
     return sorted(node_ids, key=lambda i: (-degree[i], i))
 
 
@@ -155,12 +158,12 @@ def find_global_section(poset: ContextPoset) -> ColoringCertificate:
     dom = _domination_maps(poset)
     n = len(poset)
     maximal = poset.maximal_nodes()
-    order_vars = _sharing_order(poset, maximal)
     below: dict[int, list[int]] = {m: [i for i in range(n) if poset.order[i, m]] for m in maximal}
     occurrences: dict[str, list[tuple[int, int]]] = {}
     for i in range(n):
         for idx, key in enumerate(poset.atom_keys(i)):
             occurrences.setdefault(key, []).append((i, idx))
+    order_vars = _sharing_order(poset, maximal, occurrences)
     parents: dict[int, list[int]] = {
         i: [m for m in maximal if poset.order[i, m]] for i in range(n)
     }
@@ -282,9 +285,11 @@ def enumerate_global_sections(poset: ContextPoset, cap: int = 10**6) -> Enumerat
 
     Choices range over the maximal nodes only; a choice tuple survives iff
     all maximal nodes above each lower node restrict onto the same character
-    there. The table of surviving tuples grows one maximal node at a time,
-    and each lower node's check runs as soon as its last maximal node is
-    placed. This is the independent oracle behind :func:`find_global_section`.
+    there, and all maximal nodes that share an atom key give it one value
+    (the poset stores no meet that says only this). The table of surviving
+    tuples grows one maximal node at a time, and each check runs as soon as
+    its last maximal node is placed. This is the independent oracle behind
+    :func:`find_global_section`.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -300,6 +305,14 @@ def enumerate_global_sections(poset: ContextPoset, cap: int = 10**6) -> Enumerat
         # a one-atom node restricts every choice onto its only atom
         if len(ups) >= 2 and len(poset.nodes[i].atoms) > 1:
             checks[pos[ups[-1]]].append((i, ups))
+    holders: dict[str, list[tuple[int, int]]] = {}  # (maximal position, atom) per key
+    for t, m in enumerate(maximal):
+        for idx, key in enumerate(poset.atom_keys(m)):
+            holders.setdefault(key, []).append((t, idx))
+    shared: list[list[list[tuple[int, int]]]] = [[] for _ in maximal]
+    for held in holders.values():
+        if len(held) >= 2:
+            shared[held[-1][0]].append(held)
 
     # one row per surviving choice tuple, in lexicographic order; atom indices
     # fit int16, and the cell bound keeps the table under 200 MB
@@ -316,6 +329,10 @@ def enumerate_global_sections(poset: ContextPoset, cap: int = 10**6) -> Enumerat
             ref = dom[(i, ups[0])][combos[:, pos[ups[0]]]]
             for u in ups[1:]:
                 mask &= dom[(i, u)][combos[:, pos[u]]] == ref
+        for (u, a), *rest in shared[t]:
+            ref = combos[:, u] == a
+            for u, a in rest:
+                mask &= (combos[:, u] == a) == ref
         combos = combos[mask]
     truncated = len(combos) > cap
     combos = combos[:cap]
@@ -332,17 +349,21 @@ def section_components(poset: ContextPoset) -> np.ndarray:
     """Component label of each maximal node, in ``maximal_nodes`` order.
 
     Two maximal nodes are linked when they lie above a common node with
-    more than one atom: these are the only pairs whose choices
-    :func:`enumerate_global_sections` checks against each other. So the
-    global sections are the free product of one section per component.
+    more than one atom or share an atom key: these are the only pairs whose
+    choices :func:`enumerate_global_sections` checks against each other. So
+    the global sections are the free product of one section per component.
     Labels count from 0 in order of each component's first maximal node.
     """
     maximal = poset.maximal_nodes()
     multi = [i for i, node in enumerate(poset.nodes) if len(node.atoms) > 1]
     link = poset.order[np.ix_(multi, maximal)]
+    keys = {k: t for t, k in enumerate({k for m in maximal for k in poset.atom_keys(m)})}
+    member = np.zeros((len(maximal), len(keys)), dtype=bool)  # member[a, k]: k is an atom of a
+    for a, m in enumerate(maximal):
+        member[a, [keys[k] for k in poset.atom_keys(m)]] = True
     # reach[a, b]: a and b are joined by a path of links; each squaring doubles
     # the path length covered
-    reach = (link.T @ link) | np.eye(len(maximal), dtype=bool)
+    reach = (link.T @ link) | (member @ member.T) | np.eye(len(maximal), dtype=bool)
     for _ in range(len(maximal).bit_length()):
         reach = reach @ reach
     return np.unique(reach.argmax(axis=1), return_inverse=True)[1]

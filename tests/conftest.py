@@ -115,12 +115,13 @@ def ix_dominator_map(poset, small, large):
 
 
 def pairwise_meet(registry, first, second, index, overlap, resolved):
-    """Reference meet of two contexts, or None when it is trivial: one pair at a time.
+    """Reference meet of two contexts, or None when it is trivial or carries no constraint.
 
-    The blocks are the connected components of the overlap graph; each
-    multi-atom block's first-side sum is registered and its second-side sum
-    looked up, one ``register`` or ``find`` at a time, memoised in
-    ``resolved`` by atom keys.
+    The blocks are the connected components of the overlap graph. A meet
+    whose blocks are all, but at most one, a single atom that both contexts
+    hold is None. Otherwise each multi-atom block's first-side sum is
+    registered and its second-side sum looked up, one ``register`` or
+    ``find`` at a time, memoised in ``resolved`` by atom keys.
     """
     rows = [index[k] for k in first.atoms]
     cols = [index[k] for k in second.atoms]
@@ -133,6 +134,14 @@ def pairwise_meet(registry, first, second, index, overlap, resolved):
     if len(blocks) == 1:
         return None
     other = label[sub.argmax(axis=0)]
+    constraining = 0
+    for b in blocks:
+        mine = [first.atoms[t] for t in np.flatnonzero(label == b)]
+        theirs = [second.atoms[t] for t in np.flatnonzero(other == b)]
+        if not (len(mine) == len(theirs) == 1 and mine == theirs):
+            constraining += 1
+    if constraining <= 1:
+        return None
     keys = []
     for b in blocks:
         key = block_key(registry, first.atoms, label == b, registry.register, resolved)
@@ -340,6 +349,39 @@ def pauli_subset_catalog(registry, bases, jitter=0.0, seed=0):
     return catalog
 
 
+def peres24_subset_catalog(registry, tetrads, seed=None):
+    """The listed tetrads of Peres' 24 rays in d4, all turned by one random unitary when
+    ``seed`` is given.
+
+    The rays are the unit vectors, the 12 with two entries +-1 and the 8
+    (1, +-1, +-1, +-1); the 24 tetrads are found by an orthogonality search.
+    """
+    rays = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    rays += [
+        tuple(1 if k == i else sign if k == j else 0 for k in range(4))
+        for i, j in itertools.combinations(range(4), 2)
+        for sign in (1, -1)
+    ]
+    rays += [(1, *signs) for signs in itertools.product((1, -1), repeat=3)]
+    gram = np.array(rays) @ np.array(rays).T
+    all_tetrads = [
+        c
+        for c in itertools.combinations(range(24), 4)
+        if all(gram[a, b] == 0 for a, b in itertools.combinations(c, 2))
+    ]
+    assert len(rays) == len(all_tetrads) == 24
+    vecs = np.array(rays, dtype=complex).T
+    vecs /= np.linalg.norm(vecs, axis=0)
+    if seed is not None:
+        vecs = random_unitary(np.random.default_rng(seed), 4) @ vecs
+    return [
+        cx.context_from_projections(
+            registry, [np.outer(vecs[:, i], vecs[:, i].conj()) for i in all_tetrads[t]]
+        )
+        for t in tetrads
+    ]
+
+
 def set_partitions(items):
     """All partitions of ``items`` into nonempty blocks."""
     if not items:
@@ -463,7 +505,9 @@ def full_table_sections(poset, cap=10**6, chunk=1 << 16):
     """Reference enumeration: the full product of maximal-node choices, filtered in chunks.
 
     Each chunk decodes its raw choice indices column by column and applies
-    every lower node's check to the whole chunk.
+    every lower node's check to the whole chunk, then, for every pair of
+    maximal nodes and every key that is an atom of both, that the two give
+    the key one value.
     """
     dom = _domination_maps(poset)
     n = len(poset)
@@ -478,6 +522,11 @@ def full_table_sections(poset, cap=10**6, chunk=1 << 16):
         ups = [m for m in maximal if i != m and poset.order[i, m]]
         if len(ups) >= 2:
             checks.append((i, ups))
+    key_checks = [
+        (pos[m1], poset.atom_keys(m1).index(key), pos[m2], poset.atom_keys(m2).index(key))
+        for m1, m2 in itertools.combinations(maximal, 2)
+        for key in sorted(set(poset.atom_keys(m1)) & set(poset.atom_keys(m2)))
+    ]
 
     rows = []
     truncated = False
@@ -494,6 +543,8 @@ def full_table_sections(poset, cap=10**6, chunk=1 << 16):
             ref = dom[(i, ups[0])][combos[:, pos[ups[0]]]]
             for m in ups[1:]:
                 mask &= dom[(i, m)][combos[:, pos[m]]] == ref
+        for t1, a1, t2, a2 in key_checks:
+            mask &= (combos[:, t1] == a1) == (combos[:, t2] == a2)
         for row in combos[mask]:
             chosen = [0] * n
             for t, m in enumerate(maximal):
@@ -534,7 +585,8 @@ def basis_poset_c3():
 
 @pytest.fixture(scope="session")
 def shared_ray_poset_c3():
-    """Two maximal contexts sharing one rank-1 projection."""
+    """Two maximal contexts sharing one rank-1 projection, and the trivial context:
+    their meet only restates the shared ray, which alone ties their weights together."""
     reg = cx.ProjectionRegistry(3)
     e = np.eye(3)
     first = cx.context_from_projections(
@@ -548,17 +600,6 @@ def shared_ray_poset_c3():
         [np.outer(e[:, 0], e[:, 0]), np.outer(v2, v2), np.outer(v3, v3)],
     )
     return cx.generate_poset([first, second], reg)
-
-
-@pytest.fixture(scope="session")
-def shared_ray_no_meet_c3(shared_ray_poset_c3):
-    """The same two contexts and the trivial one, without their meet: only
-    the shared ray itself ties the two contexts' weights together."""
-    poset = shared_ray_poset_c3
-    keep = [i for i in range(len(poset)) if not poset.generators[i].startswith("meet")]
-    return poset_from_nodes(
-        poset.registry, [poset.nodes[i] for i in keep], [poset.generators[i] for i in keep]
-    )
 
 
 @pytest.fixture(scope="session")

@@ -260,7 +260,7 @@ def test_criterion_7_presheaf_functoriality(chsh_model):
     with criterion(7, "presheaf functoriality on all bundled posets"):
         rng = np.random.default_rng(707)
         checked = 0
-        for name in ("demo-c3", "ks18-c4", "mub-c3"):
+        for name in ("demo-c3", "ks18-c4", "mub-c3", "mermin-c8", "pauli-c4"):
             poset = cx.build_single_poset(cx.parse_scenario(bundled_text(name)))
             for i, j, k in strict_chains3(poset.order):
                 count = len(poset.nodes[k].atoms)

@@ -311,6 +311,18 @@ class TestFactorisability:
         with pytest.raises(ValueError, match="too large"):
             cx.factorisability_lp(chsh_model.section, chsh_model.analysis_contexts, cap=4)
 
+    def test_cap_counts_lp_columns(self, mub3_pair):
+        # four qutrit MUBs per side: 81 x 81 = 6561 strategies, but four free groups
+        # of 3 give 81 x 12 = 972 LP columns, within a cap of 1000
+        s = cx.section_from_bipartite_state(mub3_pair, np.eye(9) / 9)
+        res = cx.factorisability_lp(s, cap=1000)
+        assert res.factorisable
+        assert res.n_strategies == 6561
+        with pytest.raises(ValueError, match="too large"):
+            cx.factorisability_lp(s, cap=971)
+        with pytest.raises(ValueError, match="too large"):
+            deterministic_strategies(mub3_pair, cap=1000)
+
     def test_no_contexts_rejected(self, chsh_model):
         with pytest.raises(ValueError, match="no analysis context has a table"):
             cx.factorisability_lp(chsh_model.section, [])
@@ -655,6 +667,16 @@ class TestRightGroups:
                 owned = groups.owner == g
                 assert np.array_equal(right[rep[tuples[:, g]]][:, owned], right[full][:, owned])
 
+    def test_shared_ray_links_components_without_a_meet(self, grouped_qutrit_pair):
+        # the two bases that share a ray store no meet; the shared key alone links
+        # them, so the right factor keeps groups [5, 3] and not three free bases
+        pp = grouped_qutrit_pair[0]
+        assert pp.right.generators == ("catalog[0]", "catalog[1]", "catalog[2]", "trivial")
+        assert section_components(pp.right).tolist() == [0, 0, 1]
+        _, right = bell._local_strategies(pp, cap=10**6)
+        assert len(right) == 15
+        assert bell._right_groups(pp.right, right).sizes == [5, 3]
+
     def test_coupling_reproduces_masses(self):
         # dyadic masses with power-of-two row totals: every step is exact
         rng = np.random.default_rng(5)
@@ -828,9 +850,9 @@ class TestVerifyBellSection:
         tables[node] = CorrelationTable(node, probs)
         assert not cx.verify_bell_section(_replace_tables(s, tables))
 
-    def test_shared_pair_mismatch(self, shared_ray_no_meet_c3):
+    def test_shared_pair_mismatch(self, shared_ray_poset_c3):
         # only the shared (ray, identity) pair can expose a mismatch
-        left = shared_ray_no_meet_c3
+        left = shared_ray_poset_c3
         pp = cx.product_poset(left, cx.generate_poset([], ProjectionRegistry(2)))
         first, second = left.maximal_nodes()
         shared = set(left.atom_keys(first)) & set(left.atom_keys(second))

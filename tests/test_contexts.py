@@ -24,6 +24,7 @@ from conftest import (
     pairwise_meet_poset,
     partition_closure_poset,
     pauli_subset_catalog,
+    peres24_subset_catalog,
     random_basis_context,
     random_density,
     random_unitary,
@@ -163,25 +164,17 @@ class TestGeneratePoset:
         poset = partition_closure_poset([ctx], reg)
         assert len(poset) == bell_number(4) == 15
 
-    def test_shared_ray_contexts_share_node(self, shared_ray_poset_c3):
+    def test_shared_ray_contexts_share_a_key(self, shared_ray_poset_c3):
         poset = shared_ray_poset_c3
         e1 = np.zeros((3, 3), dtype=complex)
         e1[0, 0] = 1.0
         key = cx.opalg.canonical_key(e1)
-        holders = [
-            i
-            for i in range(len(poset))
-            if key in poset.atom_keys(i) and len(poset.nodes[i].atoms) == 2
-        ]
-        # the node {p1, 1-p1} exists and lies below both maximal contexts
-        two_atom = [
-            i for i in holders if sorted(p.rank for p in poset.atoms_of(i)) == [1, 2]
-        ]
-        assert two_atom
-        node = two_atom[0]
+        # their meet {p1, 1-p1} only restates the shared key p1, so it is not
+        # stored: both maximal contexts hold p1 as an atom, the trivial one is below
         maximal = poset.maximal_nodes()
         assert len(maximal) == 2
-        assert all(poset.leq(node, m) for m in maximal)
+        assert all(key in poset.atom_keys(m) for m in maximal)
+        assert poset.generators == ("catalog[0]", "catalog[1]", "trivial")
 
     def test_empty_catalog(self):
         reg = cx.ProjectionRegistry(3)
@@ -300,6 +293,23 @@ class TestDominanceDifferential:
         check_dominance_table(poset.registry, poset.nodes)
 
 
+def padded_pauli_catalog(picks):
+    """Catalog builder: the first k rays of each listed pauli-c4 basis b, padded with
+    their complement, for each (b, k) in ``picks``."""
+    sc = cx.parse_scenario(bundled_text("pauli-c4"))
+
+    def build_catalog(reg):
+        catalog = []
+        for b, k in picks:
+            rays = [sc.rays["main"][i] for i in sc.contexts["main"][b][:k]]
+            mats = [np.outer(v, v.conj()) for v in rays]
+            pad = [np.eye(4) - sum(mats)][: 4 - k]
+            catalog.append(cx.context_from_projections(reg, mats + pad))
+        return catalog
+
+    return build_catalog
+
+
 def greatest_lower_bound(order: np.ndarray, i: int, j: int) -> int:
     """Oracle: the one common lower bound of i and j that lies above every other."""
     lower = np.flatnonzero(order[:, i] & order[:, j])
@@ -312,13 +322,10 @@ class TestMeetClosedDifferential:
     """The meet-closed build against the partition-closure oracle on the same catalog."""
 
     @staticmethod
-    def catalog_sections(poset, catalog) -> list[tuple[str, ...]]:
-        """Each enumerated section as the chosen atom key of every catalog context, sorted."""
-        ids = [poset.node_id(ctx) for ctx in catalog]
-        return sorted(
-            tuple(poset.nodes[i].atoms[s.assignment[i].chosen_atom] for i in ids)
-            for s in cx.enumerate_global_sections(poset)
-        )
+    def catalog_tables(poset, catalog, sections) -> list[tuple[int, ...]]:
+        """Each section as its 0/1 value on every catalog atom key, in key order, sorted."""
+        keys = sorted({k for ctx in catalog for k in ctx.atoms})
+        return sorted(tuple(s.value_table(poset)[k] for k in keys) for s in sections)
 
     def check(self, build_catalog, dim: int):
         reg, ref_reg = cx.ProjectionRegistry(dim), cx.ProjectionRegistry(dim)
@@ -329,22 +336,34 @@ class TestMeetClosedDifferential:
         # every stored node is an oracle node, ordered as in the oracle
         to_ref = [ref.node_id(node) for node in poset.nodes]
         assert np.array_equal(poset.order, ref.order[np.ix_(to_ref, to_ref)])
-        # each pair's greatest lower bound in the oracle is stored, and each
-        # stored meet is the greatest lower bound of its two catalog contexts
+        # each pair's greatest lower bound in the oracle is stored unless all its
+        # atoms but one are atoms of both contexts, and each stored meet is the
+        # greatest lower bound of its two catalog contexts and is not of that kind
         ref_ids = [ref.node_id(ctx) for ctx in ref_catalog]
+
+        def restates_shared_keys(i, j):
+            glb = ref.nodes[greatest_lower_bound(ref.order, ref_ids[i], ref_ids[j])]
+            shared = set(ref_catalog[i].atoms) & set(ref_catalog[j].atoms)
+            return len(set(glb.atoms) - shared) <= 1
+
         for i, j in itertools.combinations(range(len(catalog)), 2):
-            poset.node_id(ref.nodes[greatest_lower_bound(ref.order, ref_ids[i], ref_ids[j])])
+            if not restates_shared_keys(i, j):
+                poset.node_id(ref.nodes[greatest_lower_bound(ref.order, ref_ids[i], ref_ids[j])])
         for k, origin in enumerate(poset.generators):
             found = re.fullmatch(r"meet of catalog\[(\d+)\] and catalog\[(\d+)\]", origin)
             if found:
-                i, j = (ref_ids[int(t)] for t in found.groups())
-                assert to_ref[k] == greatest_lower_bound(ref.order, i, j)
+                i, j = (int(t) for t in found.groups())
+                assert to_ref[k] == greatest_lower_bound(ref.order, ref_ids[i], ref_ids[j])
+                assert not restates_shared_keys(i, j)
 
-        assert cx.find_global_section(poset).verdict == cx.find_global_section(ref).verdict
-        got = self.catalog_sections(poset, catalog)
-        want = self.catalog_sections(ref, ref_catalog)
+        cert = cx.find_global_section(poset)
+        assert cert.verdict == cx.find_global_section(ref).verdict
+        got = self.catalog_tables(poset, catalog, cx.enumerate_global_sections(poset))
+        want = self.catalog_tables(ref, ref_catalog, cx.enumerate_global_sections(ref))
         assert len(got) == len(want)
         assert got == want
+        if cert.section is not None:
+            assert self.catalog_tables(poset, catalog, [cert.section])[0] in want
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(3, 5), st.integers(1, 3))
@@ -356,11 +375,37 @@ class TestMeetClosedDifferential:
     def test_ks18_subsets(self, bases):
         self.check(lambda reg: ks18_subset_catalog(reg, bases), 4)
 
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.lists(st.integers(0, 23), min_size=2, max_size=5, unique=True),
+        st.one_of(st.none(), st.integers(0, 2**31 - 1)),
+    )
+    def test_peres24_subsets_and_rotations(self, tetrads, seed):
+        self.check(lambda reg: peres24_subset_catalog(reg, tetrads, seed), 4)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 14), st.integers(1, 4)), min_size=2, max_size=4))
+    def test_padded_pauli_contexts(self, picks):
+        # shared atoms of rank above one, and catalog contexts below others
+        self.check(padded_pauli_catalog(picks), 4)
+
+    def test_full_peres24(self):
+        self.check(lambda reg: peres24_subset_catalog(reg, range(24)), 4)
+        reg = cx.ProjectionRegistry(4)
+        poset = cx.generate_poset(peres24_subset_catalog(reg, range(24)), reg)
+        assert cx.find_global_section(poset).nodes_expanded == 26
+        # 24 tetrads, 9 meets of two rank-2 blocks, the trivial context
+        assert (len(poset), len(reg.keys())) == (34, 43)
+
     def test_block_joined_along_an_overlap_path(self):
-        # no atom of the second basis overlaps both e0 and e3, yet e0..e3 are one block
-        e, s = np.eye(5), np.sqrt(0.5)
+        # no atom of the second basis overlaps both e0 and e3, yet e0..e3 are one
+        # block; e4 and e5 are turned into a second block, so the meet is stored
+        e, s = np.eye(6), np.sqrt(0.5)
         u, w = s * (e[1] + e[2]), s * (e[1] - e[2])
-        second = [s * (e[0] + u), s * (e[0] - u), s * (w + e[3]), s * (w - e[3]), e[4]]
+        second = [
+            s * (e[0] + u), s * (e[0] - u), s * (w + e[3]), s * (w - e[3]),
+            s * (e[4] + e[5]), s * (e[4] - e[5]),
+        ]
 
         def build_catalog(reg):
             return [
@@ -368,17 +413,21 @@ class TestMeetClosedDifferential:
                 for basis in (e, second)
             ]
 
-        self.check(build_catalog, 5)
-        reg = cx.ProjectionRegistry(5)
+        self.check(build_catalog, 6)
+        reg = cx.ProjectionRegistry(6)
         poset = cx.generate_poset(build_catalog(reg), reg)
         assert poset.generators[2] == "meet of catalog[0] and catalog[1]"
-        assert sorted(p.rank for p in poset.atoms_of(2)) == [1, 4]
+        assert sorted(p.rank for p in poset.atoms_of(2)) == [2, 4]
 
     def test_small_overlap_joins_a_block(self):
         # a basis rotated by 1e-4 in the (0, 1) plane: tr(e0 b1) = sin^2 = 1e-8, a
-        # real overlap, so the meet is {e0 + e1, e2} and not a split of e0 from b0
-        e, t = np.eye(3), 1e-4
-        rotated = [np.cos(t) * e[0] + np.sin(t) * e[1], np.cos(t) * e[1] - np.sin(t) * e[0], e[2]]
+        # real overlap, so the meet is {e0 + e1, e2 + e3} and not a split of e0
+        # from b0; the (2, 3) plane is turned by pi/4 so that the meet is stored
+        e, t, s = np.eye(4), 1e-4, np.sqrt(0.5)
+        rotated = [
+            np.cos(t) * e[0] + np.sin(t) * e[1], np.cos(t) * e[1] - np.sin(t) * e[0],
+            s * (e[2] + e[3]), s * (e[2] - e[3]),
+        ]
 
         def build_catalog(reg):
             return [
@@ -386,11 +435,32 @@ class TestMeetClosedDifferential:
                 for basis in (e, rotated)
             ]
 
-        self.check(build_catalog, 3)
-        reg = cx.ProjectionRegistry(3)
+        self.check(build_catalog, 4)
+        reg = cx.ProjectionRegistry(4)
         poset = cx.generate_poset(build_catalog(reg), reg)
         assert poset.generators[2] == "meet of catalog[0] and catalog[1]"
-        assert sorted(p.rank for p in poset.atoms_of(2)) == [1, 2]
+        assert sorted(p.rank for p in poset.atoms_of(2)) == [2, 2]
+
+    @pytest.mark.parametrize("shared", [1, 2, 3])
+    def test_shared_atoms_and_their_complement_not_stored(self, shared):
+        # two d5 bases that share their first `shared` rays and differ on the rest:
+        # the meet is those rays and their complement, so only the key table
+        # constrains the pair; 3 shared rays leave a 2-dim complement, 2 a 3-dim one
+        e, u = np.eye(5), random_unitary(np.random.default_rng(shared), 5 - shared)
+        second = np.column_stack([e[:, :shared], e[:, shared:] @ u])
+
+        def build_catalog(reg):
+            return [
+                cx.context_from_projections(
+                    reg, [np.outer(v, v.conj()) for v in basis.T]
+                )
+                for basis in (e, second)
+            ]
+
+        self.check(build_catalog, 5)
+        reg = cx.ProjectionRegistry(5)
+        poset = cx.generate_poset(build_catalog(reg), reg)
+        assert poset.generators == ("catalog[0]", "catalog[1]", "trivial")
 
     def test_mub_c3_state_reconstruction(self, mub_poset_c3, mub_closure_poset_c3):
         rho = random_density(np.random.default_rng(11), 3)
@@ -471,20 +541,8 @@ class TestBatchedBuildDifferential:
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 14), st.integers(1, 4)), min_size=2, max_size=5))
     def test_padded_pauli_contexts(self, picks):
-        # the first 1-4 rays of pauli-c4 bases, each padded with its complement:
         # contexts of unequal width, with atoms of rank above one
-        sc = cx.parse_scenario(bundled_text("pauli-c4"))
-
-        def build_catalog(reg):
-            catalog = []
-            for b, k in picks:
-                rays = [sc.rays["main"][i] for i in sc.contexts["main"][b][:k]]
-                mats = [np.outer(v, v.conj()) for v in rays]
-                pad = [np.eye(4) - sum(mats)][: 4 - k]
-                catalog.append(cx.context_from_projections(reg, mats + pad))
-            return catalog
-
-        self.check(build_catalog, 4)
+        self.check(padded_pauli_catalog(picks), 4)
 
     def test_full_pauli_c4(self):
         self.check(lambda reg: pauli_subset_catalog(reg, range(15)), 4)

@@ -137,8 +137,8 @@ class TestVerifyProbSection:
         assert cx.verify_prob_section(poset, s)
         assert not cx.verify_prob_section(poset, _edited(s, 1, [0.3 + 1e-3, 0.7 - 1e-3]))
 
-    def test_shared_key_mismatch(self, shared_ray_no_meet_c3):
-        poset = shared_ray_no_meet_c3
+    def test_shared_key_mismatch(self, shared_ray_poset_c3):
+        poset = shared_ray_poset_c3
         first, second = poset.maximal_nodes()
         rng = np.random.default_rng(8)
         s = cx.section_from_state(poset, random_density(rng, 3))

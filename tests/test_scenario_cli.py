@@ -329,6 +329,19 @@ class TestMain:
         assert report["verdict"] == "non_colorable"
         assert report["poset"]["nodes"] == 16  # 5 lines, 10 pairwise meets, the trivial context
 
+    def test_ks18_enumerates_no_section(self, capsys):
+        # ks18-c4 stores none of its meets, so only the shared-key masks keep
+        # its 4^9 choice tuples from counting as sections
+        assert main(["ks-enumerate", "--scenario", "builtin:ks18-c4"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert (report["verdict"], report["count"], report["sections"]) == ("non_colorable", 0, [])
+
+    def test_ks18_check_stores_bases_and_trivial_context(self, capsys):
+        assert main(["ks-check", "--scenario", "builtin:ks18-c4"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["poset"] == {"nodes": 10, "projections": 19}
+        assert report["stats"]["nodes_expanded"] == 44
+
     def test_mermin_star_rays_are_line_eigenvectors(self):
         # independent of the catalog builder: each context's rays are orthogonal
         # eigenvectors of the four Pauli observables on its line

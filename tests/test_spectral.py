@@ -25,6 +25,7 @@ from conftest import (
     full_table_sections,
     ks18_subset_poset,
     partition_closure_poset,
+    peres24_subset_catalog,
     random_basis_context,
     shared_ray_catalog_poset,
     strict_chains3,
@@ -460,3 +461,29 @@ class TestEnumerationDifferential:
         got = cx.enumerate_global_sections(poset)
         assert [s.assignment for s in got] == [s.assignment for s in full_table_sections(poset)]
         assert len(got) == count
+
+
+
+def loop_sharing_order(poset, node_ids):
+    """Reference branching order: every node's key set against every other node's."""
+    keysets = {i: set(poset.atom_keys(i)) for i in range(len(poset))}
+    degree = {
+        i: sum(1 for j in range(len(poset)) if j != i and keysets[i] & keysets[j])
+        for i in node_ids
+    }
+    return sorted(node_ids, key=lambda i: (-degree[i], i))
+
+
+@pytest.mark.parametrize("name", ["ks18-c4", "mermin-c8", "pauli-c4", "mub-c3", "peres24"])
+def test_sharing_order_matches_pairwise_loop(name):
+    if name == "peres24":
+        reg = ProjectionRegistry(4)
+        poset = cx.generate_poset(peres24_subset_catalog(reg, range(24)), reg)
+    else:
+        poset = cx.build_single_poset(cx.parse_scenario(bundled_text(name)))
+    occurrences = {}
+    for i in range(len(poset)):
+        for idx, key in enumerate(poset.atom_keys(i)):
+            occurrences.setdefault(key, []).append((i, idx))
+    for ids in (poset.maximal_nodes(), list(range(len(poset)))):
+        assert spectral._sharing_order(poset, ids, occurrences) == loop_sharing_order(poset, ids)
