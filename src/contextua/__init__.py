@@ -87,8 +87,11 @@ from .wigner import (
     apply_symmetry,
     compose,
     conjugate_poset,
+    conjugate_posets,
     jordan_check,
+    jordan_checks,
     symmetry,
     transition_probability_deviation,
+    transition_probability_deviations,
     trivial_presheaf_automorphism,
 )

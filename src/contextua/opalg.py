@@ -80,7 +80,7 @@ def as_operator(m) -> np.ndarray:
 def max_norm(m) -> float:
     """Max-entry absolute norm, the equality yardstick used throughout."""
     arr = np.asarray(m)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 def is_projection(m, tol: float = TOL.exact) -> bool:

@@ -5,9 +5,13 @@ order automorphisms of generated posets; both kinds preserve the Jordan
 product, and the sign picked up by commutators separates them. That sign
 is the operational time orientation.
 
-A poset is conjugated once per distinct atom key, as one stacked product;
-the images are checked as projections and identified by the registry in
-one batch. The Jordan and transition checks likewise run on stacked samples.
+Several symmetries act on a poset at once: its distinct atom keys are
+conjugated under every op as one (ops, keys, d, d) stacked product, the
+images are checked as projections in one pass and identified by the
+registry in one batch; only an op whose images leave the poset gets its own
+rebuilt image poset. The Jordan and transition checks likewise run on all
+ops' samples in one stacked pass. Each single-op function is the batch of
+one, and a batch raises what one call per op would, in op order.
 """
 
 from __future__ import annotations
@@ -76,6 +80,23 @@ def _adjoint(arr: np.ndarray) -> np.ndarray:
     return arr.conj().swapaxes(-1, -2)
 
 
+def _apply_each(ops: Sequence[SymmetryOp], x) -> np.ndarray:
+    """:func:`apply_symmetry` of ``ops[k]`` on ``x[k]`` for every k, as one stacked product.
+
+    ``x`` has the op axis first, then any stack axes, then the operator
+    axes; an op axis of length 1 is shared by every op.
+    """
+    arr = np.asarray(x, dtype=complex)
+    anti = [s.kind == "antiunitary" for s in ops]
+    if all(anti):
+        arr = arr.conj()
+    elif any(anti):
+        arr = np.where(np.reshape(anti, (-1,) + (1,) * (arr.ndim - 1)), arr.conj(), arr)
+    u = np.array([s.matrix for s in ops])
+    u = u.reshape(len(ops), *(1,) * (arr.ndim - 3), *u.shape[1:])
+    return u @ arr @ _adjoint(u)
+
+
 def compose(s2: SymmetryOp, s1: SymmetryOp) -> SymmetryOp:
     """The symmetry acting as s1 first, then s2."""
     u1, u2 = s1.matrix, s2.matrix
@@ -98,35 +119,86 @@ class PosetMap:
 
 
 def conjugate_poset(poset: ContextPoset, s: SymmetryOp) -> tuple[ContextPoset, PosetMap]:
-    """Image of a poset under a symmetry, with the induced node bijection.
+    """:func:`conjugate_posets` of ``s`` alone."""
+    return conjugate_posets(poset, [s])[0]
 
-    When the poset's registry identifies every image atom and every image
-    context is a node, the map lands there (a genuine automorphism, possibly
-    a nontrivial permutation); otherwise a fresh image poset is built with
-    nodes in matching order, its order computed from the image atoms.
+
+def conjugate_posets(
+    poset: ContextPoset, ops: Sequence[SymmetryOp]
+) -> list[tuple[ContextPoset, PosetMap]]:
+    """Image of a poset under each symmetry, with the induced node bijection.
+
+    When the poset's registry identifies every image atom of an op and every
+    image context is a node, the op's map lands there (a genuine
+    automorphism, possibly a nontrivial permutation); otherwise the op gets
+    a fresh image poset with nodes in matching order, its order computed
+    from the image atoms. Each distinct atom key is conjugated under every
+    op in one stacked product, the images are checked in one pass and
+    identified in one registry batch. Errors are those of one call per op,
+    in op order.
     """
+    if not ops:
+        return []
     sources = list(dict.fromkeys(k for node in poset.nodes for k in node.atoms))
     slot = {k: t for t, k in enumerate(sources)}
     stack = np.array([poset.registry.get(k).matrix for k in sources])
-    images = apply_symmetry(s, stack)
-    ranks = _projection_ranks(images)
-    images.flags.writeable = False
-    mapped = [Projection(m, r) for m, r in zip(images, ranks)]
+    images = _apply_each(ops, stack[None])
+    flat = images.reshape(-1, poset.dim, poset.dim)
+    try:
+        ranks = _projection_ranks(flat)
+    except ValueError:
+        # the first failing op raises, after the ops before it, as one call per op would
+        for k, block in enumerate(images):
+            try:
+                _projection_ranks(block)
+            except ValueError:
+                conjugate_posets(poset, ops[:k])
+                raise
+    flat.flags.writeable = False
+    m = len(sources)
+    projs = [Projection(a, r) for a, r in zip(flat, ranks)]
+    mapped = [projs[k * m : (k + 1) * m] for k in range(len(ops))]
+    found = _find_per_op(poset.registry, mapped)
 
     def image_nodes(keys: list[str]) -> list[Context]:
         return [Context(poset.dim, tuple(keys[slot[k]] for k in node.atoms)) for node in poset.nodes]
 
-    try:  # an image atom or context that is not in the poset means a rebuild
-        found = poset.registry.find_many(mapped)
-        if None not in found:
-            return poset, PosetMap(tuple(poset.node_id(c) for c in image_nodes(found)))
-    except (KeyError, CanonicalizationError):
-        pass
+    out = []
+    for k, keys in enumerate(found):
+        if keys is not None and None not in keys:
+            try:  # an image context that is not a node means a rebuild
+                out.append((poset, PosetMap(tuple(poset.node_id(c) for c in image_nodes(keys)))))
+                continue
+            except KeyError:
+                pass
+        registry = ProjectionRegistry(poset.dim, poset.registry.tol)
+        nodes = image_nodes(registry.register_many(mapped[k]))
+        image = poset_from_nodes(registry, nodes, [f"conjugate({g})" for g in poset.generators])
+        out.append((image, PosetMap(tuple(range(len(nodes))))))
+    return out
 
-    registry = ProjectionRegistry(poset.dim, poset.registry.tol)
-    nodes = image_nodes(registry.register_many(mapped))
-    image = poset_from_nodes(registry, nodes, [f"conjugate({g})" for g in poset.generators])
-    return image, PosetMap(tuple(range(len(nodes))))
+
+def _find_per_op(
+    registry: ProjectionRegistry, mapped: list[list[Projection]]
+) -> list[list[str | None] | None]:
+    """Registry keys of each op's images, equally many per op, from one ``find_many``.
+
+    An op whose images raise a :class:`CanonicalizationError` gets None, and
+    the batch is asked again without it, so only that op is rebuilt.
+    """
+    m = len(mapped[0])
+    live = list(range(len(mapped)))
+    found: list[list[str | None] | None] = [None] * len(mapped)
+    while live:
+        try:
+            keys = registry.find_many([p for k in live for p in mapped[k]])
+        except CanonicalizationError as exc:
+            del live[exc.index // m]
+            continue
+        for t, k in enumerate(live):
+            found[k] = keys[t * m : (t + 1) * m]
+        break
+    return found
 
 
 def _projection_ranks(images: np.ndarray) -> list[int]:
@@ -190,54 +262,78 @@ class JordanReport:
 
 
 def jordan_check(s: SymmetryOp, samples: Sequence[tuple]) -> JordanReport:
-    """Verify Jordan-product preservation and read off the commutator sign.
+    """:func:`jordan_checks` of ``s`` alone."""
+    return jordan_checks([s], [samples])[0]
 
-    For each self-adjoint pair (a, b): the action must satisfy
+
+def jordan_checks(
+    ops: Sequence[SymmetryOp], samples: Sequence[Sequence[tuple]]
+) -> list[JordanReport]:
+    """Verify Jordan-product preservation and read off the commutator sign, per symmetry.
+
+    ``samples[k]`` holds op k's self-adjoint pairs (a, b), the same number
+    for every op. For each pair the action must satisfy
     phi(a.b) = phi(a).phi(b); the linear lift satisfies
     phi([a,b]) = sign * [phi(a), phi(b)] with sign +1 for unitaries and -1
     for antiunitaries. Pairs with [a, b] = 0 carry no sign information.
-    All pairs are checked in one stacked pass.
+    All ops' pairs are checked in one stacked pass.
     """
-    d = s.matrix.shape[0]
-    pairs = np.asarray(samples, dtype=complex).reshape(len(samples), 2, d, d)
-    a, b = pairs[:, 0], pairs[:, 1]
+    if not ops:
+        return []
+    d = ops[0].matrix.shape[0]
+    pairs = np.asarray(samples, dtype=complex).reshape(len(ops), -1, 2, d, d)
+    a, b = pairs[:, :, 0], pairs[:, :, 1]
     # a NaN distance passes the self-adjointness test; the entries are then
-    # rejected as not finite, so the first failing pair decides which error
-    skew = (np.abs(pairs - _adjoint(pairs)).max(axis=(2, 3)) > TOL.exact).any(axis=1)
-    bad = np.flatnonzero(skew | ~np.isfinite(pairs).all(axis=(1, 2, 3)))
+    # rejected as not finite, so the first failing pair in op order decides which error
+    skew = (np.abs(pairs - _adjoint(pairs)).max(axis=(3, 4)) > TOL.exact).any(axis=2).ravel()
+    bad = np.flatnonzero(skew | ~np.isfinite(pairs).all(axis=(2, 3, 4)).ravel())
     if bad.size:
         if skew[bad[0]]:
             raise ValueError("jordan_check requires self-adjoint samples")
         raise ValueError("operator entries must be finite")
-    fa = apply_symmetry(s, a)
-    fb = apply_symmetry(s, b)
-    res = _max_norms(apply_symmetry(s, 0.5 * (a @ b + b @ a)) - 0.5 * (fa @ fb + fb @ fa))
+    fa = _apply_each(ops, a)
+    fb = _apply_each(ops, b)
+    res = _max_norms(_apply_each(ops, 0.5 * (a @ b + b @ a)) - 0.5 * (fa @ fb + fb @ fa))
     comm = a @ b - b @ a
     scale = _max_norms(comm)
-    lifted = jordan_lift(s, comm)
+    adj = _adjoint(comm)  # the linear lift acts through the self-adjoint parts (jordan_lift)
+    lifted = _apply_each(ops, 0.5 * (comm + adj)) + 1j * _apply_each(ops, (comm - adj) / 2j)
     image_comm = fa @ fb - fb @ fa
     bound = TOL.conjugation * np.maximum(1.0, scale)
-    signs: list[int | None] = [
-        None if sc <= TOL.exact else 1 if plus <= bd else -1 if minus <= bd else 0
-        for sc, bd, plus, minus in zip(
-            scale, bound, _max_norms(lifted - image_comm), _max_norms(lifted + image_comm)
-        )
-    ]
-    determined = {x for x in signs if x is not None}
-    overall = determined.pop() if len(determined) == 1 else None
-    return JordanReport(float(res.max(initial=0.0)), signs, overall, signs.count(None))
+    plus, minus = _max_norms(lifted - image_comm), _max_norms(lifted + image_comm)
+    reports = []
+    for k in range(len(ops)):
+        signs: list[int | None] = [
+            None if sc <= TOL.exact else 1 if p <= bd else -1 if q <= bd else 0
+            for sc, bd, p, q in zip(scale[k], bound[k], plus[k], minus[k])
+        ]
+        determined = {x for x in signs if x is not None}
+        overall = determined.pop() if len(determined) == 1 else None
+        worst = float(res[k].max(initial=0.0))
+        reports.append(JordanReport(worst, signs, overall, signs.count(None)))
+    return reports
 
 
 def transition_probability_deviation(s: SymmetryOp, rays: Sequence) -> float:
-    """Largest |tr(phi(p)phi(q)) - tr(pq)| over the given rank-1 pairs."""
-    d = s.matrix.shape[0]
+    """:func:`transition_probability_deviations` of ``s`` alone."""
+    return transition_probability_deviations([s], rays)[0]
+
+
+def transition_probability_deviations(ops: Sequence[SymmetryOp], rays: Sequence) -> list[float]:
+    """Largest |tr(phi(p)phi(q)) - tr(pq)| over the given rank-1 pairs, per symmetry phi.
+
+    The rays' images under every op are formed in one stacked product.
+    """
+    if not ops:
+        return []
+    d = ops[0].matrix.shape[0]
     mats = np.array([getattr(p, "matrix", p) for p in rays], dtype=complex).reshape(len(rays), d, d)
-    images = apply_symmetry(s, mats)
+    images = _apply_each(ops, mats[None])
     before = np.einsum("aij,bji->ab", mats, mats).real
-    after = np.einsum("aij,bji->ab", images, images).real
-    return float(np.abs(after - before).max(initial=0.0))
+    after = np.einsum("naij,nbji->nab", images, images).real
+    return [float(x) for x in np.abs(after - before).max(axis=(1, 2), initial=0.0)]
 
 
 def _max_norms(stack: np.ndarray) -> np.ndarray:
     """Max-entry norm of each operator of a stack."""
-    return np.abs(stack).max(axis=(1, 2), initial=0.0)
+    return np.abs(stack).max(axis=(-2, -1), initial=0.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contextua as cx
-from contextua.opalg import TOL, max_norm
+from contextua import cli
+from contextua.catalogs import bundled_text
+from contextua.opalg import TOL, CanonicalizationError, max_norm
 from contextua.wigner import (
     PosetMap,
     _projection_ranks,
@@ -66,14 +69,50 @@ IMAGE_FAULTS = {
 }
 
 
-def assert_same_conjugation(poset, s):
-    image, pmap = cx.conjugate_poset(poset, s)
+def assert_same_conjugation(poset, s, conjugated=None):
+    """``conjugated`` (by default ``conjugate_poset(poset, s)``) equals the loop reference."""
+    image, pmap = conjugated or cx.conjugate_poset(poset, s)
     ref, ref_map = loop_conjugate_poset(poset, s)
     assert (image is poset) == (ref is poset)
     assert pmap.node_map == ref_map.node_map
     assert [node.atoms for node in image.nodes] == [node.atoms for node in ref.nodes]
     assert np.array_equal(image.order, ref.order)
     return image
+
+
+@functools.cache
+def bundled_poset(name):
+    return cx.build_single_poset(cx.parse_scenario(bundled_text(name)))
+
+
+PAULIS = (np.eye(2), PAULI_X, np.array([[0, -1j], [1j, 0]]), PAULI_Z)
+
+
+def pauli_string(word, kind):
+    return cx.symmetry(kind, functools.reduce(np.kron, [PAULIS[i] for i in word], np.eye(1)))
+
+
+@st.composite
+def op_mixes(draw, dim):
+    """One to six symmetries of either kind, each Haar-random or Clifford.
+
+    The Clifford ones are Pauli strings in dimension 2^n and Weyl-Clifford
+    maps otherwise; they keep mub-c3, demo-c3 and mermin-c8, and some of them
+    keep ks18-c4, so their images resolve in place, where Haar images rebuild.
+    """
+    ops = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["unitary", "antiunitary"]))
+        if draw(st.booleans()):
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            ops.append(cx.symmetry(kind, random_unitary(rng, dim)))
+        elif dim & (dim - 1) == 0:
+            n = dim.bit_length() - 1
+            ops.append(pauli_string(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), kind))
+        else:
+            a, b = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+            ops.append(weyl_clifford(dim, a, b, kind))
+    return ops
 
 
 class TestSymmetryOp:
@@ -186,6 +225,86 @@ class TestConjugationDifferential:
         assert _projection_ranks(np.array(good, dtype=complex)) == [1, 1]
 
 
+def near_identity(dim, t, seed):
+    """exp(i t h) for a seeded Hermitian h: moves every atom by about t."""
+    w, v = np.linalg.eigh(random_hermitian(np.random.default_rng(seed), dim))
+    return (v * np.exp(1j * t * w)) @ v.conj().T
+
+
+class TestBatchedConjugation:
+    """``conjugate_posets`` against one loop-reference conjugation per op."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), name=st.sampled_from(["demo-c3", "mub-c3", "ks18-c4", "mermin-c8"]))
+    def test_each_op_as_loop(self, data, name):
+        poset = bundled_poset(name)
+        ops = data.draw(op_mixes(poset.dim))
+        got = cx.conjugate_posets(poset, ops)
+        assert len(got) == len(ops)
+        for s, conjugated in zip(ops, got):
+            assert_same_conjugation(poset, s, conjugated)
+
+    @pytest.mark.parametrize(
+        "name,clifford",
+        [
+            ("demo-c3", weyl_clifford(3, 1, 2, "antiunitary")),
+            ("mub-c3", weyl_clifford(3, 1, 2, "antiunitary")),
+            ("ks18-c4", weyl_clifford(4, 0, 0, "antiunitary")),  # its rays are real
+            ("mermin-c8", pauli_string((1, 2, 3), "antiunitary")),
+        ],
+    )
+    def test_one_batch_resolves_and_rebuilds(self, name, clifford):
+        poset = bundled_poset(name)
+        rng = np.random.default_rng(41)
+        ops = [cx.symmetry("unitary", random_unitary(rng, poset.dim)), clifford]
+        got = cx.conjugate_posets(poset, ops + ops[::-1])
+        assert [image is poset for image, _ in got] == [False, True, True, False]
+        for s, conjugated in zip(ops + ops[::-1], got):
+            assert_same_conjugation(poset, s, conjugated)
+
+    def test_empty_batch(self, mub_poset_c3):
+        assert cx.conjugate_posets(mub_poset_c3, []) == []
+
+    def test_only_the_unresolved_op_rebuilds(self):
+        # the registry also holds a turned basis that is no node of the poset
+        registry = cx.ProjectionRegistry(3)
+        e = np.eye(3)
+        basis = cx.context_from_projections(registry, [np.outer(row, row) for row in e])
+        u = random_unitary(np.random.default_rng(3), 3)
+        registry.register_many([cx.projection_from_ray(u[:, k]) for k in range(3)])
+        poset = cx.generate_poset([basis], registry)
+        cycle = cx.symmetry("unitary", np.roll(np.eye(3), 1, axis=0))
+        turned = cx.symmetry("unitary", u)  # its image context is registered but no node
+        nudged = cx.symmetry("antiunitary", near_identity(3, 1e-7, 5))  # within the grid
+        swap = cx.symmetry("unitary", np.eye(3)[[1, 0, 2]])
+        with pytest.raises(CanonicalizationError):
+            registry.find(cx.projection(cx.apply_symmetry(nudged, np.outer(e[0], e[0])), 1e-7))
+        ops = [cycle, turned, nudged, swap]
+        got = cx.conjugate_posets(poset, ops)
+        assert [image is poset for image, _ in got] == [True, False, False, True]
+        for s, conjugated in zip(ops, got):
+            assert_same_conjugation(poset, s, conjugated)
+
+    @pytest.mark.parametrize("order", [(0,), (1,), (0, 1), (1, 0)])
+    def test_first_failing_op_raises_its_error(self, mub_poset_c3, order):
+        # bypasses symmetry()'s checks: diag(1, 1, 2) keeps e0 and e1 but maps e2 to 4 e2, so
+        # that op fails after the NaN op's first image in atom order; NaN entries are not finite
+        faulty = [
+            cx.wigner.SymmetryOp("unitary", np.diag([1.0, 1.0, 2.0]).astype(complex)),
+            cx.wigner.SymmetryOp("antiunitary", np.full((3, 3), np.nan, dtype=complex)),
+        ]
+        rng = np.random.default_rng(43)
+        ops = [weyl_clifford(3, 1, 1, "unitary")]
+        for k in order:
+            ops += [faulty[k], cx.symmetry("antiunitary", random_unitary(rng, 3))]
+        with pytest.raises(ValueError) as want:
+            for s in ops:
+                loop_conjugate_poset(mub_poset_c3, s)
+        with pytest.raises(ValueError) as got:
+            cx.conjugate_posets(mub_poset_c3, ops)
+        assert str(got.value) == str(want.value)
+
+
 class TestJordanCheck:
     def test_unitary_sign_plus(self):
         rng = np.random.default_rng(7)
@@ -284,6 +403,133 @@ class TestStackedChecksDifferential:
         rays = [cx.projection_from_ray(random_unitary(rng, dim)[:, 0]) for _ in range(n_rays)]
         got = transition_probability_deviation(s, rays)
         assert abs(got - loop_transition_deviation(s, rays)) <= 1e-12
+
+
+class TestBatchedChecksDifferential:
+    """``jordan_checks`` and ``transition_probability_deviations`` against one loop per op."""
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 5),
+        st.lists(st.sampled_from(["unitary", "antiunitary"]), min_size=1, max_size=6),
+        st.lists(st.sampled_from(["random", "commuting", "tiny"]), max_size=5),
+    )
+    def test_jordan_checks_match_loop(self, seed, dim, kinds, pair_kinds):
+        rng = np.random.default_rng(seed)
+        ops = [cx.symmetry(kind, random_unitary(rng, dim)) for kind in kinds]
+        samples = []
+        for _ in ops:
+            pairs = []
+            for pair in pair_kinds:
+                a = random_hermitian(rng, dim)
+                if pair == "commuting":
+                    pairs.append((a, a @ a))
+                else:
+                    scale = 1e-12 if pair == "tiny" else 1.0
+                    pairs.append((a, random_hermitian(rng, dim) * scale))
+            samples.append(pairs)
+        got = cx.jordan_checks(ops, samples)
+        assert len(got) == len(ops)
+        for s, pairs, rep in zip(ops, samples, got):
+            want = loop_jordan_check(s, pairs)
+            assert rep.signs == want.signs
+            assert (rep.sign, rep.n_commuting_skipped) == (want.sign, want.n_commuting_skipped)
+            assert abs(rep.max_jordan_residual - want.max_jordan_residual) <= 1e-12
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 5),
+        st.lists(st.sampled_from(["unitary", "antiunitary"]), max_size=6),
+        st.integers(0, 9),
+    )
+    def test_transition_deviations_match_loop(self, seed, dim, kinds, n_rays):
+        rng = np.random.default_rng(seed)
+        ops = [cx.symmetry(kind, random_unitary(rng, dim)) for kind in kinds]
+        rays = [cx.projection_from_ray(random_unitary(rng, dim)[:, 0]) for _ in range(n_rays)]
+        got = cx.transition_probability_deviations(ops, rays)
+        assert len(got) == len(ops)
+        for s, value in zip(ops, got):
+            assert abs(value - loop_transition_deviation(s, rays)) <= 1e-12
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_first_failing_op_raises_its_error(self, order):
+        ops = [cx.symmetry("unitary", np.eye(2)), cx.symmetry("antiunitary", np.eye(2))] * 2
+        faulty = [
+            (PAULI_X, np.array([[0, 1], [0, 0]], dtype=complex)),  # not self-adjoint
+            (PAULI_X, np.full((2, 2), np.nan, dtype=complex)),
+        ]
+        samples = [[(PAULI_Z, PAULI_X)]] + [[faulty[k]] for k in order] + [[(PAULI_Z, PAULI_X)]]
+        with pytest.raises(ValueError) as want:
+            for s, pairs in zip(ops, samples):
+                cx.jordan_check(s, pairs)
+        with pytest.raises(ValueError) as got:
+            cx.jordan_checks(ops, samples)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == (
+            "jordan_check requires self-adjoint samples" if order[0] == 0
+            else "operator entries must be finite"
+        )
+
+
+# wigner-check before its symmetries were batched: (scenario, seed) -> (max_jordan_residual,
+# max_transition_deviation); every one of these runs gives wigner_ok with exit code 0
+WIGNER_CHECK_GOLDEN = {
+    ("demo-c3", 0): (2.220446049250313e-15, 1.6653345369377348e-15),
+    ("demo-c3", 3): (2.132668787380004e-15, 1.1102230246251565e-15),
+    ("demo-c3", 7): (2.4546975114833613e-15, 1.1102230246251565e-15),
+    ("ks18-c4", 0): (3.553147333202946e-15, 1.5543122344752192e-15),
+    ("ks18-c4", 3): (2.7399406787778174e-15, 1.3322676295501878e-15),
+    ("ks18-c4", 7): (3.123581453758768e-15, 1.4432899320127035e-15),
+    ("mermin-c8", 0): (4.528839093602941e-15, 1.2212453270876722e-15),
+    ("mermin-c8", 3): (3.66205343881779e-15, 1.1102230246251565e-15),
+    ("mermin-c8", 7): (4.528839093602941e-15, 1.5543122344752192e-15),
+    ("mub-c3", 0): (2.220446049250313e-15, 1.6653345369377348e-15),
+    ("mub-c3", 3): (2.132668787380004e-15, 1.3322676295501878e-15),
+    ("mub-c3", 7): (2.4546975114833613e-15, 1.2212453270876722e-15),
+    ("pauli-c4", 0): (3.553147333202946e-15, 1.5543122344752192e-15),
+    ("pauli-c4", 3): (2.7399406787778174e-15, 1.3322676295501878e-15),
+    ("pauli-c4", 7): (3.123581453758768e-15, 1.4432899320127035e-15),
+}
+
+
+class TestWignerCheckReport:
+    @pytest.mark.parametrize("name,seed", list(WIGNER_CHECK_GOLDEN))
+    def test_same_report_as_one_op_at_a_time(self, name, seed):
+        report = cli.run("wigner-check", cx.parse_scenario(bundled_text(name)), seed=seed)
+        assert (report.verdict, report.exit_code) == ("wigner_ok", 0)
+        payload = dict(report.payload)
+        jordan, transition = WIGNER_CHECK_GOLDEN[name, seed]
+        assert abs(payload.pop("max_jordan_residual") - jordan) <= 1e-14
+        assert abs(payload.pop("max_transition_deviation") - transition) <= 1e-14
+        assert payload == {
+            "n_unitaries": 5,
+            "n_antiunitaries": 5,
+            "order_automorphisms": True,
+            "commutator_signs_separate": True,
+        }
+
+    def test_single_system_scenarios_covered(self):
+        from contextua.catalogs import bundled_names, bundled_scenario
+
+        single = {n for n in bundled_names() if bundled_scenario(n)["kind"] == "single"}
+        assert {name for name, _ in WIGNER_CHECK_GOLDEN} == single
+
+    def test_transition_sample_is_eight_distinct_rays(self, monkeypatch):
+        # ks18-c4's first eight atom slots hold only seven rays
+        seen = []
+        batched = cli.transition_probability_deviations
+
+        def recorded(ops, rays):
+            seen.append(rays)
+            return batched(ops, rays)
+
+        monkeypatch.setattr(cli, "transition_probability_deviations", recorded)
+        cli.run("wigner-check", cx.parse_scenario(bundled_text("ks18-c4")))
+        (rays,) = seen
+        assert len({id(p) for p in rays}) == len(rays) == 8
+        assert all(p.rank == 1 for p in rays)
 
 
 class TestTrivialPresheafAutomorphism:
