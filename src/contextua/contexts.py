@@ -417,14 +417,36 @@ def poset_from_nodes(
     member = np.zeros((len(nodes), len(index)))  # member[i, q]: q is an atom of node i
     for i, node in enumerate(nodes):
         member[i, [index[k] for k in node.atoms]] = 1.0
-    # covered[q, j]: rank of j's atoms under q, in row blocks so that no float
-    # copy of the whole dominance table is made; the sums are small integers, exact
-    weighted = (member * ranks).T
-    covered = np.empty((len(index), len(nodes)))
-    step = max(1, opalg.BLOCK // len(index))
-    for start in range(0, len(index), step):
-        covered[start : start + step] = under[start : start + step] @ weighted
-    order = member @ (covered != ranks[:, None]) == 0
+    (order,) = node_orders(member, ranks[None], under[None])
+    return ordered_poset(registry, nodes, generators, order, table)
+
+
+def node_orders(member: np.ndarray, ranks: np.ndarray, under: np.ndarray) -> np.ndarray:
+    """Order matrix of one node list under each of a stack of dominance tables.
+
+    ``member[i, q]`` is 1 when atom row q is an atom of node i; ``ranks[k, q]``
+    and ``under[k]`` are atom q's rank and the dominance table of stack k.
+    ``order[k, i, j]`` holds iff, for every atom q of node i, the ranks of
+    node j's atoms under q sum to rank(q).
+    """
+    # covered[k, q, j]: rank of j's atoms under q, in row blocks so that no float
+    # copy of the whole dominance tables is made; the sums are small integers, exact
+    weighted = member.T * ranks[:, :, None]
+    covered = np.empty(weighted.shape)
+    step = max(1, opalg.BLOCK // (len(under) * under.shape[2]))
+    for start in range(0, under.shape[1], step):
+        covered[:, start : start + step] = under[:, start : start + step] @ weighted
+    return member @ (covered != ranks[:, :, None]) == 0
+
+
+def ordered_poset(
+    registry: ProjectionRegistry,
+    nodes: Sequence[Context],
+    generators: Sequence[str],
+    order: np.ndarray,
+    table: tuple[dict[str, int], np.ndarray],
+) -> ContextPoset:
+    """The poset on ``nodes`` with this order and dominance table, checked antisymmetric."""
     # sanity: antisymmetry must hold because distinct key-sets are distinct algebras
     if not np.array_equal(order & order.T, np.eye(len(nodes), dtype=bool)):
         raise RuntimeError("order relation failed antisymmetry")
@@ -454,14 +476,43 @@ def _dominance_table(
     index = {k: t for t, k in enumerate(keys)}
     atoms = [registry.get(k) for k in keys]
     stack = np.array([p.matrix for p in atoms])
-    # tr(qp) >= rank p - screen, i.e. the gap is within the screen
-    floor = np.array([p.rank for p in atoms]) - _DOMINANCE_SCREEN
     q, p, gap = screened_pairs(  # rows q above, pool columns p below
-        stack, stack, lambda _, gram: gram >= floor, lambda a, b: np.abs(a @ b - b).max(axis=(1, 2))
+        stack, stack, _dominance_keep([a.rank for a in atoms]), _dominance_gaps
     )
     under = np.zeros((len(keys), len(keys)), dtype=bool)
     under[q, p] = gap <= TOL.dominance
     return index, under
+
+
+def _dominance_keep(ranks):
+    """Gram screen of the pairs (q, p) with tr(qp) >= rank p - screen, i.e. the gap is
+    within the screen (:data:`_DOMINANCE_SCREEN`), for :func:`~contextua.opalg.screened_pairs`."""
+    floor = np.asarray(ranks, dtype=float) - _DOMINANCE_SCREEN
+    return lambda _, gram: gram >= floor
+
+
+def _dominance_gaps(above: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """``|qp - p|`` for each pair of stacked atoms q above and p below, over the last two axes."""
+    return np.abs(above @ below - below).max(axis=(-2, -1))
+
+
+def isometric_tables(stack: np.ndarray, ranks, images: np.ndarray) -> np.ndarray:
+    """Dominance table ``under[k, q, p]`` of each image ``images[k]`` of an atom stack.
+
+    Each image must preserve ``Re tr(a* b)`` between the stack's atoms, as
+    unitary and antiunitary conjugation do, so the Gram screen of ``stack``
+    (whose atoms have ``ranks``) keeps every pair that can dominate in any
+    image (a conjugation's rounding is far inside the screen's margin): it
+    runs once. The max-entry test runs on every image of each
+    kept pair, as one ``(images, pairs, d, d)`` product in blocks of pairs.
+    """
+    q, p, _ = screened_pairs(stack, stack, _dominance_keep(ranks))
+    under = np.zeros((len(images), len(stack), len(stack)), dtype=bool)
+    chunk = max(1, opalg.BLOCK // (len(images) * stack[0].size))  # pairs per block
+    for c in range(0, len(q), chunk):
+        qc, pc = q[c : c + chunk], p[c : c + chunk]
+        under[:, qc, pc] = _dominance_gaps(images[:, qc], images[:, pc]) <= TOL.dominance
+    return under
 
 
 def export_dot(poset: ContextPoset) -> str:

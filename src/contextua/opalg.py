@@ -337,13 +337,14 @@ def _real_rows(a: np.ndarray) -> np.ndarray:
 
 
 def screened_pairs(
-    rows: np.ndarray, pool: np.ndarray, keep, measure
+    rows: np.ndarray, pool: np.ndarray, keep, measure=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairs ``(s, t)`` of two stacks that a Gram screen keeps, sorted, with the measure of each.
 
     ``keep(block, gram)`` marks the pairs to keep from a block of rows' :func:`real_gram`
     against ``pool``; ``measure(a, b)`` gives one value per kept pair from the stacked
-    matrices of its two sides, a chunk of pairs at a time. ``BLOCK`` bounds both.
+    matrices of its two sides, a chunk of pairs at a time. ``BLOCK`` bounds both. Without
+    ``measure`` every value is 0: the screen alone.
     """
     found = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
     if len(rows) and len(pool):
@@ -352,11 +353,29 @@ def screened_pairs(
         for start in range(0, len(rows), step):
             block = rows[start : start + step]
             s, t = np.nonzero(keep(block, real_gram(block, pool)))
+            if measure is None:
+                found.append((start + s, t, np.zeros(len(s))))
+                continue
             for c in range(0, len(s), chunk):
                 sc, tc = s[c : c + chunk], t[c : c + chunk]
                 found.append((start + sc, tc, measure(block[sc], pool[tc])))
     s, t, value = (np.concatenate(part) for part in zip(*found))
     return s, t, value
+
+
+def _identity_keep(pool: np.ndarray, reach: float):
+    """Gram screen of the pairs within max-entry distance ``reach`` of ``pool``, by their
+    squared Frobenius distance (:data:`_IDENTITY_SCREEN`), for :func:`screened_pairs`."""
+    bound = _IDENTITY_SCREEN * (pool.shape[-1] * reach) ** 2
+    pool_norms = (np.abs(pool) ** 2).sum(axis=(1, 2))
+
+    def keep(block, gram):
+        gram *= -2.0  # in place: the squared distances of a block of pairs
+        gram += (np.abs(block) ** 2).sum(axis=(1, 2))[:, None]
+        gram += pool_norms
+        return gram <= bound
+
+    return keep
 
 
 def _near_pairs(
@@ -368,16 +387,36 @@ def _near_pairs(
         dist = np.abs(pool - rows[0]).max(axis=(1, 2))
         t = np.flatnonzero(dist <= reach)
         return np.zeros(len(t), dtype=int), t, dist[t]
-    bound = _IDENTITY_SCREEN * (pool.shape[-1] * reach) ** 2
-    pool_norms = (np.abs(pool) ** 2).sum(axis=(1, 2))
-
-    def keep(block, gram):
-        gram *= -2.0  # in place: the squared distances of a block of pairs
-        gram += (np.abs(block) ** 2).sum(axis=(1, 2))[:, None]
-        gram += pool_norms
-        return gram <= bound
-
+    keep = _identity_keep(pool, reach)
     return screened_pairs(rows, pool, keep, lambda a, b: np.abs(a - b).max(axis=(1, 2)))
+
+
+def identity_screen(stack: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``s < t`` of a stack that the registry's Gram screen keeps at max-entry ``reach``.
+
+    Every pair within ``reach`` is among them. The screen reads only
+    ``Re tr(a* b)``, which unitary and antiunitary conjugation preserve, so
+    the pairs it keeps include every pair within ``reach`` of any conjugate
+    of the stack (the rounding of a conjugation is far inside the screen's
+    margin); only the max-entry distances differ, and the caller measures those.
+    """
+    s, t, _ = screened_pairs(stack, stack, _identity_keep(stack, reach))
+    upper = s < t
+    return s[upper], t[upper]
+
+
+def _collision(key: str, index: int) -> CanonicalizationError:
+    """Row ``index`` has a registered projection's canonical key but is not within tol of it."""
+    return CanonicalizationError(
+        "distinct projections collide on the canonical rounding grid", key, index
+    )
+
+
+def _too_close(key: str, other_key: str, index: int) -> CanonicalizationError:
+    """Row ``index`` (key ``key``) is closer than the grid to ``other_key``, not within tol."""
+    return CanonicalizationError(
+        f"projections {key} and {other_key} are closer than the rounding grid", other_key, index
+    )
 
 
 class ProjectionRegistry:
@@ -390,7 +429,9 @@ class ProjectionRegistry:
     depend on rounding luck. Every call decides a batch, :meth:`find` and
     :meth:`register` a batch of one: a registered canonical key decides
     without a scan, and screened scans (:func:`_near_pairs`) find the
-    registered projections that decide the other rows.
+    registered projections that decide the other rows. The rule itself is
+    :meth:`decides`; :meth:`of_distinct` holds projections that a caller has
+    measured apart under it.
     """
 
     def __init__(self, dim: int, tol: float = TOL.identity):
@@ -411,19 +452,76 @@ class ProjectionRegistry:
             p = projection(p)
         return self.register_many([p])[0]
 
-    def find_many(self, ps: Sequence[Projection]) -> list[str | None]:
+    @classmethod
+    def of_distinct(
+        cls, dim: int, tol: float, keys: Sequence[str], ps: Sequence[Projection]
+    ) -> "ProjectionRegistry":
+        """A registry holding ``ps`` under their canonical ``keys``, without a scan.
+
+        It is what :meth:`register_many` of ``ps`` gives an empty registry
+        when no two of them decide each other (:meth:`decides`) and their
+        keys are distinct. The caller has shown that, from distances it
+        measured; a repeated key raises ``ValueError``.
+        """
+        registry = cls(dim, tol)
+        registry._by_key = dict(zip(keys, ps))
+        if len(registry._by_key) != len(ps):
+            raise ValueError("of_distinct needs distinct canonical keys")
+        registry._order = list(keys)
+        registry._stack = np.array([p.matrix for p in ps], dtype=complex).reshape(-1, dim, dim)
+        return registry
+
+    @property
+    def reach(self) -> float:
+        """The largest max-entry distance at which a registered projection decides another."""
+        return max(self.tol, TOL.grid)
+
+    def decides(self, dist: np.ndarray) -> np.ndarray:
+        """Whether a registered projection at max-entry distance ``dist`` decides another:
+        within ``tol`` it is that projection (jitter across a rounding boundary), and
+        closer than the grid it rejects it."""
+        return (dist <= self.tol) | (dist < TOL.grid)
+
+    def find_many(
+        self, ps: Sequence[Projection], keys: Sequence[str] | None = None
+    ) -> list[str | None]:
         """Key of the registered projection identified with each of ``ps``, or None.
 
-        Registers nothing. Raises the :class:`CanonicalizationError` of the
-        first projection that a registered one lies closer to than the grid
-        but not within ``tol``.
+        ``keys`` are their canonical keys (:func:`canonical_keys`) when the
+        caller has them. Registers nothing. Raises the
+        :class:`CanonicalizationError` of the first projection that a
+        registered one lies closer to than the grid but not within ``tol``.
+        The rows whose canonical key is registered are decided by one stacked
+        distance to those projections, the others by a screened scan.
         """
         if not ps:
             return []
-        stack, keys = self._batch(ps)
-        scan = [t for t, key in enumerate(keys) if key not in self._by_key]
-        near = self._near(stack, scan, self._stack[: len(self._order)])
-        return [self._decide(t, k, m, near.get(t, ())) for t, (k, m) in enumerate(zip(keys, stack))]
+        stack, keys = self._batch(ps, keys)
+        held = [self._by_key.get(key) for key in keys]
+        out: list[str | None] = [None if p is None else key for p, key in zip(held, keys)]
+        known = [t for t, p in enumerate(held) if p is not None]
+        failed: tuple[int, CanonicalizationError] | None = None  # the first failing row
+        if known:
+            existing = np.array([held[t].matrix for t in known])
+            # NaN distances compare False, so a non-finite row collides as in _decide
+            far = np.flatnonzero(~(np.abs(existing - stack[known]).max(axis=(1, 2)) <= self.tol))
+            if far.size:
+                t = known[far[0]]
+                failed = t, _collision(keys[t], t)
+        scan = [t for t, p in enumerate(held) if p is None]
+        for t, hits in self._near(stack, scan, self._stack[: len(self._order)]).items():
+            if failed is not None and t > failed[0]:
+                break
+            position, dist = hits[0]  # the first registered projection that decides
+            other_key = self._order[position]
+            if dist <= self.tol:
+                out[t] = other_key
+            else:
+                failed = t, _too_close(keys[t], other_key, t)
+                break
+        if failed is not None:
+            raise failed[1]
+        return out
 
     def register_many(self, ps: Sequence[Projection]) -> list[str]:
         """Key of each of ``ps`` in turn, registering under its canonical key each that is new.
@@ -466,20 +564,21 @@ class ProjectionRegistry:
         """Per row of ``stack`` in ``scan``: each pool column that decides it, and the distance."""
         if not scan:
             return {}
-        s, t, dist = _near_pairs(stack[scan], pool, max(self.tol, TOL.grid))
-        # within tol: the projection (jitter across a rounding boundary); below the grid: rejected
-        hit = (dist <= self.tol) | (dist < TOL.grid)
+        s, t, dist = _near_pairs(stack[scan], pool, self.reach)
+        hit = self.decides(dist)
         out: dict[int, list[tuple[int, float]]] = {}
         for row, col, d in zip(s[hit].tolist(), t[hit].tolist(), dist[hit].tolist()):
             out.setdefault(scan[row], []).append((col, d))
         return out
 
-    def _batch(self, ps: Sequence[Projection]) -> tuple[np.ndarray, list[str]]:
+    def _batch(
+        self, ps: Sequence[Projection], keys: Sequence[str] | None = None
+    ) -> tuple[np.ndarray, list[str]]:
         for p in ps:
             if p.dim != self.dim:
                 raise ValueError(f"projection dim {p.dim} does not match registry dim {self.dim}")
         stack = np.array([p.matrix for p in ps], dtype=complex).reshape(-1, self.dim, self.dim)
-        return stack, canonical_keys(stack)
+        return stack, canonical_keys(stack) if keys is None else list(keys)
 
     def _add(self, key: str, p: Projection) -> None:
         n = len(self._order)
@@ -501,18 +600,12 @@ class ProjectionRegistry:
         if existing is not None:
             if max_norm(existing.matrix - m) <= self.tol:
                 return key
-            raise CanonicalizationError(
-                "distinct projections collide on the canonical rounding grid", key, index
-            )
+            raise _collision(key, index)
         for position, dist in hits:
             other_key = self._order[position]
             if dist <= self.tol:
                 return other_key
-            raise CanonicalizationError(
-                f"projections {key} and {other_key} are closer than the rounding grid",
-                other_key,
-                index,
-            )
+            raise _too_close(key, other_key, index)
         return None
 
     def get(self, key: str) -> Projection:

@@ -7,11 +7,17 @@ is the operational time orientation.
 
 Several symmetries act on a poset at once: its distinct atom keys are
 conjugated under every op as one (ops, keys, d, d) stacked product, the
-images are checked as projections in one pass and identified by the
-registry in one batch; only an op whose images leave the poset gets its own
-rebuilt image poset. The Jordan and transition checks likewise run on all
-ops' samples in one stacked pass. Each single-op function is the batch of
-one, and a batch raises what one call per op would, in op order.
+images are checked as projections in one pass, given their canonical keys
+once and identified by the poset's registry in one batch. An op whose
+images leave the poset gets an image poset of its own, but no registry scan
+or dominance-table build of its own: conjugation preserves Re tr(a* b),
+for antiunitaries too, so the Gram screens of the source atoms, computed
+once, are every image's screens. The entrywise tests still run on the
+images of the pairs the screens keep: the registry's identity rule, and
+``|phi(q)phi(p) - phi(p)| <= TOL.dominance`` for the image order, for all
+such ops in one product. The Jordan and transition checks likewise run on
+all ops' samples in one stacked pass. Each single-op function is the batch
+of one, and a batch raises what one call per op would, in op order.
 """
 
 from __future__ import annotations
@@ -21,13 +27,22 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .contexts import Context, ContextPoset, poset_from_nodes
+from .contexts import (
+    Context,
+    ContextPoset,
+    isometric_tables,
+    node_orders,
+    ordered_poset,
+    poset_from_nodes,
+)
 from .opalg import (
     TOL,
     CanonicalizationError,
     Projection,
     ProjectionRegistry,
     as_operator,
+    canonical_keys,
+    identity_screen,
     max_norm,
 )
 
@@ -131,19 +146,32 @@ def conjugate_posets(
     When the poset's registry identifies every image atom of an op and every
     image context is a node, the op's map lands there (a genuine
     automorphism, possibly a nontrivial permutation); otherwise the op gets
-    a fresh image poset with nodes in matching order, its order computed
-    from the image atoms. Each distinct atom key is conjugated under every
-    op in one stacked product, the images are checked in one pass and
-    identified in one registry batch. Errors are those of one call per op,
+    an image poset with nodes in matching order, its order computed from the
+    image atoms. Each distinct atom key is conjugated under every op in one
+    stacked product, the images are checked in one pass, keyed once and
+    identified in one registry batch.
+
+    The image posets rest on trace invariance: ``Re tr(phi(a)* phi(b)) =
+    Re tr(a* b)`` for a unitary or antiunitary phi, so the source atoms' Gram
+    screens keep every image pair that the registry could identify and every
+    pair that can dominate (:func:`~contextua.opalg.identity_screen`,
+    :func:`~contextua.contexts.isometric_tables`). The entrywise tests run
+    on the images of the kept pairs only: the registry rule (an image pair
+    within ``tol`` or closer than the grid), then the dominance test, for
+    all such ops at once. An op whose image pair the registry rule decides,
+    or whose images share a canonical key, is rebuilt from a fresh registry
+    and :func:`~contextua.contexts.poset_from_nodes`, so that it merges or
+    raises as one call per op would. Errors are those of one call per op,
     in op order.
     """
     if not ops:
         return []
+    dim, tol = poset.dim, poset.registry.tol
     sources = list(dict.fromkeys(k for node in poset.nodes for k in node.atoms))
     slot = {k: t for t, k in enumerate(sources)}
     stack = np.array([poset.registry.get(k).matrix for k in sources])
     images = _apply_each(ops, stack[None])
-    flat = images.reshape(-1, poset.dim, poset.dim)
+    flat = images.reshape(-1, dim, dim)
     try:
         ranks = _projection_ranks(flat)
     except ValueError:
@@ -156,47 +184,93 @@ def conjugate_posets(
                 raise
     flat.flags.writeable = False
     m = len(sources)
+    keys = canonical_keys(flat)
     projs = [Projection(a, r) for a, r in zip(flat, ranks)]
-    mapped = [projs[k * m : (k + 1) * m] for k in range(len(ops))]
-    found = _find_per_op(poset.registry, mapped)
+    atoms = [[slot[k] for k in node.atoms] for node in poset.nodes]
 
-    def image_nodes(keys: list[str]) -> list[Context]:
-        return [Context(poset.dim, tuple(keys[slot[k]] for k in node.atoms)) for node in poset.nodes]
+    def image_nodes(image_keys: Sequence[str]) -> list[Context]:
+        return [Context(dim, tuple(image_keys[t] for t in a)) for a in atoms]
 
-    out = []
-    for k, keys in enumerate(found):
-        if keys is not None and None not in keys:
-            try:  # an image context that is not a node means a rebuild
-                out.append((poset, PosetMap(tuple(poset.node_id(c) for c in image_nodes(keys)))))
-                continue
+    resolved: dict[int, PosetMap] = {}
+    for k, found in enumerate(_find_per_op(poset.registry, projs, keys, m)):
+        if found is not None and None not in found:
+            try:  # an image context that is not a node means an image poset
+                resolved[k] = PosetMap(tuple(poset.node_id(c) for c in image_nodes(found)))
             except KeyError:
                 pass
-        registry = ProjectionRegistry(poset.dim, poset.registry.tol)
-        nodes = image_nodes(registry.register_many(mapped[k]))
-        image = poset_from_nodes(registry, nodes, [f"conjugate({g})" for g in poset.generators])
-        out.append((image, PosetMap(tuple(range(len(nodes))))))
+    leaving = [k for k in range(len(ops)) if k not in resolved]
+    fresh = _distinct_images(poset.registry, stack, images, keys, leaving)
+    fast = {k: f for f, k in enumerate(fresh)}
+    if fresh:
+        source_ranks = [poset.registry.get(k).rank for k in sources]
+        under = isometric_tables(stack, source_ranks, images[fresh])
+        member = np.zeros((len(atoms), m))
+        for i, a in enumerate(atoms):
+            member[i, a] = 1.0
+        image_ranks = np.array(ranks, dtype=float).reshape(len(ops), m)[fresh]
+        orders = node_orders(member, image_ranks, under)
+    generators = [f"conjugate({g})" for g in poset.generators]
+    identity = PosetMap(tuple(range(len(atoms))))
+    out = []
+    for k in range(len(ops)):
+        if k in resolved:
+            out.append((poset, resolved[k]))
+            continue
+        mapped, image_keys = projs[k * m : (k + 1) * m], keys[k * m : (k + 1) * m]
+        if k in fast:
+            f = fast[k]
+            registry = ProjectionRegistry.of_distinct(dim, tol, image_keys, mapped)
+            table = ({key: t for t, key in enumerate(image_keys)}, under[f])
+            image = ordered_poset(registry, image_nodes(image_keys), generators, orders[f], table)
+        else:
+            registry = ProjectionRegistry(dim, tol)
+            nodes = image_nodes(registry.register_many(mapped))
+            image = poset_from_nodes(registry, nodes, generators)
+        out.append((image, identity))
     return out
 
 
+def _distinct_images(
+    registry: ProjectionRegistry,
+    stack: np.ndarray,
+    images: np.ndarray,
+    keys: list[str],
+    leaving: list[int],
+) -> list[int]:
+    """The ops of ``leaving`` whose images of ``stack`` no two decide each other by the
+    registry rule, and have distinct canonical keys: what a fresh registry holds unmerged.
+
+    Only the images of the source pairs that the identity screen keeps are
+    measured; a poset of well-separated atoms has none.
+    """
+    if not leaving:
+        return []
+    m = len(stack)
+    s, t = identity_screen(stack, registry.reach)
+    moved = images[leaving]
+    clash = registry.decides(_max_norms(moved[:, s] - moved[:, t])).any(axis=1)
+    return [k for k, c in zip(leaving, clash) if not c and len(set(keys[k * m : (k + 1) * m])) == m]
+
+
 def _find_per_op(
-    registry: ProjectionRegistry, mapped: list[list[Projection]]
+    registry: ProjectionRegistry, projs: list[Projection], keys: list[str], m: int
 ) -> list[list[str | None] | None]:
-    """Registry keys of each op's images, equally many per op, from one ``find_many``.
+    """Registry keys of each op's ``m`` images, from one ``find_many`` on their canonical ``keys``.
 
     An op whose images raise a :class:`CanonicalizationError` gets None, and
-    the batch is asked again without it, so only that op is rebuilt.
+    the batch is asked again without it, so only that op gets an image poset.
     """
-    m = len(mapped[0])
-    live = list(range(len(mapped)))
-    found: list[list[str | None] | None] = [None] * len(mapped)
+    live = list(range(len(projs) // m))
+    found: list[list[str | None] | None] = [None] * len(live)
     while live:
+        rows = [t for k in live for t in range(k * m, (k + 1) * m)]
         try:
-            keys = registry.find_many([p for k in live for p in mapped[k]])
+            hit = registry.find_many([projs[t] for t in rows], [keys[t] for t in rows])
         except CanonicalizationError as exc:
             del live[exc.index // m]
             continue
         for t, k in enumerate(live):
-            found[k] = keys[t * m : (t + 1) * m]
+            found[k] = hit[t * m : (t + 1) * m]
         break
     return found
 

@@ -20,6 +20,7 @@ from contextua.opalg import (
     Tolerances,
     _near_pairs,
     canonical_key,
+    canonical_keys,
     identity_projection,
     leq_projection,
     max_norm,
@@ -504,6 +505,73 @@ class TestRegistryBatchDifferential:
         reg = ProjectionRegistry(2)
         assert reg.register_many([p, q, p]) == [canonical_key(p.matrix)] * 3
         assert len(reg) == 1
+
+    def test_of_distinct_is_register_many_without_a_scan(self):
+        rng = np.random.default_rng(17)
+        ps = [cx.projection_from_ray(random_unitary(rng, 3)[:, 0]) for _ in range(5)]
+        keys = canonical_keys(np.array([p.matrix for p in ps]))
+        held = ProjectionRegistry.of_distinct(3, 1e-5, keys, ps)
+        reg = ProjectionRegistry(3, 1e-5)
+        assert reg.register_many(ps) == keys
+        assert list(held.items()) == list(reg.items())
+        q = cx.projection_from_ray(random_unitary(rng, 3)[:, 0])
+        assert held.register_many([q, ps[2]]) == reg.register_many([q, ps[2]])  # past its stack
+        assert held.find_many(ps[::-1]) == keys[::-1]
+        with pytest.raises(ValueError, match="distinct canonical keys"):
+            ProjectionRegistry.of_distinct(3, 1e-5, keys + keys[:1], ps + ps[:1])
+
+
+# per row of a find batch: "registered" is a registered projection itself, "new" a random
+# one, and a number moves a registered projection by that max-entry distance: within the
+# tols, between a tol and the grid (a collision on its key, or closer than the grid once
+# it rounds to another key), or far
+FIND_ROWS = ("registered", "new", 2e-13, 5e-10, 3e-8, 7.5e-7, 1e-3)
+
+
+class TestFindManyDifferential:
+    """``find_many``'s stacked decision of registered keys against the loop reference."""
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(2, 4),
+        st.integers(1, 5),
+        st.lists(st.tuples(st.sampled_from(FIND_ROWS), st.integers(0, 4)), min_size=1, max_size=12),
+        st.sampled_from([TOL.identity, 1e-7, 1e-5]),
+    )
+    def test_same_keys_or_same_first_rejection(self, seed, dim, n_registered, rows, tol):
+        rng = np.random.default_rng(seed)
+
+        def random_projection():
+            cols = random_unitary(rng, dim)[:, : rng.integers(1, dim)]
+            return cx.projection(cols @ cols.conj().T)
+
+        registered = [random_projection() for _ in range(n_registered)]
+        batch = []
+        for kind, which in rows:
+            base = registered[which % n_registered]
+            if kind == "registered":
+                batch.append(base)
+            elif kind == "new":
+                batch.append(random_projection())
+            else:
+                h = random_hermitian(rng, dim)
+                batch.append(cx.Projection(base.matrix + kind * h / max_norm(h), base.rank))
+        reg, loop = ProjectionRegistry(dim, tol), LoopScanRegistry(dim, tol)
+        reg.register_many(registered)
+        loop.register_many(registered)
+        got, message, index = outcome(lambda: reg.find_many(batch))
+        want, loop_message, loop_index = outcome(lambda: loop.find_many(batch))
+        assert (got, index) == (want, loop_index)
+        if loop_message is None:
+            assert message is None
+        elif "collision" in loop_message:  # the loop scan words its errors its own way
+            assert message == "distinct projections collide on the canonical rounding grid"
+        else:
+            key = canonical_key(batch[index].matrix)
+            assert message == f"projections {key} and {got[1]} are closer than the rounding grid"
+        keys = canonical_keys(np.array([q.matrix for q in batch]))
+        assert outcome(lambda: reg.find_many(batch, keys)) == (got, message, index)
 
 
 class TestNearPairsDifferential:

@@ -7,11 +7,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import contextua as cx
-from contextua import cli
+from contextua import cli, contexts, wigner
 from contextua.catalogs import bundled_text
 from contextua.opalg import TOL, CanonicalizationError, max_norm
 from contextua.wigner import (
@@ -26,8 +26,10 @@ from conftest import (
     loop_image_check,
     loop_jordan_check,
     loop_transition_deviation,
+    pauli_subset_catalog,
     random_hermitian,
     random_unitary,
+    shared_ray_catalog_poset,
 )
 
 
@@ -70,19 +72,74 @@ IMAGE_FAULTS = {
 
 
 def assert_same_conjugation(poset, s, conjugated=None):
-    """``conjugated`` (by default ``conjugate_poset(poset, s)``) equals the loop reference."""
+    """``conjugated`` (by default ``conjugate_poset(poset, s)``) equals the loop reference:
+    nodes, order, every dominator map and every image atom's rank and matrix."""
     image, pmap = conjugated or cx.conjugate_poset(poset, s)
     ref, ref_map = loop_conjugate_poset(poset, s)
     assert (image is poset) == (ref is poset)
     assert pmap.node_map == ref_map.node_map
     assert [node.atoms for node in image.nodes] == [node.atoms for node in ref.nodes]
     assert np.array_equal(image.order, ref.order)
+    for i, j in zip(*np.nonzero(ref.order)):
+        assert np.array_equal(image.dominator_map(i, j), ref.dominator_map(i, j))
+    for key in {k for node in ref.nodes for k in node.atoms}:
+        got, want = image.registry.get(key), ref.registry.get(key)
+        assert got.rank == want.rank
+        assert np.array_equal(got.matrix, want.matrix)
     return image
+
+
+def assert_batch_as_loop(poset, ops):
+    """``conjugate_posets(poset, ops)`` does what one loop-reference call per op does, in op
+    order: the same images up to the first op whose call raises, then that op's error."""
+    for k, s in enumerate(ops):
+        try:
+            loop_conjugate_poset(poset, s)
+        except (ValueError, RuntimeError) as exc:
+            with pytest.raises(type(exc)) as got:
+                cx.conjugate_posets(poset, ops)
+            assert str(got.value) == str(exc)
+            assert getattr(got.value, "key", None) == getattr(exc, "key", None)
+            ops = ops[:k]
+            break
+    got = cx.conjugate_posets(poset, ops)
+    assert len(got) == len(ops)
+    for s, conjugated in zip(ops, got):
+        assert_same_conjugation(poset, s, conjugated)
 
 
 @functools.cache
 def bundled_poset(name):
     return cx.build_single_poset(cx.parse_scenario(bundled_text(name)))
+
+
+@functools.cache
+def jittered_pauli_poset(bases, jitter, tol, seed):
+    """Bundled pauli-c4 bases, each turned by its own small unitary; None when the build
+    rejects two projections closer than the grid."""
+    registry = cx.ProjectionRegistry(4, tol)
+    try:
+        return cx.generate_poset(pauli_subset_catalog(registry, bases, jitter, seed), registry)
+    except CanonicalizationError:
+        return None
+
+
+@st.composite
+def posets(draw):
+    """A bundled single-system poset, random rotations of one basis that keep its first
+    ray (d3 to d5), or a few jittered pauli-c4 bases, whose shared rays the registry
+    merges (tol 1e-5), keeps apart or rejects."""
+    source = draw(st.sampled_from(["bundled", "shared-ray", "jittered-pauli"]))
+    if source == "bundled":
+        return bundled_poset(draw(st.sampled_from(["demo-c3", "mub-c3", "ks18-c4", "mermin-c8"])))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if source == "shared-ray":
+        return shared_ray_catalog_poset(seed, draw(st.integers(3, 5)), draw(st.integers(1, 4)))
+    bases = tuple(draw(st.lists(st.integers(0, 14), min_size=2, max_size=4, unique=True)))
+    jitter = draw(st.sampled_from([3e-8, 1.2e-7, 2e-6, 1e-3]))
+    poset = jittered_pauli_poset(bases, jitter, draw(st.sampled_from([TOL.identity, 1e-5])), seed)
+    assume(poset is not None)
+    return poset
 
 
 PAULIS = (np.eye(2), PAULI_X, np.array([[0, -1j], [1j, 0]]), PAULI_Z)
@@ -231,18 +288,46 @@ def near_identity(dim, t, seed):
     return (v * np.exp(1j * t * w)) @ v.conj().T
 
 
+@pytest.fixture
+def rebuild_calls(monkeypatch):
+    """The name of every ``register_many`` and ``poset_from_nodes`` call from here on."""
+    calls = []
+    register_many, poset_from_nodes = cx.ProjectionRegistry.register_many, contexts.poset_from_nodes
+
+    def counted_register_many(self, ps):
+        calls.append("register_many")
+        return register_many(self, ps)
+
+    def counted_poset_from_nodes(*args):
+        calls.append("poset_from_nodes")
+        return poset_from_nodes(*args)
+
+    monkeypatch.setattr(cx.ProjectionRegistry, "register_many", counted_register_many)
+    monkeypatch.setattr(contexts, "poset_from_nodes", counted_poset_from_nodes)
+    monkeypatch.setattr(wigner, "poset_from_nodes", counted_poset_from_nodes)
+    return calls
+
+
+def near_grid_poset(eps):
+    """Two d3 bases, the second turning the first two rays of the first by ``eps`` in their
+    plane, so that each of those rays lies about ``eps`` from its turned copy."""
+    registry = cx.ProjectionRegistry(3)
+    c, s = np.cos(eps), np.sin(eps)
+    turned = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    bases = [
+        cx.context_from_projections(registry, [np.outer(b[:, k], b[:, k]) for k in range(3)])
+        for b in (np.eye(3), turned)
+    ]
+    return cx.generate_poset(bases, registry)
+
+
 class TestBatchedConjugation:
     """``conjugate_posets`` against one loop-reference conjugation per op."""
 
     @settings(deadline=None, max_examples=60)
-    @given(data=st.data(), name=st.sampled_from(["demo-c3", "mub-c3", "ks18-c4", "mermin-c8"]))
-    def test_each_op_as_loop(self, data, name):
-        poset = bundled_poset(name)
-        ops = data.draw(op_mixes(poset.dim))
-        got = cx.conjugate_posets(poset, ops)
-        assert len(got) == len(ops)
-        for s, conjugated in zip(ops, got):
-            assert_same_conjugation(poset, s, conjugated)
+    @given(data=st.data(), poset=posets())
+    def test_each_op_as_loop(self, data, poset):
+        assert_batch_as_loop(poset, data.draw(op_mixes(poset.dim)))
 
     @pytest.mark.parametrize(
         "name,clifford",
@@ -261,6 +346,49 @@ class TestBatchedConjugation:
         assert [image is poset for image, _ in got] == [False, True, True, False]
         for s, conjugated in zip(ops + ops[::-1], got):
             assert_same_conjugation(poset, s, conjugated)
+
+    def test_near_grid_images_raise_as_loop(self, rebuild_calls):
+        # the rays 1.6e-6 apart are distinct, just above the 1e-6 grid; conjugation keeps
+        # their Frobenius distance but not their max-entry distance, and 31 of these 300
+        # unitaries bring two image atoms closer than the grid, which the registry rejects
+        poset = near_grid_poset(1.6e-6)
+        rng = np.random.default_rng(0)
+        ops = [cx.symmetry("unitary", random_unitary(rng, 3)) for _ in range(300)]
+        failing = []
+        for k, s in enumerate(ops):
+            try:
+                loop_conjugate_poset(poset, s)
+            except CanonicalizationError as exc:
+                assert "closer than the rounding grid" in str(exc)
+                failing.append(k)
+        assert len(failing) == 31
+        clean = [s for k, s in enumerate(ops) if k not in failing][:12]
+        rebuild_calls.clear()
+        cx.conjugate_posets(poset, clean)
+        assert rebuild_calls == []  # the kept pairs' images were measured, and are apart
+        mixed = clean[:3] + [ops[failing[1]]] + clean[3:6] + [ops[failing[0]]] + clean[6:]
+        assert_batch_as_loop(poset, mixed)
+        assert_batch_as_loop(poset, ops[: failing[2] + 1])
+        assert_batch_as_loop(poset, clean)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("name", ["mub-c3", "ks18-c4"])
+    def test_wigner_check_rebuilds_nothing(self, rebuild_calls, monkeypatch, name, seed):
+        # every one of its ten symmetries leaves the poset
+        during_build = []
+        build = cli.build_single_poset
+
+        def build_then_count(*args):
+            poset = build(*args)
+            during_build.extend(rebuild_calls)
+            rebuild_calls.clear()
+            return poset
+
+        monkeypatch.setattr(cli, "build_single_poset", build_then_count)
+        report = cli.run("wigner-check", cx.parse_scenario(bundled_text(name)), seed=seed)
+        assert (report.verdict, report.payload["order_automorphisms"]) == ("wigner_ok", True)
+        assert {"register_many", "poset_from_nodes"} <= set(during_build)  # the counters count
+        assert rebuild_calls == []
 
     def test_empty_batch(self, mub_poset_c3):
         assert cx.conjugate_posets(mub_poset_c3, []) == []
