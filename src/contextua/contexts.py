@@ -414,21 +414,24 @@ def poset_from_nodes(
     """Poset on an explicit node list, ordered by its dominance table."""
     index, under = table = _dominance_table(registry, nodes)
     ranks = np.array([registry.get(k).rank for k in index], dtype=float)
-    member = np.zeros((len(nodes), len(index)))  # member[i, q]: q is an atom of node i
-    for i, node in enumerate(nodes):
-        member[i, [index[k] for k in node.atoms]] = 1.0
-    (order,) = node_orders(member, ranks[None], under[None])
+    atoms = [[index[k] for k in node.atoms] for node in nodes]
+    (order,) = node_orders(atoms, ranks[None], under[None])
     return ordered_poset(registry, nodes, generators, order, table)
 
 
-def node_orders(member: np.ndarray, ranks: np.ndarray, under: np.ndarray) -> np.ndarray:
+def node_orders(
+    atoms: Sequence[Sequence[int]], ranks: np.ndarray, under: np.ndarray
+) -> np.ndarray:
     """Order matrix of one node list under each of a stack of dominance tables.
 
-    ``member[i, q]`` is 1 when atom row q is an atom of node i; ``ranks[k, q]``
-    and ``under[k]`` are atom q's rank and the dominance table of stack k.
+    ``atoms[i]`` lists the atom rows of node i; ``ranks[k, q]`` and
+    ``under[k]`` are atom q's rank and the dominance table of stack k.
     ``order[k, i, j]`` holds iff, for every atom q of node i, the ranks of
     node j's atoms under q sum to rank(q).
     """
+    member = np.zeros((len(atoms), under.shape[1]))  # member[i, q]: q is an atom of node i
+    for i, rows in enumerate(atoms):
+        member[i, rows] = 1.0
     # covered[k, q, j]: rank of j's atoms under q, in row blocks so that no float
     # copy of the whole dominance tables is made; the sums are small integers, exact
     weighted = member.T * ranks[:, :, None]
@@ -467,51 +470,36 @@ _DOMINANCE_SCREEN = 1e-3
 def _dominance_table(
     registry: ProjectionRegistry, nodes: Sequence[Context]
 ) -> tuple[dict[str, int], np.ndarray]:
-    """Row index of every atom key of ``nodes``, and ``under[q, p]``: atom p lies under atom q.
-
-    The Gram products screen the pairs; the max-entry test runs on the
-    survivors only (:func:`~contextua.opalg.screened_pairs`).
-    """
+    """Row index of every atom key of ``nodes``, and ``under[q, p]``: atom p lies under atom q
+    (:func:`dominance_tables` of the atom stack itself)."""
     keys = sorted({k for node in nodes for k in node.atoms})
-    index = {k: t for t, k in enumerate(keys)}
     atoms = [registry.get(k) for k in keys]
-    stack = np.array([p.matrix for p in atoms])
-    q, p, gap = screened_pairs(  # rows q above, pool columns p below
-        stack, stack, _dominance_keep([a.rank for a in atoms]), _dominance_gaps
-    )
-    under = np.zeros((len(keys), len(keys)), dtype=bool)
-    under[q, p] = gap <= TOL.dominance
-    return index, under
+    stack = np.array([p.matrix for p in atoms]).reshape(len(keys), registry.dim, registry.dim)
+    (under,) = dominance_tables(stack, [p.rank for p in atoms], stack[None])
+    return {k: t for t, k in enumerate(keys)}, under
 
 
-def _dominance_keep(ranks):
-    """Gram screen of the pairs (q, p) with tr(qp) >= rank p - screen, i.e. the gap is
-    within the screen (:data:`_DOMINANCE_SCREEN`), for :func:`~contextua.opalg.screened_pairs`."""
-    floor = np.asarray(ranks, dtype=float) - _DOMINANCE_SCREEN
-    return lambda _, gram: gram >= floor
-
-
-def _dominance_gaps(above: np.ndarray, below: np.ndarray) -> np.ndarray:
-    """``|qp - p|`` for each pair of stacked atoms q above and p below, over the last two axes."""
-    return np.abs(above @ below - below).max(axis=(-2, -1))
-
-
-def isometric_tables(stack: np.ndarray, ranks, images: np.ndarray) -> np.ndarray:
-    """Dominance table ``under[k, q, p]`` of each image ``images[k]`` of an atom stack.
+def dominance_tables(stack: np.ndarray, ranks, images: np.ndarray) -> np.ndarray:
+    """Dominance table ``under[k, q, p]`` (atom p lies under atom q) of each image
+    ``images[k]`` of an atom stack whose atoms have ``ranks``; ``stack[None]`` for the
+    stack's own table.
 
     Each image must preserve ``Re tr(a* b)`` between the stack's atoms, as
-    unitary and antiunitary conjugation do, so the Gram screen of ``stack``
-    (whose atoms have ``ranks``) keeps every pair that can dominate in any
-    image (a conjugation's rounding is far inside the screen's margin): it
-    runs once. The max-entry test runs on every image of each
-    kept pair, as one ``(images, pairs, d, d)`` product in blocks of pairs.
+    unitary and antiunitary conjugation do: the Gram screen of ``stack``
+    (:data:`_DOMINANCE_SCREEN`), tr(qp) >= rank p - screen, then keeps every
+    pair that can dominate in any image (a conjugation's rounding is far
+    inside the screen's margin), and runs once. The max-entry test
+    ``|qp - p| <= TOL.dominance`` runs on every image of each kept pair, as
+    one ``(images, pairs, d, d)`` product in blocks of pairs.
     """
-    q, p, _ = screened_pairs(stack, stack, _dominance_keep(ranks))
+    floor = np.asarray(ranks, dtype=float) - _DOMINANCE_SCREEN
+    q, p, _ = screened_pairs(stack, stack, lambda _, gram: gram >= floor)  # q above, p below
     under = np.zeros((len(images), len(stack), len(stack)), dtype=bool)
-    chunk = max(1, opalg.BLOCK // (len(images) * stack[0].size))  # pairs per block
+    chunk = max(1, opalg.BLOCK // max(1, images[:, :1].size))  # pairs per block
     for c in range(0, len(q), chunk):
-        qc, pc = q[c : c + chunk], p[c : c + chunk]
-        under[:, qc, pc] = _dominance_gaps(images[:, qc], images[:, pc]) <= TOL.dominance
+        above, below = images[:, q[c : c + chunk]], images[:, p[c : c + chunk]]
+        gaps = np.abs(above @ below - below).max(axis=(-2, -1))
+        under[:, q[c : c + chunk], p[c : c + chunk]] = gaps <= TOL.dominance
     return under
 
 

@@ -391,18 +391,11 @@ def _near_pairs(
     return screened_pairs(rows, pool, keep, lambda a, b: np.abs(a - b).max(axis=(1, 2)))
 
 
-def identity_screen(stack: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs ``s < t`` of a stack that the registry's Gram screen keeps at max-entry ``reach``.
-
-    Every pair within ``reach`` is among them. The screen reads only
-    ``Re tr(a* b)``, which unitary and antiunitary conjugation preserve, so
-    the pairs it keeps include every pair within ``reach`` of any conjugate
-    of the stack (the rounding of a conjugation is far inside the screen's
-    margin); only the max-entry distances differ, and the caller measures those.
-    """
-    s, t, _ = screened_pairs(stack, stack, _identity_keep(stack, reach))
-    upper = s < t
-    return s[upper], t[upper]
+def _decides(dist: np.ndarray, tol: float) -> np.ndarray:
+    """Whether a registered projection at max-entry distance ``dist`` decides another:
+    within ``tol`` it is that projection (jitter across a rounding boundary), and closer
+    than the grid it rejects it."""
+    return (dist <= tol) | (dist < TOL.grid)
 
 
 def _collision(key: str, index: int) -> CanonicalizationError:
@@ -429,9 +422,9 @@ class ProjectionRegistry:
     depend on rounding luck. Every call decides a batch, :meth:`find` and
     :meth:`register` a batch of one: a registered canonical key decides
     without a scan, and screened scans (:func:`_near_pairs`) find the
-    registered projections that decide the other rows. The rule itself is
-    :meth:`decides`; :meth:`of_distinct` holds projections that a caller has
-    measured apart under it.
+    registered projections that decide the other rows.
+    :meth:`of_conjugates` fills fresh registries with the conjugates of one
+    stack, reusing that stack's screen for all of them.
     """
 
     def __init__(self, dim: int, tol: float = TOL.identity):
@@ -453,34 +446,47 @@ class ProjectionRegistry:
         return self.register_many([p])[0]
 
     @classmethod
-    def of_distinct(
-        cls, dim: int, tol: float, keys: Sequence[str], ps: Sequence[Projection]
-    ) -> "ProjectionRegistry":
-        """A registry holding ``ps`` under their canonical ``keys``, without a scan.
+    def of_conjugates(
+        cls,
+        dim: int,
+        tol: float,
+        stack: np.ndarray,
+        images: Sequence[Sequence[Projection]],
+        keys: Sequence[Sequence[str]],
+    ) -> list["ProjectionRegistry | None"]:
+        """Per list of conjugates of ``stack``, what :meth:`register_many` of it gives an
+        empty registry, or None where that would merge or reject some of them.
 
-        It is what :meth:`register_many` of ``ps`` gives an empty registry
-        when no two of them decide each other (:meth:`decides`) and their
-        keys are distinct. The caller has shown that, from distances it
-        measured; a repeated key raises ``ValueError``.
+        ``images[k]`` are the images of ``stack``'s rows under one unitary or
+        antiunitary conjugation, with canonical ``keys[k]``. Conjugation
+        preserves ``Re tr(a* b)``, the only thing the scan's Gram screen
+        reads, so the screen of ``stack`` keeps every image pair within reach
+        of the rule, for every list at once (a conjugation's rounding is far
+        inside the screen's margin): it runs once, and only the images of the
+        pairs it keeps are compared entrywise. A list gets None when the rule
+        decides one of those pairs or two of its keys repeat; registering it
+        one batch at a time is what decides then.
         """
-        registry = cls(dim, tol)
-        registry._by_key = dict(zip(keys, ps))
-        if len(registry._by_key) != len(ps):
-            raise ValueError("of_distinct needs distinct canonical keys")
-        registry._order = list(keys)
-        registry._stack = np.array([p.matrix for p in ps], dtype=complex).reshape(-1, dim, dim)
-        return registry
-
-    @property
-    def reach(self) -> float:
-        """The largest max-entry distance at which a registered projection decides another."""
-        return max(self.tol, TOL.grid)
-
-    def decides(self, dist: np.ndarray) -> np.ndarray:
-        """Whether a registered projection at max-entry distance ``dist`` decides another:
-        within ``tol`` it is that projection (jitter across a rounding boundary), and
-        closer than the grid it rejects it."""
-        return (dist <= self.tol) | (dist < TOL.grid)
+        if not images:
+            return []
+        reach = max(tol, TOL.grid)
+        s, t, _ = screened_pairs(stack, stack, _identity_keep(stack, reach))
+        s, t = s[s < t], t[s < t]
+        shape = (len(images), len(s), dim, dim)
+        above = np.array([[ps[i].matrix for i in s] for ps in images]).reshape(shape)
+        below = np.array([[ps[i].matrix for i in t] for ps in images]).reshape(shape)
+        decided = _decides(np.abs(above - below).max(axis=(2, 3)), tol).any(axis=1)
+        out: list[ProjectionRegistry | None] = []
+        for ps, ks, merges in zip(images, keys, decided):
+            if merges or len(set(ks)) < len(ks):
+                out.append(None)
+                continue
+            registry = cls(dim, tol)
+            registry._stack, keyed = registry._batch(ps, ks)
+            registry._by_key = dict(zip(keyed, ps))
+            registry._order = keyed
+            out.append(registry)
+        return out
 
     def find_many(
         self, ps: Sequence[Projection], keys: Sequence[str] | None = None
@@ -564,8 +570,8 @@ class ProjectionRegistry:
         """Per row of ``stack`` in ``scan``: each pool column that decides it, and the distance."""
         if not scan:
             return {}
-        s, t, dist = _near_pairs(stack[scan], pool, self.reach)
-        hit = self.decides(dist)
+        s, t, dist = _near_pairs(stack[scan], pool, max(self.tol, TOL.grid))
+        hit = _decides(dist, self.tol)
         out: dict[int, list[tuple[int, float]]] = {}
         for row, col, d in zip(s[hit].tolist(), t[hit].tolist(), dist[hit].tolist()):
             out.setdefault(scan[row], []).append((col, d))

@@ -30,7 +30,7 @@ import numpy as np
 from .contexts import (
     Context,
     ContextPoset,
-    isometric_tables,
+    dominance_tables,
     node_orders,
     ordered_poset,
     poset_from_nodes,
@@ -42,7 +42,6 @@ from .opalg import (
     ProjectionRegistry,
     as_operator,
     canonical_keys,
-    identity_screen,
     max_norm,
 )
 
@@ -154,8 +153,8 @@ def conjugate_posets(
     The image posets rest on trace invariance: ``Re tr(phi(a)* phi(b)) =
     Re tr(a* b)`` for a unitary or antiunitary phi, so the source atoms' Gram
     screens keep every image pair that the registry could identify and every
-    pair that can dominate (:func:`~contextua.opalg.identity_screen`,
-    :func:`~contextua.contexts.isometric_tables`). The entrywise tests run
+    pair that can dominate (:meth:`~contextua.opalg.ProjectionRegistry.of_conjugates`,
+    :func:`~contextua.contexts.dominance_tables`). The entrywise tests run
     on the images of the kept pairs only: the registry rule (an image pair
     within ``tol`` or closer than the grid), then the dominance test, for
     all such ops at once. An op whose image pair the registry rule decides,
@@ -199,16 +198,19 @@ def conjugate_posets(
             except KeyError:
                 pass
     leaving = [k for k in range(len(ops)) if k not in resolved]
-    fresh = _distinct_images(poset.registry, stack, images, keys, leaving)
-    fast = {k: f for f, k in enumerate(fresh)}
-    if fresh:
+    held = ProjectionRegistry.of_conjugates(
+        dim,
+        tol,
+        stack,
+        [projs[k * m : (k + 1) * m] for k in leaving],
+        [keys[k * m : (k + 1) * m] for k in leaving],
+    )
+    fast = {k: registry for k, registry in zip(leaving, held) if registry is not None}
+    if fast:
         source_ranks = [poset.registry.get(k).rank for k in sources]
-        under = isometric_tables(stack, source_ranks, images[fresh])
-        member = np.zeros((len(atoms), m))
-        for i, a in enumerate(atoms):
-            member[i, a] = 1.0
-        image_ranks = np.array(ranks, dtype=float).reshape(len(ops), m)[fresh]
-        orders = node_orders(member, image_ranks, under)
+        under = dominance_tables(stack, source_ranks, images[list(fast)])
+        image_ranks = np.array(ranks, dtype=float).reshape(len(ops), m)[list(fast)]
+        tables = dict(zip(fast, zip(node_orders(atoms, image_ranks, under), under)))
     generators = [f"conjugate({g})" for g in poset.generators]
     identity = PosetMap(tuple(range(len(atoms))))
     out = []
@@ -216,40 +218,17 @@ def conjugate_posets(
         if k in resolved:
             out.append((poset, resolved[k]))
             continue
-        mapped, image_keys = projs[k * m : (k + 1) * m], keys[k * m : (k + 1) * m]
+        image_keys = keys[k * m : (k + 1) * m]
         if k in fast:
-            f = fast[k]
-            registry = ProjectionRegistry.of_distinct(dim, tol, image_keys, mapped)
-            table = ({key: t for t, key in enumerate(image_keys)}, under[f])
-            image = ordered_poset(registry, image_nodes(image_keys), generators, orders[f], table)
+            order, table = tables[k]
+            index = {key: t for t, key in enumerate(image_keys)}
+            image = ordered_poset(fast[k], image_nodes(image_keys), generators, order, (index, table))
         else:
             registry = ProjectionRegistry(dim, tol)
-            nodes = image_nodes(registry.register_many(mapped))
+            nodes = image_nodes(registry.register_many(projs[k * m : (k + 1) * m]))
             image = poset_from_nodes(registry, nodes, generators)
         out.append((image, identity))
     return out
-
-
-def _distinct_images(
-    registry: ProjectionRegistry,
-    stack: np.ndarray,
-    images: np.ndarray,
-    keys: list[str],
-    leaving: list[int],
-) -> list[int]:
-    """The ops of ``leaving`` whose images of ``stack`` no two decide each other by the
-    registry rule, and have distinct canonical keys: what a fresh registry holds unmerged.
-
-    Only the images of the source pairs that the identity screen keeps are
-    measured; a poset of well-separated atoms has none.
-    """
-    if not leaving:
-        return []
-    m = len(stack)
-    s, t = identity_screen(stack, registry.reach)
-    moved = images[leaving]
-    clash = registry.decides(_max_norms(moved[:, s] - moved[:, t])).any(axis=1)
-    return [k for k, c in zip(leaving, clash) if not c and len(set(keys[k * m : (k + 1) * m])) == m]
 
 
 def _find_per_op(

@@ -506,19 +506,50 @@ class TestRegistryBatchDifferential:
         assert reg.register_many([p, q, p]) == [canonical_key(p.matrix)] * 3
         assert len(reg) == 1
 
-    def test_of_distinct_is_register_many_without_a_scan(self):
-        rng = np.random.default_rng(17)
-        ps = [cx.projection_from_ray(random_unitary(rng, 3)[:, 0]) for _ in range(5)]
-        keys = canonical_keys(np.array([p.matrix for p in ps]))
-        held = ProjectionRegistry.of_distinct(3, 1e-5, keys, ps)
-        reg = ProjectionRegistry(3, 1e-5)
-        assert reg.register_many(ps) == keys
-        assert list(held.items()) == list(reg.items())
-        q = cx.projection_from_ray(random_unitary(rng, 3)[:, 0])
-        assert held.register_many([q, ps[2]]) == reg.register_many([q, ps[2]])  # past its stack
-        assert held.find_many(ps[::-1]) == keys[::-1]
-        with pytest.raises(ValueError, match="distinct canonical keys"):
-            ProjectionRegistry.of_distinct(3, 1e-5, keys + keys[:1], ps + ps[:1])
+
+class TestOfConjugates:
+    """``of_conjugates`` against ``register_many`` of each list of conjugates, each on an
+    empty registry."""
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(2, 4),
+        st.lists(st.sampled_from([0.0, 2e-13, 5e-7, 1.6e-6, 1e-3]), max_size=3),
+        st.sampled_from([TOL.identity, 1e-5]),
+        st.integers(1, 4),
+    )
+    def test_registry_or_none_as_register_many(self, seed, dim, turns, tol, n_ops):
+        # a basis's rays and copies of its first ray turned by each of ``turns`` towards its
+        # second: equal, within the tols, near the grid (conjugation keeps their Frobenius
+        # distance but not their max-entry distance) or far
+        rng = np.random.default_rng(seed)
+        u = random_unitary(rng, dim)
+        rays = [u[:, k] for k in range(dim)]
+        rays += [np.cos(eps) * u[:, 0] + np.sin(eps) * u[:, 1] for eps in turns]
+        stack = np.array([np.outer(v, v.conj()) for v in rays])
+        images, keys = [], []
+        for _ in range(n_ops):
+            w = random_unitary(rng, dim)
+            moved = w @ (stack.conj() if rng.integers(2) else stack) @ w.conj().T
+            images.append([cx.Projection(m, 1) for m in moved])
+            keys.append(canonical_keys(moved))
+        held = ProjectionRegistry.of_conjugates(dim, tol, stack, images, keys)
+        assert len(held) == n_ops
+        for registry, ps, ks in zip(held, images, keys):
+            fresh = ProjectionRegistry(dim, tol)
+            try:
+                distinct = fresh.register_many(ps) == ks and len(set(ks)) == len(ks)
+            except CanonicalizationError:
+                distinct = False
+            assert (registry is not None) == distinct
+            if registry is None:
+                continue
+            assert list(registry.items()) == list(fresh.items())
+            q = cx.projection_from_ray(random_unitary(rng, dim)[:, 0])
+            batch = [q, ps[-1], ps[0]]
+            assert registry.register_many(batch) == fresh.register_many(batch)  # past its stack
+            assert registry.find_many(ps[::-1]) == ks[::-1]
 
 
 # per row of a find batch: "registered" is a registered projection itself, "new" a random

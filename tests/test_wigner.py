@@ -125,15 +125,12 @@ def jittered_pauli_poset(bases, jitter, tol, seed):
 
 
 @st.composite
-def posets(draw):
-    """A bundled single-system poset, random rotations of one basis that keep its first
-    ray (d3 to d5), or a few jittered pauli-c4 bases, whose shared rays the registry
-    merges (tol 1e-5), keeps apart or rejects."""
-    source = draw(st.sampled_from(["bundled", "shared-ray", "jittered-pauli"]))
-    if source == "bundled":
-        return bundled_poset(draw(st.sampled_from(["demo-c3", "mub-c3", "ks18-c4", "mermin-c8"])))
+def generated_posets(draw):
+    """Random rotations of one basis that keep its first ray (d3 to d5), or a few
+    jittered pauli-c4 bases, whose shared rays the registry merges (tol 1e-5), keeps
+    apart or rejects."""
     seed = draw(st.integers(0, 2**31 - 1))
-    if source == "shared-ray":
+    if draw(st.booleans()):
         return shared_ray_catalog_poset(seed, draw(st.integers(3, 5)), draw(st.integers(1, 4)))
     bases = tuple(draw(st.lists(st.integers(0, 14), min_size=2, max_size=4, unique=True)))
     jitter = draw(st.sampled_from([3e-8, 1.2e-7, 2e-6, 1e-3]))
@@ -325,8 +322,18 @@ class TestBatchedConjugation:
     """``conjugate_posets`` against one loop-reference conjugation per op."""
 
     @settings(deadline=None, max_examples=60)
-    @given(data=st.data(), poset=posets())
-    def test_each_op_as_loop(self, data, poset):
+    @given(data=st.data(), name=st.sampled_from(["demo-c3", "mub-c3", "ks18-c4", "mermin-c8"]))
+    def test_each_op_as_loop(self, data, name):
+        poset = bundled_poset(name)
+        ops = data.draw(op_mixes(poset.dim))
+        got = cx.conjugate_posets(poset, ops)
+        assert len(got) == len(ops)
+        for s, conjugated in zip(ops, got):
+            assert_same_conjugation(poset, s, conjugated)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), poset=generated_posets())
+    def test_each_op_as_loop_on_generated_posets(self, data, poset):
         assert_batch_as_loop(poset, data.draw(op_mixes(poset.dim)))
 
     @pytest.mark.parametrize(
