@@ -2,9 +2,9 @@
 
 Context posets built from projection catalogs, presheaf sections over
 them (0/1 characters, probability measures, bipartite correlation
-tables), decision procedures (coloring search, state reconstruction,
-factorisability LP, quantum-realizability classification), and
-machine-checkable certificates for each verdict.
+tables), and decision procedures over them: coloring search and enumeration,
+state reconstruction, the factorisability LP with its separating Bell
+functional, quantum-realizability classification, and symmetry checks.
 """
 
 __version__ = "0.3.0"
@@ -21,12 +21,9 @@ from .bell import (
     classify_section,
     deterministic_strategies,
     factorisability_lp,
-    marginal_prob_section,
     partial_transpose,
     product_poset,
-    restrict_table,
     section_from_bipartite_state,
-    verify_bell_section,
 )
 from .contexts import (
     Context,
@@ -35,7 +32,6 @@ from .contexts import (
     context_from_projections,
     export_dot,
     generate_poset,
-    is_section,
     trivial_context,
 )
 from .gleason import (
@@ -47,11 +43,9 @@ from .gleason import (
     hermitian_basis,
     is_informationally_complete,
     marginalise,
-    quasilinearity_report,
     reconstruct_operator,
     section_from_state,
     state_from_section,
-    verify_prob_section,
 )
 from .opalg import (
     CanonicalizationError,
@@ -77,15 +71,11 @@ from .spectral import (
     SpectralSection,
     enumerate_global_sections,
     find_global_section,
-    ks_triple_check,
-    restrict_character,
-    verify_section,
 )
 from .wigner import (
     PosetMap,
     SymmetryOp,
     apply_symmetry,
-    compose,
     conjugate_poset,
     conjugate_posets,
     jordan_check,

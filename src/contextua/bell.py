@@ -33,8 +33,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .contexts import ContextPoset, is_section
-from .gleason import ProbSection, born_weights, context_measure, reconstruct_operator
+from .contexts import ContextPoset
+from .gleason import born_weights, reconstruct_operator
 from .opalg import TOL, max_norm
 from .spectral import enumerate_global_sections, section_components
 
@@ -185,37 +185,6 @@ def section_from_bipartite_state(
     return BellSection(pp, tables, frozenset(pp.nodes))
 
 
-def restrict_table(
-    pp: ProductPoset, table: CorrelationTable, target: ProductNode
-) -> CorrelationTable:
-    """Presheaf restriction: coarsen both margins onto the smaller contexts."""
-    if not pp.leq(target, table.context):
-        raise ValueError("target is not below the table's context")
-    shape = pp.table_shape(target)
-    probs = np.bincount(
-        pp.dominator_map(pp.index(target), pp.index(table.context)),
-        weights=table.probs.reshape(-1),
-        minlength=shape[0] * shape[1],
-    )
-    return CorrelationTable(target, probs.reshape(shape))
-
-
-def verify_bell_section(s: BellSection) -> bool:
-    """Table shapes and totals, marginalisation along the product order, shared-pair consistency."""
-    pp = s.poset
-    values = {}
-    for node in s.domain:
-        t = s.tables.get(node)
-        if t is None or t.context != node:
-            return False
-        if t.probs.shape != pp.table_shape(node):
-            return False
-        if abs(float(t.probs.sum()) - 1.0) > TOL.probability:
-            return False
-        values[pp.index(node)] = t.probs.reshape(-1)
-    return is_section(pp, values, TOL.probability)
-
-
 def check_no_signalling(s: BellSection, tol: float = TOL.exact) -> bool:
     """Marginals of one side must not depend on the other side's context."""
     by_left: dict[int, list[ProductNode]] = {}
@@ -234,23 +203,6 @@ def check_no_signalling(s: BellSection, tol: float = TOL.exact) -> bool:
             if max_norm(s.tables[node].right_marginal() - ref) > tol:
                 return False
     return True
-
-
-def marginal_prob_section(s: BellSection, side: str) -> ProbSection:
-    """One party's marginal measures, as a section over its factor poset."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    pp = s.poset
-    poset = pp.left if side == "left" else pp.right
-    assignment = {}
-    for node in sorted(s.domain, key=lambda n: (n.left, n.right)):
-        local = node.left if side == "left" else node.right
-        if local in assignment:
-            continue
-        t = s.tables[node]
-        w = t.left_marginal() if side == "left" else t.right_marginal()
-        assignment[local] = context_measure(poset, local, w, tol=TOL.probability)
-    return ProbSection(assignment, frozenset(assignment))
 
 
 @dataclass

@@ -9,7 +9,10 @@ meet, so it adds no constraint on a section and is not stored. A meet
 whose blocks are shared atoms of both contexts, apart from at most one
 block, is not stored either: it only says that both contexts give each
 shared atom one value, and a section gives every projection key one
-value anyway (:func:`is_section`).
+value anyway. (A section holds one weight per atom of each node: along
+every inclusion i < j, j's weights summed along the dominator map are
+i's, and a projection that is an atom of several nodes carries one
+weight.)
 
 Order rule: i <= j iff every atom of i is a sum of atoms of j. One
 dominance table decides it: ``under[q, p]`` holds iff atom p lies under
@@ -23,7 +26,7 @@ are lookups in the same table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -225,39 +228,6 @@ class ContextPoset:
             cover = strict & ~(strict @ strict)
             self._covers = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(cover)))
         return self._covers
-
-
-def is_section(poset, values: Mapping[int, np.ndarray], tol: float) -> bool:
-    """Whether per-atom weights over a set of nodes form a section of the presheaf.
-
-    ``values[i]`` holds one weight per atom of node i; a character is the 0/1
-    vector of its chosen atom. ``poset`` is a :class:`ContextPoset` or a
-    product poset: anything with ``len``, ``order``, ``atom_keys`` and
-    ``dominator_map``. The domain must be down-closed. Along every inclusion i < j in it,
-    pushing j's weights forward along ``dominator_map(i, j)`` must give i's
-    weights, and a projection that is an atom of several nodes must carry
-    one weight; both within ``tol``.
-    """
-    domain = list(values)
-    inside = np.zeros(len(poset), dtype=bool)
-    inside[domain] = True
-    if (poset.order[:, domain] & ~inside[:, None]).any():
-        return False
-    for j in domain:
-        for i in domain:
-            if i == j or not poset.order[i, j]:
-                continue
-            pushed = np.bincount(
-                poset.dominator_map(i, j), weights=values[j], minlength=len(values[i])
-            )
-            if max_norm(pushed - values[i]) > tol:
-                return False
-    seen: dict = {}
-    for i in domain:
-        for key, w in zip(poset.atom_keys(i), values[i]):
-            if abs(seen.setdefault(key, w) - w) > tol:
-                return False
-    return True
 
 
 def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> ContextPoset:

@@ -13,11 +13,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .contexts import ContextPoset, is_section
+from .contexts import ContextPoset
 from .opalg import (
     TOL,
     DensityMatrix,
-    atom_coefficients,
     density_matrix,
     max_norm,
 )
@@ -74,17 +73,6 @@ def marginalise(
     )
     out.flags.writeable = False
     return ContextMeasure(target, out)
-
-
-def verify_prob_section(poset: ContextPoset, s: ProbSection) -> bool:
-    """Marginalisation compatibility plus equal weights on shared projections."""
-    values = {}
-    for node in s.domain:
-        m = s.assignment.get(node)
-        if m is None or m.context != node:
-            return False
-        values[node] = np.asarray(m.weights)
-    return is_section(poset, values, TOL.probability)
 
 
 def born_weights(poset, node: int, w: np.ndarray) -> np.ndarray:
@@ -228,52 +216,3 @@ def is_informationally_complete(poset: ContextPoset) -> bool:
     mats.append(np.eye(d, dtype=complex))
     a = _constraint_rows(basis, np.stack(mats))
     return int(np.linalg.matrix_rank(a, tol=TOL.rank)) == d * d
-
-
-@dataclass
-class QuasilinearityReport:
-    status: str  # "linear" | "nonlinear"
-    within_context_residual: float
-
-    def to_report(self) -> dict:
-        return {"status": self.status, "within_context_residual": self.within_context_residual}
-
-
-def measure_value(poset: ContextPoset, m: ContextMeasure, a) -> float:
-    """Linear extension of a measure to operators of its context.
-
-    For a = sum A_i p_i over the context's atoms, returns sum A_i w_i.
-    """
-    coeffs = atom_coefficients(poset.atoms_of(m.context), a)
-    if coeffs is None:
-        raise ValueError("operator does not belong to the measure's context")
-    value = 0.0
-    for coeff, w in zip(coeffs, m.weights):
-        value += float(coeff) * float(w)
-    return value
-
-
-def quasilinearity_report(
-    poset: ContextPoset, s: ProbSection, samples: int = 20, seed: int = 0
-) -> QuasilinearityReport:
-    """Check that each context's measure extends linearly to its operators.
-
-    Sums of random real combinations of one context's atoms are compared;
-    the residual reflects floating point noise only. Linearity across
-    contexts is a property of a reconstructed state (``state_from_section``),
-    not of the section, so it is not tested here.
-    """
-    rng = np.random.default_rng(seed)
-    within = 0.0
-    for node in sorted(s.domain):
-        atoms = poset.atoms_of(node)
-        m = s.assignment[node]
-        for _ in range(max(1, samples // max(1, len(s.domain)))):
-            ca = rng.normal(size=len(atoms))
-            cb = rng.normal(size=len(atoms))
-            a = sum(c * p.matrix for c, p in zip(ca, atoms))
-            b = sum(c * p.matrix for c, p in zip(cb, atoms))
-            lhs = measure_value(poset, m, a + b)
-            rhs = measure_value(poset, m, a) + measure_value(poset, m, b)
-            within = max(within, abs(lhs - rhs))
-    return QuasilinearityReport("linear" if within <= TOL.roundtrip else "nonlinear", within)

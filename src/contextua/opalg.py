@@ -172,13 +172,6 @@ def ray(v) -> Ray:
     return Ray(_readonly(arr / norm))
 
 
-def rays_equivalent(r1: Ray, r2: Ray) -> bool:
-    """Two rays are the same iff |<u, v>| = 1, i.e. they differ by a phase."""
-    if r1.dim != r2.dim:
-        return False
-    return abs(abs(np.vdot(r1.vector, r2.vector)) - 1.0) <= TOL.exact
-
-
 def projection_from_ray(r) -> Projection:
     """Rank-1 projection |v><v| onto the ray; phase drops out."""
     if not isinstance(r, Ray):
@@ -236,11 +229,6 @@ def join(p: Projection, q: Projection) -> Projection:
     return meet(p.complement(), q.complement()).complement()
 
 
-def leq_projection(p: Projection, q: Projection) -> bool:
-    """p <= q as projections, i.e. qp = p."""
-    return max_norm(q.matrix @ p.matrix - p.matrix) <= TOL.exact
-
-
 def cluster_eigenvalues(evals: np.ndarray) -> list[np.ndarray]:
     """Group sorted eigenvalues into clusters separated by at least ``TOL.eigen_gap``.
 
@@ -282,18 +270,6 @@ def spectral_atoms(a) -> list[tuple[float, Projection]]:
     return atoms
 
 
-def atom_coefficients(atoms, a) -> np.ndarray | None:
-    """Coefficients c_k = tr(p_k a) / rank(p_k) of a self-adjoint ``a`` over orthogonal atoms.
-
-    Returns None when sum(c_k p_k) misses ``a`` by more than
-    ``TOL.membership``, i.e. when ``a`` is not constant on each atom.
-    """
-    arr = np.asarray(a, dtype=complex)
-    coeffs = np.array([np.real(np.trace(p.matrix @ arr)) / p.rank for p in atoms])
-    recon = sum(c * p.matrix for c, p in zip(coeffs, atoms))
-    return coeffs if max_norm(recon - arr) <= TOL.membership else None
-
-
 def canonical_keys(mats) -> list[str]:
     """Canonical identity of each projection of an (m, d, d) stack: entries rounded to the grid.
 
@@ -304,11 +280,6 @@ def canonical_keys(mats) -> list[str]:
     arr = np.asarray(mats, dtype=complex)
     parts = np.round(np.stack([arr.real, arr.imag], axis=-3), TOL.key_decimals) + 0.0
     return ["p" + hashlib.sha1(part.tobytes()).hexdigest()[:12] for part in parts]
-
-
-def canonical_key(matrix) -> str:
-    """Canonical identity of one projection; see :func:`canonical_keys`."""
-    return canonical_keys(np.asarray(matrix, dtype=complex)[None])[0]
 
 
 # entries of one block of a batched product or screen, bounding its temporaries
@@ -428,6 +399,8 @@ class ProjectionRegistry:
     """
 
     def __init__(self, dim: int, tol: float = TOL.identity):
+        if not 0.0 <= tol < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"tol must be finite and nonnegative, got {tol}")
         self.dim = dim
         self.tol = tol
         self._by_key: dict[str, Projection] = {}

@@ -276,11 +276,6 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
-def emit_scenario(sc: Scenario) -> str:
-    """Re-emit the normalized document; parses back to a structurally equal scenario."""
-    return json.dumps(sc.document, indent=2, sort_keys=True) + "\n"
-
-
 def _catalog(
     rays: list[np.ndarray],
     contexts: list[tuple[int, ...]],
@@ -335,6 +330,14 @@ def _catalog(
         Context(dim, tuple(keys[i] for i in indices) + ((padding[c],) if c in padding else ()))
         for c, indices in enumerate(contexts)
     ]
+    for c, ctx in enumerate(catalog):  # a tol too coarse for the catalog merges orthogonal atoms
+        first: dict[str, int] = {}
+        for t, key in enumerate(ctx.atoms):
+            s = first.setdefault(key, t)
+            if s != t:
+                names = [f"ray {i}" for i in contexts[c]] + ["the padding complement"]
+                message = f"{names[s]} and {names[t]} are one projection at tol {tol}"
+                raise ScenarioError(f"$.contexts{side}[{c}]", message + ", but they are orthogonal")
     return registry, catalog
 
 

@@ -1,10 +1,14 @@
-"""Spectral presheaf machinery: characters, global sections, KS certificates.
+"""Spectral presheaf: characters and global sections.
 
 A character of a context picks one atom (the projection it maps to 1);
-restriction along an inclusion picks the unique dominating atom. Global
-sections are non-contextual 0/1 value assignments. The searcher and the
-exhaustive enumerator implement the same constraint semantics, so they can
-be played against each other as oracles.
+restriction along an inclusion picks the unique dominating atom, read from
+the poset's dominator maps. Global sections are non-contextual 0/1 value
+assignments. :func:`find_global_section` searches for one and returns a
+:class:`ColoringCertificate`: the section found, or an exhausted search.
+:func:`enumerate_global_sections` lists them all under the same constraint
+semantics, so the two can be played against each other as oracles.
+:func:`section_components` splits the maximal nodes into components whose
+sections combine freely.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .contexts import ContextPoset, is_section
-from .opalg import TOL, atom_coefficients, max_norm, spectral_atoms
+from .contexts import ContextPoset
 
 
 @dataclass(frozen=True)
@@ -98,16 +101,6 @@ def _domination_maps(poset: ContextPoset) -> dict[tuple[int, int], np.ndarray]:
         for i in np.flatnonzero(poset.order[:, m])
         if i != m
     }
-
-
-def restrict_character(poset: ContextPoset, ch: Character, target: int) -> Character:
-    """Restriction of a character to a smaller context."""
-    poset.leq(target, ch.context)  # validates the ids
-    if target == ch.context:
-        return ch
-    if not poset.order[target, ch.context]:
-        raise ValueError(f"target node {target} is not below context {ch.context}")
-    return Character(target, int(poset.dominator_map(target, ch.context)[ch.chosen_atom]))
 
 
 class _Conflict(Exception):
@@ -367,56 +360,3 @@ def section_components(poset: ContextPoset) -> np.ndarray:
     for _ in range(len(maximal).bit_length()):
         reach = reach @ reach
     return np.unique(reach.argmax(axis=1), return_inverse=True)[1]
-
-
-def verify_section(poset: ContextPoset, s: SpectralSection) -> bool:
-    """Exact check of both section invariants.
-
-    (1) Along every inclusion in the domain, the character of the smaller
-    context is the restriction of the larger one. (2) A projection that is
-    an atom of several domain contexts gets one value everywhere.
-    Also requires the domain to be down-closed and choices in range.
-    Each character enters :func:`~contextua.contexts.is_section` as the
-    0/1 weight vector of its chosen atom, compared exactly.
-    """
-    values = {}
-    for node in s.domain:
-        if not (0 <= node < len(poset)):
-            return False
-        ch = s.assignment.get(node)
-        if ch is None or ch.context != node:
-            return False
-        count = len(poset.nodes[node].atoms)
-        if not (0 <= ch.chosen_atom < count):
-            return False
-        values[node] = np.eye(count)[ch.chosen_atom]
-    return is_section(poset, values, 0.0)
-
-
-def character_value(poset: ContextPoset, ch: Character, a) -> float:
-    """Value the character assigns to an operator of its context.
-
-    ``a`` must be constant on the context's atoms; the value is the
-    eigenvalue of ``a`` on the chosen atom.
-    """
-    coeffs = atom_coefficients(poset.atoms_of(ch.context), a)
-    if coeffs is None:
-        raise ValueError("operator does not belong to the chosen context")
-    return float(coeffs[ch.chosen_atom])
-
-
-def is_spectral_function(c, a) -> bool:
-    """True iff the self-adjoint ``c`` is constant on each spectral atom of ``a``."""
-    return atom_coefficients([p for _, p in spectral_atoms(a)], c) is not None
-
-
-def ks_triple_check(a, b, c) -> bool:
-    """Whether c is a spectral function of a and of b (a, b need not commute)."""
-    for m in (a, b, c):
-        arr = np.asarray(m, dtype=complex)
-        if max_norm(arr - arr.conj().T) > TOL.exact:
-            raise ValueError("ks_triple_check requires self-adjoint inputs")
-    shapes = {np.asarray(m).shape for m in (a, b, c)}
-    if len(shapes) != 1:
-        raise ValueError("ks_triple_check requires equal dimensions")
-    return is_spectral_function(c, a) and is_spectral_function(c, b)

@@ -76,19 +76,6 @@ def apply_symmetry(s: SymmetryOp, x) -> np.ndarray:
     return s.matrix @ arr @ s.matrix.conj().T
 
 
-def jordan_lift(s: SymmetryOp, x) -> np.ndarray:
-    """Complex-linear extension of the symmetry action to all operators.
-
-    On self-adjoint operators this agrees with :func:`apply_symmetry`; on a
-    general x = a + ib it acts linearly through the self-adjoint parts. For
-    antiunitaries the two differ (conjugation alone is antilinear), and it
-    is the linear extension that is the Jordan automorphism.
-    """
-    arr = np.asarray(x, dtype=complex)
-    adj = _adjoint(arr)
-    return apply_symmetry(s, 0.5 * (arr + adj)) + 1j * apply_symmetry(s, (arr - adj) / 2j)
-
-
 def _adjoint(arr: np.ndarray) -> np.ndarray:
     """Conjugate transpose of an operator or of each operator of a stack."""
     return arr.conj().swapaxes(-1, -2)
@@ -109,17 +96,6 @@ def _apply_each(ops: Sequence[SymmetryOp], x) -> np.ndarray:
     u = np.array([s.matrix for s in ops])
     u = u.reshape(len(ops), *(1,) * (arr.ndim - 3), *u.shape[1:])
     return u @ arr @ _adjoint(u)
-
-
-def compose(s2: SymmetryOp, s1: SymmetryOp) -> SymmetryOp:
-    """The symmetry acting as s1 first, then s2."""
-    u1, u2 = s1.matrix, s2.matrix
-    if s2.kind == "antiunitary":
-        u = u2 @ u1.conj()
-    else:
-        u = u2 @ u1
-    kind = "unitary" if s1.kind == s2.kind else "antiunitary"
-    return symmetry(kind, u)
 
 
 @dataclass(frozen=True)
@@ -349,7 +325,7 @@ def jordan_checks(
     res = _max_norms(_apply_each(ops, 0.5 * (a @ b + b @ a)) - 0.5 * (fa @ fb + fb @ fa))
     comm = a @ b - b @ a
     scale = _max_norms(comm)
-    adj = _adjoint(comm)  # the linear lift acts through the self-adjoint parts (jordan_lift)
+    adj = _adjoint(comm)  # the complex-linear lift acts through the self-adjoint parts
     lifted = _apply_each(ops, 0.5 * (comm + adj)) + 1j * _apply_each(ops, (comm - adj) / 2j)
     image_comm = fa @ fb - fb @ fa
     bound = TOL.conjugation * np.maximum(1.0, scale)

@@ -1,4 +1,4 @@
-"""Shared fixtures: standard posets, random-object helpers."""
+"""Shared fixtures: standard posets, random-object helpers, reference routines, section oracles."""
 
 from __future__ import annotations
 
@@ -15,11 +15,11 @@ from contextua import contexts
 from contextua.bell import SectionClassification
 from contextua.catalogs import bundled_text
 from contextua.contexts import poset_from_nodes
-from contextua.gleason import hermitian_basis
-from contextua.opalg import TOL, CanonicalizationError, canonical_key, max_norm
+from contextua.gleason import ProbSection, context_measure, hermitian_basis
+from contextua.opalg import TOL, CanonicalizationError, canonical_keys, max_norm
 from contextua.scenario import _catalog
-from contextua.spectral import EnumerationResult, _domination_maps
-from contextua.wigner import JordanReport, PosetMap, apply_symmetry, jordan_lift
+from contextua.spectral import Character, EnumerationResult, _domination_maps
+from contextua.wigner import JordanReport, PosetMap, apply_symmetry
 
 # HYPOTHESIS_PROFILE=ci runs the tests that do not fix max_examples five times deeper
 settings.register_profile("ci", max_examples=5 * settings.get_profile("default").max_examples)
@@ -47,6 +47,136 @@ def random_basis_context(rng, registry):
     u = random_unitary(rng, registry.dim)
     atoms = [cx.projection(np.outer(u[:, k], u[:, k].conj())) for k in range(registry.dim)]
     return cx.context_from_projections(registry, atoms)
+
+
+def canonical_key(matrix):
+    """Canonical key of one projection matrix."""
+    return canonical_keys([matrix])[0]
+
+
+def is_section(poset, values, tol):
+    """Whether per-atom weights over a set of nodes form a section of the presheaf.
+
+    ``values[i]`` holds one weight per atom of node i; a character is the 0/1
+    vector of its chosen atom. ``poset`` is a context poset or a product
+    poset: anything with ``len``, ``order``, ``atom_keys`` and
+    ``dominator_map``. The domain must be down-closed. Along every inclusion
+    i < j in it, pushing j's weights forward along ``dominator_map(i, j)``
+    must give i's weights, and a projection that is an atom of several nodes
+    must carry one weight; both within ``tol``.
+    """
+    domain = list(values)
+    inside = np.zeros(len(poset), dtype=bool)
+    inside[domain] = True
+    if (poset.order[:, domain] & ~inside[:, None]).any():
+        return False
+    for j in domain:
+        for i in domain:
+            if i == j or not poset.order[i, j]:
+                continue
+            pushed = np.bincount(
+                poset.dominator_map(i, j), weights=values[j], minlength=len(values[i])
+            )
+            if max_norm(pushed - values[i]) > tol:
+                return False
+    seen = {}
+    for i in domain:
+        for key, w in zip(poset.atom_keys(i), values[i]):
+            if abs(seen.setdefault(key, w) - w) > tol:
+                return False
+    return True
+
+
+def verify_section(poset, s):
+    """Exact section check of a spectral section, with choices in range.
+
+    Each character enters :func:`is_section` as the 0/1 weight vector of
+    its chosen atom, compared exactly.
+    """
+    values = {}
+    for node in s.domain:
+        if not (0 <= node < len(poset)):
+            return False
+        ch = s.assignment.get(node)
+        if ch is None or ch.context != node:
+            return False
+        count = len(poset.nodes[node].atoms)
+        if not (0 <= ch.chosen_atom < count):
+            return False
+        values[node] = np.eye(count)[ch.chosen_atom]
+    return is_section(poset, values, 0.0)
+
+
+def verify_prob_section(poset, s):
+    """Marginalisation compatibility plus equal weights on shared projections."""
+    values = {}
+    for node in s.domain:
+        m = s.assignment.get(node)
+        if m is None or m.context != node:
+            return False
+        values[node] = np.asarray(m.weights)
+    return is_section(poset, values, TOL.probability)
+
+
+def verify_bell_section(s):
+    """Table shapes and totals, marginalisation along the product order, shared-pair consistency."""
+    pp = s.poset
+    values = {}
+    for node in s.domain:
+        t = s.tables.get(node)
+        if t is None or t.context != node:
+            return False
+        if t.probs.shape != pp.table_shape(node):
+            return False
+        if abs(float(t.probs.sum()) - 1.0) > TOL.probability:
+            return False
+        values[pp.index(node)] = t.probs.reshape(-1)
+    return is_section(pp, values, TOL.probability)
+
+
+def restrict_character(poset, ch, target):
+    """Restriction of a character to a smaller context."""
+    poset.leq(target, ch.context)  # validates the ids
+    if target == ch.context:
+        return ch
+    if not poset.order[target, ch.context]:
+        raise ValueError(f"target node {target} is not below context {ch.context}")
+    return Character(target, int(poset.dominator_map(target, ch.context)[ch.chosen_atom]))
+
+
+def marginal_prob_section(s, side):
+    """One party's marginal measures, as a section over its factor poset."""
+    pp = s.poset
+    poset = pp.left if side == "left" else pp.right
+    assignment = {}
+    for node in sorted(s.domain, key=lambda n: (n.left, n.right)):
+        local = node.left if side == "left" else node.right
+        if local in assignment:
+            continue
+        t = s.tables[node]
+        w = t.left_marginal() if side == "left" else t.right_marginal()
+        assignment[local] = context_measure(poset, local, w, tol=TOL.probability)
+    return ProbSection(assignment, frozenset(assignment))
+
+
+def jordan_lift(s, x):
+    """Complex-linear extension of the symmetry action to all operators.
+
+    On self-adjoint operators this agrees with ``apply_symmetry``; on a
+    general x = a + ib it acts linearly through the self-adjoint parts. For
+    antiunitaries the two differ (conjugation alone is antilinear), and it
+    is the linear extension that is the Jordan automorphism.
+    """
+    arr = np.asarray(x, dtype=complex)
+    adj = arr.conj().T
+    return apply_symmetry(s, 0.5 * (arr + adj)) + 1j * apply_symmetry(s, (arr - adj) / 2j)
+
+
+def compose(s2, s1):
+    """The symmetry acting as s1 first, then s2."""
+    u1, u2 = s1.matrix, s2.matrix
+    u = u2 @ u1.conj() if s2.kind == "antiunitary" else u2 @ u1
+    return cx.symmetry("unitary" if s1.kind == s2.kind else "antiunitary", u)
 
 
 class LoopScanRegistry(cx.ProjectionRegistry):

@@ -24,11 +24,14 @@ from contextua.opalg import ProjectionRegistry, max_norm
 from contextua.wigner import transition_probability_deviation
 
 from conftest import (
+    loop_restrict_table,
     random_basis_context,
     random_density,
     random_hermitian,
     random_unitary,
+    restrict_character,
     strict_chains3,
+    verify_section,
 )
 from test_bell import chsh_coefficients, chsh_operator
 
@@ -66,7 +69,7 @@ def test_criterion_1_ks_nonexistence():
         demo = cx.build_single_poset(cx.parse_scenario(bundled_text("demo-c3")))
         sections = cx.enumerate_global_sections(demo)
         assert len(sections) == 3
-        assert all(cx.verify_section(demo, s) for s in sections)
+        assert all(verify_section(demo, s) for s in sections)
 
         rng = np.random.default_rng(101)
         for _ in range(20):
@@ -266,8 +269,8 @@ def test_criterion_7_presheaf_functoriality(chsh_model):
                 count = len(poset.nodes[k].atoms)
                 for a in range(count):
                     ch = cx.Character(k, a)
-                    via = cx.restrict_character(poset, cx.restrict_character(poset, ch, j), i)
-                    assert via == cx.restrict_character(poset, ch, i)
+                    via = restrict_character(poset, restrict_character(poset, ch, j), i)
+                    assert via == restrict_character(poset, ch, i)
                     checked += 1
                 for _ in range(2):
                     m = context_measure(poset, k, rng.dirichlet(np.ones(count)))
@@ -282,8 +285,8 @@ def test_criterion_7_presheaf_functoriality(chsh_model):
         s = chsh_model.section
         for i, j, k in strict_chains3(pp.order):
             top = s.tables[pp.nodes[k]]
-            via = cx.restrict_table(pp, cx.restrict_table(pp, top, pp.nodes[j]), pp.nodes[i])
-            direct = cx.restrict_table(pp, top, pp.nodes[i])
+            via = loop_restrict_table(pp, loop_restrict_table(pp, top, pp.nodes[j]), pp.nodes[i])
+            direct = loop_restrict_table(pp, top, pp.nodes[i])
             assert max_norm(via.probs - direct.probs) <= 1e-10
             checked += 1
         assert checked >= 224

@@ -18,7 +18,6 @@ from contextua.bell import (
     CorrelationTable,
     ProductNode,
     deterministic_strategies,
-    restrict_table,
 )
 from contextua.catalogs import bundled_text
 from contextua.cli import main
@@ -29,10 +28,13 @@ from conftest import (
     kron_row_classify,
     kron_row_tables,
     loop_restrict_table,
+    marginal_prob_section,
     random_basis_context,
     random_density,
     random_hermitian,
     strict_chains3,
+    verify_bell_section,
+    verify_prob_section,
 )
 from test_contexts import brute_force_covers
 
@@ -163,7 +165,7 @@ class TestSectionFromState:
             cx.section_from_bipartite_state(mub2_model.poset, np.eye(4))
 
     def test_marginalisation_and_sharing(self, chsh_model):
-        assert cx.verify_bell_section(chsh_model.section)
+        assert verify_bell_section(chsh_model.section)
 
     def test_pt_state_tables_nonnegative(self, mub2_model):
         phi = np.zeros(4, dtype=complex)
@@ -798,9 +800,9 @@ class TestClassification:
         rho = random_density(rng, 9)
         s = cx.section_from_bipartite_state(mub3_pair, rho.matrix)
         for side in ("left", "right"):
-            marg = cx.marginal_prob_section(s, side)
+            marg = marginal_prob_section(s, side)
             poset = mub3_pair.left if side == "left" else mub3_pair.right
-            assert cx.verify_prob_section(poset, marg)
+            assert verify_prob_section(poset, marg)
 
 
 class TestRestrictTable:
@@ -813,28 +815,11 @@ class TestRestrictTable:
         checked = 0
         for i, j, k in strict_chains3(pp.order):
             top = s.tables[pp.nodes[k]]
-            via = restrict_table(pp, restrict_table(pp, top, pp.nodes[j]), pp.nodes[i])
-            direct = restrict_table(pp, top, pp.nodes[i])
+            via = loop_restrict_table(pp, loop_restrict_table(pp, top, pp.nodes[j]), pp.nodes[i])
+            direct = loop_restrict_table(pp, top, pp.nodes[i])
             assert max_norm(via.probs - direct.probs) < 1e-10
             checked += 1
         assert checked > 0
-
-    def test_matches_loop_reference(self, mub3_pair, chsh_model):
-        rng = np.random.default_rng(29)
-        for pp in (mub3_pair, chsh_model.poset):
-            d = pp.dims[0] * pp.dims[1]
-            w = random_hermitian(rng, d)
-            s = cx.section_from_bipartite_state(pp, w / np.trace(w).real)
-            checked = 0
-            for i, j in zip(*np.nonzero(pp.order)):
-                small, large = pp.nodes[i], pp.nodes[j]
-                got = restrict_table(pp, s.tables[large], small)
-                want = loop_restrict_table(pp, s.tables[large], small)
-                assert got.context == small
-                assert np.array_equal(got.probs, want.probs)
-                checked += 1
-            assert checked > len(pp)
-
 
 def _replace_tables(s, tables):
     return BellSection(s.poset, tables, frozenset(tables))
@@ -848,7 +833,7 @@ class TestVerifyBellSection:
         tables = dict(s.tables)
         probs = s.tables[node].probs + np.array([[1e-3], [-1e-3]])
         tables[node] = CorrelationTable(node, probs)
-        assert not cx.verify_bell_section(_replace_tables(s, tables))
+        assert not verify_bell_section(_replace_tables(s, tables))
 
     def test_shared_pair_mismatch(self, shared_ray_poset_c3):
         # only the shared (ray, identity) pair can expose a mismatch
@@ -872,13 +857,13 @@ class TestVerifyBellSection:
                 tables[node] = CorrelationTable(node, w)
             return BellSection(pp, tables, frozenset(tables))
 
-        assert cx.verify_bell_section(section(0.5))
-        assert not cx.verify_bell_section(section(0.4))
+        assert verify_bell_section(section(0.5))
+        assert not verify_bell_section(section(0.4))
 
     def test_not_down_closed(self, chsh_model):
         s = chsh_model.section
         top = chsh_model.analysis_contexts[0]
-        assert not cx.verify_bell_section(_replace_tables(s, {top: s.tables[top]}))
+        assert not verify_bell_section(_replace_tables(s, {top: s.tables[top]}))
 
     def test_wrong_shape(self, chsh_model):
         s = chsh_model.section
@@ -886,13 +871,13 @@ class TestVerifyBellSection:
         node = ProductNode(x0, chsh_model.poset.right.trivial_node())
         tables = dict(s.tables)
         tables[node] = CorrelationTable(node, s.tables[node].probs.reshape(1, 2))
-        assert not cx.verify_bell_section(_replace_tables(s, tables))
+        assert not verify_bell_section(_replace_tables(s, tables))
 
     def test_total_not_one(self, chsh_model):
         # halving every table keeps marginalisation and sharing intact
         s = chsh_model.section
         tables = {n: CorrelationTable(n, 0.5 * t.probs) for n, t in s.tables.items()}
-        assert not cx.verify_bell_section(_replace_tables(s, tables))
+        assert not verify_bell_section(_replace_tables(s, tables))
 
 
 class TestMaximallyEntangledC3:

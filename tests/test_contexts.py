@@ -17,6 +17,7 @@ from contextua.contexts import _dominance_table, poset_from_nodes
 from contextua.opalg import TOL, max_norm
 
 from conftest import (
+    canonical_key,
     einsum_dominance_table,
     ix_dominator_map,
     ks18_subset_catalog,
@@ -168,7 +169,7 @@ class TestGeneratePoset:
         poset = shared_ray_poset_c3
         e1 = np.zeros((3, 3), dtype=complex)
         e1[0, 0] = 1.0
-        key = cx.opalg.canonical_key(e1)
+        key = canonical_key(e1)
         # their meet {p1, 1-p1} only restates the shared key p1, so it is not
         # stored: both maximal contexts hold p1 as an atom, the trivial one is below
         maximal = poset.maximal_nodes()
@@ -564,7 +565,7 @@ class TestConjugationStability:
         mapping = {}
         for i in range(len(poset)):
             mats = [u @ p.matrix @ u.conj().T for p in poset.atoms_of(i)]
-            keys = frozenset(cx.opalg.canonical_key(m) for m in mats)
+            keys = frozenset(canonical_key(m) for m in mats)
             matches = [
                 j for j in range(len(image)) if image.nodes[j].key_set == keys
             ]

@@ -14,18 +14,18 @@ from contextua.gleason import (
     context_measure,
     hermitian_basis,
     marginalise,
-    measure_value,
-    quasilinearity_report,
 )
 from contextua.contexts import poset_from_nodes
 from contextua.opalg import ProjectionRegistry, max_norm
 
 from conftest import (
+    canonical_key,
     loop_hermitian_basis,
     random_basis_context,
     random_density,
     random_hermitian,
     strict_chains3,
+    verify_prob_section,
 )
 
 
@@ -61,7 +61,7 @@ class TestSectionFromState:
         poset = basis_poset_c3
         rho = cx.density_matrix(np.diag([1.0, 0.0, 0.0]))
         s = cx.section_from_state(poset, rho)
-        e1_key = cx.opalg.canonical_key(np.diag([1.0, 0, 0]).astype(complex))
+        e1_key = canonical_key(np.diag([1.0, 0, 0]).astype(complex))
         node = next(
             i
             for i in range(len(poset))
@@ -113,7 +113,7 @@ class TestSectionFromState:
             for _ in range(26):
                 rho = random_density(rng, dim)
                 s = cx.section_from_state(poset, rho)
-                assert cx.verify_prob_section(poset, s)
+                assert verify_prob_section(poset, s)
                 trials += 1
         assert trials >= 100
 
@@ -134,15 +134,15 @@ class TestVerifyProbSection:
         halves = cx.context_from_observables(reg, [np.diag([1.0, 1.0, 2.0, 2.0])])
         poset = poset_from_nodes(reg, [v, halves, cx.trivial_context(reg)], ["v", "h", "t"])
         s = cx.section_from_state(poset, cx.density_matrix(np.diag([0.1, 0.2, 0.3, 0.4])))
-        assert cx.verify_prob_section(poset, s)
-        assert not cx.verify_prob_section(poset, _edited(s, 1, [0.3 + 1e-3, 0.7 - 1e-3]))
+        assert verify_prob_section(poset, s)
+        assert not verify_prob_section(poset, _edited(s, 1, [0.3 + 1e-3, 0.7 - 1e-3]))
 
     def test_shared_key_mismatch(self, shared_ray_poset_c3):
         poset = shared_ray_poset_c3
         first, second = poset.maximal_nodes()
         rng = np.random.default_rng(8)
         s = cx.section_from_state(poset, random_density(rng, 3))
-        assert cx.verify_prob_section(poset, s)
+        assert verify_prob_section(poset, s)
         w = np.array(s.assignment[second].weights)
         shared = poset.atom_keys(second).index(
             (set(poset.atom_keys(first)) & set(poset.atom_keys(second))).pop()
@@ -150,13 +150,13 @@ class TestVerifyProbSection:
         other = (shared + 1) % 3
         w[shared] += 1e-3
         w[other] -= 1e-3
-        assert not cx.verify_prob_section(poset, _edited(s, second, w))
+        assert not verify_prob_section(poset, _edited(s, second, w))
 
     def test_not_down_closed(self, mub_poset_c3):
         rng = np.random.default_rng(9)
         s = cx.section_from_state(mub_poset_c3, random_density(rng, 3))
         m = mub_poset_c3.maximal_nodes()[0]
-        assert not cx.verify_prob_section(
+        assert not verify_prob_section(
             mub_poset_c3, cx.ProbSection({m: s.assignment[m]}, frozenset({m}))
         )
 
@@ -216,7 +216,7 @@ class TestStateFromSection:
             ]
             assignment[i] = context_measure(poset, i, weights, tol=1e-7)
         s = cx.ProbSection(assignment, frozenset(range(len(poset))))
-        assert cx.verify_prob_section(poset, s)
+        assert verify_prob_section(poset, s)
         result = cx.state_from_section(poset, s)
         assert result.status == "infeasible"
         assert result.reason == "unique solution has a negative eigenvalue"
@@ -273,40 +273,6 @@ class TestMarginalisation:
                     assert max_norm(via.weights - direct.weights) <= 1e-10
                     checked += 1
         assert checked > 0
-
-    def test_additivity_closure(self, mub_poset_c3):
-        # mu(p v q) = mu(p) + mu(q) for orthogonal projections in one context
-        poset = mub_poset_c3
-        rng = np.random.default_rng(10)
-        rho = random_density(rng, 3)
-        s = cx.section_from_state(poset, rho)
-        for node in range(len(poset)):
-            atoms = poset.atoms_of(node)
-            m = s.assignment[node]
-            for i, j in itertools.combinations(range(len(atoms)), 2):
-                joined = cx.join(atoms[i], atoms[j])
-                lhs = measure_value(poset, m, joined.matrix)
-                assert lhs == pytest.approx(
-                    float(m.weights[i] + m.weights[j]), abs=1e-8
-                )
-
-
-class TestQuasilinearity:
-    def test_state_section_linear(self, mub_poset_c3):
-        rng = np.random.default_rng(4)
-        rho = random_density(rng, 3)
-        s = cx.section_from_state(mub_poset_c3, rho)
-        report = quasilinearity_report(mub_poset_c3, s, seed=1)
-        assert report.status == "linear"
-        assert report.within_context_residual <= 1e-8
-
-    def test_underdetermined_flagged(self, basis_poset_c3):
-        rng = np.random.default_rng(4)
-        rho = random_density(rng, 3)
-        s = cx.section_from_state(basis_poset_c3, rho)
-        report = quasilinearity_report(basis_poset_c3, s, seed=1)
-        assert report.within_context_residual <= 1e-8
-
 
 class TestExtremePoints:
     def test_characters_embed_as_measures(self, basis_poset_c3):

@@ -19,15 +19,19 @@ from contextua.opalg import (
     ProjectionRegistry,
     Tolerances,
     _near_pairs,
-    canonical_key,
     canonical_keys,
     identity_projection,
-    leq_projection,
     max_norm,
     zero_projection,
 )
 
-from conftest import LoopScanRegistry, full_scan_distances, random_hermitian, random_unitary
+from conftest import (
+    LoopScanRegistry,
+    canonical_key,
+    full_scan_distances,
+    random_hermitian,
+    random_unitary,
+)
 
 
 def diag_proj(*entries):
@@ -75,16 +79,6 @@ class TestProjectionFromRay:
     def test_zero_vector(self):
         with pytest.raises(ValueError, match="degenerate ray"):
             cx.projection_from_ray(np.zeros(3))
-
-    def test_ray_equivalence(self):
-        v = np.array([1, 1j]) / np.sqrt(2)
-        assert cx.ray(v) is not None
-        r1, r2 = cx.ray(v), cx.ray(np.exp(0.4j) * v)
-        from contextua.opalg import rays_equivalent
-
-        assert rays_equivalent(r1, r2)
-        assert not rays_equivalent(r1, cx.ray(np.array([1, 0])))
-
 
 class TestMeetJoin:
     def test_meet_idempotent(self):
@@ -139,7 +133,7 @@ class TestMeetJoin:
             u = random_unitary(rng, dim)
             q = cx.projection(u[:, :2] @ u[:, :2].conj().T)
             p = cx.projection(np.outer(u[:, 0], u[:, 0].conj()))
-            assert leq_projection(p, q)
+            assert max_norm(q.matrix @ p.matrix - p.matrix) <= TOL.exact  # p <= q
             rebuilt = cx.join(p, cx.meet(q, p.complement()))
             assert max_norm(rebuilt.matrix - q.matrix) < 1e-8
 
@@ -696,7 +690,59 @@ def package_modules():
     ]
 
 
+def unused_imports(tree):
+    """Names a module's imports bind, ``from __future__`` aside, that it never reads.
+
+    Names inside string annotations count as read.
+    """
+    bound, read, annotations = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+    for ann in annotations:
+        for c in ast.walk(ann):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                parsed = ast.walk(ast.parse(c.value, mode="eval"))
+                read |= {n.id for n in parsed if isinstance(n, ast.Name)}
+    return bound - read
+
+
 class TestImports:
+    def test_every_import_is_used(self):
+        # __init__ imports to re-export; cli imports the single-op wigner functions
+        # that perfbench's tracer wraps on the cli module
+        allowed = {
+            ("cli.py", "conjugate_poset"),
+            ("cli.py", "jordan_check"),
+            ("cli.py", "transition_probability_deviation"),
+        }
+        found = sorted(
+            (name, imported)
+            for name, tree in package_modules()
+            if name != "__init__.py"
+            for imported in unused_imports(tree)
+            if (name, imported) not in allowed
+        )
+        assert found == []
+
+    def test_unused_import_found(self):
+        tree = ast.parse(
+            "from __future__ import annotations\n"
+            "import numpy as np\n"
+            "from .opalg import TOL, Projection, max_norm\n"
+            "def f(p: 'Projection') -> float:\n"
+            "    return np.abs(max_norm(p.matrix))\n"
+        )
+        assert unused_imports(tree) == {"TOL"}
+
     def test_no_top_level_scipy_import(self):
         # only the Bell LP needs scipy, and it imports the solver when it is called
         found = [

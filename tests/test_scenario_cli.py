@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import contextua as cx
 from contextua.catalogs import bundled_names, bundled_scenario, bundled_text, write_bundled
 from contextua.cli import main, run
-from contextua.scenario import ScenarioError, emit_scenario, parse_entry, parse_real
+from contextua.scenario import ScenarioError, parse_entry, parse_real
 
 
 class TestEntryParsing:
@@ -183,6 +183,32 @@ class TestParseScenario:
         assert main(["ks-check", "--scenario", str(path)]) == 1
         assert "rays 0 and 1 are near-duplicates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name,tol,message",
+        [
+            ("ks18-c4", "inf", "error: tol must be finite and nonnegative, got inf"),
+            ("ks18-c4", "nan", "error: tol must be finite and nonnegative, got nan"),
+            ("mub-c3", "-1", "error: tol must be finite and nonnegative, got -1.0"),
+            ("mub-c3", "1", "$.contexts[0]: ray 0 and ray 1 are one projection at tol 1.0"),
+            ("ks18-c4", "0.3", "$.contexts[2]: ray 7 and ray 8 are one projection at tol 0.3"),
+            ("ks18-c4", "0.5", "$.contexts[2]: ray 7 and ray 8 are one projection at tol 0.5"),
+        ],
+        ids=["inf", "nan", "negative", "one", "0.3", "0.5"],
+    )
+    def test_out_of_range_tol_is_an_error(self, capsys, name, tol, message):
+        # a tol that merges orthogonal atoms would give a wrong poset, not a verdict
+        assert main(["ks-check", "--scenario", f"builtin:{name}", "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_merged_padding_complement_is_named(self):
+        doc = {"kind": "single", "dim": 2, "rays": [[1, 0]], "contexts": [[0]]}
+        sc = cx.parse_scenario(json.dumps(doc))
+        message = r"^\$\.contexts\[0\]: ray 0 and the padding complement are one projection"
+        with pytest.raises(ScenarioError, match=message):
+            cx.build_single_poset(sc, tol=1.0)
+
     def test_unknown_kind(self):
         with pytest.raises(ScenarioError, match=r"\$\.kind"):
             cx.parse_scenario(json.dumps({"kind": "tripartite"}))
@@ -201,7 +227,7 @@ class TestParseScenario:
     def test_round_trip_structural_equality(self):
         for name in bundled_names():
             sc = cx.parse_scenario(bundled_text(name))
-            again = cx.parse_scenario(emit_scenario(sc))
+            again = cx.parse_scenario(json.dumps(sc.document, indent=2, sort_keys=True))
             assert again.kind == sc.kind
             assert again.dims == sc.dims
             assert again.digest() == sc.digest()

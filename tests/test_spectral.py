@@ -15,20 +15,19 @@ from contextua import spectral
 from contextua.catalogs import bundled_text
 from contextua.contexts import Context, ContextPoset
 from contextua.opalg import ProjectionRegistry, max_norm
-from contextua.spectral import (
-    Character,
-    SpectralSection,
-    character_value,
-)
+from contextua.spectral import Character, SpectralSection
 
 from conftest import (
+    canonical_key,
     full_table_sections,
     ks18_subset_poset,
     partition_closure_poset,
     peres24_subset_catalog,
     random_basis_context,
+    restrict_character,
     shared_ray_catalog_poset,
     strict_chains3,
+    verify_section,
 )
 
 
@@ -40,7 +39,7 @@ def shared_atom_setup():
     poset = partition_closure_poset([ctx], reg)
     maximal = poset.maximal_nodes()[0]
     e1 = np.diag([1.0, 0, 0]).astype(complex)
-    key1 = cx.opalg.canonical_key(e1)
+    key1 = canonical_key(e1)
     sub = next(
         i
         for i in range(len(poset))
@@ -53,7 +52,7 @@ class TestRestrictCharacter:
     def test_identity_on_same_context(self, shared_atom_setup):
         poset, maximal, _, _ = shared_atom_setup
         ch = Character(maximal, 1)
-        assert cx.restrict_character(poset, ch, maximal) == ch
+        assert restrict_character(poset, ch, maximal) == ch
 
     def test_complement_atom_chosen(self, shared_atom_setup):
         poset, maximal, sub, key1 = shared_atom_setup
@@ -63,26 +62,26 @@ class TestRestrictCharacter:
             for i, k in enumerate(poset.atom_keys(maximal))
             if poset.registry.get(k).matrix[1, 1].real > 0.5
         )
-        got = cx.restrict_character(poset, Character(maximal, idx_p2), sub)
+        got = restrict_character(poset, Character(maximal, idx_p2), sub)
         chosen_key = poset.atom_keys(sub)[got.chosen_atom]
         assert poset.registry.get(chosen_key).rank == 2
 
     def test_restrict_to_trivial(self, shared_atom_setup):
         poset, maximal, _, _ = shared_atom_setup
-        got = cx.restrict_character(poset, Character(maximal, 2), poset.trivial_node())
+        got = restrict_character(poset, Character(maximal, 2), poset.trivial_node())
         assert got.chosen_atom == 0
 
     def test_not_below_errors(self, shared_atom_setup):
         poset, maximal, sub, _ = shared_atom_setup
         with pytest.raises(ValueError, match="not below"):
-            cx.restrict_character(poset, Character(sub, 0), maximal)
+            restrict_character(poset, Character(sub, 0), maximal)
 
 
 class TestFindGlobalSection:
     def test_single_maximal_c3(self, basis_poset_c3):
         cert = cx.find_global_section(basis_poset_c3)
         assert cert.verdict == "colorable"
-        assert cx.verify_section(basis_poset_c3, cert.section)
+        assert verify_section(basis_poset_c3, cert.section)
         assert len(cx.enumerate_global_sections(basis_poset_c3)) == 3
 
     def test_dim2_catalogs_colorable(self):
@@ -93,7 +92,7 @@ class TestFindGlobalSection:
             poset = cx.generate_poset(catalog, reg)
             cert = cx.find_global_section(poset)
             assert cert.verdict == "colorable"
-            assert cx.verify_section(poset, cert.section)
+            assert verify_section(poset, cert.section)
 
     def test_ks18_non_colorable_both_routes(self, ks18_poset):
         cert = cx.find_global_section(ks18_poset)
@@ -136,7 +135,7 @@ class TestEnumerate:
         assert len(result) == 9
         assert not result.truncated
         for s in result:
-            assert cx.verify_section(poset, s)
+            assert verify_section(poset, s)
 
     def test_cap_truncation(self, basis_poset_c3):
         result = cx.enumerate_global_sections(basis_poset_c3, cap=2)
@@ -178,7 +177,7 @@ class TestEnumerate:
 class TestVerifySection:
     def test_search_output_verifies(self, shared_ray_poset_c3):
         cert = cx.find_global_section(shared_ray_poset_c3)
-        assert cx.verify_section(shared_ray_poset_c3, cert.section)
+        assert verify_section(shared_ray_poset_c3, cert.section)
 
     def test_shared_projection_mismatch(self, shared_ray_poset_c3):
         poset = shared_ray_poset_c3
@@ -196,7 +195,7 @@ class TestVerifySection:
         )
         assignment[m2] = Character(m2, other)
         bad = SpectralSection(assignment, good.domain)
-        assert not cx.verify_section(poset, bad)
+        assert not verify_section(poset, bad)
 
     def test_edge_violation_without_atom_sharing(self):
         # hand-built two-context poset {V, M, trivial}: M's atoms are proper
@@ -214,7 +213,7 @@ class TestVerifySection:
             {0: Character(0, 0), 1: Character(1, 0), 2: Character(2, 0)},
             frozenset({0, 1, 2}),
         )
-        assert cx.verify_section(poset, ok)
+        assert verify_section(poset, ok)
         bad = SpectralSection(
             {0: Character(0, 0), 1: Character(1, 1), 2: Character(2, 0)},
             frozenset({0, 1, 2}),
@@ -222,44 +221,13 @@ class TestVerifySection:
         # no projection is an atom of two nodes here: value table is consistent
         keys = [poset.atom_keys(i) for i in range(3)]
         assert not (set(keys[0]) & set(keys[1]))
-        assert not cx.verify_section(poset, bad)
+        assert not verify_section(poset, bad)
 
     def test_non_down_closed_domain(self, basis_poset_c3):
         poset = basis_poset_c3
         m = poset.maximal_nodes()[0]
         s = SpectralSection({m: Character(m, 0)}, frozenset({m}))
-        assert not cx.verify_section(poset, s)
-
-
-class TestKsTriple:
-    def test_reflexive(self):
-        a = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        assert cx.ks_triple_check(a, a, a)
-
-    def test_identity_is_constant_function(self):
-        a = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        b = np.diag([3.0, 1.0, 2.0]).astype(complex)
-        assert cx.ks_triple_check(a, b, np.eye(3, dtype=complex))
-
-    def test_shared_atom_of_noncommuting_contexts(self):
-        # c = p1 is a spectral function of both a and b, yet [a, b] != 0
-        e1 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        a = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        v2 = np.array([0, 1, 1]) / np.sqrt(2)
-        v3 = np.array([0, 1, -1]) / np.sqrt(2)
-        b = 1.0 * e1 + 2.0 * np.outer(v2, v2) + 3.0 * np.outer(v3, v3)
-        assert not cx.commutes(a, b)
-        assert cx.ks_triple_check(a, b, e1)
-
-    def test_rejects_unrelated(self):
-        a = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        c = np.ones((3, 3), dtype=complex) / 3
-        assert not cx.ks_triple_check(a, a, c)
-
-    def test_requires_self_adjoint(self):
-        a = np.diag([1.0, 2.0]).astype(complex)
-        with pytest.raises(ValueError):
-            cx.ks_triple_check(a, a, np.array([[0, 1], [0, 0]], dtype=complex))
+        assert not verify_section(poset, s)
 
 
 class TestFunctorialityAndValues:
@@ -269,27 +237,10 @@ class TestFunctorialityAndValues:
             for i, j, k in strict_chains3(poset.order):
                 for a in range(len(poset.nodes[k].atoms)):
                     ch = Character(k, a)
-                    via = cx.restrict_character(poset, cx.restrict_character(poset, ch, j), i)
-                    assert via == cx.restrict_character(poset, ch, i)
+                    via = restrict_character(poset, restrict_character(poset, ch, j), i)
+                    assert via == restrict_character(poset, ch, i)
                     checked += 1
         assert checked > 0
-
-    def test_spectrum_rule_and_functional_composition(self, mub_poset_c3):
-        poset = mub_poset_c3
-        cert = cx.find_global_section(poset)
-        assert cert.verdict == "colorable"
-        rng = np.random.default_rng(2)
-        for node in range(len(poset)):
-            atoms = poset.atoms_of(node)
-            coeffs = rng.normal(size=len(atoms))
-            a = sum(c * p.matrix for c, p in zip(coeffs, atoms))
-            ch = cert.section.assignment[node]
-            v = character_value(poset, ch, a)
-            eigs = [round(x, 9) for x, _ in cx.spectral_atoms(a)]
-            assert any(abs(v - e) < 1e-8 for e in eigs)  # spectrum rule
-            f = lambda x: 2.0 * x**2 - x + 0.5  # sampled polynomial
-            f_of_a = sum(f(c) * p.matrix for c, p in zip(coeffs, atoms))
-            assert character_value(poset, ch, f_of_a) == pytest.approx(f(v), abs=1e-8)
 
     def test_certificate_report_shape(self, basis_poset_c3):
         cert = cx.find_global_section(basis_poset_c3)
@@ -376,13 +327,13 @@ class TestOracleStress:
                         ok = False
                         break
                     assignment[i] = Character(i, vals.pop())
-                if ok and cx.verify_section(
+                if ok and verify_section(
                     poset, SpectralSection(dict(assignment), frozenset(range(len(poset))))
                 ):
                     direct += 1
             assert (cert.verdict == "colorable") == (len(enum) > 0)
             assert len(enum) == direct
-            assert all(cx.verify_section(poset, s) for s in enum)
+            assert all(verify_section(poset, s) for s in enum)
             trials += 1
 
 

@@ -17,11 +17,12 @@ from contextua.opalg import TOL, CanonicalizationError, max_norm
 from contextua.wigner import (
     PosetMap,
     _projection_ranks,
-    jordan_lift,
     transition_probability_deviation,
 )
 
 from conftest import (
+    compose,
+    jordan_lift,
     loop_conjugate_poset,
     loop_image_check,
     loop_jordan_check,
@@ -219,7 +220,7 @@ class TestConjugatePoset:
                       ("unitary", "antiunitary")):
             s1 = cx.symmetry(kinds[0], random_unitary(rng, 3))
             s2 = cx.symmetry(kinds[1], random_unitary(rng, 3))
-            both = cx.compose(s2, s1)
+            both = compose(s2, s1)
             img1, _ = cx.conjugate_poset(shared_ray_poset_c3, s1)
             img2, _ = cx.conjugate_poset(img1, s2)
             img3, _ = cx.conjugate_poset(shared_ray_poset_c3, both)
@@ -715,7 +716,7 @@ class TestPermutationComposition:
         s2 = cx.symmetry("unitary", swap)
         _, m1 = cx.conjugate_poset(basis_poset_c3, s1)
         _, m2 = cx.conjugate_poset(basis_poset_c3, s2)
-        _, m21 = cx.conjugate_poset(basis_poset_c3, cx.compose(s2, s1))
+        _, m21 = cx.conjugate_poset(basis_poset_c3, compose(s2, s1))
         composed = tuple(m2(m1(i)) for i in range(len(basis_poset_c3)))
         assert composed == m21.node_map
         assert sorted(m21.node_map) == list(range(5))
