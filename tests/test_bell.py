@@ -821,6 +821,24 @@ class TestRestrictTable:
             checked += 1
         assert checked > 0
 
+    def test_matches_loop_reference(self, mub3_pair, chsh_model):
+        # each node's Born table is the loop restriction of every larger node's
+        # table, also for a W that is not positive
+        rng = np.random.default_rng(29)
+        for pp in (mub3_pair, chsh_model.poset):
+            d = pp.dims[0] * pp.dims[1]
+            w = random_hermitian(rng, d)
+            s = cx.section_from_bipartite_state(pp, w / np.trace(w).real)
+            checked = 0
+            for i, j in zip(*np.nonzero(pp.order)):
+                small, large = pp.nodes[i], pp.nodes[j]
+                want = loop_restrict_table(pp, s.tables[large], small)
+                assert want.context == small
+                assert max_norm(s.tables[small].probs - want.probs) < 1e-10
+                checked += 1
+            assert checked > len(pp)
+
+
 def _replace_tables(s, tables):
     return BellSection(s.poset, tables, frozenset(tables))
 

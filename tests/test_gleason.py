@@ -274,6 +274,30 @@ class TestMarginalisation:
                     checked += 1
         assert checked > 0
 
+    def test_additivity_closure(self, mub_closure_poset_c3):
+        # mu(p v q) = mu(p) + mu(q) for orthogonal projections in one context:
+        # p v q is an atom of a smaller node, which carries its weight
+        poset = mub_closure_poset_c3
+        rng = np.random.default_rng(10)
+        s = cx.section_from_state(poset, random_density(rng, 3))
+        checked = 0
+        for small, large in zip(*np.nonzero(poset.order)):
+            atoms = poset.atoms_of(large)
+            weights = s.assignment[large].weights
+            dom = poset.dominator_map(small, large)
+            for a, coarse in enumerate(poset.atoms_of(small)):
+                fine = np.flatnonzero(dom == a)
+                if len(fine) != 2:
+                    continue
+                joined = cx.join(atoms[fine[0]], atoms[fine[1]])
+                assert max_norm(joined.matrix - coarse.matrix) < 1e-8
+                assert s.assignment[small].weights[a] == pytest.approx(
+                    float(weights[fine[0]] + weights[fine[1]]), abs=1e-8
+                )
+                checked += 1
+        assert checked > 0
+
+
 class TestExtremePoints:
     def test_characters_embed_as_measures(self, basis_poset_c3):
         poset = basis_poset_c3

@@ -80,6 +80,16 @@ class TestProjectionFromRay:
         with pytest.raises(ValueError, match="degenerate ray"):
             cx.projection_from_ray(np.zeros(3))
 
+    def test_ray_equivalence(self):
+        # rays that differ by a phase are one projection, so one registry key
+        v = np.array([1, 1j]) / np.sqrt(2)
+        r1, r2 = cx.ray(v), cx.ray(np.exp(0.4j) * v)
+        reg = ProjectionRegistry(2)
+        key = reg.register(cx.projection_from_ray(r1))
+        assert reg.register(cx.projection_from_ray(r2)) == key
+        assert reg.register(cx.projection_from_ray(cx.ray(np.array([1, 0])))) != key
+        assert len(reg.keys()) == 2
+
 class TestMeetJoin:
     def test_meet_idempotent(self):
         p = cx.projection_from_ray(np.array([1, 2, 2]) / 3)
