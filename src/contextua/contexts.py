@@ -282,10 +282,11 @@ def _meets(
     at most one are shared atoms (one atom, the same key, on both sides):
     that meet only says both contexts give each shared atom one value, which
     the key table already enforces. The drop is decided from the labels,
-    before any block is summed. Each distinct multi-atom set of atoms of the
-    kept pairs is summed once: the first-side sums are registered in pair and
-    block order, the other second-side sums are looked up, and the two keys
-    of every block must agree.
+    before any block is summed. The two sides of each block of the kept pairs
+    get their keys from :func:`_side_keys`. A block whose two keys differ was
+    split by an overlap below the squared grid, so a pair's blocks of that
+    kind merge into one block, keyed the same way after all the others; the
+    pair's meet is trivial if that block's two keys still differ.
     """
     if len(catalog) < 2:
         return []
@@ -335,8 +336,50 @@ def _meets(
     keep = np.bincount(owner[~shared], minlength=len(pairs)) > 1
     if not keep.any():
         return []
-    pairs, root = pairs[keep], root[keep]
+    pairs, root, shared = pairs[keep], root[keep], shared[keep[owner]]
     first, second = first[keep[owner]], second[keep[owner]]
+    owner = np.nonzero(root)[0]
+    first_keys, second_keys = _side_keys(registry, keys, stack, first, second)
+    per_pair = [list(k) for k in np.split(first_keys, np.cumsum(root.sum(axis=1))[:-1])]
+    apart = first_keys != second_keys
+    if apart.any():
+        # A block whose two sides the registry keeps apart was split by an overlap below
+        # the squared grid. Each pair's blocks of that kind merge into one; if its two
+        # sides are still apart, the pair's meet is trivial. Either way a meet that no
+        # longer carries a constraint is not stored.
+        torn = np.unique(owner[apart])
+        merging = [np.flatnonzero(apart & (owner == t)) for t in torn]
+        merged = [np.array([np.sort(s[m], None)[:width] for m in merging]) for s in (first, second)]
+        for t, key, other in zip(torn, *_side_keys(registry, keys, stack, *merged)):
+            rows = np.flatnonzero(owner == t)
+            start = rows[apart[rows]][0]  # the merged block takes the first one's place
+            kept = [r for r in rows if r == start or not apart[r]]
+            constrains = (~apart[rows] & ~shared[rows]).any()  # a block besides the merged one
+            blocks = [key if r == start else first_keys[r] for r in kept]
+            per_pair[t] = blocks if key == other and constrains else None
+    dim = catalog[0].dim
+    return [
+        (int(pair_i[p]), int(pair_j[p]), Context(dim, tuple(k)))
+        for p, k in zip(pairs, per_pair)
+        if k is not None
+    ]
+
+
+def _side_keys(
+    registry: ProjectionRegistry,
+    keys: list[str],
+    stack: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The keys of the two sides of each block: the atoms of its row of ``first`` and of
+    ``second``, rows of ``stack`` (keys ``keys``), sorted and padded with ``len(keys)``.
+
+    A one-atom side is that atom. Each distinct set of several atoms is summed once:
+    the sets that are some block's first side are registered in the order their
+    first-side blocks come, and the others are looked up.
+    """
+    n = len(keys)
     sides = np.concatenate([first, second])
     multi = np.flatnonzero(sides[:, 1] < n)
     distinct, seen_at, inverse = np.unique(
@@ -355,25 +398,15 @@ def _meets(
     ranks = np.array([registry.get(k).rank for k in keys] + [0])
     sums.flags.writeable = False
     parts = [Projection(m, int(r)) for m, r in zip(sums, ranks[distinct].sum(axis=1))]
-    # a set of atoms that is some block's first side is registered, in the order its
-    # first-side blocks come; a set that is only ever a second side is looked up
     on_first = multi[seen_at] < len(first)
     registered = np.flatnonzero(on_first)[np.argsort(multi[seen_at][on_first])]
     looked_up = np.flatnonzero(~on_first)
     resolved = np.empty(len(distinct), dtype=object)
     resolved[registered] = registry.register_many([parts[u] for u in registered])
     resolved[looked_up] = registry.find_many([parts[u] for u in looked_up])
-    block_keys = np.array(keys + [None], dtype=object)[sides[:, 0]]
-    block_keys[multi] = resolved[inverse.reshape(-1)]
-    first_keys, second_keys = block_keys[: len(first)], block_keys[len(first) :]
-    if (first_keys != second_keys).any():
-        raise RuntimeError("the two sides of a meet block are distinct projections")
-    per_pair = np.split(first_keys, np.cumsum(root.sum(axis=1))[:-1])
-    dim = catalog[0].dim
-    return [
-        (int(pair_i[p]), int(pair_j[p]), Context(dim, tuple(k)))
-        for p, k in zip(pairs, per_pair)
-    ]
+    side_keys = np.array(keys + [None], dtype=object)[sides[:, 0]]
+    side_keys[multi] = resolved[inverse.reshape(-1)]
+    return side_keys[: len(first)], side_keys[len(first) :]
 
 
 def poset_from_nodes(

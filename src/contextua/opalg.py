@@ -44,7 +44,6 @@ class Tolerances:
     # is nonnegative, totals and marginals this close agree, an LP distance this
     # small is zero
     probability: float = 1e-7
-    membership: float = 1e-7  # an operator is in a context if its atom expansion misses by less
     # a symmetry image of an atom is a projection, and image commutators match
     # up to this times their size
     conjugation: float = 1e-7
@@ -362,38 +361,22 @@ def _near_pairs(
     return screened_pairs(rows, pool, keep, lambda a, b: np.abs(a - b).max(axis=(1, 2)))
 
 
-def _decides(dist: np.ndarray, tol: float) -> np.ndarray:
-    """Whether a registered projection at max-entry distance ``dist`` decides another:
-    within ``tol`` it is that projection (jitter across a rounding boundary), and closer
-    than the grid it rejects it."""
-    return (dist <= tol) | (dist < TOL.grid)
-
-
-def _collision(key: str, index: int) -> CanonicalizationError:
-    """Row ``index`` has a registered projection's canonical key but is not within tol of it."""
-    return CanonicalizationError(
-        "distinct projections collide on the canonical rounding grid", key, index
-    )
-
-
-def _too_close(key: str, other_key: str, index: int) -> CanonicalizationError:
-    """Row ``index`` (key ``key``) is closer than the grid to ``other_key``, not within tol."""
-    return CanonicalizationError(
-        f"projections {key} and {other_key} are closer than the rounding grid", other_key, index
-    )
+# the candidates of a batch whose rows all have registered keys: it scans nothing
+_NO_PAIRS = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
 
 
 class ProjectionRegistry:
     """Registry assigning canonical keys to projections of a fixed dimension.
 
-    Cross-context identity of projections is decided here and nowhere else:
-    a projection within ``tol`` entrywise of a registered one is that
-    projection and gets its key. A pair of distinct projections closer than
-    the rounding grid is rejected outright, since their identity would
-    depend on rounding luck. Every call decides a batch, :meth:`find` and
-    :meth:`register` a batch of one: a registered canonical key decides
-    without a scan, and screened scans (:func:`_near_pairs`) find the
-    registered projections that decide the other rows.
+    Cross-context identity of projections is decided here and nowhere else,
+    by one rule applied to each projection of a batch in turn. One whose
+    canonical key is registered is that projection when within ``tol``
+    entrywise, and collides otherwise. Any other is the first registered
+    projection, in insertion order, that lies within ``tol``; a registered
+    one closer than the rounding grid but not within ``tol`` rejects it,
+    since their identity would depend on rounding luck. :meth:`_resolve`
+    decides every batch: :meth:`find_many` and :meth:`register_many` call
+    it, :meth:`find` and :meth:`register` are batches of one, and
     :meth:`of_conjugates` fills fresh registries with the conjugates of one
     stack, reusing that stack's screen for all of them.
     """
@@ -405,8 +388,7 @@ class ProjectionRegistry:
         self.tol = tol
         self._by_key: dict[str, Projection] = {}
         self._order: list[str] = []  # registered keys in insertion order
-        # registered matrices in insertion order; capacity doubles as it fills
-        self._stack = np.empty((4, dim, dim), dtype=complex)
+        self._stack = np.empty((0, dim, dim), dtype=complex)  # registered matrices, in order
 
     def find(self, p: Projection) -> str | None:
         """:meth:`find_many` of ``p`` alone."""
@@ -426,39 +408,30 @@ class ProjectionRegistry:
         stack: np.ndarray,
         images: Sequence[Sequence[Projection]],
         keys: Sequence[Sequence[str]],
-    ) -> list["ProjectionRegistry | None"]:
-        """Per list of conjugates of ``stack``, what :meth:`register_many` of it gives an
-        empty registry, or None where that would merge or reject some of them.
+    ) -> list["tuple[ProjectionRegistry, list[str]] | CanonicalizationError"]:
+        """Per list of conjugates of ``stack``, what :meth:`register_many` of it on an empty
+        registry gives: that registry and the keys, or the error it would raise.
 
         ``images[k]`` are the images of ``stack``'s rows under one unitary or
         antiunitary conjugation, with canonical ``keys[k]``. Conjugation
         preserves ``Re tr(a* b)``, the only thing the scan's Gram screen
         reads, so the screen of ``stack`` keeps every image pair within reach
         of the rule, for every list at once (a conjugation's rounding is far
-        inside the screen's margin): it runs once, and only the images of the
-        pairs it keeps are compared entrywise. A list gets None when the rule
-        decides one of those pairs or two of its keys repeat; registering it
-        one batch at a time is what decides then.
+        inside the screen's margin): it runs once, and the images of the pairs
+        it keeps, with their distances, are each list's candidates in place of
+        a scan.
         """
         if not images:
             return []
-        reach = max(tol, TOL.grid)
-        s, t, _ = screened_pairs(stack, stack, _identity_keep(stack, reach))
-        s, t = s[s < t], t[s < t]
-        shape = (len(images), len(s), dim, dim)
-        above = np.array([[ps[i].matrix for i in s] for ps in images]).reshape(shape)
-        below = np.array([[ps[i].matrix for i in t] for ps in images]).reshape(shape)
-        decided = _decides(np.abs(above - below).max(axis=(2, 3)), tol).any(axis=1)
-        out: list[ProjectionRegistry | None] = []
-        for ps, ks, merges in zip(images, keys, decided):
-            if merges or len(set(ks)) < len(ks):
-                out.append(None)
-                continue
+        s, t, _ = screened_pairs(stack, stack, _identity_keep(stack, max(tol, TOL.grid)))
+        row, col = s[s > t], t[s > t]  # each pair as (later row, earlier row), in row order
+        mats = np.array([[p.matrix for p in ps] for ps in images]).reshape(-1, len(stack), dim, dim)
+        dists = np.abs(mats[:, row] - mats[:, col]).max(axis=(2, 3))
+        out = []
+        for ps, ks, m, dist in zip(images, keys, mats, dists):
             registry = cls(dim, tol)
-            registry._stack, keyed = registry._batch(ps, ks)
-            registry._by_key = dict(zip(keyed, ps))
-            registry._order = keyed
-            out.append(registry)
+            found, error = registry._resolve(ps, list(ks), True, m, (row, col, dist))
+            out.append((registry, found) if error is None else error)
         return out
 
     def find_many(
@@ -466,41 +439,13 @@ class ProjectionRegistry:
     ) -> list[str | None]:
         """Key of the registered projection identified with each of ``ps``, or None.
 
-        ``keys`` are their canonical keys (:func:`canonical_keys`) when the
-        caller has them. Registers nothing. Raises the
-        :class:`CanonicalizationError` of the first projection that a
-        registered one lies closer to than the grid but not within ``tol``.
-        The rows whose canonical key is registered are decided by one stacked
-        distance to those projections, the others by a screened scan.
+        ``keys`` are their canonical keys (:func:`canonical_keys`) when the caller
+        has them. Registers nothing; raises the first rejection of the rule.
         """
-        if not ps:
-            return []
-        stack, keys = self._batch(ps, keys)
-        held = [self._by_key.get(key) for key in keys]
-        out: list[str | None] = [None if p is None else key for p, key in zip(held, keys)]
-        known = [t for t, p in enumerate(held) if p is not None]
-        failed: tuple[int, CanonicalizationError] | None = None  # the first failing row
-        if known:
-            existing = np.array([held[t].matrix for t in known])
-            # NaN distances compare False, so a non-finite row collides as in _decide
-            far = np.flatnonzero(~(np.abs(existing - stack[known]).max(axis=(1, 2)) <= self.tol))
-            if far.size:
-                t = known[far[0]]
-                failed = t, _collision(keys[t], t)
-        scan = [t for t, p in enumerate(held) if p is None]
-        for t, hits in self._near(stack, scan, self._stack[: len(self._order)]).items():
-            if failed is not None and t > failed[0]:
-                break
-            position, dist = hits[0]  # the first registered projection that decides
-            other_key = self._order[position]
-            if dist <= self.tol:
-                out[t] = other_key
-            else:
-                failed = t, _too_close(keys[t], other_key, t)
-                break
-        if failed is not None:
-            raise failed[1]
-        return out
+        found, error = self._resolve(ps, keys, False)
+        if error is not None:
+            raise error
+        return found
 
     def register_many(self, ps: Sequence[Projection]) -> list[str]:
         """Key of each of ``ps`` in turn, registering under its canonical key each that is new.
@@ -508,84 +453,110 @@ class ProjectionRegistry:
         A projection is identified with a registered one or with an earlier
         one of the batch, exactly as registering them one at a time would;
         on a :class:`CanonicalizationError` the earlier ones stay registered.
-        The object given is the one stored. Each round of the batch scans the
-        first row of each unregistered canonical key, against the registered
-        projections and those rows; a later row of that key is decided by the
-        key, or starts the next round if the first row got another key.
+        The object given is the one stored.
+        """
+        found, error = self._resolve(ps, None, True)
+        if error is not None:
+            raise error
+        return found
+
+    def _resolve(
+        self, ps, keys, register: bool, stack=None, pairs=None
+    ) -> tuple[list, CanonicalizationError | None]:
+        """The rule on each row of a batch in row order: each row's key, or None where
+        nothing decides and ``register`` is False, up to the first rejection, and that.
+
+        ``keys`` are the rows' canonical keys and ``stack`` their matrices,
+        each computed when None. Rows of a registered key are decided by one
+        stacked distance. ``pairs`` are the candidates of the other rows, the
+        scan rows, as (scan row, column, distance) sorted by row then column:
+        column c < len(self) is the projection registered c-th, and column
+        len(self) + j is scan row j, which counts for a later row once it is
+        registered. Without them one screened scan (:func:`_near_pairs`) finds
+        them, among the scan rows too when registering. Rows registered before
+        a rejection stay registered.
         """
         if not ps:
-            return []
-        stack, keys = self._batch(ps)
-        out: list[str] = []
-        while len(out) < len(ps):
-            start, n = len(out), len(self._order)
-            back = range(len(ps) - 1, start - 1, -1)  # backwards: each key ends at its first row
-            scan = sorted({keys[t]: t for t in back if keys[t] not in self._by_key}.values())
-            near = self._near(stack, scan, np.concatenate([self._stack[:n], stack[scan]]))
-            # insertion position of each pool column; -1 while its batch row is not registered
-            position = list(range(n)) + [-1] * len(scan)
-            column = {t: n + j for j, t in enumerate(scan)}
-            for t in range(start, len(ps)):
-                if keys[t] not in self._by_key and t not in column:
-                    break  # the next round scans this row
-                hits = [(position[c], d) for c, d in near.get(t, ()) if position[c] >= 0]
-                found = self._decide(t, keys[t], stack[t], hits)
-                if found is None:
-                    position[column[t]] = len(self._order)
-                    self._add(keys[t], ps[t])
-                    found = keys[t]
-                out.append(found)
-        return out
-
-    def _near(
-        self, stack: np.ndarray, scan: list[int], pool: np.ndarray
-    ) -> dict[int, list[tuple[int, float]]]:
-        """Per row of ``stack`` in ``scan``: each pool column that decides it, and the distance."""
-        if not scan:
-            return {}
-        s, t, dist = _near_pairs(stack[scan], pool, max(self.tol, TOL.grid))
-        hit = _decides(dist, self.tol)
-        out: dict[int, list[tuple[int, float]]] = {}
-        for row, col, d in zip(s[hit].tolist(), t[hit].tolist(), dist[hit].tolist()):
-            out.setdefault(scan[row], []).append((col, d))
-        return out
-
-    def _batch(
-        self, ps: Sequence[Projection], keys: Sequence[str] | None = None
-    ) -> tuple[np.ndarray, list[str]]:
-        for p in ps:
-            if p.dim != self.dim:
-                raise ValueError(f"projection dim {p.dim} does not match registry dim {self.dim}")
-        stack = np.array([p.matrix for p in ps], dtype=complex).reshape(-1, self.dim, self.dim)
-        return stack, canonical_keys(stack) if keys is None else list(keys)
-
-    def _add(self, key: str, p: Projection) -> None:
+            return [], None
+        if stack is None:
+            for p in ps:
+                if p.dim != self.dim:
+                    message = f"projection dim {p.dim} does not match registry dim {self.dim}"
+                    raise ValueError(message)
+            stack = np.array([p.matrix for p in ps], dtype=complex).reshape(-1, self.dim, self.dim)
+        keys = canonical_keys(stack) if keys is None else list(keys)
         n = len(self._order)
-        if n == len(self._stack):
-            self._stack = np.concatenate([self._stack, np.empty_like(self._stack)])
-        self._stack[n] = p.matrix
-        self._by_key[key] = p
-        self._order.append(key)
+        held = [self._by_key.get(key) for key in keys]
+        scan = [t for t, p in enumerate(held) if p is None]
+        known = [t for t, p in enumerate(held) if p is not None]
+        scan_keys = [keys[t] for t in scan]
+        if pairs is None and scan:
+            pool = np.concatenate([self._stack[:n], stack[scan]]) if register else self._stack[:n]
+            pairs = _near_pairs(stack[scan], pool, max(self.tol, TOL.grid))
+        row, col, dist = pairs or _NO_PAIRS
+        # a candidate within tol is the row's projection, and one closer than the grid
+        # rejects it; a scan row is a candidate of later rows only
+        hit = ((dist <= self.tol) | (dist < TOL.grid)) & (col < n + row) if len(dist) else dist > 0
+        far = len(keys)  # the first row of a registered key that is not within tol of it
+        if known:
+            existing = np.array([held[t].matrix for t in known])
+            # NaN distances compare False, so a non-finite row collides
+            miss = ~(np.abs(existing - stack[known]).max(axis=(1, 2)) <= self.tol)
+            far = known[miss.argmax()] if miss.any() else far
+        repeats = register and len(set(scan_keys)) < len(scan)  # a new key on several rows
+        if not (hit.any() or repeats) and far == len(keys):  # no row needs deciding in turn
+            if register and scan:  # every scan row is new: register them in bulk
+                rows = scan if known else slice(None)  # a view of a batch of new rows only
+                self._add(scan_keys, [ps[t] for t in scan], stack[rows])
+            return [key if register or p is not None else None for key, p in zip(keys, held)], None
+        candidates: dict[int, list[tuple[int, float]]] = {}
+        for r, c, d in zip(row[hit].tolist(), col[hit].tolist(), dist[hit].tolist()):
+            candidates.setdefault(scan[r], []).append((c, d))
+        column = dict(zip(scan, range(n, n + len(scan))))
+        column_key = self._order + scan_keys
+        fresh: dict[str, int] = {}  # each key registered here, and its row's column
+        found: list[str | None] = []
+        error = None
+        for t, key in enumerate(keys):
+            near = candidates.get(t, ())
+            # a registered key decides: its projection within tol, or a collision
+            within = key in fresh and any(c == fresh[key] and d <= self.tol for c, d in near)
+            if t == far or key in fresh and not within:
+                message = "distinct projections collide on the canonical rounding grid"
+                error = CanonicalizationError(message, key, t)
+                break
+            if held[t] is not None or key in fresh:
+                found.append(key)
+                continue
+            # else the first registered candidate: within tol, or closer than the grid
+            first = next(((c, d) for c, d in near if c < n or fresh.get(column_key[c]) == c), None)
+            if first is None:
+                if register:
+                    fresh[key] = column[t]
+                found.append(key if register else None)
+            elif first[1] <= self.tol:
+                found.append(column_key[first[0]])
+            else:
+                other = column_key[first[0]]
+                message = f"projections {key} and {other} are closer than the rounding grid"
+                error = CanonicalizationError(message, other, t)
+                break
+        if fresh:
+            rows = [scan[c - n] for c in fresh.values()]
+            self._add(list(fresh), [ps[t] for t in rows], stack[rows])
+        return found, error
 
-    def _decide(self, index: int, key: str, m: np.ndarray, hits) -> str | None:
-        """Key of the registered projection that matrix ``m`` of canonical key ``key`` is, or None.
-
-        ``hits`` lists the insertion position and distance of every
-        registered projection that decides for ``m`` (:meth:`_near`), in insertion
-        order; it is read only when no projection has ``key``, and its first
-        entry decides. A rejection carries ``index``, ``m``'s place in its batch.
-        """
-        existing = self._by_key.get(key)
-        if existing is not None:
-            if max_norm(existing.matrix - m) <= self.tol:
-                return key
-            raise _collision(key, index)
-        for position, dist in hits:
-            other_key = self._order[position]
-            if dist <= self.tol:
-                return other_key
-            raise _too_close(key, other_key, index)
-        return None
+    def _add(self, keys: list[str], ps: Sequence[Projection], mats: np.ndarray) -> None:
+        """Register ``ps`` under ``keys``, their matrices ``mats``, in this order."""
+        n, end = len(self._order), len(self._order) + len(keys)
+        if not n:  # an empty registry keeps the batch's matrices: the next add grows a copy
+            self._stack = mats
+        elif end > len(self._stack):  # capacity doubles as it fills
+            self._stack = np.concatenate([self._stack[:n], mats, np.empty_like(self._stack[:end])])
+        else:
+            self._stack[n:end] = mats
+        self._by_key.update(zip(keys, ps))
+        self._order += keys
 
     def get(self, key: str) -> Projection:
         try:

@@ -9,15 +9,16 @@ Several symmetries act on a poset at once: its distinct atom keys are
 conjugated under every op as one (ops, keys, d, d) stacked product, the
 images are checked as projections in one pass, given their canonical keys
 once and identified by the poset's registry in one batch. An op whose
-images leave the poset gets an image poset of its own, but no registry scan
-or dominance-table build of its own: conjugation preserves Re tr(a* b),
-for antiunitaries too, so the Gram screens of the source atoms, computed
-once, are every image's screens. The entrywise tests still run on the
-images of the pairs the screens keep: the registry's identity rule, and
-``|phi(q)phi(p) - phi(p)| <= TOL.dominance`` for the image order, for all
-such ops in one product. The Jordan and transition checks likewise run on
-all ops' samples in one stacked pass. Each single-op function is the batch
-of one, and a batch raises what one call per op would, in op order.
+images leave the poset gets an image poset with no registry scan or
+dominance-table build of its own: conjugation preserves Re tr(a* b), for
+antiunitaries too, so the Gram screens of the source atoms, computed once,
+are every image's screens. The entrywise tests still run on the images of
+the pairs the screens keep: the registry's identity rule, which fills one
+fresh registry per op, and ``|phi(q)phi(p) - phi(p)| <= TOL.dominance`` for
+the image order, for all such ops in one product. The Jordan and transition
+checks likewise run on all ops' samples in one stacked pass. Each single-op
+function is the batch of one, and a batch raises what one call per op
+would, in op order.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .contexts import (
     dominance_tables,
     node_orders,
     ordered_poset,
-    poset_from_nodes,
 )
 from .opalg import (
     TOL,
@@ -131,13 +131,12 @@ def conjugate_posets(
     screens keep every image pair that the registry could identify and every
     pair that can dominate (:meth:`~contextua.opalg.ProjectionRegistry.of_conjugates`,
     :func:`~contextua.contexts.dominance_tables`). The entrywise tests run
-    on the images of the kept pairs only: the registry rule (an image pair
-    within ``tol`` or closer than the grid), then the dominance test, for
-    all such ops at once. An op whose image pair the registry rule decides,
-    or whose images share a canonical key, is rebuilt from a fresh registry
-    and :func:`~contextua.contexts.poset_from_nodes`, so that it merges or
-    raises as one call per op would. Errors are those of one call per op,
-    in op order.
+    on the images of the kept pairs only, for all such ops at once: the
+    registry rule, which registers each op's images in a fresh registry as
+    ``register_many`` would, then the dominance test. Where the rule merges
+    an image into an earlier one, the node atoms read the kept image's row
+    of the dominance table; where it rejects one, that op raises. Errors are
+    those of one call per op, in op order.
     """
     if not ops:
         return []
@@ -174,19 +173,20 @@ def conjugate_posets(
             except KeyError:
                 pass
     leaving = [k for k in range(len(ops)) if k not in resolved]
-    held = ProjectionRegistry.of_conjugates(
-        dim,
-        tol,
-        stack,
-        [projs[k * m : (k + 1) * m] for k in leaving],
-        [keys[k * m : (k + 1) * m] for k in leaving],
-    )
-    fast = {k: registry for k, registry in zip(leaving, held) if registry is not None}
-    if fast:
+    per_op = [slice(k * m, (k + 1) * m) for k in leaving]
+    lists = [projs[s] for s in per_op], [keys[s] for s in per_op]
+    held = dict(zip(leaving, ProjectionRegistry.of_conjugates(dim, tol, stack, *lists)))
+    built = [k for k in leaving if not isinstance(held[k], CanonicalizationError)]
+    if built:
+        # a merged image reads the row of the image it was merged into, the first with its key
+        index = {k: {} for k in built}
+        kept = np.array([list(map(index[k].setdefault, held[k][1], range(m))) for k in built])
         source_ranks = [poset.registry.get(k).rank for k in sources]
-        under = dominance_tables(stack, source_ranks, images[list(fast)])
-        image_ranks = np.array(ranks, dtype=float).reshape(len(ops), m)[list(fast)]
-        tables = dict(zip(fast, zip(node_orders(atoms, image_ranks, under), under)))
+        under = dominance_tables(stack, source_ranks, images[built])
+        under = under[np.arange(len(built))[:, None, None], kept[:, :, None], kept[:, None, :]]
+        image_ranks = np.array(ranks, dtype=float).reshape(len(ops), m)[built]
+        image_ranks = np.take_along_axis(image_ranks, kept, axis=1)
+        tables = dict(zip(built, zip(node_orders(atoms, image_ranks, under), under)))
     generators = [f"conjugate({g})" for g in poset.generators]
     identity = PosetMap(tuple(range(len(atoms))))
     out = []
@@ -194,15 +194,10 @@ def conjugate_posets(
         if k in resolved:
             out.append((poset, resolved[k]))
             continue
-        image_keys = keys[k * m : (k + 1) * m]
-        if k in fast:
-            order, table = tables[k]
-            index = {key: t for t, key in enumerate(image_keys)}
-            image = ordered_poset(fast[k], image_nodes(image_keys), generators, order, (index, table))
-        else:
-            registry = ProjectionRegistry(dim, tol)
-            nodes = image_nodes(registry.register_many(projs[k * m : (k + 1) * m]))
-            image = poset_from_nodes(registry, nodes, generators)
+        if isinstance(held[k], CanonicalizationError):
+            raise held[k]
+        (registry, found), (order, table) = held[k], tables[k]
+        image = ordered_poset(registry, image_nodes(found), generators, order, (index[k], table))
         out.append((image, identity))
     return out
 

@@ -245,13 +245,15 @@ def ix_dominator_map(poset, small, large):
 
 
 def pairwise_meet(registry, first, second, index, overlap, resolved):
-    """Reference meet of two contexts, or None when it is trivial or carries no constraint.
+    """Reference blocks of the meet of two contexts, or None when it is trivial or carries
+    no constraint.
 
     The blocks are the connected components of the overlap graph. A meet
     whose blocks are all, but at most one, a single atom that both contexts
-    hold is None. Otherwise each multi-atom block's first-side sum is
-    registered and its second-side sum looked up, one ``register`` or
-    ``find`` at a time, memoised in ``resolved`` by atom keys.
+    hold is None. Otherwise each block is listed as its atom keys on each
+    side and the keys of their sums: the first side's registered, the
+    second side's looked up, one ``register`` or ``find`` at a time,
+    memoised in ``resolved`` by atom keys.
     """
     rows = [index[k] for k in first.atoms]
     cols = [index[k] for k in second.atoms]
@@ -260,30 +262,56 @@ def pairwise_meet(registry, first, second, index, overlap, resolved):
     for _ in range(len(rows).bit_length()):
         reach = reach @ reach
     label = reach.argmax(axis=1)
-    blocks = np.unique(label)
-    if len(blocks) == 1:
-        return None
     other = label[sub.argmax(axis=0)]
-    constraining = 0
-    for b in blocks:
-        mine = [first.atoms[t] for t in np.flatnonzero(label == b)]
-        theirs = [second.atoms[t] for t in np.flatnonzero(other == b)]
-        if not (len(mine) == len(theirs) == 1 and mine == theirs):
-            constraining += 1
-    if constraining <= 1:
+    sides = [
+        (
+            [first.atoms[t] for t in np.flatnonzero(label == b)],
+            [second.atoms[t] for t in np.flatnonzero(other == b)],
+        )
+        for b in np.unique(label)
+    ]
+    if sum(not is_shared(mine, theirs) for mine, theirs in sides) <= 1:
         return None
-    keys = []
-    for b in blocks:
-        key = block_key(registry, first.atoms, label == b, registry.register, resolved)
-        if block_key(registry, second.atoms, other == b, registry.find, resolved) != key:
-            raise RuntimeError("the two sides of a meet block are distinct projections")
-        keys.append(key)
-    return cx.Context(first.dim, tuple(keys))
+    return [
+        (
+            mine,
+            theirs,
+            block_key(registry, mine, registry.register, resolved),
+            block_key(registry, theirs, registry.find, resolved),
+        )
+        for mine, theirs in sides
+    ]
 
 
-def block_key(registry, atoms, in_block, resolve, resolved):
-    """Key of the sum of the atoms in the block: the atom itself, or ``resolve`` of the sum."""
-    block = [atoms[t] for t in np.flatnonzero(in_block)]
+def is_shared(mine, theirs):
+    """Whether a block is one atom that both contexts hold."""
+    return len(mine) == len(theirs) == 1 and mine == theirs
+
+
+def merged_meet(registry, dim, blocks):
+    """Reference meet from ``pairwise_meet``'s blocks, or None.
+
+    Blocks whose two sides have distinct keys merge into one block, in the
+    first one's place; their sums are registered and looked up afresh. The
+    meet is None when that block's sides are still distinct, or when no
+    other block but shared atoms is left.
+    """
+    apart = [b[2] != b[3] for b in blocks]
+    if any(apart):
+        torn = [b for b, a in zip(blocks, apart) if a]
+        key = block_key(registry, [k for b in torn for k in b[0]], registry.register, {})
+        if block_key(registry, [k for b in torn for k in b[1]], registry.find, {}) != key:
+            return None
+        if all(is_shared(b[0], b[1]) for b, a in zip(blocks, apart) if not a):
+            return None
+        start = apart.index(True)
+        blocks = [(None, None, key) if t == start else b for t, b in enumerate(blocks)]
+        blocks = [b for t, (b, a) in enumerate(zip(blocks, apart)) if t == start or not a]
+    return cx.Context(dim, tuple(b[2] for b in blocks))
+
+
+def block_key(registry, block, resolve, resolved):
+    """Key of the sum of the atoms of ``block``: the atom itself, or ``resolve`` of the sum."""
     if len(block) == 1:
         return block[0]
     members = frozenset(block)
@@ -297,7 +325,7 @@ def block_key(registry, atoms, in_block, resolve, resolved):
 
 def pairwise_meet_poset(catalog, registry):
     """Reference build: the library's node list from one ``pairwise_meet`` per catalog pair,
-    ordered from the unscreened einsum dominance table."""
+    then one ``merged_meet`` per pair, ordered from the unscreened einsum dominance table."""
     nodes, generators, seen = [], [], set()
 
     def add(ctx, origin):
@@ -313,9 +341,13 @@ def pairwise_meet_poset(catalog, registry):
         index = {k: t for t, k in enumerate(keys)}
         flat = np.stack([registry.get(k).matrix.ravel() for k in keys])
         overlap = (flat @ flat.conj().T).real > TOL.grid**2
-        resolved = {}
+        resolved, found = {}, {}
         for i, j in itertools.combinations(range(len(catalog)), 2):
-            meet = pairwise_meet(registry, catalog[i], catalog[j], index, overlap, resolved)
+            blocks = pairwise_meet(registry, catalog[i], catalog[j], index, overlap, resolved)
+            if blocks is not None:
+                found[i, j] = blocks
+        for (i, j), blocks in found.items():
+            meet = merged_meet(registry, catalog[0].dim, blocks)
             if meet is not None:
                 add(meet, f"meet of catalog[{i}] and catalog[{j}]")
     add(cx.trivial_context(registry), "trivial")
@@ -455,28 +487,44 @@ def ks18_subset_catalog(registry, bases):
     ]
 
 
-def pauli_subset_catalog(registry, bases, jitter=0.0, seed=0):
-    """The listed bases of the bundled pauli-c4 catalog, registered in a d4 ``registry``.
+def pauli_subset_rays(bases, jitter=0.0, seed=0):
+    """The rays of the listed bases of the bundled pauli-c4 catalog, as one 4 x 4 array of
+    columns per basis.
 
-    With ``jitter``, each basis is first turned by its own unitary
-    exp(i jitter H), |H| = 1, so rays that bases share differ by about that much.
+    With ``jitter``, each basis is turned by its own unitary exp(i jitter H),
+    |H| = 1, so rays that bases share differ by about that much.
     """
     sc = cx.parse_scenario(bundled_text("pauli-c4"))
     rays = np.array(sc.rays["main"])
     rng = np.random.default_rng(seed)
-    catalog = []
+    out = []
     for b in bases:
         vecs = rays[list(sc.contexts["main"][b])].T
         if jitter:
             h = random_hermitian(rng, 4)
             w, v = np.linalg.eigh(h / np.abs(np.linalg.eigvalsh(h)).max())
             vecs = (v * np.exp(1j * jitter * w)) @ v.conj().T @ vecs
-        catalog.append(
-            cx.context_from_projections(
-                registry, [np.outer(vecs[:, k], vecs[:, k].conj()) for k in range(4)]
-            )
+        out.append(vecs)
+    return out
+
+
+def pauli_subset_catalog(registry, bases, jitter=0.0, seed=0):
+    """The bases of ``pauli_subset_rays``, registered in a d4 ``registry``."""
+    return [
+        cx.context_from_projections(
+            registry, [np.outer(vecs[:, k], vecs[:, k].conj()) for k in range(4)]
         )
-    return catalog
+        for vecs in pauli_subset_rays(bases, jitter, seed)
+    ]
+
+
+# jittered pauli-c4 bases (bases, jitter, seed) whose block sums the registry keeps apart at
+# the default tol: overlaps of about 6e-13, below the squared grid, split their meets' blocks
+SPLIT_BLOCK_CATALOGS = (
+    ((8, 6), 2e-6, 2052895710),
+    ((0, 3, 11), 2e-6, 175194791),
+    ((10, 0, 4), 2e-6, 552489649),
+)
 
 
 def peres24_subset_catalog(registry, tetrads, seed=None):

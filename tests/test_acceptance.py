@@ -8,7 +8,6 @@ never from stored verdicts.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from contextlib import contextmanager

@@ -29,7 +29,6 @@ from conftest import (
     kron_row_tables,
     loop_restrict_table,
     marginal_prob_section,
-    random_basis_context,
     random_density,
     random_hermitian,
     strict_chains3,

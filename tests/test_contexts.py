@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import contextua as cx
@@ -17,6 +17,7 @@ from contextua.contexts import _dominance_table, poset_from_nodes
 from contextua.opalg import TOL, max_norm
 
 from conftest import (
+    SPLIT_BLOCK_CATALOGS,
     canonical_key,
     einsum_dominance_table,
     ix_dominator_map,
@@ -26,7 +27,6 @@ from conftest import (
     partition_closure_poset,
     pauli_subset_catalog,
     peres24_subset_catalog,
-    random_basis_context,
     random_density,
     random_unitary,
     shared_ray_catalog,
@@ -390,6 +390,15 @@ class TestMeetClosedDifferential:
         # shared atoms of rank above one, and catalog contexts below others
         self.check(padded_pauli_catalog(picks), 4)
 
+    @pytest.mark.parametrize("bases,jitter,seed", SPLIT_BLOCK_CATALOGS)
+    def test_split_blocks_merge(self, bases, jitter, seed):
+        # each pair's blocks whose sums the registry keeps apart merge into one, and with
+        # both sides of that block still apart the pair's meet is trivial
+        self.check(lambda reg: pauli_subset_catalog(reg, bases, jitter, seed), 4)
+        reg = cx.ProjectionRegistry(4)
+        poset = cx.generate_poset(pauli_subset_catalog(reg, bases, jitter, seed), reg)
+        assert not any(g.startswith("meet") for g in poset.generators)
+
     def test_full_peres24(self):
         self.check(lambda reg: peres24_subset_catalog(reg, range(24)), 4)
         reg = cx.ProjectionRegistry(4)
@@ -532,6 +541,9 @@ class TestBatchedBuildDifferential:
         st.sampled_from([TOL.identity, 1e-5]),
         st.integers(0, 2**31 - 1),
     )
+    @example(list(SPLIT_BLOCK_CATALOGS[0][0]), 2e-6, TOL.identity, SPLIT_BLOCK_CATALOGS[0][2])
+    @example(list(SPLIT_BLOCK_CATALOGS[1][0]), 2e-6, TOL.identity, SPLIT_BLOCK_CATALOGS[1][2])
+    @example(list(SPLIT_BLOCK_CATALOGS[2][0]), 2e-6, TOL.identity, SPLIT_BLOCK_CATALOGS[2][2])
     def test_near_threshold_jitter(self, bases, jitter, tol, seed):
         # each basis turned by its own small unitary: shared rays and the sums of
         # the two sides of a meet block differ by about the jitter, so the

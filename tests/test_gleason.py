@@ -23,7 +23,6 @@ from conftest import (
     loop_hermitian_basis,
     random_basis_context,
     random_density,
-    random_hermitian,
     strict_chains3,
     verify_prob_section,
 )

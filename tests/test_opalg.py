@@ -484,6 +484,27 @@ class TestRegistryBatchDifferential:
         seq = [p, q, r, q]
         self.check(seq, 1 if registered else 0, tol)
 
+    @pytest.mark.parametrize("head", [0, 1])
+    def test_identified_row_decides_no_later_row(self, head):
+        # r lies 0.8e-5 from p and is identified with it at tol 1e-5; t lies 0.8e-5 from r
+        # but 1.6e-5 from p, so no registered projection decides t and it gets its own key
+        p, r, t = (cx.projection_from_ray([np.cos(a), np.sin(a)]) for a in (0.0, 0.8e-5, 1.6e-5))
+        self.check([p, r, t], head, 1e-5)
+        keys = ProjectionRegistry(2, 1e-5).register_many([p, r, t])
+        assert keys == [canonical_key(p.matrix), canonical_key(p.matrix), canonical_key(t.matrix)]
+
+    @pytest.mark.parametrize("head", [0, 1])
+    def test_one_key_beyond_the_grid_collides(self, head):
+        # two phases of one ray 1.1e-6 apart: their entries round alike, yet they lie
+        # beyond the grid, so the second collides with the first on its key
+        p, q = (cx.projection_from_ray([1.0, np.exp(1j * phi)]) for phi in (0.747088, 0.7470902))
+        assert canonical_key(p.matrix) == canonical_key(q.matrix)
+        assert 1.05e-6 < max_norm(p.matrix - q.matrix) < 1.15e-6
+        self.check([p, q], head, TOL.identity)
+        with pytest.raises(CanonicalizationError, match="collide") as exc:
+            ProjectionRegistry(2).register_many([p, q])
+        assert exc.value.index == 1
+
     def test_rejection_carries_its_batch_position(self):
         # the third projection is 1e-7 from the first: closer than the grid, not within tol
         p = cx.projection_from_ray(np.array([1.0, 0.0, 0.0]))
@@ -513,7 +534,7 @@ class TestRegistryBatchDifferential:
 
 class TestOfConjugates:
     """``of_conjugates`` against ``register_many`` of each list of conjugates, each on an
-    empty registry."""
+    empty registry: the same keys, items and later answers, or the same error."""
 
     @settings(deadline=None)
     @given(
@@ -523,7 +544,7 @@ class TestOfConjugates:
         st.sampled_from([TOL.identity, 1e-5]),
         st.integers(1, 4),
     )
-    def test_registry_or_none_as_register_many(self, seed, dim, turns, tol, n_ops):
+    def test_as_register_many(self, seed, dim, turns, tol, n_ops):
         # a basis's rays and copies of its first ray turned by each of ``turns`` towards its
         # second: equal, within the tols, near the grid (conjugation keeps their Frobenius
         # distance but not their max-entry distance) or far
@@ -540,20 +561,24 @@ class TestOfConjugates:
             keys.append(canonical_keys(moved))
         held = ProjectionRegistry.of_conjugates(dim, tol, stack, images, keys)
         assert len(held) == n_ops
-        for registry, ps, ks in zip(held, images, keys):
+        for got, ps in zip(held, images):
             fresh = ProjectionRegistry(dim, tol)
-            try:
-                distinct = fresh.register_many(ps) == ks and len(set(ks)) == len(ks)
-            except CanonicalizationError:
-                distinct = False
-            assert (registry is not None) == distinct
-            if registry is None:
+            want = outcome(lambda: fresh.register_many(ps))
+            if isinstance(got, CanonicalizationError):
+                assert (("raised", got.key), str(got), got.index) == want
                 continue
+            registry, found = got
+            assert (found, None, None) == want
             assert list(registry.items()) == list(fresh.items())
             q = cx.projection_from_ray(random_unitary(rng, dim)[:, 0])
             batch = [q, ps[-1], ps[0]]
-            assert registry.register_many(batch) == fresh.register_many(batch)  # past its stack
-            assert registry.find_many(ps[::-1]) == ks[::-1]
+            for call in ("find_many", "register_many"):  # past its stack
+                answer = outcome(lambda: getattr(registry, call)(batch))
+                assert answer == outcome(lambda: getattr(fresh, call)(batch))
+            assert list(registry.items()) == list(fresh.items())
+
+    def test_empty(self):
+        assert ProjectionRegistry.of_conjugates(2, TOL.identity, np.eye(2)[None], [], []) == []
 
 
 # per row of a find batch: "registered" is a registered projection itself, "new" a random
@@ -692,11 +717,11 @@ class TestLatticeLaws:
         assert max_norm(lhs - rhs) < 1e-10
 
 
-def package_modules():
-    """File name and syntax tree of every module of the package."""
+def package_modules(directory: Path = Path(cx.__file__).parent):
+    """File name and syntax tree of every module in ``directory``, by default the package's."""
     return [
         (path.name, ast.parse(path.read_text(encoding="utf-8")))
-        for path in sorted(Path(cx.__file__).parent.glob("*.py"))
+        for path in sorted(directory.glob("*.py"))
     ]
 
 
@@ -727,8 +752,8 @@ def unused_imports(tree):
 
 class TestImports:
     def test_every_import_is_used(self):
-        # __init__ imports to re-export; cli imports the single-op wigner functions
-        # that perfbench's tracer wraps on the cli module
+        # the package's modules and these tests; __init__ imports to re-export, and cli
+        # imports the single-op wigner functions that perfbench's tracer wraps on the cli module
         allowed = {
             ("cli.py", "conjugate_poset"),
             ("cli.py", "jordan_check"),
@@ -736,7 +761,7 @@ class TestImports:
         }
         found = sorted(
             (name, imported)
-            for name, tree in package_modules()
+            for name, tree in package_modules() + package_modules(Path(__file__).parent)
             if name != "__init__.py"
             for imported in unused_imports(tree)
             if (name, imported) not in allowed

@@ -20,6 +20,8 @@ from contextua.catalogs import bundled_names, bundled_scenario, bundled_text, wr
 from contextua.cli import main, run
 from contextua.scenario import ScenarioError, parse_entry, parse_real
 
+from conftest import SPLIT_BLOCK_CATALOGS, pauli_subset_rays
+
 
 class TestEntryParsing:
     @pytest.mark.parametrize(
@@ -182,6 +184,24 @@ class TestParseScenario:
         assert report["poset"] == {"nodes": 2, "projections": 3}
         assert main(["ks-check", "--scenario", str(path)]) == 1
         assert "rays 0 and 1 are near-duplicates" in capsys.readouterr().err
+
+    def test_split_meet_blocks_give_a_verdict(self, tmp_path, capsys):
+        # two jittered pauli-c4 bases whose meet blocks an overlap of about 6e-13, below the
+        # squared grid, splits: the split blocks merge, and the meet is trivial
+        bases, jitter, seed = SPLIT_BLOCK_CATALOGS[0]
+        vecs = np.hstack(pauli_subset_rays(bases, jitter, seed)).T
+        doc = {
+            "kind": "single",
+            "dim": 4,
+            "rays": [[[x.real, x.imag] for x in v] for v in vecs],
+            "contexts": [[0, 1, 2, 3], [4, 5, 6, 7]],
+        }
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["ks-check", "--scenario", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "colorable"
+        assert report["poset"]["nodes"] == 3  # the two bases and the trivial context
 
     @pytest.mark.parametrize(
         "name,tol,message",

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import contextua as cx
 from contextua import spectral
 from contextua.catalogs import bundled_text
-from contextua.contexts import Context, ContextPoset
-from contextua.opalg import ProjectionRegistry, max_norm
+from contextua.contexts import ContextPoset
+from contextua.opalg import ProjectionRegistry
 from contextua.spectral import Character, SpectralSection
 
 from conftest import (

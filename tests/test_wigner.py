@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import contextua as cx
-from contextua import cli, contexts, wigner
+from contextua import cli, contexts
 from contextua.catalogs import bundled_text
 from contextua.opalg import TOL, CanonicalizationError, max_norm
 from contextua.wigner import (
@@ -302,7 +302,6 @@ def rebuild_calls(monkeypatch):
 
     monkeypatch.setattr(cx.ProjectionRegistry, "register_many", counted_register_many)
     monkeypatch.setattr(contexts, "poset_from_nodes", counted_poset_from_nodes)
-    monkeypatch.setattr(wigner, "poset_from_nodes", counted_poset_from_nodes)
     return calls
 
 
@@ -315,6 +314,24 @@ def near_grid_poset(eps):
     bases = [
         cx.context_from_projections(registry, [np.outer(b[:, k], b[:, k]) for k in range(3)])
         for b in (np.eye(3), turned)
+    ]
+    return cx.generate_poset(bases, registry)
+
+
+def turned_ray_poset(eps, shared):
+    """Two d3 bases at tol 1e-5: e0..e2, and a second whose first ray turns e0 by ``eps``
+    towards e1. With ``shared`` the second turns e0 and e1 in their plane and keeps e2;
+    otherwise its other two rays lie at 45 degrees to e2."""
+    registry = cx.ProjectionRegistry(3, 1e-5)
+    e, c, s = np.eye(3), np.cos(eps), np.sin(eps)
+    if shared:
+        turned = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    else:
+        g = np.array([s, -c, 0.0])  # orthogonal to the turned ray and to e2
+        turned = np.array([c * e[0] + s * e[1], (g + e[2]) / np.sqrt(2), (g - e[2]) / np.sqrt(2)]).T
+    bases = [
+        cx.context_from_projections(registry, [np.outer(b[:, k], b[:, k]) for k in range(3)])
+        for b in (e, turned)
     ]
     return cx.generate_poset(bases, registry)
 
@@ -377,6 +394,40 @@ class TestBatchedConjugation:
         mixed = clean[:3] + [ops[failing[1]]] + clean[3:6] + [ops[failing[0]]] + clean[6:]
         assert_batch_as_loop(poset, mixed)
         assert_batch_as_loop(poset, ops[: failing[2] + 1])
+        assert_batch_as_loop(poset, clean)
+
+    def test_merged_images_as_loop(self):
+        # the turned ray and e0 are 1.2e-5 apart, kept apart at tol 1e-5; conjugation keeps
+        # their Frobenius distance but not their max-entry distance, and 32 of these 40
+        # unitaries bring their images within tol, where the image registry merges them
+        poset = turned_ray_poset(1.2e-5, shared=False)
+        rng = np.random.default_rng(0)
+        ops = [cx.symmetry("unitary", random_unitary(rng, 3)) for _ in range(40)]
+        sizes = [len(loop_conjugate_poset(poset, s)[0].registry) for s in ops]
+        merged = [k for k, size in enumerate(sizes) if size == 6]  # of the 7 image atoms
+        assert len(merged) == 32
+        for s, conjugated in zip(ops, cx.conjugate_posets(poset, ops)):
+            assert_same_conjugation(poset, s, conjugated)
+        image, _ = cx.conjugate_poset(poset, ops[merged[0]])
+        assert image.nodes[0].atoms[0] == image.nodes[1].atoms[0]  # one image atom in both
+
+    def test_merged_images_raise_as_loop(self):
+        # with e2 shared, e0 and e1 turn together: where their images merge, so do the other
+        # pair's, and the two image bases are one context, which the order rejects
+        poset = turned_ray_poset(1.2e-5, shared=True)
+        rng = np.random.default_rng(0)
+        ops = [cx.symmetry("unitary", random_unitary(rng, 3)) for _ in range(40)]
+        failing = []
+        for k, s in enumerate(ops):
+            try:
+                loop_conjugate_poset(poset, s)
+            except RuntimeError as exc:
+                assert str(exc) == "order relation failed antisymmetry"
+                failing.append(k)
+        assert len(failing) == 32
+        clean = [s for k, s in enumerate(ops) if k not in failing]
+        assert_batch_as_loop(poset, clean[:3] + [ops[failing[0]]] + clean[3:])
+        assert_batch_as_loop(poset, ops)
         assert_batch_as_loop(poset, clean)
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
