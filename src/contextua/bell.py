@@ -70,9 +70,6 @@ class ProductPoset:
         except KeyError:
             raise KeyError(f"unknown product node {node}") from None
 
-    def leq(self, a: ProductNode, b: ProductNode) -> bool:
-        return bool(self.order[self.index(a), self.index(b)])
-
     def table_shape(self, node: ProductNode) -> tuple[int, int]:
         return (
             len(self.left.nodes[node.left].atoms),
@@ -109,17 +106,6 @@ class ProductPoset:
         rm = set(self.right.maximal_nodes())
         return [n for n in self.nodes if n.left in lm and n.right in rm]
 
-    def covers(self) -> list[tuple[ProductNode, ProductNode]]:
-        """Covering pairs (small, large); one coordinate moves by a factor cover."""
-        out = []
-        for i, j in self.left.covers():
-            for r in range(len(self.right)):
-                out.append((ProductNode(i, r), ProductNode(j, r)))
-        for i, j in self.right.covers():
-            for l in range(len(self.left)):
-                out.append((ProductNode(l, i), ProductNode(l, j)))
-        return out
-
 
 def product_poset(p1: ContextPoset, p2: ContextPoset) -> ProductPoset:
     """Product order: (i1, i2) <= (j1, j2) iff i1 <= j1 and i2 <= j2."""
@@ -151,15 +137,6 @@ class BellSection:
     def min_probability(self) -> float:
         return min(float(t.probs.min()) for t in self.tables.values())
 
-    def negative_entries(self) -> list[tuple[ProductNode, int, int]]:
-        out = []
-        for node in sorted(self.domain, key=lambda n: (n.left, n.right)):
-            probs = self.tables[node].probs
-            for (a, b), v in np.ndenumerate(probs):
-                if v < -TOL.exact:
-                    out.append((node, a, b))
-        return out
-
 
 def section_from_bipartite_state(
     pp: ProductPoset, w, tol: float = TOL.exact
@@ -168,7 +145,7 @@ def section_from_bipartite_state(
 
     W must be self-adjoint with trace 1 on the tensor space; positivity is
     deliberately not required, so non-quantum and time-reversed sections
-    can be generated. Negative entries are reported by the section.
+    can be generated; ``min_probability`` shows a negative entry.
     """
     w = np.asarray(w, dtype=complex)
     d = pp.dim

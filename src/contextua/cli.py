@@ -133,7 +133,7 @@ def _cmd_ks_check(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
     details = cert.to_report(poset)
     details.pop("verdict", None)
     payload = {
-        "poset": {"nodes": len(poset), "projections": len(poset.registry)},
+        "poset": {"nodes": len(poset), "projections": len(poset.keys)},
         **details,
     }
     return cert.verdict, payload
@@ -271,9 +271,7 @@ def _cmd_wigner_check(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
     max_jordan = max(rep.max_jordan_residual for rep in reports)
     want = {"unitary": 1, "antiunitary": -1}
     signs_ok = all(rep.sign == want[kind] for kind, rep in zip(kinds, reports))
-    # the first 8 distinct rays among the nodes' atoms
-    keys = dict.fromkeys(k for node in poset.nodes for k in node.atoms)
-    rays = [p for p in map(poset.registry.get, keys) if p.rank == 1][:8]
+    rays = poset.stack[poset.ranks == 1][:8]  # the first 8 distinct rays among the nodes' atoms
     max_transition = max(transition_probability_deviations(ops, rays))
     ok = order_ok and signs_ok and max_jordan <= TOL.exact and max_transition <= TOL.exact
     payload = {

@@ -16,7 +16,7 @@ weight.)
 
 Order rule: i <= j iff every atom of i is a sum of atoms of j. One
 dominance table decides it: ``under[q, p]`` holds iff atom p lies under
-atom q (``|qp - p| <= TOL.dominance``), over the atoms of a node list.
+atom q (``|qp - p| <= TOL.dominance``), over a poset's atom table.
 Then i <= j iff, for every atom q of i, the ranks of j's atoms under q sum
 to rank(q); distinct atoms of i are orthogonal, so a j-atom lies under at
 most one of them. Dominator maps (which atom of i a j-atom lies under)
@@ -25,7 +25,7 @@ are lookups in the same table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -135,7 +135,14 @@ def trivial_context(registry: ProjectionRegistry) -> Context:
 
 @dataclass
 class ContextPoset:
-    """Finite poset of contexts. Immutable once built; safe to share."""
+    """Finite poset of contexts. Immutable once built; safe to share.
+
+    It holds one atom table, where every consumer reads the poset's atoms:
+    ``keys``, the nodes' distinct atom keys in order of first appearance
+    over the nodes; ``stack``, their matrices as one read-only ``(n, d, d)``
+    array; ``ranks``, their ranks; ``rows[i]``, node i's atoms as rows of
+    the table, in atom order. It is ``table`` if given, else read from the registry.
+    """
 
     dim: int
     registry: ProjectionRegistry
@@ -144,11 +151,18 @@ class ContextPoset:
     generators: tuple[str, ...]
     _covers: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)
     _dominators: dict | None = field(default=None, repr=False)
-    _table: tuple[dict[str, int], np.ndarray] | None = field(default=None, repr=False)
+    _under: np.ndarray | None = field(default=None, repr=False)  # dominance table, by row
+    table: InitVar[tuple | None] = None
+    keys: tuple[str, ...] = field(init=False, repr=False)
+    stack: np.ndarray = field(init=False, repr=False)
+    ranks: np.ndarray = field(init=False, repr=False)
+    rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _ids: dict[Context, int] = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, table):
         self._ids = {node: i for i, node in enumerate(self.nodes)}
+        table = table or _atom_table(self.registry, self.nodes)
+        self.keys, self.stack, self.ranks, self.rows = table
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -167,20 +181,16 @@ class ContextPoset:
             return cached
         if not self.order[small, large]:
             raise ValueError(f"node {small} is not below node {large}")
-        if self._table is None:
-            self._table = _dominance_table(self.registry, self.nodes)
-        index, under = self._table
+        if self._under is None:
+            (self._under,) = dominance_tables(self.stack, self.ranks, self.stack[None])
         below = [int(i) for i in np.flatnonzero(self.order[:, large])]
-        rows, slot, starts = [], [], []  # atom rows of the nodes below, in node order
-        for i in below:
-            starts.append(len(rows))
-            rows += [index[k] for k in self.nodes[i].atoms]
-            slot += range(len(self.nodes[i].atoms))
-        cols = [index[k] for k in self.nodes[large].atoms]
+        sizes = [len(self.rows[i]) for i in below]
+        starts = np.cumsum(sizes) - sizes
+        rows = np.concatenate([self.rows[i] for i in below])  # atom rows of the nodes below
+        slot = np.arange(len(rows)) - np.repeat(starts, sizes)
         # per node below and atom of large: the first dominating atom; len(rows) means none
-        first = np.minimum.reduceat(
-            np.where(under[rows][:, cols], np.array(slot)[:, None], len(rows)), starts, axis=0
-        )
+        hit = self._under[rows][:, self.rows[large]]
+        first = np.minimum.reduceat(np.where(hit, slot[:, None], len(rows)), starts, axis=0)
         if (first == len(rows)).any():
             raise RuntimeError("no dominating atom found; poset data is inconsistent")
         self._dominators.update(((i, large), out) for i, out in zip(below, first))
@@ -197,29 +207,14 @@ class ContextPoset:
 
     def atom_matrices(self, i: int) -> np.ndarray:
         """The atoms of node i as one ``(k, d, d)`` stack, in atom order."""
-        return np.stack([p.matrix for p in self.atoms_of(i)])
+        return self.stack[self.rows[i]]
 
     def atom_keys(self, i: int) -> tuple[str, ...]:
         return self.nodes[i].atoms
 
-    def leq(self, i: int, j: int) -> bool:
-        self._check_id(i)
-        self._check_id(j)
-        return bool(self.order[i, j])
-
-    def _check_id(self, i: int) -> None:
-        if not (isinstance(i, (int, np.integer)) and 0 <= i < len(self.nodes)):
-            raise KeyError(f"unknown node id {i!r}")
-
     def maximal_nodes(self) -> list[int]:
         strict = self.order & ~np.eye(len(self.nodes), dtype=bool)
         return [int(i) for i in np.flatnonzero(~strict.any(axis=1))]
-
-    def trivial_node(self) -> int:
-        for i, node in enumerate(self.nodes):
-            if len(node.atoms) == 1:
-                return i
-        raise KeyError("poset has no trivial node")
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction as (small, large) pairs."""
@@ -228,6 +223,20 @@ class ContextPoset:
             cover = strict & ~(strict @ strict)
             self._covers = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(cover)))
         return self._covers
+
+
+def _atom_table(registry: ProjectionRegistry, nodes: Sequence[Context]) -> tuple:
+    """The atom table of a node list, its atoms read from ``registry``: ``(keys, stack,
+    ranks, rows)`` as :class:`ContextPoset` holds them, every array read-only."""
+    keys = tuple(dict.fromkeys(k for node in nodes for k in node.atoms))
+    index = {k: t for t, k in enumerate(keys)}
+    atoms = [registry.get(k) for k in keys]
+    stack = np.array([p.matrix for p in atoms]).reshape(len(keys), registry.dim, registry.dim)
+    ranks = np.array([p.rank for p in atoms], dtype=int)
+    rows = tuple(np.array([index[k] for k in node.atoms]) for node in nodes)
+    for arr in (stack, ranks, *rows):
+        arr.flags.writeable = False
+    return keys, stack, ranks, rows
 
 
 def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> ContextPoset:
@@ -414,12 +423,11 @@ def poset_from_nodes(
     nodes: Sequence[Context],
     generators: Sequence[str],
 ) -> ContextPoset:
-    """Poset on an explicit node list, ordered by its dominance table."""
-    index, under = table = _dominance_table(registry, nodes)
-    ranks = np.array([registry.get(k).rank for k in index], dtype=float)
-    atoms = [[index[k] for k in node.atoms] for node in nodes]
-    (order,) = node_orders(atoms, ranks[None], under[None])
-    return ordered_poset(registry, nodes, generators, order, table)
+    """Poset on an explicit node list, ordered by the dominance table of its atom table."""
+    _, stack, ranks, rows = table = _atom_table(registry, nodes)
+    (under,) = dominance_tables(stack, ranks, stack[None])
+    (order,) = node_orders(rows, ranks[None], under[None])
+    return ordered_poset(registry, nodes, generators, order, under, table)
 
 
 def node_orders(
@@ -450,14 +458,16 @@ def ordered_poset(
     nodes: Sequence[Context],
     generators: Sequence[str],
     order: np.ndarray,
-    table: tuple[dict[str, int], np.ndarray],
+    under: np.ndarray,
+    table: tuple,
 ) -> ContextPoset:
-    """The poset on ``nodes`` with this order and dominance table, checked antisymmetric."""
+    """The poset on ``nodes`` with this order, dominance table and atom table, checked
+    antisymmetric."""
     # sanity: antisymmetry must hold because distinct key-sets are distinct algebras
     if not np.array_equal(order & order.T, np.eye(len(nodes), dtype=bool)):
         raise RuntimeError("order relation failed antisymmetry")
     return ContextPoset(
-        registry.dim, registry, tuple(nodes), order, tuple(generators), _table=table
+        registry.dim, registry, tuple(nodes), order, tuple(generators), _under=under, table=table
     )
 
 
@@ -468,18 +478,6 @@ def ordered_poset(
 # held in memory. It is a screen, not a tolerance: the max-entry test decides every
 # survivor, since near d >= 16 that rounding error reaches TOL.dominance^2 itself.
 _DOMINANCE_SCREEN = 1e-3
-
-
-def _dominance_table(
-    registry: ProjectionRegistry, nodes: Sequence[Context]
-) -> tuple[dict[str, int], np.ndarray]:
-    """Row index of every atom key of ``nodes``, and ``under[q, p]``: atom p lies under atom q
-    (:func:`dominance_tables` of the atom stack itself)."""
-    keys = sorted({k for node in nodes for k in node.atoms})
-    atoms = [registry.get(k) for k in keys]
-    stack = np.array([p.matrix for p in atoms]).reshape(len(keys), registry.dim, registry.dim)
-    (under,) = dominance_tables(stack, [p.rank for p in atoms], stack[None])
-    return {k: t for t, k in enumerate(keys)}, under
 
 
 def dominance_tables(stack: np.ndarray, ranks, images: np.ndarray) -> np.ndarray:
@@ -513,8 +511,8 @@ def export_dot(poset: ContextPoset) -> str:
     usual Hasse layout; node provenance appears as // comments.
     """
     lines = ["digraph contexts {"]
-    for i, node in enumerate(poset.nodes):
-        ranks = ",".join(str(poset.registry.get(k).rank) for k in node.atoms)
+    for i, rows in enumerate(poset.rows):
+        ranks = ",".join(str(r) for r in poset.ranks[rows])
         lines.append(f"  // node n{i}: {poset.generators[i]}")
         lines.append(f'  n{i} [label="ranks={ranks}"];')
     for small, large in poset.covers():

@@ -3,7 +3,7 @@
 Each context carries a finitely additive probability measure given by one
 weight per atom; restriction is marginalisation. A section over the whole
 poset determines a state by linear reconstruction exactly when the
-registered projections span the self-adjoint operators.
+poset's atoms span the self-adjoint operators.
 """
 
 from __future__ import annotations
@@ -209,10 +209,8 @@ def state_from_section(poset: ContextPoset, s: ProbSection) -> ReconstructionRes
 
 
 def is_informationally_complete(poset: ContextPoset) -> bool:
-    """Do the registered projections (plus identity) span all Hermitians?"""
+    """Do the poset's atoms (plus identity) span all Hermitians?"""
     d = poset.dim
-    basis = hermitian_basis(d)
-    mats = [p.matrix for _, p in poset.registry.items()]
-    mats.append(np.eye(d, dtype=complex))
-    a = _constraint_rows(basis, np.stack(mats))
+    mats = np.concatenate([poset.stack, np.eye(d, dtype=complex)[None]])
+    a = _constraint_rows(hermitian_basis(d), mats)
     return int(np.linalg.matrix_rank(a, tol=TOL.rank)) == d * d

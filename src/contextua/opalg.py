@@ -406,29 +406,30 @@ class ProjectionRegistry:
         dim: int,
         tol: float,
         stack: np.ndarray,
-        images: Sequence[Sequence[Projection]],
+        images: np.ndarray,
+        projs: Sequence[Sequence[Projection]],
         keys: Sequence[Sequence[str]],
     ) -> list["tuple[ProjectionRegistry, list[str]] | CanonicalizationError"]:
         """Per list of conjugates of ``stack``, what :meth:`register_many` of it on an empty
         registry gives: that registry and the keys, or the error it would raise.
 
         ``images[k]`` are the images of ``stack``'s rows under one unitary or
-        antiunitary conjugation, with canonical ``keys[k]``. Conjugation
-        preserves ``Re tr(a* b)``, the only thing the scan's Gram screen
-        reads, so the screen of ``stack`` keeps every image pair within reach
-        of the rule, for every list at once (a conjugation's rounding is far
-        inside the screen's margin): it runs once, and the images of the pairs
-        it keeps, with their distances, are each list's candidates in place of
-        a scan.
+        antiunitary conjugation, one ``(lists, m, d, d)`` array, with canonical
+        ``keys[k]``; ``projs[k]`` are them as the projections a registry
+        stores. Conjugation preserves ``Re tr(a* b)``, the only thing the
+        scan's Gram screen reads, so the screen of ``stack`` keeps every image
+        pair within reach of the rule, for every list at once (a conjugation's
+        rounding is far inside the screen's margin): it runs once, and the
+        images of the pairs it keeps, with their distances, are each list's
+        candidates in place of a scan.
         """
-        if not images:
+        if not len(images):
             return []
         s, t, _ = screened_pairs(stack, stack, _identity_keep(stack, max(tol, TOL.grid)))
         row, col = s[s > t], t[s > t]  # each pair as (later row, earlier row), in row order
-        mats = np.array([[p.matrix for p in ps] for ps in images]).reshape(-1, len(stack), dim, dim)
-        dists = np.abs(mats[:, row] - mats[:, col]).max(axis=(2, 3))
+        dists = np.abs(images[:, row] - images[:, col]).max(axis=(2, 3))
         out = []
-        for ps, ks, m, dist in zip(images, keys, mats, dists):
+        for ps, ks, m, dist in zip(projs, keys, images, dists):
             registry = cls(dim, tol)
             found, error = registry._resolve(ps, list(ks), True, m, (row, col, dist))
             out.append((registry, found) if error is None else error)

@@ -398,8 +398,6 @@ class BipartiteModel:
     poset: ProductPoset
     section: BellSection | None
     analysis_contexts: list[ProductNode]
-    left_catalog_nodes: list[int]
-    right_catalog_nodes: list[int]
 
 
 def build_bipartite_model(sc: Scenario, tol: float = TOL.identity) -> BipartiteModel:
@@ -443,4 +441,4 @@ def build_bipartite_model(sc: Scenario, tol: float = TOL.identity) -> BipartiteM
         from .bell import section_from_bipartite_state
 
         section = section_from_bipartite_state(pp, sc.state, tol=TOL.probability)
-    return BipartiteModel(pp, section, analysis, lnodes, rnodes)
+    return BipartiteModel(pp, section, analysis)

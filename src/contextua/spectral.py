@@ -350,10 +350,9 @@ def section_components(poset: ContextPoset) -> np.ndarray:
     maximal = poset.maximal_nodes()
     multi = [i for i, node in enumerate(poset.nodes) if len(node.atoms) > 1]
     link = poset.order[np.ix_(multi, maximal)]
-    keys = {k: t for t, k in enumerate({k for m in maximal for k in poset.atom_keys(m)})}
-    member = np.zeros((len(maximal), len(keys)), dtype=bool)  # member[a, k]: k is an atom of a
+    member = np.zeros((len(maximal), len(poset.keys)), dtype=bool)  # member[a, t]: t is in a
     for a, m in enumerate(maximal):
-        member[a, [keys[k] for k in poset.atom_keys(m)]] = True
+        member[a, poset.rows[m]] = True
     # reach[a, b]: a and b are joined by a path of links; each squaring doubles
     # the path length covered
     reach = (link.T @ link) | (member @ member.T) | np.eye(len(maximal), dtype=bool)

@@ -140,11 +140,8 @@ def conjugate_posets(
     """
     if not ops:
         return []
-    dim, tol = poset.dim, poset.registry.tol
-    sources = list(dict.fromkeys(k for node in poset.nodes for k in node.atoms))
-    slot = {k: t for t, k in enumerate(sources)}
-    stack = np.array([poset.registry.get(k).matrix for k in sources])
-    images = _apply_each(ops, stack[None])
+    dim, tol, m = poset.dim, poset.registry.tol, len(poset.keys)
+    images = _apply_each(ops, poset.stack[None])
     flat = images.reshape(-1, dim, dim)
     try:
         ranks = _projection_ranks(flat)
@@ -157,10 +154,9 @@ def conjugate_posets(
                 conjugate_posets(poset, ops[:k])
                 raise
     flat.flags.writeable = False
-    m = len(sources)
     keys = canonical_keys(flat)
     projs = [Projection(a, r) for a, r in zip(flat, ranks)]
-    atoms = [[slot[k] for k in node.atoms] for node in poset.nodes]
+    atoms = [rows.tolist() for rows in poset.rows]
 
     def image_nodes(image_keys: Sequence[str]) -> list[Context]:
         return [Context(dim, tuple(image_keys[t] for t in a)) for a in atoms]
@@ -175,20 +171,18 @@ def conjugate_posets(
     leaving = [k for k in range(len(ops)) if k not in resolved]
     per_op = [slice(k * m, (k + 1) * m) for k in leaving]
     lists = [projs[s] for s in per_op], [keys[s] for s in per_op]
-    held = dict(zip(leaving, ProjectionRegistry.of_conjugates(dim, tol, stack, *lists)))
+    conjugates = ProjectionRegistry.of_conjugates(dim, tol, poset.stack, images[leaving], *lists)
+    held = dict(zip(leaving, conjugates))
     built = [k for k in leaving if not isinstance(held[k], CanonicalizationError)]
     if built:
         # a merged image reads the row of the image it was merged into, the first with its key
-        index = {k: {} for k in built}
-        kept = np.array([list(map(index[k].setdefault, held[k][1], range(m))) for k in built])
-        source_ranks = [poset.registry.get(k).rank for k in sources]
-        under = dominance_tables(stack, source_ranks, images[built])
+        kept = np.array([list(map({}.setdefault, held[k][1], range(m))) for k in built])
+        under = dominance_tables(poset.stack, poset.ranks, images[built])
         under = under[np.arange(len(built))[:, None, None], kept[:, :, None], kept[:, None, :]]
-        image_ranks = np.array(ranks, dtype=float).reshape(len(ops), m)[built]
-        image_ranks = np.take_along_axis(image_ranks, kept, axis=1)
-        tables = dict(zip(built, zip(node_orders(atoms, image_ranks, under), under)))
+        orders = node_orders(poset.rows, poset.ranks[kept], under)
+        tables = dict(zip(built, zip(kept, orders, under)))
     generators = [f"conjugate({g})" for g in poset.generators]
-    identity = PosetMap(tuple(range(len(atoms))))
+    identity = PosetMap(tuple(range(len(poset))))
     out = []
     for k in range(len(ops)):
         if k in resolved:
@@ -196,8 +190,17 @@ def conjugate_posets(
             continue
         if isinstance(held[k], CanonicalizationError):
             raise held[k]
-        (registry, found), (order, table) = held[k], tables[k]
-        image = ordered_poset(registry, image_nodes(found), generators, order, (index[k], table))
+        (registry, found), (kept, order, under) = held[k], tables[k]
+        # the image atom table holds the kept images, which come in the order of their sources
+        lead = kept == np.arange(m)
+        stack, ranks, rows = flat[k * m : (k + 1) * m], poset.ranks, poset.rows
+        if not lead.all():  # drop the merged images; each node atom reads its kept row
+            stack, ranks, under = stack[lead], ranks[lead], under[np.ix_(lead, lead)]
+            stack.flags.writeable = False
+            renumber = (np.cumsum(lead) - 1)[kept]
+            rows = tuple(renumber[r] for r in rows)
+        table = tuple(key for key, first in zip(found, lead) if first), stack, ranks, rows
+        image = ordered_poset(registry, image_nodes(found), generators, order, under, table)
         out.append((image, identity))
     return out
 

@@ -136,7 +136,6 @@ def verify_bell_section(s):
 
 def restrict_character(poset, ch, target):
     """Restriction of a character to a smaller context."""
-    poset.leq(target, ch.context)  # validates the ids
     if target == ch.context:
         return ch
     if not poset.order[target, ch.context]:
@@ -224,21 +223,16 @@ def full_scan_distances(rows, pool):
     return np.abs(rows[:, None] - pool[None]).max(axis=(2, 3))
 
 
-def einsum_dominance_table(registry, nodes):
-    """Reference dominance table: every atom product formed by one einsum, no screen."""
-    keys = sorted({k for node in nodes for k in node.atoms})
-    stack = np.stack([registry.get(k).matrix for k in keys])
+def einsum_dominance_table(stack):
+    """Reference dominance table of an atom stack: every atom product formed by one einsum,
+    no screen."""
     prod = np.einsum("aij,bjk->abik", stack, stack)
-    under = np.abs(prod - stack[None, :, :, :]).max(axis=(2, 3)) <= TOL.dominance
-    return {k: t for t, k in enumerate(keys)}, under
+    return np.abs(prod - stack[None, :, :, :]).max(axis=(2, 3)) <= TOL.dominance
 
 
 def ix_dominator_map(poset, small, large):
     """Reference dominator map: one pair's block of the poset's dominance table, by ``np.ix_``."""
-    index, under = poset._table
-    rows = [index[k] for k in poset.nodes[small].atoms]
-    cols = [index[k] for k in poset.nodes[large].atoms]
-    sub = under[np.ix_(rows, cols)]
+    sub = poset._under[np.ix_(poset.rows[small], poset.rows[large])]
     if not sub.any(axis=0).all():
         raise RuntimeError("no dominating atom found; poset data is inconsistent")
     return sub.argmax(axis=0)
@@ -351,8 +345,8 @@ def pairwise_meet_poset(catalog, registry):
             if meet is not None:
                 add(meet, f"meet of catalog[{i}] and catalog[{j}]")
     add(cx.trivial_context(registry), "trivial")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(contexts, "_dominance_table", einsum_dominance_table)
+    with pytest.MonkeyPatch.context() as mp:  # poset_from_nodes asks for the stack's own table
+        mp.setattr(contexts, "dominance_tables", lambda stack, *_: einsum_dominance_table(stack)[None])
         return poset_from_nodes(registry, nodes, generators)
 
 
@@ -620,7 +614,7 @@ def strict_chains3(order):
 def loop_restrict_table(pp, table, target):
     """Reference table restriction: a Python loop over the atom pairs of the table."""
     source = table.context
-    if not pp.leq(target, source):
+    if not pp.order[pp.index(target), pp.index(source)]:
         raise ValueError("target is not below the table's context")
     out = np.zeros(pp.table_shape(target))
     left_map = pp.left.dominator_map(target.left, source.left)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import contextua as cx
 from contextua.catalogs import bundled_text
 from contextua import opalg
-from contextua.contexts import _dominance_table, poset_from_nodes
+from contextua.contexts import poset_from_nodes
 from contextua.opalg import TOL, max_norm
 
 from conftest import (
@@ -202,25 +202,20 @@ class TestGeneratePoset:
 class TestLeq:
     def test_trivial_below_everything(self, basis_poset_c3):
         poset = basis_poset_c3
-        t = poset.trivial_node()
-        for j in range(len(poset)):
-            assert poset.leq(t, j)
+        t = poset.node_id(cx.trivial_context(poset.registry))
+        assert poset.order[t].all()
 
     def test_distinct_maximal_incomparable(self, shared_ray_poset_c3):
         m1, m2 = shared_ray_poset_c3.maximal_nodes()
-        assert not shared_ray_poset_c3.leq(m1, m2)
-        assert not shared_ray_poset_c3.leq(m2, m1)
+        assert not shared_ray_poset_c3.order[m1, m2]
+        assert not shared_ray_poset_c3.order[m2, m1]
 
     def test_two_atom_below_maximal(self, basis_poset_c3):
         poset = basis_poset_c3
         maximal = poset.maximal_nodes()[0]
         for i in range(len(poset)):
             if len(poset.nodes[i].atoms) == 2:
-                assert poset.leq(i, maximal)
-
-    def test_unknown_id(self, basis_poset_c3):
-        with pytest.raises(KeyError):
-            basis_poset_c3.leq(0, 99)
+                assert poset.order[i, maximal]
 
     def test_order_soundness_subset_oracle(self, shared_ray_poset_c3, basis_poset_c3):
         for poset in (basis_poset_c3, shared_ray_poset_c3):
@@ -228,18 +223,20 @@ class TestLeq:
             assert np.array_equal(poset.order, subset_sum_order(poset))
 
 
-def check_dominance_table(registry, nodes):
-    index, under = _dominance_table(registry, nodes)
-    keys, expected = einsum_dominance_table(registry, nodes)
-    assert index == keys
-    assert np.array_equal(under, expected)
+def check_dominance_table(poset):
+    """The poset's dominance table against the einsum table of its nodes' distinct atoms,
+    taken from the registry in order of first appearance."""
+    keys = tuple(dict.fromkeys(k for node in poset.nodes for k in node.atoms))
+    assert poset.keys == keys
+    expected = einsum_dominance_table(np.stack([poset.registry.get(k).matrix for k in keys]))
+    assert np.array_equal(poset._under, expected)
 
 
 class TestDominanceDifferential:
     """Order, dominator maps and image order against direct matrix checks."""
 
     def check(self, poset, sym_seed: int, kind: str):
-        check_dominance_table(poset.registry, poset.nodes)
+        check_dominance_table(poset)
         assert np.array_equal(poset.order, subset_sum_order(poset))
         for i, j in zip(*np.nonzero(poset.order)):
             small, large = poset.atoms_of(i), poset.atoms_of(j)
@@ -281,7 +278,7 @@ class TestDominanceDifferential:
 
     def test_row_blocks_match_one_block(self, monkeypatch):
         # pauli-c4 has 91 atom keys; blocks of 64 entries split every product
-        # in poset_from_nodes and _dominance_table into single rows
+        # in poset_from_nodes and dominance_tables into single rows
         poset = cx.build_single_poset(cx.parse_scenario(bundled_text("pauli-c4")))
         monkeypatch.setattr(opalg, "BLOCK", 64)
         blocked = poset_from_nodes(poset.registry, poset.nodes, poset.generators)
@@ -291,7 +288,7 @@ class TestDominanceDifferential:
     @pytest.mark.parametrize("name", ["demo-c3", "ks18-c4", "mermin-c8", "mub-c3"])
     def test_bundled_tables_match_einsum(self, name):
         poset = cx.build_single_poset(cx.parse_scenario(bundled_text(name)))
-        check_dominance_table(poset.registry, poset.nodes)
+        check_dominance_table(poset)
 
 
 def padded_pauli_catalog(picks):
@@ -513,9 +510,9 @@ class TestBatchedBuildDifferential:
         assert [node.atoms for node in poset.nodes] == [node.atoms for node in ref.nodes]
         assert poset.generators == ref.generators
         assert np.array_equal(poset.order, ref.order)
-        index, under = poset._table
-        assert index == ref._table[0]
-        assert np.array_equal(under, ref._table[1])
+        assert poset.keys == ref.keys
+        assert [rows.tolist() for rows in poset.rows] == [rows.tolist() for rows in ref.rows]
+        assert np.array_equal(poset._under, ref._under)
         for i, j in zip(*np.nonzero(poset.order)):
             assert np.array_equal(poset.dominator_map(i, j), ix_dominator_map(ref, i, j))
 

@@ -553,13 +553,14 @@ class TestOfConjugates:
         rays = [u[:, k] for k in range(dim)]
         rays += [np.cos(eps) * u[:, 0] + np.sin(eps) * u[:, 1] for eps in turns]
         stack = np.array([np.outer(v, v.conj()) for v in rays])
-        images, keys = [], []
+        mats, images, keys = [], [], []
         for _ in range(n_ops):
             w = random_unitary(rng, dim)
             moved = w @ (stack.conj() if rng.integers(2) else stack) @ w.conj().T
+            mats.append(moved)
             images.append([cx.Projection(m, 1) for m in moved])
             keys.append(canonical_keys(moved))
-        held = ProjectionRegistry.of_conjugates(dim, tol, stack, images, keys)
+        held = ProjectionRegistry.of_conjugates(dim, tol, stack, np.array(mats), images, keys)
         assert len(held) == n_ops
         for got, ps in zip(held, images):
             fresh = ProjectionRegistry(dim, tol)
@@ -578,7 +579,8 @@ class TestOfConjugates:
             assert list(registry.items()) == list(fresh.items())
 
     def test_empty(self):
-        assert ProjectionRegistry.of_conjugates(2, TOL.identity, np.eye(2)[None], [], []) == []
+        none = np.zeros((0, 1, 2, 2), dtype=complex)
+        assert ProjectionRegistry.of_conjugates(2, TOL.identity, np.eye(2)[None], none, [], []) == []
 
 
 # per row of a find batch: "registered" is a registered projection itself, "new" a random
@@ -752,8 +754,8 @@ def unused_imports(tree):
 
 class TestImports:
     def test_every_import_is_used(self):
-        # the package's modules and these tests; __init__ imports to re-export, and cli
-        # imports the single-op wigner functions that perfbench's tracer wraps on the cli module
+        # the package's modules, these tests and the scripts; __init__ imports to re-export,
+        # and cli imports the single-op wigner functions that perfbench's tracer wraps on cli
         allowed = {
             ("cli.py", "conjugate_poset"),
             ("cli.py", "jordan_check"),
@@ -762,6 +764,7 @@ class TestImports:
         found = sorted(
             (name, imported)
             for name, tree in package_modules() + package_modules(Path(__file__).parent)
+            + package_modules(Path(__file__).parent.parent / "scripts")
             if name != "__init__.py"
             for imported in unused_imports(tree)
             if (name, imported) not in allowed

@@ -185,23 +185,25 @@ class TestParseScenario:
         assert main(["ks-check", "--scenario", str(path)]) == 1
         assert "rays 0 and 1 are near-duplicates" in capsys.readouterr().err
 
-    def test_split_meet_blocks_give_a_verdict(self, tmp_path, capsys):
-        # two jittered pauli-c4 bases whose meet blocks an overlap of about 6e-13, below the
-        # squared grid, splits: the split blocks merge, and the meet is trivial
-        bases, jitter, seed = SPLIT_BLOCK_CATALOGS[0]
+    @pytest.mark.parametrize("bases,jitter,seed", SPLIT_BLOCK_CATALOGS)
+    def test_split_meet_blocks_give_a_verdict(self, tmp_path, capsys, bases, jitter, seed):
+        # jittered pauli-c4 bases whose meet blocks an overlap of about 6e-13, below the
+        # squared grid, splits: the split blocks merge, and no meet is stored
         vecs = np.hstack(pauli_subset_rays(bases, jitter, seed)).T
         doc = {
             "kind": "single",
             "dim": 4,
             "rays": [[[x.real, x.imag] for x in v] for v in vecs],
-            "contexts": [[0, 1, 2, 3], [4, 5, 6, 7]],
+            "contexts": [list(range(4 * b, 4 * b + 4)) for b in range(len(bases))],
         }
         path = tmp_path / "split.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["ks-check", "--scenario", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "colorable"
-        assert report["poset"]["nodes"] == 3  # the two bases and the trivial context
+        assert report["poset"]["nodes"] == len(bases) + 1  # the bases and the trivial context
+        # the projections the poset's nodes use, not the split sums left in the registry
+        assert report["poset"]["projections"] == len(report["section"])
 
     @pytest.mark.parametrize(
         "name,tol,message",

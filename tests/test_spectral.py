@@ -68,7 +68,8 @@ class TestRestrictCharacter:
 
     def test_restrict_to_trivial(self, shared_atom_setup):
         poset, maximal, _, _ = shared_atom_setup
-        got = restrict_character(poset, Character(maximal, 2), poset.trivial_node())
+        trivial = poset.node_id(cx.trivial_context(poset.registry))
+        got = restrict_character(poset, Character(maximal, 2), trivial)
         assert got.chosen_atom == 0
 
     def test_not_below_errors(self, shared_atom_setup):

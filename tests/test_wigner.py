@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import contextua as cx
 from contextua import cli, contexts
 from contextua.catalogs import bundled_text
-from contextua.opalg import TOL, CanonicalizationError, max_norm
+from contextua.opalg import TOL, CanonicalizationError, canonical_keys, max_norm
 from contextua.wigner import (
     PosetMap,
     _projection_ranks,
@@ -22,6 +22,7 @@ from contextua.wigner import (
 
 from conftest import (
     compose,
+    einsum_dominance_table,
     jordan_lift,
     loop_conjugate_poset,
     loop_image_check,
@@ -492,6 +493,59 @@ class TestBatchedConjugation:
         assert str(got.value) == str(want.value)
 
 
+def check_atom_table(poset):
+    """The poset's atom table against its nodes and registry: the distinct node atoms in
+    order of first appearance, bit-equal matrices, equal ranks, and rows that give back
+    each node's atoms; its dominance table against the einsum table of the stack."""
+    keys = tuple(dict.fromkeys(k for node in poset.nodes for k in node.atoms))
+    assert poset.keys == keys
+    assert poset.stack.shape == (len(keys), poset.dim, poset.dim)
+    assert not poset.stack.flags.writeable
+    for t, key in enumerate(keys):
+        p = poset.registry.get(key)
+        assert poset.stack[t].tobytes() == p.matrix.tobytes()
+        assert poset.ranks[t] == p.rank
+    assert [tuple(keys[t] for t in rows) for rows in poset.rows] == [n.atoms for n in poset.nodes]
+    assert np.array_equal(poset._under, einsum_dominance_table(poset.stack))
+
+
+class TestAtomTable:
+    """Each poset's atom table, and that of each image poset, read against the registry."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        poset=st.one_of(
+            generated_posets(),
+            st.sampled_from([1.2e-5, 1.5e-5]).map(lambda eps: turned_ray_poset(eps, False)),
+        ),
+        seed=st.integers(0, 2**31 - 1),
+        kinds=st.lists(st.sampled_from(["unitary", "antiunitary"]), min_size=1, max_size=4),
+    )
+    def test_table_as_registry(self, poset, seed, kinds):
+        check_atom_table(poset)
+        rng = np.random.default_rng(seed)
+        ops = [cx.symmetry(kind, random_unitary(rng, poset.dim)) for kind in kinds]
+        try:
+            images = cx.conjugate_posets(poset, ops)
+        except (CanonicalizationError, RuntimeError):
+            return  # an op whose images collide or whose image order fails raises, as a loop would
+        for image, _ in images:
+            check_atom_table(image)
+
+    def test_merged_images(self):
+        # 32 of these 40 unitaries merge two of the 7 image atoms at tol 1e-5; their image
+        # posets keep 6 rows, and renumber the rows of every node after the merged one
+        poset = turned_ray_poset(1.2e-5, shared=False)
+        rng = np.random.default_rng(0)
+        ops = [cx.symmetry("unitary", random_unitary(rng, 3)) for _ in range(40)]
+        images = [image for image, _ in cx.conjugate_posets(poset, ops)]
+        assert sorted(len(image.keys) for image in images) == [6] * 32 + [7] * 8
+        for image in images:
+            check_atom_table(image)
+            if len(image.keys) == 7:  # nothing merged: the source rows serve the image
+                assert image.rows is poset.rows
+
+
 class TestJordanCheck:
     def test_unitary_sign_plus(self):
         rng = np.random.default_rng(7)
@@ -715,8 +769,8 @@ class TestWignerCheckReport:
         monkeypatch.setattr(cli, "transition_probability_deviations", recorded)
         cli.run("wigner-check", cx.parse_scenario(bundled_text("ks18-c4")))
         (rays,) = seen
-        assert len({id(p) for p in rays}) == len(rays) == 8
-        assert all(p.rank == 1 for p in rays)
+        assert len(set(canonical_keys(rays))) == len(rays) == 8
+        assert all(cx.projection(p).rank == 1 for p in rays)
 
 
 class TestTrivialPresheafAutomorphism:
@@ -732,7 +786,7 @@ class TestTrivialPresheafAutomorphism:
 
     def test_swapping_inequivalent_nodes_fails(self, basis_poset_c3):
         maximal = basis_poset_c3.maximal_nodes()[0]
-        trivial = basis_poset_c3.trivial_node()
+        trivial = basis_poset_c3.node_id(cx.trivial_context(basis_poset_c3.registry))
         node_map = list(range(5))
         node_map[maximal], node_map[trivial] = node_map[trivial], node_map[maximal]
         assert not cx.trivial_presheaf_automorphism(basis_poset_c3, PosetMap(tuple(node_map)))
