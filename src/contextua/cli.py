@@ -370,22 +370,23 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = parse_scenario(_load_scenario_text(args.scenario))
         report = run(args.command, scenario, tol=args.tol, cap=args.cap, seed=args.seed)
+        if args.format == "dot":
+            if "dot" not in report.payload:
+                raise ValueError("--format dot is only available for poset-export")
+            rendered = report.payload["dot"]
+        elif args.format == "text":
+            color = os.environ.get("CONTEXTUA_NO_COLOR") is None and sys.stdout.isatty()
+            rendered = report.to_text(color=color)
+        else:
+            rendered = report.to_json()
+        if args.out:
+            Path(args.out).write_text(rendered, encoding="utf-8")
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports all failures
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
-    if args.format == "dot":
-        if "dot" not in report.payload:
-            print("error: --format dot is only available for poset-export", file=sys.stderr)
-            return 1
-        rendered = report.payload["dot"]
-    elif args.format == "text":
-        color = os.environ.get("CONTEXTUA_NO_COLOR") is None and sys.stdout.isatty()
-        rendered = report.to_text(color=color)
-    else:
-        rendered = report.to_json()
     sys.stdout.write(rendered)
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
     return report.exit_code
 
 

@@ -16,16 +16,19 @@ weight.)
 
 Order rule: i <= j iff every atom of i is a sum of atoms of j. One
 dominance table decides it: ``under[q, p]`` holds iff atom p lies under
-atom q (``|qp - p| <= TOL.dominance``), over a poset's atom table.
-Then i <= j iff, for every atom q of i, the ranks of j's atoms under q sum
-to rank(q); distinct atoms of i are orthogonal, so a j-atom lies under at
-most one of them. Dominator maps (which atom of i a j-atom lies under)
-are lookups in the same table.
+atom q (``|qp - p| <= TOL.dominance``), over a poset's atom table. The
+build turns it into one lookup, ``over[i, p]``: the atom of node i that
+atom p lies under, or -1; distinct atoms of i are orthogonal, so p lies
+under at most one of them. Then i <= j iff every atom of j lies under an
+atom of i (both families sum to the identity, so j's atoms under each atom
+q of i then sum to q), and the dominator map of i < j (which atom of i
+each j-atom lies under) is ``over[i]`` read at j's atoms. The table itself
+is dropped once the lookup is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -141,7 +144,10 @@ class ContextPoset:
     ``keys``, the nodes' distinct atom keys in order of first appearance
     over the nodes; ``stack``, their matrices as one read-only ``(n, d, d)``
     array; ``ranks``, their ranks; ``rows[i]``, node i's atoms as rows of
-    the table, in atom order. It is ``table`` if given, else read from the registry.
+    the table, in atom order; ``over[i, t]``, the atom of node i (its index
+    in ``rows[i]``) that row t lies under, or -1. ``order``, read off
+    ``over`` by :func:`atom_lookups`, is checked antisymmetric. Every array
+    is made read-only.
     """
 
     dim: int
@@ -149,61 +155,35 @@ class ContextPoset:
     nodes: tuple[Context, ...]
     order: np.ndarray  # order[i, j] == True iff node i is contained in node j
     generators: tuple[str, ...]
-    _covers: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)
-    _dominators: dict | None = field(default=None, repr=False)
-    _under: np.ndarray | None = field(default=None, repr=False)  # dominance table, by row
-    table: InitVar[tuple | None] = None
-    keys: tuple[str, ...] = field(init=False, repr=False)
-    stack: np.ndarray = field(init=False, repr=False)
-    ranks: np.ndarray = field(init=False, repr=False)
-    rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    keys: tuple[str, ...] = field(repr=False)
+    stack: np.ndarray = field(repr=False)
+    ranks: np.ndarray = field(repr=False)
+    rows: tuple[np.ndarray, ...] = field(repr=False)
+    over: np.ndarray = field(repr=False)
     _ids: dict[Context, int] = field(init=False, repr=False)
 
-    def __post_init__(self, table):
+    def __post_init__(self):
+        for arr in (self.stack, self.ranks, *self.rows, self.over, self.order):
+            arr.flags.writeable = False
+        # sanity: antisymmetry must hold because distinct key-sets are distinct algebras
+        if not np.array_equal(self.order & self.order.T, np.eye(len(self.nodes), dtype=bool)):
+            raise RuntimeError("order relation failed antisymmetry")
         self._ids = {node: i for i, node in enumerate(self.nodes)}
-        table = table or _atom_table(self.registry, self.nodes)
-        self.keys, self.stack, self.ranks, self.rows = table
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def dominator_map(self, small: int, large: int) -> np.ndarray:
-        """Per-atom lookup: atom a of ``large`` lies under entry [a] of ``small``.
-
-        A cache miss fills the cache for every node below ``large`` at once,
-        from one lookup of their atoms' rows against ``large``'s atom columns
-        in the dominance table.
-        """
-        if self._dominators is None:
-            self._dominators = {}
-        cached = self._dominators.get((small, large))
-        if cached is not None:
-            return cached
+        """Per-atom lookup: atom a of ``large`` lies under entry [a] of ``small``."""
         if not self.order[small, large]:
             raise ValueError(f"node {small} is not below node {large}")
-        if self._under is None:
-            (self._under,) = dominance_tables(self.stack, self.ranks, self.stack[None])
-        below = [int(i) for i in np.flatnonzero(self.order[:, large])]
-        sizes = [len(self.rows[i]) for i in below]
-        starts = np.cumsum(sizes) - sizes
-        rows = np.concatenate([self.rows[i] for i in below])  # atom rows of the nodes below
-        slot = np.arange(len(rows)) - np.repeat(starts, sizes)
-        # per node below and atom of large: the first dominating atom; len(rows) means none
-        hit = self._under[rows][:, self.rows[large]]
-        first = np.minimum.reduceat(np.where(hit, slot[:, None], len(rows)), starts, axis=0)
-        if (first == len(rows)).any():
-            raise RuntimeError("no dominating atom found; poset data is inconsistent")
-        self._dominators.update(((i, large), out) for i, out in zip(below, first))
-        return self._dominators[small, large]
+        return self.over[small, self.rows[large]]
 
     def node_id(self, ctx: Context) -> int:
         try:
             return self._ids[ctx]
         except KeyError:
             raise KeyError("context not in poset") from None
-
-    def atoms_of(self, i: int) -> list[Projection]:
-        return [self.registry.get(k) for k in self.nodes[i].atoms]
 
     def atom_matrices(self, i: int) -> np.ndarray:
         """The atoms of node i as one ``(k, d, d)`` stack, in atom order."""
@@ -216,26 +196,16 @@ class ContextPoset:
         strict = self.order & ~np.eye(len(self.nodes), dtype=bool)
         return [int(i) for i in np.flatnonzero(~strict.any(axis=1))]
 
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Transitive reduction as (small, large) pairs."""
-        if self._covers is None:
-            strict = self.order & ~np.eye(len(self.nodes), dtype=bool)
-            cover = strict & ~(strict @ strict)
-            self._covers = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(cover)))
-        return self._covers
-
 
 def _atom_table(registry: ProjectionRegistry, nodes: Sequence[Context]) -> tuple:
     """The atom table of a node list, its atoms read from ``registry``: ``(keys, stack,
-    ranks, rows)`` as :class:`ContextPoset` holds them, every array read-only."""
+    ranks, rows)`` as :class:`ContextPoset` holds them."""
     keys = tuple(dict.fromkeys(k for node in nodes for k in node.atoms))
     index = {k: t for t, k in enumerate(keys)}
     atoms = [registry.get(k) for k in keys]
     stack = np.array([p.matrix for p in atoms]).reshape(len(keys), registry.dim, registry.dim)
     ranks = np.array([p.rank for p in atoms], dtype=int)
     rows = tuple(np.array([index[k] for k in node.atoms]) for node in nodes)
-    for arr in (stack, ranks, *rows):
-        arr.flags.writeable = False
     return keys, stack, ranks, rows
 
 
@@ -425,50 +395,33 @@ def poset_from_nodes(
 ) -> ContextPoset:
     """Poset on an explicit node list, ordered by the dominance table of its atom table."""
     _, stack, ranks, rows = table = _atom_table(registry, nodes)
-    (under,) = dominance_tables(stack, ranks, stack[None])
-    (order,) = node_orders(rows, ranks[None], under[None])
-    return ordered_poset(registry, nodes, generators, order, under, table)
+    (over,), (order,) = atom_lookups(rows, dominance_tables(stack, ranks, stack[None]))
+    generators = tuple(generators)
+    return ContextPoset(registry.dim, registry, tuple(nodes), order, generators, *table, over)
 
 
-def node_orders(
-    atoms: Sequence[Sequence[int]], ranks: np.ndarray, under: np.ndarray
-) -> np.ndarray:
-    """Order matrix of one node list under each of a stack of dominance tables.
+def atom_lookups(
+    atoms: Sequence[np.ndarray], under: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Atom lookup ``over[k, i, t]`` of one node list under each of a stack of dominance
+    tables, the atom of node i that row t lies under in ``under[k]`` or -1, and the order
+    ``order[k, i, j]`` it gives: i <= j iff no atom of node j reads -1 in row i.
 
-    ``atoms[i]`` lists the atom rows of node i; ``ranks[k, q]`` and
-    ``under[k]`` are atom q's rank and the dominance table of stack k.
-    ``order[k, i, j]`` holds iff, for every atom q of node i, the ranks of
-    node j's atoms under q sum to rank(q).
+    ``atoms[i]`` lists the atom rows of node i. Node i's atoms are orthogonal,
+    so at most one of them dominates row t, and the lookup is one product of
+    the table with each atom's 1 + index in its node, in column blocks so
+    that no float copy of the whole tables is made; the sums are exact.
     """
-    member = np.zeros((len(atoms), under.shape[1]))  # member[i, q]: q is an atom of node i
+    slot = np.zeros((len(atoms), under.shape[1]))  # slot[i, q]: 1 + q's index in node i, or 0
     for i, rows in enumerate(atoms):
-        member[i, rows] = 1.0
-    # covered[k, q, j]: rank of j's atoms under q, in row blocks so that no float
-    # copy of the whole dominance tables is made; the sums are small integers, exact
-    weighted = member.T * ranks[:, :, None]
-    covered = np.empty(weighted.shape)
-    step = max(1, opalg.BLOCK // (len(under) * under.shape[2]))
-    for start in range(0, under.shape[1], step):
-        covered[:, start : start + step] = under[:, start : start + step] @ weighted
-    return member @ (covered != ranks[:, :, None]) == 0
-
-
-def ordered_poset(
-    registry: ProjectionRegistry,
-    nodes: Sequence[Context],
-    generators: Sequence[str],
-    order: np.ndarray,
-    under: np.ndarray,
-    table: tuple,
-) -> ContextPoset:
-    """The poset on ``nodes`` with this order, dominance table and atom table, checked
-    antisymmetric."""
-    # sanity: antisymmetry must hold because distinct key-sets are distinct algebras
-    if not np.array_equal(order & order.T, np.eye(len(nodes), dtype=bool)):
-        raise RuntimeError("order relation failed antisymmetry")
-    return ContextPoset(
-        registry.dim, registry, tuple(nodes), order, tuple(generators), _under=under, table=table
-    )
+        slot[i, rows] = np.arange(1, len(rows) + 1)
+    over = np.empty((len(under), len(atoms), under.shape[2]), dtype=int)
+    step = max(1, opalg.BLOCK // (len(under) * under.shape[1]))
+    for start in range(0, under.shape[2], step):
+        over[:, :, start : start + step] = slot @ under[:, :, start : start + step] - 1
+    sizes = [len(rows) for rows in atoms]
+    hit = over[:, :, np.concatenate(atoms)] >= 0
+    return over, np.logical_and.reduceat(hit, np.cumsum(sizes) - sizes, axis=2)
 
 
 # |qp - p|_F^2 = rank p - tr(qp) for projections p and q. A pair that passes the
@@ -515,7 +468,8 @@ def export_dot(poset: ContextPoset) -> str:
         ranks = ",".join(str(r) for r in poset.ranks[rows])
         lines.append(f"  // node n{i}: {poset.generators[i]}")
         lines.append(f'  n{i} [label="ranks={ranks}"];')
-    for small, large in poset.covers():
+    strict = poset.order & ~np.eye(len(poset), dtype=bool)
+    for small, large in zip(*np.nonzero(strict & ~(strict @ strict))):  # the cover pairs
         lines.append(f"  n{large} -> n{small};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -93,7 +93,7 @@ def _domination_maps(poset: ContextPoset) -> dict[tuple[int, int], np.ndarray]:
     """The atom dominator lookup of every strict pair small < large with ``large`` maximal.
 
     Choices live on maximal nodes, so these are the only maps the search and
-    the enumerator read; any other map stays lazy in ``poset.dominator_map``.
+    the enumerator read.
     """
     return {
         (int(i), m): poset.dominator_map(int(i), m)

@@ -28,13 +28,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .contexts import (
-    Context,
-    ContextPoset,
-    dominance_tables,
-    node_orders,
-    ordered_poset,
-)
+from .contexts import Context, ContextPoset, atom_lookups, dominance_tables
 from .opalg import (
     TOL,
     CanonicalizationError,
@@ -133,10 +127,11 @@ def conjugate_posets(
     :func:`~contextua.contexts.dominance_tables`). The entrywise tests run
     on the images of the kept pairs only, for all such ops at once: the
     registry rule, which registers each op's images in a fresh registry as
-    ``register_many`` would, then the dominance test. Where the rule merges
-    an image into an earlier one, the node atoms read the kept image's row
-    of the dominance table; where it rejects one, that op raises. Errors are
-    those of one call per op, in op order.
+    ``register_many`` would, then the dominance test, whose tables give
+    every image poset's atom lookup in one stacked product. Where the rule
+    merges an image into an earlier one, the node atoms read the kept
+    image's row of the dominance table; where it rejects one, that op
+    raises. Errors are those of one call per op, in op order.
     """
     if not ops:
         return []
@@ -158,8 +153,8 @@ def conjugate_posets(
     projs = [Projection(a, r) for a, r in zip(flat, ranks)]
     atoms = [rows.tolist() for rows in poset.rows]
 
-    def image_nodes(image_keys: Sequence[str]) -> list[Context]:
-        return [Context(dim, tuple(image_keys[t] for t in a)) for a in atoms]
+    def image_nodes(image_keys: Sequence[str]) -> tuple[Context, ...]:
+        return tuple(Context(dim, tuple(image_keys[t] for t in a)) for a in atoms)
 
     resolved: dict[int, PosetMap] = {}
     for k, found in enumerate(_find_per_op(poset.registry, projs, keys, m)):
@@ -179,9 +174,8 @@ def conjugate_posets(
         kept = np.array([list(map({}.setdefault, held[k][1], range(m))) for k in built])
         under = dominance_tables(poset.stack, poset.ranks, images[built])
         under = under[np.arange(len(built))[:, None, None], kept[:, :, None], kept[:, None, :]]
-        orders = node_orders(poset.rows, poset.ranks[kept], under)
-        tables = dict(zip(built, zip(kept, orders, under)))
-    generators = [f"conjugate({g})" for g in poset.generators]
+        tables = dict(zip(built, zip(kept, *atom_lookups(poset.rows, under))))
+    generators = tuple(f"conjugate({g})" for g in poset.generators)
     identity = PosetMap(tuple(range(len(poset))))
     out = []
     for k in range(len(ops)):
@@ -190,17 +184,17 @@ def conjugate_posets(
             continue
         if isinstance(held[k], CanonicalizationError):
             raise held[k]
-        (registry, found), (kept, order, under) = held[k], tables[k]
+        (registry, found), (kept, over, order) = held[k], tables[k]
         # the image atom table holds the kept images, which come in the order of their sources
         lead = kept == np.arange(m)
         stack, ranks, rows = flat[k * m : (k + 1) * m], poset.ranks, poset.rows
         if not lead.all():  # drop the merged images; each node atom reads its kept row
-            stack, ranks, under = stack[lead], ranks[lead], under[np.ix_(lead, lead)]
-            stack.flags.writeable = False
+            stack, ranks, over = stack[lead], ranks[lead], over[:, lead]
             renumber = (np.cumsum(lead) - 1)[kept]
             rows = tuple(renumber[r] for r in rows)
-        table = tuple(key for key, first in zip(found, lead) if first), stack, ranks, rows
-        image = ordered_poset(registry, image_nodes(found), generators, order, under, table)
+        keys = tuple(key for key, first in zip(found, lead) if first)
+        table = keys, stack, ranks, rows, over
+        image = ContextPoset(dim, registry, image_nodes(found), order, generators, *table)
         out.append((image, identity))
     return out
 

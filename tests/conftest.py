@@ -230,12 +230,32 @@ def einsum_dominance_table(stack):
     return np.abs(prod - stack[None, :, :, :]).max(axis=(2, 3)) <= TOL.dominance
 
 
+def einsum_atom_lookup(poset):
+    """Reference atom lookup of a poset: for each node and row of its atom table, the one
+    atom of the node that the row lies under in the einsum dominance table, or -1."""
+    under = einsum_dominance_table(poset.stack)
+    over = np.full((len(poset), len(poset.keys)), -1)
+    for i, rows in enumerate(poset.rows):
+        for t in range(len(poset.keys)):
+            hits = np.flatnonzero(under[rows, t])
+            assert len(hits) <= 1
+            if len(hits):
+                over[i, t] = hits[0]
+    return over
+
+
 def ix_dominator_map(poset, small, large):
-    """Reference dominator map: one pair's block of the poset's dominance table, by ``np.ix_``."""
-    sub = poset._under[np.ix_(poset.rows[small], poset.rows[large])]
-    if not sub.any(axis=0).all():
-        raise RuntimeError("no dominating atom found; poset data is inconsistent")
+    """Reference dominator map: one pair's block of the einsum dominance table of the
+    poset's atom stack, by ``np.ix_``."""
+    under = einsum_dominance_table(poset.stack)
+    sub = under[np.ix_(poset.rows[small], poset.rows[large])]
+    assert sub.any(axis=0).all()
     return sub.argmax(axis=0)
+
+
+def registry_atoms(poset, i):
+    """Node i's atoms as the registry holds them, one ``get`` per key."""
+    return [poset.registry.get(k) for k in poset.nodes[i].atoms]
 
 
 def pairwise_meet(registry, first, second, index, overlap, resolved):
@@ -383,7 +403,7 @@ def loop_image_check(m):
 def loop_conjugate_poset(poset, s):
     """Reference conjugation: one ``projection`` check and one registry call per (node, atom)."""
     image_atoms = [
-        [loop_image_check(apply_symmetry(s, p.matrix)) for p in poset.atoms_of(i)]
+        [loop_image_check(apply_symmetry(s, p.matrix)) for p in registry_atoms(poset, i)]
         for i in range(len(poset))
     ]
 
@@ -628,9 +648,9 @@ def kron_rows(pp, node):
     """Reference Born rows of one product node: ``kron(p, q).T`` flattened, atom pairs row-major."""
     return np.stack(
         [
-            np.kron(p.matrix, q.matrix).T.ravel()
-            for p in pp.left.atoms_of(node.left)
-            for q in pp.right.atoms_of(node.right)
+            np.kron(p, q).T.ravel()
+            for p in pp.left.atom_matrices(node.left)
+            for q in pp.right.atom_matrices(node.right)
         ]
     )
 

@@ -233,8 +233,8 @@ def test_criterion_6_wigner_converse(shared_ray_poset_c3, mub_poset_c3):
             rays = [
                 p
                 for i in range(len(poset))
-                for p in poset.atoms_of(i)
-                if p.rank == 1
+                for p, rank in zip(poset.atom_matrices(i), poset.ranks[poset.rows[i]])
+                if rank == 1
             ][:8]
             for kind in ("unitary", "antiunitary"):
                 for _ in range(7):

@@ -57,8 +57,8 @@ def chsh_operator(model):
         for node in sorted({
             (n.left if side == "left" else n.right) for n in model.analysis_contexts
         }):
-            atoms = poset.atoms_of(node)
-            pair.append(atoms[0].matrix - atoms[1].matrix)
+            atoms = poset.atom_matrices(node)
+            pair.append(atoms[0] - atoms[1])
         obs.append(pair)
     (a0, a1), (b0, b1) = obs
     return np.kron(a0, b0) + np.kron(a0, b1) + np.kron(a1, b0) - np.kron(a1, b1)
@@ -111,12 +111,12 @@ class TestProductPoset:
             stack = pp.atom_matrices(k)
             pairs = [
                 (p, q)
-                for p in pp.left.atoms_of(node.left)
-                for q in pp.right.atoms_of(node.right)
+                for p in pp.left.atom_matrices(node.left)
+                for q in pp.right.atom_matrices(node.right)
             ]
             assert stack.shape == (len(pairs), 9, 9)
             for atom, (p, q) in zip(stack, pairs):
-                assert np.array_equal(atom, np.kron(p.matrix, q.matrix))
+                assert np.array_equal(atom, np.kron(p, q))
 
 
 class TestSectionFromState:
@@ -127,10 +127,10 @@ class TestSectionFromState:
         s = cx.section_from_bipartite_state(pp, np.kron(rho1.matrix, rho2.matrix))
         for node in pp.nodes:
             left = np.array(
-                [np.real(np.trace(rho1.matrix @ p.matrix)) for p in pp.left.atoms_of(node.left)]
+                [np.real(np.trace(rho1.matrix @ p)) for p in pp.left.atom_matrices(node.left)]
             )
             right = np.array(
-                [np.real(np.trace(rho2.matrix @ p.matrix)) for p in pp.right.atoms_of(node.right)]
+                [np.real(np.trace(rho2.matrix @ p)) for p in pp.right.atom_matrices(node.right)]
             )
             assert max_norm(s.tables[node].probs - np.outer(left, right)) < 1e-10
 
@@ -141,9 +141,9 @@ class TestSectionFromState:
         w = w / np.trace(w).real
         s = cx.section_from_bipartite_state(pp, w)
         for node in pp.nodes:
-            for a, p in enumerate(pp.left.atoms_of(node.left)):
-                for b, q in enumerate(pp.right.atoms_of(node.right)):
-                    direct = float(np.real(np.trace(w @ np.kron(p.matrix, q.matrix))))
+            for a, p in enumerate(pp.left.atom_matrices(node.left)):
+                for b, q in enumerate(pp.right.atom_matrices(node.right)):
+                    direct = float(np.real(np.trace(w @ np.kron(p, q))))
                     assert s.tables[node].probs[a, b] == pytest.approx(direct, abs=1e-12)
 
     def test_requires_trace_one(self, mub2_model):
@@ -747,9 +747,9 @@ class TestClassification:
         # rank-deficiency oracle: 2 bases per qubit span 3 of 4 local dims
         rows = []
         for node in sorted(domain, key=lambda n: (n.left, n.right)):
-            for p in pp.left.atoms_of(node.left):
-                for q in pp.right.atoms_of(node.right):
-                    m = np.kron(p.matrix, q.matrix)
+            for p in pp.left.atom_matrices(node.left):
+                for q in pp.right.atom_matrices(node.right):
+                    m = np.kron(p, q)
                     rows.append(np.concatenate([m.real.reshape(-1), m.imag.reshape(-1)]))
         rows.append(np.concatenate([np.eye(4).reshape(-1), np.zeros(16)]))
         rank = int(np.linalg.matrix_rank(np.stack(rows), tol=1e-8))

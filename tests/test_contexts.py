@@ -19,7 +19,7 @@ from contextua.opalg import TOL, max_norm
 from conftest import (
     SPLIT_BLOCK_CATALOGS,
     canonical_key,
-    einsum_dominance_table,
+    einsum_atom_lookup,
     ix_dominator_map,
     ks18_subset_catalog,
     ks18_subset_poset,
@@ -29,6 +29,7 @@ from conftest import (
     peres24_subset_catalog,
     random_density,
     random_unitary,
+    registry_atoms,
     shared_ray_catalog,
     shared_ray_catalog_poset,
 )
@@ -67,7 +68,7 @@ def subset_sum_order(poset) -> np.ndarray:
     """Oracle: i <= j iff each atom of i is the sum of some subset of j's atoms."""
     sums = []
     for j in range(len(poset)):
-        large = [p.matrix for p in poset.atoms_of(j)]
+        large = [p.matrix for p in registry_atoms(poset, j)]
         sums.append(
             np.stack(
                 [
@@ -83,7 +84,7 @@ def subset_sum_order(poset) -> np.ndarray:
         for j in range(n):
             order[i, j] = all(
                 np.abs(sums[j] - q.matrix).max(axis=(1, 2)).min() < 1e-7
-                for q in poset.atoms_of(i)
+                for q in registry_atoms(poset, i)
             )
     return order
 
@@ -223,30 +224,26 @@ class TestLeq:
             assert np.array_equal(poset.order, subset_sum_order(poset))
 
 
-def check_dominance_table(poset):
-    """The poset's dominance table against the einsum table of its nodes' distinct atoms,
-    taken from the registry in order of first appearance."""
+def check_atom_lookup(poset):
+    """The poset's atom lookup against the einsum dominance table of its nodes' distinct
+    atoms, taken from the registry in order of first appearance."""
     keys = tuple(dict.fromkeys(k for node in poset.nodes for k in node.atoms))
     assert poset.keys == keys
-    expected = einsum_dominance_table(np.stack([poset.registry.get(k).matrix for k in keys]))
-    assert np.array_equal(poset._under, expected)
+    assert np.array_equal(poset.stack, np.stack([poset.registry.get(k).matrix for k in keys]))
+    assert np.array_equal(poset.over, einsum_atom_lookup(poset))
 
 
 class TestDominanceDifferential:
     """Order, dominator maps and image order against direct matrix checks."""
 
     def check(self, poset, sym_seed: int, kind: str):
-        check_dominance_table(poset)
+        check_atom_lookup(poset)
         assert np.array_equal(poset.order, subset_sum_order(poset))
         for i, j in zip(*np.nonzero(poset.order)):
-            small, large = poset.atoms_of(i), poset.atoms_of(j)
+            small, large = poset.atom_matrices(i), poset.atom_matrices(j)
             expected = []
             for p in large:
-                hits = [
-                    idx
-                    for idx, q in enumerate(small)
-                    if max_norm(q.matrix @ p.matrix - p.matrix) <= 1e-7
-                ]
+                hits = [idx for idx, q in enumerate(small) if max_norm(q @ p - p) <= 1e-7]
                 assert len(hits) == 1
                 expected.append(hits[0])
             assert poset.dominator_map(int(i), int(j)).tolist() == expected
@@ -288,7 +285,7 @@ class TestDominanceDifferential:
     @pytest.mark.parametrize("name", ["demo-c3", "ks18-c4", "mermin-c8", "mub-c3"])
     def test_bundled_tables_match_einsum(self, name):
         poset = cx.build_single_poset(cx.parse_scenario(bundled_text(name)))
-        check_dominance_table(poset)
+        check_atom_lookup(poset)
 
 
 def padded_pauli_catalog(picks):
@@ -424,7 +421,7 @@ class TestMeetClosedDifferential:
         reg = cx.ProjectionRegistry(6)
         poset = cx.generate_poset(build_catalog(reg), reg)
         assert poset.generators[2] == "meet of catalog[0] and catalog[1]"
-        assert sorted(p.rank for p in poset.atoms_of(2)) == [2, 4]
+        assert sorted(poset.ranks[poset.rows[2]].tolist()) == [2, 4]
 
     def test_small_overlap_joins_a_block(self):
         # a basis rotated by 1e-4 in the (0, 1) plane: tr(e0 b1) = sin^2 = 1e-8, a
@@ -446,7 +443,7 @@ class TestMeetClosedDifferential:
         reg = cx.ProjectionRegistry(4)
         poset = cx.generate_poset(build_catalog(reg), reg)
         assert poset.generators[2] == "meet of catalog[0] and catalog[1]"
-        assert sorted(p.rank for p in poset.atoms_of(2)) == [2, 2]
+        assert sorted(poset.ranks[poset.rows[2]].tolist()) == [2, 2]
 
     @pytest.mark.parametrize("shared", [1, 2, 3])
     def test_shared_atoms_and_their_complement_not_stored(self, shared):
@@ -512,7 +509,8 @@ class TestBatchedBuildDifferential:
         assert np.array_equal(poset.order, ref.order)
         assert poset.keys == ref.keys
         assert [rows.tolist() for rows in poset.rows] == [rows.tolist() for rows in ref.rows]
-        assert np.array_equal(poset._under, ref._under)
+        assert np.array_equal(poset.over, ref.over)
+        assert np.array_equal(poset.over, einsum_atom_lookup(ref))
         for i, j in zip(*np.nonzero(poset.order)):
             assert np.array_equal(poset.dominator_map(i, j), ix_dominator_map(ref, i, j))
 
@@ -558,6 +556,42 @@ class TestBatchedBuildDifferential:
         self.check(lambda reg: pauli_subset_catalog(reg, range(15)), 4)
 
 
+def poset_state(poset) -> dict:
+    """Every attribute of a poset, arrays (also inside tuples) as their dtype, shape, bytes
+    and write flag, with the keys its registry holds."""
+
+    def frozen(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes(), value.flags.writeable
+        if isinstance(value, tuple):
+            return tuple(frozen(v) for v in value)
+        return value
+
+    state = {name: frozen(value) for name, value in vars(poset).items()}
+    state["registry keys"] = list(poset.registry.keys())
+    return state
+
+
+def test_reading_paths_leave_poset_unchanged():
+    # a fresh poset of each kind, so that nothing filled by an earlier test hides a write
+    poset = cx.build_single_poset(cx.parse_scenario(bundled_text("mermin-c8")))
+    model = cx.build_bipartite_model(cx.parse_scenario(bundled_text("chsh-c2")))
+    posets = (poset, model.poset.left, model.poset.right)
+    before = [poset_state(p) for p in posets]
+    cx.find_global_section(poset)
+    cx.enumerate_global_sections(poset)
+    for small, large in zip(*np.nonzero(poset.order)):
+        weights = np.full(len(poset.rows[large]), 1 / len(poset.rows[large]))
+        cx.marginalise(poset, cx.context_measure(poset, int(large), weights), int(small))
+    cx.export_dot(poset)
+    rng = np.random.default_rng(5)
+    ops = [cx.symmetry("unitary", np.eye(8)), cx.symmetry("antiunitary", random_unitary(rng, 8))]
+    images = cx.conjugate_posets(poset, ops)
+    assert images[0][0] is poset and images[1][0] is not poset  # one of each path
+    cx.factorisability_lp(model.section, model.analysis_contexts)
+    assert [poset_state(p) for p in posets] == before
+
+
 class TestConjugationStability:
     def test_unitary_images_isomorphic(self, shared_ray_poset_c3):
         poset = shared_ray_poset_c3
@@ -566,14 +600,14 @@ class TestConjugationStability:
         reg = cx.ProjectionRegistry(3)
         contexts = []
         for i in poset.maximal_nodes():
-            mats = [u @ p.matrix @ u.conj().T for p in poset.atoms_of(i)]
+            mats = [u @ p @ u.conj().T for p in poset.atom_matrices(i)]
             contexts.append(cx.context_from_projections(reg, mats))
         image = cx.generate_poset(contexts, reg)
         assert len(image) == len(poset)
         # induced bijection: match nodes through conjugated key sets
         mapping = {}
         for i in range(len(poset)):
-            mats = [u @ p.matrix @ u.conj().T for p in poset.atoms_of(i)]
+            mats = [u @ p @ u.conj().T for p in poset.atom_matrices(i)]
             keys = frozenset(canonical_key(m) for m in mats)
             matches = [
                 j for j in range(len(image)) if image.nodes[j].key_set == keys

@@ -53,8 +53,8 @@ class TestSectionFromState:
         rho = cx.density_matrix(np.eye(3) / 3)
         s = cx.section_from_state(poset, rho)
         for node in range(len(poset)):
-            for idx, p in enumerate(poset.atoms_of(node)):
-                assert s.assignment[node].weights[idx] == pytest.approx(p.rank / 3)
+            for idx, rank in enumerate(poset.ranks[poset.rows[node]]):
+                assert s.assignment[node].weights[idx] == pytest.approx(rank / 3)
 
     def test_pure_state_on_its_context(self, basis_poset_c3):
         poset = basis_poset_c3
@@ -78,11 +78,10 @@ class TestSectionFromState:
         rho = random_density(rng, 3)
         s = cx.section_from_state(poset, rho)
         for node in range(len(poset)):
-            atoms = poset.atoms_of(node)
+            atoms = poset.atom_matrices(node)
             m = s.assignment[node]
             for i, j in itertools.combinations(range(len(atoms)), 2):
-                p, q = atoms[i], atoms[j]
-                lhs = float(np.real(np.trace(rho.matrix @ (p.matrix + q.matrix))))
+                lhs = float(np.real(np.trace(rho.matrix @ (atoms[i] + atoms[j]))))
                 assert lhs == pytest.approx(
                     float(m.weights[i]) + float(m.weights[j]), abs=1e-9
                 )
@@ -95,7 +94,7 @@ class TestSectionFromState:
             rho = random_density(rng, poset.dim)
             s = cx.section_from_state(poset, rho)
             for i in range(len(poset)):
-                loop = [float(np.real(np.trace(rho.matrix @ p.matrix))) for p in poset.atoms_of(i)]
+                loop = [float(np.real(np.trace(rho.matrix @ p))) for p in poset.atom_matrices(i)]
                 assert max_norm(s.assignment[i].weights - np.array(loop)) <= 1e-12
 
     def test_dim_mismatch(self, basis_poset_c3):
@@ -211,7 +210,7 @@ class TestStateFromSection:
         assignment = {}
         for i in range(len(poset)):
             weights = [
-                float(np.real(np.trace(w @ p.matrix))) for p in poset.atoms_of(i)
+                float(np.real(np.trace(w @ p))) for p in poset.atom_matrices(i)
             ]
             assignment[i] = context_measure(poset, i, weights, tol=1e-7)
         s = cx.ProbSection(assignment, frozenset(range(len(poset))))
@@ -281,15 +280,15 @@ class TestMarginalisation:
         s = cx.section_from_state(poset, random_density(rng, 3))
         checked = 0
         for small, large in zip(*np.nonzero(poset.order)):
-            atoms = poset.atoms_of(large)
+            atoms = poset.atom_matrices(large)
             weights = s.assignment[large].weights
             dom = poset.dominator_map(small, large)
-            for a, coarse in enumerate(poset.atoms_of(small)):
+            for a, coarse in enumerate(poset.atom_matrices(small)):
                 fine = np.flatnonzero(dom == a)
                 if len(fine) != 2:
                     continue
-                joined = cx.join(atoms[fine[0]], atoms[fine[1]])
-                assert max_norm(joined.matrix - coarse.matrix) < 1e-8
+                joined = cx.join(cx.projection(atoms[fine[0]]), cx.projection(atoms[fine[1]]))
+                assert max_norm(joined.matrix - coarse) < 1e-8
                 assert s.assignment[small].weights[a] == pytest.approx(
                     float(weights[fine[0]] + weights[fine[1]]), abs=1e-8
                 )

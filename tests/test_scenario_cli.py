@@ -243,7 +243,7 @@ class TestParseScenario:
         doc = {"kind": "single", "dim": 3, "rays": [[1, 0, 0]], "contexts": [[0]]}
         poset = cx.build_single_poset(cx.parse_scenario(json.dumps(doc)))
         maximal = poset.maximal_nodes()
-        ranks = sorted(p.rank for p in poset.atoms_of(maximal[0]))
+        ranks = sorted(poset.ranks[poset.rows[maximal[0]]].tolist())
         assert ranks == [1, 2]
 
     def test_round_trip_structural_equality(self):
@@ -435,6 +435,18 @@ class TestMain:
     def test_missing_file_error(self, capsys):
         assert main(["ks-check", "--scenario", "/nonexistent.json"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_out_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["ks-check", "--scenario", "builtin:demo-c3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert captured.out == ""  # no report is printed that was not also written
+
+    def test_unknown_builtin_message_unquoted(self, capsys):
+        assert main(["ks-check", "--scenario", "builtin:nope"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown bundled scenario 'nope'; have ['chsh-c2', ")
 
     def test_parse_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

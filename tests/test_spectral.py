@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import contextua as cx
 from contextua import spectral
 from contextua.catalogs import bundled_text
-from contextua.contexts import ContextPoset
+from contextua.contexts import poset_from_nodes
 from contextua.opalg import ProjectionRegistry
 from contextua.spectral import Character, SpectralSection
 
@@ -199,7 +199,7 @@ class TestVerifySection:
         assert not verify_section(poset, bad)
 
     def test_edge_violation_without_atom_sharing(self):
-        # hand-built two-context poset {V, M, trivial}: M's atoms are proper
+        # two-context poset {V, M, trivial} on explicit nodes: M's atoms are proper
         # sums of V's, so flipping M violates the edge but shares no atom
         reg = ProjectionRegistry(4)
         v = cx.context_from_observables(reg, [np.diag([1.0, 2.0, 3.0, 4.0])])
@@ -209,7 +209,8 @@ class TestVerifySection:
         order = np.array(
             [[True, False, False], [True, True, False], [True, True, True]]
         )
-        poset = ContextPoset(4, reg, nodes, order, ("v", "halves", "trivial"))
+        poset = poset_from_nodes(reg, nodes, ("v", "halves", "trivial"))
+        assert np.array_equal(poset.order, order)
         ok = SpectralSection(
             {0: Character(0, 0), 1: Character(1, 0), 2: Character(2, 0)},
             frozenset({0, 1, 2}),

@@ -22,7 +22,7 @@ from contextua.wigner import (
 
 from conftest import (
     compose,
-    einsum_dominance_table,
+    einsum_atom_lookup,
     jordan_lift,
     loop_conjugate_poset,
     loop_image_check,
@@ -496,7 +496,7 @@ class TestBatchedConjugation:
 def check_atom_table(poset):
     """The poset's atom table against its nodes and registry: the distinct node atoms in
     order of first appearance, bit-equal matrices, equal ranks, and rows that give back
-    each node's atoms; its dominance table against the einsum table of the stack."""
+    each node's atoms; its atom lookup against the einsum dominance table of the stack."""
     keys = tuple(dict.fromkeys(k for node in poset.nodes for k in node.atoms))
     assert poset.keys == keys
     assert poset.stack.shape == (len(keys), poset.dim, poset.dim)
@@ -506,7 +506,7 @@ def check_atom_table(poset):
         assert poset.stack[t].tobytes() == p.matrix.tobytes()
         assert poset.ranks[t] == p.rank
     assert [tuple(keys[t] for t in rows) for rows in poset.rows] == [n.atoms for n in poset.nodes]
-    assert np.array_equal(poset._under, einsum_dominance_table(poset.stack))
+    assert np.array_equal(poset.over, einsum_atom_lookup(poset))
 
 
 class TestAtomTable:
@@ -797,12 +797,13 @@ class TestTrivialPresheafAutomorphism:
 
 class TestTransitionProbabilities:
     def test_preserved_for_both_kinds(self, mub_poset_c3):
+        poset = mub_poset_c3
         rng = np.random.default_rng(23)
         rays = [
             p
-            for i in range(len(mub_poset_c3))
-            for p in mub_poset_c3.atoms_of(i)
-            if p.rank == 1
+            for i in range(len(poset))
+            for p, rank in zip(poset.atom_matrices(i), poset.ranks[poset.rows[i]])
+            if rank == 1
         ]
         for kind in ("unitary", "antiunitary"):
             s = cx.symmetry(kind, random_unitary(rng, 3))

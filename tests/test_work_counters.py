@@ -1,4 +1,4 @@
-"""Work done by one `ks-check` run: registrations and dominator maps built.
+"""Work done by one `ks-check` run: registrations and dominance tables built.
 
 Counts calls, never time, so the bounds hold on any host.
 """
@@ -10,8 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from contextua import cli
-from contextua.contexts import ContextPoset
+from contextua import cli, contexts
 from contextua.opalg import ProjectionRegistry
 
 from conftest import random_unitary
@@ -19,20 +18,19 @@ from conftest import random_unitary
 
 @pytest.fixture
 def counters(monkeypatch):
-    counts = {"register": 0, "maps_built": 0}
-    register_many, dominator_map = ProjectionRegistry.register_many, ContextPoset.dominator_map
+    counts = {"register": 0, "tables": 0}
+    register_many, dominance_tables = ProjectionRegistry.register_many, contexts.dominance_tables
 
     def counted_register(self, ps):  # every registration is a batch; count its projections
         counts["register"] += len(ps)
         return register_many(self, ps)
 
-    def counted_map(self, small, large):
-        if (small, large) not in (self._dominators or {}):  # a cache miss builds a map
-            counts["maps_built"] += 1
-        return dominator_map(self, small, large)
+    def counted_tables(stack, ranks, images):  # one call builds the tables of a stack of images
+        counts["tables"] += 1
+        return dominance_tables(stack, ranks, images)
 
     monkeypatch.setattr(ProjectionRegistry, "register_many", counted_register)
-    monkeypatch.setattr(ContextPoset, "dominator_map", counted_map)
+    monkeypatch.setattr(contexts, "dominance_tables", counted_tables)
     return counts
 
 
@@ -51,7 +49,7 @@ def rotated_basis_check(d: int, counters, tmp_path, capsys) -> None:
     assert report["verdict"] == "colorable"
     assert report["poset"]["nodes"] == 2  # the basis and the trivial context
     assert counters["register"] <= d + 2  # the atoms and the identity, nothing else
-    assert counters["maps_built"] <= 1  # the trivial node onto the basis
+    assert counters["tables"] == 1  # the poset's own, in its build
 
 
 def test_rotated_d6_basis(counters, tmp_path, capsys):
@@ -66,4 +64,4 @@ def test_ks18(counters, capsys):
     report = ks_check("builtin:ks18-c4", capsys)
     assert report["verdict"] == "non_colorable"
     assert counters["register"] <= 18 + 1  # the rays and the identity: no meet is stored
-    assert counters["maps_built"] <= 9  # 9 maximal nodes, the trivial node below each
+    assert counters["tables"] == 1  # the poset's own, in its build
