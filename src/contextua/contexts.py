@@ -41,7 +41,6 @@ from .opalg import (
     as_operator,
     cluster_eigenvalues,
     commutes,
-    identity_projection,
     max_norm,
     projection,
     real_gram,
@@ -75,13 +74,13 @@ class Context:
 
 
 def context_from_projections(registry: ProjectionRegistry, mats: Sequence) -> Context:
-    """Validate an orthogonal, complete family and register it as a context."""
-    projs = [p if isinstance(p, Projection) else projection(p) for p in mats]
+    """Validate an orthogonal, complete family and register it as a context; a registry
+    ``tol`` that makes two of its atoms one projection is an error, raised after registering."""
     dim = registry.dim
-    for p in projs:
-        if p.dim != dim:
-            raise ValueError("atom dimension does not match registry")
-    stack = np.array([p.matrix for p in projs], dtype=complex).reshape(-1, dim, dim)
+    atoms = [p.matrix if isinstance(p, Projection) else projection(p).matrix for p in mats]
+    if any(m.shape != (dim, dim) for m in atoms):
+        raise ValueError("atom dimension does not match registry")
+    stack = np.array(atoms, dtype=complex).reshape(-1, dim, dim)
     for i, p in enumerate(stack):  # p p_j is p itself at j = i and 0 elsewhere
         gap = p @ stack
         gap[i] -= p
@@ -90,7 +89,21 @@ def context_from_projections(registry: ProjectionRegistry, mats: Sequence) -> Co
             raise ValueError(f"atoms {i} and {bad[0]} are not orthogonal")
     if max_norm(stack.sum(axis=0) - np.eye(dim)) > max(TOL.exact * dim, TOL.context):
         raise ValueError("atoms do not sum to the identity")
-    return Context(dim, tuple(registry.register_many(projs)))
+    keys = tuple(registry.register_many(stack))
+    repeat = first_repeat(keys)
+    if repeat is not None:
+        message = f"atoms {repeat[0]} and {repeat[1]} are one projection at tol {registry.tol}"
+        raise ValueError(message + ", but they are orthogonal")
+    return Context(dim, keys)
+
+
+def first_repeat(keys: Sequence[str]) -> tuple[int, int] | None:
+    """The first position whose key an earlier one has, after that earlier one, or None."""
+    first: dict[str, int] = {}
+    for t, key in enumerate(keys):
+        if first.setdefault(key, t) != t:
+            return first[key], t
+    return None
 
 
 def context_from_observables(registry: ProjectionRegistry, ops: Sequence) -> Context:
@@ -126,13 +139,11 @@ def context_from_observables(registry: ProjectionRegistry, ops: Sequence) -> Con
             for group in cluster_eigenvalues(evals):
                 refined.append(basis @ vecs[:, group])
         blocks = refined
-    atoms = [Projection(b @ b.conj().T, b.shape[1]) for b in blocks]
-    atoms = [projection(p.matrix) for p in atoms]
-    return context_from_projections(registry, atoms)
+    return context_from_projections(registry, [b @ b.conj().T for b in blocks])
 
 
 def trivial_context(registry: ProjectionRegistry) -> Context:
-    key = registry.register(identity_projection(registry.dim))
+    key = registry.register(np.eye(registry.dim, dtype=complex))
     return Context(registry.dim, (key,))
 
 
@@ -202,9 +213,8 @@ def _atom_table(registry: ProjectionRegistry, nodes: Sequence[Context]) -> tuple
     ranks, rows)`` as :class:`ContextPoset` holds them."""
     keys = tuple(dict.fromkeys(k for node in nodes for k in node.atoms))
     index = {k: t for t, k in enumerate(keys)}
-    atoms = [registry.get(k) for k in keys]
-    stack = np.array([p.matrix for p in atoms]).reshape(len(keys), registry.dim, registry.dim)
-    ranks = np.array([p.rank for p in atoms], dtype=int)
+    stack = registry.matrices(keys)
+    ranks = np.rint(np.trace(stack, axis1=1, axis2=2).real).astype(int)  # as ``get`` reads them
     rows = tuple(np.array([index[k] for k in node.atoms]) for node in nodes)
     return keys, stack, ranks, rows
 
@@ -272,7 +282,7 @@ def _meets(
     keys = sorted({k for ctx in catalog for k in ctx.atoms})
     index = {k: t for t, k in enumerate(keys)}
     n = len(keys)
-    stack = np.array([registry.get(k).matrix for k in keys])
+    stack = registry.matrices(keys)
     # overlap[p, q]: p and q are not orthogonal. tr(pq) = |pq|_F^2 is a squared
     # norm, so it is compared with the squared grid: distinct rays closer than
     # the grid are rejected, so any real overlap is at least this large, and
@@ -374,15 +384,12 @@ def _side_keys(
         member[np.arange(len(sets))[:, None], sets] = 1.0
         sums[start : start + step] = member[:, :n] @ flat
     sums = sums.view(complex).reshape(-1, registry.dim, registry.dim)
-    ranks = np.array([registry.get(k).rank for k in keys] + [0])
-    sums.flags.writeable = False
-    parts = [Projection(m, int(r)) for m, r in zip(sums, ranks[distinct].sum(axis=1))]
     on_first = multi[seen_at] < len(first)
     registered = np.flatnonzero(on_first)[np.argsort(multi[seen_at][on_first])]
     looked_up = np.flatnonzero(~on_first)
     resolved = np.empty(len(distinct), dtype=object)
-    resolved[registered] = registry.register_many([parts[u] for u in registered])
-    resolved[looked_up] = registry.find_many([parts[u] for u in looked_up])
+    resolved[registered] = registry.register_many(sums[registered])
+    resolved[looked_up] = registry.find_many(sums[looked_up])
     side_keys = np.array(keys + [None], dtype=object)[sides[:, 0]]
     side_keys[multi] = resolved[inverse.reshape(-1)]
     return side_keys[: len(first)], side_keys[len(first) :]

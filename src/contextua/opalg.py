@@ -144,10 +144,6 @@ def projection(m, tol: float = TOL.exact) -> Projection:
     return Projection(_readonly(arr), rank)
 
 
-def identity_projection(dim: int) -> Projection:
-    return Projection(_readonly(np.eye(dim, dtype=complex)), dim)
-
-
 def zero_projection(dim: int) -> Projection:
     return Projection(_readonly(np.zeros((dim, dim), dtype=complex)), 0)
 
@@ -374,9 +370,11 @@ class ProjectionRegistry:
     entrywise, and collides otherwise. Any other is the first registered
     projection, in insertion order, that lies within ``tol``; a registered
     one closer than the rounding grid but not within ``tol`` rejects it,
-    since their identity would depend on rounding luck. :meth:`_resolve`
-    decides every batch: :meth:`find_many` and :meth:`register_many` call
-    it, :meth:`find` and :meth:`register` are batches of one, and
+    since their identity would depend on rounding luck. A batch is one
+    ``(m, d, d)`` array; the registry copies what it registers into one stack,
+    in insertion order, with one dict from each key to its row.
+    :meth:`_resolve` decides every batch: :meth:`find_many` and
+    :meth:`register_many` call it, :meth:`register` is a batch of one, and
     :meth:`of_conjugates` fills fresh registries with the conjugates of one
     stack, reusing that stack's screen for all of them.
     """
@@ -386,19 +384,12 @@ class ProjectionRegistry:
             raise ValueError(f"tol must be finite and nonnegative, got {tol}")
         self.dim = dim
         self.tol = tol
-        self._by_key: dict[str, Projection] = {}
-        self._order: list[str] = []  # registered keys in insertion order
-        self._stack = np.empty((0, dim, dim), dtype=complex)  # registered matrices, in order
+        self._rows: dict[str, int] = {}  # each registered key's row of the stack, in order
+        self._stack = np.empty((0, dim, dim), dtype=complex)  # registered rows, then spare ones
 
-    def find(self, p: Projection) -> str | None:
-        """:meth:`find_many` of ``p`` alone."""
-        return self.find_many([p])[0]
-
-    def register(self, p) -> str:
-        """:meth:`register_many` of ``p`` alone, a :class:`Projection` or a matrix."""
-        if not isinstance(p, Projection):
-            p = projection(p)
-        return self.register_many([p])[0]
+    def register(self, m) -> str:
+        """:meth:`register_many` of the one matrix ``m``."""
+        return self.register_many(np.asarray(m)[None])[0]
 
     @classmethod
     def of_conjugates(
@@ -407,7 +398,6 @@ class ProjectionRegistry:
         tol: float,
         stack: np.ndarray,
         images: np.ndarray,
-        projs: Sequence[Sequence[Projection]],
         keys: Sequence[Sequence[str]],
     ) -> list["tuple[ProjectionRegistry, list[str]] | CanonicalizationError"]:
         """Per list of conjugates of ``stack``, what :meth:`register_many` of it on an empty
@@ -415,8 +405,7 @@ class ProjectionRegistry:
 
         ``images[k]`` are the images of ``stack``'s rows under one unitary or
         antiunitary conjugation, one ``(lists, m, d, d)`` array, with canonical
-        ``keys[k]``; ``projs[k]`` are them as the projections a registry
-        stores. Conjugation preserves ``Re tr(a* b)``, the only thing the
+        ``keys[k]``. Conjugation preserves ``Re tr(a* b)``, the only thing the
         scan's Gram screen reads, so the screen of ``stack`` keeps every image
         pair within reach of the rule, for every list at once (a conjugation's
         rounding is far inside the screen's margin): it runs once, and the
@@ -429,67 +418,62 @@ class ProjectionRegistry:
         row, col = s[s > t], t[s > t]  # each pair as (later row, earlier row), in row order
         dists = np.abs(images[:, row] - images[:, col]).max(axis=(2, 3))
         out = []
-        for ps, ks, m, dist in zip(projs, keys, images, dists):
+        for ks, m, dist in zip(keys, images, dists):
             registry = cls(dim, tol)
-            found, error = registry._resolve(ps, list(ks), True, m, (row, col, dist))
+            found, error = registry._resolve(m, list(ks), True, (row, col, dist))
             out.append((registry, found) if error is None else error)
         return out
 
-    def find_many(
-        self, ps: Sequence[Projection], keys: Sequence[str] | None = None
-    ) -> list[str | None]:
-        """Key of the registered projection identified with each of ``ps``, or None.
+    def find_many(self, mats: np.ndarray, keys: Sequence[str] | None = None) -> list[str | None]:
+        """Key of the registered projection identified with each matrix of ``mats``, or None.
 
         ``keys`` are their canonical keys (:func:`canonical_keys`) when the caller
         has them. Registers nothing; raises the first rejection of the rule.
         """
-        found, error = self._resolve(ps, keys, False)
+        found, error = self._resolve(mats, keys, False)
         if error is not None:
             raise error
         return found
 
-    def register_many(self, ps: Sequence[Projection]) -> list[str]:
-        """Key of each of ``ps`` in turn, registering under its canonical key each that is new.
+    def register_many(self, mats: np.ndarray) -> list[str]:
+        """Key of each matrix of ``mats`` in turn, registering under its canonical key each
+        that is new.
 
         A projection is identified with a registered one or with an earlier
         one of the batch, exactly as registering them one at a time would;
         on a :class:`CanonicalizationError` the earlier ones stay registered.
-        The object given is the one stored.
         """
-        found, error = self._resolve(ps, None, True)
+        found, error = self._resolve(mats, None, True)
         if error is not None:
             raise error
         return found
 
     def _resolve(
-        self, ps, keys, register: bool, stack=None, pairs=None
+        self, mats, keys, register: bool, pairs=None
     ) -> tuple[list, CanonicalizationError | None]:
         """The rule on each row of a batch in row order: each row's key, or None where
         nothing decides and ``register`` is False, up to the first rejection, and that.
 
-        ``keys`` are the rows' canonical keys and ``stack`` their matrices,
-        each computed when None. Rows of a registered key are decided by one
-        stacked distance. ``pairs`` are the candidates of the other rows, the
-        scan rows, as (scan row, column, distance) sorted by row then column:
-        column c < len(self) is the projection registered c-th, and column
-        len(self) + j is scan row j, which counts for a later row once it is
-        registered. Without them one screened scan (:func:`_near_pairs`) finds
-        them, among the scan rows too when registering. Rows registered before
-        a rejection stay registered.
+        ``keys`` are the rows' canonical keys, computed when None. Rows of a
+        registered key are decided by one stacked distance. ``pairs`` are the
+        candidates of the other rows, the scan rows, as (scan row, column,
+        distance) sorted by row then column: column c < len(self) is the
+        projection registered c-th, and column len(self) + j is scan row j,
+        which counts for a later row once it is registered. Without them one
+        screened scan (:func:`_near_pairs`) finds them, among the scan rows too
+        when registering. Rows registered before a rejection stay registered.
         """
-        if not ps:
+        stack = np.asarray(mats, dtype=complex)
+        if not len(stack):
             return [], None
-        if stack is None:
-            for p in ps:
-                if p.dim != self.dim:
-                    message = f"projection dim {p.dim} does not match registry dim {self.dim}"
-                    raise ValueError(message)
-            stack = np.array([p.matrix for p in ps], dtype=complex).reshape(-1, self.dim, self.dim)
+        if stack.shape[1:] != (self.dim, self.dim):
+            message = f"projections of shape {stack.shape[1:]} do not match registry dim {self.dim}"
+            raise ValueError(message)
         keys = canonical_keys(stack) if keys is None else list(keys)
-        n = len(self._order)
-        held = [self._by_key.get(key) for key in keys]
-        scan = [t for t, p in enumerate(held) if p is None]
-        known = [t for t, p in enumerate(held) if p is not None]
+        n = len(self._rows)
+        held = [self._rows.get(key) for key in keys]  # the row of each registered key
+        scan = [t for t, r in enumerate(held) if r is None]
+        known = [t for t, r in enumerate(held) if r is not None]
         scan_keys = [keys[t] for t in scan]
         if pairs is None and scan:
             pool = np.concatenate([self._stack[:n], stack[scan]]) if register else self._stack[:n]
@@ -500,21 +484,20 @@ class ProjectionRegistry:
         hit = ((dist <= self.tol) | (dist < TOL.grid)) & (col < n + row) if len(dist) else dist > 0
         far = len(keys)  # the first row of a registered key that is not within tol of it
         if known:
-            existing = np.array([held[t].matrix for t in known])
+            existing = self._stack[[held[t] for t in known]]
             # NaN distances compare False, so a non-finite row collides
             miss = ~(np.abs(existing - stack[known]).max(axis=(1, 2)) <= self.tol)
             far = known[miss.argmax()] if miss.any() else far
         repeats = register and len(set(scan_keys)) < len(scan)  # a new key on several rows
         if not (hit.any() or repeats) and far == len(keys):  # no row needs deciding in turn
             if register and scan:  # every scan row is new: register them in bulk
-                rows = scan if known else slice(None)  # a view of a batch of new rows only
-                self._add(scan_keys, [ps[t] for t in scan], stack[rows])
-            return [key if register or p is not None else None for key, p in zip(keys, held)], None
+                self._add(scan_keys, stack[scan] if known else stack)
+            return [key if register or r is not None else None for key, r in zip(keys, held)], None
         candidates: dict[int, list[tuple[int, float]]] = {}
         for r, c, d in zip(row[hit].tolist(), col[hit].tolist(), dist[hit].tolist()):
             candidates.setdefault(scan[r], []).append((c, d))
         column = dict(zip(scan, range(n, n + len(scan))))
-        column_key = self._order + scan_keys
+        column_key = list(self._rows) + scan_keys
         fresh: dict[str, int] = {}  # each key registered here, and its row's column
         found: list[str | None] = []
         error = None
@@ -543,36 +526,37 @@ class ProjectionRegistry:
                 error = CanonicalizationError(message, other, t)
                 break
         if fresh:
-            rows = [scan[c - n] for c in fresh.values()]
-            self._add(list(fresh), [ps[t] for t in rows], stack[rows])
+            self._add(list(fresh), stack[[scan[c - n] for c in fresh.values()]])
         return found, error
 
-    def _add(self, keys: list[str], ps: Sequence[Projection], mats: np.ndarray) -> None:
-        """Register ``ps`` under ``keys``, their matrices ``mats``, in this order."""
-        n, end = len(self._order), len(self._order) + len(keys)
-        if not n:  # an empty registry keeps the batch's matrices: the next add grows a copy
-            self._stack = mats
-        elif end > len(self._stack):  # capacity doubles as it fills
+    def _add(self, keys: list[str], mats: np.ndarray) -> None:
+        """Register ``mats`` under ``keys``, in this order, as copies."""
+        n, end = len(self._rows), len(self._rows) + len(keys)
+        if end > len(self._stack):  # capacity doubles as it fills
             self._stack = np.concatenate([self._stack[:n], mats, np.empty_like(self._stack[:end])])
         else:
             self._stack[n:end] = mats
-        self._by_key.update(zip(keys, ps))
-        self._order += keys
+        self._rows.update(zip(keys, range(n, end)))
 
     def get(self, key: str) -> Projection:
+        """The projection of ``key``: a read-only view of its row, its rank the rounded trace."""
         try:
-            return self._by_key[key]
+            matrix = self._stack[self._rows[key]]
         except KeyError:
             raise KeyError(f"unknown projection key {key!r}") from None
+        matrix.flags.writeable = False
+        return Projection(matrix, round(float(np.trace(matrix).real)))
+
+    def matrices(self, keys: Sequence[str]) -> np.ndarray:
+        """The matrices registered under ``keys``, as one new ``(len(keys), d, d)`` array."""
+        try:
+            rows = [self._rows[key] for key in keys]
+        except KeyError as exc:
+            raise KeyError(f"unknown projection key {exc.args[0]!r}") from None
+        return self._stack[np.array(rows, dtype=int)]
 
     def keys(self):
-        return self._by_key.keys()
-
-    def items(self):
-        return self._by_key.items()
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._by_key
+        return self._rows.keys()
 
     def __len__(self) -> int:
-        return len(self._by_key)
+        return len(self._rows)

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bell import BellSection, CorrelationTable, ProductNode, ProductPoset, product_poset
-from .contexts import Context, ContextPoset, generate_poset
+from .contexts import Context, ContextPoset, first_repeat, generate_poset
 from .opalg import (
     TOL,
     CanonicalizationError,
-    Projection,
     ProjectionRegistry,
     max_norm,
     projection_from_ray,
@@ -285,32 +284,35 @@ def _catalog(
 ) -> tuple[ProjectionRegistry, list[Context]]:
     """Register the rays of ``$.rays{side}`` and the contexts of ``$.contexts{side}``.
 
-    In one batch each: the rays that some context uses are registered in ray
-    order; every other ray is looked up in that registry, and registered in a
-    spare one so that unused rays are compared with each other as well; the
-    padding complements are registered in context order. A ray whose
-    projection a registry would neither identify with a registered one nor
-    tell apart from it is rejected, named with the ray that registry holds.
+    In one batch each, rows of one array of ray projections: the rays that
+    some context uses are registered in ray order; every other ray is looked
+    up in that registry, and registered in a spare one so that unused rays
+    are compared with each other as well; the padding complements are
+    registered in context order. A ray whose projection a registry would
+    neither identify with a registered one nor tell apart from it is
+    rejected, named with the ray that registry holds: the first it was given
+    whose projection is the registered matrix.
     """
     registry, spare = ProjectionRegistry(dim, tol), ProjectionRegistry(dim, tol)
     used = sorted({i for indices in contexts for i in indices})
     unused = sorted(set(range(len(rays))) - set(used))
-    atoms = [projection_from_ray(v) for v in rays]
-    ray_of = {id(p): j for j, p in enumerate(atoms)}  # a registry holds the atom it was given
+    atoms = np.array([projection_from_ray(v).matrix for v in rays]).reshape(-1, dim, dim)
 
     def ingest(reg: ProjectionRegistry, call, batch: list[int]) -> list:
         """``call`` on the atoms of the rays in ``batch``; a rejection names two rays."""
         try:
-            return call([atoms[j] for j in batch])
+            return call(atoms[batch])
         except CanonicalizationError as exc:
-            earlier, later = ray_of[id(reg.get(exc.key))], batch[exc.index]
+            given = used if reg is registry else unused
+            held = (atoms[given] == reg.matrices([exc.key])).all(axis=(1, 2))
+            earlier, later = given[held.argmax()], batch[exc.index]
             message = f"rays {earlier} and {later} are near-duplicates below the canonicalization grid"
             raise ScenarioError(f"$.rays{side}", message) from None
 
     keys = dict(zip(used, ingest(registry, registry.register_many, used)))
     looked_up = len(unused)  # the unused rays before the first one the lookup rejects
     try:
-        registry.find_many([atoms[j] for j in unused])
+        registry.find_many(atoms[unused])
     except CanonicalizationError as exc:
         looked_up = exc.index
     # the earliest rejected unused ray is named, its lookup before its spare registration
@@ -318,12 +320,9 @@ def _catalog(
     if looked_up < len(unused):  # the rejected lookup again, alone, to name its rays
         ingest(registry, registry.find_many, unused[looked_up : looked_up + 1])
     padded = [c for c, indices in enumerate(contexts) if len(indices) < dim]
-    complements = [
-        Projection(np.eye(dim) - sum(atoms[i].matrix for i in contexts[c]), dim - len(contexts[c]))
-        for c in padded
-    ]
+    complements = [np.eye(dim) - sum(atoms[i] for i in contexts[c]) for c in padded]
     try:
-        padding = dict(zip(padded, registry.register_many(complements)))
+        padding = dict(zip(padded, registry.register_many(np.reshape(complements, (-1, dim, dim)))))
     except CanonicalizationError as exc:
         raise ScenarioError(f"$.contexts{side}[{padded[exc.index]}]", str(exc)) from None
     catalog = [
@@ -331,13 +330,11 @@ def _catalog(
         for c, indices in enumerate(contexts)
     ]
     for c, ctx in enumerate(catalog):  # a tol too coarse for the catalog merges orthogonal atoms
-        first: dict[str, int] = {}
-        for t, key in enumerate(ctx.atoms):
-            s = first.setdefault(key, t)
-            if s != t:
-                names = [f"ray {i}" for i in contexts[c]] + ["the padding complement"]
-                message = f"{names[s]} and {names[t]} are one projection at tol {tol}"
-                raise ScenarioError(f"$.contexts{side}[{c}]", message + ", but they are orthogonal")
+        repeat = first_repeat(ctx.atoms)
+        if repeat is not None:
+            names = [f"ray {i}" for i in contexts[c]] + ["the padding complement"]
+            message = f"{names[repeat[0]]} and {names[repeat[1]]} are one projection at tol {tol}"
+            raise ScenarioError(f"$.contexts{side}[{c}]", message + ", but they are orthogonal")
     return registry, catalog
 
 

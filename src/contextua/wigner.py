@@ -8,7 +8,8 @@ is the operational time orientation.
 Several symmetries act on a poset at once: its distinct atom keys are
 conjugated under every op as one (ops, keys, d, d) stacked product, the
 images are checked as projections in one pass, given their canonical keys
-once and identified by the poset's registry in one batch. An op whose
+once and identified by the poset's registry in one batch, the rows of that
+array; each image keeps its source atom's rank. An op whose
 images leave the poset gets an image poset with no registry scan or
 dominance-table build of its own: conjugation preserves Re tr(a* b), for
 antiunitaries too, so the Gram screens of the source atoms, computed once,
@@ -32,7 +33,6 @@ from .contexts import Context, ContextPoset, atom_lookups, dominance_tables
 from .opalg import (
     TOL,
     CanonicalizationError,
-    Projection,
     ProjectionRegistry,
     as_operator,
     canonical_keys,
@@ -139,34 +139,32 @@ def conjugate_posets(
     images = _apply_each(ops, poset.stack[None])
     flat = images.reshape(-1, dim, dim)
     try:
-        ranks = _projection_ranks(flat)
+        _check_images(flat)
     except ValueError:
         # the first failing op raises, after the ops before it, as one call per op would
         for k, block in enumerate(images):
             try:
-                _projection_ranks(block)
+                _check_images(block)
             except ValueError:
                 conjugate_posets(poset, ops[:k])
                 raise
     flat.flags.writeable = False
     keys = canonical_keys(flat)
-    projs = [Projection(a, r) for a, r in zip(flat, ranks)]
     atoms = [rows.tolist() for rows in poset.rows]
 
     def image_nodes(image_keys: Sequence[str]) -> tuple[Context, ...]:
         return tuple(Context(dim, tuple(image_keys[t] for t in a)) for a in atoms)
 
     resolved: dict[int, PosetMap] = {}
-    for k, found in enumerate(_find_per_op(poset.registry, projs, keys, m)):
+    for k, found in enumerate(_find_per_op(poset.registry, images, keys)):
         if found is not None and None not in found:
             try:  # an image context that is not a node means an image poset
                 resolved[k] = PosetMap(tuple(poset.node_id(c) for c in image_nodes(found)))
             except KeyError:
                 pass
     leaving = [k for k in range(len(ops)) if k not in resolved]
-    per_op = [slice(k * m, (k + 1) * m) for k in leaving]
-    lists = [projs[s] for s in per_op], [keys[s] for s in per_op]
-    conjugates = ProjectionRegistry.of_conjugates(dim, tol, poset.stack, images[leaving], *lists)
+    per_op = [keys[k * m : (k + 1) * m] for k in leaving]
+    conjugates = ProjectionRegistry.of_conjugates(dim, tol, poset.stack, images[leaving], per_op)
     held = dict(zip(leaving, conjugates))
     built = [k for k in leaving if not isinstance(held[k], CanonicalizationError)]
     if built:
@@ -200,19 +198,22 @@ def conjugate_posets(
 
 
 def _find_per_op(
-    registry: ProjectionRegistry, projs: list[Projection], keys: list[str], m: int
+    registry: ProjectionRegistry, images: np.ndarray, keys: list[str]
 ) -> list[list[str | None] | None]:
-    """Registry keys of each op's ``m`` images, from one ``find_many`` on their canonical ``keys``.
+    """Registry keys of each op's images, one ``(ops, m, d, d)`` array, from one ``find_many``
+    on their canonical ``keys``, ``m`` per op in op order.
 
     An op whose images raise a :class:`CanonicalizationError` gets None, and
     the batch is asked again without it, so only that op gets an image poset.
     """
-    live = list(range(len(projs) // m))
+    m = images.shape[1]
+    live = list(range(len(images)))
     found: list[list[str | None] | None] = [None] * len(live)
     while live:
-        rows = [t for k in live for t in range(k * m, (k + 1) * m)]
+        batch = images if len(live) == len(images) else images[live]
+        live_keys = [key for k in live for key in keys[k * m : (k + 1) * m]]
         try:
-            hit = registry.find_many([projs[t] for t in rows], [keys[t] for t in rows])
+            hit = registry.find_many(batch.reshape(-1, *images.shape[2:]), live_keys)
         except CanonicalizationError as exc:
             del live[exc.index // m]
             continue
@@ -222,12 +223,12 @@ def _find_per_op(
     return found
 
 
-def _projection_ranks(images: np.ndarray) -> list[int]:
-    """Rank of each conjugated atom of an (m, d, d) stack, checked as ``projection`` checks one.
+def _check_images(images: np.ndarray) -> None:
+    """Check each conjugated atom of an (m, d, d) stack as ``projection`` checks one.
 
     An image passes when its entries are finite, it is self-adjoint and
-    idempotent within ``TOL.conjugation``, and its trace is near an integer,
-    the rank. Raises for the first image in stack order that fails.
+    idempotent within ``TOL.conjugation``, and its trace is near an integer.
+    Raises for the first image in stack order that fails.
     """
     tol = TOL.conjugation
     finite = np.isfinite(images).all(axis=(1, 2))
@@ -235,8 +236,7 @@ def _projection_ranks(images: np.ndarray) -> list[int]:
     adjoint = np.abs(images - _adjoint(images)).max(axis=(1, 2)) <= tol
     idempotent = np.abs(images @ images - images).max(axis=(1, 2)) <= tol
     traces = np.trace(images, axis1=1, axis2=2).real
-    ranks = np.rint(traces)
-    integral = np.abs(traces - ranks) <= max(tol * images.shape[-1], TOL.eigen_gap)
+    integral = np.abs(traces - np.rint(traces)) <= max(tol * images.shape[-1], TOL.eigen_gap)
     bad = np.flatnonzero(~(finite & adjoint & idempotent & integral))
     if bad.size:
         t = bad[0]
@@ -245,7 +245,6 @@ def _projection_ranks(images: np.ndarray) -> list[int]:
         if not (adjoint[t] and idempotent[t]):
             raise ValueError("conjugated atom fails the projection check")
         raise ValueError(f"projection trace {float(traces[t])} is not near an integer")
-    return [int(r) for r in ranks]
 
 
 def trivial_presheaf_automorphism(

@@ -181,39 +181,44 @@ def compose(s2, s1):
 class LoopScanRegistry(cx.ProjectionRegistry):
     """Reference registry: each projection in turn against every registered one, in a Python loop.
 
-    It keeps its projections in ``_by_key`` only, so the inherited ``find``,
-    ``register``, ``keys`` and ``get`` read them; no batch code runs.
+    It stores each new projection alone with the inherited ``_add``, so the
+    inherited ``register``, ``keys``, ``get`` and ``matrices`` read it; no
+    batch decision code runs.
     """
 
-    def find_many(self, ps):
-        return [self._loop_find(t, p) for t, p in enumerate(ps)]
+    def find_many(self, mats):
+        return [self._loop_find(t, m) for t, m in enumerate(mats)]
 
-    def register_many(self, ps):
+    def register_many(self, mats):
         out = []
-        for t, p in enumerate(ps):
-            key = self._loop_find(t, p)
+        for t, m in enumerate(mats):
+            key = self._loop_find(t, m)
             if key is None:
-                key = canonical_key(p.matrix)
-                self._by_key[key] = p
+                key = canonical_key(m)
+                self._add([key], np.asarray(m, dtype=complex)[None])
             out.append(key)
         return out
 
-    def _loop_find(self, index, p):
-        if p.dim != self.dim:
+    def _loop_find(self, index, m):
+        if np.shape(m) != (self.dim, self.dim):
             raise ValueError("projection dim does not match registry dim")
-        key = canonical_key(p.matrix)
-        existing = self._by_key.get(key)
-        if existing is not None:
-            if max_norm(existing.matrix - p.matrix) <= self.tol:
+        key = canonical_key(m)
+        if key in self.keys():
+            if max_norm(self.get(key).matrix - m) <= self.tol:
                 return key
             raise CanonicalizationError("collision on the rounding grid", key, index)
-        for other_key, other in self._by_key.items():
-            dist = max_norm(other.matrix - p.matrix)
+        for other_key in self.keys():
+            dist = max_norm(self.get(other_key).matrix - m)
             if dist <= self.tol:
                 return other_key
             if dist < TOL.grid:
                 raise CanonicalizationError("closer than the rounding grid", other_key, index)
         return None
+
+
+def find_one(registry, m):
+    """``find_many`` of the one matrix ``m``."""
+    return registry.find_many(np.asarray(m)[None])[0]
 
 
 def full_scan_distances(rows, pool):
@@ -291,7 +296,7 @@ def pairwise_meet(registry, first, second, index, overlap, resolved):
             mine,
             theirs,
             block_key(registry, mine, registry.register, resolved),
-            block_key(registry, theirs, registry.find, resolved),
+            block_key(registry, theirs, lambda m: find_one(registry, m), resolved),
         )
         for mine, theirs in sides
     ]
@@ -314,7 +319,8 @@ def merged_meet(registry, dim, blocks):
     if any(apart):
         torn = [b for b, a in zip(blocks, apart) if a]
         key = block_key(registry, [k for b in torn for k in b[0]], registry.register, {})
-        if block_key(registry, [k for b in torn for k in b[1]], registry.find, {}) != key:
+        theirs = [k for b in torn for k in b[1]]
+        if block_key(registry, theirs, lambda m: find_one(registry, m), {}) != key:
             return None
         if all(is_shared(b[0], b[1]) for b, a in zip(blocks, apart) if not a):
             return None
@@ -330,10 +336,7 @@ def block_key(registry, block, resolve, resolved):
         return block[0]
     members = frozenset(block)
     if members not in resolved:
-        parts = [registry.get(k) for k in block]
-        resolved[members] = resolve(
-            cx.Projection(sum(p.matrix for p in parts), sum(p.rank for p in parts))
-        )
+        resolved[members] = resolve(sum(registry.get(k).matrix for k in block))
     return resolved[members]
 
 
@@ -408,7 +411,7 @@ def loop_conjugate_poset(poset, s):
     ]
 
     def key_in(p):
-        key = poset.registry.find(p)
+        key = find_one(poset.registry, p.matrix)
         if key is None:
             raise KeyError("image atom is not a registered projection")
         return key
@@ -424,7 +427,9 @@ def loop_conjugate_poset(poset, s):
         return poset, PosetMap(node_map)
 
     registry = cx.ProjectionRegistry(poset.dim, poset.registry.tol)
-    nodes = [cx.Context(poset.dim, tuple(registry.register(p) for p in m)) for m in image_atoms]
+    nodes = [
+        cx.Context(poset.dim, tuple(registry.register(p.matrix) for p in m)) for m in image_atoms
+    ]
     image = poset_from_nodes(registry, nodes, [f"conjugate({g})" for g in poset.generators])
     return image, PosetMap(tuple(range(len(nodes))))
 
@@ -606,13 +611,8 @@ def partition_closure_poset(catalog, registry):
         for blocks in set_partitions(list(range(len(atoms)))):
             if len(blocks) == len(atoms):
                 continue
-            coarse = [
-                cx.Projection(
-                    sum(atoms[i].matrix for i in sorted(b)), sum(atoms[i].rank for i in b)
-                )
-                for b in blocks
-            ]
-            keys = tuple(registry.register(p) for p in coarse)
+            coarse = [sum(atoms[i].matrix for i in sorted(b)) for b in blocks]
+            keys = tuple(registry.register(m) for m in coarse)
             add(cx.Context(ctx.dim, keys), f"coarsening of catalog[{idx}]")
     add(cx.trivial_context(registry), "trivial")
     return poset_from_nodes(registry, nodes, generators)

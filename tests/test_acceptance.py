@@ -106,8 +106,8 @@ def test_criterion_2_gleason_round_trip():
         res = cx.state_from_section(single, cx.section_from_state(single, rho))
         assert res.status == "underdetermined"
         rows = []
-        for _, p in single.registry.items():
-            rows.append(np.concatenate([p.matrix.real.reshape(-1), p.matrix.imag.reshape(-1)]))
+        for p in single.registry.matrices(list(single.registry.keys())):
+            rows.append(np.concatenate([p.real.reshape(-1), p.imag.reshape(-1)]))
         rows.append(np.concatenate([np.eye(3).reshape(-1), np.zeros(9)]))
         rank = int(np.linalg.matrix_rank(np.stack(rows), tol=1e-8))
         assert res.solution_space_dim == 9 - rank == 6

@@ -417,9 +417,11 @@ def dense_min_t_lp(a, b):
     a_ub = np.block([[a, -np.ones((n_rows, 1))], [-a, -np.ones((n_rows, 1))]])
     a_eq = np.zeros((1, n_strat + 1))
     a_eq[0, :n_strat] = 1.0
+    # without presolve, as factorisability_lp solves: presolve's postsolve can hand
+    # back weights that miss b by ~1e-7 while t = 0, past the 1e-12 the error is held to
     res = linprog(
         c, A_ub=a_ub, b_ub=np.concatenate([b, -b]), A_eq=a_eq, b_eq=[1.0],
-        bounds=[(0, None)] * (n_strat + 1), method="highs",
+        bounds=[(0, None)] * (n_strat + 1), method="highs", options={"presolve": False},
     )
     assert res.success
     if res.fun > 1e-7:

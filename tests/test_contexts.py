@@ -149,8 +149,25 @@ class TestContextFromProjections:
         reg = cx.ProjectionRegistry(3)
         atoms = [ray_atom(1, 1, 0), ray_atom(1, -1, 0), ray_atom(0, 0, 1)]
         ctx = cx.context_from_projections(reg, atoms)
-        assert all(reg.get(k) is p for k, p in zip(ctx.atoms, atoms))  # the objects given
+        assert all(np.array_equal(reg.get(k).matrix, p.matrix) for k, p in zip(ctx.atoms, atoms))
         assert len(reg) == 3
+
+    @pytest.mark.parametrize(
+        "atoms,pair",
+        [
+            ([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], (0, 1)),
+            ([np.diag(np.eye(3)[k]) for k in range(3)], (0, 1)),
+        ],
+    )
+    def test_tol_that_merges_orthogonal_atoms_is_an_error(self, atoms, pair):
+        # at tol 1 every pair of these atoms is one projection to the registry
+        reg = cx.ProjectionRegistry(len(atoms), 1.0)
+        message = f"atoms {pair[0]} and {pair[1]} are one projection at tol 1.0"
+        with pytest.raises(ValueError, match=message):
+            cx.context_from_projections(reg, atoms)
+        with pytest.raises(ValueError, match=message):
+            ops = [np.diag(np.arange(1.0, len(atoms) + 1))]
+            cx.context_from_observables(cx.ProjectionRegistry(len(atoms), 1.0), ops)
 
 
 class TestGeneratePoset:

@@ -177,7 +177,7 @@ class TestStateFromSection:
         result = cx.state_from_section(poset, cx.section_from_state(poset, rho))
         assert result.status == "underdetermined"
         # independent rank oracle: projections here span only the diagonals
-        mats = [p.matrix for _, p in poset.registry.items()] + [np.eye(3)]
+        mats = [*poset.registry.matrices(list(poset.registry.keys())), np.eye(3)]
         rank = independent_span_rank(mats, 3)
         assert rank == 3
         assert result.solution_space_dim == 9 - rank == 6
@@ -248,7 +248,8 @@ class TestInformationalCompleteness:
 
     def test_mub_true_with_rank_oracle(self, mub_poset_c3):
         assert cx.is_informationally_complete(mub_poset_c3)
-        mats = [p.matrix for _, p in mub_poset_c3.registry.items()] + [np.eye(3)]
+        registry = mub_poset_c3.registry
+        mats = [*registry.matrices(list(registry.keys())), np.eye(3)]
         assert independent_span_rank(mats, 3) == 9
 
     def test_trivial_false(self):

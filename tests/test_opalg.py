@@ -20,7 +20,6 @@ from contextua.opalg import (
     Tolerances,
     _near_pairs,
     canonical_keys,
-    identity_projection,
     max_norm,
     zero_projection,
 )
@@ -28,6 +27,7 @@ from contextua.opalg import (
 from conftest import (
     LoopScanRegistry,
     canonical_key,
+    find_one,
     full_scan_distances,
     random_hermitian,
     random_unitary,
@@ -36,6 +36,11 @@ from conftest import (
 
 def diag_proj(*entries):
     return cx.projection(np.diag([float(e) for e in entries]).astype(complex))
+
+
+def batch_of(ps):
+    """The matrices of the projections ``ps`` as one ``(m, d, d)`` registry batch."""
+    return np.array([p.matrix for p in ps], dtype=complex)
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -85,9 +90,9 @@ class TestProjectionFromRay:
         v = np.array([1, 1j]) / np.sqrt(2)
         r1, r2 = cx.ray(v), cx.ray(np.exp(0.4j) * v)
         reg = ProjectionRegistry(2)
-        key = reg.register(cx.projection_from_ray(r1))
-        assert reg.register(cx.projection_from_ray(r2)) == key
-        assert reg.register(cx.projection_from_ray(cx.ray(np.array([1, 0])))) != key
+        key = reg.register(cx.projection_from_ray(r1).matrix)
+        assert reg.register(cx.projection_from_ray(r2).matrix) == key
+        assert reg.register(cx.projection_from_ray(cx.ray(np.array([1, 0]))).matrix) != key
         assert len(reg.keys()) == 2
 
 class TestMeetJoin:
@@ -280,16 +285,16 @@ class TestRegistry:
     def test_same_projection_same_key(self):
         reg = ProjectionRegistry(3)
         p = cx.projection_from_ray(np.array([1, 1, 0]) / np.sqrt(2))
-        assert reg.register(p) == reg.register(p)
+        assert reg.register(p.matrix) == reg.register(p.matrix)
         assert len(reg) == 1
 
     def test_jitter_identified(self):
         p = boundary_ray()
         reg = ProjectionRegistry(2)
-        key = reg.register(p)
+        key = reg.register(p.matrix)
         assert canonical_key(p.matrix - 2e-13 * PAULI_X) != key
         for eps in (2e-13, -2e-13):
-            assert reg.register(cx.projection(p.matrix + eps * PAULI_X)) == key
+            assert reg.register(p.matrix + eps * PAULI_X) == key
         assert len(reg) == 1
 
     @settings(max_examples=60, deadline=None)
@@ -299,9 +304,9 @@ class TestRegistry:
         e = random_hermitian(np.random.default_rng(seed), p.dim)
         e *= scale * TOL.identity / 10 / max_norm(e)
         reg = ProjectionRegistry(p.dim)
-        key = reg.register(p)
+        key = reg.register(p.matrix)
         for sign in (1, -1):
-            assert reg.register(cx.Projection(p.matrix + sign * e, p.rank)) == key
+            assert reg.register(p.matrix + sign * e) == key
         assert len(reg) == 1
 
     @settings(max_examples=60, deadline=None)
@@ -317,21 +322,21 @@ class TestRegistry:
         q = cx.Projection(u @ p.matrix @ u.conj().T, p.rank)
         assume(TOL.identity < max_norm(q.matrix - p.matrix) < TOL.grid)
         reg = ProjectionRegistry(p.dim)
-        reg.register(p)
+        reg.register(p.matrix)
         with pytest.raises(CanonicalizationError):
-            reg.find(q)
+            find_one(reg, q.matrix)
         with pytest.raises(CanonicalizationError):
-            reg.register(q)
+            reg.register(q.matrix)
         assert len(reg) == 1
 
     def test_find_does_not_insert(self):
         reg = ProjectionRegistry(2)
         p = cx.projection_from_ray(np.array([0.6, 0.8]))
-        assert reg.find(p) is None
+        assert find_one(reg, p.matrix) is None
         assert len(reg) == 0
-        key = reg.register(p)
-        assert reg.find(p) == key
-        assert reg.find(cx.projection_from_ray(np.array([1.0, 0.0]))) is None
+        key = reg.register(p.matrix)
+        assert find_one(reg, p.matrix) == key
+        assert find_one(reg, cx.projection_from_ray(np.array([1.0, 0.0])).matrix) is None
         assert len(reg) == 1
 
     def test_below_grid_rejected(self):
@@ -339,32 +344,32 @@ class TestRegistry:
         v = np.array([1.0, 0.0, 0.0])
         eps = 1e-7
         w = np.array([1.0, eps, 0.0])
-        reg.register(cx.projection_from_ray(v))
+        reg.register(cx.projection_from_ray(v).matrix)
         with pytest.raises(CanonicalizationError):
-            reg.register(cx.projection_from_ray(w))
+            reg.register(cx.projection_from_ray(w).matrix)
 
     def test_rejection_names_the_registered_key(self):
         # distance 1e-7 from e1, between tol and the grid: the same canonical key
         # (collision) or, across a rounding boundary, a different one (scan)
         reg = ProjectionRegistry(3)
-        key = reg.register(cx.projection_from_ray(np.array([1.0, 0.0, 0.0])))
+        key = reg.register(cx.projection_from_ray(np.array([1.0, 0.0, 0.0])).matrix)
         with pytest.raises(CanonicalizationError) as exc:
-            reg.register(cx.projection_from_ray(np.array([1.0, 1e-7, 0.0])))
+            reg.register(cx.projection_from_ray(np.array([1.0, 1e-7, 0.0])).matrix)
         assert exc.value.key == key
         p = boundary_ray()
         reg = ProjectionRegistry(2)
-        key = reg.register(p)
+        key = reg.register(p.matrix)
         q = cx.Projection(p.matrix - 1e-7 * PAULI_X, 1)
         assert canonical_key(q.matrix) != key
         with pytest.raises(CanonicalizationError, match=key) as exc:
-            reg.register(q)
+            reg.register(q.matrix)
         assert exc.value.key == key
         assert list(reg.keys()) == [key]
 
     def test_distinct_rays_coexist(self):
         reg = ProjectionRegistry(2)
-        k1 = reg.register(cx.projection_from_ray(np.array([1.0, 0.0])))
-        k2 = reg.register(cx.projection_from_ray(np.array([1.0, 1.0])))
+        k1 = reg.register(cx.projection_from_ray(np.array([1.0, 0.0])).matrix)
+        k2 = reg.register(cx.projection_from_ray(np.array([1.0, 1.0])).matrix)
         assert k1 != k2
         assert len(reg) == 2
 
@@ -382,7 +387,32 @@ class TestRegistry:
     def test_dim_mismatch(self):
         reg = ProjectionRegistry(2)
         with pytest.raises(ValueError, match="dim"):
-            reg.register(identity_projection(3))
+            reg.register(np.eye(3))
+
+    def test_never_aliases_the_callers_batch(self):
+        # an empty registry takes a batch of new rows whole; writing into the caller's
+        # array afterwards changes nothing registered
+        a = batch_of([diag_proj(1, 0, 0), diag_proj(0, 1, 1), cx.projection_from_ray([1, 1, 0])])
+        want = a.copy()
+        reg = ProjectionRegistry(3)
+        keys = reg.register_many(a)
+        a[:] = 7.0
+        assert reg.matrices(keys).tobytes() == want.tobytes()
+        for key, m in zip(keys, want):
+            assert np.array_equal(reg.get(key).matrix, m)
+        assert reg.find_many(want) == keys
+
+    def test_get_is_a_read_only_row_with_its_trace_rank(self):
+        reg = ProjectionRegistry(3)
+        keys = reg.register_many(batch_of([diag_proj(1, 0, 0), diag_proj(0, 1, 1)]))
+        assert [reg.get(k).rank for k in keys] == [1, 2]
+        p = reg.get(keys[1])
+        assert not p.matrix.flags.writeable
+        assert reg.register(np.diag([0.0, 0.0, 1.0])) not in keys  # the stack grows past p's row
+        assert np.array_equal(p.matrix, np.diag([0.0, 1.0, 1.0]))
+        assert reg.matrices([]).shape == (0, 3, 3)
+        with pytest.raises(KeyError, match="unknown projection key 'p0000'"):
+            reg.matrices([keys[0], "p0000"])
 
 
 # distances from p along one path u(t) p u(t)*, so that pairs of points land
@@ -395,7 +425,7 @@ def register_outcomes(reg, seq):
     out = []
     for q in seq:
         try:
-            out.append(reg.register(q))
+            out.append(reg.register(q.matrix))
         except CanonicalizationError as exc:
             out.append(("raised", exc.key))
     return out, list(reg.keys())
@@ -459,15 +489,16 @@ class TestRegistryBatchDifferential:
             register_outcomes(reg, seq[:head])
             return reg
 
-        for one, many in (("find", "find_many"), ("register", "register_many")):
+        for many in ("find_many", "register_many"):
             reg = registry(ProjectionRegistry)
-            got, message, index = outcome(lambda: getattr(reg, many)(batch))
+            got, message, index = outcome(lambda: getattr(reg, many)(batch_of(batch)))
             keys = list(reg.keys())
-            ref = registry(ProjectionRegistry)
-            assert outcome(lambda: [getattr(ref, one)(q) for q in batch])[:2] == (got, message)
+            ref = registry(ProjectionRegistry)  # batches of one
+            ones = outcome(lambda: [getattr(ref, many)(q.matrix[None])[0] for q in batch])
+            assert ones[:2] == (got, message)
             assert list(ref.keys()) == keys
             loop = registry(LoopScanRegistry)  # the loop scan words its errors its own way
-            loop_got, _, loop_index = outcome(lambda: getattr(loop, many)(batch))
+            loop_got, _, loop_index = outcome(lambda: getattr(loop, many)(batch_of(batch)))
             assert (loop_got, loop_index) == (got, index)
             assert list(loop.keys()) == keys
 
@@ -490,7 +521,7 @@ class TestRegistryBatchDifferential:
         # but 1.6e-5 from p, so no registered projection decides t and it gets its own key
         p, r, t = (cx.projection_from_ray([np.cos(a), np.sin(a)]) for a in (0.0, 0.8e-5, 1.6e-5))
         self.check([p, r, t], head, 1e-5)
-        keys = ProjectionRegistry(2, 1e-5).register_many([p, r, t])
+        keys = ProjectionRegistry(2, 1e-5).register_many(batch_of([p, r, t]))
         assert keys == [canonical_key(p.matrix), canonical_key(p.matrix), canonical_key(t.matrix)]
 
     @pytest.mark.parametrize("head", [0, 1])
@@ -502,7 +533,7 @@ class TestRegistryBatchDifferential:
         assert 1.05e-6 < max_norm(p.matrix - q.matrix) < 1.15e-6
         self.check([p, q], head, TOL.identity)
         with pytest.raises(CanonicalizationError, match="collide") as exc:
-            ProjectionRegistry(2).register_many([p, q])
+            ProjectionRegistry(2).register_many(batch_of([p, q]))
         assert exc.value.index == 1
 
     def test_rejection_carries_its_batch_position(self):
@@ -512,14 +543,14 @@ class TestRegistryBatchDifferential:
         near_p = cx.projection_from_ray(np.array([1.0, 1e-7, 0.0]))
         reg = ProjectionRegistry(3)
         with pytest.raises(CanonicalizationError) as exc:
-            reg.register_many([p, q, near_p, q])
+            reg.register_many(batch_of([p, q, near_p, q]))
         assert (exc.value.key, exc.value.index) == (canonical_key(p.matrix), 2)
         assert len(reg) == 2  # the projections before the rejected one stay registered
         with pytest.raises(CanonicalizationError) as exc:
-            reg.find_many([q, q, near_p, p])
+            reg.find_many(batch_of([q, q, near_p, p]))
         assert exc.value.index == 2
         with pytest.raises(CanonicalizationError) as exc:
-            reg.register(near_p)
+            reg.register(near_p.matrix)
         assert exc.value.index == 0
 
     def test_within_batch_identification(self):
@@ -528,7 +559,7 @@ class TestRegistryBatchDifferential:
         q = cx.Projection(p.matrix - 2e-13 * PAULI_X, 1)
         assert canonical_key(q.matrix) != canonical_key(p.matrix)
         reg = ProjectionRegistry(2)
-        assert reg.register_many([p, q, p]) == [canonical_key(p.matrix)] * 3
+        assert reg.register_many(batch_of([p, q, p])) == [canonical_key(p.matrix)] * 3
         assert len(reg) == 1
 
 
@@ -553,34 +584,40 @@ class TestOfConjugates:
         rays = [u[:, k] for k in range(dim)]
         rays += [np.cos(eps) * u[:, 0] + np.sin(eps) * u[:, 1] for eps in turns]
         stack = np.array([np.outer(v, v.conj()) for v in rays])
-        mats, images, keys = [], [], []
+        images = []
         for _ in range(n_ops):
             w = random_unitary(rng, dim)
-            moved = w @ (stack.conj() if rng.integers(2) else stack) @ w.conj().T
-            mats.append(moved)
-            images.append([cx.Projection(m, 1) for m in moved])
-            keys.append(canonical_keys(moved))
-        held = ProjectionRegistry.of_conjugates(dim, tol, stack, np.array(mats), images, keys)
+            images.append(w @ (stack.conj() if rng.integers(2) else stack) @ w.conj().T)
+        images = np.array(images)
+        keys = [canonical_keys(moved) for moved in images]
+        held = ProjectionRegistry.of_conjugates(dim, tol, stack, images, keys)
         assert len(held) == n_ops
-        for got, ps in zip(held, images):
+        for got, moved in zip(held, images):
             fresh = ProjectionRegistry(dim, tol)
-            want = outcome(lambda: fresh.register_many(ps))
+            want = outcome(lambda: fresh.register_many(moved))
             if isinstance(got, CanonicalizationError):
                 assert (("raised", got.key), str(got), got.index) == want
                 continue
             registry, found = got
             assert (found, None, None) == want
-            assert list(registry.items()) == list(fresh.items())
-            q = cx.projection_from_ray(random_unitary(rng, dim)[:, 0])
-            batch = [q, ps[-1], ps[0]]
+            assert_same_contents(registry, fresh)
+            q = random_unitary(rng, dim)[:, :1]
+            batch = np.array([q @ q.conj().T, moved[-1], moved[0]])
             for call in ("find_many", "register_many"):  # past its stack
                 answer = outcome(lambda: getattr(registry, call)(batch))
                 assert answer == outcome(lambda: getattr(fresh, call)(batch))
-            assert list(registry.items()) == list(fresh.items())
+            assert_same_contents(registry, fresh)
 
     def test_empty(self):
         none = np.zeros((0, 1, 2, 2), dtype=complex)
-        assert ProjectionRegistry.of_conjugates(2, TOL.identity, np.eye(2)[None], none, [], []) == []
+        assert ProjectionRegistry.of_conjugates(2, TOL.identity, np.eye(2)[None], none, []) == []
+
+
+def assert_same_contents(registry, other):
+    """Two registries hold the same keys, in the same order, with bit-equal matrices."""
+    keys = list(registry.keys())
+    assert keys == list(other.keys())
+    assert registry.matrices(keys).tobytes() == other.matrices(keys).tobytes()
 
 
 # per row of a find batch: "registered" is a registered projection itself, "new" a random
@@ -620,10 +657,10 @@ class TestFindManyDifferential:
                 h = random_hermitian(rng, dim)
                 batch.append(cx.Projection(base.matrix + kind * h / max_norm(h), base.rank))
         reg, loop = ProjectionRegistry(dim, tol), LoopScanRegistry(dim, tol)
-        reg.register_many(registered)
-        loop.register_many(registered)
-        got, message, index = outcome(lambda: reg.find_many(batch))
-        want, loop_message, loop_index = outcome(lambda: loop.find_many(batch))
+        reg.register_many(batch_of(registered))
+        loop.register_many(batch_of(registered))
+        got, message, index = outcome(lambda: reg.find_many(batch_of(batch)))
+        want, loop_message, loop_index = outcome(lambda: loop.find_many(batch_of(batch)))
         assert (got, index) == (want, loop_index)
         if loop_message is None:
             assert message is None
@@ -632,8 +669,8 @@ class TestFindManyDifferential:
         else:
             key = canonical_key(batch[index].matrix)
             assert message == f"projections {key} and {got[1]} are closer than the rounding grid"
-        keys = canonical_keys(np.array([q.matrix for q in batch]))
-        assert outcome(lambda: reg.find_many(batch, keys)) == (got, message, index)
+        keys = canonical_keys(batch_of(batch))
+        assert outcome(lambda: reg.find_many(batch_of(batch), keys)) == (got, message, index)
 
 
 class TestNearPairsDifferential:

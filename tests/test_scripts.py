@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -42,3 +43,11 @@ def test_committed_catalogs_match_the_bundled_scenarios():
     for name, path in committed.items():
         assert path.suffix == ".json"
         assert json.loads(path.read_text(encoding="utf-8")) == bundled_scenario(name), name
+
+
+def test_readme_example_runs(capsys):
+    # the library example in README.md, run as written
+    readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.split() == ["colorable", "3"]

@@ -16,7 +16,7 @@ from contextua.catalogs import bundled_text
 from contextua.opalg import TOL, CanonicalizationError, canonical_keys, max_norm
 from contextua.wigner import (
     PosetMap,
-    _projection_ranks,
+    _check_images,
     transition_probability_deviation,
 )
 
@@ -276,9 +276,9 @@ class TestConjugationDifferential:
             for m in stack:
                 loop_image_check(m)
         with pytest.raises(ValueError) as got:
-            _projection_ranks(stack)
+            _check_images(stack)
         assert str(got.value) == str(want.value)
-        assert _projection_ranks(np.array(good, dtype=complex)) == [1, 1]
+        _check_images(np.array(good, dtype=complex))
 
 
 def near_identity(dim, t, seed):
@@ -293,9 +293,9 @@ def rebuild_calls(monkeypatch):
     calls = []
     register_many, poset_from_nodes = cx.ProjectionRegistry.register_many, contexts.poset_from_nodes
 
-    def counted_register_many(self, ps):
+    def counted_register_many(self, mats):
         calls.append("register_many")
-        return register_many(self, ps)
+        return register_many(self, mats)
 
     def counted_poset_from_nodes(*args):
         calls.append("poset_from_nodes")
@@ -459,14 +459,14 @@ class TestBatchedConjugation:
         e = np.eye(3)
         basis = cx.context_from_projections(registry, [np.outer(row, row) for row in e])
         u = random_unitary(np.random.default_rng(3), 3)
-        registry.register_many([cx.projection_from_ray(u[:, k]) for k in range(3)])
+        registry.register_many(np.array([cx.projection_from_ray(u[:, k]).matrix for k in range(3)]))
         poset = cx.generate_poset([basis], registry)
         cycle = cx.symmetry("unitary", np.roll(np.eye(3), 1, axis=0))
         turned = cx.symmetry("unitary", u)  # its image context is registered but no node
         nudged = cx.symmetry("antiunitary", near_identity(3, 1e-7, 5))  # within the grid
         swap = cx.symmetry("unitary", np.eye(3)[[1, 0, 2]])
         with pytest.raises(CanonicalizationError):
-            registry.find(cx.projection(cx.apply_symmetry(nudged, np.outer(e[0], e[0])), 1e-7))
+            registry.find_many(cx.apply_symmetry(nudged, np.outer(e[0], e[0]))[None])
         ops = [cycle, turned, nudged, swap]
         got = cx.conjugate_posets(poset, ops)
         assert [image is poset for image, _ in got] == [True, False, False, True]

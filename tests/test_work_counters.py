@@ -21,9 +21,9 @@ def counters(monkeypatch):
     counts = {"register": 0, "tables": 0}
     register_many, dominance_tables = ProjectionRegistry.register_many, contexts.dominance_tables
 
-    def counted_register(self, ps):  # every registration is a batch; count its projections
-        counts["register"] += len(ps)
-        return register_many(self, ps)
+    def counted_register(self, mats):  # every registration is a batch; count its projections
+        counts["register"] += len(mats)
+        return register_many(self, mats)
 
     def counted_tables(stack, ranks, images):  # one call builds the tables of a stack of images
         counts["tables"] += 1
