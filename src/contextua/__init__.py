@@ -50,19 +50,9 @@ from .gleason import (
 from .opalg import (
     CanonicalizationError,
     DensityMatrix,
-    Projection,
     ProjectionRegistry,
-    Ray,
     commutes,
     density_matrix,
-    is_projection,
-    join,
-    jordan_product,
-    meet,
-    projection,
-    projection_from_ray,
-    ray,
-    spectral_atoms,
 )
 from .scenario import Scenario, build_bipartite_model, build_single_poset, parse_scenario
 from .spectral import (
@@ -75,7 +65,6 @@ from .spectral import (
 from .wigner import (
     PosetMap,
     SymmetryOp,
-    apply_symmetry,
     conjugate_poset,
     conjugate_posets,
     jordan_check,

@@ -129,7 +129,7 @@ def _eigenbasis_scenario(dim: int, lines: list[list[str]], metadata: dict) -> di
         for key in ctx.atoms:
             if key in ray_of:
                 continue
-            p = registry.get(key).matrix
+            p = registry.matrices([key])[0]
             v = p[:, np.argmax(np.abs(p).max(axis=0))]
             v = v / v[np.argmax(np.abs(v))]
             exact = np.round(v.real) + 1j * np.round(v.imag)

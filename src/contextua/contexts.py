@@ -36,13 +36,12 @@ import numpy as np
 from . import opalg
 from .opalg import (
     TOL,
-    Projection,
     ProjectionRegistry,
     as_operator,
+    check_projections,
     cluster_eigenvalues,
     commutes,
     max_norm,
-    projection,
     real_gram,
     screened_pairs,
 )
@@ -73,14 +72,15 @@ class Context:
         return hash((self.dim, self.key_set))
 
 
-def context_from_projections(registry: ProjectionRegistry, mats: Sequence) -> Context:
-    """Validate an orthogonal, complete family and register it as a context; a registry
-    ``tol`` that makes two of its atoms one projection is an error, raised after registering."""
+def context_from_projections(registry: ProjectionRegistry, mats) -> Context:
+    """Validate an orthogonal, complete family, one ``(m, d, d)`` array of projections, and
+    register it as a context; a registry ``tol`` that makes two of its atoms one projection
+    is an error, raised after registering."""
     dim = registry.dim
-    atoms = [p.matrix if isinstance(p, Projection) else projection(p).matrix for p in mats]
-    if any(m.shape != (dim, dim) for m in atoms):
+    stack = np.array(mats, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1:] != (dim, dim):
         raise ValueError("atom dimension does not match registry")
-    stack = np.array(atoms, dtype=complex).reshape(-1, dim, dim)
+    check_projections(stack, TOL.exact)
     for i, p in enumerate(stack):  # p p_j is p itself at j = i and 0 elsewhere
         gap = p @ stack
         gap[i] -= p
@@ -139,7 +139,7 @@ def context_from_observables(registry: ProjectionRegistry, ops: Sequence) -> Con
             for group in cluster_eigenvalues(evals):
                 refined.append(basis @ vecs[:, group])
         blocks = refined
-    return context_from_projections(registry, [b @ b.conj().T for b in blocks])
+    return context_from_projections(registry, np.array([b @ b.conj().T for b in blocks]))
 
 
 def trivial_context(registry: ProjectionRegistry) -> Context:
@@ -214,7 +214,7 @@ def _atom_table(registry: ProjectionRegistry, nodes: Sequence[Context]) -> tuple
     keys = tuple(dict.fromkeys(k for node in nodes for k in node.atoms))
     index = {k: t for t, k in enumerate(keys)}
     stack = registry.matrices(keys)
-    ranks = np.rint(np.trace(stack, axis1=1, axis2=2).real).astype(int)  # as ``get`` reads them
+    ranks = np.rint(np.trace(stack, axis1=1, axis2=2).real).astype(int)
     rows = tuple(np.array([index[k] for k in node.atoms]) for node in nodes)
     return keys, stack, ranks, rows
 
@@ -251,8 +251,8 @@ def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> 
 
     for idx, ctx in enumerate(catalog):
         add(ctx, f"catalog[{idx}]")
-    for i, j, meet in _meets(registry, catalog):
-        add(meet, f"meet of catalog[{i}] and catalog[{j}]")
+    for i, j, ctx in _meets(registry, catalog):
+        add(ctx, f"meet of catalog[{i}] and catalog[{j}]")
     add(trivial_context(registry), "trivial")
 
     return poset_from_nodes(registry, nodes, provenance)

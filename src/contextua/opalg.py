@@ -1,8 +1,8 @@
 """Finite-dimensional complex operator algebra.
 
-Dense matrices over C, projections and their lattice operations, spectral
-decomposition, Jordan product, and a registry that gives projections stable
-canonical identities across contexts.
+Dense matrices over C, the one projection check, density matrices, eigenvalue
+clustering, and a registry that gives projections stable canonical identities
+across contexts. A family of projections is one ``(m, d, d)`` array throughout.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ class Tolerances:
     # closer than the grid 10**-key_decimals are rejected, never merged
     key_decimals: int = 6
     # an exact identity of given operators holds (a = a*, p^2 = p, ab = ba, u*u = 1,
-    # tr = 1, <u, v> = 0, |v| > 0); also null singular values of meets, zero LP
-    # weights, and the Jordan and transition residuals of wigner-check
+    # tr = 1, <u, v> = 0, |v| > 0); also zero LP weights, and the Jordan and
+    # transition residuals of wigner-check
     exact: float = 1e-9
     context: float = 1e-8  # atoms are orthogonal and sum to 1; observables commute
-    # a computed result reproduces its input: spectral atoms sum back to the
-    # operator, a state survives a round trip, a measure extends linearly
+    # a computed result reproduces its input: a state survives a round trip, a
+    # measure extends linearly
     roundtrip: float = 1e-8
     rank: float = 1e-8  # relative singular-value cut-off of reconstruction ranks
     residual: float = 1e-6  # a larger least-squares residual means an inconsistent system
@@ -82,12 +82,27 @@ def max_norm(m) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def is_projection(m, tol: float = TOL.exact) -> bool:
-    """True iff ``m`` is self-adjoint and idempotent within ``tol``."""
-    arr = as_operator(m)
-    if max_norm(arr - arr.conj().T) > tol:
-        return False
-    return max_norm(arr @ arr - arr) <= tol
+def check_projections(stack: np.ndarray, tol: float) -> None:
+    """Check that each matrix of an (m, d, d) stack is a projection within ``tol``.
+
+    A matrix passes when its entries are finite, it is self-adjoint and
+    idempotent within ``tol``, and its trace is near an integer, its rank.
+    Raises for the first matrix in stack order that fails.
+    """
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    # NaN distances compare False, so a non-finite matrix fails both checks
+    adjoint = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= tol
+    idempotent = np.abs(stack @ stack - stack).max(axis=(1, 2)) <= tol
+    traces = np.trace(stack, axis1=1, axis2=2).real
+    integral = np.abs(traces - np.rint(traces)) <= max(tol * stack.shape[-1], TOL.eigen_gap)
+    bad = np.flatnonzero(~(finite & adjoint & idempotent & integral))
+    if bad.size:
+        t = bad[0]
+        if not finite[t]:
+            raise ValueError("operator entries must be finite")
+        if not (adjoint[t] and idempotent[t]):
+            raise ValueError("matrix is not a projection within tolerance")
+        raise ValueError(f"projection trace {float(traces[t])} is not near an integer")
 
 
 def commutes(a, b, tol: float = TOL.exact) -> bool:
@@ -96,83 +111,6 @@ def commutes(a, b, tol: float = TOL.exact) -> bool:
     if a.shape != b.shape:
         raise ValueError("operators must have equal dimension")
     return max_norm(a @ b - b @ a) <= tol
-
-
-def jordan_product(a, b) -> np.ndarray:
-    """Symmetrized product (ab + ba) / 2; self-adjoint for self-adjoint inputs."""
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape:
-        raise ValueError("operators must have equal dimension")
-    return 0.5 * (a @ b + b @ a)
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class Projection:
-    """A validated projection matrix together with its rank."""
-
-    matrix: np.ndarray
-    rank: int
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def complement(self) -> "Projection":
-        return Projection(_readonly(np.eye(self.dim) - self.matrix), self.dim - self.rank)
-
-
-def projection(m, tol: float = TOL.exact) -> Projection:
-    """Build a :class:`Projection`, enforcing self-adjointness and idempotence.
-
-    The rank is the rounded trace; a trace that is not close to an integer
-    means the input is not a projection and is rejected.
-    """
-    arr = as_operator(m)
-    if not is_projection(arr, tol):
-        raise ValueError("matrix is not a projection within tolerance")
-    tr = float(np.real(np.trace(arr)))
-    rank = int(round(tr))
-    if abs(tr - rank) > max(tol * arr.shape[0], TOL.eigen_gap):
-        raise ValueError(f"projection trace {tr} is not near an integer")
-    return Projection(_readonly(arr), rank)
-
-
-def zero_projection(dim: int) -> Projection:
-    return Projection(_readonly(np.zeros((dim, dim), dtype=complex)), 0)
-
-
-@dataclass(frozen=True)
-class Ray:
-    """A unit vector considered up to global phase."""
-
-    vector: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0]
-
-
-def ray(v) -> Ray:
-    arr = np.array(v, dtype=complex).reshape(-1)
-    norm = float(np.linalg.norm(arr))
-    if norm <= TOL.exact:
-        raise ValueError("degenerate ray")
-    return Ray(_readonly(arr / norm))
-
-
-def projection_from_ray(r) -> Projection:
-    """Rank-1 projection |v><v| onto the ray; phase drops out."""
-    if not isinstance(r, Ray):
-        r = ray(r)
-    v = r.vector
-    return Projection(_readonly(np.outer(v, v.conj())), 1)
 
 
 @dataclass(frozen=True)
@@ -196,32 +134,8 @@ def density_matrix(m, tol: float = TOL.exact) -> DensityMatrix:
     floor = float(np.min(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))))
     if floor < -tol:
         raise ValueError(f"density matrix has negative eigenvalue {floor}")
-    return DensityMatrix(_readonly(arr))
-
-
-def meet(p: Projection, q: Projection) -> Projection:
-    """Projection onto the intersection of the two images.
-
-    Computed as the null space of (1-p) + (1-q): a vector is killed by that
-    positive operator exactly when it lies in both images. Singular values
-    below ``TOL.exact`` count as zero, which also fixes the rank.
-    """
-    if p.dim != q.dim:
-        raise ValueError("projections must have equal dimension")
-    d = p.dim
-    a = (np.eye(d) - p.matrix) + (np.eye(d) - q.matrix)
-    _, s, vh = np.linalg.svd(a)
-    null_mask = s <= max(TOL.exact, s[0] * TOL.exact)
-    basis = vh[null_mask].conj().T  # columns span the intersection
-    rank = basis.shape[1]
-    if rank == 0:
-        return zero_projection(d)
-    return Projection(_readonly(basis @ basis.conj().T), rank)
-
-
-def join(p: Projection, q: Projection) -> Projection:
-    """Projection onto the span of the two images, via 1 - ((1-p) ^ (1-q))."""
-    return meet(p.complement(), q.complement()).complement()
+    arr.flags.writeable = False
+    return DensityMatrix(arr)
 
 
 def cluster_eigenvalues(evals: np.ndarray) -> list[np.ndarray]:
@@ -239,30 +153,6 @@ def cluster_eigenvalues(evals: np.ndarray) -> list[np.ndarray]:
         else:
             groups.append([idx])
     return [np.array(g) for g in groups]
-
-
-def spectral_atoms(a) -> list[tuple[float, Projection]]:
-    """Spectral decomposition of a self-adjoint matrix into eigenvalue atoms.
-
-    Returns pairs (eigenvalue, projection) with mutually orthogonal
-    projections summing to the identity; eigenvalues are distinct after
-    clustering. The reconstruction sum(A_i p_i) is checked against the
-    input within ``TOL.roundtrip``.
-    """
-    arr = as_operator(a)
-    if max_norm(arr - arr.conj().T) > TOL.exact:
-        raise ValueError("spectral_atoms requires a self-adjoint matrix")
-    herm = 0.5 * (arr + arr.conj().T)
-    evals, vecs = np.linalg.eigh(herm)
-    atoms: list[tuple[float, Projection]] = []
-    for group in cluster_eigenvalues(evals):
-        block = vecs[:, group]
-        value = float(np.mean(evals[group]))
-        atoms.append((value, Projection(_readonly(block @ block.conj().T), len(group))))
-    recon = sum(val * p.matrix for val, p in atoms)
-    if max_norm(recon - herm) > TOL.roundtrip:
-        raise RuntimeError("spectral reconstruction failed beyond tolerance")
-    return atoms
 
 
 def canonical_keys(mats) -> list[str]:
@@ -537,15 +427,6 @@ class ProjectionRegistry:
         else:
             self._stack[n:end] = mats
         self._rows.update(zip(keys, range(n, end)))
-
-    def get(self, key: str) -> Projection:
-        """The projection of ``key``: a read-only view of its row, its rank the rounded trace."""
-        try:
-            matrix = self._stack[self._rows[key]]
-        except KeyError:
-            raise KeyError(f"unknown projection key {key!r}") from None
-        matrix.flags.writeable = False
-        return Projection(matrix, round(float(np.trace(matrix).real)))
 
     def matrices(self, keys: Sequence[str]) -> np.ndarray:
         """The matrices registered under ``keys``, as one new ``(len(keys), d, d)`` array."""

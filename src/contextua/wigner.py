@@ -36,6 +36,7 @@ from .opalg import (
     ProjectionRegistry,
     as_operator,
     canonical_keys,
+    check_projections,
     max_norm,
 )
 
@@ -59,24 +60,14 @@ def symmetry(kind: str, u) -> SymmetryOp:
     return SymmetryOp(kind, arr)
 
 
-def apply_symmetry(s: SymmetryOp, x) -> np.ndarray:
-    """Conjugation action on operators: u x u*, with conjugation first if antiunitary.
-
-    ``x`` may be one operator or a stack of them along the leading axes.
-    """
-    arr = np.asarray(x, dtype=complex)
-    if s.kind == "antiunitary":
-        arr = arr.conj()
-    return s.matrix @ arr @ s.matrix.conj().T
-
-
 def _adjoint(arr: np.ndarray) -> np.ndarray:
     """Conjugate transpose of an operator or of each operator of a stack."""
     return arr.conj().swapaxes(-1, -2)
 
 
 def _apply_each(ops: Sequence[SymmetryOp], x) -> np.ndarray:
-    """:func:`apply_symmetry` of ``ops[k]`` on ``x[k]`` for every k, as one stacked product.
+    """The conjugation action of ``ops[k]`` on ``x[k]`` for every k, as one stacked product:
+    u x u*, with complex conjugation first for an antiunitary.
 
     ``x`` has the op axis first, then any stack axes, then the operator
     axes; an op axis of length 1 is shared by every op.
@@ -139,12 +130,12 @@ def conjugate_posets(
     images = _apply_each(ops, poset.stack[None])
     flat = images.reshape(-1, dim, dim)
     try:
-        _check_images(flat)
+        check_projections(flat, TOL.conjugation)
     except ValueError:
         # the first failing op raises, after the ops before it, as one call per op would
         for k, block in enumerate(images):
             try:
-                _check_images(block)
+                check_projections(block, TOL.conjugation)
             except ValueError:
                 conjugate_posets(poset, ops[:k])
                 raise
@@ -221,30 +212,6 @@ def _find_per_op(
             found[k] = hit[t * m : (t + 1) * m]
         break
     return found
-
-
-def _check_images(images: np.ndarray) -> None:
-    """Check each conjugated atom of an (m, d, d) stack as ``projection`` checks one.
-
-    An image passes when its entries are finite, it is self-adjoint and
-    idempotent within ``TOL.conjugation``, and its trace is near an integer.
-    Raises for the first image in stack order that fails.
-    """
-    tol = TOL.conjugation
-    finite = np.isfinite(images).all(axis=(1, 2))
-    # NaN distances compare False, so a non-finite image fails both checks
-    adjoint = np.abs(images - _adjoint(images)).max(axis=(1, 2)) <= tol
-    idempotent = np.abs(images @ images - images).max(axis=(1, 2)) <= tol
-    traces = np.trace(images, axis1=1, axis2=2).real
-    integral = np.abs(traces - np.rint(traces)) <= max(tol * images.shape[-1], TOL.eigen_gap)
-    bad = np.flatnonzero(~(finite & adjoint & idempotent & integral))
-    if bad.size:
-        t = bad[0]
-        if not finite[t]:
-            raise ValueError("operator entries must be finite")
-        if not (adjoint[t] and idempotent[t]):
-            raise ValueError("conjugated atom fails the projection check")
-        raise ValueError(f"projection trace {float(traces[t])} is not near an integer")
 
 
 def trivial_presheaf_automorphism(
@@ -334,20 +301,21 @@ def jordan_checks(
     return reports
 
 
-def transition_probability_deviation(s: SymmetryOp, rays: Sequence) -> float:
+def transition_probability_deviation(s: SymmetryOp, rays) -> float:
     """:func:`transition_probability_deviations` of ``s`` alone."""
     return transition_probability_deviations([s], rays)[0]
 
 
-def transition_probability_deviations(ops: Sequence[SymmetryOp], rays: Sequence) -> list[float]:
-    """Largest |tr(phi(p)phi(q)) - tr(pq)| over the given rank-1 pairs, per symmetry phi.
+def transition_probability_deviations(ops: Sequence[SymmetryOp], rays) -> list[float]:
+    """Largest |tr(phi(p)phi(q)) - tr(pq)| over the pairs of rank-1 projections of the
+    ``(m, d, d)`` array ``rays``, per symmetry phi.
 
     The rays' images under every op are formed in one stacked product.
     """
     if not ops:
         return []
     d = ops[0].matrix.shape[0]
-    mats = np.array([getattr(p, "matrix", p) for p in rays], dtype=complex).reshape(len(rays), d, d)
+    mats = np.asarray(rays, dtype=complex).reshape(len(rays), d, d)
     images = _apply_each(ops, mats[None])
     before = np.einsum("aij,bji->ab", mats, mats).real
     after = np.einsum("naij,nbji->nab", images, images).real

@@ -19,7 +19,7 @@ from contextua.gleason import ProbSection, context_measure, hermitian_basis
 from contextua.opalg import TOL, CanonicalizationError, canonical_keys, max_norm
 from contextua.scenario import _catalog
 from contextua.spectral import Character, EnumerationResult, _domination_maps
-from contextua.wigner import JordanReport, PosetMap, apply_symmetry
+from contextua.wigner import JordanReport, PosetMap
 
 # HYPOTHESIS_PROFILE=ci runs the tests that do not fix max_examples five times deeper
 settings.register_profile("ci", max_examples=5 * settings.get_profile("default").max_examples)
@@ -45,8 +45,20 @@ def random_density(rng, dim):
 
 def random_basis_context(rng, registry):
     u = random_unitary(rng, registry.dim)
-    atoms = [cx.projection(np.outer(u[:, k], u[:, k].conj())) for k in range(registry.dim)]
+    atoms = np.array([np.outer(u[:, k], u[:, k].conj()) for k in range(registry.dim)])
     return cx.context_from_projections(registry, atoms)
+
+
+def ray_projection(v):
+    """The rank-1 projection |v><v| / <v|v> onto the ray of ``v``."""
+    v = np.asarray(v, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def rank_of(p):
+    """A projection's rank: its rounded trace."""
+    return round(float(np.trace(p).real))
 
 
 def canonical_key(matrix):
@@ -158,6 +170,17 @@ def marginal_prob_section(s, side):
     return ProbSection(assignment, frozenset(assignment))
 
 
+def apply_symmetry(s, x):
+    """Conjugation action on operators: u x u*, with complex conjugation first if antiunitary."""
+    arr = np.asarray(x, dtype=complex)
+    return s.matrix @ (arr.conj() if s.kind == "antiunitary" else arr) @ s.matrix.conj().T
+
+
+def jordan_product(a, b):
+    """The symmetrized product (ab + ba) / 2."""
+    return 0.5 * (a @ b + b @ a)
+
+
 def jordan_lift(s, x):
     """Complex-linear extension of the symmetry action to all operators.
 
@@ -182,8 +205,8 @@ class LoopScanRegistry(cx.ProjectionRegistry):
     """Reference registry: each projection in turn against every registered one, in a Python loop.
 
     It stores each new projection alone with the inherited ``_add``, so the
-    inherited ``register``, ``keys``, ``get`` and ``matrices`` read it; no
-    batch decision code runs.
+    inherited ``register``, ``keys`` and ``matrices`` read it; no batch
+    decision code runs.
     """
 
     def find_many(self, mats):
@@ -204,11 +227,11 @@ class LoopScanRegistry(cx.ProjectionRegistry):
             raise ValueError("projection dim does not match registry dim")
         key = canonical_key(m)
         if key in self.keys():
-            if max_norm(self.get(key).matrix - m) <= self.tol:
+            if max_norm(self.matrices([key])[0] - m) <= self.tol:
                 return key
             raise CanonicalizationError("collision on the rounding grid", key, index)
         for other_key in self.keys():
-            dist = max_norm(self.get(other_key).matrix - m)
+            dist = max_norm(self.matrices([other_key])[0] - m)
             if dist <= self.tol:
                 return other_key
             if dist < TOL.grid:
@@ -259,8 +282,8 @@ def ix_dominator_map(poset, small, large):
 
 
 def registry_atoms(poset, i):
-    """Node i's atoms as the registry holds them, one ``get`` per key."""
-    return [poset.registry.get(k) for k in poset.nodes[i].atoms]
+    """Node i's atoms as the registry holds them, one ``(m, d, d)`` array."""
+    return poset.registry.matrices(poset.nodes[i].atoms)
 
 
 def pairwise_meet(registry, first, second, index, overlap, resolved):
@@ -336,7 +359,7 @@ def block_key(registry, block, resolve, resolved):
         return block[0]
     members = frozenset(block)
     if members not in resolved:
-        resolved[members] = resolve(sum(registry.get(k).matrix for k in block))
+        resolved[members] = resolve(sum(registry.matrices(block)))
     return resolved[members]
 
 
@@ -356,7 +379,7 @@ def pairwise_meet_poset(catalog, registry):
     if len(catalog) > 1:
         keys = sorted({k for ctx in catalog for k in ctx.atoms})
         index = {k: t for t, k in enumerate(keys)}
-        flat = np.stack([registry.get(k).matrix.ravel() for k in keys])
+        flat = registry.matrices(keys).reshape(len(keys), -1)
         overlap = (flat @ flat.conj().T).real > TOL.grid**2
         resolved, found = {}, {}
         for i, j in itertools.combinations(range(len(catalog)), 2):
@@ -393,25 +416,27 @@ def loop_hermitian_basis(d):
     return np.stack(mats)
 
 
-def loop_image_check(m):
-    """Reference check of one conjugated atom: ``projection``, with the conjugation's message."""
-    try:
-        return cx.projection(m, TOL.conjugation)
-    except ValueError:
-        if cx.is_projection(m, TOL.conjugation):
-            raise  # projection's own trace error
-        raise ValueError("conjugated atom fails the projection check") from None
+def loop_projection_check(stack, tol):
+    """Reference projection check: one matrix at a time, the first that fails raises."""
+    for m in stack:
+        if not np.isfinite(m).all():
+            raise ValueError("operator entries must be finite")
+        if max_norm(m - m.conj().T) > tol or max_norm(m @ m - m) > tol:
+            raise ValueError("matrix is not a projection within tolerance")
+        tr = float(np.trace(m).real)
+        if abs(tr - round(tr)) > max(tol * len(m), TOL.eigen_gap):
+            raise ValueError(f"projection trace {tr} is not near an integer")
 
 
 def loop_conjugate_poset(poset, s):
-    """Reference conjugation: one ``projection`` check and one registry call per (node, atom)."""
-    image_atoms = [
-        [loop_image_check(apply_symmetry(s, p.matrix)) for p in registry_atoms(poset, i)]
-        for i in range(len(poset))
-    ]
+    """Reference conjugation: one projection check and one registry call per (node, atom)."""
+    image_atoms = []
+    for i in range(len(poset)):
+        image_atoms.append([apply_symmetry(s, p) for p in registry_atoms(poset, i)])
+        loop_projection_check(image_atoms[-1], TOL.conjugation)
 
     def key_in(p):
-        key = find_one(poset.registry, p.matrix)
+        key = find_one(poset.registry, p)
         if key is None:
             raise KeyError("image atom is not a registered projection")
         return key
@@ -428,7 +453,7 @@ def loop_conjugate_poset(poset, s):
 
     registry = cx.ProjectionRegistry(poset.dim, poset.registry.tol)
     nodes = [
-        cx.Context(poset.dim, tuple(registry.register(p.matrix) for p in m)) for m in image_atoms
+        cx.Context(poset.dim, tuple(registry.register(p) for p in m)) for m in image_atoms
     ]
     image = poset_from_nodes(registry, nodes, [f"conjugate({g})" for g in poset.generators])
     return image, PosetMap(tuple(range(len(nodes))))
@@ -445,7 +470,7 @@ def loop_jordan_check(s, samples):
             raise ValueError("jordan_check requires self-adjoint samples")
         fa = apply_symmetry(s, a)
         fb = apply_symmetry(s, b)
-        res = max_norm(apply_symmetry(s, cx.jordan_product(a, b)) - cx.jordan_product(fa, fb))
+        res = max_norm(apply_symmetry(s, jordan_product(a, b)) - jordan_product(fa, fb))
         max_res = max(max_res, res)
         comm = a @ b - b @ a
         scale = max_norm(comm)
@@ -468,7 +493,7 @@ def loop_jordan_check(s, samples):
 
 def loop_transition_deviation(s, rays):
     """Reference transition check: one trace per ordered pair of rays."""
-    mats = [np.asarray(getattr(p, "matrix", p), dtype=complex) for p in rays]
+    mats = [np.asarray(p, dtype=complex) for p in rays]
     images = [apply_symmetry(s, m) for m in mats]
     worst = 0.0
     for p, fp in zip(mats, images):
@@ -501,7 +526,7 @@ def ks18_subset_catalog(registry, bases):
     sc = cx.parse_scenario(bundled_text("ks18-c4"))
     rays = sc.rays["main"]
     return [
-        cx.context_from_projections(registry, [cx.projection_from_ray(rays[i]) for i in ctx])
+        cx.context_from_projections(registry, np.array([ray_projection(rays[i]) for i in ctx]))
         for ctx in (sc.contexts["main"][b] for b in bases)
     ]
 
@@ -607,11 +632,11 @@ def partition_closure_poset(catalog, registry):
 
     for idx, ctx in enumerate(catalog):
         add(ctx, f"catalog[{idx}]")
-        atoms = [registry.get(k) for k in ctx.atoms]
+        atoms = registry.matrices(ctx.atoms)
         for blocks in set_partitions(list(range(len(atoms)))):
             if len(blocks) == len(atoms):
                 continue
-            coarse = [sum(atoms[i].matrix for i in sorted(b)) for b in blocks]
+            coarse = [sum(atoms[i] for i in sorted(b)) for b in blocks]
             keys = tuple(registry.register(m) for m in coarse)
             add(cx.Context(ctx.dim, keys), f"coarsening of catalog[{idx}]")
     add(cx.trivial_context(registry), "trivial")

@@ -29,6 +29,8 @@ from conftest import (
     peres24_subset_catalog,
     random_density,
     random_unitary,
+    rank_of,
+    ray_projection,
     registry_atoms,
     shared_ray_catalog,
     shared_ray_catalog_poset,
@@ -68,7 +70,7 @@ def subset_sum_order(poset) -> np.ndarray:
     """Oracle: i <= j iff each atom of i is the sum of some subset of j's atoms."""
     sums = []
     for j in range(len(poset)):
-        large = [p.matrix for p in registry_atoms(poset, j)]
+        large = list(registry_atoms(poset, j))
         sums.append(
             np.stack(
                 [
@@ -83,7 +85,7 @@ def subset_sum_order(poset) -> np.ndarray:
     for i in range(n):
         for j in range(n):
             order[i, j] = all(
-                np.abs(sums[j] - q.matrix).max(axis=(1, 2)).min() < 1e-7
+                np.abs(sums[j] - q).max(axis=(1, 2)).min() < 1e-7
                 for q in registry_atoms(poset, i)
             )
     return order
@@ -94,19 +96,19 @@ class TestContextFromObservables:
         reg = cx.ProjectionRegistry(3)
         ctx = cx.context_from_observables(reg, [np.eye(3)])
         assert len(ctx.atoms) == 1
-        assert reg.get(ctx.atoms[0]).rank == 3
+        assert rank_of(reg.matrices(ctx.atoms)[0]) == 3
 
     def test_rank1_projection_gives_two_atoms(self):
         reg = cx.ProjectionRegistry(3)
         p1 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         ctx = cx.context_from_observables(reg, [p1])
-        ranks = sorted(reg.get(k).rank for k in ctx.atoms)
+        ranks = sorted(map(rank_of, reg.matrices(ctx.atoms)))
         assert ranks == [1, 2]
 
     def test_nondegenerate_gives_maximal(self):
         reg = cx.ProjectionRegistry(3)
         ctx = cx.context_from_observables(reg, [np.diag([1.0, 2.0, 3.0])])
-        assert sorted(reg.get(k).rank for k in ctx.atoms) == [1, 1, 1]
+        assert sorted(map(rank_of, reg.matrices(ctx.atoms))) == [1, 1, 1]
 
     def test_joint_refinement(self):
         reg = cx.ProjectionRegistry(4)
@@ -123,33 +125,48 @@ class TestContextFromObservables:
             cx.context_from_observables(reg, [x, z])
 
 
-def ray_atom(*v):
-    v = np.array(v, dtype=complex) / np.linalg.norm(v)
-    return cx.Projection(np.outer(v, v.conj()), 1)
-
-
 class TestContextFromProjections:
     @pytest.mark.parametrize(
         "atoms,pair",
         [
             # the first failing pair in row-major order is named, here (0, 2), not (1, 2)
-            ([ray_atom(1, 0, 0), ray_atom(0, 1, 0), ray_atom(1, 1, 0)], (0, 2)),
-            # an atom that is not idempotent fails against itself
-            ([ray_atom(1, 0, 0), cx.Projection(np.diag([0, 0.5, 0]).astype(complex), 1)], (1, 1)),
-            ([ray_atom(0, 0, 1), ray_atom(1, 1, 0), ray_atom(1, 0, 0)], (1, 2)),
+            ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], (0, 2)),
+            ([(0, 0, 1), (1, 1, 0), (1, 0, 0)], (1, 2)),
         ],
     )
     def test_error_names_the_first_failing_pair(self, atoms, pair):
         reg = cx.ProjectionRegistry(3)
         with pytest.raises(ValueError, match=f"atoms {pair[0]} and {pair[1]} are not orthogonal"):
-            cx.context_from_projections(reg, atoms)
+            cx.context_from_projections(reg, np.array([ray_projection(v) for v in atoms]))
         assert len(reg) == 0
+
+    @pytest.mark.parametrize(
+        "atom,message",
+        [
+            (np.diag([0, 0.5, 0]), "matrix is not a projection within tolerance"),
+            (np.array([[0, 1, 0], [0, 1, 0], [0, 0, 0]]), "matrix is not a projection"),
+            (np.diag([0, np.nan, 0]), "operator entries must be finite"),
+        ],
+    )
+    def test_atoms_are_checked_as_projections_first(self, atom, message):
+        # diag(0, 0.5, 0) is orthogonal to e1 but not idempotent; [[0, 1], [0, 1]] is
+        # idempotent but not self-adjoint
+        reg = cx.ProjectionRegistry(3)
+        with pytest.raises(ValueError, match=message):
+            cx.context_from_projections(reg, np.array([ray_projection((1, 0, 0)), atom]))
+        assert len(reg) == 0
+
+    def test_atom_shape_must_match_the_registry(self):
+        with pytest.raises(ValueError, match="atom dimension does not match registry"):
+            cx.context_from_projections(cx.ProjectionRegistry(3), np.eye(2)[None])
+        with pytest.raises(ValueError, match="atom dimension does not match registry"):
+            cx.context_from_projections(cx.ProjectionRegistry(3), np.eye(3))
 
     def test_registers_each_atom_once(self):
         reg = cx.ProjectionRegistry(3)
-        atoms = [ray_atom(1, 1, 0), ray_atom(1, -1, 0), ray_atom(0, 0, 1)]
+        atoms = np.array([ray_projection(v) for v in [(1, 1, 0), (1, -1, 0), (0, 0, 1)]])
         ctx = cx.context_from_projections(reg, atoms)
-        assert all(np.array_equal(reg.get(k).matrix, p.matrix) for k, p in zip(ctx.atoms, atoms))
+        assert np.array_equal(reg.matrices(ctx.atoms), atoms)
         assert len(reg) == 3
 
     @pytest.mark.parametrize(
@@ -246,7 +263,7 @@ def check_atom_lookup(poset):
     atoms, taken from the registry in order of first appearance."""
     keys = tuple(dict.fromkeys(k for node in poset.nodes for k in node.atoms))
     assert poset.keys == keys
-    assert np.array_equal(poset.stack, np.stack([poset.registry.get(k).matrix for k in keys]))
+    assert np.array_equal(poset.stack, poset.registry.matrices(keys))
     assert np.array_equal(poset.over, einsum_atom_lookup(poset))
 
 

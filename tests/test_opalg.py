@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import json
 from dataclasses import fields
 from pathlib import Path
 
@@ -20,9 +21,10 @@ from contextua.opalg import (
     Tolerances,
     _near_pairs,
     canonical_keys,
+    check_projections,
     max_norm,
-    zero_projection,
 )
+from contextua.scenario import ScenarioError, _catalog
 
 from conftest import (
     LoopScanRegistry,
@@ -31,207 +33,90 @@ from conftest import (
     full_scan_distances,
     random_hermitian,
     random_unitary,
+    rank_of,
+    ray_projection,
 )
 
 
 def diag_proj(*entries):
-    return cx.projection(np.diag([float(e) for e in entries]).astype(complex))
+    return np.diag([float(e) for e in entries]).astype(complex)
 
 
 def batch_of(ps):
-    """The matrices of the projections ``ps`` as one ``(m, d, d)`` registry batch."""
-    return np.array([p.matrix for p in ps], dtype=complex)
+    """The projections ``ps`` as one ``(m, d, d)`` registry batch."""
+    return np.array(ps, dtype=complex)
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-class TestIsProjection:
-    def test_identity(self):
-        assert cx.is_projection(np.eye(4), 1e-9)
-
-    def test_coordinate_projection(self):
-        assert cx.is_projection(np.diag([1.0, 0.0, 0.0]), 1e-9)
+class TestCheckProjections:
+    def test_identity_and_coordinate_projection(self):
+        check_projections(np.array([np.eye(3), np.diag([1.0, 0.0, 0.0])], dtype=complex), 1e-9)
 
     def test_half_diagonal_is_not(self):
         # 0.5^2 != 0.5, checked by direct evaluation
         m = np.diag([0.5, 0.5, 0.0])
         assert max_norm(m @ m - m) == pytest.approx(0.25)
-        assert not cx.is_projection(m, 1e-9)
+        with pytest.raises(ValueError, match="matrix is not a projection within tolerance"):
+            check_projections(m[None], 1e-9)
 
     def test_non_self_adjoint_rejected(self):
         m = np.array([[1.0, 1.0], [0.0, 0.0]])
-        assert not cx.is_projection(m)
+        assert max_norm(m @ m - m) == 0.0  # idempotent
+        with pytest.raises(ValueError, match="matrix is not a projection within tolerance"):
+            check_projections(m[None], TOL.exact)
+
+    def test_trace_off_an_integer_rejected(self):
+        # at tol 0.25 the 1 x 1 matrix 0.5 is idempotent (0.5 - 0.25 <= 0.25), but its
+        # trace misses both 0 and 1 by more than 0.25
+        with pytest.raises(ValueError, match="projection trace 0.5 is not near an integer"):
+            check_projections(np.array([[[0.5]]]), 0.25)
+
+    def test_first_failing_matrix_decides(self):
+        stack = np.array([np.eye(2), np.full((2, 2), np.nan), 2.0 * np.eye(2)])
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            check_projections(stack, TOL.exact)
+        with pytest.raises(ValueError, match="matrix is not a projection within tolerance"):
+            check_projections(stack[::-1], TOL.exact)
 
 
-class TestProjectionFromRay:
+def ingested(rays, contexts, dim):
+    """The registry and catalog that scenario ingest builds from a single-kind document."""
+    doc = {"kind": "single", "dim": dim, "rays": rays, "contexts": contexts}
+    sc = cx.parse_scenario(json.dumps(doc))
+    return _catalog(sc.rays["main"], sc.contexts["main"], dim)
+
+
+class TestRayIngest:
+    """Rays become rank-1 projections on scenario ingest: normalised, phase-free."""
+
     def test_coordinate_ray(self):
-        p = cx.projection_from_ray(np.array([1, 0, 0]))
-        assert np.allclose(p.matrix, np.diag([1.0, 0, 0]))
-        assert p.rank == 1
+        registry, (ctx,) = ingested([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]], 3)
+        p = registry.matrices(ctx.atoms[:1])[0]
+        assert np.array_equal(p, np.diag([1.0, 0, 0]))
+        assert rank_of(p) == 1
 
     def test_superposition_outer_product(self):
-        p = cx.projection_from_ray(np.array([1, 1]) / np.sqrt(2))
-        assert np.allclose(p.matrix, [[0.5, 0.5], [0.5, 0.5]])
+        registry, (ctx,) = ingested([[1, 1], [1, -1]], [[0, 1]], 2)
+        assert np.allclose(registry.matrices(ctx.atoms[:1])[0], [[0.5, 0.5], [0.5, 0.5]])
 
-    def test_phase_invariance(self):
-        v = np.array([0.3, 0.4j, np.sqrt(1 - 0.25)])
-        p1 = cx.projection_from_ray(v)
-        p2 = cx.projection_from_ray(np.exp(1.2j) * v)
-        assert max_norm(p1.matrix - p2.matrix) < 1e-12
+    def test_phase_equivalent_rays_give_one_key(self):
+        # (1, i), e^{0.4i} (1, i) and (1, -i); then (1, 0) and (0, 1)
+        phase = [[np.cos(0.4), np.sin(0.4)], [-np.sin(0.4), np.cos(0.4)]]
+        rays = [[1, [0, 1]], phase, [1, [0, -1]], [1, 0], [0, 1]]
+        registry, catalog = ingested(rays, [[0, 2], [1, 2], [3, 4]], 2)
+        assert catalog[0].atoms == catalog[1].atoms
+        assert not set(catalog[2].atoms) & set(catalog[0].atoms)
+        assert len(registry) == 4
 
     def test_zero_vector(self):
-        with pytest.raises(ValueError, match="degenerate ray"):
-            cx.projection_from_ray(np.zeros(3))
-
-    def test_ray_equivalence(self):
-        # rays that differ by a phase are one projection, so one registry key
-        v = np.array([1, 1j]) / np.sqrt(2)
-        r1, r2 = cx.ray(v), cx.ray(np.exp(0.4j) * v)
-        reg = ProjectionRegistry(2)
-        key = reg.register(cx.projection_from_ray(r1).matrix)
-        assert reg.register(cx.projection_from_ray(r2).matrix) == key
-        assert reg.register(cx.projection_from_ray(cx.ray(np.array([1, 0]))).matrix) != key
-        assert len(reg.keys()) == 2
-
-class TestMeetJoin:
-    def test_meet_idempotent(self):
-        p = cx.projection_from_ray(np.array([1, 2, 2]) / 3)
-        assert max_norm(cx.meet(p, p).matrix - p.matrix) < 1e-9
-
-    def test_meet_orthogonal_rank1(self):
-        p = diag_proj(1, 0, 0)
-        q = diag_proj(0, 1, 0)
-        m = cx.meet(p, q)
-        assert m.rank == 0
-        assert max_norm(m.matrix) < 1e-9
-
-    def test_meet_coplanar_and_nondistributivity(self):
-        # fixed catalog triple of coplanar rank-1 projections
-        p = cx.projection_from_ray(np.array([1, 0, 0]))
-        q = cx.projection_from_ray(np.array([0, 1, 0]))
-        r = cx.projection_from_ray(np.array([1, 1, 0]) / np.sqrt(2))
-        assert cx.meet(p, q).rank == 0
-        assert cx.meet(p, r).rank == 0
-        lhs = cx.meet(p, cx.join(q, r))  # p ^ (q v r) = p, since q v r is the plane
-        rhs = cx.join(cx.meet(p, q), cx.meet(p, r))  # 0 v 0 = 0
-        assert lhs.rank == 1
-        assert rhs.rank == 0
-        assert max_norm(lhs.matrix - rhs.matrix) > 0.5
-
-    def test_join_with_zero(self):
-        p = cx.projection_from_ray(np.array([1, 1, 1]) / np.sqrt(3))
-        j = cx.join(p, zero_projection(3))
-        assert max_norm(j.matrix - p.matrix) < 1e-9
-
-    def test_join_orthogonal_sum(self):
-        j = cx.join(diag_proj(1, 0, 0), diag_proj(0, 1, 0))
-        assert np.allclose(j.matrix, np.diag([1.0, 1.0, 0.0]), atol=1e-9)
-
-    def test_de_morgan_random_pairs(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            dim = int(rng.integers(2, 5))
-            u, v = random_unitary(rng, dim), random_unitary(rng, dim)
-            kp, kq = int(rng.integers(1, dim)), int(rng.integers(1, dim))
-            p = cx.projection(u[:, :kp] @ u[:, :kp].conj().T)
-            q = cx.projection(v[:, :kq] @ v[:, :kq].conj().T)
-            lhs = cx.join(p, q).matrix
-            rhs = np.eye(dim) - cx.meet(p.complement(), q.complement()).matrix
-            assert max_norm(lhs - rhs) < 1e-8
-
-    def test_orthomodularity_sampled(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            dim = int(rng.integers(3, 6))
-            u = random_unitary(rng, dim)
-            q = cx.projection(u[:, :2] @ u[:, :2].conj().T)
-            p = cx.projection(np.outer(u[:, 0], u[:, 0].conj()))
-            assert max_norm(q.matrix @ p.matrix - p.matrix) <= TOL.exact  # p <= q
-            rebuilt = cx.join(p, cx.meet(q, p.complement()))
-            assert max_norm(rebuilt.matrix - q.matrix) < 1e-8
+        with pytest.raises(ScenarioError, match=r"\$\.rays\[1\]: degenerate ray"):
+            ingested([[1, 0, 0], [0, 0, 0]], [[0]], 3)
 
 
-class TestSpectralAtoms:
-    def test_degenerate_diagonal(self):
-        atoms = cx.spectral_atoms(np.diag([2.0, 2.0, 5.0]))
-        assert [(round(v), p.rank) for v, p in atoms] == [(2, 2), (5, 1)]
-        assert np.allclose(atoms[0][1].matrix, np.diag([1.0, 1.0, 0.0]))
-        assert np.allclose(atoms[1][1].matrix, np.diag([0.0, 0.0, 1.0]))
-
-    def test_identity(self):
-        atoms = cx.spectral_atoms(np.eye(4))
-        assert len(atoms) == 1
-        assert atoms[0][0] == pytest.approx(1.0)
-        assert atoms[0][1].rank == 4
-
-    def test_pauli_x_block(self):
-        # sigma_x (+) (1): hand eigendecomposition gives -1 once, +1 twice
-        m = np.zeros((3, 3), dtype=complex)
-        m[:2, :2] = PAULI_X
-        m[2, 2] = 1.0
-        atoms = cx.spectral_atoms(m)
-        assert [(round(v), p.rank) for v, p in atoms] == [(-1, 1), (1, 2)]
-        minus = np.array([1, -1, 0]) / np.sqrt(2)
-        assert max_norm(atoms[0][1].matrix - np.outer(minus, minus)) < 1e-9
-
-    def test_rejects_non_self_adjoint(self):
-        with pytest.raises(ValueError):
-            cx.spectral_atoms(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_partition_of_identity_random(self):
-        # quantified invariant: resolution of identity on >= 100 random inputs
-        rng = np.random.default_rng(42)
-        trials = 0
-        for dim in (2, 3, 4, 5, 6):
-            for _ in range(25):
-                a = random_hermitian(rng, dim)
-                atoms = cx.spectral_atoms(a)
-                total = sum(p.matrix for _, p in atoms)
-                assert max_norm(total - np.eye(dim)) < 1e-8
-                for i, (_, p) in enumerate(atoms):
-                    for j, (_, q) in enumerate(atoms):
-                        expected = p.matrix if i == j else 0.0
-                        assert max_norm(p.matrix @ q.matrix - expected) < 1e-8
-                recon = sum(v * p.matrix for v, p in atoms)
-                assert max_norm(recon - a) < 1e-8
-                trials += 1
-        assert trials >= 100
-
-
-class TestJordanAndCommutes:
-    def test_identity_neutral(self):
-        rng = np.random.default_rng(0)
-        a = random_hermitian(rng, 3)
-        assert max_norm(cx.jordan_product(a, np.eye(3)) - a) < 1e-12
-
-    def test_commuting_reduces_to_product(self):
-        a = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        b = np.diag([5.0, -1.0, 0.5]).astype(complex)
-        assert max_norm(cx.jordan_product(a, b) - a @ b) < 1e-12
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(2, 5))
-    def test_symmetry(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
-        assert max_norm(cx.jordan_product(a, b) - cx.jordan_product(b, a)) < 1e-10
-
-    def test_associator_witness(self):
-        # (z . x) . x = 0 while z . (x . x) = z: nonzero associator
-        assoc = cx.jordan_product(cx.jordan_product(PAULI_Z, PAULI_X), PAULI_X) - (
-            cx.jordan_product(PAULI_Z, cx.jordan_product(PAULI_X, PAULI_X))
-        )
-        assert max_norm(assoc) == pytest.approx(1.0)
-        # commuting witness pair: associator vanishes
-        a = np.diag([1.0, 2.0]).astype(complex)
-        b = np.diag([3.0, 4.0]).astype(complex)
-        assoc2 = cx.jordan_product(cx.jordan_product(a, b), a) - cx.jordan_product(
-            a, cx.jordan_product(b, a)
-        )
-        assert max_norm(assoc2) < 1e-12
-
+class TestCommutes:
     def test_commutes_diagonal(self):
         assert cx.commutes(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
 
@@ -243,8 +128,8 @@ class TestJordanAndCommutes:
     def test_spectral_calculus_commutes(self):
         rng = np.random.default_rng(9)
         a = random_hermitian(rng, 4)
-        atoms = cx.spectral_atoms(a)
-        f_of_a = sum((v**2 - 3 * v + 1) * p.matrix for v, p in atoms)
+        w, v = np.linalg.eigh(a)
+        f_of_a = (v * (w**2 - 3 * w + 1)) @ v.conj().T
         assert cx.commutes(a, f_of_a, 1e-8)
 
 
@@ -267,76 +152,76 @@ def registry_projections(draw):
     if draw(st.booleans()):
         off = (draw(st.integers(1, 499_999)) + 0.5) * TOL.grid
         theta = np.arcsin(2 * off) / 2
-        return cx.projection_from_ray(np.array([np.cos(theta), np.sin(theta)]))
+        return ray_projection(np.array([np.cos(theta), np.sin(theta)]))
     dim = draw(st.integers(2, 4))
     cols = random_unitary(np.random.default_rng(draw(st.integers(0, 2**31 - 1))), dim)
     cols = cols[:, : draw(st.integers(1, dim - 1))]
-    return cx.projection(cols @ cols.conj().T)
+    return cols @ cols.conj().T
 
 
 def boundary_ray():
     """A d2 ray whose off-diagonal entry 0.30000050000000006 sits on a 6-decimal
     rounding boundary, so 2e-13 of jitter downwards changes the canonical key."""
     theta = np.arcsin(2 * 0.3000005) / 2
-    return cx.projection_from_ray(np.array([np.cos(theta), np.sin(theta)]))
+    return ray_projection(np.array([np.cos(theta), np.sin(theta)]))
 
 
 class TestRegistry:
     def test_same_projection_same_key(self):
         reg = ProjectionRegistry(3)
-        p = cx.projection_from_ray(np.array([1, 1, 0]) / np.sqrt(2))
-        assert reg.register(p.matrix) == reg.register(p.matrix)
+        p = ray_projection(np.array([1, 1, 0]) / np.sqrt(2))
+        assert reg.register(p) == reg.register(p)
         assert len(reg) == 1
 
     def test_jitter_identified(self):
         p = boundary_ray()
         reg = ProjectionRegistry(2)
-        key = reg.register(p.matrix)
-        assert canonical_key(p.matrix - 2e-13 * PAULI_X) != key
+        key = reg.register(p)
+        assert canonical_key(p - 2e-13 * PAULI_X) != key
         for eps in (2e-13, -2e-13):
-            assert reg.register(p.matrix + eps * PAULI_X) == key
+            assert reg.register(p + eps * PAULI_X) == key
         assert len(reg) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.integers(0, 2**31 - 1), st.floats(0.0, 1.0))
     def test_perturbation_within_tenth_of_tol_identified(self, data, seed, scale):
         p = data.draw(registry_projections())
-        e = random_hermitian(np.random.default_rng(seed), p.dim)
+        e = random_hermitian(np.random.default_rng(seed), len(p))
         e *= scale * TOL.identity / 10 / max_norm(e)
-        reg = ProjectionRegistry(p.dim)
-        key = reg.register(p.matrix)
+        reg = ProjectionRegistry(len(p))
+        key = reg.register(p)
         for sign in (1, -1):
-            assert reg.register(p.matrix + sign * e) == key
+            assert reg.register(p + sign * e) == key
         assert len(reg) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.integers(0, 2**31 - 1), st.floats(0.01, 0.99))
     def test_distinct_closer_than_grid_rejected(self, data, seed, frac):
         p = data.draw(registry_projections())
-        h = random_hermitian(np.random.default_rng(seed), p.dim)
-        spread = max_norm(h @ p.matrix - p.matrix @ h)
+        h = random_hermitian(np.random.default_rng(seed), len(p))
+        spread = max_norm(h @ p - p @ h)
         assume(spread > 1e-3)
         # conjugate by exp(ith) with t aimed log-uniformly inside (tol, grid)
         target = TOL.identity ** (1 - frac) * TOL.grid**frac
         u = expm(1j * (target / spread) * h)
-        q = cx.Projection(u @ p.matrix @ u.conj().T, p.rank)
-        assume(TOL.identity < max_norm(q.matrix - p.matrix) < TOL.grid)
-        reg = ProjectionRegistry(p.dim)
-        reg.register(p.matrix)
+        q = u @ p @ u.conj().T
+        assume(TOL.identity < max_norm(q - p) < TOL.grid)
+        reg = ProjectionRegistry(len(p))
+        reg.register(p)
         with pytest.raises(CanonicalizationError):
-            find_one(reg, q.matrix)
+            find_one(reg, q)
         with pytest.raises(CanonicalizationError):
-            reg.register(q.matrix)
+            reg.register(q)
         assert len(reg) == 1
 
     def test_find_does_not_insert(self):
         reg = ProjectionRegistry(2)
-        p = cx.projection_from_ray(np.array([0.6, 0.8]))
-        assert find_one(reg, p.matrix) is None
+        p = ray_projection(np.array([0.6, 0.8]))
+        assert find_one(reg, p) is None
         assert len(reg) == 0
-        key = reg.register(p.matrix)
-        assert find_one(reg, p.matrix) == key
-        assert find_one(reg, cx.projection_from_ray(np.array([1.0, 0.0])).matrix) is None
+        key = reg.register(p)
+        assert find_one(reg, p) == key
+        assert find_one(reg, ray_projection(np.array([1.0, 0.0]))) is None
         assert len(reg) == 1
 
     def test_below_grid_rejected(self):
@@ -344,32 +229,32 @@ class TestRegistry:
         v = np.array([1.0, 0.0, 0.0])
         eps = 1e-7
         w = np.array([1.0, eps, 0.0])
-        reg.register(cx.projection_from_ray(v).matrix)
+        reg.register(ray_projection(v))
         with pytest.raises(CanonicalizationError):
-            reg.register(cx.projection_from_ray(w).matrix)
+            reg.register(ray_projection(w))
 
     def test_rejection_names_the_registered_key(self):
         # distance 1e-7 from e1, between tol and the grid: the same canonical key
         # (collision) or, across a rounding boundary, a different one (scan)
         reg = ProjectionRegistry(3)
-        key = reg.register(cx.projection_from_ray(np.array([1.0, 0.0, 0.0])).matrix)
+        key = reg.register(ray_projection(np.array([1.0, 0.0, 0.0])))
         with pytest.raises(CanonicalizationError) as exc:
-            reg.register(cx.projection_from_ray(np.array([1.0, 1e-7, 0.0])).matrix)
+            reg.register(ray_projection(np.array([1.0, 1e-7, 0.0])))
         assert exc.value.key == key
         p = boundary_ray()
         reg = ProjectionRegistry(2)
-        key = reg.register(p.matrix)
-        q = cx.Projection(p.matrix - 1e-7 * PAULI_X, 1)
-        assert canonical_key(q.matrix) != key
+        key = reg.register(p)
+        q = p - 1e-7 * PAULI_X
+        assert canonical_key(q) != key
         with pytest.raises(CanonicalizationError, match=key) as exc:
-            reg.register(q.matrix)
+            reg.register(q)
         assert exc.value.key == key
         assert list(reg.keys()) == [key]
 
     def test_distinct_rays_coexist(self):
         reg = ProjectionRegistry(2)
-        k1 = reg.register(cx.projection_from_ray(np.array([1.0, 0.0])).matrix)
-        k2 = reg.register(cx.projection_from_ray(np.array([1.0, 1.0])).matrix)
+        k1 = reg.register(ray_projection(np.array([1.0, 0.0])))
+        k2 = reg.register(ray_projection(np.array([1.0, 1.0])))
         assert k1 != k2
         assert len(reg) == 2
 
@@ -382,7 +267,7 @@ class TestRegistry:
     def test_unknown_key(self):
         reg = ProjectionRegistry(2)
         with pytest.raises(KeyError):
-            reg.get("p0000")
+            reg.matrices(["p0000"])
 
     def test_dim_mismatch(self):
         reg = ProjectionRegistry(2)
@@ -392,24 +277,22 @@ class TestRegistry:
     def test_never_aliases_the_callers_batch(self):
         # an empty registry takes a batch of new rows whole; writing into the caller's
         # array afterwards changes nothing registered
-        a = batch_of([diag_proj(1, 0, 0), diag_proj(0, 1, 1), cx.projection_from_ray([1, 1, 0])])
+        a = batch_of([diag_proj(1, 0, 0), diag_proj(0, 1, 1), ray_projection([1, 1, 0])])
         want = a.copy()
         reg = ProjectionRegistry(3)
         keys = reg.register_many(a)
         a[:] = 7.0
         assert reg.matrices(keys).tobytes() == want.tobytes()
-        for key, m in zip(keys, want):
-            assert np.array_equal(reg.get(key).matrix, m)
         assert reg.find_many(want) == keys
 
-    def test_get_is_a_read_only_row_with_its_trace_rank(self):
+    def test_matrices_gather_rows_as_a_new_array(self):
         reg = ProjectionRegistry(3)
         keys = reg.register_many(batch_of([diag_proj(1, 0, 0), diag_proj(0, 1, 1)]))
-        assert [reg.get(k).rank for k in keys] == [1, 2]
-        p = reg.get(keys[1])
-        assert not p.matrix.flags.writeable
-        assert reg.register(np.diag([0.0, 0.0, 1.0])) not in keys  # the stack grows past p's row
-        assert np.array_equal(p.matrix, np.diag([0.0, 1.0, 1.0]))
+        got = reg.matrices(keys[::-1])
+        assert [rank_of(p) for p in got] == [2, 1]
+        got[:] = 7.0  # a new array: writing into it changes nothing registered
+        assert reg.register(np.diag([0.0, 0.0, 1.0])) not in keys  # the stack grows past its rows
+        assert np.array_equal(reg.matrices(keys[1:]), np.diag([0.0, 1.0, 1.0])[None])
         assert reg.matrices([]).shape == (0, 3, 3)
         with pytest.raises(KeyError, match="unknown projection key 'p0000'"):
             reg.matrices([keys[0], "p0000"])
@@ -425,7 +308,7 @@ def register_outcomes(reg, seq):
     out = []
     for q in seq:
         try:
-            out.append(reg.register(q.matrix))
+            out.append(reg.register(q))
         except CanonicalizationError as exc:
             out.append(("raised", exc.key))
     return out, list(reg.keys())
@@ -438,21 +321,21 @@ def path_sequence(data, seed, steps):
     """
     p = data.draw(registry_projections())
     rng = np.random.default_rng(seed)
-    h = random_hermitian(rng, p.dim)
-    spread = max_norm(h @ p.matrix - p.matrix @ h)
+    h = random_hermitian(rng, len(p))
+    spread = max_norm(h @ p - p @ h)
     assume(spread > 1e-3)
-    jitter = np.zeros((p.dim, p.dim), dtype=complex)
+    jitter = np.zeros((len(p), len(p)), dtype=complex)
     jitter[0, 1] = jitter[1, 0] = 1.0
     seq = []
     for step in steps[: data.draw(st.integers(2, len(steps)))]:
         if step == "fresh":
-            cols = random_unitary(rng, p.dim)[:, :1]
-            seq.append(cx.projection(cols @ cols.conj().T))
+            cols = random_unitary(rng, len(p))[:, :1]
+            seq.append(cols @ cols.conj().T)
         elif abs(step) < 1e-12:
-            seq.append(cx.Projection(p.matrix + step * jitter, p.rank))
+            seq.append(p + step * jitter)
         else:
             u = expm(1j * (step / spread) * h)
-            seq.append(cx.Projection(u @ p.matrix @ u.conj().T, p.rank))
+            seq.append(u @ p @ u.conj().T)
     return seq
 
 
@@ -485,7 +368,7 @@ class TestRegistryBatchDifferential:
         batch = seq[head:]
 
         def registry(cls):
-            reg = cls(seq[0].dim, tol)
+            reg = cls(len(seq[0]), tol)
             register_outcomes(reg, seq[:head])
             return reg
 
@@ -494,7 +377,7 @@ class TestRegistryBatchDifferential:
             got, message, index = outcome(lambda: getattr(reg, many)(batch_of(batch)))
             keys = list(reg.keys())
             ref = registry(ProjectionRegistry)  # batches of one
-            ones = outcome(lambda: [getattr(ref, many)(q.matrix[None])[0] for q in batch])
+            ones = outcome(lambda: [getattr(ref, many)(q[None])[0] for q in batch])
             assert ones[:2] == (got, message)
             assert list(ref.keys()) == keys
             loop = registry(LoopScanRegistry)  # the loop scan words its errors its own way
@@ -510,8 +393,8 @@ class TestRegistryBatchDifferential:
         # identified with p. The later r shares q's key, so its own distance to p
         # (within tol, or closer than the grid) decides, also in one batch
         p = boundary_ray()
-        q, r = (cx.Projection(p.matrix + eps * PAULI_X, 1) for eps in (-2e-13, second))
-        assert canonical_key(q.matrix) == canonical_key(r.matrix) != canonical_key(p.matrix)
+        q, r = (p + eps * PAULI_X for eps in (-2e-13, second))
+        assert canonical_key(q) == canonical_key(r) != canonical_key(p)
         seq = [p, q, r, q]
         self.check(seq, 1 if registered else 0, tol)
 
@@ -519,18 +402,18 @@ class TestRegistryBatchDifferential:
     def test_identified_row_decides_no_later_row(self, head):
         # r lies 0.8e-5 from p and is identified with it at tol 1e-5; t lies 0.8e-5 from r
         # but 1.6e-5 from p, so no registered projection decides t and it gets its own key
-        p, r, t = (cx.projection_from_ray([np.cos(a), np.sin(a)]) for a in (0.0, 0.8e-5, 1.6e-5))
+        p, r, t = (ray_projection([np.cos(a), np.sin(a)]) for a in (0.0, 0.8e-5, 1.6e-5))
         self.check([p, r, t], head, 1e-5)
         keys = ProjectionRegistry(2, 1e-5).register_many(batch_of([p, r, t]))
-        assert keys == [canonical_key(p.matrix), canonical_key(p.matrix), canonical_key(t.matrix)]
+        assert keys == [canonical_key(p), canonical_key(p), canonical_key(t)]
 
     @pytest.mark.parametrize("head", [0, 1])
     def test_one_key_beyond_the_grid_collides(self, head):
         # two phases of one ray 1.1e-6 apart: their entries round alike, yet they lie
         # beyond the grid, so the second collides with the first on its key
-        p, q = (cx.projection_from_ray([1.0, np.exp(1j * phi)]) for phi in (0.747088, 0.7470902))
-        assert canonical_key(p.matrix) == canonical_key(q.matrix)
-        assert 1.05e-6 < max_norm(p.matrix - q.matrix) < 1.15e-6
+        p, q = (ray_projection([1.0, np.exp(1j * phi)]) for phi in (0.747088, 0.7470902))
+        assert canonical_key(p) == canonical_key(q)
+        assert 1.05e-6 < max_norm(p - q) < 1.15e-6
         self.check([p, q], head, TOL.identity)
         with pytest.raises(CanonicalizationError, match="collide") as exc:
             ProjectionRegistry(2).register_many(batch_of([p, q]))
@@ -538,28 +421,28 @@ class TestRegistryBatchDifferential:
 
     def test_rejection_carries_its_batch_position(self):
         # the third projection is 1e-7 from the first: closer than the grid, not within tol
-        p = cx.projection_from_ray(np.array([1.0, 0.0, 0.0]))
-        q = cx.projection_from_ray(np.array([0.0, 1.0, 0.0]))
-        near_p = cx.projection_from_ray(np.array([1.0, 1e-7, 0.0]))
+        p = ray_projection(np.array([1.0, 0.0, 0.0]))
+        q = ray_projection(np.array([0.0, 1.0, 0.0]))
+        near_p = ray_projection(np.array([1.0, 1e-7, 0.0]))
         reg = ProjectionRegistry(3)
         with pytest.raises(CanonicalizationError) as exc:
             reg.register_many(batch_of([p, q, near_p, q]))
-        assert (exc.value.key, exc.value.index) == (canonical_key(p.matrix), 2)
+        assert (exc.value.key, exc.value.index) == (canonical_key(p), 2)
         assert len(reg) == 2  # the projections before the rejected one stay registered
         with pytest.raises(CanonicalizationError) as exc:
             reg.find_many(batch_of([q, q, near_p, p]))
         assert exc.value.index == 2
         with pytest.raises(CanonicalizationError) as exc:
-            reg.register(near_p.matrix)
+            reg.register(near_p)
         assert exc.value.index == 0
 
     def test_within_batch_identification(self):
         # the jittered copy has another canonical key; it is the batch's first entry
         p = boundary_ray()
-        q = cx.Projection(p.matrix - 2e-13 * PAULI_X, 1)
-        assert canonical_key(q.matrix) != canonical_key(p.matrix)
+        q = p - 2e-13 * PAULI_X
+        assert canonical_key(q) != canonical_key(p)
         reg = ProjectionRegistry(2)
-        assert reg.register_many(batch_of([p, q, p])) == [canonical_key(p.matrix)] * 3
+        assert reg.register_many(batch_of([p, q, p])) == [canonical_key(p)] * 3
         assert len(reg) == 1
 
 
@@ -643,7 +526,7 @@ class TestFindManyDifferential:
 
         def random_projection():
             cols = random_unitary(rng, dim)[:, : rng.integers(1, dim)]
-            return cx.projection(cols @ cols.conj().T)
+            return cols @ cols.conj().T
 
         registered = [random_projection() for _ in range(n_registered)]
         batch = []
@@ -655,7 +538,7 @@ class TestFindManyDifferential:
                 batch.append(random_projection())
             else:
                 h = random_hermitian(rng, dim)
-                batch.append(cx.Projection(base.matrix + kind * h / max_norm(h), base.rank))
+                batch.append(base + kind * h / max_norm(h))
         reg, loop = ProjectionRegistry(dim, tol), LoopScanRegistry(dim, tol)
         reg.register_many(batch_of(registered))
         loop.register_many(batch_of(registered))
@@ -667,7 +550,7 @@ class TestFindManyDifferential:
         elif "collision" in loop_message:  # the loop scan words its errors its own way
             assert message == "distinct projections collide on the canonical rounding grid"
         else:
-            key = canonical_key(batch[index].matrix)
+            key = canonical_key(batch[index])
             assert message == f"projections {key} and {got[1]} are closer than the rounding grid"
         keys = canonical_keys(batch_of(batch))
         assert outcome(lambda: reg.find_many(batch_of(batch), keys)) == (got, message, index)
@@ -717,7 +600,7 @@ class TestRegistryScanDifferential:
     )
     def test_same_key_or_same_rejection(self, data, seed, tol, steps):
         seq = path_sequence(data, seed, steps)
-        dim = seq[0].dim
+        dim = len(seq[0])
         got = register_outcomes(ProjectionRegistry(dim, tol), seq)
         assert got == register_outcomes(LoopScanRegistry(dim, tol), seq)
 
@@ -725,35 +608,16 @@ class TestRegistryScanDifferential:
         # d2 rays whose top-left entry sits 3e-8 either side of the rounding
         # boundary 0.3000005 (x, b) or just past the next one (p): three keys;
         # x is within tol 1e-7 of b and closer than the grid to p only
-        def ray_projection(top_left):
+        def top_left_ray(top_left):
             theta = np.arccos(2 * top_left - 1) / 2
-            return cx.projection_from_ray(np.array([np.cos(theta), np.sin(theta)]))
+            return ray_projection(np.array([np.cos(theta), np.sin(theta)]))
 
-        p, b, x = (ray_projection(0.3000005 + off) for off in (1.001e-6, -3e-8, 3e-8))
+        p, b, x = (top_left_ray(0.3000005 + off) for off in (1.001e-6, -3e-8, 3e-8))
         for registry in (ProjectionRegistry, LoopScanRegistry):
             keys, _ = register_outcomes(registry(2, 1e-7), [p, b, x])
             assert keys == [keys[0], keys[1], ("raised", keys[0])]
             keys, _ = register_outcomes(registry(2, 1e-7), [b, p, x])
             assert keys == [keys[0], keys[1], keys[0]]
-
-
-class TestLatticeLaws:
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(2, 5))
-    def test_absorption(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        u, v = random_unitary(rng, dim), random_unitary(rng, dim)
-        p = cx.projection(np.outer(u[:, 0], u[:, 0].conj()))
-        q = cx.projection(np.outer(v[:, 0], v[:, 0].conj()))
-        assert max_norm(cx.meet(p, cx.join(p, q)).matrix - p.matrix) < 1e-8
-        assert max_norm(cx.join(p, cx.meet(p, q)).matrix - p.matrix) < 1e-8
-
-    def test_jordan_bilinear(self):
-        rng = np.random.default_rng(29)
-        a, b, c = (random_hermitian(rng, 4) for _ in range(3))
-        lhs = cx.jordan_product(a + 2.5 * b, c)
-        rhs = cx.jordan_product(a, c) + 2.5 * cx.jordan_product(b, c)
-        assert max_norm(lhs - rhs) < 1e-10
 
 
 def package_modules(directory: Path = Path(cx.__file__).parent):
@@ -789,7 +653,34 @@ def unused_imports(tree):
     return bound - read
 
 
+def read_names(tree):
+    """Every name a module reads, as a name or as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def exported_names():
+    """The names that ``contextua/__init__.py`` re-exports from the package's modules."""
+    (tree,) = [tree for name, tree in package_modules() if name == "__init__.py"]
+    return {a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names}
+
+
 class TestImports:
+    def test_every_export_is_read(self):
+        # the package outside __init__, the scripts and the benchmark harness; perfbench's
+        # tracer wraps these by name
+        wrapped = {"jordan_check", "transition_probability_deviation", "deterministic_strategies"}
+        root = Path(__file__).parent.parent
+        read = set()
+        for directory in (Path(cx.__file__).parent, root / "scripts", root / "perfbench"):
+            for name, tree in package_modules(directory):
+                if name != "__init__.py":
+                    read |= read_names(tree)
+        assert sorted(exported_names() - read - wrapped) == []
+
     def test_every_import_is_used(self):
         # the package's modules, these tests and the scripts; __init__ imports to re-export,
         # and cli imports the single-op wigner functions that perfbench's tracer wraps on cli

@@ -224,6 +224,60 @@ class TestParseScenario:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize(
+        "command,base,at,token,path",
+        [
+            ("ks-check", "demo", ("rays", 1, 0), "NaN", "$.rays[1][0]"),
+            ("ks-check", "demo", ("rays", 0, 1), "[0, -Infinity]", "$.rays[0][1][1]"),
+            ("ks-check", "demo", ("rays", 2, 2), "1e999", "$.rays[2][2]"),
+            ("ks-check", "demo", ("rays", 2, 2), '"1e999"', "$.rays[2][2]"),
+            ("gleason-roundtrip", "demo-state", ("state", 0, 0), "1" + "0" * 400, "$.state[0][0]"),
+            ("gleason-roundtrip", "demo-state", ("state", 1, 1), f'"1{"0" * 400}/3"', "$.state[1][1]"),
+            ("gleason-reconstruct", "demo-section", ("section", 0, "weights", 1), "NaN",
+             "$.section[0].weights[1]"),
+            ("ks-check", "demo-section", ("section", 0, "weights", 2), "Infinity",
+             "$.section[0].weights[2]"),
+            ("bell-analyze", "chsh", ("rays", "left", 2, 0), "NaN", "$.rays.left[2][0]"),
+            ("bell-analyze", "chsh", ("state", 3, 0), f'"-sqrt(1{"0" * 400})"', "$.state[3][0]"),
+            ("bell-analyze", "chsh-tables", ("tables", 0, "probs", 0, 1), "1e999",
+             "$.tables[0].probs[0][1]"),
+        ],
+        ids=[
+            "ray-nan", "pair-inf", "ray-1e999", "ray-1e999-string", "state-int", "state-fraction",
+            "weight-nan", "weight-inf", "left-ray-nan", "bipartite-state-sqrt", "table-1e999",
+        ],
+    )
+    def test_non_finite_number_is_an_error(self, tmp_path, capsys, command, base, at, token, path):
+        # Python's json reads NaN, Infinity and 1e999 as floats; each is rejected at its path
+        doc = bundled_scenario("chsh-c2" if base.startswith("chsh") else "demo-c3")
+        if base == "demo-state":
+            doc["state"] = np.diag([1.0, 0.0, 0.0]).tolist()
+        elif base == "demo-section":
+            doc["section"] = [{"context": 0, "weights": [0.5, 0.25, 0.25]}]
+        elif base == "chsh-tables":
+            del doc["state"]
+            doc["tables"] = [{"left": 0, "right": 0, "probs": [[0.5, 0.0], [0.0, 0.5]]}]
+        target = doc
+        for key in at[:-1]:
+            target = target[key]
+        target[at[-1]] = "@"
+        scenario = tmp_path / "doc.json"
+        scenario.write_text(json.dumps(doc).replace('"@"', token), encoding="utf-8")
+        assert main([command, "--scenario", str(scenario)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: number is not finite in double precision\n"
+
+    def test_ray_whose_norm_overflows_is_an_error(self, tmp_path, capsys):
+        # each entry is finite, but the squared norm is not
+        doc = {"kind": "single", "dim": 2, "rays": [[1e200, 1e200], [1, -1]], "contexts": [[0, 1]]}
+        scenario = tmp_path / "doc.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["ks-check", "--scenario", str(scenario)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: $.rays[0]: ray norm is not finite in double precision\n"
+
     def test_merged_padding_complement_is_named(self):
         doc = {"kind": "single", "dim": 2, "rays": [[1, 0]], "contexts": [[0]]}
         sc = cx.parse_scenario(json.dumps(doc))

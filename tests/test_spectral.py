@@ -24,6 +24,7 @@ from conftest import (
     partition_closure_poset,
     peres24_subset_catalog,
     random_basis_context,
+    rank_of,
     restrict_character,
     shared_ray_catalog_poset,
     strict_chains3,
@@ -60,11 +61,11 @@ class TestRestrictCharacter:
         idx_p2 = next(
             i
             for i, k in enumerate(poset.atom_keys(maximal))
-            if poset.registry.get(k).matrix[1, 1].real > 0.5
+            if poset.registry.matrices([k])[0, 1, 1].real > 0.5
         )
         got = restrict_character(poset, Character(maximal, idx_p2), sub)
         chosen_key = poset.atom_keys(sub)[got.chosen_atom]
-        assert poset.registry.get(chosen_key).rank == 2
+        assert rank_of(poset.registry.matrices([chosen_key])[0]) == 2
 
     def test_restrict_to_trivial(self, shared_atom_setup):
         poset, maximal, _, _ = shared_atom_setup

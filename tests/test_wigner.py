@@ -13,24 +13,23 @@ from hypothesis import strategies as st
 import contextua as cx
 from contextua import cli, contexts
 from contextua.catalogs import bundled_text
-from contextua.opalg import TOL, CanonicalizationError, canonical_keys, max_norm
-from contextua.wigner import (
-    PosetMap,
-    _check_images,
-    transition_probability_deviation,
-)
+from contextua.opalg import TOL, CanonicalizationError, canonical_keys, check_projections, max_norm
+from contextua.wigner import PosetMap, _apply_each, transition_probability_deviation
 
 from conftest import (
+    apply_symmetry,
     compose,
     einsum_atom_lookup,
     jordan_lift,
     loop_conjugate_poset,
-    loop_image_check,
     loop_jordan_check,
+    loop_projection_check,
     loop_transition_deviation,
     pauli_subset_catalog,
     random_hermitian,
     random_unitary,
+    rank_of,
+    ray_projection,
     shared_ray_catalog_poset,
 )
 
@@ -63,19 +62,39 @@ def symmetries(draw, dim):
     return cx.symmetry(kind, np.eye(dim)[rng.permutation(dim)] * rng.choice([-1.0, 1.0], dim))
 
 
-# d2 matrices that fail exactly one check of a conjugated atom
-IMAGE_FAULTS = {
-    "non-finite": np.full((2, 2), np.nan),
-    "not-self-adjoint": np.array([[1.0, 1.0], [0.0, 0.0]]),  # idempotent, trace 1
-    "not-idempotent": 2.0 * np.diag([1.0, 0.0]),
-    # (1-z)^2 - (1-z) stays within tol, but the trace misses 2 by more than 2 tol
-    "trace": (1 - TOL.conjugation * (1 + 5e-8)) * np.eye(2),
+# each way to fail the projection check, and the error it raises
+EXPECTED_FAULT = {
+    "non-finite": "operator entries must be finite",
+    "not-self-adjoint": "matrix is not a projection within tolerance",
+    "not-idempotent": "matrix is not a projection within tolerance",
+    "trace": "is not near an integer",
 }
+FAULTS = tuple(EXPECTED_FAULT)
+
+
+def padded(m, dim=128):
+    """``m`` in the top left corner of a ``dim`` x ``dim`` zero matrix."""
+    out = np.zeros((dim, dim), dtype=complex)
+    out[: len(m), : len(m)] = m
+    return out
+
+
+def image_fault(fault, tol, dim=128):
+    """A d128 matrix that fails exactly the ``fault`` check of a projection at ``tol``."""
+    if fault == "non-finite":
+        return np.full((dim, dim), np.nan)
+    if fault == "not-self-adjoint":
+        return padded(np.array([[1.0, 1.0], [0.0, 0.0]]), dim)  # idempotent, trace 1
+    if fault == "not-idempotent":
+        return padded(2.0 * np.diag([1.0, 0.0]), dim)
+    # z^2 - z stays within tol, but the trace dim z misses 0 by more than dim tol, which
+    # at dim 128 exceeds TOL.eigen_gap at both tols tested
+    return tol * (1 + tol / 2) * np.eye(dim)
 
 
 def assert_same_conjugation(poset, s, conjugated=None):
     """``conjugated`` (by default ``conjugate_poset(poset, s)``) equals the loop reference:
-    nodes, order, every dominator map and every image atom's rank and matrix."""
+    nodes, order, every dominator map and every image atom's matrix."""
     image, pmap = conjugated or cx.conjugate_poset(poset, s)
     ref, ref_map = loop_conjugate_poset(poset, s)
     assert (image is poset) == (ref is poset)
@@ -84,10 +103,8 @@ def assert_same_conjugation(poset, s, conjugated=None):
     assert np.array_equal(image.order, ref.order)
     for i, j in zip(*np.nonzero(ref.order)):
         assert np.array_equal(image.dominator_map(i, j), ref.dominator_map(i, j))
-    for key in {k for node in ref.nodes for k in node.atoms}:
-        got, want = image.registry.get(key), ref.registry.get(key)
-        assert got.rank == want.rank
-        assert np.array_equal(got.matrix, want.matrix)
+    keys = list({k for node in ref.nodes for k in node.atoms})
+    assert np.array_equal(image.registry.matrices(keys), ref.registry.matrices(keys))
     return image
 
 
@@ -183,7 +200,7 @@ class TestSymmetryOp:
     def test_antiunitary_action_conjugates(self):
         s = cx.symmetry("antiunitary", np.eye(2))
         m = np.array([[0, 1j], [-1j, 0]])
-        assert max_norm(cx.apply_symmetry(s, m) - m.conj()) < 1e-12
+        assert max_norm(_apply_each([s], m[None])[0] - m.conj()) < 1e-12
 
 
 class TestConjugatePoset:
@@ -235,7 +252,7 @@ class TestConjugatePoset:
     def test_non_projection_image_rejected(self, basis_poset_c3):
         # bypasses symmetry()'s unitarity check: 2u maps an atom p to 4p
         s = cx.wigner.SymmetryOp("unitary", 2.0 * np.eye(3, dtype=complex))
-        with pytest.raises(ValueError, match="conjugated atom fails the projection check"):
+        with pytest.raises(ValueError, match="matrix is not a projection within tolerance"):
             cx.conjugate_poset(basis_poset_c3, s)
 
     def test_non_finite_image_rejected(self, basis_poset_c3):
@@ -264,21 +281,23 @@ class TestConjugationDifferential:
         images = [assert_same_conjugation(ks18_poset, weyl_clifford(4, a, b, k)) for a, b, k in maps]
         assert {image is ks18_poset for image in images} == {True, False}
 
+    @pytest.mark.parametrize("tol", [TOL.exact, TOL.conjugation])
     @pytest.mark.parametrize(
-        "faults",
-        [(f,) for f in IMAGE_FAULTS] + list(itertools.permutations(IMAGE_FAULTS, 2)),
+        "faults", [(f,) for f in FAULTS] + list(itertools.permutations(FAULTS, 2))
     )
-    def test_image_checks_match_projection(self, faults):
-        # each faulty image follows a good one; the first in stack order decides the error
-        good = [np.diag([1.0, 0.0]), 0.5 * np.ones((2, 2))]
-        stack = np.array([m for f in faults for m in (good[0], IMAGE_FAULTS[f])] + good, dtype=complex)
+    def test_image_checks_match_projection(self, faults, tol):
+        # each faulty matrix follows a good one; the first in stack order decides the error
+        good = [padded(np.diag([1.0, 0.0])), padded(0.5 * np.ones((2, 2)))]
+        faulty = [m for f in faults for m in (good[0], image_fault(f, tol))]
+        stack = np.array(faulty + good, dtype=complex)
         with pytest.raises(ValueError) as want:
-            for m in stack:
-                loop_image_check(m)
+            loop_projection_check(stack, tol)
         with pytest.raises(ValueError) as got:
-            _check_images(stack)
+            check_projections(stack, tol)
         assert str(got.value) == str(want.value)
-        _check_images(np.array(good, dtype=complex))
+        with pytest.raises(ValueError, match=EXPECTED_FAULT[faults[0]]):
+            check_projections(stack, tol)
+        check_projections(np.array(good, dtype=complex), tol)
 
 
 def near_identity(dim, t, seed):
@@ -459,14 +478,14 @@ class TestBatchedConjugation:
         e = np.eye(3)
         basis = cx.context_from_projections(registry, [np.outer(row, row) for row in e])
         u = random_unitary(np.random.default_rng(3), 3)
-        registry.register_many(np.array([cx.projection_from_ray(u[:, k]).matrix for k in range(3)]))
+        registry.register_many(np.array([ray_projection(u[:, k]) for k in range(3)]))
         poset = cx.generate_poset([basis], registry)
         cycle = cx.symmetry("unitary", np.roll(np.eye(3), 1, axis=0))
         turned = cx.symmetry("unitary", u)  # its image context is registered but no node
         nudged = cx.symmetry("antiunitary", near_identity(3, 1e-7, 5))  # within the grid
         swap = cx.symmetry("unitary", np.eye(3)[[1, 0, 2]])
         with pytest.raises(CanonicalizationError):
-            registry.find_many(cx.apply_symmetry(nudged, np.outer(e[0], e[0]))[None])
+            registry.find_many(apply_symmetry(nudged, np.outer(e[0], e[0]))[None])
         ops = [cycle, turned, nudged, swap]
         got = cx.conjugate_posets(poset, ops)
         assert [image is poset for image, _ in got] == [True, False, False, True]
@@ -501,10 +520,9 @@ def check_atom_table(poset):
     assert poset.keys == keys
     assert poset.stack.shape == (len(keys), poset.dim, poset.dim)
     assert not poset.stack.flags.writeable
-    for t, key in enumerate(keys):
-        p = poset.registry.get(key)
-        assert poset.stack[t].tobytes() == p.matrix.tobytes()
-        assert poset.ranks[t] == p.rank
+    for t, p in enumerate(poset.registry.matrices(keys)):
+        assert poset.stack[t].tobytes() == p.tobytes()
+        assert poset.ranks[t] == rank_of(p)
     assert [tuple(keys[t] for t in rows) for rows in poset.rows] == [n.atoms for n in poset.nodes]
     assert np.array_equal(poset.over, einsum_atom_lookup(poset))
 
@@ -562,13 +580,16 @@ class TestJordanCheck:
         assert rep.sign == -1
 
     def test_equal_inputs_square(self):
+        # the image of a . a = a^2 is the square of the image of a; a commutes with itself
         rng = np.random.default_rng(13)
         a = random_hermitian(rng, 3)
         for kind in ("unitary", "antiunitary"):
             s = cx.symmetry(kind, random_unitary(rng, 3))
-            lhs = cx.apply_symmetry(s, cx.jordan_product(a, a))
-            fa = cx.apply_symmetry(s, a)
-            assert max_norm(lhs - fa @ fa) < 1e-12
+            rep = cx.jordan_check(s, [(a, a)])
+            assert rep.max_jordan_residual < 1e-12
+            assert (rep.signs, rep.n_commuting_skipped) == ([None], 1)
+            fa = apply_symmetry(s, a)
+            assert max_norm(apply_symmetry(s, a @ a) - fa @ fa) < 1e-12
 
     def test_commuting_pairs_skipped(self):
         s = cx.symmetry("unitary", np.eye(2))
@@ -641,7 +662,7 @@ class TestStackedChecksDifferential:
     def test_transition_deviation_matches_loop(self, seed, dim, kind, n_rays):
         rng = np.random.default_rng(seed)
         s = cx.symmetry(kind, random_unitary(rng, dim))
-        rays = [cx.projection_from_ray(random_unitary(rng, dim)[:, 0]) for _ in range(n_rays)]
+        rays = [ray_projection(random_unitary(rng, dim)[:, 0]) for _ in range(n_rays)]
         got = transition_probability_deviation(s, rays)
         assert abs(got - loop_transition_deviation(s, rays)) <= 1e-12
 
@@ -688,7 +709,7 @@ class TestBatchedChecksDifferential:
     def test_transition_deviations_match_loop(self, seed, dim, kinds, n_rays):
         rng = np.random.default_rng(seed)
         ops = [cx.symmetry(kind, random_unitary(rng, dim)) for kind in kinds]
-        rays = [cx.projection_from_ray(random_unitary(rng, dim)[:, 0]) for _ in range(n_rays)]
+        rays = [ray_projection(random_unitary(rng, dim)[:, 0]) for _ in range(n_rays)]
         got = cx.transition_probability_deviations(ops, rays)
         assert len(got) == len(ops)
         for s, value in zip(ops, got):
@@ -770,7 +791,8 @@ class TestWignerCheckReport:
         cli.run("wigner-check", cx.parse_scenario(bundled_text("ks18-c4")))
         (rays,) = seen
         assert len(set(canonical_keys(rays))) == len(rays) == 8
-        assert all(cx.projection(p).rank == 1 for p in rays)
+        check_projections(rays, TOL.exact)
+        assert all(rank_of(p) == 1 for p in rays)
 
 
 class TestTrivialPresheafAutomorphism:
