@@ -449,13 +449,17 @@ def dominance_tables(stack: np.ndarray, ranks, images: np.ndarray) -> np.ndarray
     unitary and antiunitary conjugation do: the Gram screen of ``stack``
     (:data:`_DOMINANCE_SCREEN`), tr(qp) >= rank p - screen, then keeps every
     pair that can dominate in any image (a conjugation's rounding is far
-    inside the screen's margin), and runs once. The max-entry test
-    ``|qp - p| <= TOL.dominance`` runs on every image of each kept pair, as
-    one ``(images, pairs, d, d)`` product in blocks of pairs.
+    inside the screen's margin), and runs once. Kept pairs p under itself or
+    under the identity (rank d) hold in every image; the max-entry test
+    ``|qp - p| <= TOL.dominance`` runs on every image of each other kept pair,
+    as one ``(images, pairs, d, d)`` product in blocks of pairs.
     """
     floor = np.asarray(ranks, dtype=float) - _DOMINANCE_SCREEN
     q, p, _ = screened_pairs(stack, stack, lambda _, gram: gram >= floor)  # q above, p below
     under = np.zeros((len(images), len(stack), len(stack)), dtype=bool)
+    settled = (q == p) | (np.asarray(ranks)[q] == stack.shape[-1])
+    under[:, q[settled], p[settled]] = True
+    q, p = q[~settled], p[~settled]
     chunk = max(1, opalg.BLOCK // max(1, images[:, :1].size))  # pairs per block
     for c in range(0, len(q), chunk):
         above, below = images[:, q[c : c + chunk]], images[:, p[c : c + chunk]]

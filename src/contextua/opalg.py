@@ -26,7 +26,7 @@ class Tolerances:
     # closer than the grid 10**-key_decimals are rejected, never merged
     key_decimals: int = 6
     # an exact identity of given operators holds (a = a*, p^2 = p, ab = ba, u*u = 1,
-    # tr = 1, <u, v> = 0, |v| > 0); also zero LP weights, and the Jordan and
+    # tr = 1, <u, v> = 0); also zero LP weights, and the Jordan and
     # transition residuals of wigner-check
     exact: float = 1e-9
     context: float = 1e-8  # atoms are orthogonal and sum to 1; observables commute

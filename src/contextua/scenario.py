@@ -122,33 +122,48 @@ def _parse_rays(raw, dim: int, path: str) -> list[np.ndarray]:
             norm = float(np.linalg.norm(vec))
             if not math.isfinite(norm):
                 raise ScenarioError(f"{path}[{i}]", "ray norm is not finite in double precision")
-            if norm <= TOL.exact:
-                raise ScenarioError(f"{path}[{i}]", "degenerate ray")
+            if norm <= TOL.exact:  # a ray on a small scale, its norm maybe underflowed
+                scale = np.abs(vec).max()
+                if scale == 0:
+                    raise ScenarioError(f"{path}[{i}]", "degenerate ray")
+                vec = (vec.view(float) / scale).view(complex)  # a subnormal complex divisor is nan
+                norm = float(np.linalg.norm(vec))
             out.append(vec / norm)
     return out
 
 
 def _parse_contexts(raw, n_rays: int, rays: list[np.ndarray], path: str) -> list[tuple[int, ...]]:
+    """The contexts' ray indices. The first failure in loop order is raised (per context: an
+    index, a repeat, a pair a < b of rays that are not orthogonal); the orthogonality of
+    the contexts before the first index or repeat failure is one batched product."""
     if not isinstance(raw, list) or not raw:
         raise ScenarioError(path, "contexts must be a nonempty list")
-    out = []
+    out, late = [], None
     for c, item in enumerate(raw):
-        if not isinstance(item, list) or not item:
-            raise ScenarioError(f"{path}[{c}]", "context must be a nonempty list of ray indices")
-        for k, idx in enumerate(item):
-            _parse_index(idx, n_rays, f"{path}[{c}][{k}]", "ray index")
-        if len(set(item)) != len(item):
-            raise ScenarioError(f"{path}[{c}]", "repeated ray index in context")
-        for a in range(len(item)):
-            for b in range(a + 1, len(item)):
-                overlap = abs(np.vdot(rays[item[a]], rays[item[b]]))
-                if overlap > TOL.exact:
-                    raise ScenarioError(
-                        f"{path}[{c}]",
-                        f"rays {item[a]} and {item[b]} are not orthogonal "
-                        f"(|<u,v>| = {overlap:.3e})",
-                    )
+        try:
+            if not isinstance(item, list) or not item:
+                raise ScenarioError(f"{path}[{c}]", "context must be a nonempty list of ray indices")
+            for k, idx in enumerate(item):
+                _parse_index(idx, n_rays, f"{path}[{c}][{k}]", "ray index")
+            if len(set(item)) != len(item):
+                raise ScenarioError(f"{path}[{c}]", "repeated ray index in context")
+        except ScenarioError as exc:
+            late = exc
+            break
         out.append(tuple(item))
+    if out:
+        # overlap[c, a, b] = |<u, v>| of context c's rays a and b, padded with a zero ray
+        width = max(len(ctx) for ctx in out)
+        vecs = np.array(rays + [np.zeros_like(rays[0])])
+        members = vecs[np.array([ctx + (n_rays,) * (width - len(ctx)) for ctx in out])]
+        overlap = np.abs(members.conj() @ members.transpose(0, 2, 1))
+        bad = (overlap > TOL.exact) & (np.arange(width)[:, None] < np.arange(width))
+        if bad.any():
+            c, a, b = np.argwhere(bad)[0]  # row-major: the first in loop order
+            pair = f"rays {out[c][a]} and {out[c][b]} are not orthogonal"
+            raise ScenarioError(f"{path}[{c}]", f"{pair} (|<u,v>| = {overlap[c, a, b]:.3e})")
+    if late is not None:
+        raise late
     return out
 
 

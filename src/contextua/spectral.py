@@ -5,6 +5,8 @@ restriction along an inclusion picks the unique dominating atom, read from
 the poset's dominator maps. Global sections are non-contextual 0/1 value
 assignments. :func:`find_global_section` searches for one and returns a
 :class:`ColoringCertificate`: the section found, or an exhausted search.
+Its state is three flat lists, copied per expansion, and its counters are
+those of the dict-and-set search it replaced, kept as a test reference.
 :func:`enumerate_global_sections` lists them all under the same constraint
 semantics, so the two can be played against each other as oracles.
 :func:`section_components` splits the maximal nodes into components whose
@@ -92,8 +94,7 @@ class EnumerationResult:
 def _domination_maps(poset: ContextPoset) -> dict[tuple[int, int], np.ndarray]:
     """The atom dominator lookup of every strict pair small < large with ``large`` maximal.
 
-    Choices live on maximal nodes, so these are the only maps the search and
-    the enumerator read.
+    Choices live on maximal nodes, so these are the only maps the enumerator reads.
     """
     return {
         (int(i), m): poset.dominator_map(int(i), m)
@@ -103,145 +104,134 @@ def _domination_maps(poset: ContextPoset) -> dict[tuple[int, int], np.ndarray]:
     }
 
 
-class _Conflict(Exception):
-    pass
+def _search_tables(poset: ContextPoset, maximal: list[int]) -> tuple:
+    """``(rows, occurrences, below, prune)``: node i's atoms as key rows ``rows[i]``; the
+    (node, atom) places of key row t, ``occurrences[t]``; for maximal m, the (i, lookup)
+    pairs of the nodes i <= m ascending, ``below[m]``, lookup[a] the atom of i under atom
+    a of m; for node i, the (m, masks) pairs of the maximal m > i, ``prune[i]``, masks[c]
+    the bitmask of m's atoms under atom c of i. Only these pairs' ``over`` entries are read.
+    """
+    rows = [r.tolist() for r in poset.rows]
+    occurrences: list[list[tuple[int, int]]] = [[] for _ in poset.keys]
+    for i, atoms in enumerate(rows):
+        for idx, t in enumerate(atoms):
+            occurrences[t].append((i, idx))
+    # every lookup in one gather from over, each maximal node's atoms padded with row 0
+    width = max(len(rows[m]) for m in maximal)
+    padded = np.array([rows[m] + [0] * (width - len(rows[m])) for m in maximal])
+    pair_m, pair_i = np.nonzero(poset.order[:, maximal].T)
+    lookups = poset.over[pair_i[:, None], padded[pair_m]].tolist()
+    below: list[list[tuple[int, list[int]]]] = [[] for _ in rows]
+    prune: list[list[tuple[int, list[int]]]] = [[] for _ in rows]
+    for t, i, lookup in zip(pair_m.tolist(), pair_i.tolist(), lookups):
+        m = maximal[t]
+        lookup = lookup[: len(rows[m])] if i != m else list(range(len(rows[m])))
+        below[m].append((i, lookup))
+        if i != m:
+            masks = [0] * len(rows[i])
+            for a, c in enumerate(lookup):
+                masks[c] |= 1 << a
+            prune[i].append((m, masks))
+    return rows, occurrences, below, prune
 
 
-class _SearchState:
-    """Forced characters, projection values and maximal-node domains."""
-
-    __slots__ = ("chars", "value", "domains")
-
-    def __init__(self, chars, value, domains):
-        self.chars = chars
-        self.value = value
-        self.domains = domains
-
-    def copy(self) -> "_SearchState":
-        return _SearchState(
-            dict(self.chars), dict(self.value), {k: set(v) for k, v in self.domains.items()}
-        )
-
-
-def _sharing_order(
-    poset: ContextPoset, node_ids: list[int], occurrences: Mapping[str, list[tuple[int, int]]]
-) -> list[int]:
+def _sharing_order(node_ids: list[int], rows: list, occurrences: list) -> list[int]:
     """Sort by descending degree in the projection-sharing graph, ties by id.
 
-    A node's neighbours are the other nodes in the ``occurrences`` of its atom keys.
+    A node's neighbours are the other nodes in the ``occurrences`` of its key ``rows``.
     """
-    degree = {
-        i: len({j for key in poset.atom_keys(i) for j, _ in occurrences[key]}) - 1
-        for i in node_ids
-    }
+    degree = {i: len({j for t in rows[i] for j, _ in occurrences[t]}) - 1 for i in node_ids}
     return sorted(node_ids, key=lambda i: (-degree[i], i))
+
+
+def _assign(tables: tuple, value: list, chars: list, domains: list, m: int, atom: int) -> bool:
+    """Choose ``atom`` at maximal node ``m`` and propagate; False on a conflict.
+
+    State: key row t's value ``value[t]`` and node i's atom ``chars[i]``, -1 while
+    unset; the bitmask of the atoms left to unassigned maximal node m, ``domains[m]``,
+    0 otherwise. A queued (node, atom) assigns an unassigned maximal node, and the
+    nodes below it the atoms under it, or else sets the node's character.
+    """
+    rows, occurrences, below, prune = tables
+    queue = [(m, atom)]
+    while queue:
+        node, atom = queue.pop()
+        domain = domains[node]
+        if domain:
+            if not domain >> atom & 1:
+                return False
+            domains[node] = 0
+            chosen = [(i, lookup[atom]) for i, lookup in below[node]]
+        else:
+            chosen = ((node, atom),)
+        for node, atom in chosen:
+            if chars[node] == atom:
+                continue
+            if chars[node] >= 0:
+                return False
+            chars[node] = atom
+            for idx, t in enumerate(rows[node]):  # the chosen atom's key is 1, its siblings' 0
+                bit = 1 if idx == atom else 0
+                if value[t] == bit:
+                    continue
+                if value[t] >= 0:
+                    return False
+                value[t] = bit
+                for j, k in occurrences[t]:
+                    domain = domains[j]
+                    if domain:
+                        domain = domain & (1 << k) if bit else domain & ~(1 << k)
+                        if not domain:
+                            return False
+                        domains[j] = domain
+                        if not domain & (domain - 1):
+                            queue.append((j, domain.bit_length() - 1))
+                    elif bit and chars[j] != k:
+                        if chars[j] >= 0:
+                            return False
+                        queue.append((j, k))
+            # prune unassigned maximal parents to choices restricting onto this atom
+            for p, masks in prune[node]:
+                domain = domains[p]
+                if domain and domain & masks[atom] != domain:
+                    domain &= masks[atom]
+                    if not domain:
+                        return False
+                    domains[p] = domain
+                    if not domain & (domain - 1):
+                        queue.append((p, domain.bit_length() - 1))
+    return True
 
 
 def find_global_section(poset: ContextPoset) -> ColoringCertificate:
     """Backtracking search for a global section of the spectral presheaf.
 
-    Choices are made at maximal nodes (they determine the whole section);
-    propagation maintains a 0/1 table over registered projections: the
-    chosen atom forces its context siblings to 0, a projection forced to 1
-    forces the character of every context it generates, and a maximal node
-    with all-but-one atom at 0 is assigned the remaining atom.
+    Choices are made at maximal nodes (they determine the whole section), in
+    sharing order, atoms ascending; propagation maintains a 0/1 table over
+    registered projections: the chosen atom forces its context siblings to 0,
+    a projection forced to 1 forces the character of every context it
+    generates, and a maximal node with all-but-one atom at 0 is assigned the
+    remaining atom.
     """
     if poset.dim < 2:
         raise ValueError("global-section search needs dimension >= 2")
-    dom = _domination_maps(poset)
     n = len(poset)
     maximal = poset.maximal_nodes()
-    below: dict[int, list[int]] = {m: [i for i in range(n) if poset.order[i, m]] for m in maximal}
-    occurrences: dict[str, list[tuple[int, int]]] = {}
-    for i in range(n):
-        for idx, key in enumerate(poset.atom_keys(i)):
-            occurrences.setdefault(key, []).append((i, idx))
-    order_vars = _sharing_order(poset, maximal, occurrences)
-    parents: dict[int, list[int]] = {
-        i: [m for m in maximal if poset.order[i, m]] for i in range(n)
-    }
+    tables = _search_tables(poset, maximal)
+    order_vars = _sharing_order(maximal, *tables[:2])
 
-    def set_value(state: _SearchState, key: str, bit: int, queue: list) -> None:
-        prev = state.value.get(key)
-        if prev is not None:
-            if prev != bit:
-                raise _Conflict
-            return
-        state.value[key] = bit
-        for node, idx in occurrences[key]:
-            if node in state.domains:  # unassigned maximal node
-                domain = state.domains[node]
-                if bit == 1:
-                    if idx not in domain:
-                        raise _Conflict
-                    domain.intersection_update({idx})
-                else:
-                    domain.discard(idx)
-                if not domain:
-                    raise _Conflict
-                if len(domain) == 1:
-                    queue.append((node, next(iter(domain))))
-            elif bit == 1 and node not in state.chars:
-                queue.append(("char", node, idx))
-            elif bit == 1 and state.chars.get(node) != idx:
-                raise _Conflict
-
-    def set_char(state: _SearchState, node: int, atom: int, queue: list) -> None:
-        prev = state.chars.get(node)
-        if prev is not None:
-            if prev != atom:
-                raise _Conflict
-            return
-        state.chars[node] = atom
-        for idx, key in enumerate(poset.atom_keys(node)):
-            set_value(state, key, 1 if idx == atom else 0, queue)
-        # prune unassigned maximal parents to choices restricting onto this atom
-        for m in parents[node]:
-            if m not in state.domains:
-                continue
-            allowed = {a for a in state.domains[m] if dom[(node, m)][a] == atom}
-            if not allowed:
-                raise _Conflict
-            if allowed != state.domains[m]:
-                state.domains[m] = allowed
-                if len(allowed) == 1:
-                    queue.append((m, next(iter(allowed))))
-
-    def assign(state: _SearchState, m: int, atom: int) -> None:
-        queue: list = [(m, atom)]
-        while queue:
-            item = queue.pop()
-            if item[0] == "char":
-                _, node, idx = item
-                set_char(state, node, idx, queue)
-                continue
-            node, a = item
-            if node not in state.domains:
-                if state.chars.get(node) != a:
-                    raise _Conflict
-                continue
-            if a not in state.domains[node]:
-                raise _Conflict
-            del state.domains[node]
-            for i in below[node]:
-                target = dom[(i, node)][a] if i != node else a
-                set_char(state, i, int(target), queue)
-
-    def branch(state: _SearchState):
+    def branch(state: tuple):
         """The first unassigned maximal node and its choices, or None when all are set."""
-        m = next((m for m in order_vars if m in state.domains), None)
-        return None if m is None else (state, m, iter(sorted(state.domains[m])))
+        m = next((m for m in order_vars if state[2][m]), None)
+        if m is not None:
+            return state, m, iter([a for a in range(len(poset.rows[m])) if state[2][m] >> a & 1])
 
-    # Depth-first over an explicit stack: a self-recursive closure would form a
-    # reference cycle that keeps the poset and its dominator maps alive until
-    # the cyclic collector runs.
-    initial = _SearchState(
-        {}, {}, {m: set(range(len(poset.nodes[m].atoms))) for m in maximal}
-    )
-    expanded = backtracks = 0
-    frame = branch(initial)
-    found = initial if frame is None else None
-    stack = [] if frame is None else [frame]
+    # depth-first over a stack of (state, node, atoms left) frames, from all atoms left
+    domains = [0] * n
+    for m in maximal:
+        domains[m] = (1 << len(poset.rows[m])) - 1
+    stack = [branch(([-1] * len(poset.keys), [-1] * n, domains))]
+    found, expanded, backtracks = None, 0, 0
     while stack:
         state, m, atoms = stack[-1]
         atom = next(atoms, None)
@@ -250,11 +240,9 @@ def find_global_section(poset: ContextPoset) -> ColoringCertificate:
             if stack:
                 backtracks += 1
             continue
-        child = state.copy()
+        child = (list(state[0]), list(state[1]), list(state[2]))
         expanded += 1
-        try:
-            assign(child, m, atom)
-        except _Conflict:
+        if not _assign(tables, *child, m, atom):
             backtracks += 1
             continue
         frame = branch(child)
@@ -263,14 +251,10 @@ def find_global_section(poset: ContextPoset) -> ColoringCertificate:
             break
         stack.append(frame)
     if found is None:
-        return ColoringCertificate(
-            "non_colorable", None, expanded, backtracks, exhausted=True
-        )
-    assignment = {i: Character(i, found.chars[i]) for i in range(n)}
+        return ColoringCertificate("non_colorable", None, expanded, backtracks, exhausted=True)
+    assignment = {i: Character(i, a) for i, a in enumerate(found[1])}
     section = SpectralSection(assignment, frozenset(range(n)))
-    return ColoringCertificate(
-        "colorable", section, expanded, backtracks, exhausted=False
-    )
+    return ColoringCertificate("colorable", section, expanded, backtracks, exhausted=False)
 
 
 def enumerate_global_sections(poset: ContextPoset, cap: int = 10**6) -> EnumerationResult:

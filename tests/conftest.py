@@ -11,13 +11,13 @@ import pytest
 from hypothesis import settings
 
 import contextua as cx
-from contextua import contexts
+from contextua import contexts, spectral
 from contextua.bell import SectionClassification
 from contextua.catalogs import bundled_text
 from contextua.contexts import poset_from_nodes
 from contextua.gleason import ProbSection, context_measure, hermitian_basis
 from contextua.opalg import TOL, CanonicalizationError, canonical_keys, max_norm
-from contextua.scenario import _catalog
+from contextua.scenario import ScenarioError, _catalog, _parse_index
 from contextua.spectral import Character, EnumerationResult, _domination_maps
 from contextua.wigner import JordanReport, PosetMap
 
@@ -503,6 +503,32 @@ def loop_transition_deviation(s, rays):
     return worst
 
 
+def loop_parse_contexts(raw, n_rays, rays, path):
+    """Reference context parsing: per context its indices, a repeat, then one ``np.vdot``
+    per pair of its rays, raising the first failure."""
+    if not isinstance(raw, list) or not raw:
+        raise ScenarioError(path, "contexts must be a nonempty list")
+    out = []
+    for c, item in enumerate(raw):
+        if not isinstance(item, list) or not item:
+            raise ScenarioError(f"{path}[{c}]", "context must be a nonempty list of ray indices")
+        for k, idx in enumerate(item):
+            _parse_index(idx, n_rays, f"{path}[{c}][{k}]", "ray index")
+        if len(set(item)) != len(item):
+            raise ScenarioError(f"{path}[{c}]", "repeated ray index in context")
+        for a in range(len(item)):
+            for b in range(a + 1, len(item)):
+                overlap = abs(np.vdot(rays[item[a]], rays[item[b]]))
+                if overlap > TOL.exact:
+                    raise ScenarioError(
+                        f"{path}[{c}]",
+                        f"rays {item[a]} and {item[b]} are not orthogonal "
+                        f"(|<u,v>| = {overlap:.3e})",
+                    )
+        out.append(tuple(item))
+    return out
+
+
 def shared_ray_catalog(registry, seed, n_bases):
     """Random rotations of one basis, all keeping its first ray, registered in ``registry``."""
     dim = registry.dim
@@ -716,6 +742,150 @@ def kron_row_classify(s):
     else:
         verdict = "non_quantum"
     return SectionClassification(verdict, w, floor, pt_floor, residual)
+
+
+class _Conflict(Exception):
+    pass
+
+
+class _SearchState:
+    """Forced characters, projection values by key, and maximal-node domains as sets."""
+
+    __slots__ = ("chars", "value", "domains")
+
+    def __init__(self, chars, value, domains):
+        self.chars = chars
+        self.value = value
+        self.domains = domains
+
+    def copy(self):
+        return _SearchState(
+            dict(self.chars), dict(self.value), {k: set(v) for k, v in self.domains.items()}
+        )
+
+
+def reference_global_section(poset):
+    """Reference search: ``find_global_section`` on dict-and-set state keyed by atom keys.
+
+    Same propagation rules and branching (first unassigned maximal node in
+    sharing order, atoms ascending), so its certificate, counters included,
+    must equal the library's. Its dominator maps come from ``spectral._domination_maps``,
+    looked up at call time, so a test can substitute another route.
+    """
+    dom = spectral._domination_maps(poset)
+    n = len(poset)
+    maximal = poset.maximal_nodes()
+    below = {m: [i for i in range(n) if poset.order[i, m]] for m in maximal}
+    occurrences = {}
+    for i in range(n):
+        for idx, key in enumerate(poset.atom_keys(i)):
+            occurrences.setdefault(key, []).append((i, idx))
+    degree = {
+        i: len({j for key in poset.atom_keys(i) for j, _ in occurrences[key]}) - 1
+        for i in maximal
+    }
+    order_vars = sorted(maximal, key=lambda i: (-degree[i], i))
+    parents = {i: [m for m in maximal if poset.order[i, m]] for i in range(n)}
+
+    def set_value(state, key, bit, queue):
+        prev = state.value.get(key)
+        if prev is not None:
+            if prev != bit:
+                raise _Conflict
+            return
+        state.value[key] = bit
+        for node, idx in occurrences[key]:
+            if node in state.domains:  # unassigned maximal node
+                domain = state.domains[node]
+                if bit == 1:
+                    if idx not in domain:
+                        raise _Conflict
+                    domain.intersection_update({idx})
+                else:
+                    domain.discard(idx)
+                if not domain:
+                    raise _Conflict
+                if len(domain) == 1:
+                    queue.append((node, next(iter(domain))))
+            elif bit == 1 and node not in state.chars:
+                queue.append(("char", node, idx))
+            elif bit == 1 and state.chars.get(node) != idx:
+                raise _Conflict
+
+    def set_char(state, node, atom, queue):
+        prev = state.chars.get(node)
+        if prev is not None:
+            if prev != atom:
+                raise _Conflict
+            return
+        state.chars[node] = atom
+        for idx, key in enumerate(poset.atom_keys(node)):
+            set_value(state, key, 1 if idx == atom else 0, queue)
+        for m in parents[node]:
+            if m not in state.domains:
+                continue
+            allowed = {a for a in state.domains[m] if dom[(node, m)][a] == atom}
+            if not allowed:
+                raise _Conflict
+            if allowed != state.domains[m]:
+                state.domains[m] = allowed
+                if len(allowed) == 1:
+                    queue.append((m, next(iter(allowed))))
+
+    def assign(state, m, atom):
+        queue = [(m, atom)]
+        while queue:
+            item = queue.pop()
+            if item[0] == "char":
+                _, node, idx = item
+                set_char(state, node, idx, queue)
+                continue
+            node, a = item
+            if node not in state.domains:
+                if state.chars.get(node) != a:
+                    raise _Conflict
+                continue
+            if a not in state.domains[node]:
+                raise _Conflict
+            del state.domains[node]
+            for i in below[node]:
+                target = dom[(i, node)][a] if i != node else a
+                set_char(state, i, int(target), queue)
+
+    def branch(state):
+        m = next((m for m in order_vars if m in state.domains), None)
+        return None if m is None else (state, m, iter(sorted(state.domains[m])))
+
+    initial = _SearchState({}, {}, {m: set(range(len(poset.nodes[m].atoms))) for m in maximal})
+    expanded = backtracks = 0
+    frame = branch(initial)
+    found = initial if frame is None else None
+    stack = [] if frame is None else [frame]
+    while stack:
+        state, m, atoms = stack[-1]
+        atom = next(atoms, None)
+        if atom is None:
+            stack.pop()
+            if stack:
+                backtracks += 1
+            continue
+        child = state.copy()
+        expanded += 1
+        try:
+            assign(child, m, atom)
+        except _Conflict:
+            backtracks += 1
+            continue
+        frame = branch(child)
+        if frame is None:
+            found = child
+            break
+        stack.append(frame)
+    if found is None:
+        return cx.ColoringCertificate("non_colorable", None, expanded, backtracks, exhausted=True)
+    assignment = {i: Character(i, found.chars[i]) for i in range(n)}
+    section = cx.SpectralSection(assignment, frozenset(range(n)))
+    return cx.ColoringCertificate("colorable", section, expanded, backtracks, exhausted=False)
 
 
 def full_table_sections(poset, cap=10**6, chunk=1 << 16):

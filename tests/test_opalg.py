@@ -115,6 +115,20 @@ class TestRayIngest:
         with pytest.raises(ScenarioError, match=r"\$\.rays\[1\]: degenerate ray"):
             ingested([[1, 0, 0], [0, 0, 0]], [[0]], 3)
 
+    @pytest.mark.parametrize(
+        "small, unit, rest",
+        [
+            ([1e-200, 1e-200, 0], [1, 1, 0], [[1, -1, 0], [0, 0, 1]]),  # its norm underflows
+            ([1e-12, 0, 0], [1, 0, 0], [[0, 1, 0], [0, 0, 1]]),
+            ([[0, 5e-324], 0, 0], [[0, 1], 0, 0], [[0, 1, 0], [0, 0, 1]]),
+        ],
+    )
+    def test_ray_on_a_small_scale_is_its_direction(self, small, unit, rest):
+        registry, (ctx,) = ingested([small, *rest], [[0, 1, 2]], 3)
+        want_registry, (want,) = ingested([unit, *rest], [[0, 1, 2]], 3)
+        assert ctx.atoms == want.atoms
+        assert np.array_equal(registry.matrices(ctx.atoms), want_registry.matrices(want.atoms))
+
 
 class TestCommutes:
     def test_commutes_diagonal(self):

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import contextua as cx
 from contextua.catalogs import bundled_names, bundled_scenario, bundled_text, write_bundled
 from contextua.cli import main, run
-from contextua.scenario import ScenarioError, parse_entry, parse_real
+from contextua.scenario import ScenarioError, _parse_contexts, _parse_rays, parse_entry, parse_real
 
-from conftest import SPLIT_BLOCK_CATALOGS, pauli_subset_rays
+from conftest import SPLIT_BLOCK_CATALOGS, loop_parse_contexts, pauli_subset_rays
 
 
 class TestEntryParsing:
@@ -67,6 +67,10 @@ class TestEntryParsing:
         assert parse_entry([re, im], "$") == complex(re, im)
 
 
+# d3 rays, some orthogonal to others and some not, two of them equal up to scale
+RAY_POOL = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 0], [2, 2, 0], [1, 2, [0, 3]]]
+
+
 class TestParseScenario:
     def test_minimal_single_basis(self):
         sc = cx.parse_scenario(bundled_text("demo-c3"))
@@ -95,6 +99,29 @@ class TestParseScenario:
         }
         with pytest.raises(ScenarioError, match="rays 0 and 1 are not orthogonal"):
             cx.parse_scenario(json.dumps(doc))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from(RAY_POOL), min_size=1, max_size=6),
+        st.lists(
+            st.one_of(
+                st.lists(st.one_of(st.integers(-1, 6), st.just(True)), max_size=4),
+                st.just("x"),
+            ),
+            max_size=5,
+        ),
+    )
+    def test_context_checks_match_pairwise_loop(self, rays, contexts):
+        # the first failure in loop order, with its message, or the same contexts
+        vecs = _parse_rays(rays, 3, "$.rays")
+
+        def outcome(parse):
+            try:
+                return parse(contexts, len(vecs), vecs, "$.contexts")
+            except ScenarioError as exc:
+                return str(exc)
+
+        assert outcome(_parse_contexts) == outcome(loop_parse_contexts)
 
     def test_near_duplicate_below_grid(self):
         doc = {
@@ -795,4 +822,5 @@ class TestStabilizerCatalogs:
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["verdict"] == "non_colorable"
         assert (report["poset"]["nodes"], report["poset"]["projections"]) == (514, 2467)
+        assert report["stats"] == {"nodes_expanded": 120, "backtracks": 120, "exhausted": True}
         assert usage.ru_maxrss < 500 * 1024  # kilobytes on Linux

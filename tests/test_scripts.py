@@ -51,3 +51,16 @@ def test_readme_example_runs(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.split() == ["colorable", "3"]
+
+
+def test_report_digest_keeps_exit_codes_stderr_and_exact_leaves():
+    digest = runpy.run_path(str(SCRIPTS / "report_digest.py"))
+    report = {"timings": {"total_s": 1}, "a": [0.5, 2, "x", True, None], "b": {"c": 3}}
+    assert list(digest["leaves"](report)) == [
+        ("$.a[1]", 2), ("$.a[2]", "x"), ("$.a[3]", True), ("$.b.c", 3)
+    ]
+    # bell-analyze on a single-system scenario is an error: exit 1, no report
+    argv, code, err, kept = json.loads(digest["record"]("bell-analyze", "demo-c3", 0))
+    assert (code, kept) == (1, [])
+    assert err.startswith("error: ")
+    assert re.fullmatch(r"[0-9a-f]{16}", digest["report_digest"]())

@@ -7,14 +7,14 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import contextua as cx
 from contextua import spectral
-from contextua.catalogs import bundled_text
+from contextua.catalogs import bundled_names, bundled_scenario, bundled_text
 from contextua.contexts import poset_from_nodes
-from contextua.opalg import ProjectionRegistry
+from contextua.opalg import TOL, ProjectionRegistry
 from contextua.spectral import Character, SpectralSection
 
 from conftest import (
@@ -22,9 +22,11 @@ from conftest import (
     full_table_sections,
     ks18_subset_poset,
     partition_closure_poset,
+    pauli_subset_catalog,
     peres24_subset_catalog,
     random_basis_context,
     rank_of,
+    reference_global_section,
     restrict_character,
     shared_ray_catalog_poset,
     strict_chains3,
@@ -390,7 +392,7 @@ class TestDominationMapsDifferential:
         sections = cx.enumerate_global_sections(poset).sections
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "_domination_maps", all_pairs_maps)
-            ref = cx.find_global_section(ref_poset)
+            ref = reference_global_section(ref_poset)
             ref_sections = cx.enumerate_global_sections(ref_poset).sections
         assert cert.to_report(poset) == ref.to_report(ref_poset)
         assert [s.assignment for s in sections] == [s.assignment for s in ref_sections]
@@ -435,9 +437,70 @@ def test_sharing_order_matches_pairwise_loop(name):
         poset = cx.generate_poset(peres24_subset_catalog(reg, range(24)), reg)
     else:
         poset = cx.build_single_poset(cx.parse_scenario(bundled_text(name)))
-    occurrences = {}
-    for i in range(len(poset)):
-        for idx, key in enumerate(poset.atom_keys(i)):
-            occurrences.setdefault(key, []).append((i, idx))
+    rows, occurrences, _, _ = spectral._search_tables(poset, poset.maximal_nodes())
     for ids in (poset.maximal_nodes(), list(range(len(poset)))):
-        assert spectral._sharing_order(poset, ids, occurrences) == loop_sharing_order(poset, ids)
+        assert spectral._sharing_order(ids, rows, occurrences) == loop_sharing_order(poset, ids)
+
+
+def jittered_pauli_poset(bases, jitter, tol, seed):
+    """Jittered pauli-c4 bases at registry ``tol``, or None where the build rejects them."""
+    reg = ProjectionRegistry(4, tol)
+    try:
+        return cx.generate_poset(pauli_subset_catalog(reg, bases, jitter, seed), reg)
+    except (RuntimeError, ValueError):
+        return None
+
+
+def peres24_poset(tetrads, seed=None):
+    reg = ProjectionRegistry(4)
+    return cx.generate_poset(peres24_subset_catalog(reg, tetrads, seed), reg)
+
+
+search_sources = st.one_of(
+    catalog_sources.map(source_poset),
+    st.builds(
+        jittered_pauli_poset,
+        st.lists(st.integers(0, 14), min_size=2, max_size=6, unique=True),
+        st.sampled_from([1e-10, 3e-8, 3e-7, 2e-6]),
+        st.sampled_from([TOL.identity, 1e-5]),
+        st.integers(0, 2**31 - 1),
+    ),
+    st.builds(
+        peres24_poset,
+        st.lists(st.integers(0, 23), min_size=2, max_size=12, unique=True),
+        st.one_of(st.none(), st.integers(0, 2**31 - 1)),
+    ),
+)
+
+
+class TestSearchDifferential:
+    """The flat-state search against conftest's dict-and-set reference: the same verdict,
+    counters and section."""
+
+    @staticmethod
+    def check(poset):
+        got, want = cx.find_global_section(poset), reference_global_section(poset)
+        assert (got.verdict, got.nodes_expanded, got.backtracks, got.exhausted) == (
+            want.verdict, want.nodes_expanded, want.backtracks, want.exhausted
+        )
+        assert (got.section is None) == (want.section is None)
+        if got.section is not None:
+            assert got.section.assignment == want.section.assignment
+            assert got.section.value_table(poset) == want.section.value_table(poset)
+            assert verify_section(poset, got.section)
+
+    @settings(max_examples=40, deadline=None)
+    @given(search_sources)
+    def test_generated_posets(self, poset):
+        assume(poset is not None)
+        self.check(poset)
+
+    @pytest.mark.parametrize(
+        "name", [n for n in bundled_names() if bundled_scenario(n)["kind"] == "single"]
+    )
+    def test_bundled_scenarios(self, name):
+        self.check(cx.build_single_poset(cx.parse_scenario(bundled_text(name))))
+
+    @pytest.mark.parametrize("seed", [None, 7, 2026])
+    def test_full_peres24(self, seed):
+        self.check(peres24_poset(range(24), seed))
