@@ -3,12 +3,13 @@
 
 Runs each command in-process through ``contextua.cli.main``, on every
 bundled scenario at seeds 0, 3 and 7, with JSON output and the default
-``--tol``. For each run it keeps the exit code, the stderr text and the
-report's integer, boolean and string leaves, each with its path. Floats and
-the ``timings`` block are dropped, as perfbench's digest drops floats, so the
-digest does not move with rounding or run time. It prints the sha256 of these
-records, cut to 16 hex digits. A change that leaves reports as they are
-keeps the digest.
+``--tol``, and ``ks-enumerate`` at ``--cap`` 1, 2 and 5 on every bundled
+scenario, so the truncated enumeration is pinned too. For each run it keeps
+the exit code, the stderr text and the report's integer, boolean and string
+leaves, each with its path. Floats and the ``timings`` block are dropped, as
+perfbench's digest drops floats, so the digest does not move with rounding or
+run time. It prints the sha256 of these records, cut to 16 hex digits. A
+change that leaves reports as they are keeps the digest.
 
     PYTHONPATH=src python3 scripts/report_digest.py
 """
@@ -24,6 +25,7 @@ from contextua.catalogs import bundled_names
 from contextua.cli import COMMANDS, main
 
 SEEDS = (0, 3, 7)
+CAPS = (1, 2, 5)
 
 
 def leaves(value, path: str = "$"):
@@ -39,10 +41,10 @@ def leaves(value, path: str = "$"):
         yield path, value
 
 
-def record(command: str, name: str, seed: int) -> str:
+def record(command: str, name: str, seed: int, *options: str) -> str:
     """One run's exit code, stderr and report leaves, as one JSON line."""
     out, err = io.StringIO(), io.StringIO()
-    argv = [command, "--scenario", f"builtin:{name}", "--seed", str(seed)]
+    argv = [command, "--scenario", f"builtin:{name}", "--seed", str(seed), *options]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     report = json.loads(out.getvalue()) if out.getvalue() else None
@@ -55,6 +57,10 @@ def report_digest() -> str:
         for command in COMMANDS
         for name in bundled_names()
         for seed in SEEDS
+    ] + [
+        record("ks-enumerate", name, 0, "--cap", str(cap))
+        for name in bundled_names()
+        for cap in CAPS
     ]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 

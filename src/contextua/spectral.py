@@ -2,21 +2,22 @@
 
 A character of a context picks one atom (the projection it maps to 1);
 restriction along an inclusion picks the unique dominating atom, read from
-the poset's dominator maps. Global sections are non-contextual 0/1 value
-assignments. :func:`find_global_section` searches for one and returns a
-:class:`ColoringCertificate`: the section found, or an exhausted search.
-Its state is three flat lists, copied per expansion, and its counters are
-those of the dict-and-set search it replaced, kept as a test reference.
-:func:`enumerate_global_sections` lists them all under the same constraint
-semantics, so the two can be played against each other as oracles.
-:func:`section_components` splits the maximal nodes into components whose
-sections combine freely.
+the poset's atom lookup. Global sections are non-contextual 0/1 value
+assignments: one value per projection, consistent along the context order.
+One depth-first propagation search, :func:`_sections`, decides and lists
+them. Its state is three flat lists, copied per expansion, and its counters
+are those of the dict-and-set search it replaced, kept as a test reference.
+:func:`find_global_section` takes its first section, branching in sharing
+order, and returns a :class:`ColoringCertificate`: the section found, or an
+exhausted search. :func:`enumerate_global_sections` runs it through every
+branch. :func:`section_components` splits the maximal nodes into components
+whose sections combine freely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -91,19 +92,6 @@ class EnumerationResult:
         return len(self.chosen)
 
 
-def _domination_maps(poset: ContextPoset) -> dict[tuple[int, int], np.ndarray]:
-    """The atom dominator lookup of every strict pair small < large with ``large`` maximal.
-
-    Choices live on maximal nodes, so these are the only maps the enumerator reads.
-    """
-    return {
-        (int(i), m): poset.dominator_map(int(i), m)
-        for m in poset.maximal_nodes()
-        for i in np.flatnonzero(poset.order[:, m])
-        if i != m
-    }
-
-
 def _search_tables(poset: ContextPoset, maximal: list[int]) -> tuple:
     """``(rows, occurrences, below, prune)``: node i's atoms as key rows ``rows[i]``; the
     (node, atom) places of key row t, ``occurrences[t]``; for maximal m, the (i, lookup)
@@ -151,15 +139,20 @@ def _assign(tables: tuple, value: list, chars: list, domains: list, m: int, atom
     unset; the bitmask of the atoms left to unassigned maximal node m, ``domains[m]``,
     0 otherwise. A queued (node, atom) assigns an unassigned maximal node, and the
     nodes below it the atoms under it, or else sets the node's character.
+
+    A conflict is an emptied domain or a key given both values; no other check can
+    fail. An unassigned maximal node is queued only with an atom of its domain: the
+    branch's atom, or the last atom of a one-atom domain, which later narrowing keeps
+    or empties, and an emptied domain returns at once. A node's character gives all of
+    its keys their values in one loop, so a second atom for that node, or a 1 on
+    another of its keys, first meets a 0 in the key-value check; and a key reaches its
+    holders only while it is unset, so none of them has a character yet.
     """
     rows, occurrences, below, prune = tables
     queue = [(m, atom)]
     while queue:
         node, atom = queue.pop()
-        domain = domains[node]
-        if domain:
-            if not domain >> atom & 1:
-                return False
+        if domains[node]:
             domains[node] = 0
             chosen = [(i, lookup[atom]) for i, lookup in below[node]]
         else:
@@ -167,8 +160,6 @@ def _assign(tables: tuple, value: list, chars: list, domains: list, m: int, atom
         for node, atom in chosen:
             if chars[node] == atom:
                 continue
-            if chars[node] >= 0:
-                return False
             chars[node] = atom
             for idx, t in enumerate(rows[node]):  # the chosen atom's key is 1, its siblings' 0
                 bit = 1 if idx == atom else 0
@@ -186,9 +177,7 @@ def _assign(tables: tuple, value: list, chars: list, domains: list, m: int, atom
                         domains[j] = domain
                         if not domain & (domain - 1):
                             queue.append((j, domain.bit_length() - 1))
-                    elif bit and chars[j] != k:
-                        if chars[j] >= 0:
-                            return False
+                    elif bit:
                         queue.append((j, k))
             # prune unassigned maximal parents to choices restricting onto this atom
             for p, masks in prune[node]:
@@ -203,22 +192,23 @@ def _assign(tables: tuple, value: list, chars: list, domains: list, m: int, atom
     return True
 
 
-def find_global_section(poset: ContextPoset) -> ColoringCertificate:
-    """Backtracking search for a global section of the spectral presheaf.
+def _sections(poset: ContextPoset, order) -> Iterator[tuple[list | None, int, int]]:
+    """Depth-first search over every branch: ``(chars, expanded, backtracks)`` at each
+    global section found, ``chars[i]`` the atom of node i, then ``(None, expanded,
+    backtracks)`` once every branch is tried.
 
-    Choices are made at maximal nodes (they determine the whole section), in
-    sharing order, atoms ascending; propagation maintains a 0/1 table over
-    registered projections: the chosen atom forces its context siblings to 0,
-    a projection forced to 1 forces the character of every context it
-    generates, and a maximal node with all-but-one atom at 0 is assigned the
-    remaining atom.
+    Choices are made at maximal nodes (they determine the whole section), the first
+    unassigned one in ``order(maximal, rows, occurrences)`` (:func:`_search_tables`)
+    each time, atoms ascending; so the sections come out in lexicographic order of
+    their choices in that order. Propagation keeps a 0/1 value per registered
+    projection: the chosen atom forces its context siblings to 0, a projection forced
+    to 1 forces the character of every context it generates, and a maximal node with
+    all-but-one atom at 0 is assigned the remaining atom.
     """
-    if poset.dim < 2:
-        raise ValueError("global-section search needs dimension >= 2")
     n = len(poset)
     maximal = poset.maximal_nodes()
     tables = _search_tables(poset, maximal)
-    order_vars = _sharing_order(maximal, *tables[:2])
+    order_vars = order(maximal, *tables[:2])
 
     def branch(state: tuple):
         """The first unassigned maximal node and its choices, or None when all are set."""
@@ -231,7 +221,7 @@ def find_global_section(poset: ContextPoset) -> ColoringCertificate:
     for m in maximal:
         domains[m] = (1 << len(poset.rows[m])) - 1
     stack = [branch(([-1] * len(poset.keys), [-1] * n, domains))]
-    found, expanded, backtracks = None, 0, 0
+    expanded, backtracks = 0, 0
     while stack:
         state, m, atoms = stack[-1]
         atom = next(atoms, None)
@@ -247,99 +237,60 @@ def find_global_section(poset: ContextPoset) -> ColoringCertificate:
             continue
         frame = branch(child)
         if frame is None:
-            found = child
-            break
-        stack.append(frame)
-    if found is None:
+            yield child[1], expanded, backtracks
+        else:
+            stack.append(frame)
+    yield None, expanded, backtracks
+
+
+def find_global_section(poset: ContextPoset) -> ColoringCertificate:
+    """The first global section of the spectral presheaf that :func:`_sections` finds,
+    branching in sharing order, or the exhausted search's certificate."""
+    chars, expanded, backtracks = next(_sections(poset, _sharing_order))
+    if chars is None:
         return ColoringCertificate("non_colorable", None, expanded, backtracks, exhausted=True)
-    assignment = {i: Character(i, a) for i, a in enumerate(found[1])}
-    section = SpectralSection(assignment, frozenset(range(n)))
+    assignment = {i: Character(i, a) for i, a in enumerate(chars)}
+    section = SpectralSection(assignment, frozenset(range(len(poset))))
     return ColoringCertificate("colorable", section, expanded, backtracks, exhausted=False)
 
 
 def enumerate_global_sections(poset: ContextPoset, cap: int = 10**6) -> EnumerationResult:
-    """Exhaustive enumeration of global sections, up to ``cap`` results.
+    """Every global section, up to ``cap`` results: the :func:`_sections` search run
+    until it has tried every branch, maximal nodes ascending.
 
-    Choices range over the maximal nodes only; a choice tuple survives iff
-    all maximal nodes above each lower node restrict onto the same character
-    there, and all maximal nodes that share an atom key give it one value
-    (the poset stores no meet that says only this). The table of surviving
-    tuples grows one maximal node at a time, and each check runs as soon as
-    its last maximal node is placed. This is the independent oracle behind
-    :func:`find_global_section`.
+    Past ``cap`` it keeps the first ``cap`` in lexicographic order of the maximal
+    nodes' choices; the rows it returns are sorted by every node's atom.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    dom = _domination_maps(poset)
-    n = len(poset)
-    maximal = sorted(poset.maximal_nodes())
-    pos = {m: t for t, m in enumerate(maximal)}
-    ups_of = {
-        i: [m for m in maximal if i != m and poset.order[i, m]] for i in range(n) if i not in pos
-    }
-    checks: list[list[tuple[int, list[int]]]] = [[] for _ in maximal]
-    for i, ups in ups_of.items():
-        # a one-atom node restricts every choice onto its only atom
-        if len(ups) >= 2 and len(poset.nodes[i].atoms) > 1:
-            checks[pos[ups[-1]]].append((i, ups))
-    holders: dict[str, list[tuple[int, int]]] = {}  # (maximal position, atom) per key
-    for t, m in enumerate(maximal):
-        for idx, key in enumerate(poset.atom_keys(m)):
-            holders.setdefault(key, []).append((t, idx))
-    shared: list[list[list[tuple[int, int]]]] = [[] for _ in maximal]
-    for held in holders.values():
-        if len(held) >= 2:
-            shared[held[-1][0]].append(held)
-
-    # one row per surviving choice tuple, in lexicographic order; atom indices
-    # fit int16, and the cell bound keeps the table under 200 MB
-    combos = np.zeros((1, 0), dtype=np.int16)
-    for t, m in enumerate(maximal):
-        count = len(poset.nodes[m].atoms)
-        rows = len(combos) * count
-        if rows * (t + 1) > 10**8:
-            raise ValueError(f"choice table of {rows} rows too large to enumerate")
-        atoms = np.tile(np.arange(count, dtype=np.int16), len(combos))
-        combos = np.column_stack([np.repeat(combos, count, axis=0), atoms])
-        mask = np.ones(rows, dtype=bool)
-        for i, ups in checks[t]:
-            ref = dom[(i, ups[0])][combos[:, pos[ups[0]]]]
-            for u in ups[1:]:
-                mask &= dom[(i, u)][combos[:, pos[u]]] == ref
-        for (u, a), *rest in shared[t]:
-            ref = combos[:, u] == a
-            for u, a in rest:
-                mask &= (combos[:, u] == a) == ref
-        combos = combos[mask]
-    truncated = len(combos) > cap
-    combos = combos[:cap]
-
-    chosen = np.empty((len(combos), n), dtype=np.int64)
-    for m, t in pos.items():
-        chosen[:, m] = combos[:, t]
-    for i, ups in ups_of.items():
-        chosen[:, i] = dom[(i, ups[0])][combos[:, pos[ups[0]]]]
-    return EnumerationResult(chosen[np.lexsort(chosen.T[::-1])], truncated)
+    rows: list[list[int]] = []
+    for chars, _, _ in _sections(poset, lambda maximal, *tables: maximal):
+        if chars is None or len(rows) == cap:
+            break
+        rows.append(chars)
+    chosen = np.array(rows, dtype=np.int64).reshape(len(rows), len(poset))
+    return EnumerationResult(chosen[np.lexsort(chosen.T[::-1])], chars is not None)
 
 
 def section_components(poset: ContextPoset) -> np.ndarray:
     """Component label of each maximal node, in ``maximal_nodes`` order.
 
-    Two maximal nodes are linked when they lie above a common node with
-    more than one atom or share an atom key: these are the only pairs whose
-    choices :func:`enumerate_global_sections` checks against each other. So
-    the global sections are the free product of one section per component.
-    Labels count from 0 in order of each component's first maximal node.
+    Two maximal nodes are linked when they lie above nodes with more than one atom
+    that share an atom key, a node sharing its keys with itself. Restrictions and one
+    value per key tie only these choices together, so the global sections are the
+    free product of one section per component. Labels count from 0 in order of each
+    component's first maximal node.
     """
     maximal = poset.maximal_nodes()
-    multi = [i for i, node in enumerate(poset.nodes) if len(node.atoms) > 1]
-    link = poset.order[np.ix_(multi, maximal)]
-    member = np.zeros((len(maximal), len(poset.keys)), dtype=bool)  # member[a, t]: t is in a
-    for a, m in enumerate(maximal):
-        member[a, poset.rows[m]] = True
+    multi = [i for i, row in enumerate(poset.rows) if len(row) > 1]
+    member = np.zeros((len(multi), len(poset.keys)), dtype=bool)  # member[a, t]: t is in a
+    for a, i in enumerate(multi):
+        member[a, poset.rows[i]] = True
+    # holds[b, t]: maximal node b lies above a node with more than one atom that holds t
+    holds = poset.order[np.ix_(multi, maximal)].T @ member
     # reach[a, b]: a and b are joined by a path of links; each squaring doubles
     # the path length covered
-    reach = (link.T @ link) | (member @ member.T) | np.eye(len(maximal), dtype=bool)
+    reach = (holds @ holds.T) | np.eye(len(maximal), dtype=bool)
     for _ in range(len(maximal).bit_length()):
         reach = reach @ reach
     return np.unique(reach.argmax(axis=1), return_inverse=True)[1]

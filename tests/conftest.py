@@ -11,14 +11,14 @@ import pytest
 from hypothesis import settings
 
 import contextua as cx
-from contextua import contexts, spectral
+from contextua import contexts
 from contextua.bell import SectionClassification
 from contextua.catalogs import bundled_text
 from contextua.contexts import poset_from_nodes
 from contextua.gleason import ProbSection, context_measure, hermitian_basis
 from contextua.opalg import TOL, CanonicalizationError, canonical_keys, max_norm
 from contextua.scenario import ScenarioError, _catalog, _parse_index
-from contextua.spectral import Character, EnumerationResult, _domination_maps
+from contextua.spectral import Character, EnumerationResult
 from contextua.wigner import JordanReport, PosetMap
 
 # HYPOTHESIS_PROFILE=ci runs the tests that do not fix max_examples five times deeper
@@ -769,12 +769,14 @@ def reference_global_section(poset):
 
     Same propagation rules and branching (first unassigned maximal node in
     sharing order, atoms ascending), so its certificate, counters included,
-    must equal the library's. Its dominator maps come from ``spectral._domination_maps``,
-    looked up at call time, so a test can substitute another route.
+    must equal the library's. Its dominator maps are read one pair at a time from
+    ``poset.dominator_map``.
     """
-    dom = spectral._domination_maps(poset)
     n = len(poset)
     maximal = poset.maximal_nodes()
+    dom = {
+        (i, m): poset.dominator_map(i, m) for m in maximal for i in range(n) if poset.order[i, m]
+    }
     below = {m: [i for i in range(n) if poset.order[i, m]] for m in maximal}
     occurrences = {}
     for i in range(n):
@@ -891,57 +893,47 @@ def reference_global_section(poset):
 def full_table_sections(poset, cap=10**6, chunk=1 << 16):
     """Reference enumeration: the full product of maximal-node choices, filtered in chunks.
 
-    Each chunk decodes its raw choice indices column by column and applies
-    every lower node's check to the whole chunk, then, for every pair of
-    maximal nodes and every key that is an atom of both, that the two give
-    the key one value.
+    Each chunk is a run of choice tuples in lexicographic order, restricted onto every
+    lower node through the first maximal node above it. It keeps the rows where every
+    other maximal node above a lower node restricts onto the same atom, and where each
+    key takes one value over all the nodes that hold it.
     """
-    dom = _domination_maps(poset)
     n = len(poset)
     maximal = sorted(poset.maximal_nodes())
     counts = [len(poset.nodes[m].atoms) for m in maximal]
-    raw = math.prod(counts) if counts else 1
+    raw = math.prod(counts)
     if raw > 10**8:
         raise ValueError(f"raw choice space {raw} too large to enumerate")
-    pos = {m: t for t, m in enumerate(maximal)}
-    checks = []
+    ups = {i: [m for m in maximal if poset.order[i, m]] for i in range(n) if i not in maximal}
+    # each (node, atom) place of a key, and the first place of that key
+    places, first = [], {}
     for i in range(n):
-        ups = [m for m in maximal if i != m and poset.order[i, m]]
-        if len(ups) >= 2:
-            checks.append((i, ups))
-    key_checks = [
-        (pos[m1], poset.atom_keys(m1).index(key), pos[m2], poset.atom_keys(m2).index(key))
-        for m1, m2 in itertools.combinations(maximal, 2)
-        for key in sorted(set(poset.atom_keys(m1)) & set(poset.atom_keys(m2)))
-    ]
+        for idx, key in enumerate(poset.atom_keys(i)):
+            places.append((i, idx, first.setdefault(key, len(places))))
+    place_node, place_atom, place_first = np.array(places).reshape(-1, 3).T
 
+    # each chunk fixes the leading choices and runs through all the trailing ones
+    split = len(maximal)
+    while split and math.prod(counts[split - 1 :]) <= chunk:
+        split -= 1
+    trailing = np.array(list(itertools.product(*map(range, counts[split:]))), dtype=np.int64)
+    trailing = trailing.reshape(len(trailing), len(maximal) - split)
     rows = []
     truncated = False
-    for start in range(0, raw, chunk):
-        stop = min(start + chunk, raw)
-        flat = np.arange(start, stop, dtype=np.int64)
-        combos = np.empty((flat.size, len(maximal)), dtype=np.int64)
-        rem = flat
-        for t in range(len(maximal) - 1, -1, -1):
-            combos[:, t] = rem % counts[t]
-            rem = rem // counts[t]
-        mask = np.ones(flat.size, dtype=bool)
-        for i, ups in checks:
-            ref = dom[(i, ups[0])][combos[:, pos[ups[0]]]]
-            for m in ups[1:]:
-                mask &= dom[(i, m)][combos[:, pos[m]]] == ref
-        for t1, a1, t2, a2 in key_checks:
-            mask &= (combos[:, t1] == a1) == (combos[:, t2] == a2)
-        for row in combos[mask]:
-            chosen = [0] * n
-            for t, m in enumerate(maximal):
-                chosen[m] = int(row[t])
-            for i in range(n):
-                if i in pos:
-                    continue
-                ups = [m for m in maximal if poset.order[i, m] and i != m]
-                chosen[i] = int(dom[(i, ups[0])][int(row[pos[ups[0]]])])
-            rows.append(tuple(chosen))
+    for lead in itertools.product(*map(range, counts[:split])):
+        chosen = np.empty((len(trailing), n), dtype=np.int64)
+        chosen[:, maximal[:split]] = lead
+        chosen[:, maximal[split:]] = trailing
+        mask = np.ones(len(chosen), dtype=bool)
+        for i, above in ups.items():
+            ref, *rest = [poset.dominator_map(i, m)[chosen[:, m]] for m in above]
+            chosen[:, i] = ref
+            for other in rest:
+                mask &= other == ref
+        chosen = chosen[mask]
+        held = chosen[:, place_node] == place_atom
+        for row in chosen[(held == held[:, place_first]).all(axis=1)]:
+            rows.append(tuple(row.tolist()))
             if len(rows) > cap:
                 truncated = True
                 rows.pop()

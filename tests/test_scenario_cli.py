@@ -458,8 +458,20 @@ class TestMain:
         assert report["verdict"] == "non_colorable"
         assert report["poset"]["nodes"] == 16  # 5 lines, 10 pairwise meets, the trivial context
 
+    def test_dim1_check_and_enumerate_agree(self, tmp_path, capsys):
+        # the one context of dimension 1 is the trivial one: one section, found by both
+        path = tmp_path / "d1.json"
+        path.write_text('{"kind": "single", "dim": 1, "rays": [[1]], "contexts": [[0]]}')
+        assert main(["ks-check", "--scenario", str(path)]) == 0
+        check = json.loads(capsys.readouterr().out)
+        assert main(["ks-enumerate", "--scenario", str(path)]) == 0
+        enum = json.loads(capsys.readouterr().out)
+        assert check["verdict"] == enum["verdict"] == "colorable"
+        assert check["stats"] == {"nodes_expanded": 1, "backtracks": 0, "exhausted": False}
+        assert enum["count"] == 1 and enum["sections"] == [check["section"]]
+
     def test_ks18_enumerates_no_section(self, capsys):
-        # ks18-c4 stores none of its meets, so only the shared-key masks keep
+        # ks18-c4 stores none of its meets, so only one value per shared key keeps
         # its 4^9 choice tuples from counting as sections
         assert main(["ks-enumerate", "--scenario", "builtin:ks18-c4"]) == 2
         report = json.loads(capsys.readouterr().out)

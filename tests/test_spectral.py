@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import itertools
+import math
 import weakref
 
 import numpy as np
@@ -15,7 +17,7 @@ from contextua import spectral
 from contextua.catalogs import bundled_names, bundled_scenario, bundled_text
 from contextua.contexts import poset_from_nodes
 from contextua.opalg import TOL, ProjectionRegistry
-from contextua.spectral import Character, SpectralSection
+from contextua.spectral import Character, SpectralSection, section_components
 
 from conftest import (
     canonical_key,
@@ -26,6 +28,7 @@ from conftest import (
     peres24_subset_catalog,
     random_basis_context,
     rank_of,
+    ray_projection,
     reference_global_section,
     restrict_character,
     shared_ray_catalog_poset,
@@ -105,11 +108,13 @@ class TestFindGlobalSection:
         assert cert.section is None
         assert len(cx.enumerate_global_sections(ks18_poset)) == 0
 
-    def test_dim1_rejected(self):
+    def test_dim1_colorable(self):
         reg = ProjectionRegistry(1)
         poset = cx.generate_poset([], reg)
-        with pytest.raises(ValueError):
-            cx.find_global_section(poset)
+        cert = cx.find_global_section(poset)
+        assert cert.verdict == "colorable"
+        assert verify_section(poset, cert.section)
+        assert len(cx.enumerate_global_sections(poset)) == 1
 
     @pytest.mark.parametrize("name", ["ks18-c4", "demo-c3"])
     def test_search_leaves_no_reference_cycle(self, name):
@@ -342,17 +347,6 @@ class TestOracleStress:
             trials += 1
 
 
-def all_pairs_maps(poset):
-    """The eager route: a dominator map for every strict pair small < large."""
-    n = len(poset)
-    return {
-        (i, j): poset.dominator_map(i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and poset.order[i, j]
-    }
-
-
 catalog_sources = st.one_of(
     st.tuples(st.integers(0, 2**31 - 1), st.integers(3, 5), st.integers(1, 3)),
     st.tuples(st.lists(st.integers(0, 8), min_size=2, max_size=4, unique=True)),
@@ -364,59 +358,13 @@ def source_poset(source):
     return ks18_subset_poset(*source) if len(source) == 1 else shared_ray_catalog_poset(*source)
 
 
-class TestDominationMapsDifferential:
-    """Maps onto maximal nodes only, against the all-pairs route."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(catalog_sources)
-    def test_maps_onto_maximal_nodes(self, source):
-        poset, fresh = source_poset(source), source_poset(source)
-        n = len(poset)
-        maximal = [m for m in range(n) if not any(poset.order[m, j] for j in range(n) if j != m)]
-        assert poset.maximal_nodes() == maximal
-        maps = spectral._domination_maps(poset)
-        expected = {
-            (i, m): fresh.dominator_map(i, m)
-            for m in maximal
-            for i in range(n)
-            if i != m and poset.order[i, m]
-        }
-        assert maps.keys() == expected.keys()
-        assert all(np.array_equal(maps[k], expected[k]) for k in expected)
-
-    @settings(max_examples=25, deadline=None)
-    @given(catalog_sources)
-    def test_search_and_enumeration_match_all_pairs_route(self, source):
-        poset, ref_poset = source_poset(source), source_poset(source)
-        cert = cx.find_global_section(poset)
-        sections = cx.enumerate_global_sections(poset).sections
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "_domination_maps", all_pairs_maps)
-            ref = reference_global_section(ref_poset)
-            ref_sections = cx.enumerate_global_sections(ref_poset).sections
-        assert cert.to_report(poset) == ref.to_report(ref_poset)
-        assert [s.assignment for s in sections] == [s.assignment for s in ref_sections]
-
-
-class TestEnumerationDifferential:
-    """The incremental choice table against the full-table reference."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(catalog_sources, st.one_of(st.just(10**6), st.integers(1, 12)))
-    def test_same_sections(self, source, cap):
-        poset = source_poset(source)
-        got = cx.enumerate_global_sections(poset, cap=cap)
-        want = full_table_sections(poset, cap=cap)
-        assert got.truncated == want.truncated
-        assert [s.assignment for s in got] == [s.assignment for s in want]
-        assert [s.domain for s in got] == [s.domain for s in want]
-
-    @pytest.mark.parametrize("name, count", [("ks18-c4", 0), ("demo-c3", 3), ("mub-c3", 81)])
-    def test_bundled_catalogs(self, name, count):
-        poset = cx.build_single_poset(cx.parse_scenario(bundled_text(name)))
-        got = cx.enumerate_global_sections(poset)
-        assert [s.assignment for s in got] == [s.assignment for s in full_table_sections(poset)]
-        assert len(got) == count
+@settings(max_examples=25, deadline=None)
+@given(catalog_sources)
+def test_maximal_nodes_match_loop(source):
+    poset = source_poset(source)
+    n = len(poset)
+    maximal = [m for m in range(n) if not any(poset.order[m, j] for j in range(n) if j != m)]
+    assert poset.maximal_nodes() == maximal
 
 
 
@@ -504,3 +452,89 @@ class TestSearchDifferential:
     @pytest.mark.parametrize("seed", [None, 7, 2026])
     def test_full_peres24(self, seed):
         self.check(peres24_poset(range(24), seed))
+
+
+class TestEnumerationDifferential:
+    """The exhaustive search against the full-table reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(search_sources, st.one_of(st.just(10**6), st.integers(1, 12)))
+    def test_same_sections(self, poset, cap):
+        assume(poset is not None)
+        got = cx.enumerate_global_sections(poset, cap=cap)
+        want = full_table_sections(poset, cap=cap)
+        assert got.truncated == want.truncated
+        assert [s.assignment for s in got] == [s.assignment for s in want]
+        assert [s.domain for s in got] == [s.domain for s in want]
+
+    @pytest.mark.parametrize("name, count", [("ks18-c4", 0), ("demo-c3", 3), ("mub-c3", 81)])
+    def test_bundled_catalogs(self, name, count):
+        poset = cx.build_single_poset(cx.parse_scenario(bundled_text(name)))
+        got = cx.enumerate_global_sections(poset)
+        assert [s.assignment for s in got] == [s.assignment for s in full_table_sections(poset)]
+        assert len(got) == count
+
+    @settings(max_examples=40, deadline=None)
+    @given(search_sources)
+    def test_sections_are_the_free_product_of_components(self, poset):
+        # bell._right_groups merges components' section codes on this claim
+        assume(poset is not None)
+        result = cx.enumerate_global_sections(poset)
+        assert not result.truncated
+        labels = section_components(poset)
+        maximal = np.array(poset.maximal_nodes())
+        counts = [
+            len(np.unique(result.chosen[:, maximal[labels == c]], axis=0))
+            for c in range(labels.max() + 1)
+        ]
+        assert math.prod(counts) == len(result)
+
+
+def key_below_maximal_poset():
+    """Two maximal bases of d4 that share no atom and lie above no common node with more
+    than one atom, but whose coarsenings i1 and i2 share the key t = P(e0) + P(e1).
+
+    m1 is the standard basis and m2 the basis g, turned by 0.3 rad in the (e0, e1) and
+    (e2, e3) planes; i1 = {t, e2, e3}, i2 = {t, g2, g3}, then the trivial context.
+    """
+    reg = ProjectionRegistry(4)
+    e = np.eye(4)
+    c, s = np.cos(0.3), np.sin(0.3)
+    g = np.array([[c, -s, 0, 0], [s, c, 0, 0], [0, 0, c, -s], [0, 0, s, c]])
+    t = ray_projection(e[:, 0]) + ray_projection(e[:, 1])
+    nodes = (
+        cx.context_from_projections(reg, [ray_projection(e[:, k]) for k in range(4)]),
+        cx.context_from_projections(reg, [ray_projection(g[:, k]) for k in range(4)]),
+        cx.context_from_projections(reg, [t, ray_projection(e[:, 2]), ray_projection(e[:, 3])]),
+        cx.context_from_projections(reg, [t, ray_projection(g[:, 2]), ray_projection(g[:, 3])]),
+        cx.trivial_context(reg),
+    )
+    return poset_from_nodes(reg, nodes, ("m1", "m2", "i1", "i2", "trivial"))
+
+
+class TestKeySharedBelowMaximalNodes:
+    """t takes one value, so m1 picks e0 or e1 exactly when m2 picks g0 or g1."""
+
+    def test_sections_give_each_key_one_value(self):
+        poset = key_below_maximal_poset()
+        assert poset.maximal_nodes() == [0, 1]
+        result = cx.enumerate_global_sections(poset)
+        assert (len(result), result.truncated) == (8, False)
+        assert all(verify_section(poset, s) for s in result)
+        assert [s.assignment for s in result] == [s.assignment for s in full_table_sections(poset)]
+        # brute force over the maximal choices: restrict onto every node, check every key
+        brute = []
+        for a, b in itertools.product(range(4), range(4)):
+            below = (int(poset.dominator_map(2, 0)[a]), int(poset.dominator_map(3, 1)[b]), 0)
+            chars = {i: Character(i, k) for i, k in enumerate((a, b, *below))}
+            section = SpectralSection(chars, frozenset(chars))
+            if verify_section(poset, section):
+                brute.append((a, b))
+        assert brute == [tuple(row) for row in result.chosen[:, :2].tolist()]
+        assert brute == [(a, b) for a in range(4) for b in range(4) if (a < 2) == (b < 2)]
+
+    def test_search_and_components(self):
+        poset = key_below_maximal_poset()
+        assert cx.find_global_section(poset).verdict == "colorable"
+        TestSearchDifferential.check(poset)
+        assert section_components(poset).tolist() == [0, 0]
