@@ -8,8 +8,11 @@ scenario, so the truncated enumeration is pinned too. For each run it keeps
 the exit code, the stderr text and the report's integer, boolean and string
 leaves, each with its path. Floats and the ``timings`` block are dropped, as
 perfbench's digest drops floats, so the digest does not move with rounding or
-run time. It prints the sha256 of these records, cut to 16 hex digits. A
-change that leaves reports as they are keeps the digest.
+run time. ``ks-check`` and ``ks-enumerate`` also run with ``--format text`` on
+every bundled scenario, and their text report is kept whole but the
+``elapsed:`` line, so the rendering of a 0/1 value table is pinned too. It
+prints the sha256 of these records, cut to 16 hex digits. A change that
+leaves reports as they are keeps the digest.
 
     PYTHONPATH=src python3 scripts/report_digest.py
 """
@@ -42,13 +45,17 @@ def leaves(value, path: str = "$"):
 
 
 def record(command: str, name: str, seed: int, *options: str) -> str:
-    """One run's exit code, stderr and report leaves, as one JSON line."""
+    """One run's exit code, stderr and report, as one JSON line: the report's leaves or,
+    with ``--format text``, its lines but the ``elapsed:`` line."""
     out, err = io.StringIO(), io.StringIO()
     argv = [command, "--scenario", f"builtin:{name}", "--seed", str(seed), *options]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    report = json.loads(out.getvalue()) if out.getvalue() else None
-    return json.dumps([argv, code, err.getvalue(), list(leaves(report))])
+    if "text" in options:
+        kept = [line for line in out.getvalue().splitlines() if not line.startswith("elapsed:")]
+    else:
+        kept = list(leaves(json.loads(out.getvalue()) if out.getvalue() else None))
+    return json.dumps([argv, code, err.getvalue(), kept])
 
 
 def report_digest() -> str:
@@ -61,6 +68,10 @@ def report_digest() -> str:
         record("ks-enumerate", name, 0, "--cap", str(cap))
         for name in bundled_names()
         for cap in CAPS
+    ] + [
+        record(command, name, 0, "--format", "text")
+        for command in ("ks-check", "ks-enumerate")
+        for name in bundled_names()
     ]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 

@@ -35,7 +35,6 @@ from .contexts import (
     trivial_context,
 )
 from .gleason import (
-    ContextMeasure,
     ProbSection,
     ReconstructionResult,
     born_weights,
@@ -56,11 +55,10 @@ from .opalg import (
 )
 from .scenario import Scenario, build_bipartite_model, build_single_poset, parse_scenario
 from .spectral import (
-    Character,
     ColoringCertificate,
-    SpectralSection,
     enumerate_global_sections,
     find_global_section,
+    value_table,
 )
 from .wigner import (
     PosetMap,

@@ -29,7 +29,7 @@ second factor means quantum up to time reversal, neither means non-quantum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import KeysView, Mapping, Sequence
 
 import numpy as np
 
@@ -116,7 +116,6 @@ def product_poset(p1: ContextPoset, p2: ContextPoset) -> ProductPoset:
 class CorrelationTable:
     """Joint outcome probabilities for one product context."""
 
-    context: ProductNode
     probs: np.ndarray
 
     def left_marginal(self) -> np.ndarray:
@@ -132,7 +131,10 @@ class BellSection:
 
     poset: ProductPoset
     tables: Mapping[ProductNode, CorrelationTable]
-    domain: frozenset[ProductNode]
+
+    @property
+    def domain(self) -> KeysView[ProductNode]:
+        return self.tables.keys()
 
     def min_probability(self) -> float:
         return min(float(t.probs.min()) for t in self.tables.values())
@@ -155,11 +157,10 @@ def section_from_bipartite_state(
         raise ValueError("state must be self-adjoint")
     if abs(complex(np.trace(w)) - 1.0) > tol * d:
         raise ValueError("state must have trace 1")
-    tables = {
-        node: CorrelationTable(node, born_weights(pp, k, w).reshape(pp.table_shape(node)))
+    return BellSection(pp, {
+        node: CorrelationTable(born_weights(pp, k, w).reshape(pp.table_shape(node)))
         for k, node in enumerate(pp.nodes)
-    }
-    return BellSection(pp, tables, frozenset(pp.nodes))
+    })
 
 
 def check_no_signalling(s: BellSection, tol: float = TOL.exact) -> bool:
@@ -577,7 +578,7 @@ def classify_section(s: BellSection) -> SectionClassification:
     warnings = []
     if min(d1, d2) < 3:
         warnings.append("Gleason uniqueness precondition violated: local dim < 3")
-    values = {pp.index(n): s.tables[n].probs for n in s.domain}
+    values = {pp.index(n): t.probs for n, t in s.tables.items()}
     status, w, residual, free = reconstruct_operator(pp, values)
     if status == "inconsistent":
         return SectionClassification(

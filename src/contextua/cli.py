@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ from .scenario import (
     build_single_poset,
     parse_scenario,
 )
-from .spectral import enumerate_global_sections, find_global_section
+from .spectral import enumerate_global_sections, find_global_section, value_table
 from .wigner import (  # perfbench/tracing.py also wraps the single-op names on this module
     conjugate_poset,
     conjugate_posets,
@@ -146,7 +145,7 @@ def _cmd_ks_enumerate(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
     payload = {
         "count": len(result),
         "truncated": result.truncated,
-        "sections": [s.value_table(poset) for s in islice(result, min(cap, 100))],
+        "sections": [value_table(poset, row) for row in result.chosen[: min(cap, 100)].tolist()],
     }
     return verdict, payload
 
@@ -202,8 +201,8 @@ def _cmd_gleason_reconstruct(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
                     f"section does not determine poset node {i}; provide weights for "
                     "every catalog context"
                 )
-            assignment[i] = marginalise(poset, assignment[ups[0]], i)
-        section = ProbSection(assignment, frozenset(range(len(poset))))
+            assignment[i] = marginalise(poset, assignment[ups[0]], ups[0], i)
+        section = ProbSection(assignment)
     elif sc.state is not None:
         section = section_from_state(poset, density_matrix(sc.state, tol=TOL.probability))
     else:

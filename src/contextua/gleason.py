@@ -9,7 +9,7 @@ poset's atoms span the self-adjoint operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import KeysView, Mapping
 
 import numpy as np
 
@@ -22,21 +22,14 @@ from .opalg import (
 )
 
 
-@dataclass(frozen=True)
-class ContextMeasure:
-    """Finitely additive probability measure on one context's atoms."""
-
-    context: int
-    weights: np.ndarray
-
-
 def context_measure(
     poset: ContextPoset, node: int, weights, tol: float = TOL.exact
-) -> ContextMeasure:
-    """Validate and clamp a weight vector into a measure.
+) -> np.ndarray:
+    """Validate and clamp a weight vector into a measure on one node's atoms.
 
     Weights in [-tol, 0) are clamped to 0; anything more negative is
-    rejected, as is a total differing from 1 beyond tol.
+    rejected, as is a total differing from 1 beyond tol. The result is
+    read-only.
     """
     w = np.array(weights, dtype=float).reshape(-1)
     if len(w) != len(poset.nodes[node].atoms):
@@ -47,32 +40,34 @@ def context_measure(
     if abs(float(w.sum()) - 1.0) > max(tol * len(w), tol):
         raise ValueError(f"weights must sum to 1, got {w.sum()}")
     w.flags.writeable = False
-    return ContextMeasure(node, w)
+    return w
 
 
 @dataclass(frozen=True)
 class ProbSection:
-    """One measure per node over a down-closed domain."""
+    """One measure per node: its weight vector, in the node's atom order."""
 
-    assignment: Mapping[int, ContextMeasure]
-    domain: frozenset[int]
+    assignment: Mapping[int, np.ndarray]
+
+    @property
+    def domain(self) -> KeysView[int]:
+        return self.assignment.keys()
 
 
-def marginalise(
-    poset: ContextPoset, m: ContextMeasure, target: int
-) -> ContextMeasure:
-    """Restriction map of the probabilistic presheaf: sum weights downward."""
-    if target == m.context:
-        return m
-    if not poset.order[target, m.context]:
-        raise ValueError(f"target {target} is not below context {m.context}")
+def marginalise(poset: ContextPoset, weights: np.ndarray, source: int, target: int) -> np.ndarray:
+    """Restriction map of the probabilistic presheaf: sum node ``source``'s weights onto
+    the atoms of ``target``, below it."""
+    if target == source:
+        return weights
+    if not poset.order[target, source]:
+        raise ValueError(f"target {target} is not below context {source}")
     out = np.bincount(
-        poset.dominator_map(target, m.context),
-        weights=m.weights,
+        poset.dominator_map(target, source),
+        weights=weights,
         minlength=len(poset.nodes[target].atoms),
     )
     out.flags.writeable = False
-    return ContextMeasure(target, out)
+    return out
 
 
 def born_weights(poset, node: int, w: np.ndarray) -> np.ndarray:
@@ -90,11 +85,10 @@ def section_from_state(poset: ContextPoset, rho: DensityMatrix) -> ProbSection:
     """Born weights tr(rho p) per atom, in every context of the poset."""
     if rho.dim != poset.dim:
         raise ValueError(f"state dim {rho.dim} does not match poset dim {poset.dim}")
-    assignment = {
+    return ProbSection({
         i: context_measure(poset, i, born_weights(poset, i, rho.matrix), tol=TOL.probability)
         for i in range(len(poset))
-    }
-    return ProbSection(assignment, frozenset(range(len(poset))))
+    })
 
 
 def hermitian_basis(d: int) -> np.ndarray:
@@ -179,8 +173,7 @@ def state_from_section(poset: ContextPoset, s: ProbSection) -> ReconstructionRes
     is underdetermined; a unique solution is a density matrix iff its
     spectrum clears -TOL.psd.
     """
-    values = {i: s.assignment[i].weights for i in s.domain}
-    status, mat, residual, free = reconstruct_operator(poset, values)
+    status, mat, residual, free = reconstruct_operator(poset, s.assignment)
     if status == "inconsistent":
         return ReconstructionResult(
             "infeasible", residual=residual, reason="inconsistent linear system"

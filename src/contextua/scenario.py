@@ -135,7 +135,13 @@ def _parse_rays(raw, dim: int, path: str) -> list[np.ndarray]:
 def _parse_contexts(raw, n_rays: int, rays: list[np.ndarray], path: str) -> list[tuple[int, ...]]:
     """The contexts' ray indices. The first failure in loop order is raised (per context: an
     index, a repeat, a pair a < b of rays that are not orthogonal); the orthogonality of
-    the contexts before the first index or repeat failure is one batched product."""
+    the contexts before the first index or repeat failure is one batched product.
+
+    No context passes with more rays than the dimension, so none is checked for it: the
+    Gram matrix of k unit rays with pairwise overlaps at most ``TOL.exact`` has off-diagonal
+    row sums at most (k - 1) * ``TOL.exact`` < 1, so it is positive definite (Gershgorin)
+    and of rank k, while k vectors in C^dim have rank at most dim.
+    """
     if not isinstance(raw, list) or not raw:
         raise ScenarioError(path, "contexts must be a nonempty list")
     out, late = [], None
@@ -206,9 +212,6 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError("$.dim", f"dim must be a positive integer, got {dim!r}")
         rays = _parse_rays(doc.get("rays"), dim, "$.rays")
         contexts = _parse_contexts(doc.get("contexts"), len(rays), rays, "$.contexts")
-        for c, ctx in enumerate(contexts):
-            if len(ctx) > dim:
-                raise ScenarioError(f"$.contexts[{c}]", "more rays than the dimension allows")
         state = None
         if "state" in doc:
             state = _parse_matrix(doc["state"], dim, "$.state")
@@ -457,9 +460,7 @@ def build_bipartite_model(sc: Scenario, tol: float = TOL.identity) -> BipartiteM
                 _node_positions(rposet, node.right, rcat[ri]),
             )] = probs
             _merge_entry(tables, node, values, f"$.tables[{i}]")
-        section = BellSection(
-            pp, {n: CorrelationTable(n, v) for n, v in tables.items()}, frozenset(tables)
-        )
+        section = BellSection(pp, {n: CorrelationTable(v) for n, v in tables.items()})
     elif sc.state is not None:
         from .bell import section_from_bipartite_state
 

@@ -1,9 +1,11 @@
-"""Spectral presheaf: characters and global sections.
+"""Spectral presheaf: global sections.
 
 A character of a context picks one atom (the projection it maps to 1);
 restriction along an inclusion picks the unique dominating atom, read from
 the poset's atom lookup. Global sections are non-contextual 0/1 value
-assignments: one value per projection, consistent along the context order.
+assignments: one value per projection, consistent along the context order,
+held as a row of chosen atoms, one per node; :func:`value_table` reads a
+row as its 0/1 value per projection key.
 One depth-first propagation search, :func:`_sections`, decides and lists
 them. Its state is three flat lists, copied per expansion, and its counters
 are those of the dict-and-set search it replaced, kept as a test reference.
@@ -17,42 +19,27 @@ whose sections combine freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
 from .contexts import ContextPoset
 
 
-@dataclass(frozen=True)
-class Character:
-    """Pure state of one context: the index of the atom sent to 1."""
-
-    context: int
-    chosen_atom: int
-
-
-@dataclass(frozen=True)
-class SpectralSection:
-    """Compatible choice of a character per node over a down-closed domain."""
-
-    assignment: Mapping[int, Character]
-    domain: frozenset[int]
-
-    def value_table(self, poset: ContextPoset) -> dict[str, int]:
-        """0/1 value per registered projection key appearing in the domain."""
-        table: dict[str, int] = {}
-        for node in sorted(self.domain):
-            ch = self.assignment[node]
-            for idx, key in enumerate(poset.atom_keys(node)):
-                table[key] = 1 if idx == ch.chosen_atom else 0
-        return table
+def value_table(poset: ContextPoset, row) -> dict[str, int]:
+    """0/1 value per registered projection key of a global section: 1 on the atom that
+    ``row[i]`` chooses at node i, 0 on its siblings."""
+    table: dict[str, int] = {}
+    for node, atom in enumerate(row):
+        for idx, key in enumerate(poset.atom_keys(node)):
+            table[key] = 1 if idx == atom else 0
+    return table
 
 
 @dataclass
 class ColoringCertificate:
     verdict: str  # "colorable" | "non_colorable"
-    section: SpectralSection | None
+    section: list[int] | None  # the chosen atom of each node
     nodes_expanded: int
     backtracks: int
     exhausted: bool
@@ -67,26 +54,17 @@ class ColoringCertificate:
             },
         }
         if self.section is not None:
-            report["section"] = self.section.value_table(poset)
+            report["section"] = value_table(poset, self.section)
         return report
 
 
 @dataclass
 class EnumerationResult:
     """Global sections as sorted rows: ``chosen[r, i]`` is the chosen atom of node i in
-    section r. Iteration yields each row as a :class:`SpectralSection`."""
+    section r."""
 
     chosen: np.ndarray  # int64, one row per section
     truncated: bool
-
-    @property
-    def sections(self) -> list[SpectralSection]:
-        return list(self)
-
-    def __iter__(self):
-        domain = frozenset(range(self.chosen.shape[1]))
-        for row in self.chosen:
-            yield SpectralSection({i: Character(i, a) for i, a in enumerate(row.tolist())}, domain)
 
     def __len__(self):
         return len(self.chosen)
@@ -247,11 +225,8 @@ def find_global_section(poset: ContextPoset) -> ColoringCertificate:
     """The first global section of the spectral presheaf that :func:`_sections` finds,
     branching in sharing order, or the exhausted search's certificate."""
     chars, expanded, backtracks = next(_sections(poset, _sharing_order))
-    if chars is None:
-        return ColoringCertificate("non_colorable", None, expanded, backtracks, exhausted=True)
-    assignment = {i: Character(i, a) for i, a in enumerate(chars)}
-    section = SpectralSection(assignment, frozenset(range(len(poset))))
-    return ColoringCertificate("colorable", section, expanded, backtracks, exhausted=False)
+    verdict = "non_colorable" if chars is None else "colorable"
+    return ColoringCertificate(verdict, chars, expanded, backtracks, exhausted=chars is None)
 
 
 def enumerate_global_sections(poset: ContextPoset, cap: int = 10**6) -> EnumerationResult:

@@ -18,7 +18,7 @@ from contextua.contexts import poset_from_nodes
 from contextua.gleason import ProbSection, context_measure, hermitian_basis
 from contextua.opalg import TOL, CanonicalizationError, canonical_keys, max_norm
 from contextua.scenario import ScenarioError, _catalog, _parse_index
-from contextua.spectral import Character, EnumerationResult
+from contextua.spectral import EnumerationResult
 from contextua.wigner import JordanReport, PosetMap
 
 # HYPOTHESIS_PROFILE=ci runs the tests that do not fix max_examples five times deeper
@@ -99,45 +99,35 @@ def is_section(poset, values, tol):
     return True
 
 
-def verify_section(poset, s):
+def verify_section(poset, section):
     """Exact section check of a spectral section, with choices in range.
 
-    Each character enters :func:`is_section` as the 0/1 weight vector of
-    its chosen atom, compared exactly.
+    ``section`` maps node ids to chosen atoms: a dict, or a row with one atom per
+    node. Each choice enters :func:`is_section` as the 0/1 weight vector of its
+    chosen atom, compared exactly.
     """
+    chosen = section if isinstance(section, dict) else dict(enumerate(section))
     values = {}
-    for node in s.domain:
+    for node, atom in chosen.items():
         if not (0 <= node < len(poset)):
             return False
-        ch = s.assignment.get(node)
-        if ch is None or ch.context != node:
-            return False
         count = len(poset.nodes[node].atoms)
-        if not (0 <= ch.chosen_atom < count):
+        if not (0 <= atom < count):
             return False
-        values[node] = np.eye(count)[ch.chosen_atom]
+        values[node] = np.eye(count)[atom]
     return is_section(poset, values, 0.0)
 
 
 def verify_prob_section(poset, s):
     """Marginalisation compatibility plus equal weights on shared projections."""
-    values = {}
-    for node in s.domain:
-        m = s.assignment.get(node)
-        if m is None or m.context != node:
-            return False
-        values[node] = np.asarray(m.weights)
-    return is_section(poset, values, TOL.probability)
+    return is_section(poset, s.assignment, TOL.probability)
 
 
 def verify_bell_section(s):
     """Table shapes and totals, marginalisation along the product order, shared-pair consistency."""
     pp = s.poset
     values = {}
-    for node in s.domain:
-        t = s.tables.get(node)
-        if t is None or t.context != node:
-            return False
+    for node, t in s.tables.items():
         if t.probs.shape != pp.table_shape(node):
             return False
         if abs(float(t.probs.sum()) - 1.0) > TOL.probability:
@@ -146,13 +136,14 @@ def verify_bell_section(s):
     return is_section(pp, values, TOL.probability)
 
 
-def restrict_character(poset, ch, target):
-    """Restriction of a character to a smaller context."""
-    if target == ch.context:
-        return ch
-    if not poset.order[target, ch.context]:
-        raise ValueError(f"target node {target} is not below context {ch.context}")
-    return Character(target, int(poset.dominator_map(target, ch.context)[ch.chosen_atom]))
+def restrict_choice(poset, source, atom, target):
+    """Restriction of a character, the choice of ``atom`` at node ``source``, to a smaller
+    context: the atom of ``target`` under it."""
+    if target == source:
+        return atom
+    if not poset.order[target, source]:
+        raise ValueError(f"target node {target} is not below context {source}")
+    return int(poset.dominator_map(target, source)[atom])
 
 
 def marginal_prob_section(s, side):
@@ -167,7 +158,7 @@ def marginal_prob_section(s, side):
         t = s.tables[node]
         w = t.left_marginal() if side == "left" else t.right_marginal()
         assignment[local] = context_measure(poset, local, w, tol=TOL.probability)
-    return ProbSection(assignment, frozenset(assignment))
+    return ProbSection(assignment)
 
 
 def apply_symmetry(s, x):
@@ -682,9 +673,8 @@ def strict_chains3(order):
     ]
 
 
-def loop_restrict_table(pp, table, target):
-    """Reference table restriction: a Python loop over the atom pairs of the table."""
-    source = table.context
+def loop_restrict_table(pp, table, source, target):
+    """Reference table restriction: a Python loop over the atom pairs of ``source``'s table."""
     if not pp.order[pp.index(target), pp.index(source)]:
         raise ValueError("target is not below the table's context")
     out = np.zeros(pp.table_shape(target))
@@ -692,7 +682,7 @@ def loop_restrict_table(pp, table, target):
     right_map = pp.right.dominator_map(target.right, source.right)
     for (a, b), v in np.ndenumerate(table.probs):
         out[left_map[a], right_map[b]] += v
-    return cx.CorrelationTable(target, out)
+    return cx.CorrelationTable(out)
 
 
 def kron_rows(pp, node):
@@ -885,8 +875,7 @@ def reference_global_section(poset):
         stack.append(frame)
     if found is None:
         return cx.ColoringCertificate("non_colorable", None, expanded, backtracks, exhausted=True)
-    assignment = {i: Character(i, found.chars[i]) for i in range(n)}
-    section = cx.SpectralSection(assignment, frozenset(range(n)))
+    section = [found.chars[i] for i in range(n)]
     return cx.ColoringCertificate("colorable", section, expanded, backtracks, exhausted=False)
 
 

@@ -28,7 +28,7 @@ from conftest import (
     random_density,
     random_hermitian,
     random_unitary,
-    restrict_character,
+    restrict_choice,
     strict_chains3,
     verify_section,
 )
@@ -68,7 +68,7 @@ def test_criterion_1_ks_nonexistence():
         demo = cx.build_single_poset(cx.parse_scenario(bundled_text("demo-c3")))
         sections = cx.enumerate_global_sections(demo)
         assert len(sections) == 3
-        assert all(verify_section(demo, s) for s in sections)
+        assert all(verify_section(demo, row) for row in sections.chosen)
 
         rng = np.random.default_rng(101)
         for _ in range(20):
@@ -127,9 +127,9 @@ def test_criterion_3_classical_bound_and_violation(chsh_model):
             for node in contexts:
                 t = np.zeros(pp.table_shape(node))
                 t[cl[node.left], cr[node.right]] = 1.0
-                tables[node] = CorrelationTable(node, t)
+                tables[node] = CorrelationTable(t)
             values.append(
-                cx.bell_functional_value(BellSection(pp, tables, frozenset(tables)), coeffs)
+                cx.bell_functional_value(BellSection(pp, tables), coeffs)
             )
         assert max(values) == 2.0  # exact: deterministic tables are 0/1
 
@@ -172,10 +172,9 @@ def test_criterion_4_no_signalling_universality(mub_poset_c3, chsh_model):
         fixture = BellSection(
             chsh_model.poset,
             {
-                n00: CorrelationTable(n00, np.array([[0.5, 0.0], [0.0, 0.5]])),
-                n01: CorrelationTable(n01, np.array([[0.8, 0.0], [0.0, 0.2]])),
+                n00: CorrelationTable(np.array([[0.5, 0.0], [0.0, 0.5]])),
+                n01: CorrelationTable(np.array([[0.8, 0.0], [0.0, 0.2]])),
             },
-            frozenset({n00, n01}),
         )
         assert not cx.check_no_signalling(fixture)
 
@@ -267,25 +266,23 @@ def test_criterion_7_presheaf_functoriality(chsh_model):
             for i, j, k in strict_chains3(poset.order):
                 count = len(poset.nodes[k].atoms)
                 for a in range(count):
-                    ch = cx.Character(k, a)
-                    via = restrict_character(poset, restrict_character(poset, ch, j), i)
-                    assert via == restrict_character(poset, ch, i)
+                    via = restrict_choice(poset, j, restrict_choice(poset, k, a, j), i)
+                    assert via == restrict_choice(poset, k, a, i)
                     checked += 1
                 for _ in range(2):
                     m = context_measure(poset, k, rng.dirichlet(np.ones(count)))
-                    via = cx.marginalise(poset, cx.marginalise(poset, m, j), i)
-                    direct = cx.marginalise(poset, m, i)
-                    assert via.context == direct.context == i
-                    assert max_norm(via.weights - direct.weights) <= 1e-10
+                    via = cx.marginalise(poset, cx.marginalise(poset, m, k, j), j, i)
+                    direct = cx.marginalise(poset, m, k, i)
+                    assert max_norm(via - direct) <= 1e-10
                     checked += 1
 
         # Bell presheaf over the bundled bipartite poset: table coarsening
         pp = chsh_model.poset
         s = chsh_model.section
         for i, j, k in strict_chains3(pp.order):
-            top = s.tables[pp.nodes[k]]
-            via = loop_restrict_table(pp, loop_restrict_table(pp, top, pp.nodes[j]), pp.nodes[i])
-            direct = loop_restrict_table(pp, top, pp.nodes[i])
+            a, b, c = pp.nodes[i], pp.nodes[j], pp.nodes[k]
+            via = loop_restrict_table(pp, loop_restrict_table(pp, s.tables[c], c, b), b, a)
+            direct = loop_restrict_table(pp, s.tables[c], c, a)
             assert max_norm(via.probs - direct.probs) <= 1e-10
             checked += 1
         assert checked >= 224

@@ -212,11 +212,11 @@ class TestNoSignalling:
         n00 = ProductNode(x0, y0)
         n01 = ProductNode(x0, y1)
         tables = {
-            n00: CorrelationTable(n00, np.array([[0.5, 0.0], [0.0, 0.5]])),
+            n00: CorrelationTable(np.array([[0.5, 0.0], [0.0, 0.5]])),
             # left marginal depends on the right context: signalling
-            n01: CorrelationTable(n01, np.array([[0.9, 0.0], [0.0, 0.1]])),
+            n01: CorrelationTable(np.array([[0.9, 0.0], [0.0, 0.1]])),
         }
-        s = BellSection(pp, tables, frozenset(tables))
+        s = BellSection(pp, tables)
         assert not cx.check_no_signalling(s)
 
     def test_pr_box_no_signalling_and_chsh_4(self, chsh_model):
@@ -232,8 +232,8 @@ def strategy_section(pp, contexts, strategy):
     for node in contexts:
         t = np.zeros(pp.table_shape(node))
         t[cl[node.left], cr[node.right]] = 1.0
-        tables[node] = CorrelationTable(node, t)
-    return BellSection(pp, tables, frozenset(tables))
+        tables[node] = CorrelationTable(t)
+    return BellSection(pp, tables)
 
 
 def _chsh_locals(model):
@@ -260,8 +260,8 @@ def _pr_box_section(model):
             for b in range(2):
                 if (a + b) % 2 == (x & y):
                     t[a, b] = 0.5
-        tables[node] = CorrelationTable(node, t)
-    return BellSection(pp, tables, frozenset(tables)), contexts
+        tables[node] = CorrelationTable(t)
+    return BellSection(pp, tables), contexts
 
 
 class TestFactorisability:
@@ -507,8 +507,8 @@ def _drawn_section(pp, contexts, source, rng):
             t = np.full((na, nb), (1 - p) / (na * nb))
             for a in range(na):
                 t[a, (a + xy) % nb] += p / na
-            tables[node] = CorrelationTable(node, t)
-        return BellSection(pp, tables, frozenset(tables))
+            tables[node] = CorrelationTable(t)
+        return BellSection(pp, tables)
     if source == "separable":
         w = sum(
             lam * np.kron(random_density(rng, d).matrix, random_density(rng, d).matrix)
@@ -741,9 +741,7 @@ class TestClassification:
     def test_chsh_contexts_underdetermined(self, chsh_model):
         pp = chsh_model.poset
         domain = frozenset(chsh_model.analysis_contexts)
-        s = BellSection(
-            pp, {n: chsh_model.section.tables[n] for n in domain}, domain
-        )
+        s = BellSection(pp, {n: chsh_model.section.tables[n] for n in domain})
         result = cx.classify_section(s)
         assert result.verdict == "underdetermined"
         # rank-deficiency oracle: 2 bases per qubit span 3 of 4 local dims
@@ -776,8 +774,8 @@ class TestClassification:
         probs[0, 0] += 0.2
         probs[1, 1] -= 0.2
         tables = dict(s.tables)
-        tables[node] = CorrelationTable(node, probs)
-        bad = BellSection(mub3_pair, tables, s.domain)
+        tables[node] = CorrelationTable(probs)
+        bad = BellSection(mub3_pair, tables)
         result = cx.classify_section(bad)
         assert result.verdict == "non_quantum"
         assert result.residual > 1e-6
@@ -801,9 +799,9 @@ class TestRestrictTable:
         s = cx.section_from_bipartite_state(pp, w)
         checked = 0
         for i, j, k in strict_chains3(pp.order):
-            top = s.tables[pp.nodes[k]]
-            via = loop_restrict_table(pp, loop_restrict_table(pp, top, pp.nodes[j]), pp.nodes[i])
-            direct = loop_restrict_table(pp, top, pp.nodes[i])
+            a, b, c = pp.nodes[i], pp.nodes[j], pp.nodes[k]
+            via = loop_restrict_table(pp, loop_restrict_table(pp, s.tables[c], c, b), b, a)
+            direct = loop_restrict_table(pp, s.tables[c], c, a)
             assert max_norm(via.probs - direct.probs) < 1e-10
             checked += 1
         assert checked > 0
@@ -819,15 +817,14 @@ class TestRestrictTable:
             checked = 0
             for i, j in zip(*np.nonzero(pp.order)):
                 small, large = pp.nodes[i], pp.nodes[j]
-                want = loop_restrict_table(pp, s.tables[large], small)
-                assert want.context == small
+                want = loop_restrict_table(pp, s.tables[large], large, small)
                 assert max_norm(s.tables[small].probs - want.probs) < 1e-10
                 checked += 1
             assert checked > len(pp)
 
 
 def _replace_tables(s, tables):
-    return BellSection(s.poset, tables, frozenset(tables))
+    return BellSection(s.poset, tables)
 
 
 class TestVerifyBellSection:
@@ -837,7 +834,7 @@ class TestVerifyBellSection:
         node = ProductNode(x0, len(chsh_model.poset.right) - 1)  # the trivial context
         tables = dict(s.tables)
         probs = s.tables[node].probs + np.array([[1e-3], [-1e-3]])
-        tables[node] = CorrelationTable(node, probs)
+        tables[node] = CorrelationTable(probs)
         assert not verify_bell_section(_replace_tables(s, tables))
 
     def test_shared_pair_mismatch(self, shared_ray_poset_c3):
@@ -859,8 +856,8 @@ class TestVerifyBellSection:
                     top = 0.5 if node.left == first else shared_weight
                     w = np.full((3, 1), (1 - top) / 2)
                     w[at] = top
-                tables[node] = CorrelationTable(node, w)
-            return BellSection(pp, tables, frozenset(tables))
+                tables[node] = CorrelationTable(w)
+            return BellSection(pp, tables)
 
         assert verify_bell_section(section(0.5))
         assert not verify_bell_section(section(0.4))
@@ -875,13 +872,13 @@ class TestVerifyBellSection:
         (x0, _), _ = _chsh_locals(chsh_model)
         node = ProductNode(x0, len(chsh_model.poset.right) - 1)  # the trivial context
         tables = dict(s.tables)
-        tables[node] = CorrelationTable(node, s.tables[node].probs.reshape(1, 2))
+        tables[node] = CorrelationTable(s.tables[node].probs.reshape(1, 2))
         assert not verify_bell_section(_replace_tables(s, tables))
 
     def test_total_not_one(self, chsh_model):
         # halving every table keeps marginalisation and sharing intact
         s = chsh_model.section
-        tables = {n: CorrelationTable(n, 0.5 * t.probs) for n, t in s.tables.items()}
+        tables = {n: CorrelationTable(0.5 * t.probs) for n, t in s.tables.items()}
         assert not verify_bell_section(_replace_tables(s, tables))
 
 

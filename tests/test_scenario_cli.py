@@ -100,6 +100,25 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="rays 0 and 1 are not orthogonal"):
             cx.parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("kind", ["single", "bipartite"])
+    def test_more_rays_than_the_dimension_are_not_orthogonal(self, kind):
+        # three rays in C^2 are never pairwise orthogonal, so the orthogonality check
+        # alone rejects a context with more rays than the dimension
+        rays, contexts = [[1, 0], [0, 1], [1, 1]], [[0, 1, 2]]
+        if kind == "single":
+            doc = {"kind": "single", "dim": 2, "rays": rays, "contexts": contexts}
+            path = r"\$\.contexts\[0\]"
+        else:
+            doc = {
+                "kind": "bipartite",
+                "dims": [2, 2],
+                "rays": {"left": rays, "right": [[1, 0], [0, 1]]},
+                "contexts": {"left": contexts, "right": [[0, 1]]},
+            }
+            path = r"\$\.contexts\.left\[0\]"
+        with pytest.raises(ScenarioError, match=rf"^{path}: rays 0 and 2 are not orthogonal"):
+            cx.parse_scenario(json.dumps(doc))
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.sampled_from(RAY_POOL), min_size=1, max_size=6),
@@ -830,7 +849,9 @@ class TestStabilizerCatalogs:
                 stdout=stdout,
             )
             _, status, usage = os.wait4(child.pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 2
+        # the child is reaped: tell the Popen, whose finalizer would warn it still runs
+        child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == 2
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["verdict"] == "non_colorable"
         assert (report["poset"]["nodes"], report["poset"]["projections"]) == (514, 2467)

@@ -6,6 +6,7 @@ import gc
 import itertools
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from contextua import spectral
 from contextua.catalogs import bundled_names, bundled_scenario, bundled_text
 from contextua.contexts import poset_from_nodes
 from contextua.opalg import TOL, ProjectionRegistry
-from contextua.spectral import Character, SpectralSection, section_components
+from contextua.spectral import section_components
 
 from conftest import (
     canonical_key,
@@ -30,7 +31,7 @@ from conftest import (
     rank_of,
     ray_projection,
     reference_global_section,
-    restrict_character,
+    restrict_choice,
     shared_ray_catalog_poset,
     strict_chains3,
     verify_section,
@@ -57,8 +58,7 @@ def shared_atom_setup():
 class TestRestrictCharacter:
     def test_identity_on_same_context(self, shared_atom_setup):
         poset, maximal, _, _ = shared_atom_setup
-        ch = Character(maximal, 1)
-        assert restrict_character(poset, ch, maximal) == ch
+        assert restrict_choice(poset, maximal, 1, maximal) == 1
 
     def test_complement_atom_chosen(self, shared_atom_setup):
         poset, maximal, sub, key1 = shared_atom_setup
@@ -68,20 +68,19 @@ class TestRestrictCharacter:
             for i, k in enumerate(poset.atom_keys(maximal))
             if poset.registry.matrices([k])[0, 1, 1].real > 0.5
         )
-        got = restrict_character(poset, Character(maximal, idx_p2), sub)
-        chosen_key = poset.atom_keys(sub)[got.chosen_atom]
+        got = restrict_choice(poset, maximal, idx_p2, sub)
+        chosen_key = poset.atom_keys(sub)[got]
         assert rank_of(poset.registry.matrices([chosen_key])[0]) == 2
 
     def test_restrict_to_trivial(self, shared_atom_setup):
         poset, maximal, _, _ = shared_atom_setup
         trivial = poset.node_id(cx.trivial_context(poset.registry))
-        got = restrict_character(poset, Character(maximal, 2), trivial)
-        assert got.chosen_atom == 0
+        assert restrict_choice(poset, maximal, 2, trivial) == 0
 
     def test_not_below_errors(self, shared_atom_setup):
         poset, maximal, sub, _ = shared_atom_setup
         with pytest.raises(ValueError, match="not below"):
-            restrict_character(poset, Character(sub, 0), maximal)
+            restrict_choice(poset, sub, 0, maximal)
 
 
 class TestFindGlobalSection:
@@ -143,8 +142,8 @@ class TestEnumerate:
         # product count oracle: no shared projections, so 3 * 3 sections
         assert len(result) == 9
         assert not result.truncated
-        for s in result:
-            assert verify_section(poset, s)
+        for row in result.chosen:
+            assert verify_section(poset, row)
 
     def test_cap_truncation(self, basis_poset_c3):
         result = cx.enumerate_global_sections(basis_poset_c3, cap=2)
@@ -197,13 +196,9 @@ class TestVerifySection:
         shared = set(poset.atom_keys(m1)) & set(poset.atom_keys(m2))
         assert shared
         key = shared.pop()
-        assignment = dict(good.assignment)
-        assignment[m1] = Character(m1, poset.atom_keys(m1).index(key))
-        other = next(
-            i for i, k in enumerate(poset.atom_keys(m2)) if k != key
-        )
-        assignment[m2] = Character(m2, other)
-        bad = SpectralSection(assignment, good.domain)
+        bad = list(good)
+        bad[m1] = poset.atom_keys(m1).index(key)
+        bad[m2] = next(i for i, k in enumerate(poset.atom_keys(m2)) if k != key)
         assert not verify_section(poset, bad)
 
     def test_edge_violation_without_atom_sharing(self):
@@ -219,15 +214,8 @@ class TestVerifySection:
         )
         poset = poset_from_nodes(reg, nodes, ("v", "halves", "trivial"))
         assert np.array_equal(poset.order, order)
-        ok = SpectralSection(
-            {0: Character(0, 0), 1: Character(1, 0), 2: Character(2, 0)},
-            frozenset({0, 1, 2}),
-        )
-        assert verify_section(poset, ok)
-        bad = SpectralSection(
-            {0: Character(0, 0), 1: Character(1, 1), 2: Character(2, 0)},
-            frozenset({0, 1, 2}),
-        )
+        assert verify_section(poset, [0, 0, 0])
+        bad = [0, 1, 0]
         # no projection is an atom of two nodes here: value table is consistent
         keys = [poset.atom_keys(i) for i in range(3)]
         assert not (set(keys[0]) & set(keys[1]))
@@ -236,8 +224,7 @@ class TestVerifySection:
     def test_non_down_closed_domain(self, basis_poset_c3):
         poset = basis_poset_c3
         m = poset.maximal_nodes()[0]
-        s = SpectralSection({m: Character(m, 0)}, frozenset({m}))
-        assert not verify_section(poset, s)
+        assert not verify_section(poset, {m: 0})
 
 
 class TestFunctorialityAndValues:
@@ -246,9 +233,8 @@ class TestFunctorialityAndValues:
         for poset in (shared_ray_poset_c3, mub_closure_poset_c3):
             for i, j, k in strict_chains3(poset.order):
                 for a in range(len(poset.nodes[k].atoms)):
-                    ch = Character(k, a)
-                    via = restrict_character(poset, restrict_character(poset, ch, j), i)
-                    assert via == restrict_character(poset, ch, i)
+                    via = restrict_choice(poset, j, restrict_choice(poset, k, a, j), i)
+                    assert via == restrict_choice(poset, k, a, i)
                     checked += 1
         assert checked > 0
 
@@ -274,10 +260,7 @@ class TestEdgeCases:
         catalog = [random_basis_context(rng, reg) for _ in range(2)]
         poset = cx.generate_poset(catalog, reg)
         result = cx.enumerate_global_sections(poset)
-        vectors = [
-            tuple(s.assignment[i].chosen_atom for i in range(len(poset)))
-            for s in result
-        ]
+        vectors = [tuple(row) for row in result.chosen.tolist()]
         assert vectors == sorted(vectors)
         assert len(set(vectors)) == len(vectors)
 
@@ -323,27 +306,22 @@ class TestOracleStress:
             for combo in itertools.product(
                 *[range(len(poset.nodes[m].atoms)) for m in maximal]
             ):
-                assignment = {m: Character(m, a) for m, a in zip(maximal, combo)}
+                assignment = dict(zip(maximal, combo))
                 ok = True
                 for i in range(len(poset)):
                     if i in assignment:
                         continue
                     ups = [m for m in maximal if poset.order[i, m] and i != m]
-                    vals = {
-                        int(poset.dominator_map(i, m)[assignment[m].chosen_atom])
-                        for m in ups
-                    }
+                    vals = {int(poset.dominator_map(i, m)[assignment[m]]) for m in ups}
                     if len(vals) != 1:
                         ok = False
                         break
-                    assignment[i] = Character(i, vals.pop())
-                if ok and verify_section(
-                    poset, SpectralSection(dict(assignment), frozenset(range(len(poset))))
-                ):
+                    assignment[i] = vals.pop()
+                if ok and verify_section(poset, assignment):
                     direct += 1
             assert (cert.verdict == "colorable") == (len(enum) > 0)
             assert len(enum) == direct
-            assert all(verify_section(poset, s) for s in enum)
+            assert all(verify_section(poset, row) for row in enum.chosen)
             trials += 1
 
 
@@ -433,8 +411,7 @@ class TestSearchDifferential:
         )
         assert (got.section is None) == (want.section is None)
         if got.section is not None:
-            assert got.section.assignment == want.section.assignment
-            assert got.section.value_table(poset) == want.section.value_table(poset)
+            assert got.section == want.section
             assert verify_section(poset, got.section)
 
     @settings(max_examples=40, deadline=None)
@@ -464,14 +441,13 @@ class TestEnumerationDifferential:
         got = cx.enumerate_global_sections(poset, cap=cap)
         want = full_table_sections(poset, cap=cap)
         assert got.truncated == want.truncated
-        assert [s.assignment for s in got] == [s.assignment for s in want]
-        assert [s.domain for s in got] == [s.domain for s in want]
+        assert np.array_equal(got.chosen, want.chosen)
 
     @pytest.mark.parametrize("name, count", [("ks18-c4", 0), ("demo-c3", 3), ("mub-c3", 81)])
     def test_bundled_catalogs(self, name, count):
         poset = cx.build_single_poset(cx.parse_scenario(bundled_text(name)))
         got = cx.enumerate_global_sections(poset)
-        assert [s.assignment for s in got] == [s.assignment for s in full_table_sections(poset)]
+        assert np.array_equal(got.chosen, full_table_sections(poset).chosen)
         assert len(got) == count
 
     @settings(max_examples=40, deadline=None)
@@ -488,6 +464,23 @@ class TestEnumerationDifferential:
             for c in range(labels.max() + 1)
         ]
         assert math.prod(counts) == len(result)
+
+
+@settings(max_examples=40, deadline=None)
+@given(search_sources)
+def test_value_table_holds_each_shared_key_once(poset):
+    # no bundled colorable scenario shares a ray, so no pinned report renders a key
+    # that several nodes hold: each such key is 1 where any holder chooses it, once
+    assume(poset is not None)
+    holders = Counter(key for node in poset.nodes for key in node.atoms)
+    assume(max(holders.values()) > 1)
+    result = cx.enumerate_global_sections(poset, cap=50)
+    assume(len(result))
+    for row in result.chosen.tolist():
+        chosen = {node.atoms[a] for node, a in zip(poset.nodes, row)}
+        table = cx.value_table(poset, row)
+        assert sorted(table) == sorted(holders)
+        assert table == {key: int(key in chosen) for key in holders}
 
 
 def key_below_maximal_poset():
@@ -520,15 +513,13 @@ class TestKeySharedBelowMaximalNodes:
         assert poset.maximal_nodes() == [0, 1]
         result = cx.enumerate_global_sections(poset)
         assert (len(result), result.truncated) == (8, False)
-        assert all(verify_section(poset, s) for s in result)
-        assert [s.assignment for s in result] == [s.assignment for s in full_table_sections(poset)]
+        assert all(verify_section(poset, row) for row in result.chosen)
+        assert np.array_equal(result.chosen, full_table_sections(poset).chosen)
         # brute force over the maximal choices: restrict onto every node, check every key
         brute = []
         for a, b in itertools.product(range(4), range(4)):
             below = (int(poset.dominator_map(2, 0)[a]), int(poset.dominator_map(3, 1)[b]), 0)
-            chars = {i: Character(i, k) for i, k in enumerate((a, b, *below))}
-            section = SpectralSection(chars, frozenset(chars))
-            if verify_section(poset, section):
+            if verify_section(poset, (a, b, *below)):
                 brute.append((a, b))
         assert brute == [tuple(row) for row in result.chosen[:, :2].tolist()]
         assert brute == [(a, b) for a in range(4) for b in range(4) if (a < 2) == (b < 2)]
