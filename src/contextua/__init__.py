@@ -13,7 +13,6 @@ from .bell import (
     BellSection,
     CorrelationTable,
     LPResult,
-    ProductNode,
     ProductPoset,
     SectionClassification,
     bell_functional_value,

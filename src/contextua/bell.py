@@ -28,6 +28,7 @@ second factor means quantum up to time reversal, neither means non-quantum.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import KeysView, Mapping, Sequence
 
@@ -39,23 +40,14 @@ from .opalg import TOL, max_norm
 from .spectral import enumerate_global_sections, section_components
 
 
-@dataclass(frozen=True)
-class ProductNode:
-    """A product context: one node id per factor poset."""
-
-    left: int
-    right: int
-
-
 class ProductPoset:
-    """Cartesian product of two context posets with componentwise order."""
+    """Cartesian product of two context posets with componentwise order. Its nodes, the
+    product contexts, are the pairs (left node id, right node id), left major."""
 
     def __init__(self, left: ContextPoset, right: ContextPoset):
         self.left = left
         self.right = right
-        self.nodes: tuple[ProductNode, ...] = tuple(
-            ProductNode(i, j) for i in range(len(left)) for j in range(len(right))
-        )
+        self.nodes = tuple(itertools.product(range(len(left)), range(len(right))))
         self._index = {node: k for k, node in enumerate(self.nodes)}
         self.order = np.kron(left.order, right.order).astype(bool)
         self.dims = (left.dim, right.dim)
@@ -64,32 +56,24 @@ class ProductPoset:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def index(self, node: ProductNode) -> int:
+    def index(self, node: tuple[int, int]) -> int:
         try:
             return self._index[node]
         except KeyError:
             raise KeyError(f"unknown product node {node}") from None
 
-    def table_shape(self, node: ProductNode) -> tuple[int, int]:
-        return (
-            len(self.left.nodes[node.left].atoms),
-            len(self.right.nodes[node.right].atoms),
-        )
+    def table_shape(self, node: tuple[int, int]) -> tuple[int, int]:
+        return len(self.left.nodes[node[0]].atoms), len(self.right.nodes[node[1]].atoms)
 
     def atom_keys(self, i: int) -> list[tuple[str, str]]:
         """Key pairs of node i's atom pairs, in table row-major order."""
-        node = self.nodes[i]
-        return [
-            (lk, rk)
-            for lk in self.left.atom_keys(node.left)
-            for rk in self.right.atom_keys(node.right)
-        ]
+        ln, rn = self.nodes[i]
+        return list(itertools.product(self.left.atom_keys(ln), self.right.atom_keys(rn)))
 
     def atom_matrices(self, i: int) -> np.ndarray:
         """``kron(p, q)`` for each atom pair of node i, in table row-major order."""
-        node = self.nodes[i]
-        pl = self.left.atom_matrices(node.left)
-        pr = self.right.atom_matrices(node.right)
+        ln, rn = self.nodes[i]
+        pl, pr = self.left.atom_matrices(ln), self.right.atom_matrices(rn)
         # [a, b, i, k, j, l] = pl[a, i, j] * pr[b, k, l], the entries of kron(p_a, q_b)
         prod = pl[:, None, :, None, :, None] * pr[None, :, None, :, None, :]
         return prod.reshape(len(pl) * len(pr), self.dim, self.dim)
@@ -97,14 +81,12 @@ class ProductPoset:
     def dominator_map(self, small: int, large: int) -> np.ndarray:
         """Per-cell lookup: flat cell c of ``large``'s table lies under flat cell [c] of ``small``'s."""
         below, above = self.nodes[small], self.nodes[large]
-        left = self.left.dominator_map(below.left, above.left)
-        right = self.right.dominator_map(below.right, above.right)
+        left = self.left.dominator_map(below[0], above[0])
+        right = self.right.dominator_map(below[1], above[1])
         return (left[:, None] * self.table_shape(below)[1] + right[None, :]).reshape(-1)
 
-    def maximal_nodes(self) -> list[ProductNode]:
-        lm = set(self.left.maximal_nodes())
-        rm = set(self.right.maximal_nodes())
-        return [n for n in self.nodes if n.left in lm and n.right in rm]
+    def maximal_nodes(self) -> list[tuple[int, int]]:
+        return list(itertools.product(self.left.maximal_nodes(), self.right.maximal_nodes()))
 
 
 def product_poset(p1: ContextPoset, p2: ContextPoset) -> ProductPoset:
@@ -118,22 +100,16 @@ class CorrelationTable:
 
     probs: np.ndarray
 
-    def left_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
-    def right_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
-
 
 @dataclass(frozen=True)
 class BellSection:
     """Tables over a down-closed set of product contexts."""
 
     poset: ProductPoset
-    tables: Mapping[ProductNode, CorrelationTable]
+    tables: Mapping[tuple[int, int], CorrelationTable]
 
     @property
-    def domain(self) -> KeysView[ProductNode]:
+    def domain(self) -> KeysView[tuple[int, int]]:
         return self.tables.keys()
 
     def min_probability(self) -> float:
@@ -165,20 +141,12 @@ def section_from_bipartite_state(
 
 def check_no_signalling(s: BellSection, tol: float = TOL.exact) -> bool:
     """Marginals of one side must not depend on the other side's context."""
-    by_left: dict[int, list[ProductNode]] = {}
-    by_right: dict[int, list[ProductNode]] = {}
-    for node in s.domain:
-        by_left.setdefault(node.left, []).append(node)
-        by_right.setdefault(node.right, []).append(node)
-    for siblings in by_left.values():
-        ref = s.tables[siblings[0]].left_marginal()
-        for node in siblings[1:]:
-            if max_norm(s.tables[node].left_marginal() - ref) > tol:
-                return False
-    for siblings in by_right.values():
-        ref = s.tables[siblings[0]].right_marginal()
-        for node in siblings[1:]:
-            if max_norm(s.tables[node].right_marginal() - ref) > tol:
+    for side in (0, 1):
+        first: dict[int, np.ndarray] = {}
+        for node, t in s.tables.items():
+            marginal = t.probs.sum(axis=1 - side)
+            ref = first.setdefault(node[side], marginal)
+            if max_norm(marginal - ref) > tol:
                 return False
     return True
 
@@ -205,10 +173,7 @@ class LPResult:
             ]
         if self.witness is not None:
             out["witness"] = [
-                [[node.left, node.right], a, b, c]
-                for (node, a, b), c in sorted(
-                    self.witness.items(), key=lambda kv: (kv[0][0].left, kv[0][0].right, kv[0][1], kv[0][2])
-                )
+                [list(node), a, b, c] for (node, a, b), c in sorted(self.witness.items())
             ]
             out["witness_value"] = self.witness_value
             out["deterministic_max"] = self.deterministic_max
@@ -254,14 +219,14 @@ class _Cells:
     n_rows: int
 
     @classmethod
-    def of(cls, pp: ProductPoset, contexts: Sequence[ProductNode]) -> "_Cells":
+    def of(cls, pp: ProductPoset, contexts: Sequence[tuple[int, int]]) -> "_Cells":
         shapes = np.array([pp.table_shape(n) for n in contexts])
         sizes = shapes.prod(axis=1)
         return cls(
             np.cumsum(sizes) - sizes,
             shapes[:, 1],
-            [n.left for n in contexts],
-            [n.right for n in contexts],
+            [n[0] for n in contexts],
+            [n[1] for n in contexts],
             int(sizes.sum()),
         )
 
@@ -381,7 +346,7 @@ def _couple(masses: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def factorisability_lp(
     s: BellSection,
-    contexts: Sequence[ProductNode] | None = None,
+    contexts: Sequence[tuple[int, int]] | None = None,
     cap: int = 10**6,
 ) -> LPResult:
     """Decide membership in the convex hull of deterministic local strategies.

@@ -75,7 +75,7 @@ class Context:
 def context_from_projections(registry: ProjectionRegistry, mats) -> Context:
     """Validate an orthogonal, complete family, one ``(m, d, d)`` array of projections, and
     register it as a context; a registry ``tol`` that makes two of its atoms one projection
-    is an error, raised after registering."""
+    is an error. On any error the registry holds the keys it held before the call."""
     dim = registry.dim
     stack = np.array(mats, dtype=complex)
     if stack.ndim != 3 or stack.shape[1:] != (dim, dim):
@@ -89,11 +89,16 @@ def context_from_projections(registry: ProjectionRegistry, mats) -> Context:
             raise ValueError(f"atoms {i} and {bad[0]} are not orthogonal")
     if max_norm(stack.sum(axis=0) - np.eye(dim)) > max(TOL.exact * dim, TOL.context):
         raise ValueError("atoms do not sum to the identity")
-    keys = tuple(registry.register_many(stack))
-    repeat = first_repeat(keys)
-    if repeat is not None:
-        message = f"atoms {repeat[0]} and {repeat[1]} are one projection at tol {registry.tol}"
-        raise ValueError(message + ", but they are orthogonal")
+    held = len(registry)
+    try:
+        keys = tuple(registry.register_many(stack))
+        repeat = first_repeat(keys)
+        if repeat is not None:
+            message = f"atoms {repeat[0]} and {repeat[1]} are one projection at tol {registry.tol}"
+            raise ValueError(message + ", but they are orthogonal")
+    except ValueError:  # a CanonicalizationError too
+        registry._truncate(held)
+        raise
     return Context(dim, keys)
 
 

@@ -419,6 +419,11 @@ class ProjectionRegistry:
             self._add(list(fresh), stack[[scan[c - n] for c in fresh.values()]])
         return found, error
 
+    def _truncate(self, n: int) -> None:
+        """Unregister every key after the first ``n``; their rows become spare."""
+        for key in list(self._rows)[n:]:
+            del self._rows[key]
+
     def _add(self, keys: list[str], mats: np.ndarray) -> None:
         """Register ``mats`` under ``keys``, in this order, as copies."""
         n, end = len(self._rows), len(self._rows) + len(keys)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bell import BellSection, CorrelationTable, ProductNode, ProductPoset, product_poset
+from .bell import BellSection, CorrelationTable, ProductPoset, product_poset
 from .contexts import Context, ContextPoset, first_repeat, generate_poset
 from .opalg import TOL, CanonicalizationError, ProjectionRegistry, max_norm
 
@@ -423,7 +423,7 @@ class BipartiteModel:
 
     poset: ProductPoset
     section: BellSection | None
-    analysis_contexts: list[ProductNode]
+    analysis_contexts: list[tuple[int, int]]
 
 
 def build_bipartite_model(sc: Scenario, tol: float = TOL.identity) -> BipartiteModel:
@@ -439,14 +439,14 @@ def build_bipartite_model(sc: Scenario, tol: float = TOL.identity) -> BipartiteM
     pairs = sc.product_contexts
     if pairs is None:
         pairs = tuple((i, j) for i in range(len(lcat)) for j in range(len(rcat)))
-    analysis = [ProductNode(lnodes[i], rnodes[j]) for i, j in pairs]
+    analysis = [(lnodes[i], rnodes[j]) for i, j in pairs]
 
     section = None
     if sc.tables is not None:
         # each table lists outcomes in the ray order of its catalog contexts
-        tables: dict[ProductNode, np.ndarray] = {}
+        tables: dict[tuple[int, int], np.ndarray] = {}
         for i, (li, ri, probs) in enumerate(sc.tables):
-            node = ProductNode(lnodes[li], rnodes[ri])
+            node = (lnodes[li], rnodes[ri])
             want = pp.table_shape(node)
             if probs.shape != want:
                 raise ScenarioError(
@@ -456,8 +456,8 @@ def build_bipartite_model(sc: Scenario, tol: float = TOL.identity) -> BipartiteM
                 )
             values = np.empty(want)
             values[np.ix_(
-                _node_positions(lposet, node.left, lcat[li]),
-                _node_positions(rposet, node.right, rcat[ri]),
+                _node_positions(lposet, node[0], lcat[li]),
+                _node_positions(rposet, node[1], rcat[ri]),
             )] = probs
             _merge_entry(tables, node, values, f"$.tables[{i}]")
         section = BellSection(pp, {n: CorrelationTable(v) for n, v in tables.items()})

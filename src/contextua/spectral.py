@@ -42,7 +42,6 @@ class ColoringCertificate:
     section: list[int] | None  # the chosen atom of each node
     nodes_expanded: int
     backtracks: int
-    exhausted: bool
 
     def to_report(self, poset: ContextPoset) -> dict:
         report = {
@@ -50,7 +49,7 @@ class ColoringCertificate:
             "stats": {
                 "nodes_expanded": self.nodes_expanded,
                 "backtracks": self.backtracks,
-                "exhausted": self.exhausted,
+                "exhausted": self.section is None,
             },
         }
         if self.section is not None:
@@ -226,7 +225,7 @@ def find_global_section(poset: ContextPoset) -> ColoringCertificate:
     branching in sharing order, or the exhausted search's certificate."""
     chars, expanded, backtracks = next(_sections(poset, _sharing_order))
     verdict = "non_colorable" if chars is None else "colorable"
-    return ColoringCertificate(verdict, chars, expanded, backtracks, exhausted=chars is None)
+    return ColoringCertificate(verdict, chars, expanded, backtracks)
 
 
 def enumerate_global_sections(poset: ContextPoset, cap: int = 10**6) -> EnumerationResult:

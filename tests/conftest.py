@@ -136,6 +136,26 @@ def verify_bell_section(s):
     return is_section(pp, values, TOL.probability)
 
 
+def loop_check_no_signalling(s, tol=TOL.exact):
+    """Reference no-signalling check: one loop per side over the tables grouped by that
+    side's node, each against the group's first table."""
+    by_left, by_right = {}, {}
+    for node in s.domain:
+        by_left.setdefault(node[0], []).append(node)
+        by_right.setdefault(node[1], []).append(node)
+    for siblings in by_left.values():
+        ref = s.tables[siblings[0]].probs.sum(axis=1)
+        for node in siblings[1:]:
+            if max_norm(s.tables[node].probs.sum(axis=1) - ref) > tol:
+                return False
+    for siblings in by_right.values():
+        ref = s.tables[siblings[0]].probs.sum(axis=0)
+        for node in siblings[1:]:
+            if max_norm(s.tables[node].probs.sum(axis=0) - ref) > tol:
+                return False
+    return True
+
+
 def restrict_choice(poset, source, atom, target):
     """Restriction of a character, the choice of ``atom`` at node ``source``, to a smaller
     context: the atom of ``target`` under it."""
@@ -151,12 +171,12 @@ def marginal_prob_section(s, side):
     pp = s.poset
     poset = pp.left if side == "left" else pp.right
     assignment = {}
-    for node in sorted(s.domain, key=lambda n: (n.left, n.right)):
-        local = node.left if side == "left" else node.right
+    for node in sorted(s.domain):
+        local = node[0] if side == "left" else node[1]
         if local in assignment:
             continue
         t = s.tables[node]
-        w = t.left_marginal() if side == "left" else t.right_marginal()
+        w = t.probs.sum(axis=1 if side == "left" else 0)
         assignment[local] = context_measure(poset, local, w, tol=TOL.probability)
     return ProbSection(assignment)
 
@@ -678,8 +698,8 @@ def loop_restrict_table(pp, table, source, target):
     if not pp.order[pp.index(target), pp.index(source)]:
         raise ValueError("target is not below the table's context")
     out = np.zeros(pp.table_shape(target))
-    left_map = pp.left.dominator_map(target.left, source.left)
-    right_map = pp.right.dominator_map(target.right, source.right)
+    left_map = pp.left.dominator_map(target[0], source[0])
+    right_map = pp.right.dominator_map(target[1], source[1])
     for (a, b), v in np.ndenumerate(table.probs):
         out[left_map[a], right_map[b]] += v
     return cx.CorrelationTable(out)
@@ -690,8 +710,8 @@ def kron_rows(pp, node):
     return np.stack(
         [
             np.kron(p, q).T.ravel()
-            for p in pp.left.atom_matrices(node.left)
-            for q in pp.right.atom_matrices(node.right)
+            for p in pp.left.atom_matrices(node[0])
+            for q in pp.right.atom_matrices(node[1])
         ]
     )
 
@@ -709,7 +729,7 @@ def kron_row_classify(s):
     pp = s.poset
     d1, d2 = pp.dims
     basis = hermitian_basis(d1 * d2)
-    domain = sorted(s.domain, key=lambda n: (n.left, n.right))
+    domain = sorted(s.domain)
     rows = [kron_rows(pp, n) for n in domain] + [np.zeros((0, (d1 * d2) ** 2))]
     a = np.real(np.concatenate(rows) @ basis.reshape(len(basis), -1).T)
     a = np.vstack([a, np.real(np.einsum("kii->k", basis))])
@@ -874,9 +894,9 @@ def reference_global_section(poset):
             break
         stack.append(frame)
     if found is None:
-        return cx.ColoringCertificate("non_colorable", None, expanded, backtracks, exhausted=True)
+        return cx.ColoringCertificate("non_colorable", None, expanded, backtracks)
     section = [found.chars[i] for i in range(n)]
-    return cx.ColoringCertificate("colorable", section, expanded, backtracks, exhausted=False)
+    return cx.ColoringCertificate("colorable", section, expanded, backtracks)
 
 
 def full_table_sections(poset, cap=10**6, chunk=1 << 16):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import contextua as cx
-from contextua.bell import BellSection, CorrelationTable, ProductNode
+from contextua.bell import BellSection, CorrelationTable
 from contextua.catalogs import bundled_text
 from contextua.gleason import context_measure
 from contextua.opalg import ProjectionRegistry, max_norm
@@ -60,7 +60,7 @@ def test_criterion_1_ks_nonexistence():
         cert = cx.find_global_section(poset)
         oracle = cx.enumerate_global_sections(poset)
         assert cert.verdict == "non_colorable"
-        assert cert.exhausted
+        assert cert.to_report(poset)["stats"]["exhausted"]
         assert len(oracle) == 0 and not oracle.truncated
         assert (cert.verdict == "non_colorable") == (len(oracle) == 0)
         assert time.perf_counter() - start < 10.0
@@ -126,7 +126,7 @@ def test_criterion_3_classical_bound_and_violation(chsh_model):
             tables = {}
             for node in contexts:
                 t = np.zeros(pp.table_shape(node))
-                t[cl[node.left], cr[node.right]] = 1.0
+                t[cl[node[0]], cr[node[1]]] = 1.0
                 tables[node] = CorrelationTable(t)
             values.append(
                 cx.bell_functional_value(BellSection(pp, tables), coeffs)
@@ -165,10 +165,10 @@ def test_criterion_4_no_signalling_universality(mub_poset_c3, chsh_model):
             assert cx.check_no_signalling(s)
 
         (x0,), (y0, y1) = (
-            sorted({n.left for n in chsh_model.analysis_contexts})[:1],
-            sorted({n.right for n in chsh_model.analysis_contexts})[:2],
+            sorted({n[0] for n in chsh_model.analysis_contexts})[:1],
+            sorted({n[1] for n in chsh_model.analysis_contexts})[:2],
         )
-        n00, n01 = ProductNode(x0, y0), ProductNode(x0, y1)
+        n00, n01 = (x0, y0), (x0, y1)
         fixture = BellSection(
             chsh_model.poset,
             {

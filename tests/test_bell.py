@@ -16,7 +16,6 @@ from contextua import bell
 from contextua.bell import (
     BellSection,
     CorrelationTable,
-    ProductNode,
     deterministic_strategies,
 )
 from contextua.catalogs import bundled_text
@@ -27,6 +26,7 @@ from contextua.spectral import section_components
 from conftest import (
     kron_row_classify,
     kron_row_tables,
+    loop_check_no_signalling,
     loop_restrict_table,
     marginal_prob_section,
     random_density,
@@ -55,7 +55,7 @@ def chsh_operator(model):
     for side, poset in (("left", pp.left), ("right", pp.right)):
         pair = []
         for node in sorted({
-            (n.left if side == "left" else n.right) for n in model.analysis_contexts
+            (n[0] if side == "left" else n[1]) for n in model.analysis_contexts
         }):
             atoms = poset.atom_matrices(node)
             pair.append(atoms[0] - atoms[1])
@@ -92,9 +92,9 @@ class TestProductPoset:
         for x in range(n):
             for y in range(n):
                 a, b = pp.nodes[x], pp.nodes[y]
-                if a.left == b.left and poset.order[a.right, b.right]:
+                if a[0] == b[0] and poset.order[a[1], b[1]]:
                     one_step[x, y] = True
-                if a.right == b.right and poset.order[a.left, b.left]:
+                if a[1] == b[1] and poset.order[a[0], b[0]]:
                     one_step[x, y] = True
         closure = one_step.copy()
         for _ in range(n):
@@ -111,8 +111,8 @@ class TestProductPoset:
             stack = pp.atom_matrices(k)
             pairs = [
                 (p, q)
-                for p in pp.left.atom_matrices(node.left)
-                for q in pp.right.atom_matrices(node.right)
+                for p in pp.left.atom_matrices(node[0])
+                for q in pp.right.atom_matrices(node[1])
             ]
             assert stack.shape == (len(pairs), 9, 9)
             for atom, (p, q) in zip(stack, pairs):
@@ -127,10 +127,10 @@ class TestSectionFromState:
         s = cx.section_from_bipartite_state(pp, np.kron(rho1.matrix, rho2.matrix))
         for node in pp.nodes:
             left = np.array(
-                [np.real(np.trace(rho1.matrix @ p)) for p in pp.left.atom_matrices(node.left)]
+                [np.real(np.trace(rho1.matrix @ p)) for p in pp.left.atom_matrices(node[0])]
             )
             right = np.array(
-                [np.real(np.trace(rho2.matrix @ p)) for p in pp.right.atom_matrices(node.right)]
+                [np.real(np.trace(rho2.matrix @ p)) for p in pp.right.atom_matrices(node[1])]
             )
             assert max_norm(s.tables[node].probs - np.outer(left, right)) < 1e-10
 
@@ -141,8 +141,8 @@ class TestSectionFromState:
         w = w / np.trace(w).real
         s = cx.section_from_bipartite_state(pp, w)
         for node in pp.nodes:
-            for a, p in enumerate(pp.left.atom_matrices(node.left)):
-                for b, q in enumerate(pp.right.atom_matrices(node.right)):
+            for a, p in enumerate(pp.left.atom_matrices(node[0])):
+                for b, q in enumerate(pp.right.atom_matrices(node[1])):
                     direct = float(np.real(np.trace(w @ np.kron(p, q))))
                     assert s.tables[node].probs[a, b] == pytest.approx(direct, abs=1e-12)
 
@@ -209,8 +209,8 @@ class TestNoSignalling:
     def test_hand_built_signalling_pair_fails(self, chsh_model):
         pp = chsh_model.poset
         (x0, x1), (y0, y1) = _chsh_locals(chsh_model)
-        n00 = ProductNode(x0, y0)
-        n01 = ProductNode(x0, y1)
+        n00 = (x0, y0)
+        n01 = (x0, y1)
         tables = {
             n00: CorrelationTable(np.array([[0.5, 0.0], [0.0, 0.5]])),
             # left marginal depends on the right context: signalling
@@ -218,6 +218,57 @@ class TestNoSignalling:
         }
         s = BellSection(pp, tables)
         assert not cx.check_no_signalling(s)
+
+    @pytest.mark.parametrize(
+        "shared,other",
+        [
+            # one left node: the left marginals differ, the right ones agree
+            (0, [[0.25, 0.5], [0.25, 0.0]]),
+            # one right node: the right marginals differ, the left ones agree
+            (1, [[0.25, 0.25], [0.5, 0.0]]),
+        ],
+    )
+    def test_signalling_on_one_side_fails(self, chsh_model, shared, other):
+        (x0, x1), (y0, y1) = _chsh_locals(chsh_model)
+        even, other = np.array([[0.5, 0.0], [0.0, 0.5]]), np.array(other)
+        assert np.array_equal(even.sum(axis=shared), other.sum(axis=shared))
+        assert not np.array_equal(even.sum(axis=1 - shared), other.sum(axis=1 - shared))
+        second = (x0, y1) if shared == 0 else (x1, y0)
+        s = BellSection(
+            chsh_model.poset,
+            {(x0, y0): CorrelationTable(even), second: CorrelationTable(other)},
+        )
+        assert not cx.check_no_signalling(s)
+        assert not loop_check_no_signalling(s)
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(["chsh", "mub3"]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([None, 0, 1]),
+        st.sampled_from([1e-12, 1e-6, 0.1]),
+    )
+    def test_matches_loop_check(self, chsh_model, mub3_pair, which, seed, side, eps):
+        pp = {"chsh": chsh_model.poset, "mub3": mub3_pair}[which]
+        rng = np.random.default_rng(seed)
+        tables = cx.section_from_bipartite_state(pp, random_density(rng, pp.dim).matrix).tables
+        # a random share of the nodes in a random order, so each group's first table varies
+        order = rng.permutation(len(pp))[: rng.integers(len(pp) // 2, len(pp) + 1)]
+        probs = {pp.nodes[k]: tables[pp.nodes[k]].probs.copy() for k in order}
+        wide = [n for n in probs if side is not None and pp.table_shape(n)[side] > 1]
+        if wide:
+            # move eps between two outcomes of one side at one outcome of the other,
+            # which moves only that side's marginal
+            node = wide[rng.integers(len(wide))]
+            view = np.moveaxis(probs[node], side, 0)
+            a, b = rng.choice(len(view), 2, replace=False)
+            c = rng.integers(view.shape[1])
+            view[a, c] += eps
+            view[b, c] -= eps
+        s = BellSection(pp, {n: CorrelationTable(p) for n, p in probs.items()})
+        assert cx.check_no_signalling(s) == loop_check_no_signalling(s)
+        if not wide:
+            assert cx.check_no_signalling(s)
 
     def test_pr_box_no_signalling_and_chsh_4(self, chsh_model):
         s, contexts = _pr_box_section(chsh_model)
@@ -231,14 +282,14 @@ def strategy_section(pp, contexts, strategy):
     tables = {}
     for node in contexts:
         t = np.zeros(pp.table_shape(node))
-        t[cl[node.left], cr[node.right]] = 1.0
+        t[cl[node[0]], cr[node[1]]] = 1.0
         tables[node] = CorrelationTable(t)
     return BellSection(pp, tables)
 
 
 def _chsh_locals(model):
-    lefts = sorted({n.left for n in model.analysis_contexts})
-    rights = sorted({n.right for n in model.analysis_contexts})
+    lefts = sorted({n[0] for n in model.analysis_contexts})
+    rights = sorted({n[1] for n in model.analysis_contexts})
     return (lefts[0], lefts[1]), (rights[0], rights[1])
 
 
@@ -247,10 +298,10 @@ def _pr_box_section(model):
     pp = model.poset
     (x0, x1), (y0, y1) = _chsh_locals(model)
     contexts = [
-        ProductNode(x0, y0),
-        ProductNode(x0, y1),
-        ProductNode(x1, y0),
-        ProductNode(x1, y1),
+        (x0, y0),
+        (x0, y1),
+        (x1, y0),
+        (x1, y1),
     ]
     tables = {}
     for (x, node) in zip((0, 0, 1, 1), contexts):
@@ -497,12 +548,12 @@ def _drawn_section(pp, contexts, source, rng):
     d = pp.dims[0]
     if source == "pr-box":
         # b - a = x y (mod d), mixed with white noise
-        lefts = sorted({n.left for n in contexts})
-        rights = sorted({n.right for n in contexts})
+        lefts = sorted({n[0] for n in contexts})
+        rights = sorted({n[1] for n in contexts})
         p = rng.uniform()
         tables = {}
         for node in contexts:
-            xy = lefts.index(node.left) * rights.index(node.right)
+            xy = lefts.index(node[0]) * rights.index(node[1])
             na, nb = pp.table_shape(node)
             t = np.full((na, nb), (1 - p) / (na * nb))
             for a in range(na):
@@ -746,9 +797,9 @@ class TestClassification:
         assert result.verdict == "underdetermined"
         # rank-deficiency oracle: 2 bases per qubit span 3 of 4 local dims
         rows = []
-        for node in sorted(domain, key=lambda n: (n.left, n.right)):
-            for p in pp.left.atom_matrices(node.left):
-                for q in pp.right.atom_matrices(node.right):
+        for node in sorted(domain):
+            for p in pp.left.atom_matrices(node[0]):
+                for q in pp.right.atom_matrices(node[1]):
                     m = np.kron(p, q)
                     rows.append(np.concatenate([m.real.reshape(-1), m.imag.reshape(-1)]))
         rows.append(np.concatenate([np.eye(4).reshape(-1), np.zeros(16)]))
@@ -831,7 +882,7 @@ class TestVerifyBellSection:
     def test_perturbed_lower_table(self, chsh_model):
         s = chsh_model.section
         (x0, _), _ = _chsh_locals(chsh_model)
-        node = ProductNode(x0, len(chsh_model.poset.right) - 1)  # the trivial context
+        node = (x0, len(chsh_model.poset.right) - 1)  # the trivial context
         tables = dict(s.tables)
         probs = s.tables[node].probs + np.array([[1e-3], [-1e-3]])
         tables[node] = CorrelationTable(probs)
@@ -851,9 +902,9 @@ class TestVerifyBellSection:
             tables = {}
             for node in pp.nodes:
                 w = np.ones((1, 1))
-                if node.left in (first, second):
-                    at = left.atom_keys(node.left).index(key)
-                    top = 0.5 if node.left == first else shared_weight
+                if node[0] in (first, second):
+                    at = left.atom_keys(node[0]).index(key)
+                    top = 0.5 if node[0] == first else shared_weight
                     w = np.full((3, 1), (1 - top) / 2)
                     w[at] = top
                 tables[node] = CorrelationTable(w)
@@ -870,7 +921,7 @@ class TestVerifyBellSection:
     def test_wrong_shape(self, chsh_model):
         s = chsh_model.section
         (x0, _), _ = _chsh_locals(chsh_model)
-        node = ProductNode(x0, len(chsh_model.poset.right) - 1)  # the trivial context
+        node = (x0, len(chsh_model.poset.right) - 1)  # the trivial context
         tables = dict(s.tables)
         tables[node] = CorrelationTable(s.tables[node].probs.reshape(1, 2))
         assert not verify_bell_section(_replace_tables(s, tables))

@@ -186,6 +186,20 @@ class TestContextFromProjections:
             ops = [np.diag(np.arange(1.0, len(atoms) + 1))]
             cx.context_from_observables(cx.ProjectionRegistry(len(atoms), 1.0), ops)
 
+    def test_rejected_context_leaves_the_registry_as_it_was(self):
+        # at tol 1 the two atoms are one projection, found only once both are registered
+        merged = cx.ProjectionRegistry(2, 1.0)
+        with pytest.raises(ValueError, match="atoms 0 and 1 are one projection at tol 1.0"):
+            cx.context_from_projections(merged, np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
+        assert (len(merged), list(merged.keys())) == (0, [])
+        # at tol 0, diag(1, 0) is closer than the grid to a registered projection but not it,
+        # so the batch is rejected partway, after diag(0, 1) is taken as new
+        strict = cx.ProjectionRegistry(2, 0.0)
+        held = strict.register(ray_projection((1.0, 1e-12)))
+        with pytest.raises(cx.CanonicalizationError, match="collide on the canonical rounding grid"):
+            cx.context_from_projections(strict, np.array([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]))
+        assert (len(strict), list(strict.keys())) == (1, [held])
+
 
 class TestGeneratePoset:
     def test_single_maximal_c3_partition_count(self, basis_poset_c3):
