@@ -27,8 +27,6 @@ from .bell import (
 from .contexts import (
     Context,
     ContextPoset,
-    context_from_observables,
-    context_from_projections,
     export_dot,
     generate_poset,
     trivial_context,
@@ -49,7 +47,6 @@ from .opalg import (
     CanonicalizationError,
     DensityMatrix,
     ProjectionRegistry,
-    commutes,
     density_matrix,
 )
 from .scenario import Scenario, build_bipartite_model, build_single_poset, parse_scenario

@@ -7,6 +7,7 @@ ingest (orthogonality, incidence) and its verdict recomputed by the tools.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 from functools import reduce
@@ -14,9 +15,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-
-from .contexts import context_from_observables
-from .opalg import ProjectionRegistry
 
 # omega = exp(2 pi i / 3) and its powers, in exact form
 _OMEGA = [1, ["-1/2", "sqrt(3)/2"], ["-1/2", "-sqrt(3)/2"]]
@@ -31,8 +29,8 @@ def _mub_c3_rays() -> list[list]:
 
 
 # 18 rays in dimension 4, entries in {0, 1, -1}; nine orthogonal bases,
-# each ray a member of exactly two. Standard coordinates from the
-# eighteen-vector construction in the literature.
+# each ray a member of exactly two (Cabello, Estebaranz & Garcia-Alcaine,
+# Phys. Lett. A 212, 183, 1996).
 _KS18_RAYS = [
     [0, 0, 0, 1],
     [0, 0, 1, 0],
@@ -113,31 +111,35 @@ _PAULI = {
 
 
 def _eigenbasis_scenario(dim: int, lines: list[list[str]], metadata: dict) -> dict:
-    """One context per line of commuting Pauli words: the joint eigenbasis of its observables.
+    """One context per line of commuting Pauli words: the joint eigenbasis of its words.
 
-    Each ray is a column of its eigenprojector. Every eigenvector of
-    commuting Pauli operators has entries in {0, +-1, +-i} once divided by
-    its largest entry, so the rays are written exactly.
+    The atoms of a line are the nonzero sign projectors prod_i (I + s_i W_i)/2
+    over the signs s in ``itertools.product((-1, 1), repeat=k)``; a word that
+    the others generate only makes some of them zero. Each must have rank 1,
+    and its ray is its first column with the largest entry, divided by its
+    first largest entry: the entries of a stabilizer state are then in
+    {0, +-1, +-i}, so the rays are written exactly. The products are of
+    dyadic matrices and computed without rounding error.
     """
-    registry = ProjectionRegistry(dim)
     rays: list[list] = []
-    ray_of: dict[str, int] = {}
+    ray_of: dict[tuple[complex, ...], int] = {}
     contexts = []
-    for line in lines:
-        ops = [reduce(np.kron, [_PAULI[c] for c in word]) for word in line]
-        ctx = context_from_observables(registry, ops)
-        for key in ctx.atoms:
-            if key in ray_of:
+    for index, line in enumerate(lines):
+        words = [reduce(np.kron, [_PAULI[c] for c in word]) for word in line]
+        context = []
+        for signs in itertools.product((-1, 1), repeat=len(words)):
+            p = reduce(np.matmul, [(np.eye(dim) + s * w) / 2 for s, w in zip(signs, words)])
+            if not p.any():
                 continue
-            p = registry.matrices([key])[0]
+            if np.trace(p) != 1 or not np.array_equal(p @ p.conj().T, p):  # p = vv*, |v| = 1
+                raise ValueError(f"line {index} {line}: a sign projector is not of rank 1")
             v = p[:, np.argmax(np.abs(p).max(axis=0))]
-            v = v / v[np.argmax(np.abs(v))]
-            exact = np.round(v.real) + 1j * np.round(v.imag)
-            if not np.allclose(exact, v):
-                raise RuntimeError("Pauli eigenvector is not a {0, +-1, +-i} vector")
-            ray_of[key] = len(rays)
-            rays.append([int(z.real) if z.imag == 0 else [int(z.real), int(z.imag)] for z in exact])
-        contexts.append([ray_of[key] for key in ctx.atoms])
+            exact = tuple(np.round(v / v[np.argmax(np.abs(v))]).tolist())
+            if exact not in ray_of:
+                ray_of[exact] = len(rays)
+                rays.append([int(z.real) if z.imag == 0 else [int(z.real), int(z.imag)] for z in exact])
+            context.append(ray_of[exact])
+        contexts.append(context)
     return {"kind": "single", "dim": dim, "rays": rays, "contexts": contexts, "metadata": metadata}
 
 
@@ -145,25 +147,27 @@ def _lagrangian_subspaces(n: int) -> list[list[int]]:
     """Every maximal isotropic subspace of GF(2)^{2n}, as a basis of n vectors.
 
     Vector ``v`` stands for the n-qubit Pauli word with X part ``v >> n`` and
-    Z part ``v`` mod 2^n; isotropic means the words pairwise commute.
-    Subspaces come in the order of their sorted elements.
+    Z part ``v`` mod 2^n; isotropic means the words pairwise commute. Each
+    subspace is reached once, through its greedy basis: every vector is the
+    least of its coset of the span of those before it, that is, 0 at their
+    leading bits. Subspaces come in the order of their sorted elements.
     """
 
     def commute(a: int, b: int) -> bool:
         return bin((a >> n) & b ^ a & (b >> n)).count("1") % 2 == 0
 
-    found: dict[tuple[int, ...], list[int]] = {}
+    found: list[tuple[list[int], list[int]]] = []
 
-    def grow(basis: list[int], span: set[int]) -> None:
+    def grow(basis: list[int], span: list[int], tops: int) -> None:
         if len(basis) == n:
-            found.setdefault(tuple(sorted(span)), basis)
+            found.append((sorted(span), basis))
             return
-        for v in range(max(basis, default=0) + 1, 1 << (2 * n)):
-            if v not in span and all(commute(v, b) for b in basis):
-                grow(basis + [v], span | {v ^ w for w in span})
+        for v in range(basis[-1] + 1 if basis else 1, 1 << (2 * n)):
+            if v & tops == 0 and all(commute(v, b) for b in basis):
+                grow(basis + [v], span + [v ^ w for w in span], tops | 1 << (v.bit_length() - 1))
 
-    grow([], {0})
-    return [found[k] for k in sorted(found)]
+    grow([], [0], 0)
+    return [basis for _, basis in sorted(found)]
 
 
 def stabilizer_scenario(n: int) -> dict:
@@ -171,7 +175,7 @@ def stabilizer_scenario(n: int) -> dict:
 
     Each Lagrangian subspace of GF(2)^{2n} gives n commuting Pauli words,
     whose joint eigenbasis is the context: 15 bases for two qubits, 135
-    for three.
+    for three and 2295 for four.
     """
 
     def word(v: int) -> str:

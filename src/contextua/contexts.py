@@ -37,10 +37,7 @@ from . import opalg
 from .opalg import (
     TOL,
     ProjectionRegistry,
-    as_operator,
     check_projections,
-    cluster_eigenvalues,
-    commutes,
     max_norm,
     real_gram,
     screened_pairs,
@@ -109,42 +106,6 @@ def first_repeat(keys: Sequence[str]) -> tuple[int, int] | None:
         if first.setdefault(key, t) != t:
             return first[key], t
     return None
-
-
-def context_from_observables(registry: ProjectionRegistry, ops: Sequence) -> Context:
-    """Smallest context containing every operator in ``ops``.
-
-    The atoms are the common refinement of the spectral atoms of all the
-    operators, computed by iteratively splitting joint eigenspaces. All
-    operators must be self-adjoint and pairwise commuting.
-    """
-    if not ops:
-        raise ValueError("need at least one observable")
-    arrs = [as_operator(a) for a in ops]
-    dim = arrs[0].shape[0]
-    if dim != registry.dim:
-        raise ValueError("observable dimension does not match registry")
-    for idx, a in enumerate(arrs):
-        if a.shape[0] != dim:
-            raise ValueError("observables must share one dimension")
-        if max_norm(a - a.conj().T) > TOL.exact:
-            raise ValueError(f"observable {idx} is not self-adjoint")
-    for i in range(len(arrs)):
-        for j in range(i + 1, len(arrs)):
-            if not commutes(arrs[i], arrs[j], TOL.context):
-                raise ValueError(f"observables {i} and {j} do not commute")
-
-    blocks = [np.eye(dim, dtype=complex)]
-    for a in arrs:
-        refined = []
-        for basis in blocks:
-            compressed = basis.conj().T @ a @ basis
-            compressed = 0.5 * (compressed + compressed.conj().T)
-            evals, vecs = np.linalg.eigh(compressed)
-            for group in cluster_eigenvalues(evals):
-                refined.append(basis @ vecs[:, group])
-        blocks = refined
-    return context_from_projections(registry, np.array([b @ b.conj().T for b in blocks]))
 
 
 def trivial_context(registry: ProjectionRegistry) -> Context:

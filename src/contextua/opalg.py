@@ -1,8 +1,8 @@
 """Finite-dimensional complex operator algebra.
 
-Dense matrices over C, the one projection check, density matrices, eigenvalue
-clustering, and a registry that gives projections stable canonical identities
-across contexts. A family of projections is one ``(m, d, d)`` array throughout.
+Dense matrices over C, the one projection check, density matrices, and a
+registry that gives projections stable canonical identities across contexts.
+A family of projections is one ``(m, d, d)`` array throughout.
 """
 
 from __future__ import annotations
@@ -25,18 +25,17 @@ class Tolerances:
     # canonical keys round entries to this many decimals; distinct projections
     # closer than the grid 10**-key_decimals are rejected, never merged
     key_decimals: int = 6
-    # an exact identity of given operators holds (a = a*, p^2 = p, ab = ba, u*u = 1,
+    # an exact identity of given operators holds (a = a*, p^2 = p, u*u = 1,
     # tr = 1, <u, v> = 0); also zero LP weights, and the Jordan and
     # transition residuals of wigner-check
     exact: float = 1e-9
-    context: float = 1e-8  # atoms are orthogonal and sum to 1; observables commute
+    context: float = 1e-8  # atoms are orthogonal and sum to 1
     # a computed result reproduces its input: a state survives a round trip, a
     # measure extends linearly
     roundtrip: float = 1e-8
     rank: float = 1e-8  # relative singular-value cut-off of reconstruction ranks
     residual: float = 1e-6  # a larger least-squares residual means an inconsistent system
-    # eigenvalues this close are one eigenvalue; a projection's trace this close
-    # to an integer is its rank
+    # a projection's trace this close to an integer is its rank
     eigen_gap: float = 1e-7
     dominance: float = 1e-7  # atom p lies under atom q when |qp - p| is at most this
     psd: float = 1e-7  # an eigenvalue above -psd counts as nonnegative
@@ -105,14 +104,6 @@ def check_projections(stack: np.ndarray, tol: float) -> None:
         raise ValueError(f"projection trace {float(traces[t])} is not near an integer")
 
 
-def commutes(a, b, tol: float = TOL.exact) -> bool:
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape:
-        raise ValueError("operators must have equal dimension")
-    return max_norm(a @ b - b @ a) <= tol
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Self-adjoint, trace-1, positive-semidefinite matrix."""
@@ -136,23 +127,6 @@ def density_matrix(m, tol: float = TOL.exact) -> DensityMatrix:
         raise ValueError(f"density matrix has negative eigenvalue {floor}")
     arr.flags.writeable = False
     return DensityMatrix(arr)
-
-
-def cluster_eigenvalues(evals: np.ndarray) -> list[np.ndarray]:
-    """Group sorted eigenvalues into clusters separated by at least ``TOL.eigen_gap``.
-
-    Merging numerically split degenerate eigenvalues is required before
-    forming spectral atoms, otherwise a single eigenspace shows up as
-    several nearly-parallel projections.
-    """
-    order = np.argsort(evals)
-    groups: list[list[int]] = []
-    for idx in order:
-        if groups and evals[idx] - evals[groups[-1][-1]] < TOL.eigen_gap:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return [np.array(g) for g in groups]
 
 
 def canonical_keys(mats) -> list[str]:

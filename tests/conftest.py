@@ -14,7 +14,7 @@ import contextua as cx
 from contextua import contexts
 from contextua.bell import SectionClassification
 from contextua.catalogs import bundled_text
-from contextua.contexts import poset_from_nodes
+from contextua.contexts import context_from_projections, poset_from_nodes
 from contextua.gleason import ProbSection, context_measure, hermitian_basis
 from contextua.opalg import TOL, CanonicalizationError, canonical_keys, max_norm
 from contextua.scenario import ScenarioError, _catalog, _parse_index
@@ -46,7 +46,7 @@ def random_density(rng, dim):
 def random_basis_context(rng, registry):
     u = random_unitary(rng, registry.dim)
     atoms = np.array([np.outer(u[:, k], u[:, k].conj()) for k in range(registry.dim)])
-    return cx.context_from_projections(registry, atoms)
+    return context_from_projections(registry, atoms)
 
 
 def ray_projection(v):
@@ -54,6 +54,12 @@ def ray_projection(v):
     v = np.asarray(v, dtype=complex)
     v = v / np.linalg.norm(v)
     return np.outer(v, v.conj())
+
+
+def diagonal_atoms(labels):
+    """The spectral projections of diag(labels), one (m, d, d) array in increasing label order."""
+    labels = np.asarray(labels)
+    return np.array([np.diag(labels == x).astype(complex) for x in np.unique(labels)])
 
 
 def rank_of(p):
@@ -551,7 +557,7 @@ def shared_ray_catalog(registry, seed, n_bases):
         if b:
             v[:, 1:] = u[:, 1:] @ random_unitary(rng, dim - 1)
         catalog.append(
-            cx.context_from_projections(
+            context_from_projections(
                 registry, [np.outer(v[:, k], v[:, k].conj()) for k in range(dim)]
             )
         )
@@ -563,7 +569,7 @@ def ks18_subset_catalog(registry, bases):
     sc = cx.parse_scenario(bundled_text("ks18-c4"))
     rays = sc.rays["main"]
     return [
-        cx.context_from_projections(registry, np.array([ray_projection(rays[i]) for i in ctx]))
+        context_from_projections(registry, np.array([ray_projection(rays[i]) for i in ctx]))
         for ctx in (sc.contexts["main"][b] for b in bases)
     ]
 
@@ -592,7 +598,7 @@ def pauli_subset_rays(bases, jitter=0.0, seed=0):
 def pauli_subset_catalog(registry, bases, jitter=0.0, seed=0):
     """The bases of ``pauli_subset_rays``, registered in a d4 ``registry``."""
     return [
-        cx.context_from_projections(
+        context_from_projections(
             registry, [np.outer(vecs[:, k], vecs[:, k].conj()) for k in range(4)]
         )
         for vecs in pauli_subset_rays(bases, jitter, seed)
@@ -634,7 +640,7 @@ def peres24_subset_catalog(registry, tetrads, seed=None):
     if seed is not None:
         vecs = random_unitary(np.random.default_rng(seed), 4) @ vecs
     return [
-        cx.context_from_projections(
+        context_from_projections(
             registry, [np.outer(vecs[:, i], vecs[:, i].conj()) for i in all_tetrads[t]]
         )
         for t in tetrads
@@ -967,7 +973,7 @@ def ks18_subset_poset(bases):
 def basis_poset_c3():
     """Single diagonal basis in dimension 3: the 5-node partition-closure poset."""
     reg = cx.ProjectionRegistry(3)
-    ctx = cx.context_from_observables(reg, [np.diag([1.0, 2.0, 3.0])])
+    ctx = context_from_projections(reg, diagonal_atoms([1, 2, 3]))
     return partition_closure_poset([ctx], reg)
 
 
@@ -977,13 +983,13 @@ def shared_ray_poset_c3():
     their meet only restates the shared ray, which alone ties their weights together."""
     reg = cx.ProjectionRegistry(3)
     e = np.eye(3)
-    first = cx.context_from_projections(
+    first = context_from_projections(
         reg, [np.outer(e[:, k], e[:, k]) for k in range(3)]
     )
     c, s = np.cos(0.7), np.sin(0.7)
     v2 = np.array([0, c, s])
     v3 = np.array([0, -s, c])
-    second = cx.context_from_projections(
+    second = context_from_projections(
         reg,
         [np.outer(e[:, 0], e[:, 0]), np.outer(v2, v2), np.outer(v3, v3)],
     )

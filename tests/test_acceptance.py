@@ -18,11 +18,13 @@ import pytest
 import contextua as cx
 from contextua.bell import BellSection, CorrelationTable
 from contextua.catalogs import bundled_text
+from contextua.contexts import context_from_projections
 from contextua.gleason import context_measure
 from contextua.opalg import ProjectionRegistry, max_norm
 from contextua.wigner import transition_probability_deviation
 
 from conftest import (
+    diagonal_atoms,
     loop_restrict_table,
     random_basis_context,
     random_density,
@@ -99,9 +101,7 @@ def test_criterion_2_gleason_round_trip():
 
         # single-context catalog: underdetermined, dimension checked by rank oracle
         reg = ProjectionRegistry(3)
-        single = cx.generate_poset(
-            [cx.context_from_observables(reg, [np.diag([1.0, 2.0, 3.0])])], reg
-        )
+        single = cx.generate_poset([context_from_projections(reg, diagonal_atoms([1, 2, 3]))], reg)
         rho = random_density(rng, 3)
         res = cx.state_from_section(single, cx.section_from_state(single, rho))
         assert res.status == "underdetermined"

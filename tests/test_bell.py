@@ -20,6 +20,7 @@ from contextua.bell import (
 )
 from contextua.catalogs import bundled_text
 from contextua.cli import main
+from contextua.contexts import context_from_projections
 from contextua.opalg import ProjectionRegistry, max_norm
 from contextua.spectral import section_components
 
@@ -488,7 +489,7 @@ def mub2_qutrit_pair():
     reg = ProjectionRegistry(3)
     fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
     ctxs = [
-        cx.context_from_projections(reg, [np.outer(u[:, k], u[:, k].conj()) for k in range(3)])
+        context_from_projections(reg, [np.outer(u[:, k], u[:, k].conj()) for k in range(3)])
         for u in (np.eye(3), fourier)
     ]
     poset = cx.generate_poset(ctxs, reg)
@@ -515,7 +516,7 @@ def grouped_qutrit_pair(mub2_qutrit_pair):
     fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
     bases = (e, np.column_stack([e[:, 0], [0, c, s], [0, -s, c]]), fourier)
     ctxs = [
-        cx.context_from_projections(reg, [np.outer(u[:, k], u[:, k].conj()) for k in range(3)])
+        context_from_projections(reg, [np.outer(u[:, k], u[:, k].conj()) for k in range(3)])
         for u in bases
     ]
     pp = cx.product_poset(mub2_qutrit_pair[0].left, cx.generate_poset(ctxs, reg))
@@ -533,11 +534,11 @@ def interleaved_qutrit_pair(mub2_qutrit_pair):
     fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
     f, g = np.array([1.0, 2.0, 2.0]) / 3, np.array([1.0, -1.0, 1.0]) / np.sqrt(3)
     ctxs = [
-        cx.context_from_projections(reg, [np.outer(f, f), np.eye(3) - np.outer(f, f)]),
-        cx.context_from_projections(
+        context_from_projections(reg, [np.outer(f, f), np.eye(3) - np.outer(f, f)]),
+        context_from_projections(
             reg, [np.outer(fourier[:, k], fourier[:, k].conj()) for k in range(3)]
         ),
-        cx.context_from_projections(reg, [np.outer(g, g), np.eye(3) - np.outer(g, g)]),
+        context_from_projections(reg, [np.outer(g, g), np.eye(3) - np.outer(g, g)]),
     ]
     pp = cx.product_poset(mub2_qutrit_pair[0].left, cx.generate_poset(ctxs, reg))
     return pp, pp.maximal_nodes()

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 import contextua as cx
 from contextua.catalogs import bundled_text
 from contextua import opalg
-from contextua.contexts import poset_from_nodes
+from contextua.contexts import context_from_projections, poset_from_nodes
 from contextua.opalg import TOL, max_norm
 
 from conftest import (
     SPLIT_BLOCK_CATALOGS,
     canonical_key,
+    diagonal_atoms,
     einsum_atom_lookup,
     ix_dominator_map,
     ks18_subset_catalog,
@@ -91,40 +92,6 @@ def subset_sum_order(poset) -> np.ndarray:
     return order
 
 
-class TestContextFromObservables:
-    def test_identity_gives_trivial(self):
-        reg = cx.ProjectionRegistry(3)
-        ctx = cx.context_from_observables(reg, [np.eye(3)])
-        assert len(ctx.atoms) == 1
-        assert rank_of(reg.matrices(ctx.atoms)[0]) == 3
-
-    def test_rank1_projection_gives_two_atoms(self):
-        reg = cx.ProjectionRegistry(3)
-        p1 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        ctx = cx.context_from_observables(reg, [p1])
-        ranks = sorted(map(rank_of, reg.matrices(ctx.atoms)))
-        assert ranks == [1, 2]
-
-    def test_nondegenerate_gives_maximal(self):
-        reg = cx.ProjectionRegistry(3)
-        ctx = cx.context_from_observables(reg, [np.diag([1.0, 2.0, 3.0])])
-        assert sorted(map(rank_of, reg.matrices(ctx.atoms))) == [1, 1, 1]
-
-    def test_joint_refinement(self):
-        reg = cx.ProjectionRegistry(4)
-        a = np.diag([1.0, 1.0, 2.0, 2.0])
-        b = np.diag([1.0, 2.0, 1.0, 2.0])
-        ctx = cx.context_from_observables(reg, [a, b])
-        assert len(ctx.atoms) == 4
-
-    def test_noncommuting_error_names_pair(self):
-        reg = cx.ProjectionRegistry(2)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        z = np.diag([1.0, -1.0]).astype(complex)
-        with pytest.raises(ValueError, match="0 and 1 do not commute"):
-            cx.context_from_observables(reg, [x, z])
-
-
 class TestContextFromProjections:
     @pytest.mark.parametrize(
         "atoms,pair",
@@ -137,7 +104,7 @@ class TestContextFromProjections:
     def test_error_names_the_first_failing_pair(self, atoms, pair):
         reg = cx.ProjectionRegistry(3)
         with pytest.raises(ValueError, match=f"atoms {pair[0]} and {pair[1]} are not orthogonal"):
-            cx.context_from_projections(reg, np.array([ray_projection(v) for v in atoms]))
+            context_from_projections(reg, np.array([ray_projection(v) for v in atoms]))
         assert len(reg) == 0
 
     @pytest.mark.parametrize(
@@ -153,19 +120,40 @@ class TestContextFromProjections:
         # idempotent but not self-adjoint
         reg = cx.ProjectionRegistry(3)
         with pytest.raises(ValueError, match=message):
-            cx.context_from_projections(reg, np.array([ray_projection((1, 0, 0)), atom]))
+            context_from_projections(reg, np.array([ray_projection((1, 0, 0)), atom]))
         assert len(reg) == 0
 
     def test_atom_shape_must_match_the_registry(self):
         with pytest.raises(ValueError, match="atom dimension does not match registry"):
-            cx.context_from_projections(cx.ProjectionRegistry(3), np.eye(2)[None])
+            context_from_projections(cx.ProjectionRegistry(3), np.eye(2)[None])
         with pytest.raises(ValueError, match="atom dimension does not match registry"):
-            cx.context_from_projections(cx.ProjectionRegistry(3), np.eye(3))
+            context_from_projections(cx.ProjectionRegistry(3), np.eye(3))
+
+    def test_identity_gives_trivial(self):
+        reg = cx.ProjectionRegistry(3)
+        ctx = context_from_projections(reg, [np.eye(3)])
+        assert len(ctx.atoms) == 1 and rank_of(reg.matrices(ctx.atoms)[0]) == 3
+        assert ctx == cx.trivial_context(reg) and len(reg) == 1
+
+    def test_rank1_projection_gives_two_atoms(self):
+        # diag(1, 0, 0) and its complement, the spectral projections of a rank-1 projection
+        reg = cx.ProjectionRegistry(3)
+        ctx = context_from_projections(reg, diagonal_atoms([1, 0, 0]))
+        assert [rank_of(p) for p in reg.matrices(ctx.atoms)] == [2, 1]
+        assert np.array_equal(reg.matrices(ctx.atoms).sum(axis=0), np.eye(3))
+
+    def test_rejects_empty_list(self):
+        with pytest.raises(ValueError, match="at least one atom"):
+            cx.Context(3, ())
+        reg = cx.ProjectionRegistry(3)
+        with pytest.raises(ValueError, match="atoms do not sum to the identity"):
+            context_from_projections(reg, np.zeros((0, 3, 3)))
+        assert len(reg) == 0
 
     def test_registers_each_atom_once(self):
         reg = cx.ProjectionRegistry(3)
         atoms = np.array([ray_projection(v) for v in [(1, 1, 0), (1, -1, 0), (0, 0, 1)]])
-        ctx = cx.context_from_projections(reg, atoms)
+        ctx = context_from_projections(reg, atoms)
         assert np.array_equal(reg.matrices(ctx.atoms), atoms)
         assert len(reg) == 3
 
@@ -181,23 +169,20 @@ class TestContextFromProjections:
         reg = cx.ProjectionRegistry(len(atoms), 1.0)
         message = f"atoms {pair[0]} and {pair[1]} are one projection at tol 1.0"
         with pytest.raises(ValueError, match=message):
-            cx.context_from_projections(reg, atoms)
-        with pytest.raises(ValueError, match=message):
-            ops = [np.diag(np.arange(1.0, len(atoms) + 1))]
-            cx.context_from_observables(cx.ProjectionRegistry(len(atoms), 1.0), ops)
+            context_from_projections(reg, atoms)
 
     def test_rejected_context_leaves_the_registry_as_it_was(self):
         # at tol 1 the two atoms are one projection, found only once both are registered
         merged = cx.ProjectionRegistry(2, 1.0)
         with pytest.raises(ValueError, match="atoms 0 and 1 are one projection at tol 1.0"):
-            cx.context_from_projections(merged, np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
+            context_from_projections(merged, np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
         assert (len(merged), list(merged.keys())) == (0, [])
         # at tol 0, diag(1, 0) is closer than the grid to a registered projection but not it,
         # so the batch is rejected partway, after diag(0, 1) is taken as new
         strict = cx.ProjectionRegistry(2, 0.0)
         held = strict.register(ray_projection((1.0, 1e-12)))
         with pytest.raises(cx.CanonicalizationError, match="collide on the canonical rounding grid"):
-            cx.context_from_projections(strict, np.array([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]))
+            context_from_projections(strict, np.array([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]))
         assert (len(strict), list(strict.keys())) == (1, [held])
 
 
@@ -210,7 +195,7 @@ class TestGeneratePoset:
 
     def test_single_maximal_c4_partition_count(self):
         reg = cx.ProjectionRegistry(4)
-        ctx = cx.context_from_observables(reg, [np.diag([1.0, 2.0, 3.0, 4.0])])
+        ctx = context_from_projections(reg, diagonal_atoms([1, 2, 3, 4]))
         poset = partition_closure_poset([ctx], reg)
         assert len(poset) == bell_number(4) == 15
 
@@ -347,7 +332,7 @@ def padded_pauli_catalog(picks):
             rays = [sc.rays["main"][i] for i in sc.contexts["main"][b][:k]]
             mats = [np.outer(v, v.conj()) for v in rays]
             pad = [np.eye(4) - sum(mats)][: 4 - k]
-            catalog.append(cx.context_from_projections(reg, mats + pad))
+            catalog.append(context_from_projections(reg, mats + pad))
         return catalog
 
     return build_catalog
@@ -461,7 +446,7 @@ class TestMeetClosedDifferential:
 
         def build_catalog(reg):
             return [
-                cx.context_from_projections(reg, [np.outer(v, v) for v in basis])
+                context_from_projections(reg, [np.outer(v, v) for v in basis])
                 for basis in (e, second)
             ]
 
@@ -483,7 +468,7 @@ class TestMeetClosedDifferential:
 
         def build_catalog(reg):
             return [
-                cx.context_from_projections(reg, [np.outer(v, v) for v in basis])
+                context_from_projections(reg, [np.outer(v, v) for v in basis])
                 for basis in (e, rotated)
             ]
 
@@ -503,7 +488,7 @@ class TestMeetClosedDifferential:
 
         def build_catalog(reg):
             return [
-                cx.context_from_projections(
+                context_from_projections(
                     reg, [np.outer(v, v.conj()) for v in basis.T]
                 )
                 for basis in (e, second)
@@ -650,7 +635,7 @@ class TestConjugationStability:
         contexts = []
         for i in poset.maximal_nodes():
             mats = [u @ p @ u.conj().T for p in poset.atom_matrices(i)]
-            contexts.append(cx.context_from_projections(reg, mats))
+            contexts.append(context_from_projections(reg, mats))
         image = cx.generate_poset(contexts, reg)
         assert len(image) == len(poset)
         # induced bijection: match nodes through conjugated key sets
@@ -715,15 +700,3 @@ class TestExportDot:
     def test_provenance_comments(self, basis_poset_c3):
         text = cx.export_dot(basis_poset_c3)
         assert "// node n0: catalog[0]" in text
-
-
-class TestObservableValidation:
-    def test_rejects_non_self_adjoint(self):
-        reg = cx.ProjectionRegistry(2)
-        with pytest.raises(ValueError, match="self-adjoint"):
-            cx.context_from_observables(reg, [np.array([[0, 1], [0, 0]], dtype=complex)])
-
-    def test_rejects_empty_list(self):
-        reg = cx.ProjectionRegistry(2)
-        with pytest.raises(ValueError, match="at least one"):
-            cx.context_from_observables(reg, [])

@@ -14,11 +14,12 @@ from contextua.gleason import (
     hermitian_basis,
     marginalise,
 )
-from contextua.contexts import poset_from_nodes
+from contextua.contexts import context_from_projections, poset_from_nodes
 from contextua.opalg import ProjectionRegistry, max_norm
 
 from conftest import (
     canonical_key,
+    diagonal_atoms,
     loop_hermitian_basis,
     random_basis_context,
     random_density,
@@ -125,8 +126,8 @@ class TestVerifyProbSection:
         # {V, halves, trivial}: the halves' atoms are sums of V's atoms and
         # shared with no other node, so only marginalisation sees the change
         reg = ProjectionRegistry(4)
-        v = cx.context_from_observables(reg, [np.diag([1.0, 2.0, 3.0, 4.0])])
-        halves = cx.context_from_observables(reg, [np.diag([1.0, 1.0, 2.0, 2.0])])
+        v = context_from_projections(reg, diagonal_atoms([1, 2, 3, 4]))
+        halves = context_from_projections(reg, diagonal_atoms([1, 1, 2, 2]))
         poset = poset_from_nodes(reg, [v, halves, cx.trivial_context(reg)], ["v", "h", "t"])
         s = cx.section_from_state(poset, cx.density_matrix(np.diag([0.1, 0.2, 0.3, 0.4])))
         assert verify_prob_section(poset, s)
@@ -196,7 +197,7 @@ class TestStateFromSection:
                     for u in left
                     for v in right
                 ]
-                catalog.append(cx.context_from_projections(reg, atoms))
+                catalog.append(context_from_projections(reg, atoms))
         poset = cx.generate_poset(catalog, reg)
         assert cx.is_informationally_complete(poset)
         phi = np.zeros(4, dtype=complex)

@@ -48,7 +48,6 @@ def batch_of(ps):
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class TestCheckProjections:
@@ -128,23 +127,6 @@ class TestRayIngest:
         want_registry, (want,) = ingested([unit, *rest], [[0, 1, 2]], 3)
         assert ctx.atoms == want.atoms
         assert np.array_equal(registry.matrices(ctx.atoms), want_registry.matrices(want.atoms))
-
-
-class TestCommutes:
-    def test_commutes_diagonal(self):
-        assert cx.commutes(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-
-    def test_pauli_pair_fails(self):
-        # by hand: xz = [[0,-1],[1,0]], zx = [[0,1],[-1,0]]
-        assert np.allclose(PAULI_X @ PAULI_Z, [[0, -1], [1, 0]])
-        assert not cx.commutes(PAULI_X, PAULI_Z)
-
-    def test_spectral_calculus_commutes(self):
-        rng = np.random.default_rng(9)
-        a = random_hermitian(rng, 4)
-        w, v = np.linalg.eigh(a)
-        f_of_a = (v * (w**2 - 3 * w + 1)) @ v.conj().T
-        assert cx.commutes(a, f_of_a, 1e-8)
 
 
 class TestDensityMatrix:

@@ -16,7 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contextua as cx
-from contextua.catalogs import bundled_names, bundled_scenario, bundled_text, write_bundled
+from contextua.catalogs import (
+    _eigenbasis_scenario,
+    _lagrangian_subspaces,
+    bundled_names,
+    bundled_scenario,
+    bundled_text,
+    stabilizer_scenario,
+    write_bundled,
+)
 from contextua.cli import main, run
 from contextua.scenario import ScenarioError, _parse_contexts, _parse_rays, parse_entry, parse_real
 
@@ -835,6 +843,45 @@ class TestStabilizerCatalogs:
         assert report["verdict"] == "non_colorable"
         assert (report["poset"]["nodes"], report["poset"]["projections"]) == (31, 91)
 
+    @pytest.mark.parametrize("n,count", [(1, 3), (2, 15), (3, 135), (4, 2295)])
+    def test_lagrangian_subspaces_are_each_listed_once(self, n, count):
+        # prod_k (2^k + 1) maximal isotropic subspaces of GF(2)^{2n}, sorted by their elements
+        def commute(a, b):  # the symplectic form of X parts a >> n, b >> n and Z parts
+            return bin((a >> n) & b).count("1") % 2 == bin(a & (b >> n)).count("1") % 2
+
+        bases = _lagrangian_subspaces(n)
+        spans = []
+        for basis in bases:
+            assert all(commute(a, b) for a in basis for b in basis)
+            span = {0}
+            for v in basis:
+                span |= {v ^ w for w in span}
+            assert len(span) == 2**n
+            spans.append(sorted(span))
+        assert len(bases) == count
+        assert spans == sorted(spans) and len(set(map(tuple, spans))) == count
+
+    def test_stabilizer_documents_are_pinned(self, tmp_path, capsys):
+        assert cx.parse_scenario(json.dumps(stabilizer_scenario(3))).digest() == "cacee7e8071aa303"
+        doc = stabilizer_scenario(4)
+        assert cx.parse_scenario(json.dumps(doc)).digest() == "a371d3da53c16916"
+        # the first 20 bases use a prefix of the rays, numbered in order of first use
+        head = doc["contexts"][:20]
+        rays = doc["rays"][: 1 + max(max(c) for c in head)]
+        code, out = run_doc(tmp_path, capsys, "ks-check", {**doc, "rays": rays, "contexts": head})
+        assert code == 2
+        report = json.loads(out.out)
+        assert report["verdict"] == "non_colorable"
+        assert (report["poset"]["nodes"], report["poset"]["projections"]) == (50, 515)
+        assert report["stats"] == {"nodes_expanded": 240, "backtracks": 240, "exhausted": True}
+
+    def test_line_without_rank_one_sign_projectors_is_rejected(self):
+        # XI alone splits C^4 into two planes, which would be padded as one ray and a plane
+        with pytest.raises(ValueError, match=r"line 0 \['XI'\]: a sign projector is not of rank 1"):
+            _eigenbasis_scenario(4, [["XI"], ["ZI", "IZ"]], {})
+        with pytest.raises(ValueError, match=r"line 1 \['X', 'Z'\]"):  # X and Z do not commute
+            _eigenbasis_scenario(2, [["Z"], ["X", "Z"]], {})
+
     def test_three_qubit_set_runs_in_bounded_memory(self, tmp_path):
         # all 135 three-qubit stabilizer bases (1080 rays) in a fresh interpreter;
         # the child's own peak RSS comes from wait4
@@ -857,3 +904,26 @@ class TestStabilizerCatalogs:
         assert (report["poset"]["nodes"], report["poset"]["projections"]) == (514, 2467)
         assert report["stats"] == {"nodes_expanded": 120, "backtracks": 120, "exhausted": True}
         assert usage.ru_maxrss < 500 * 1024  # kilobytes on Linux
+
+
+class TestEigenbasisScenario:
+    def test_nondegenerate_gives_maximal(self):
+        # each one-qubit Pauli word is nondegenerate: its -1 and +1 eigenvectors, in that order
+        doc = _eigenbasis_scenario(2, [["X"], ["Y"], ["Z"]], {})
+        assert doc["rays"] == [[1, -1], [1, 1], [1, [0, -1]], [1, [0, 1]], [0, 1], [1, 0]]
+        assert doc["contexts"] == [[0, 1], [2, 3], [4, 5]]
+        assert cx.parse_scenario(json.dumps(doc)).dims == (2,)
+
+    def test_joint_refinement(self):
+        # ZI and IZ refine each other to the standard basis, signs (-1, -1) first; ZZ,
+        # their product, only zeroes four of the eight sign projectors
+        want = {"kind": "single", "dim": 4, "contexts": [[0, 1, 2, 3]], "metadata": {}}
+        want["rays"] = [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+        assert _eigenbasis_scenario(4, [["ZI", "IZ"]], {}) == want
+        assert _eigenbasis_scenario(4, [["ZI", "IZ", "ZZ"]], {}) == want
+
+    def test_noncommuting_error_names_pair(self):
+        # (I - XX)(I - ZI)/4 has trace 1 but is not a projection: XX and ZI anticommute
+        message = r"line 1 \['XX', 'ZI'\]: a sign projector is not of rank 1"
+        with pytest.raises(ValueError, match=message):
+            _eigenbasis_scenario(4, [["ZI", "IZ"], ["XX", "ZI"]], {})

@@ -8,7 +8,7 @@ import runpy
 import sys
 from pathlib import Path
 
-from contextua.catalogs import bundled_names, bundled_scenario
+from contextua.catalogs import bundled_names, bundled_text
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -36,13 +36,21 @@ def test_orientation_sweep_turns_above_one_third(monkeypatch, capsys):
         assert (verdict == "quantum_time_reversed") == (float(lam) > 1 / 3), row
 
 
-def test_committed_catalogs_match_the_bundled_scenarios():
-    # scripts/make_catalogs.py writes catalogs/ from contextua.catalogs; the two must not drift
+def test_committed_catalogs_match_the_bundled_scenarios(monkeypatch, capsys, tmp_path):
+    # scripts/make_catalogs.py writes catalogs/ from contextua.catalogs; the two must not drift,
+    # byte for byte: a scenario's digest tells 1 from 1.0, which parsed JSON compares equal
     committed = {path.stem: path for path in (SCRIPTS.parent / "catalogs").glob("*")}
     assert sorted(committed) == bundled_names()
     for name, path in committed.items():
         assert path.suffix == ".json"
-        assert json.loads(path.read_text(encoding="utf-8")) == bundled_scenario(name), name
+        assert path.read_text(encoding="utf-8") == bundled_text(name), name
+    monkeypatch.setattr(sys, "argv", ["make_catalogs.py", "--dest", str(tmp_path)])
+    runpy.run_path(str(SCRIPTS / "make_catalogs.py"), run_name="__main__")
+    assert capsys.readouterr().out.split() == [
+        word for name in bundled_names() for word in ("wrote", str(tmp_path / f"{name}.json"))
+    ]
+    for name, path in committed.items():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), name
 
 
 def test_readme_example_runs(capsys):

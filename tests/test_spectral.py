@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 import contextua as cx
 from contextua import spectral
 from contextua.catalogs import bundled_names, bundled_scenario, bundled_text
-from contextua.contexts import poset_from_nodes
+from contextua.contexts import context_from_projections, poset_from_nodes
 from contextua.opalg import TOL, ProjectionRegistry
 from contextua.spectral import section_components
 
 from conftest import (
     canonical_key,
+    diagonal_atoms,
     full_table_sections,
     ks18_subset_poset,
     partition_closure_poset,
@@ -42,7 +43,7 @@ from conftest import (
 def shared_atom_setup():
     """Maximal context {p1, p2, p3} and the contained {p1, 1-p1}."""
     reg = ProjectionRegistry(3)
-    ctx = cx.context_from_observables(reg, [np.diag([1.0, 2.0, 3.0])])
+    ctx = context_from_projections(reg, diagonal_atoms([1, 2, 3]))
     poset = partition_closure_poset([ctx], reg)
     maximal = poset.maximal_nodes()[0]
     e1 = np.diag([1.0, 0, 0]).astype(complex)
@@ -205,8 +206,8 @@ class TestVerifySection:
         # two-context poset {V, M, trivial} on explicit nodes: M's atoms are proper
         # sums of V's, so flipping M violates the edge but shares no atom
         reg = ProjectionRegistry(4)
-        v = cx.context_from_observables(reg, [np.diag([1.0, 2.0, 3.0, 4.0])])
-        halves = cx.context_from_observables(reg, [np.diag([1.0, 1.0, 2.0, 2.0])])
+        v = context_from_projections(reg, diagonal_atoms([1, 2, 3, 4]))
+        halves = context_from_projections(reg, diagonal_atoms([1, 1, 2, 2]))
         trivial = cx.trivial_context(reg)
         nodes = (v, halves, trivial)
         order = np.array(
@@ -280,7 +281,7 @@ def _shared_pool_catalog(dim, n_bases, rng):
         cols = [q[:, k] / np.linalg.norm(q[:, k]) for k in range(dim)]
         pool.extend(cols)
         bases.append(
-            cx.context_from_projections(reg, [np.outer(c, c.conj()) for c in cols])
+            context_from_projections(reg, [np.outer(c, c.conj()) for c in cols])
         )
     return reg, bases
 
@@ -496,10 +497,10 @@ def key_below_maximal_poset():
     g = np.array([[c, -s, 0, 0], [s, c, 0, 0], [0, 0, c, -s], [0, 0, s, c]])
     t = ray_projection(e[:, 0]) + ray_projection(e[:, 1])
     nodes = (
-        cx.context_from_projections(reg, [ray_projection(e[:, k]) for k in range(4)]),
-        cx.context_from_projections(reg, [ray_projection(g[:, k]) for k in range(4)]),
-        cx.context_from_projections(reg, [t, ray_projection(e[:, 2]), ray_projection(e[:, 3])]),
-        cx.context_from_projections(reg, [t, ray_projection(g[:, 2]), ray_projection(g[:, 3])]),
+        context_from_projections(reg, [ray_projection(e[:, k]) for k in range(4)]),
+        context_from_projections(reg, [ray_projection(g[:, k]) for k in range(4)]),
+        context_from_projections(reg, [t, ray_projection(e[:, 2]), ray_projection(e[:, 3])]),
+        context_from_projections(reg, [t, ray_projection(g[:, 2]), ray_projection(g[:, 3])]),
         cx.trivial_context(reg),
     )
     return poset_from_nodes(reg, nodes, ("m1", "m2", "i1", "i2", "trivial"))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import contextua as cx
 from contextua import cli, contexts
 from contextua.catalogs import bundled_text
+from contextua.contexts import context_from_projections
 from contextua.opalg import TOL, CanonicalizationError, canonical_keys, check_projections, max_norm
 from contextua.wigner import PosetMap, _apply_each, transition_probability_deviation
 
@@ -332,7 +333,7 @@ def near_grid_poset(eps):
     c, s = np.cos(eps), np.sin(eps)
     turned = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     bases = [
-        cx.context_from_projections(registry, [np.outer(b[:, k], b[:, k]) for k in range(3)])
+        context_from_projections(registry, [np.outer(b[:, k], b[:, k]) for k in range(3)])
         for b in (np.eye(3), turned)
     ]
     return cx.generate_poset(bases, registry)
@@ -350,7 +351,7 @@ def turned_ray_poset(eps, shared):
         g = np.array([s, -c, 0.0])  # orthogonal to the turned ray and to e2
         turned = np.array([c * e[0] + s * e[1], (g + e[2]) / np.sqrt(2), (g - e[2]) / np.sqrt(2)]).T
     bases = [
-        cx.context_from_projections(registry, [np.outer(b[:, k], b[:, k]) for k in range(3)])
+        context_from_projections(registry, [np.outer(b[:, k], b[:, k]) for k in range(3)])
         for b in (e, turned)
     ]
     return cx.generate_poset(bases, registry)
@@ -476,7 +477,7 @@ class TestBatchedConjugation:
         # the registry also holds a turned basis that is no node of the poset
         registry = cx.ProjectionRegistry(3)
         e = np.eye(3)
-        basis = cx.context_from_projections(registry, [np.outer(row, row) for row in e])
+        basis = context_from_projections(registry, [np.outer(row, row) for row in e])
         u = random_unitary(np.random.default_rng(3), 3)
         registry.register_many(np.array([ray_projection(u[:, k]) for k in range(3)]))
         poset = cx.generate_poset([basis], registry)
