@@ -16,9 +16,14 @@ bipartite documents written to a temporary folder (:func:`documents`): chsh-c2
 with PR-box tables, so the witness node ids are pinned; two isotropic operators
 on a qutrit pair of mub-c3's first three bases per side, one factorisable, with
 several right groups, so its coupled weight indices are pinned, and one not;
-and the factorisable one with ``product_contexts`` naming one pair twice. It
-prints the sha256 of these records, cut to 16 hex digits. A change that
-leaves reports as they are keeps the digest.
+and the factorisable one with ``product_contexts`` naming one pair twice.
+Last, three bases of d3 whose first and last share a ray, so that their
+components interleave (:data:`INTERLEAVED_D3`), run through ``ks-enumerate``
+at the default cap, at ``--cap`` 1, 2 and 5 and with ``--format text``, which
+pins the order of a truncated product of components; and through
+``bell-analyze`` as both factors of two isotropic qutrit operators, one
+factorisable and one not. It prints the sha256 of these records, cut to 16
+hex digits. A change that leaves reports as they are keeps the digest.
 
     PYTHONPATH=src python3 scripts/report_digest.py
 """
@@ -38,6 +43,16 @@ from contextua.cli import COMMANDS, main
 
 SEEDS = (0, 3, 7)
 CAPS = (1, 2, 5)
+# the standard basis; (1, 1, 1), (1, -1, 0), (1, 1, -2); e0, (0, 1, 1), (0, 1, -1):
+# components [0, 1, 0] of 5 and 3 sections
+INTERLEAVED_D3 = {
+    "kind": "single",
+    "dim": 3,
+    "rays": [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, -1, 0], [1, 1, -2], [0, 1, 1], [0, 1, -1]
+    ],
+    "contexts": [[0, 1, 2], [3, 4, 5], [0, 6, 7]],
+}
 
 
 def leaves(value, path: str = "$"):
@@ -116,6 +131,18 @@ def documents() -> dict[str, dict]:
     }
 
 
+def interleaved_pair(v: Fraction) -> dict:
+    """The isotropic qutrit operator of visibility ``v`` on :data:`INTERLEAVED_D3` per side:
+    factorisable at v = 1/2, not at v = 1."""
+    return {
+        "kind": "bipartite",
+        "dims": [3, 3],
+        "rays": {"left": INTERLEAVED_D3["rays"], "right": INTERLEAVED_D3["rays"]},
+        "contexts": {"left": INTERLEAVED_D3["contexts"], "right": INTERLEAVED_D3["contexts"]},
+        "state": isotropic(v),
+    }
+
+
 def report_digest() -> str:
     lines = [
         record(command, name, seed)
@@ -139,6 +166,15 @@ def report_digest() -> str:
                 record(command, name, 0, folder=folder)
                 for command in ("bell-analyze", "bell-classify", "poset-export")
             ]
+        (folder / "interleaved-d3.json").write_text(json.dumps(INTERLEAVED_D3), encoding="utf-8")
+        lines += [
+            record("ks-enumerate", "interleaved-d3.json", 0, *options, folder=folder)
+            for options in ((), *(("--cap", str(cap)) for cap in CAPS), ("--format", "text"))
+        ]
+        for v in (Fraction(1, 2), Fraction(1)):
+            name = f"interleaved-iso-{v.numerator}_{v.denominator}.json"
+            (folder / name).write_text(json.dumps(interleaved_pair(v)), encoding="utf-8")
+            lines.append(record("bell-analyze", name, 0, folder=folder))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 

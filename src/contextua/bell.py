@@ -11,11 +11,11 @@ is an l1-normalised Bell functional whose gap, value on b minus its
 maximum over strategies, equals t*, the reported reconstruction error.
 
 The right factor's global sections are a free product over its
-components: maximal nodes linked through a common node of more than one
-atom (:func:`~contextua.spectral.section_components`). A table's cells
-read one component each, so only each component's marginal of w enters
-A w (Vorob'ev's extension over disjoint covers), and the LP is solved over
-groups of components instead: a variable m[l, g, s] per left section l,
+components, whose section lists
+:func:`~contextua.spectral.enumerate_global_sections` keeps. A table's
+cells read one component each, so only each component's marginal of w
+enters A w (Vorob'ev's extension over disjoint covers), and the LP is
+solved over groups of components: a variable m[l, g, s] per left section l,
 group g and section s of the group, with one mass per l in every group.
 Components merge into a group while that adds no column (a * b <= a + b),
 so a right factor of one group gives the strategy LP column for column.
@@ -37,7 +37,7 @@ import numpy as np
 from .contexts import ContextPoset
 from .gleason import born_weights, reconstruct_operator
 from .opalg import TOL, max_norm
-from .spectral import enumerate_global_sections, section_components
+from .spectral import EnumerationResult, enumerate_global_sections
 
 
 class ProductPoset:
@@ -180,8 +180,8 @@ class LPResult:
         return out
 
 
-def _local_strategies(pp: ProductPoset, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chosen atom at every node of each factor's global sections, one row per section.
+def _local_strategies(pp: ProductPoset, cap: int) -> tuple[EnumerationResult, EnumerationResult]:
+    """Each factor's global sections.
 
     Local strategies are exactly the global sections of the factor posets,
     so shared projections take one value per side by construction. Either
@@ -191,7 +191,7 @@ def _local_strategies(pp: ProductPoset, cap: int) -> tuple[np.ndarray, np.ndarra
     right = enumerate_global_sections(pp.right, cap=cap)
     if left.truncated or right.truncated:
         raise ValueError("instance too large")
-    return left.chosen, right.chosen
+    return left, right
 
 
 def deterministic_strategies(
@@ -204,8 +204,8 @@ def deterministic_strategies(
     left, right = _local_strategies(pp, cap)
     if len(left) * len(right) > cap:
         raise ValueError("instance too large")
-    right_maps = [dict(enumerate(row)) for row in right.tolist()]
-    return [(dict(enumerate(row)), cr) for row in left.tolist() for cr in right_maps]
+    right_maps = [dict(enumerate(row)) for row in right.chosen.tolist()]
+    return [(dict(enumerate(row)), cr) for row in left.chosen.tolist() for cr in right_maps]
 
 
 @dataclass(frozen=True)
@@ -271,50 +271,29 @@ class _Groups:
         return self.index[np.ravel_multi_index(sections.T, self.sizes)]
 
 
-def _right_groups(poset: ContextPoset, right: np.ndarray) -> _Groups:
+def _right_groups(right: EnumerationResult) -> _Groups:
     """Group the right factor's components, merging while a merge adds no columns.
 
     A group of a sections and one of b sections take a + b columns per left
     section apart and a * b merged; a * b <= a + b only when one of them is 1
-    or both are 2. So a factor of at most four sections is one group, and is
-    not labelled.
+    or both are 2. A group's sections are the tuples of its components'
+    sections, the first most significant; one group keeps the strategy order.
     """
-    n = len(right)
-    whole = np.arange(n)
-    single = _Groups([whole], whole, np.zeros(len(poset), dtype=np.int64))
-    if n <= 4:
-        return single
-    labels = section_components(poset)
-    maximal = np.array(poset.maximal_nodes())
+    counts = [len(rows) for rows in right.components]
     sizes: list[int] = []
-    codes: list[np.ndarray] = []
-    group_of = np.empty(labels.max() + 1, dtype=np.int64)
-    for c in range(len(group_of)):
-        # a component's sections are the distinct choices at its maximal nodes
-        _, code = np.unique(right[:, maximal[labels == c]], axis=0, return_inverse=True)
-        k = int(code.max()) + 1
+    group_of: list[int] = []
+    for k in counts:
         g = next((g for g, a in enumerate(sizes) if a * k <= a + k), len(sizes))
         if g == len(sizes):
-            sizes.append(k)
-            codes.append(code.reshape(-1))
-        else:
-            # the sections are a free product, so the merged codes fill 0 .. a k - 1
-            codes[g] = codes[g] * k + code.reshape(-1)
-            sizes[g] *= k
-        group_of[c] = g
-    if len(sizes) == 1:  # keep the strategy order, not the merged codes' order
-        return single
-    reps = []
-    for k, code in zip(sizes, codes):
-        rep = np.empty(k, dtype=np.int64)
-        rep[code] = whole
-        reps.append(rep)
-    index = np.empty(n, dtype=np.int64)
-    index[np.ravel_multi_index(codes, sizes)] = whole
-    # a node's choice is fixed by any maximal node above it: all of them lie in
-    # one component unless the node has a single atom, which needs no choice
-    above = poset.order[:, maximal].argmax(axis=1)
-    return _Groups(reps, index, group_of[labels[above]])
+            sizes.append(1)
+        sizes[g] *= k
+        group_of.append(g)
+    index = right.index.reshape(counts).transpose(np.argsort(group_of, kind="stable"))
+    index = index.reshape(sizes) if len(sizes) > 1 else np.arange(len(right))
+    reps = [np.moveaxis(index, g, 0).reshape(k, -1)[:, 0] for g, k in enumerate(sizes)]
+    # the first component that fixes a node owns it: the only one, unless the node has one atom
+    fixes = np.array([rows[0] >= 0 for rows in right.components])
+    return _Groups(reps, index.reshape(-1), np.array(group_of)[fixes.argmax(axis=0)])
 
 
 def _couple(masses: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -375,12 +354,12 @@ def factorisability_lp(
     if not contexts:
         raise ValueError("no analysis context has a table in the section")
     left, right = _local_strategies(pp, cap)
-    for side, chosen in (("left", left), ("right", right)):
-        if not len(chosen):
+    for side, sections in (("left", left), ("right", right)):
+        if not len(sections):
             raise ValueError(
                 f"the {side} factor has no global sections, so no local strategy exists"
             )
-    groups = _right_groups(pp.right, right)
+    groups = _right_groups(right)
     n_left, sizes = len(left), groups.sizes
     starts = n_left * np.cumsum([0, *sizes])
     if starts[-1] > cap:
@@ -396,7 +375,7 @@ def factorisability_lp(
     # deterministic_strategies
     rows, cols = _columns(
         [
-            cells.rows(left[:, None], right[rep][None, :])[..., in_group == g]
+            cells.rows(left.chosen[:, None], right.chosen[rep][None, :])[..., in_group == g]
             for g, rep in enumerate(groups.reps)
         ]
     )
@@ -455,7 +434,7 @@ def factorisability_lp(
         weights = weights / weights.sum()
         support = np.flatnonzero(weights)
         ls, rs = np.divmod(support, len(right))
-        hit = cells.rows(left[ls], right[rs])
+        hit = cells.rows(left.chosen[ls], right.chosen[rs])
         fit = np.bincount(
             hit.reshape(-1), weights=np.repeat(weights[support], hit.shape[1]), minlength=n_rows
         )

@@ -393,7 +393,7 @@ def atom_lookups(
     for start in range(0, under.shape[2], step):
         over[:, :, start : start + step] = slot @ under[:, :, start : start + step] - 1
     sizes = [len(rows) for rows in atoms]
-    hit = over[:, :, np.concatenate(atoms)] >= 0
+    hit = (over >= 0)[:, :, np.concatenate(atoms)]
     return over, np.logical_and.reduceat(hit, np.cumsum(sizes) - sizes, axis=2)
 
 

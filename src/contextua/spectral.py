@@ -11,14 +11,15 @@ them. Its state is three flat lists, copied per expansion, and its counters
 are those of the dict-and-set search it replaced, kept as a test reference.
 :func:`find_global_section` takes its first section, branching in sharing
 order, and returns a :class:`ColoringCertificate`: the section found, or an
-exhausted search. :func:`enumerate_global_sections` runs it through every
-branch. :func:`section_components` splits the maximal nodes into components
-whose sections combine freely.
+exhausted search. :func:`enumerate_global_sections` runs it once per component
+of :func:`section_components`, whose sections combine freely, and takes the product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -60,10 +61,14 @@ class ColoringCertificate:
 @dataclass
 class EnumerationResult:
     """Global sections as sorted rows: ``chosen[r, i]`` is the chosen atom of node i in
-    section r."""
+    section r. Unless truncated, ``components[c]`` holds component c's sections, up to
+    the first component with none, as rows with -1 at the nodes c does not fix; ``index``
+    holds the row of ``chosen`` of each tuple of them, component 0 most significant."""
 
     chosen: np.ndarray  # int64, one row per section
     truncated: bool
+    components: list[np.ndarray] = field(default_factory=list)
+    index: np.ndarray | None = None
 
     def __len__(self):
         return len(self.chosen)
@@ -169,33 +174,29 @@ def _assign(tables: tuple, value: list, chars: list, domains: list, m: int, atom
     return True
 
 
-def _sections(poset: ContextPoset, order) -> Iterator[tuple[list | None, int, int]]:
+def _sections(poset: ContextPoset, tables: tuple, order: list[int]) -> Iterator[tuple]:
     """Depth-first search over every branch: ``(chars, expanded, backtracks)`` at each
-    global section found, ``chars[i]`` the atom of node i, then ``(None, expanded,
-    backtracks)`` once every branch is tried.
+    section found, ``chars[i]`` the atom of node i or -1 where none is set, then
+    ``(None, expanded, backtracks)`` once every branch is tried.
 
-    Choices are made at maximal nodes (they determine the whole section), the first
-    unassigned one in ``order(maximal, rows, occurrences)`` (:func:`_search_tables`)
-    each time, atoms ascending; so the sections come out in lexicographic order of
-    their choices in that order. Propagation keeps a 0/1 value per registered
-    projection: the chosen atom forces its context siblings to 0, a projection forced
-    to 1 forces the character of every context it generates, and a maximal node with
-    all-but-one atom at 0 is assigned the remaining atom.
+    Choices are made at the maximal nodes ``order``, all or one component's, the first
+    unassigned one each time, atoms ascending, so the sections come in lexicographic
+    order of those choices. Propagation through :func:`_search_tables`'s ``tables``
+    keeps a 0/1 value per registered projection: the chosen atom forces its siblings
+    to 0, a projection forced to 1 forces the character of every context it generates,
+    and a maximal node with all-but-one atom at 0 is assigned the remaining atom.
     """
     n = len(poset)
-    maximal = poset.maximal_nodes()
-    tables = _search_tables(poset, maximal)
-    order_vars = order(maximal, *tables[:2])
 
     def branch(state: tuple):
         """The first unassigned maximal node and its choices, or None when all are set."""
-        m = next((m for m in order_vars if state[2][m]), None)
-        if m is not None:
-            return state, m, iter([a for a in range(len(poset.rows[m])) if state[2][m] >> a & 1])
+        for m in order:
+            if domain := state[2][m]:
+                return state, m, iter([a for a in range(domain.bit_length()) if domain >> a & 1])
 
     # depth-first over a stack of (state, node, atoms left) frames, from all atoms left
     domains = [0] * n
-    for m in maximal:
+    for m in order:
         domains[m] = (1 << len(poset.rows[m])) - 1
     stack = [branch(([-1] * len(poset.keys), [-1] * n, domains))]
     expanded, backtracks = 0, 0
@@ -223,27 +224,47 @@ def _sections(poset: ContextPoset, order) -> Iterator[tuple[list | None, int, in
 def find_global_section(poset: ContextPoset) -> ColoringCertificate:
     """The first global section of the spectral presheaf that :func:`_sections` finds,
     branching in sharing order, or the exhausted search's certificate."""
-    chars, expanded, backtracks = next(_sections(poset, _sharing_order))
+    maximal = poset.maximal_nodes()
+    tables = _search_tables(poset, maximal)
+    order = _sharing_order(maximal, *tables[:2])
+    chars, expanded, backtracks = next(_sections(poset, tables, order))
     verdict = "non_colorable" if chars is None else "colorable"
     return ColoringCertificate(verdict, chars, expanded, backtracks)
 
 
 def enumerate_global_sections(poset: ContextPoset, cap: int = 10**6) -> EnumerationResult:
-    """Every global section, up to ``cap`` results: the :func:`_sections` search run
-    until it has tried every branch, maximal nodes ascending.
-
-    Past ``cap`` it keeps the first ``cap`` in lexicographic order of the maximal
-    nodes' choices; the rows it returns are sorted by every node's atom.
+    """Every global section, up to ``cap`` results: the free product of each component's
+    sections (:func:`section_components`), a :func:`_sections` search on its maximal
+    nodes ascending. Past ``cap`` it keeps the first ``cap`` of that search on every
+    maximal node, in lexicographic order of their choices; the rows it returns are
+    sorted by every node's atom.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    rows: list[list[int]] = []
-    for chars, _, _ in _sections(poset, lambda maximal, *tables: maximal):
-        if chars is None or len(rows) == cap:
+    maximal = poset.maximal_nodes()
+    tables = _search_tables(poset, maximal)
+
+    def found(order: list[int], limit: int) -> np.ndarray:  # the first limit sections
+        chars = itertools.islice(_sections(poset, tables, order), limit)
+        rows = [row for row, _, _ in chars if row is not None]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), len(poset))
+
+    labels = section_components(poset).tolist()
+    components = []
+    for c in range(max(labels) + 1):
+        components.append(found([m for m, label in zip(maximal, labels) if label == c], cap + 1))
+        if not len(components[-1]):  # no global section at all
             break
-        rows.append(chars)
-    chosen = np.array(rows, dtype=np.int64).reshape(len(rows), len(poset))
-    return EnumerationResult(chosen[np.lexsort(chosen.T[::-1])], chars is not None)
+    if math.prod(map(len, components)) > cap:
+        chosen = found(maximal, cap)
+        return EnumerationResult(chosen[np.lexsort(chosen.T[::-1])], True)
+    # a node's atom comes from the component above it; a node with one atom, from each
+    product = np.full(len(poset), -1)
+    for rows in components:
+        product = np.maximum(product[..., None, :], rows)
+    product = product.reshape(-1, len(poset))
+    order = np.lexsort(product.T[::-1])
+    return EnumerationResult(product[order], False, components, np.argsort(order))
 
 
 def section_components(poset: ContextPoset) -> np.ndarray:

@@ -959,6 +959,39 @@ def full_table_sections(poset, cap=10**6, chunk=1 << 16):
     return EnumerationResult(np.array(rows, dtype=np.int64).reshape(len(rows), n), truncated)
 
 
+def wootters_fields_poset(d=5):
+    """The d + 1 mutually unbiased bases of an odd prime dimension d, and their meets.
+
+    Basis 0 is the computational basis; basis a + 1 holds the vectors
+    v_b(j) = w^(a j^2 + b j) / sqrt(d), w = exp(2 pi i / d) (Wootters & Fields,
+    Ann. Phys. 191, 1989). They share no ray, so each basis is one component.
+    """
+    reg = cx.ProjectionRegistry(d)
+    j = np.arange(d)
+    bases = [np.eye(d)] + [
+        np.exp(2j * np.pi * (((a * j * j)[:, None] + np.outer(j, j)) % d) / d) / np.sqrt(d)
+        for a in range(d)
+    ]
+    ctxs = [
+        context_from_projections(reg, [np.outer(u[:, k], u[:, k].conj()) for k in range(d)])
+        for u in bases
+    ]
+    return cx.generate_poset(ctxs, reg)
+
+
+# three bases of d3, the first and the last sharing e0: components [0, 1, 0], so a
+# product of the components' lists in mixed radix is not in the order of the maximal
+# nodes' choices
+INTERLEAVED_D3 = {
+    "kind": "single",
+    "dim": 3,
+    "rays": [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, -1, 0], [1, 1, -2], [0, 1, 1], [0, 1, -1]
+    ],
+    "contexts": [[0, 1, 2], [3, 4, 5], [0, 6, 7]],
+}
+
+
 def shared_ray_catalog_poset(seed, dim, n_bases):
     reg = cx.ProjectionRegistry(dim)
     return cx.generate_poset(shared_ray_catalog(reg, seed, n_bases), reg)

@@ -453,7 +453,7 @@ def dense_strategy_matrix(pp, contexts, strategies):
 
 def cell_block(pp, contexts):
     """The LP's cell rows over every strategy, as one group lays them out."""
-    left, right = bell._local_strategies(pp, cap=10**6)
+    left, right = (result.chosen for result in bell._local_strategies(pp, cap=10**6))
     cells = bell._Cells.of(pp, contexts)
     rows, cols = bell._columns([cells.rows(left[:, None], right[None, :])])
     block = np.zeros((cells.n_rows, len(left) * len(right)))
@@ -696,8 +696,9 @@ class TestRightGroups:
             (interleaved_qutrit_pair[0], [4, 3]),
         ]
         for pp, sizes in cases:
-            _, right = bell._local_strategies(pp, cap=10**6)
-            groups = bell._right_groups(pp.right, right)
+            _, sections = bell._local_strategies(pp, cap=10**6)
+            groups = bell._right_groups(sections)
+            right = sections.chosen
             assert groups.sizes == sizes
             # every tuple of group sections is one right section, and each group's
             # representative agrees with it on the nodes that group fixes
@@ -716,7 +717,7 @@ class TestRightGroups:
         assert section_components(pp.right).tolist() == [0, 0, 1]
         _, right = bell._local_strategies(pp, cap=10**6)
         assert len(right) == 15
-        assert bell._right_groups(pp.right, right).sizes == [5, 3]
+        assert bell._right_groups(right).sizes == [5, 3]
 
     def test_coupling_reproduces_masses(self):
         # dyadic masses with power-of-two row totals: every step is exact

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import json
 import math
 import weakref
 from collections import Counter
@@ -21,6 +22,7 @@ from contextua.opalg import TOL, ProjectionRegistry
 from contextua.spectral import section_components
 
 from conftest import (
+    INTERLEAVED_D3,
     canonical_key,
     diagonal_atoms,
     full_table_sections,
@@ -36,6 +38,7 @@ from conftest import (
     shared_ray_catalog_poset,
     strict_chains3,
     verify_section,
+    wootters_fields_poset,
 )
 
 
@@ -451,12 +454,34 @@ class TestEnumerationDifferential:
         assert np.array_equal(got.chosen, full_table_sections(poset).chosen)
         assert len(got) == count
 
+    @pytest.mark.parametrize("cap", range(1, 16))
+    def test_interleaved_components_truncate_in_search_order(self, cap):
+        # past cap the first sections in order of the maximal choices are kept, the fifth
+        # choosing [1, 0, 2]; the components' lists in mixed radix put [1, 1, 1] fifth
+        poset = cx.build_single_poset(cx.parse_scenario(json.dumps(INTERLEAVED_D3)))
+        assert section_components(poset).tolist() == [0, 1, 0]
+        got = cx.enumerate_global_sections(poset, cap=cap)
+        want = full_table_sections(poset, cap=cap)
+        assert (len(want), want.truncated) == (min(cap, 15), cap < 15)
+        assert got.truncated == want.truncated
+        assert np.array_equal(got.chosen, want.chosen)
+
+    def test_wootters_fields_d5(self):
+        poset = wootters_fields_poset(5)
+        assert section_components(poset).tolist() == list(range(6))
+        for cap in (10**6, 1000):
+            got = cx.enumerate_global_sections(poset, cap=cap)
+            want = full_table_sections(poset, cap=cap)
+            assert (len(got), got.truncated) == (min(cap, 15625), cap < 15625)
+            assert got.truncated == want.truncated
+            assert np.array_equal(got.chosen, want.chosen)
+
     @settings(max_examples=40, deadline=None)
     @given(search_sources)
     def test_sections_are_the_free_product_of_components(self, poset):
-        # bell._right_groups merges components' section codes on this claim
+        # enumerate_global_sections multiplies the components' lists out on this claim
         assume(poset is not None)
-        result = cx.enumerate_global_sections(poset)
+        result = full_table_sections(poset)
         assert not result.truncated
         labels = section_components(poset)
         maximal = np.array(poset.maximal_nodes())
@@ -465,6 +490,17 @@ class TestEnumerationDifferential:
             for c in range(labels.max() + 1)
         ]
         assert math.prod(counts) == len(result)
+        if not len(result):  # the component lists stop at the first without a section
+            return
+        # each row of chosen, taken in index order, is its tuple of component sections
+        enumerated = cx.enumerate_global_sections(poset)
+        assert [len(rows) for rows in enumerated.components] == counts
+        tuples = np.unravel_index(np.arange(len(result)), counts)
+        for c, rows in enumerate(enumerated.components):
+            fixed = rows[0] >= 0
+            assert fixed[maximal[labels == c]].all()
+            got = enumerated.chosen[enumerated.index][:, fixed]
+            assert np.array_equal(got, rows[tuples[c]][:, fixed])
 
 
 @settings(max_examples=40, deadline=None)
