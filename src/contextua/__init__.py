@@ -7,7 +7,7 @@ state reconstruction, the factorisability LP with its separating Bell
 functional, quantum-realizability classification, and symmetry checks.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .bell import (
     BellSection,
@@ -25,8 +25,10 @@ from .bell import (
     section_from_bipartite_state,
 )
 from .contexts import (
+    CatalogMeets,
     Context,
     ContextPoset,
+    catalog_meets,
     export_dot,
     generate_poset,
     trivial_context,
@@ -63,6 +65,7 @@ from .wigner import (
     conjugate_posets,
     jordan_check,
     jordan_checks,
+    symmetries,
     symmetry,
     transition_probability_deviation,
     transition_probability_deviations,

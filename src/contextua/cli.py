@@ -35,6 +35,7 @@ from .opalg import TOL, density_matrix, max_norm
 from .scenario import (
     Scenario,
     build_bipartite_model,
+    build_catalog_meets,
     build_single_model,
     build_single_poset,
     parse_scenario,
@@ -45,6 +46,7 @@ from .wigner import (  # perfbench/tracing.py also wraps the single-op names on 
     conjugate_posets,
     jordan_check,
     jordan_checks,
+    symmetries,
     symmetry,
     transition_probability_deviation,
     transition_probability_deviations,
@@ -127,15 +129,11 @@ def _matrix_out(m: np.ndarray) -> list:
 
 
 def _cmd_ks_check(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
-    poset = build_single_poset(sc, tol)
-    cert = find_global_section(poset)
-    details = cert.to_report(poset)
+    meets = build_catalog_meets(sc, tol)
+    cert = find_global_section(meets)
+    details = cert.to_report(meets)
     details.pop("verdict", None)
-    payload = {
-        "poset": {"nodes": len(poset), "projections": len(poset.keys)},
-        **details,
-    }
-    return cert.verdict, payload
+    return cert.verdict, {"catalog": meets.summary(), **details}
 
 
 def _cmd_ks_enumerate(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
@@ -259,7 +257,7 @@ def _cmd_wigner_check(sc: Scenario, tol, cap, seed) -> tuple[str, dict]:
         draws.append(rng.normal(size=(5, 4, dim, dim)))
     g = np.array(gauss)
     q, _ = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
-    ops = [symmetry(kind, qk @ np.diag(np.exp(1j * ph))) for kind, qk, ph in zip(kinds, q, phases)]
+    ops = symmetries(kinds, [qk @ np.diag(np.exp(1j * ph)) for qk, ph in zip(q, phases)])
     order_ok = all(
         trivial_presheaf_automorphism(poset, pmap, image)
         for image, pmap in conjugate_posets(poset, ops)

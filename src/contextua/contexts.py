@@ -24,6 +24,10 @@ atom of i (both families sum to the identity, so j's atoms under each atom
 q of i then sum to q), and the dominator map of i < j (which atom of i
 each j-atom lies under) is ``over[i]`` read at j's atoms. The table itself
 is dropped once the lookup is built.
+
+:func:`catalog_meets` reads the same pairwise meet blocks without building
+a poset: a section there is one atom per catalog context, and the chosen
+atoms of every pair lie in one block of the pair's meet.
 """
 
 from __future__ import annotations
@@ -229,60 +233,22 @@ def _meets(
 ) -> list[tuple[int, int, Context]]:
     """The meet of each catalog pair ``i < j`` that carries a constraint, in pair order.
 
-    An atom of the second context that overlaps an atom of the first lies
-    under the same block of any common coarsening, so the blocks are the
-    connected components of the two contexts' overlap graph, and each
-    block's two atom sums are one projection. Every pair is labelled in one
-    stacked reachability closure. A pair is dropped when all its blocks but
-    at most one are shared atoms (one atom, the same key, on both sides):
-    that meet only says both contexts give each shared atom one value, which
-    the key table already enforces. The drop is decided from the labels,
-    before any block is summed. The two sides of each block of the kept pairs
-    get their keys from :func:`_side_keys`. A block whose two keys differ was
+    The blocks are those of :func:`_pair_blocks`. A pair is dropped when all
+    its blocks but at most one are shared atoms (one atom, the same key, on
+    both sides): that meet only says both contexts give each shared atom one
+    value, which the key table already enforces. The drop is decided before
+    any block is summed. The two sides of each block of the kept pairs get
+    their keys from :func:`_side_keys`. A block whose two keys differ was
     split by an overlap below the squared grid, so a pair's blocks of that
     kind merge into one block, keyed the same way after all the others; the
     pair's meet is trivial if that block's two keys still differ.
     """
     if len(catalog) < 2:
         return []
-    keys = sorted({k for ctx in catalog for k in ctx.atoms})
-    index = {k: t for t, k in enumerate(keys)}
-    n = len(keys)
-    stack = registry.matrices(keys)
-    # overlap[p, q]: p and q are not orthogonal. tr(pq) = |pq|_F^2 is a squared
-    # norm, so it is compared with the squared grid: distinct rays closer than
-    # the grid are rejected, so any real overlap is at least this large, and
-    # float noise on orthogonal atoms is far below it. Index n pads a context
-    # with fewer atoms than the widest; it overlaps nothing.
-    overlap = np.zeros((n + 1, n + 1), dtype=bool)
-    overlap[:n, :n] = real_gram(stack, stack) > TOL.grid**2
-    width = max(len(ctx.atoms) for ctx in catalog)
-    atoms = np.array(
-        [[index[k] for k in ctx.atoms] + [n] * (width - len(ctx.atoms)) for ctx in catalog]
-    )
-    pair_i, pair_j = np.nonzero(np.arange(len(catalog))[:, None] < np.arange(len(catalog)))
-    rows, cols = atoms[pair_i], atoms[pair_j]
-    sub = overlap[rows[:, :, None], cols[:, None, :]]
-    # reach[p, a, b]: atoms a and b of the first context are joined by a path of
-    # overlaps; each squaring doubles the path length covered, and no path has
-    # more steps than there are atoms. Every atom of a context overlaps some atom
-    # of the other, which sums to the identity, so it reaches itself.
-    reach = sub @ sub.transpose(0, 2, 1)
-    for _ in range(width.bit_length()):
-        reach = reach @ reach
-    # each atom's block, named by its first atom; a padding atom reaches nothing,
-    # lands in block 0 and, as index n, drops out of every block's atom set
-    label = reach.argmax(axis=2)
-    root = label == np.arange(width)
-    pairs = np.flatnonzero(root.sum(axis=1) > 1)
-    if not pairs.size:
+    keys, stack, pairs, _, _, root, first, second = _pair_blocks(registry, catalog)
+    if not len(pairs):
         return []
-    rows, cols, sub, label, root = rows[pairs], cols[pairs], sub[pairs], label[pairs], root[pairs]
-    other = label[np.arange(len(pairs))[:, None], sub.argmax(axis=1)]  # each second atom's block
-    blocks = np.arange(width)[None, :, None]
-    # the atoms of each block on each side, sorted, padded with n: one row per block
-    first = np.sort(np.where(label[:, None, :] == blocks, rows[:, None, :], n), axis=2)[root]
-    second = np.sort(np.where(other[:, None, :] == blocks, cols[:, None, :], n), axis=2)[root]
+    n, width = len(keys), first.shape[1]
     # a block that is one atom of both contexts is a shared atom; a meet of shared
     # atoms and at most one other block (their complement) only says that both
     # contexts give each shared atom one value, which the key table already says
@@ -314,10 +280,238 @@ def _meets(
             per_pair[t] = blocks if key == other and constrains else None
     dim = catalog[0].dim
     return [
-        (int(pair_i[p]), int(pair_j[p]), Context(dim, tuple(k)))
-        for p, k in zip(pairs, per_pair)
+        (i, j, Context(dim, tuple(k)))
+        for (i, j), k in zip(pairs.tolist(), per_pair)
         if k is not None
     ]
+
+
+def _pair_blocks(registry: ProjectionRegistry, catalog: Sequence[Context]) -> tuple:
+    """The blocks of the meet of every catalog pair ``i < j`` that has more than one.
+
+    An atom of the second context that overlaps an atom of the first lies
+    under the same block of any common coarsening, so the blocks are the
+    connected components of the two contexts' overlap graph, and each
+    block's two atom sums are one projection. Every pair is labelled in one
+    stacked reachability closure. Returns ``(keys, stack, pairs, label,
+    other, root, first, second)``: the catalog's atom keys, sorted, and their
+    matrices; the ``(i, j)`` of each pair with more than one block, one row
+    per pair; per pair, the block of each atom of ``catalog[i]``, ``label``,
+    and of ``catalog[j]``, ``other``, named by its first atom in
+    ``catalog[i]``'s order, and whether each atom of ``catalog[i]`` names a
+    block, ``root``; and one row per block, pair by pair in order of their
+    names, its atoms on each side as indices into ``keys``, sorted and padded
+    with ``len(keys)``: ``first`` and ``second``.
+    """
+    keys = sorted({k for ctx in catalog for k in ctx.atoms})
+    index = {k: t for t, k in enumerate(keys)}
+    n = len(keys)
+    stack = registry.matrices(keys)
+    # overlap[p, q]: p and q are not orthogonal. tr(pq) = |pq|_F^2 is a squared
+    # norm, so it is compared with the squared grid: distinct rays closer than
+    # the grid are rejected, so any real overlap is at least this large, and
+    # float noise on orthogonal atoms is far below it. Index n pads a context
+    # with fewer atoms than the widest; it overlaps nothing.
+    overlap = np.zeros((n + 1, n + 1), dtype=bool)
+    overlap[:n, :n] = real_gram(stack, stack) > TOL.grid**2
+    width = max(len(ctx.atoms) for ctx in catalog)
+    atoms = np.array(
+        [[index[k] for k in ctx.atoms] + [n] * (width - len(ctx.atoms)) for ctx in catalog]
+    )
+    pairs = np.argwhere(np.arange(len(catalog))[:, None] < np.arange(len(catalog)))
+    rows, cols = atoms[pairs[:, 0]], atoms[pairs[:, 1]]
+    sub = overlap[rows[:, :, None], cols[:, None, :]]
+    # reach[p, a, b]: atoms a and b of the first context are joined by a path of
+    # overlaps; each squaring doubles the path length covered, and no path has
+    # more steps than there are atoms. Every atom of a context overlaps some atom
+    # of the other, which sums to the identity, so it reaches itself.
+    reach = sub @ sub.transpose(0, 2, 1)
+    for _ in range(width.bit_length()):
+        reach = reach @ reach
+    # each atom's block, named by its first atom; a padding atom reaches nothing,
+    # lands in block 0 and, as index n, drops out of every block's atom set
+    label = reach.argmax(axis=2)
+    root = label == np.arange(width)
+    several = np.flatnonzero(root.sum(axis=1) > 1)
+    pairs, rows, cols, sub = pairs[several], rows[several], cols[several], sub[several]
+    label, root = label[several], root[several]
+    other = label[np.arange(len(pairs))[:, None], sub.argmax(axis=1)]  # each second atom's block
+    blocks = np.arange(width)[None, :, None]
+    # the atoms of each block on each side, sorted, padded with n: one row per block
+    first = np.sort(np.where(label[:, None, :] == blocks, rows[:, None, :], n), axis=2)[root]
+    second = np.sort(np.where(other[:, None, :] == blocks, cols[:, None, :], n), axis=2)[root]
+    return keys, stack, pairs, label, other, root, first, second
+
+
+@dataclass(frozen=True)
+class CatalogMeets:
+    """A catalog's distinct contexts and the blocks of their constraining pairwise meets,
+    as the global-section search reads them: ``ks-check``'s route, with no poset.
+
+    Node ids count the contexts, ``nodes``, then one meet per constrained pair.
+    Key rows count the contexts' atom keys, ``keys``, then one row per meet
+    block that has no side of one atom, ``n_rows`` rows in all. ``rows[i]``
+    are node i's atoms as key rows. ``maximal`` lists the contexts that
+    coarsen no other context, and ``lower`` holds ``(i, m, lookup)`` for each
+    other node i below a maximal node m: ``lookup[a]`` is the atom of i that
+    atom a of m lies under.
+    """
+
+    nodes: tuple[Context, ...]
+    keys: tuple[str, ...]
+    rows: list[list[int]]
+    n_rows: int
+    maximal: list[int]
+    lower: list[tuple[int, int, list[int]]]
+
+    def atom_keys(self, i: int) -> tuple[str, ...]:
+        return self.nodes[i].atoms
+
+    def summary(self) -> dict[str, int]:
+        """The contexts, the constrained pairs and their meets' blocks, counted."""
+        meets = self.rows[len(self.nodes) :]
+        return {
+            "contexts": len(self.nodes),
+            "constrained_pairs": len(meets),
+            "blocks": sum(map(len, meets)),
+        }
+
+
+def catalog_meets(registry: ProjectionRegistry, catalog: Sequence[Context]) -> CatalogMeets:
+    """The distinct contexts of ``catalog`` and the meet of each pair of them that
+    constrains a section beyond one value per key, from :func:`_pair_blocks`.
+
+    A choice of one atom per context is a global section iff the chosen atoms
+    of every pair lie in one block of the pair's meet. A block of one pair's
+    meet that lies in a third context's algebra is a sum of that context's
+    blocks with either side, so identities between block sums of different
+    pairs add no constraint, and no block sum is registered. Per pair:
+
+    - all its blocks but one are shared atoms (one atom, one key, on both
+      sides), and the other has one atom on one side only: that side's
+      context is a coarsening of the other (a padded context), a node below
+      it, and not maximal;
+    - else at most one block is not a shared atom: the pair is dropped, as
+      :func:`_meets` drops it;
+    - else the two sides of each block that is not a shared atom are summed
+      and compared entrywise by the registry's rule: within ``registry.tol``
+      they are one block; closer than the grid but not within tol is an
+      error; farther apart, the block was torn by an overlap below the
+      squared grid. A pair's torn blocks merge into one, decided by the same
+      rule, and the pair is kept as :func:`_meets` keeps it.
+
+    A kept meet is a node below both contexts and below every context above
+    either. A block whose side is one atom has that atom's key row; any other
+    block has a key row of its own.
+    """
+    first_at: dict[frozenset[str], int] = {}  # each distinct key set's first catalog index
+    for c, ctx in enumerate(catalog):
+        first_at.setdefault(frozenset(ctx.atoms), c)
+    at = list(first_at.values())
+    nodes = tuple(catalog[c] for c in at)
+    keys = tuple(dict.fromkeys(k for node in nodes for k in node.atoms))
+    index = {k: t for t, k in enumerate(keys)}
+    rows = [[index[k] for k in node.atoms] for node in nodes]
+    coarser: dict[int, list[tuple[int, list[int]]]] = {}  # c: each (d, lookup) with c below d
+    meets: list[tuple[tuple[int, list[int]], ...]] = []  # per meet, each context's lookup
+    if len(nodes) > 1:
+        names, stack, pairs, label, other, root, first, second = _pair_blocks(registry, nodes)
+        n, width, sizes = len(names), first.shape[1], [len(node.atoms) for node in nodes]
+        row_of = np.array([index[k] for k in names] + [-1])  # name index n is no atom
+
+        def whole(sides: np.ndarray) -> np.ndarray:  # the atom that each side is, or n
+            return np.where(sides[:, 1] == n, sides[:, 0], n)
+
+        def apart(gaps: np.ndarray, owners: np.ndarray) -> np.ndarray:  # the registry's rule
+            near = (gaps > registry.tol) & (gaps < TOL.grid)
+            if near.any():
+                i, j = (at[c] for c in pairs[owners[near.argmax()]])
+                message = f"catalog contexts {i} and {j}: the two sides of a meet block are closer"
+                raise ValueError(message + f" than the grid but not within tol {registry.tol}")
+            return gaps > registry.tol
+
+        one = (whole(first), whole(second))
+        shared = (one[0] == one[1]) & (one[0] < n)
+        owner = np.nonzero(root)[0]  # the pair of each block row
+        loose = np.bincount(owner[~shared], minlength=len(pairs))  # blocks not shared, per pair
+        for r in np.flatnonzero(~shared & (loose[owner] == 1) & ((one[0] < n) != (one[1] < n))):
+            p = owner[r]
+            i, j = pairs[p].tolist()
+            if one[0][r] < n:  # each block is one atom of i, the atom that names it
+                coarser.setdefault(i, []).append((j, other[p, : sizes[j]].tolist()))
+            else:  # each block is one atom of j
+                atom_of = np.zeros(width, dtype=int)
+                atom_of[other[p, : sizes[j]]] = np.arange(sizes[j])
+                coarser.setdefault(j, []).append((i, atom_of[label[p, : sizes[i]]].tolist()))
+        keep = loose > 1
+        checked = np.flatnonzero(keep[owner] & ~shared)
+        torn = np.zeros(len(first), dtype=bool)
+        torn[checked] = apart(_side_gaps(stack, first[checked], second[checked]), owner[checked])
+        order = np.cumsum(root, axis=1) - 1  # each block's place among its pair's blocks
+        of_first = np.take_along_axis(order, label, axis=1)
+        of_second = np.take_along_axis(order, other, axis=1)
+        key_rows = np.where(one[0] < n, row_of[one[0]], row_of[one[1]])  # -1: a row of its own
+        counts = root.sum(axis=1)
+        ends = np.cumsum(counts)
+        block_rows = {}
+        for p in np.unique(owner[torn]).tolist():
+            blocks = np.arange(ends[p] - counts[p], ends[p])
+            t = np.flatnonzero(torn[blocks])
+            sides = [np.sort(s[blocks[t]], None)[None, :width] for s in (first, second)]
+            # torn blocks merge; the pair is trivial if the merged sides are apart, and it
+            # constrains nothing if no block besides them is loose
+            if apart(_side_gaps(stack, *sides), [p])[0] or (~shared[blocks]).sum() == t.size:
+                keep[p] = False
+                continue
+            target = np.arange(len(blocks))  # the merged block takes the first one's place
+            target[t] = t[0]
+            survivors, target = np.unique(target, return_inverse=True)
+            of_first[p], of_second[p] = target[of_first[p]], target[of_second[p]]
+            merged = key_rows[blocks][survivors]
+            side = whole(sides[0])[0]
+            merged[target[t[0]]] = row_of[side if side < n else whole(sides[1])[0]]
+            block_rows[p] = merged.tolist()
+        kept = np.flatnonzero(keep)
+        key_rows, starts = key_rows.tolist(), (ends - counts)[kept].tolist()
+        for p, (i, j), in_i, in_j, start, end in zip(
+            kept.tolist(), pairs[kept].tolist(), of_first[kept].tolist(),
+            of_second[kept].tolist(), starts, ends[kept].tolist(),
+        ):
+            meets.append(((i, in_i[: sizes[i]]), (j, in_j[: sizes[j]])))
+            rows.append(block_rows.get(p) or key_rows[start:end])
+    n_rows = len(keys)
+    for meet in rows[len(nodes) :]:
+        for b, t in enumerate(meet):
+            if t < 0:
+                meet[b], n_rows = n_rows, n_rows + 1
+    maximal = [i for i in range(len(nodes)) if i not in coarser]
+    above = {c: [(d, up) for d, up in ups if d not in coarser] for c, ups in coarser.items()}
+    lower = [(c, d, lookup) for c, ups in above.items() for d, lookup in ups]
+    for k, meet in enumerate(meets, len(nodes)):
+        found = set()
+        for x, lookup in meet:
+            for m, via in above.get(x, [(x, None)]):
+                if m not in found:
+                    found.add(m)
+                    lower.append((k, m, lookup if via is None else [lookup[c] for c in via]))
+    return CatalogMeets(nodes, keys, rows, n_rows, maximal, lower)
+
+
+def _side_gaps(stack: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The max-entry distance between the sums of the two sides of each block: rows of
+    ``first`` and ``second``, indices into ``stack``, sorted and padded with ``len(stack)``,
+    summed in runs of blocks so that no temporary outgrows ``opalg.BLOCK`` entries."""
+    n = len(stack)
+    atoms = np.concatenate([stack, np.zeros_like(stack[:1])])  # the padding index adds 0
+    width = int(((first < n) | (second < n)).any(axis=0).sum())  # the padding comes last
+    first, second = first[:, :width], second[:, :width]
+    gaps = np.empty(len(first))
+    step = max(1, opalg.BLOCK // max(1, width * stack[0].size))
+    for start in range(0, len(first), step):
+        part = slice(start, start + step)
+        sums = atoms[first[part]].sum(axis=1) - atoms[second[part]].sum(axis=1)
+        gaps[part] = np.abs(sums).max(axis=(1, 2), initial=0.0)
+    return gaps
 
 
 def _side_keys(

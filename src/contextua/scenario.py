@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bell import BellSection, CorrelationTable, ProductPoset, product_poset
-from .contexts import Context, ContextPoset, first_repeat, generate_poset
+from .contexts import (
+    CatalogMeets,
+    Context,
+    ContextPoset,
+    catalog_meets,
+    first_repeat,
+    generate_poset,
+)
 from .opalg import TOL, CanonicalizationError, ProjectionRegistry, max_norm
 
 _FRACTION = re.compile(r"^(-?\d+)\s*/\s*(\d+)$")
@@ -415,6 +422,13 @@ def build_single_model(sc: Scenario, tol: float = TOL.identity) -> SingleModel:
 
 def build_single_poset(sc: Scenario, tol: float = TOL.identity) -> ContextPoset:
     return build_single_model(sc, tol).poset
+
+
+def build_catalog_meets(sc: Scenario, tol: float = TOL.identity) -> CatalogMeets:
+    """A single-system scenario's contexts and their pairwise meets, with no poset."""
+    if sc.kind != "single":
+        raise ValueError("expected a single-system scenario")
+    return catalog_meets(*_catalog(sc.rays["main"], sc.contexts["main"], sc.dims[0], "", tol))
 
 
 @dataclass

@@ -9,6 +9,9 @@ row as its 0/1 value per projection key.
 One depth-first propagation search, :func:`_sections`, decides and lists
 them. Its state is three flat lists, copied per expansion, and its counters
 are those of the dict-and-set search it replaced, kept as a test reference.
+It runs on tables read off a poset or off a catalog's pairwise meets
+(:func:`~contextua.contexts.catalog_meets`), whose nodes are the catalog's
+contexts and one meet per constrained pair.
 :func:`find_global_section` takes its first section, branching in sharing
 order, and returns a :class:`ColoringCertificate`: the section found, or an
 exhausted search. :func:`enumerate_global_sections` runs it once per component
@@ -24,12 +27,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .contexts import ContextPoset
+from .contexts import CatalogMeets, ContextPoset
 
 
-def value_table(poset: ContextPoset, row) -> dict[str, int]:
-    """0/1 value per registered projection key of a global section: 1 on the atom that
-    ``row[i]`` chooses at node i, 0 on its siblings."""
+def value_table(poset: ContextPoset | CatalogMeets, row) -> dict[str, int]:
+    """0/1 value per projection key of the nodes that a global section's ``row`` covers:
+    1 on the atom that ``row[i]`` chooses at node i, 0 on its siblings."""
     table: dict[str, int] = {}
     for node, atom in enumerate(row):
         for idx, key in enumerate(poset.atom_keys(node)):
@@ -44,7 +47,7 @@ class ColoringCertificate:
     nodes_expanded: int
     backtracks: int
 
-    def to_report(self, poset: ContextPoset) -> dict:
+    def to_report(self, poset: ContextPoset | CatalogMeets) -> dict:
         report = {
             "verdict": self.verdict,
             "stats": {
@@ -75,33 +78,44 @@ class EnumerationResult:
 
 
 def _search_tables(poset: ContextPoset, maximal: list[int]) -> tuple:
-    """``(rows, occurrences, below, prune)``: node i's atoms as key rows ``rows[i]``; the
-    (node, atom) places of key row t, ``occurrences[t]``; for maximal m, the (i, lookup)
-    pairs of the nodes i <= m ascending, ``below[m]``, lookup[a] the atom of i under atom
-    a of m; for node i, the (m, masks) pairs of the maximal m > i, ``prune[i]``, masks[c]
-    the bitmask of m's atoms under atom c of i. Only these pairs' ``over`` entries are read.
-    """
+    """The :func:`_tables` of a poset: every node below a maximal node, its lookup read
+    from ``over``. Only these pairs' ``over`` entries are read."""
     rows = [r.tolist() for r in poset.rows]
-    occurrences: list[list[tuple[int, int]]] = [[] for _ in poset.keys]
-    for i, atoms in enumerate(rows):
-        for idx, t in enumerate(atoms):
-            occurrences[t].append((i, idx))
     # every lookup in one gather from over, each maximal node's atoms padded with row 0
     width = max(len(rows[m]) for m in maximal)
     padded = np.array([rows[m] + [0] * (width - len(rows[m])) for m in maximal])
-    pair_m, pair_i = np.nonzero(poset.order[:, maximal].T)
+    strict = poset.order[:, maximal].T & (np.arange(len(rows)) != np.array(maximal)[:, None])
+    pair_m, pair_i = np.nonzero(strict)
     lookups = poset.over[pair_i[:, None], padded[pair_m]].tolist()
+    lower = [
+        (i, maximal[t], lookup[: len(rows[maximal[t]])])
+        for t, i, lookup in zip(pair_m.tolist(), pair_i.tolist(), lookups)
+    ]
+    return _tables(rows, len(poset.keys), maximal, lower)
+
+
+def _tables(rows: list, n_rows: int, maximal: list[int], lower: list) -> tuple:
+    """``(rows, occurrences, below, prune)``: node i's atoms as key rows ``rows[i]``, of
+    ``n_rows``; the (node, atom) places of key row t, ``occurrences[t]``; for maximal m,
+    the (i, lookup) pairs of m itself and of each node i below m, ``below[m]``, lookup[a]
+    the atom of i under atom a of m; for node i, the (m, masks) pairs of the maximal m
+    above i, ``prune[i]``, masks[c] the bitmask of m's atoms under atom c of i. ``lower``
+    holds the ``(i, m, lookup)`` of each node i below a maximal node m.
+    """
+    occurrences: list[list[tuple[int, int]]] = [[] for _ in range(n_rows)]
+    for i, atoms in enumerate(rows):
+        for idx, t in enumerate(atoms):
+            occurrences[t].append((i, idx))
     below: list[list[tuple[int, list[int]]]] = [[] for _ in rows]
     prune: list[list[tuple[int, list[int]]]] = [[] for _ in rows]
-    for t, i, lookup in zip(pair_m.tolist(), pair_i.tolist(), lookups):
-        m = maximal[t]
-        lookup = lookup[: len(rows[m])] if i != m else list(range(len(rows[m])))
+    for m in maximal:
+        below[m].append((m, list(range(len(rows[m])))))
+    for i, m, lookup in lower:
         below[m].append((i, lookup))
-        if i != m:
-            masks = [0] * len(rows[i])
-            for a, c in enumerate(lookup):
-                masks[c] |= 1 << a
-            prune[i].append((m, masks))
+        masks = [0] * len(rows[i])
+        for a, c in enumerate(lookup):
+            masks[c] |= 1 << a
+        prune[i].append((m, masks))
     return rows, occurrences, below, prune
 
 
@@ -174,19 +188,20 @@ def _assign(tables: tuple, value: list, chars: list, domains: list, m: int, atom
     return True
 
 
-def _sections(poset: ContextPoset, tables: tuple, order: list[int]) -> Iterator[tuple]:
+def _sections(tables: tuple, order: list[int]) -> Iterator[tuple]:
     """Depth-first search over every branch: ``(chars, expanded, backtracks)`` at each
     section found, ``chars[i]`` the atom of node i or -1 where none is set, then
     ``(None, expanded, backtracks)`` once every branch is tried.
 
     Choices are made at the maximal nodes ``order``, all or one component's, the first
     unassigned one each time, atoms ascending, so the sections come in lexicographic
-    order of those choices. Propagation through :func:`_search_tables`'s ``tables``
-    keeps a 0/1 value per registered projection: the chosen atom forces its siblings
+    order of those choices. Propagation through :func:`_tables`'s ``tables``
+    keeps a 0/1 value per key row: the chosen atom forces its siblings
     to 0, a projection forced to 1 forces the character of every context it generates,
     and a maximal node with all-but-one atom at 0 is assigned the remaining atom.
     """
-    n = len(poset)
+    rows, occurrences = tables[:2]
+    n = len(rows)
 
     def branch(state: tuple):
         """The first unassigned maximal node and its choices, or None when all are set."""
@@ -197,8 +212,8 @@ def _sections(poset: ContextPoset, tables: tuple, order: list[int]) -> Iterator[
     # depth-first over a stack of (state, node, atoms left) frames, from all atoms left
     domains = [0] * n
     for m in order:
-        domains[m] = (1 << len(poset.rows[m])) - 1
-    stack = [branch(([-1] * len(poset.keys), [-1] * n, domains))]
+        domains[m] = (1 << len(rows[m])) - 1
+    stack = [branch(([-1] * len(occurrences), [-1] * n, domains))]
     expanded, backtracks = 0, 0
     while stack:
         state, m, atoms = stack[-1]
@@ -221,13 +236,23 @@ def _sections(poset: ContextPoset, tables: tuple, order: list[int]) -> Iterator[
     yield None, expanded, backtracks
 
 
-def find_global_section(poset: ContextPoset) -> ColoringCertificate:
+def find_global_section(source: ContextPoset | CatalogMeets) -> ColoringCertificate:
     """The first global section of the spectral presheaf that :func:`_sections` finds,
-    branching in sharing order, or the exhausted search's certificate."""
-    maximal = poset.maximal_nodes()
-    tables = _search_tables(poset, maximal)
+    branching in sharing order, or the exhausted search's certificate.
+
+    ``source`` is a poset, or a catalog's pairwise meets (:func:`catalog_meets`), whose
+    section lists the chosen atom of each catalog context only.
+    """
+    if isinstance(source, ContextPoset):
+        maximal = source.maximal_nodes()
+        tables = _search_tables(source, maximal)
+    else:
+        maximal = source.maximal
+        tables = _tables(source.rows, source.n_rows, maximal, source.lower)
     order = _sharing_order(maximal, *tables[:2])
-    chars, expanded, backtracks = next(_sections(poset, tables, order))
+    chars, expanded, backtracks = next(_sections(tables, order))
+    if chars is not None and not isinstance(source, ContextPoset):
+        chars = chars[: len(source.nodes)]
     verdict = "non_colorable" if chars is None else "colorable"
     return ColoringCertificate(verdict, chars, expanded, backtracks)
 
@@ -245,7 +270,7 @@ def enumerate_global_sections(poset: ContextPoset, cap: int = 10**6) -> Enumerat
     tables = _search_tables(poset, maximal)
 
     def found(order: list[int], limit: int) -> np.ndarray:  # the first limit sections
-        chars = itertools.islice(_sections(poset, tables, order), limit)
+        chars = itertools.islice(_sections(tables, order), limit)
         rows = [row for row, _, _ in chars if row is not None]
         return np.array(rows, dtype=np.int64).reshape(len(rows), len(poset))
 
@@ -288,4 +313,5 @@ def section_components(poset: ContextPoset) -> np.ndarray:
     reach = (holds @ holds.T) | np.eye(len(maximal), dtype=bool)
     for _ in range(len(maximal).bit_length()):
         reach = reach @ reach
-    return np.unique(reach.argmax(axis=1), return_inverse=True)[1]
+    first = reach.argmax(axis=1)  # each node's component, named by its first node
+    return (np.cumsum(first == np.arange(len(maximal))) - 1)[first]

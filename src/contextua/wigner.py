@@ -34,10 +34,8 @@ from .opalg import (
     TOL,
     CanonicalizationError,
     ProjectionRegistry,
-    as_operator,
     canonical_keys,
     check_projections,
-    max_norm,
 )
 
 
@@ -50,14 +48,38 @@ class SymmetryOp:
 
 
 def symmetry(kind: str, u) -> SymmetryOp:
-    if kind not in ("unitary", "antiunitary"):
-        raise ValueError(f"kind must be unitary or antiunitary, got {kind!r}")
-    arr = as_operator(u)
-    if max_norm(arr.conj().T @ arr - np.eye(arr.shape[0])) > TOL.exact * arr.shape[0]:
+    """:func:`symmetries` of the one op."""
+    return symmetries([kind], [u])[0]
+
+
+def symmetries(kinds: Sequence[str], unitaries) -> list[SymmetryOp]:
+    """One :class:`SymmetryOp` per kind and matrix of ``unitaries``, checked as one
+    ``(ops, d, d)`` stack: each kind is known, and each matrix square, finite and unitary
+    within ``TOL.exact`` times d. The first op that fails raises its first failure."""
+    arr = np.array(unitaries, dtype=complex)
+    square = arr.ndim == 3 and arr.shape[1] == arr.shape[2]
+    failed = np.ones(len(kinds), dtype=bool)
+    if square:
+        finite = np.isfinite(arr).all(axis=(1, 2))
+        safe = np.where(finite[:, None, None], arr, 0)  # non-finite ops fail before the product
+        drift = np.abs(_adjoint(safe) @ safe - np.eye(arr.shape[1])).max(axis=(1, 2), initial=0.0)
+        failed = ~finite | (drift > TOL.exact * arr.shape[1])
+    for k, kind in enumerate(kinds):
+        if kind not in ("unitary", "antiunitary"):
+            raise ValueError(f"kind must be unitary or antiunitary, got {kind!r}")
+        if not failed[k]:
+            continue
+        if not square:
+            raise ValueError(f"operator must be a square matrix, got shape {arr.shape[1:]}")
+        if not finite[k]:
+            raise ValueError("operator entries must be finite")
         raise ValueError("matrix is not unitary within tolerance")
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return SymmetryOp(kind, arr)
+    ops = []
+    for kind, m in zip(kinds, arr):
+        m = m.copy()
+        m.flags.writeable = False
+        ops.append(SymmetryOp(kind, m))
+    return ops
 
 
 def _adjoint(arr: np.ndarray) -> np.ndarray:

@@ -605,6 +605,23 @@ def pauli_subset_catalog(registry, bases, jitter=0.0, seed=0):
     ]
 
 
+def padded_pauli_catalog(picks):
+    """Catalog builder: the first k rays of each listed pauli-c4 basis b, padded with
+    their complement, for each (b, k) in ``picks``."""
+    sc = cx.parse_scenario(bundled_text("pauli-c4"))
+
+    def build_catalog(reg):
+        catalog = []
+        for b, k in picks:
+            rays = [sc.rays["main"][i] for i in sc.contexts["main"][b][:k]]
+            mats = [np.outer(v, v.conj()) for v in rays]
+            pad = [np.eye(4) - sum(mats)][: 4 - k]
+            catalog.append(context_from_projections(reg, mats + pad))
+        return catalog
+
+    return build_catalog
+
+
 # jittered pauli-c4 bases (bases, jitter, seed) whose block sums the registry keeps apart at
 # the default tol: overlaps of about 6e-13, below the squared grid, split their meets' blocks
 SPLIT_BLOCK_CATALOGS = (
@@ -614,12 +631,11 @@ SPLIT_BLOCK_CATALOGS = (
 )
 
 
-def peres24_subset_catalog(registry, tetrads, seed=None):
-    """The listed tetrads of Peres' 24 rays in d4, all turned by one random unitary when
-    ``seed`` is given.
+def peres24_rays():
+    """Peres' 24 rays in d4, unnormalised integer tuples, and their 24 tetrads.
 
     The rays are the unit vectors, the 12 with two entries +-1 and the 8
-    (1, +-1, +-1, +-1); the 24 tetrads are found by an orthogonality search.
+    (1, +-1, +-1, +-1); the tetrads are found by an orthogonality search.
     """
     rays = [tuple(int(i == k) for i in range(4)) for k in range(4)]
     rays += [
@@ -629,12 +645,19 @@ def peres24_subset_catalog(registry, tetrads, seed=None):
     ]
     rays += [(1, *signs) for signs in itertools.product((1, -1), repeat=3)]
     gram = np.array(rays) @ np.array(rays).T
-    all_tetrads = [
+    tetrads = [
         c
         for c in itertools.combinations(range(24), 4)
         if all(gram[a, b] == 0 for a, b in itertools.combinations(c, 2))
     ]
-    assert len(rays) == len(all_tetrads) == 24
+    assert len(rays) == len(tetrads) == 24
+    return rays, tetrads
+
+
+def peres24_subset_catalog(registry, tetrads, seed=None):
+    """The listed tetrads of :func:`peres24_rays` in d4, all turned by one random unitary
+    when ``seed`` is given."""
+    rays, all_tetrads = peres24_rays()
     vecs = np.array(rays, dtype=complex).T
     vecs /= np.linalg.norm(vecs, axis=0)
     if seed is not None:
@@ -933,15 +956,18 @@ def full_table_sections(poset, cap=10**6, chunk=1 << 16):
         split -= 1
     trailing = np.array(list(itertools.product(*map(range, counts[split:]))), dtype=np.int64)
     trailing = trailing.reshape(len(trailing), len(maximal) - split)
+    # each lower node's dominator maps, one per maximal node above it, built once
+    maps = {i: [(m, poset.dominator_map(i, m)) for m in above] for i, above in ups.items()}
     rows = []
     truncated = False
     for lead in itertools.product(*map(range, counts[:split])):
-        chosen = np.empty((len(trailing), n), dtype=np.int64)
+        # column-major, so that each node's column is read and written contiguously
+        chosen = np.empty((len(trailing), n), dtype=np.int64, order="F")
         chosen[:, maximal[:split]] = lead
         chosen[:, maximal[split:]] = trailing
         mask = np.ones(len(chosen), dtype=bool)
-        for i, above in ups.items():
-            ref, *rest = [poset.dominator_map(i, m)[chosen[:, m]] for m in above]
+        for i, above in maps.items():
+            ref, *rest = [lookup[chosen[:, m]] for m, lookup in above]
             chosen[:, i] = ref
             for other in rest:
                 mask &= other == ref

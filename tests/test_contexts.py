@@ -24,6 +24,7 @@ from conftest import (
     ix_dominator_map,
     ks18_subset_catalog,
     ks18_subset_poset,
+    padded_pauli_catalog,
     pairwise_meet_poset,
     partition_closure_poset,
     pauli_subset_catalog,
@@ -319,23 +320,6 @@ class TestDominanceDifferential:
     def test_bundled_tables_match_einsum(self, name):
         poset = cx.build_single_poset(cx.parse_scenario(bundled_text(name)))
         check_atom_lookup(poset)
-
-
-def padded_pauli_catalog(picks):
-    """Catalog builder: the first k rays of each listed pauli-c4 basis b, padded with
-    their complement, for each (b, k) in ``picks``."""
-    sc = cx.parse_scenario(bundled_text("pauli-c4"))
-
-    def build_catalog(reg):
-        catalog = []
-        for b, k in picks:
-            rays = [sc.rays["main"][i] for i in sc.contexts["main"][b][:k]]
-            mats = [np.outer(v, v.conj()) for v in rays]
-            pad = [np.eye(4) - sum(mats)][: 4 - k]
-            catalog.append(context_from_projections(reg, mats + pad))
-        return catalog
-
-    return build_catalog
 
 
 def greatest_lower_bound(order: np.ndarray, i: int, j: int) -> int:

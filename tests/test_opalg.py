@@ -683,6 +683,7 @@ class TestImports:
         allowed = {
             ("cli.py", "conjugate_poset"),
             ("cli.py", "jordan_check"),
+            ("cli.py", "symmetry"),
             ("cli.py", "transition_probability_deviation"),
         }
         found = sorted(

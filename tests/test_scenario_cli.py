@@ -28,7 +28,7 @@ from contextua.catalogs import (
 from contextua.cli import main, run
 from contextua.scenario import ScenarioError, _parse_contexts, _parse_rays, parse_entry, parse_real
 
-from conftest import SPLIT_BLOCK_CATALOGS, loop_parse_contexts, pauli_subset_rays
+from conftest import SPLIT_BLOCK_CATALOGS, loop_parse_contexts, pauli_subset_rays, peres24_rays
 
 
 class TestEntryParsing:
@@ -235,7 +235,9 @@ class TestParseScenario:
         assert main(["ks-check", "--scenario", str(path), "--tol", "1e-6"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "colorable"
-        assert report["poset"] == {"nodes": 2, "projections": 3}
+        # ray 1 is ray 0, and its padding complement is ray 2: the two contexts are one
+        assert report["catalog"] == {"contexts": 1, "constrained_pairs": 0, "blocks": 0}
+        assert len(report["section"]) == 2
         assert main(["ks-check", "--scenario", str(path)]) == 1
         assert "rays 0 and 1 are near-duplicates" in capsys.readouterr().err
 
@@ -255,9 +257,8 @@ class TestParseScenario:
         assert main(["ks-check", "--scenario", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "colorable"
-        assert report["poset"]["nodes"] == len(bases) + 1  # the bases and the trivial context
-        # the projections the poset's nodes use, not the split sums left in the registry
-        assert report["poset"]["projections"] == len(report["section"])
+        assert report["catalog"] == {"contexts": len(bases), "constrained_pairs": 0, "blocks": 0}
+        assert len(report["section"]) == 4 * len(bases)  # the rays, and no block sum
 
     @pytest.mark.parametrize(
         "name,tol,message",
@@ -483,7 +484,9 @@ class TestMain:
         assert main(["ks-check", "--scenario", "builtin:mermin-c8"]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "non_colorable"
-        assert report["poset"]["nodes"] == 16  # 5 lines, 10 pairwise meets, the trivial context
+        # 5 lines, each pair's meet two blocks
+        assert report["catalog"] == {"contexts": 5, "constrained_pairs": 10, "blocks": 20}
+        assert report["stats"] == {"nodes_expanded": 104, "backtracks": 104, "exhausted": True}
 
     def test_dim1_check_and_enumerate_agree(self, tmp_path, capsys):
         # the one context of dimension 1 is the trivial one: one section, found by both
@@ -504,11 +507,52 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert (report["verdict"], report["count"], report["sections"]) == ("non_colorable", 0, [])
 
-    def test_ks18_check_stores_bases_and_trivial_context(self, capsys):
+    def test_ks18_check_constrains_no_pair(self, capsys):
+        # every two bases of ks18-c4 share one ray or none, so one value per key is all
         assert main(["ks-check", "--scenario", "builtin:ks18-c4"]) == 2
         report = json.loads(capsys.readouterr().out)
-        assert report["poset"] == {"nodes": 10, "projections": 19}
-        assert report["stats"]["nodes_expanded"] == 44
+        assert report["catalog"] == {"contexts": 9, "constrained_pairs": 0, "blocks": 0}
+        assert report["stats"] == {"nodes_expanded": 44, "backtracks": 44, "exhausted": True}
+
+    def test_peres24_check(self, tmp_path, capsys):
+        rays, tetrads = peres24_rays()
+        doc = {"kind": "single", "dim": 4, "rays": [list(r) for r in rays], "contexts": tetrads}
+        path = tmp_path / "peres24.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["ks-check", "--scenario", str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        # 18 pairs of tetrads meet in two planes (the poset stores 9 distinct meets)
+        assert report["catalog"] == {"contexts": 24, "constrained_pairs": 18, "blocks": 36}
+        assert report["stats"] == {"nodes_expanded": 26, "backtracks": 26, "exhausted": True}
+
+    def test_block_sum_near_another_contexts_atom_gives_a_verdict(self, tmp_path, capsys):
+        # The meet of bases 0 and 1 has the blocks e0 + e1 and e2 + e3. Context 2 holds
+        # two rays of the plane e2, e3 tilted by phi toward e0 + e1, and its padding
+        # complement, 9e-7 from e0 + e1 entrywise: closer than the grid but not within tol.
+        # Its overlaps with every other context, about phi^2 / 2 > grid^2, join one block,
+        # so its pairs constrain nothing. No pair's two block sides differ, so the pairwise
+        # route gives a verdict; a registry of block sums rejected the document.
+        phi, alpha, e = 1.8e-6, 0.3, np.eye(4)
+        b_plus, b_minus = (e[0] + e[1]) / np.sqrt(2), (e[0] - e[1]) / np.sqrt(2)
+        a_plus, a_minus = (e[2] + e[3]) / np.sqrt(2), (e[2] - e[3]) / np.sqrt(2)
+        u = np.cos(phi) * a_plus + np.sin(phi) * b_plus
+        c, s = np.cos(alpha), np.sin(alpha)
+        rays = [*e, b_plus, b_minus, a_plus, a_minus, c * u + s * a_minus, c * a_minus - s * u]
+        doc = {
+            "kind": "single",
+            "dim": 4,
+            "rays": [v.tolist() for v in rays],
+            "contexts": [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]],
+        }
+        path = tmp_path / "tilted.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["ks-check", "--scenario", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "colorable"
+        assert report["catalog"] == {"contexts": 3, "constrained_pairs": 1, "blocks": 2}
+        # the poset of the same document registers e0 + e1 next to that complement
+        assert main(["ks-enumerate", "--scenario", str(path)]) == 1
+        assert "closer than the rounding grid" in capsys.readouterr().err
 
     def test_mermin_star_rays_are_line_eigenvectors(self):
         # independent of the catalog builder: each context's rays are orthogonal
@@ -841,7 +885,9 @@ class TestStabilizerCatalogs:
         assert main(["ks-check", "--scenario", "builtin:pauli-c4"]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "non_colorable"
-        assert (report["poset"]["nodes"], report["poset"]["projections"]) == (31, 91)
+        # each of the 15 meets is the meet of 3 pairs
+        assert report["catalog"] == {"contexts": 15, "constrained_pairs": 45, "blocks": 90}
+        assert report["stats"] == {"nodes_expanded": 60, "backtracks": 60, "exhausted": True}
 
     @pytest.mark.parametrize("n,count", [(1, 3), (2, 15), (3, 135), (4, 2295)])
     def test_lagrangian_subspaces_are_each_listed_once(self, n, count):
@@ -872,7 +918,7 @@ class TestStabilizerCatalogs:
         assert code == 2
         report = json.loads(out.out)
         assert report["verdict"] == "non_colorable"
-        assert (report["poset"]["nodes"], report["poset"]["projections"]) == (50, 515)
+        assert report["catalog"] == {"contexts": 20, "constrained_pairs": 190, "blocks": 896}
         assert report["stats"] == {"nodes_expanded": 240, "backtracks": 240, "exhausted": True}
 
     def test_line_without_rank_one_sign_projectors_is_rejected(self):
@@ -901,7 +947,7 @@ class TestStabilizerCatalogs:
         assert child.returncode == 2
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["verdict"] == "non_colorable"
-        assert (report["poset"]["nodes"], report["poset"]["projections"]) == (514, 2467)
+        assert report["catalog"] == {"contexts": 135, "constrained_pairs": 4725, "blocks": 11340}
         assert report["stats"] == {"nodes_expanded": 120, "backtracks": 120, "exhausted": True}
         assert usage.ru_maxrss < 500 * 1024  # kilobytes on Linux
 

@@ -6,27 +6,32 @@ import gc
 import itertools
 import json
 import math
+import re
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import contextua as cx
 from contextua import spectral
 from contextua.catalogs import bundled_names, bundled_scenario, bundled_text
-from contextua.contexts import context_from_projections, poset_from_nodes
+from contextua.contexts import catalog_meets, context_from_projections, poset_from_nodes
 from contextua.opalg import TOL, ProjectionRegistry
+from contextua.scenario import _catalog
 from contextua.spectral import section_components
 
 from conftest import (
     INTERLEAVED_D3,
+    SPLIT_BLOCK_CATALOGS,
     canonical_key,
     diagonal_atoms,
     full_table_sections,
+    ks18_subset_catalog,
     ks18_subset_poset,
+    padded_pauli_catalog,
     partition_closure_poset,
     pauli_subset_catalog,
     peres24_subset_catalog,
@@ -35,6 +40,7 @@ from conftest import (
     ray_projection,
     reference_global_section,
     restrict_choice,
+    shared_ray_catalog,
     shared_ray_catalog_poset,
     strict_chains3,
     verify_section,
@@ -433,6 +439,125 @@ class TestSearchDifferential:
     @pytest.mark.parametrize("seed", [None, 7, 2026])
     def test_full_peres24(self, seed):
         self.check(peres24_poset(range(24), seed))
+
+
+def meets_below_their_contexts(poset, catalog) -> bool:
+    """Whether each stored meet lies below both catalog contexts it is the meet of. A
+    jitter above ``TOL.dominance`` at a registry tol above the jitter can leave a meet
+    unordered under one of them, and the poset then drops that pair's constraint."""
+    for k, origin in enumerate(poset.generators):
+        found = re.fullmatch(r"meet of catalog\[(\d+)\] and catalog\[(\d+)\]", origin)
+        ids = [poset.node_id(catalog[int(c)]) for c in found.groups()] if found else []
+        if not poset.order[k, ids].all():
+            return False
+    return True
+
+
+class TestCatalogRouteDifferential:
+    """ks-check's route, the search on a catalog's pairwise meets, against the reference
+    search on the catalog's poset: the same verdict and counters, and the section found
+    gives each catalog atom key the same value and lists no other key."""
+
+    @staticmethod
+    def check(build_catalog, dim: int, tol: float = TOL.identity):
+        ref_reg = ProjectionRegistry(dim, tol)
+        try:
+            ref_catalog = build_catalog(ref_reg)
+            poset = cx.generate_poset(ref_catalog, ref_reg)
+        except ValueError:  # a rejected catalog, or a build the registry rejects
+            return
+        if not meets_below_their_contexts(poset, ref_catalog):
+            return
+        reg = ProjectionRegistry(dim, tol)
+        catalog = build_catalog(reg)
+        meets = catalog_meets(reg, catalog)
+        got, want = cx.find_global_section(meets), reference_global_section(poset)
+        assert (got.verdict, got.nodes_expanded, got.backtracks) == (
+            want.verdict, want.nodes_expanded, want.backtracks
+        )
+        assert (got.section is None) == (want.section is None)
+        if got.section is not None:
+            values = cx.value_table(poset, want.section)
+            keys = {k for ctx in catalog for k in ctx.atoms}
+            assert cx.value_table(meets, got.section) == {k: values[k] for k in keys}
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(3, 5), st.integers(1, 4))
+    def test_shared_ray_rotations(self, seed, dim, n_bases):
+        self.check(lambda reg: shared_ray_catalog(reg, seed, n_bases), dim)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.integers(0, 8), min_size=2, max_size=9, unique=True))
+    def test_ks18_subsets(self, bases):
+        self.check(lambda reg: ks18_subset_catalog(reg, bases), 4)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.lists(st.integers(0, 23), min_size=2, max_size=12, unique=True),
+        st.one_of(st.none(), st.integers(0, 2**31 - 1)),
+    )
+    def test_peres24_subsets_and_rotations(self, tetrads, seed):
+        self.check(lambda reg: peres24_subset_catalog(reg, tetrads, seed), 4)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 14), st.integers(1, 4)), min_size=2, max_size=5))
+    def test_padded_pauli_contexts(self, picks):
+        self.check(padded_pauli_catalog(picks), 4)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.integers(0, 14), min_size=2, max_size=15, unique=True))
+    def test_pauli_subsets(self, bases):
+        self.check(lambda reg: pauli_subset_catalog(reg, bases), 4)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(st.integers(0, 14), min_size=2, max_size=5, unique=True),
+        st.sampled_from([3e-8, 8e-8, 1.2e-7, 3e-7, 2e-6]),
+        st.sampled_from([TOL.identity, 1e-5]),
+        st.integers(0, 2**31 - 1),
+    )
+    @example(list(SPLIT_BLOCK_CATALOGS[0][0]), 2e-6, TOL.identity, SPLIT_BLOCK_CATALOGS[0][2])
+    @example(list(SPLIT_BLOCK_CATALOGS[1][0]), 2e-6, TOL.identity, SPLIT_BLOCK_CATALOGS[1][2])
+    @example(list(SPLIT_BLOCK_CATALOGS[2][0]), 2e-6, TOL.identity, SPLIT_BLOCK_CATALOGS[2][2])
+    def test_near_threshold_jitter(self, bases, jitter, tol, seed):
+        self.check(lambda reg: pauli_subset_catalog(reg, bases, jitter, seed), 4, tol)
+
+    @pytest.mark.parametrize(
+        "name", [n for n in bundled_names() if bundled_scenario(n)["kind"] == "single"]
+    )
+    def test_bundled_scenarios(self, name):
+        sc = cx.parse_scenario(bundled_text(name))
+        registry, catalog = _catalog(sc.rays["main"], sc.contexts["main"], sc.dims[0])
+
+        def build_catalog(reg):  # the scenario's contexts, registered in reg
+            return [context_from_projections(reg, registry.matrices(c.atoms)) for c in catalog]
+
+        self.check(build_catalog, sc.dims[0])
+
+    def test_full_peres24_and_pauli_c4(self):
+        self.check(lambda reg: peres24_subset_catalog(reg, range(24)), 4)
+        self.check(lambda reg: pauli_subset_catalog(reg, range(15)), 4)
+
+    def test_poset_that_drops_a_pair_constraint(self):
+        # at tol 1e-5 a jitter of 3e-7, above TOL.dominance, leaves the meet of contexts 2
+        # and 4 unordered under context 4, so the poset's search gives 1 to orthogonal
+        # atoms of the two; the route keeps that pair's constraint
+        args = ([2, 8, 10, 4, 5], 3e-7, 936345637)
+        reg = ProjectionRegistry(4, 1e-5)
+        catalog = pauli_subset_catalog(reg, *args)
+        poset = cx.generate_poset(catalog, reg)
+        assert not meets_below_their_contexts(poset, catalog)
+
+        def chosen_overlap(source, section):  # tr(pq) of the atoms valued 1 in contexts 2, 4
+            values = cx.value_table(source, section)
+            p, q = (reg.matrices([k for k in catalog[c].atoms if values[k]])[0] for c in (2, 4))
+            return np.trace(p @ q).real
+
+        want = reference_global_section(poset)
+        assert want.verdict == "colorable" and chosen_overlap(poset, want.section) < TOL.grid**2
+        meets = catalog_meets(reg, catalog)
+        got = cx.find_global_section(meets)
+        assert got.verdict == "colorable" and chosen_overlap(meets, got.section) > TOL.grid**2
 
 
 class TestEnumerationDifferential:

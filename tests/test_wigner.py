@@ -198,6 +198,28 @@ class TestSymmetryOp:
         with pytest.raises(ValueError, match="kind"):
             cx.symmetry("projective", np.eye(2))
 
+    def test_batch_raises_the_first_failing_op(self):
+        # each op's checks in turn: kind, shape, finite entries, unitarity
+        good, stretched, infinite = np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, np.inf])
+        with pytest.raises(ValueError, match="not unitary"):
+            cx.symmetries(["unitary", "antiunitary", "projective"], [good, stretched, good])
+        with pytest.raises(ValueError, match="kind"):
+            cx.symmetries(["projective", "unitary"], [good, infinite])
+        with pytest.raises(ValueError, match="finite"):
+            cx.symmetries(["unitary", "unitary"], [infinite, stretched])
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(3,\)"):
+            cx.symmetry("unitary", np.ones(3))
+
+    def test_batch_matches_one_call_per_op(self):
+        rng = np.random.default_rng(5)
+        kinds = ["unitary", "antiunitary", "antiunitary", "unitary"]
+        mats = [random_unitary(rng, 3) for _ in kinds]
+        for op, kind, u in zip(cx.symmetries(kinds, mats), kinds, mats):
+            one = cx.symmetry(kind, u)
+            assert op.kind == one.kind == kind
+            assert np.array_equal(op.matrix, one.matrix) and np.array_equal(op.matrix, u)
+            assert not op.matrix.flags.writeable
+
     def test_antiunitary_action_conjugates(self):
         s = cx.symmetry("antiunitary", np.eye(2))
         m = np.array([[0, 1j], [-1j, 0]])
