@@ -42,6 +42,7 @@ from .opalg import (
     TOL,
     ProjectionRegistry,
     check_projections,
+    identity_rule,
     max_norm,
     real_gram,
     screened_pairs,
@@ -394,11 +395,11 @@ def catalog_meets(registry: ProjectionRegistry, catalog: Sequence[Context]) -> C
     - else at most one block is not a shared atom: the pair is dropped, as
       :func:`_meets` drops it;
     - else the two sides of each block that is not a shared atom are summed
-      and compared entrywise by the registry's rule: within ``registry.tol``
-      they are one block; closer than the grid but not within tol is an
-      error; farther apart, the block was torn by an overlap below the
-      squared grid. A pair's torn blocks merge into one, decided by the same
-      rule, and the pair is kept as :func:`_meets` keeps it.
+      and compared by the registry's rule, :func:`~contextua.opalg.identity_rule`
+      at ``registry.tol``: the same projection, they are one block; a
+      rejected pair is an error; distinct, the block was torn by an overlap
+      below the squared grid. A pair's torn blocks merge into one, decided
+      by the same rule, and the pair is kept as :func:`_meets` keeps it.
 
     A kept meet is a node below both contexts and below every context above
     either. A block whose side is one atom has that atom's key row; any other
@@ -423,12 +424,12 @@ def catalog_meets(registry: ProjectionRegistry, catalog: Sequence[Context]) -> C
             return np.where(sides[:, 1] == n, sides[:, 0], n)
 
         def apart(gaps: np.ndarray, owners: np.ndarray) -> np.ndarray:  # the registry's rule
-            near = (gaps > registry.tol) & (gaps < TOL.grid)
-            if near.any():
-                i, j = (at[c] for c in pairs[owners[near.argmax()]])
+            same, rejected = identity_rule(gaps, registry.tol)
+            if rejected.any():
+                i, j = (at[c] for c in pairs[owners[rejected.argmax()]])
                 message = f"catalog contexts {i} and {j}: the two sides of a meet block are closer"
                 raise ValueError(message + f" than the grid but not within tol {registry.tol}")
-            return gaps > registry.tol
+            return ~same
 
         one = (whole(first), whole(second))
         shared = (one[0] == one[1]) & (one[0] < n)
@@ -497,20 +498,44 @@ def catalog_meets(registry: ProjectionRegistry, catalog: Sequence[Context]) -> C
     return CatalogMeets(nodes, keys, rows, n_rows, maximal, lower)
 
 
+def _set_sums(stack: np.ndarray, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sum of the rows of ``stack`` that each row of ``sets`` indexes, each distinct
+    set summed once: ``(sums, seen_at, inverse)``, with ``sets[seen_at]`` the distinct
+    sets, in order, and ``sums[inverse]`` each row's sum.
+
+    A row of ``sets`` is sorted and padded with ``len(stack)``, which adds nothing.
+    The distinct sets come in the order ``np.unique(sets, axis=0)`` gives, found by
+    one stable lexsort, which is several times faster on a few dozen sets. They are
+    summed in runs, so that no temporary outgrows ``opalg.BLOCK`` entries.
+    """
+    if not len(sets):
+        return stack[:0], np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    sets = sets[:, : int((sets < len(stack)).any(axis=0).sum())]  # the padding comes last
+    order = np.lexsort(sets.T[::-1])
+    ordered = sets[order]
+    first = np.ones(len(sets), dtype=bool)  # the first row of each run, its set's first occurrence
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(sets), dtype=int)
+    inverse[order] = np.cumsum(first) - 1
+    distinct = ordered[first]
+    atoms = np.concatenate([stack, np.zeros_like(stack[:1])])
+    sums = np.empty((len(distinct),) + stack.shape[1:], dtype=stack.dtype)
+    step = max(1, opalg.BLOCK // (sets.shape[1] * stack[0].size))
+    for start in range(0, len(distinct), step):
+        sums[start : start + step] = atoms[distinct[start : start + step]].sum(axis=1)
+    return sums, order[first], inverse
+
+
 def _side_gaps(stack: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """The max-entry distance between the sums of the two sides of each block: rows of
-    ``first`` and ``second``, indices into ``stack``, sorted and padded with ``len(stack)``,
-    summed in runs of blocks so that no temporary outgrows ``opalg.BLOCK`` entries."""
-    n = len(stack)
-    atoms = np.concatenate([stack, np.zeros_like(stack[:1])])  # the padding index adds 0
-    width = int(((first < n) | (second < n)).any(axis=0).sum())  # the padding comes last
-    first, second = first[:, :width], second[:, :width]
+    ``first`` and ``second``, sorted and padded indices into ``stack`` (:func:`_set_sums`)."""
+    sums, _, inverse = _set_sums(stack, np.concatenate([first, second]))
+    of_first, of_second = inverse[: len(first)], inverse[len(first) :]
     gaps = np.empty(len(first))
-    step = max(1, opalg.BLOCK // max(1, width * stack[0].size))
+    step = max(1, opalg.BLOCK // stack[0].size)
     for start in range(0, len(first), step):
         part = slice(start, start + step)
-        sums = atoms[first[part]].sum(axis=1) - atoms[second[part]].sum(axis=1)
-        gaps[part] = np.abs(sums).max(axis=(1, 2), initial=0.0)
+        gaps[part] = np.abs(sums[of_first[part]] - sums[of_second[part]]).max(axis=(1, 2))
     return gaps
 
 
@@ -524,34 +549,22 @@ def _side_keys(
     """The keys of the two sides of each block: the atoms of its row of ``first`` and of
     ``second``, rows of ``stack`` (keys ``keys``), sorted and padded with ``len(keys)``.
 
-    A one-atom side is that atom. Each distinct set of several atoms is summed once:
-    the sets that are some block's first side are registered in the order their
-    first-side blocks come, and the others are looked up.
+    A one-atom side is that atom. Each distinct set of several atoms is summed once
+    (:func:`_set_sums`): the sets that are some block's first side are registered in
+    the order their first-side blocks come, and the others are looked up.
     """
     n = len(keys)
     sides = np.concatenate([first, second])
     multi = np.flatnonzero(sides[:, 1] < n)
-    distinct, seen_at, inverse = np.unique(
-        sides[multi], axis=0, return_index=True, return_inverse=True
-    )
-    # each set's sum: its 0/1 membership row times the flattened atoms, in blocks of rows
-    flat = stack.reshape(n, -1).view(float)
-    sums = np.empty((len(distinct), flat.shape[1]))
-    step = max(1, opalg.BLOCK // (n + 1))
-    for start in range(0, len(distinct), step):
-        sets = distinct[start : start + step]
-        member = np.zeros((len(sets), n + 1))
-        member[np.arange(len(sets))[:, None], sets] = 1.0
-        sums[start : start + step] = member[:, :n] @ flat
-    sums = sums.view(complex).reshape(-1, registry.dim, registry.dim)
+    sums, seen_at, inverse = _set_sums(stack, sides[multi])
     on_first = multi[seen_at] < len(first)
     registered = np.flatnonzero(on_first)[np.argsort(multi[seen_at][on_first])]
     looked_up = np.flatnonzero(~on_first)
-    resolved = np.empty(len(distinct), dtype=object)
+    resolved = np.empty(len(sums), dtype=object)
     resolved[registered] = registry.register_many(sums[registered])
     resolved[looked_up] = registry.find_many(sums[looked_up])
     side_keys = np.array(keys + [None], dtype=object)[sides[:, 0]]
-    side_keys[multi] = resolved[inverse.reshape(-1)]
+    side_keys[multi] = resolved[inverse]
     return side_keys[: len(first)], side_keys[len(first) :]
 
 

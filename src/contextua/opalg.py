@@ -221,6 +221,19 @@ def _near_pairs(
     return screened_pairs(rows, pool, keep, lambda a, b: np.abs(a - b).max(axis=(1, 2)))
 
 
+def identity_rule(dist, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """What two projections at max-entry distance ``dist`` are: ``(same, rejected)``.
+
+    Within ``tol`` they are one projection (``same``). Closer than the rounding
+    grid but not within ``tol`` their identity would depend on rounding luck,
+    so the pair is ``rejected``; farther apart, or at a NaN distance, they are
+    distinct.
+    """
+    dist = np.asarray(dist)
+    same = dist <= tol
+    return same, (dist < TOL.grid) & ~same
+
+
 # the candidates of a batch whose rows all have registered keys: it scans nothing
 _NO_PAIRS = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
 
@@ -228,13 +241,12 @@ _NO_PAIRS = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
 class ProjectionRegistry:
     """Registry assigning canonical keys to projections of a fixed dimension.
 
-    Cross-context identity of projections is decided here and nowhere else,
-    by one rule applied to each projection of a batch in turn. One whose
-    canonical key is registered is that projection when within ``tol``
-    entrywise, and collides otherwise. Any other is the first registered
-    projection, in insertion order, that lies within ``tol``; a registered
-    one closer than the rounding grid but not within ``tol`` rejects it,
-    since their identity would depend on rounding luck. A batch is one
+    Cross-context identity of projections is decided here, applying
+    :func:`identity_rule` to each projection of a batch in turn. One whose
+    canonical key is registered is that projection when the rule calls them
+    the same, and collides otherwise. Any other is decided by the first
+    registered projection, in insertion order, that the rule calls the same
+    or rejects: it is that projection, or it is rejected. A batch is one
     ``(m, d, d)`` array; the registry copies what it registers into one stack,
     in insertion order, with one dict from each key to its row.
     :meth:`_resolve` decides every batch: :meth:`find_many` and
@@ -343,23 +355,27 @@ class ProjectionRegistry:
             pool = np.concatenate([self._stack[:n], stack[scan]]) if register else self._stack[:n]
             pairs = _near_pairs(stack[scan], pool, max(self.tol, TOL.grid))
         row, col, dist = pairs or _NO_PAIRS
-        # a candidate within tol is the row's projection, and one closer than the grid
-        # rejects it; a scan row is a candidate of later rows only
-        hit = ((dist <= self.tol) | (dist < TOL.grid)) & (col < n + row) if len(dist) else dist > 0
-        far = len(keys)  # the first row of a registered key that is not within tol of it
+        # a candidate that the rule calls the same or rejects decides the row; a scan row
+        # is a candidate of later rows only. A batch with no candidates skips the rule's
+        # array operations, a few microseconds a batch
+        same = hit = dist > 0
+        if len(dist):
+            same, rejected = identity_rule(dist, self.tol)
+            hit = (same | rejected) & (col < n + row)
+        far = len(keys)  # the first row of a registered key that is not the same as it
         if known:
             existing = self._stack[[held[t] for t in known]]
-            # NaN distances compare False, so a non-finite row collides
-            miss = ~(np.abs(existing - stack[known]).max(axis=(1, 2)) <= self.tol)
+            # a NaN distance is not the same, so a non-finite row collides
+            miss = ~identity_rule(np.abs(existing - stack[known]).max(axis=(1, 2)), self.tol)[0]
             far = known[miss.argmax()] if miss.any() else far
         repeats = register and len(set(scan_keys)) < len(scan)  # a new key on several rows
         if not (hit.any() or repeats) and far == len(keys):  # no row needs deciding in turn
             if register and scan:  # every scan row is new: register them in bulk
                 self._add(scan_keys, stack[scan] if known else stack)
             return [key if register or r is not None else None for key, r in zip(keys, held)], None
-        candidates: dict[int, list[tuple[int, float]]] = {}
-        for r, c, d in zip(row[hit].tolist(), col[hit].tolist(), dist[hit].tolist()):
-            candidates.setdefault(scan[r], []).append((c, d))
+        candidates: dict[int, list[tuple[int, bool]]] = {}
+        for r, c, is_same in zip(row[hit].tolist(), col[hit].tolist(), same[hit].tolist()):
+            candidates.setdefault(scan[r], []).append((c, is_same))
         column = dict(zip(scan, range(n, n + len(scan))))
         column_key = list(self._rows) + scan_keys
         fresh: dict[str, int] = {}  # each key registered here, and its row's column
@@ -367,8 +383,8 @@ class ProjectionRegistry:
         error = None
         for t, key in enumerate(keys):
             near = candidates.get(t, ())
-            # a registered key decides: its projection within tol, or a collision
-            within = key in fresh and any(c == fresh[key] and d <= self.tol for c, d in near)
+            # a registered key decides: its projection, or a collision
+            within = key in fresh and any(c == fresh[key] and is_same for c, is_same in near)
             if t == far or key in fresh and not within:
                 message = "distinct projections collide on the canonical rounding grid"
                 error = CanonicalizationError(message, key, t)
@@ -376,13 +392,13 @@ class ProjectionRegistry:
             if held[t] is not None or key in fresh:
                 found.append(key)
                 continue
-            # else the first registered candidate: within tol, or closer than the grid
-            first = next(((c, d) for c, d in near if c < n or fresh.get(column_key[c]) == c), None)
+            # else the first registered candidate: the same projection, or a rejection
+            first = next(((c, s) for c, s in near if c < n or fresh.get(column_key[c]) == c), None)
             if first is None:
                 if register:
                     fresh[key] = column[t]
                 found.append(key if register else None)
-            elif first[1] <= self.tol:
+            elif first[1]:
                 found.append(column_key[first[0]])
             else:
                 other = column_key[first[0]]

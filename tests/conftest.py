@@ -303,17 +303,9 @@ def registry_atoms(poset, i):
     return poset.registry.matrices(poset.nodes[i].atoms)
 
 
-def pairwise_meet(registry, first, second, index, overlap, resolved):
-    """Reference blocks of the meet of two contexts, or None when it is trivial or carries
-    no constraint.
-
-    The blocks are the connected components of the overlap graph. A meet
-    whose blocks are all, but at most one, a single atom that both contexts
-    hold is None. Otherwise each block is listed as its atom keys on each
-    side and the keys of their sums: the first side's registered, the
-    second side's looked up, one ``register`` or ``find`` at a time,
-    memoised in ``resolved`` by atom keys.
-    """
+def meet_sides(first, second, index, overlap):
+    """The blocks of the meet of two contexts, each as its atom keys on each side: the
+    connected components of the overlap graph, ``overlap`` over atom indices ``index``."""
     rows = [index[k] for k in first.atoms]
     cols = [index[k] for k in second.atoms]
     sub = overlap[np.ix_(rows, cols)]
@@ -322,14 +314,33 @@ def pairwise_meet(registry, first, second, index, overlap, resolved):
         reach = reach @ reach
     label = reach.argmax(axis=1)
     other = label[sub.argmax(axis=0)]
-    sides = [
+    return [
         (
             [first.atoms[t] for t in np.flatnonzero(label == b)],
             [second.atoms[t] for t in np.flatnonzero(other == b)],
         )
         for b in np.unique(label)
     ]
-    if sum(not is_shared(mine, theirs) for mine, theirs in sides) <= 1:
+
+
+def constrains(sides):
+    """Whether a meet's blocks say more than that both contexts give each shared atom one
+    value: at least two of them are not a single atom that both contexts hold."""
+    return sum(not is_shared(mine, theirs) for mine, theirs in sides) > 1
+
+
+def pairwise_meet(registry, first, second, index, overlap, resolved):
+    """Reference blocks of the meet of two contexts, or None when it is trivial or carries
+    no constraint.
+
+    The blocks are those of :func:`meet_sides`. A meet that does not
+    :func:`constrains` is None. Otherwise each block is listed as its atom
+    keys on each side and the keys of their sums: the first side's
+    registered, the second side's looked up, one ``register`` or ``find`` at
+    a time, memoised in ``resolved`` by atom keys.
+    """
+    sides = meet_sides(first, second, index, overlap)
+    if not constrains(sides):
         return None
     return [
         (
@@ -380,6 +391,14 @@ def block_key(registry, block, resolve, resolved):
     return resolved[members]
 
 
+def atom_overlaps(catalog, registry):
+    """Each catalog atom key's index, and which two atoms overlap: ``tr(pq)`` above the
+    squared grid."""
+    keys = sorted({k for ctx in catalog for k in ctx.atoms})
+    flat = registry.matrices(keys).reshape(len(keys), -1)
+    return {k: t for t, k in enumerate(keys)}, (flat @ flat.conj().T).real > TOL.grid**2
+
+
 def pairwise_meet_poset(catalog, registry):
     """Reference build: the library's node list from one ``pairwise_meet`` per catalog pair,
     then one ``merged_meet`` per pair, ordered from the unscreened einsum dominance table."""
@@ -394,10 +413,7 @@ def pairwise_meet_poset(catalog, registry):
     for idx, ctx in enumerate(catalog):
         add(ctx, f"catalog[{idx}]")
     if len(catalog) > 1:
-        keys = sorted({k for ctx in catalog for k in ctx.atoms})
-        index = {k: t for t, k in enumerate(keys)}
-        flat = registry.matrices(keys).reshape(len(keys), -1)
-        overlap = (flat @ flat.conj().T).real > TOL.grid**2
+        index, overlap = atom_overlaps(catalog, registry)
         resolved, found = {}, {}
         for i, j in itertools.combinations(range(len(catalog)), 2):
             blocks = pairwise_meet(registry, catalog[i], catalog[j], index, overlap, resolved)

@@ -22,6 +22,7 @@ from contextua.opalg import (
     _near_pairs,
     canonical_keys,
     check_projections,
+    identity_rule,
     max_norm,
 )
 from contextua.scenario import ScenarioError, _catalog
@@ -163,6 +164,15 @@ def boundary_ray():
 
 
 class TestRegistry:
+    def test_identity_rule(self):
+        tol = TOL.grid / 10
+        dist = np.array([0.0, tol, 2 * tol, TOL.grid, 1.0, np.nan])
+        same, rejected = identity_rule(dist, tol)
+        assert same.tolist() == [True, True, False, False, False, False]
+        assert rejected.tolist() == [False, False, True, False, False, False]
+        # a tol at the grid or above leaves nothing to reject
+        assert not identity_rule(dist, TOL.grid)[1].any()
+
     def test_same_projection_same_key(self):
         reg = ProjectionRegistry(3)
         p = ray_projection(np.array([1, 1, 0]) / np.sqrt(2))

@@ -6,7 +6,6 @@ import gc
 import itertools
 import json
 import math
-import re
 import weakref
 from collections import Counter
 
@@ -26,11 +25,14 @@ from contextua.spectral import section_components
 from conftest import (
     INTERLEAVED_D3,
     SPLIT_BLOCK_CATALOGS,
+    atom_overlaps,
     canonical_key,
+    constrains,
     diagonal_atoms,
     full_table_sections,
     ks18_subset_catalog,
     ks18_subset_poset,
+    meet_sides,
     padded_pauli_catalog,
     partition_closure_poset,
     pauli_subset_catalog,
@@ -441,14 +443,26 @@ class TestSearchDifferential:
         self.check(peres24_poset(range(24), seed))
 
 
-def meets_below_their_contexts(poset, catalog) -> bool:
-    """Whether each stored meet lies below both catalog contexts it is the meet of. A
-    jitter above ``TOL.dominance`` at a registry tol above the jitter can leave a meet
-    unordered under one of them, and the poset then drops that pair's constraint."""
-    for k, origin in enumerate(poset.generators):
-        found = re.fullmatch(r"meet of catalog\[(\d+)\] and catalog\[(\d+)\]", origin)
-        ids = [poset.node_id(catalog[int(c)]) for c in found.groups()] if found else []
-        if not poset.order[k, ids].all():
+def poset_keeps_every_pair(poset, catalog) -> bool:
+    """Whether the poset has a node besides the trivial one below each two catalog
+    contexts whose meet :func:`constrains` a section, with each block's two side sums
+    within the registry's tol.
+
+    At a registry tol above a jitter above ``TOL.dominance`` the poset can lose a
+    pair's constraint: the jitter leaves a meet unordered under one of its contexts.
+    The meets of several pairs can share their keys, and the poset stores that node
+    once, under the first pair's name.
+    """
+    ids = [poset.node_id(ctx) for ctx in catalog]
+    reg = poset.registry
+    below = poset.order & (np.array(poset.generators) != "trivial")[:, None]
+    index, overlap = atom_overlaps(catalog, reg)
+    for i, j in itertools.combinations(range(len(catalog)), 2):
+        if (below[:, ids[i]] & below[:, ids[j]]).any():
+            continue
+        sides = meet_sides(catalog[i], catalog[j], index, overlap)
+        gaps = [np.abs(reg.matrices(m).sum(0) - reg.matrices(t).sum(0)).max() for m, t in sides]
+        if constrains(sides) and max(gaps) <= reg.tol:
             return False
     return True
 
@@ -466,7 +480,7 @@ class TestCatalogRouteDifferential:
             poset = cx.generate_poset(ref_catalog, ref_reg)
         except ValueError:  # a rejected catalog, or a build the registry rejects
             return
-        if not meets_below_their_contexts(poset, ref_catalog):
+        if not poset_keeps_every_pair(poset, ref_catalog):
             return
         reg = ProjectionRegistry(dim, tol)
         catalog = build_catalog(reg)
@@ -546,7 +560,7 @@ class TestCatalogRouteDifferential:
         reg = ProjectionRegistry(4, 1e-5)
         catalog = pauli_subset_catalog(reg, *args)
         poset = cx.generate_poset(catalog, reg)
-        assert not meets_below_their_contexts(poset, catalog)
+        assert not poset_keeps_every_pair(poset, catalog)
 
         def chosen_overlap(source, section):  # tr(pq) of the atoms valued 1 in contexts 2, 4
             values = cx.value_table(source, section)
