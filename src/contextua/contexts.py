@@ -399,7 +399,9 @@ def catalog_meets(registry: ProjectionRegistry, catalog: Sequence[Context]) -> C
       at ``registry.tol``: the same projection, they are one block; a
       rejected pair is an error; distinct, the block was torn by an overlap
       below the squared grid. A pair's torn blocks merge into one, decided
-      by the same rule, and the pair is kept as :func:`_meets` keeps it.
+      by the same rule, and the pair is kept as :func:`_meets` keeps it. A
+      kept pair's torn blocks are relabelled as the first of them, so its
+      block places, key rows and lookups are read as any other pair's.
 
     A kept meet is a node below both contexts and below every context above
     either. A block whose side is one atom has that atom's key row; any other
@@ -433,53 +435,45 @@ def catalog_meets(registry: ProjectionRegistry, catalog: Sequence[Context]) -> C
 
         one = (whole(first), whole(second))
         shared = (one[0] == one[1]) & (one[0] < n)
-        owner = np.nonzero(root)[0]  # the pair of each block row
+        owner, name = np.nonzero(root)  # the pair and the name of each block row
         loose = np.bincount(owner[~shared], minlength=len(pairs))  # blocks not shared, per pair
-        for r in np.flatnonzero(~shared & (loose[owner] == 1) & ((one[0] < n) != (one[1] < n))):
-            p = owner[r]
-            i, j = pairs[p].tolist()
-            if one[0][r] < n:  # each block is one atom of i, the atom that names it
-                coarser.setdefault(i, []).append((j, other[p, : sizes[j]].tolist()))
-            else:  # each block is one atom of j
-                atom_of = np.zeros(width, dtype=int)
-                atom_of[other[p, : sizes[j]]] = np.arange(sizes[j])
-                coarser.setdefault(j, []).append((i, atom_of[label[p, : sizes[i]]].tolist()))
+        # the pairs of a padded context: one loose block, one atom on one side only
+        coarsening = np.zeros(len(pairs), dtype=bool)
+        coarsening[owner[~shared & (loose[owner] == 1) & ((one[0] < n) != (one[1] < n))]] = True
         keep = loose > 1
         checked = np.flatnonzero(keep[owner] & ~shared)
         torn = np.zeros(len(first), dtype=bool)
         torn[checked] = apart(_side_gaps(stack, first[checked], second[checked]), owner[checked])
-        order = np.cumsum(root, axis=1) - 1  # each block's place among its pair's blocks
-        of_first = np.take_along_axis(order, label, axis=1)
-        of_second = np.take_along_axis(order, other, axis=1)
         key_rows = np.where(one[0] < n, row_of[one[0]], row_of[one[1]])  # -1: a row of its own
-        counts = root.sum(axis=1)
-        ends = np.cumsum(counts)
-        block_rows = {}
         for p in np.unique(owner[torn]).tolist():
-            blocks = np.arange(ends[p] - counts[p], ends[p])
-            t = np.flatnonzero(torn[blocks])
-            sides = [np.sort(s[blocks[t]], None)[None, :width] for s in (first, second)]
+            t = np.flatnonzero(torn & (owner == p))
+            sides = [np.sort(s[t], None)[None, :width] for s in (first, second)]
             # torn blocks merge; the pair is trivial if the merged sides are apart, and it
             # constrains nothing if no block besides them is loose
-            if apart(_side_gaps(stack, *sides), [p])[0] or (~shared[blocks]).sum() == t.size:
+            if apart(_side_gaps(stack, *sides), [p])[0] or loose[p] == t.size:
                 keep[p] = False
                 continue
-            target = np.arange(len(blocks))  # the merged block takes the first one's place
-            target[t] = t[0]
-            survivors, target = np.unique(target, return_inverse=True)
-            of_first[p], of_second[p] = target[of_first[p]], target[of_second[p]]
-            merged = key_rows[blocks][survivors]
-            side = whole(sides[0])[0]
-            merged[target[t[0]]] = row_of[side if side < n else whole(sides[1])[0]]
-            block_rows[p] = merged.tolist()
-        kept = np.flatnonzero(keep)
-        key_rows, starts = key_rows.tolist(), (ends - counts)[kept].tolist()
-        for p, (i, j), in_i, in_j, start, end in zip(
-            kept.tolist(), pairs[kept].tolist(), of_first[kept].tolist(),
-            of_second[kept].tolist(), starts, ends[kept].tolist(),
-        ):
-            meets.append(((i, in_i[: sizes[i]]), (j, in_j[: sizes[j]])))
-            rows.append(block_rows.get(p) or key_rows[start:end])
+            # the merged block takes the first one's name and row. Each of its sides holds
+            # the atoms of two torn blocks or more (one alone stays apart): its own key row
+            label[p, np.isin(label[p], name[t])] = name[t[0]]
+            other[p, np.isin(other[p], name[t])] = name[t[0]]
+            root[p, name[t[1:]]] = False
+            key_rows[t[0]] = -1
+        key_rows = key_rows[root[owner, name]].tolist()  # the rows that no merge dropped
+        edges = [0, *np.cumsum(root.sum(axis=1)).tolist()]  # pair p's rows: edges[p : p + 2]
+        used = np.flatnonzero(coarsening | keep)
+        order = np.cumsum(root[used], axis=1) - 1  # each block's place among its pair's blocks
+        places = [np.take_along_axis(order, x[used], axis=1).tolist() for x in (label, other)]
+        lookups = {  # per pair, each context and the block of each of its atoms
+            p: ((i, a[: sizes[i]]), (j, b[: sizes[j]]))
+            for p, (i, j), a, b in zip(used.tolist(), pairs[used].tolist(), *places)
+        }
+        for p in np.flatnonzero(coarsening).tolist():  # c coarsens d: c's atoms are the blocks
+            (c, mine), (d, theirs) = sorted(lookups[p], key=lambda side: len(side[1]))
+            coarser.setdefault(c, []).append((d, np.argsort(mine)[theirs].tolist()))
+        for p in np.flatnonzero(keep).tolist():
+            meets.append(lookups[p])
+            rows.append(key_rows[edges[p] : edges[p + 1]])
     n_rows = len(keys)
     for meet in rows[len(nodes) :]:
         for b, t in enumerate(meet):

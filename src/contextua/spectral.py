@@ -9,13 +9,13 @@ row as its 0/1 value per projection key.
 One depth-first propagation search, :func:`_sections`, decides and lists
 them. Its state is three flat lists, copied per expansion, and its counters
 are those of the dict-and-set search it replaced, kept as a test reference.
-It runs on tables read off a poset or off a catalog's pairwise meets
-(:func:`~contextua.contexts.catalog_meets`), whose nodes are the catalog's
-contexts and one meet per constrained pair.
-:func:`find_global_section` takes its first section, branching in sharing
-order, and returns a :class:`ColoringCertificate`: the section found, or an
-exhausted search. :func:`enumerate_global_sections` runs it once per component
-of :func:`section_components`, whose sections combine freely, and takes the product.
+:func:`find_global_section`, ``ks-check``'s search, runs it on a catalog's
+pairwise meets (:func:`~contextua.contexts.catalog_meets`), whose nodes are the
+catalog's contexts and one meet per constrained pair. It takes the first
+section, branching in sharing order, and returns a :class:`ColoringCertificate`:
+the section found, or an exhausted search. :func:`enumerate_global_sections`
+runs it on a poset's tables (:func:`_search_tables`), once per component of
+:func:`section_components`, whose sections combine freely, and takes the product.
 """
 
 from __future__ import annotations
@@ -236,25 +236,18 @@ def _sections(tables: tuple, order: list[int]) -> Iterator[tuple]:
     yield None, expanded, backtracks
 
 
-def find_global_section(source: ContextPoset | CatalogMeets) -> ColoringCertificate:
-    """The first global section of the spectral presheaf that :func:`_sections` finds,
-    branching in sharing order, or the exhausted search's certificate.
-
-    ``source`` is a poset, or a catalog's pairwise meets (:func:`catalog_meets`), whose
-    section lists the chosen atom of each catalog context only.
+def find_global_section(meets: CatalogMeets) -> ColoringCertificate:
+    """The first global section that :func:`_sections` finds on a catalog's pairwise meets
+    (:func:`~contextua.contexts.catalog_meets`), branching in sharing order, or the
+    exhausted search's certificate. The section lists the chosen atom of each catalog
+    context only.
     """
-    if isinstance(source, ContextPoset):
-        maximal = source.maximal_nodes()
-        tables = _search_tables(source, maximal)
-    else:
-        maximal = source.maximal
-        tables = _tables(source.rows, source.n_rows, maximal, source.lower)
-    order = _sharing_order(maximal, *tables[:2])
+    tables = _tables(meets.rows, meets.n_rows, meets.maximal, meets.lower)
+    order = _sharing_order(meets.maximal, *tables[:2])
     chars, expanded, backtracks = next(_sections(tables, order))
-    if chars is not None and not isinstance(source, ContextPoset):
-        chars = chars[: len(source.nodes)]
-    verdict = "non_colorable" if chars is None else "colorable"
-    return ColoringCertificate(verdict, chars, expanded, backtracks)
+    if chars is None:
+        return ColoringCertificate("non_colorable", None, expanded, backtracks)
+    return ColoringCertificate("colorable", chars[: len(meets.nodes)], expanded, backtracks)
 
 
 def enumerate_global_sections(poset: ContextPoset, cap: int = 10**6) -> EnumerationResult:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 
 import contextua as cx
-from contextua import contexts
+from contextua import contexts, spectral
 from contextua.bell import SectionClassification
 from contextua.catalogs import bundled_text
 from contextua.contexts import context_from_projections, poset_from_nodes
@@ -817,6 +817,18 @@ class _SearchState:
         return _SearchState(
             dict(self.chars), dict(self.value), {k: set(v) for k, v in self.domains.items()}
         )
+
+
+def poset_global_section(poset):
+    """``find_global_section``'s flat search on a poset's tables (``spectral._search_tables``,
+    the tables ``enumerate_global_sections`` searches): its first section, branching in
+    sharing order, as one chosen atom per poset node, or the exhausted search."""
+    maximal = poset.maximal_nodes()
+    tables = spectral._search_tables(poset, maximal)
+    order = spectral._sharing_order(maximal, *tables[:2])
+    chars, expanded, backtracks = next(spectral._sections(tables, order))
+    verdict = "non_colorable" if chars is None else "colorable"
+    return cx.ColoringCertificate(verdict, chars, expanded, backtracks)
 
 
 def reference_global_section(poset):

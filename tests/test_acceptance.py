@@ -21,6 +21,7 @@ from contextua.catalogs import bundled_text
 from contextua.contexts import context_from_projections
 from contextua.gleason import context_measure
 from contextua.opalg import ProjectionRegistry, max_norm
+from contextua.scenario import build_catalog_meets
 from contextua.wigner import transition_probability_deviation
 
 from conftest import (
@@ -59,10 +60,11 @@ def test_criterion_1_ks_nonexistence():
             np.prod([len(poset.nodes[m].atoms) for m in poset.maximal_nodes()])
         )
         assert raw_space <= 4**9
-        cert = cx.find_global_section(poset)
+        meets = build_catalog_meets(sc)  # ks-check's route
+        cert = cx.find_global_section(meets)
         oracle = cx.enumerate_global_sections(poset)
         assert cert.verdict == "non_colorable"
-        assert cert.to_report(poset)["stats"]["exhausted"]
+        assert cert.to_report(meets)["stats"]["exhausted"]
         assert len(oracle) == 0 and not oracle.truncated
         assert (cert.verdict == "non_colorable") == (len(oracle) == 0)
         assert time.perf_counter() - start < 10.0
@@ -76,8 +78,7 @@ def test_criterion_1_ks_nonexistence():
         for _ in range(20):
             reg = ProjectionRegistry(2)
             catalog = [random_basis_context(rng, reg) for _ in range(int(rng.integers(1, 5)))]
-            poset2 = cx.generate_poset(catalog, reg)
-            assert cx.find_global_section(poset2).verdict == "colorable"
+            assert cx.find_global_section(cx.catalog_meets(reg, catalog)).verdict == "colorable"
 
 
 def test_criterion_2_gleason_round_trip():

@@ -29,6 +29,7 @@ from conftest import (
     partition_closure_poset,
     pauli_subset_catalog,
     peres24_subset_catalog,
+    poset_global_section,
     random_density,
     random_unitary,
     rank_of,
@@ -368,8 +369,8 @@ class TestMeetClosedDifferential:
                 assert to_ref[k] == greatest_lower_bound(ref.order, ref_ids[i], ref_ids[j])
                 assert not restates_shared_keys(i, j)
 
-        cert = cx.find_global_section(poset)
-        assert cert.verdict == cx.find_global_section(ref).verdict
+        cert = poset_global_section(poset)
+        assert cert.verdict == poset_global_section(ref).verdict
         got = self.catalog_tables(poset, catalog, cx.enumerate_global_sections(poset).chosen)
         want = self.catalog_tables(ref, ref_catalog, cx.enumerate_global_sections(ref).chosen)
         assert len(got) == len(want)
@@ -414,7 +415,7 @@ class TestMeetClosedDifferential:
         self.check(lambda reg: peres24_subset_catalog(reg, range(24)), 4)
         reg = cx.ProjectionRegistry(4)
         poset = cx.generate_poset(peres24_subset_catalog(reg, range(24)), reg)
-        assert cx.find_global_section(poset).nodes_expanded == 26
+        assert poset_global_section(poset).nodes_expanded == 26
         # 24 tetrads, 9 meets of two rank-2 blocks, the trivial context
         assert (len(poset), len(reg.keys())) == (34, 43)
 
@@ -595,7 +596,7 @@ def test_reading_paths_leave_poset_unchanged():
     model = cx.build_bipartite_model(cx.parse_scenario(bundled_text("chsh-c2")))
     posets = (poset, model.poset.left, model.poset.right)
     before = [poset_state(p) for p in posets]
-    cx.find_global_section(poset)
+    poset_global_section(poset)
     cx.enumerate_global_sections(poset)
     for small, large in zip(*np.nonzero(poset.order)):
         weights = np.full(len(poset.rows[large]), 1 / len(poset.rows[large]))

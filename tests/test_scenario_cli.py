@@ -673,10 +673,10 @@ def mub_section_doc():
     return doc
 
 
-def run_doc(tmp_path, capsys, command, doc):
+def run_doc(tmp_path, capsys, command, doc, *args):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    code = main([command, "--scenario", str(path)])
+    code = main([command, "--scenario", str(path), *args])
     return code, capsys.readouterr()
 
 
@@ -973,3 +973,130 @@ class TestEigenbasisScenario:
         message = r"line 1 \['XX', 'ZI'\]: a sign projector is not of rank 1"
         with pytest.raises(ValueError, match=message):
             _eigenbasis_scenario(4, [["ZI", "IZ"], ["XX", "ZI"]], {})
+
+
+def rotated_blocks_doc(angle):
+    """The d4 standard basis and {(e0 +- e1)/sqrt2, (e2 +- e3)/sqrt2}, the latter turned by
+    ``angle`` in the (e0, e2) plane: their meet's two blocks have sides about ``angle`` apart."""
+    e = np.eye(4)
+    turn = np.eye(4)
+    turn[[0, 2], [0, 2]] = np.cos(angle)
+    turn[2, 0], turn[0, 2] = np.sin(angle), -np.sin(angle)
+    halves = [(e[0] + e[1]), (e[0] - e[1]), (e[2] + e[3]), (e[2] - e[3])]
+    rays = [*e, *(turn @ v / np.sqrt(2) for v in halves)]
+    return {
+        "kind": "single",
+        "dim": 4,
+        "rays": [v.tolist() for v in rays],
+        "contexts": [[0, 1, 2, 3], [4, 5, 6, 7]],
+    }
+
+
+def torn_pair_doc(bases, jitter, seed):
+    """A split-block pauli-c4 catalog, each basis direct-summed with a qubit basis: the
+    Hadamard basis on contexts 0 and 2 and the standard basis on context 1. The qubit block
+    keeps a pair constrained after its torn d4 blocks merge."""
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    rays, contexts = [], []
+    for b, vecs in enumerate(pauli_subset_rays(bases, jitter, seed)):
+        qubit = np.eye(2) if b == 1 else hadamard
+        contexts.append(list(range(len(rays), len(rays) + 6)))
+        rays += [np.concatenate([v, [0, 0]]) for v in vecs.T]
+        rays += [np.concatenate([[0, 0, 0, 0], v]).astype(complex) for v in qubit.T]
+    return {
+        "kind": "single",
+        "dim": 6,
+        "rays": [[[x.real, x.imag] for x in v] for v in rays],
+        "contexts": contexts,
+    }
+
+
+class TestCatalogRouteBranches:
+    """ks-check on catalogs that reach each branch of :func:`contextua.contexts.catalog_meets`."""
+
+    @pytest.mark.parametrize("padded", [[0, 1], [3]])
+    def test_padded_context_in_either_order(self, tmp_path, capsys, padded):
+        # the padded context coarsens the standard basis, a node below it, listed first or last
+        reports = []
+        for contexts in ([padded, [0, 1, 2, 3]], [[0, 1, 2, 3], padded]):
+            doc = {"kind": "single", "dim": 4, "rays": np.eye(4).tolist(), "contexts": contexts}
+            code, out = run_doc(tmp_path, capsys, "ks-check", doc)
+            report = json.loads(out.out)
+            assert (code, report["verdict"]) == (0, "colorable")
+            assert report["catalog"] == {"contexts": 2, "constrained_pairs": 0, "blocks": 0}
+            assert len(report["section"]) == 5  # four rays and the padding complement
+            reports.append(report)
+        assert reports[0]["section"] == reports[1]["section"]
+        assert reports[0]["stats"] == reports[1]["stats"]
+
+    def test_block_sides_closer_than_the_grid_are_rejected(self, tmp_path, capsys):
+        doc = rotated_blocks_doc(3e-7)
+        code, out = run_doc(tmp_path, capsys, "ks-check", doc)
+        assert (code, out.out) == (1, "")
+        assert out.err == (
+            "error: catalog contexts 0 and 1: the two sides of a meet block are closer than"
+            " the grid but not within tol 1e-09\n"
+        )
+        code, out = run_doc(tmp_path, capsys, "ks-check", doc, "--tol", "1e-5")
+        report = json.loads(out.out)
+        assert (code, report["verdict"]) == (0, "colorable")
+        assert report["catalog"] == {"contexts": 2, "constrained_pairs": 1, "blocks": 2}
+        code, out = run_doc(tmp_path, capsys, "ks-enumerate", doc, "--tol", "1e-5")
+        assert (code, json.loads(out.out)["count"]) == (0, 16)
+
+    @pytest.mark.parametrize(
+        "catalog,counts", zip(SPLIT_BLOCK_CATALOGS, [(1, 2, 20), (2, 4, 68), (2, 4, 68)])
+    )
+    def test_torn_pair_that_stays_constrained(self, tmp_path, capsys, catalog, counts):
+        # constrained pairs, their blocks and ks-enumerate's section count
+        pairs, blocks, sections = counts
+        doc = torn_pair_doc(*catalog)
+        code, out = run_doc(tmp_path, capsys, "ks-check", doc, "--tol", "1e-9")
+        report = json.loads(out.out)
+        assert (code, report["verdict"]) == (0, "colorable")
+        assert report["catalog"] == {
+            "contexts": len(catalog[0]), "constrained_pairs": pairs, "blocks": blocks
+        }
+        code, out = run_doc(tmp_path, capsys, "ks-enumerate", doc, "--tol", "1e-9")
+        assert (code, json.loads(out.out)["count"]) == (0, sections)
+
+
+def check_agrees_with_enumerate(sc, tol=1e-9):
+    """ks-check reads colorable iff ks-enumerate counts a section, and ks-check's section is
+    one of the enumerated sections restricted to the catalog's keys. The membership test reads
+    every section from the library, since the ks-enumerate report lists the first 100."""
+    check, enum = run("ks-check", sc, tol), run("ks-enumerate", sc, tol)
+    assert (check.verdict == "colorable") == (enum.payload["count"] > 0)
+    if check.verdict != "colorable":
+        return
+    section = check.payload["section"]
+    poset = cx.build_single_poset(sc, tol)
+    tables = (cx.value_table(poset, row) for row in cx.enumerate_global_sections(poset).chosen)
+    assert any({k: table[k] for k in section} == section for table in tables)
+
+
+class TestCheckAgreesWithEnumerate:
+    @pytest.mark.parametrize(
+        "name", [n for n in bundled_names() if bundled_scenario(n)["kind"] == "single"]
+    )
+    def test_bundled_scenarios(self, name):
+        check_agrees_with_enumerate(cx.parse_scenario(bundled_text(name)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(["pauli-c4", "ks18-c4"]),
+        st.lists(
+            st.tuples(st.integers(0, 14), st.permutations(range(4)), st.integers(1, 4)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_reordered_padded_and_repeated_contexts(self, name, picks):
+        # each pick (c, order, k): the first k rays of context c in that order, padded with
+        # their complement; picks may repeat a context, whole or padded
+        doc = bundled_scenario(name)
+        contexts = doc["contexts"]
+        doc["contexts"] = [
+            [contexts[c % len(contexts)][a] for a in order[:k]] for c, order, k in picks
+        ]
+        check_agrees_with_enumerate(cx.parse_scenario(json.dumps(doc)))

@@ -54,11 +54,16 @@ def test_committed_catalogs_match_the_bundled_scenarios(monkeypatch, capsys, tmp
 
 
 def test_readme_example_runs(capsys):
-    # the library example in README.md, run as written
+    # every python block of README.md, run as written, prints the values that the
+    # comments of its print lines give, one line each
     readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
-    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
-    exec(compile(block, "README.md", "exec"), {})
-    assert capsys.readouterr().out.split() == ["colorable", "3"]
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        want = re.findall(r"^print\(.*\)\s*# (.*?)\s*$", block, flags=re.M)
+        assert want, block
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines() == want
 
 
 def test_report_digest_keeps_exit_codes_stderr_and_exact_leaves():

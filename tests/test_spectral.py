@@ -37,6 +37,7 @@ from conftest import (
     partition_closure_poset,
     pauli_subset_catalog,
     peres24_subset_catalog,
+    poset_global_section,
     random_basis_context,
     rank_of,
     ray_projection,
@@ -97,7 +98,7 @@ class TestRestrictCharacter:
 
 class TestFindGlobalSection:
     def test_single_maximal_c3(self, basis_poset_c3):
-        cert = cx.find_global_section(basis_poset_c3)
+        cert = poset_global_section(basis_poset_c3)
         assert cert.verdict == "colorable"
         assert verify_section(basis_poset_c3, cert.section)
         assert len(cx.enumerate_global_sections(basis_poset_c3)) == 3
@@ -108,12 +109,12 @@ class TestFindGlobalSection:
             reg = ProjectionRegistry(2)
             catalog = [random_basis_context(rng, reg) for _ in range(4)]
             poset = cx.generate_poset(catalog, reg)
-            cert = cx.find_global_section(poset)
+            cert = poset_global_section(poset)
             assert cert.verdict == "colorable"
             assert verify_section(poset, cert.section)
 
     def test_ks18_non_colorable_both_routes(self, ks18_poset):
-        cert = cx.find_global_section(ks18_poset)
+        cert = poset_global_section(ks18_poset)
         assert cert.verdict == "non_colorable"
         assert cert.to_report(ks18_poset)["stats"]["exhausted"]
         assert cert.section is None
@@ -122,7 +123,7 @@ class TestFindGlobalSection:
     def test_dim1_colorable(self):
         reg = ProjectionRegistry(1)
         poset = cx.generate_poset([], reg)
-        cert = cx.find_global_section(poset)
+        cert = poset_global_section(poset)
         assert cert.verdict == "colorable"
         assert verify_section(poset, cert.section)
         assert len(cx.enumerate_global_sections(poset)) == 1
@@ -136,7 +137,7 @@ class TestFindGlobalSection:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            cx.find_global_section(poset)
+            poset_global_section(poset)
             del poset
             assert ref() is None
         finally:
@@ -172,7 +173,7 @@ class TestEnumerate:
             reg = ProjectionRegistry(3)
             catalog = [random_basis_context(rng, reg) for _ in range(3)]
             poset = cx.generate_poset(catalog, reg)
-            cert = cx.find_global_section(poset)
+            cert = poset_global_section(poset)
             sections = cx.enumerate_global_sections(poset)
             assert (cert.verdict == "colorable") == (len(sections) > 0)
 
@@ -187,7 +188,7 @@ class TestEnumerate:
             sub = dict(doc)
             sub["contexts"] = doc["contexts"][:n_bases]
             poset = cx.build_single_poset(cx.parse_scenario(json.dumps(sub)))
-            colorable = cx.find_global_section(poset).verdict == "colorable"
+            colorable = poset_global_section(poset).verdict == "colorable"
             if n_bases < 9:
                 assert colorable, "proper subsets of the 18-ray set stay colorable"
             else:
@@ -196,12 +197,12 @@ class TestEnumerate:
 
 class TestVerifySection:
     def test_search_output_verifies(self, shared_ray_poset_c3):
-        cert = cx.find_global_section(shared_ray_poset_c3)
+        cert = poset_global_section(shared_ray_poset_c3)
         assert verify_section(shared_ray_poset_c3, cert.section)
 
     def test_shared_projection_mismatch(self, shared_ray_poset_c3):
         poset = shared_ray_poset_c3
-        cert = cx.find_global_section(poset)
+        cert = poset_global_section(poset)
         good = cert.section
         # force the two maximal contexts to disagree about the shared ray
         m1, m2 = poset.maximal_nodes()
@@ -251,7 +252,7 @@ class TestFunctorialityAndValues:
         assert checked > 0
 
     def test_certificate_report_shape(self, basis_poset_c3):
-        cert = cx.find_global_section(basis_poset_c3)
+        cert = poset_global_section(basis_poset_c3)
         report = cert.to_report(basis_poset_c3)
         assert report["verdict"] == "colorable"
         assert set(report["section"].values()) <= {0, 1}
@@ -262,7 +263,7 @@ class TestEdgeCases:
     def test_empty_catalog_poset_has_one_section(self):
         reg = ProjectionRegistry(3)
         poset = cx.generate_poset([], reg)
-        cert = cx.find_global_section(poset)
+        cert = poset_global_section(poset)
         assert cert.verdict == "colorable"
         assert len(cx.enumerate_global_sections(poset)) == 1
 
@@ -311,7 +312,7 @@ class TestOracleStress:
             except cx.CanonicalizationError:
                 continue  # recycled ray landed below the grid; resample
             poset = cx.generate_poset(bases, reg)
-            cert = cx.find_global_section(poset)
+            cert = poset_global_section(poset)
             enum = cx.enumerate_global_sections(poset)
             maximal = sorted(poset.maximal_nodes())
             direct = 0
@@ -417,7 +418,7 @@ class TestSearchDifferential:
 
     @staticmethod
     def check(poset):
-        got, want = cx.find_global_section(poset), reference_global_section(poset)
+        got, want = poset_global_section(poset), reference_global_section(poset)
         assert (got.verdict, got.nodes_expanded, got.backtracks) == (
             want.verdict, want.nodes_expanded, want.backtracks
         )
@@ -702,6 +703,6 @@ class TestKeySharedBelowMaximalNodes:
 
     def test_search_and_components(self):
         poset = key_below_maximal_poset()
-        assert cx.find_global_section(poset).verdict == "colorable"
+        assert poset_global_section(poset).verdict == "colorable"
         TestSearchDifferential.check(poset)
         assert section_components(poset).tolist() == [0, 0]
