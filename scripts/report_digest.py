@@ -2,11 +2,13 @@
 """Print one digest of every command's report on every bundled scenario.
 
 Runs each command in-process through ``contextua.cli.main``, on every
-bundled scenario at seeds 0, 3 and 7, with JSON output and the default
-``--tol``, and ``ks-enumerate`` at ``--cap`` 1, 2 and 5 on every bundled
-scenario, so the truncated enumeration is pinned too. For each run it keeps
-the exit code, the stderr text and the report's integer, boolean and string
-leaves, each with its path. Floats and the ``timings`` block are dropped, as
+bundled scenario at seeds 0, 3 and 7, with JSON output, at the default
+``--tol`` and again at ``--tol`` 1e-5 and 0.3, where the registry merges
+projections that the default keeps apart; and ``ks-enumerate`` at
+``--cap`` 1, 2 and 5 on every bundled scenario, so the truncated
+enumeration is pinned too. For each run it keeps the exit code, the stderr
+text and the report's integer, boolean and string leaves, each with its
+path. Floats and the ``timings`` block are dropped, as
 perfbench's digest drops floats, so the digest does not move with rounding or
 run time. ``ks-check`` and ``ks-enumerate`` also run with ``--format text`` on
 every bundled scenario, and their text report is kept whole but the
@@ -42,6 +44,7 @@ from contextua.catalogs import bundled_names, bundled_text
 from contextua.cli import COMMANDS, main
 
 SEEDS = (0, 3, 7)
+TOLS = ((), ("--tol", "1e-5"), ("--tol", "0.3"))  # the default, then two wider tolerances
 CAPS = (1, 2, 5)
 # the standard basis; (1, 1, 1), (1, -1, 0), (1, 1, -2); e0, (0, 1, 1), (0, 1, -1):
 # components [0, 1, 0] of 5 and 3 sections
@@ -145,7 +148,8 @@ def interleaved_pair(v: Fraction) -> dict:
 
 def report_digest() -> str:
     lines = [
-        record(command, name, seed)
+        record(command, name, seed, *tol)
+        for tol in TOLS
         for command in COMMANDS
         for name in bundled_names()
         for seed in SEEDS

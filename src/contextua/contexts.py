@@ -25,9 +25,11 @@ q of i then sum to q), and the dominator map of i < j (which atom of i
 each j-atom lies under) is ``over[i]`` read at j's atoms. The table itself
 is dropped once the lookup is built.
 
-:func:`catalog_meets` reads the same pairwise meet blocks without building
-a poset: a section there is one atom per catalog context, and the chosen
-atoms of every pair lie in one block of the pair's meet.
+Each pair's meet is decided once, by :func:`_pair_meets`, for both routes:
+:func:`generate_poset` stores each kept meet as a node, and
+:func:`catalog_meets` reads the same meets without building a poset: a
+section there is one atom per catalog context, and the chosen atoms of
+every pair lie in one block of the pair's meet.
 """
 
 from __future__ import annotations
@@ -193,15 +195,16 @@ def _atom_table(registry: ProjectionRegistry, nodes: Sequence[Context]) -> tuple
 def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> ContextPoset:
     """Poset of the catalog contexts, their constraining meets and the trivial context.
 
-    Nodes come in that order: the catalog contexts, then for each pair
-    ``i < j`` the meet of ``catalog[i]`` and ``catalog[j]`` when it carries a
-    constraint (:func:`_meets`), then the trivial context. Any common
+    Nodes come in that order: the distinct catalog contexts, then for each
+    pair ``i < j`` the meet of ``catalog[i]`` and ``catalog[j]`` that
+    :func:`_pair_meets` keeps, then the trivial context. Any common
     coarsening of two contexts lies below their meet, so these are the only
     nodes below the catalog that constrain a section beyond the one value
     per projection key. A meet's blocks are the connected components of the
-    two contexts' atom overlaps ``tr(pq)``; each block's sum over
-    ``catalog[i]``'s atoms is registered, and the sum over ``catalog[j]``'s
-    atoms must be identified with it by the registry.
+    two contexts' atom overlaps ``tr(pq)``, with a pair's torn blocks merged.
+    A block with a one-atom side is that atom; the sum of the first side of
+    each other block, over ``catalog[i]``'s atoms, is registered, in block
+    order, and the registry gives the block its key.
     """
     dim = registry.dim
     for ctx in catalog:
@@ -220,71 +223,109 @@ def generate_poset(catalog: Sequence[Context], registry: ProjectionRegistry) -> 
         nodes.append(ctx)
         provenance.append(origin)
 
-    for idx, ctx in enumerate(catalog):
-        add(ctx, f"catalog[{idx}]")
-    for i, j, ctx in _meets(registry, catalog):
-        add(ctx, f"meet of catalog[{i}] and catalog[{j}]")
+    at, decided = _pair_meets(registry, catalog)
+    for c in at:
+        add(catalog[c], f"catalog[{c}]")
+    if decided is not None:
+        names, stack, pairs, _, _, root, first, atom, keep, _ = decided
+        kept = keep[np.nonzero(root)[0]]  # the block rows of kept pairs
+        first, atom = first[kept], atom[kept]
+        block_keys = np.array(names + [None], dtype=object)[atom]
+        summed = atom == len(names)  # no side of one atom
+        sums, seen_at, inverse = _set_sums(stack, first[summed])
+        order = np.argsort(seen_at)  # each distinct first side where it first comes
+        resolved = np.empty(len(sums), dtype=object)
+        resolved[order] = registry.register_many(sums[order])
+        block_keys[summed] = resolved[inverse]
+        per_pair = np.split(block_keys, np.cumsum(root[keep].sum(axis=1))[:-1])
+        for (i, j), k in zip(pairs[keep].tolist(), per_pair):
+            add(Context(dim, tuple(k)), f"meet of catalog[{at[i]}] and catalog[{at[j]}]")
     add(trivial_context(registry), "trivial")
 
     return poset_from_nodes(registry, nodes, provenance)
 
 
-def _meets(
-    registry: ProjectionRegistry, catalog: Sequence[Context]
-) -> list[tuple[int, int, Context]]:
-    """The meet of each catalog pair ``i < j`` that carries a constraint, in pair order.
+def _pair_meets(registry: ProjectionRegistry, catalog: Sequence[Context]) -> tuple:
+    """The meet of every pair of distinct catalog contexts, decided once for both routes,
+    :func:`generate_poset` and :func:`catalog_meets`: ``(at, decided)``.
 
-    The blocks are those of :func:`_pair_blocks`. A pair is dropped when all
-    its blocks but at most one are shared atoms (one atom, the same key, on
-    both sides): that meet only says both contexts give each shared atom one
-    value, which the key table already enforces. The drop is decided before
-    any block is summed. The two sides of each block of the kept pairs get
-    their keys from :func:`_side_keys`. A block whose two keys differ was
-    split by an overlap below the squared grid, so a pair's blocks of that
-    kind merge into one block, keyed the same way after all the others; the
-    pair's meet is trivial if that block's two keys still differ.
+    ``at`` lists each distinct key set's first catalog index; the pairs
+    ``i < j`` are those of the distinct contexts ``catalog[at[i]]`` whose meet
+    has more than one block (:func:`_pair_blocks`). Per pair:
+
+    - all its blocks but one are shared atoms (one atom, one key, on both
+      sides), and the other has one atom on one side only: that side's
+      context is a coarsening of the other (a padded context), ``coarsening``;
+    - else at most one block is not a shared atom: the meet only says that
+      both contexts give each shared atom one value, which the key table
+      already says, and the pair is dropped;
+    - else the two sides of each block that is not a shared atom are summed
+      and compared by the registry's rule, :func:`~contextua.opalg.identity_rule`
+      at ``registry.tol``: the same projection, they are one block; a
+      rejected block is a ``ValueError``; distinct, the block was torn by an
+      overlap below the squared grid. A pair's torn blocks merge into one,
+      decided by the same rule. The pair is kept, ``keep``, unless the merged
+      sides are distinct or no block besides them is loose.
+
+    A kept pair's torn blocks are relabelled as the first of them, whose
+    place and row take the merged sides; each merged side holds the atoms of
+    two torn blocks or more, since one alone stays apart. ``decided`` is
+    :func:`_pair_blocks`' ``(names, stack, pairs, label, other, root,
+    first)`` after the merges; then ``atom``, per block row, the atom that
+    one of its sides is (the first side's, if both are one atom) or
+    ``len(names)``; then ``keep`` and ``coarsening``, one entry per pair.
+    It is None when no pair is kept or padded.
     """
-    if len(catalog) < 2:
-        return []
-    keys, stack, pairs, _, _, root, first, second = _pair_blocks(registry, catalog)
-    if not len(pairs):
-        return []
-    n, width = len(keys), first.shape[1]
-    # a block that is one atom of both contexts is a shared atom; a meet of shared
-    # atoms and at most one other block (their complement) only says that both
-    # contexts give each shared atom one value, which the key table already says
-    shared = (first[:, 1] == n) & (second[:, 1] == n) & (first[:, 0] == second[:, 0])
-    owner = np.nonzero(root)[0]  # the pair of each block row
-    keep = np.bincount(owner[~shared], minlength=len(pairs)) > 1
-    if not keep.any():
-        return []
-    pairs, root, shared = pairs[keep], root[keep], shared[keep[owner]]
-    first, second = first[keep[owner]], second[keep[owner]]
-    owner = np.nonzero(root)[0]
-    first_keys, second_keys = _side_keys(registry, keys, stack, first, second)
-    per_pair = [list(k) for k in np.split(first_keys, np.cumsum(root.sum(axis=1))[:-1])]
-    apart = first_keys != second_keys
-    if apart.any():
-        # A block whose two sides the registry keeps apart was split by an overlap below
-        # the squared grid. Each pair's blocks of that kind merge into one; if its two
-        # sides are still apart, the pair's meet is trivial. Either way a meet that no
-        # longer carries a constraint is not stored.
-        torn = np.unique(owner[apart])
-        merging = [np.flatnonzero(apart & (owner == t)) for t in torn]
-        merged = [np.array([np.sort(s[m], None)[:width] for m in merging]) for s in (first, second)]
-        for t, key, other in zip(torn, *_side_keys(registry, keys, stack, *merged)):
-            rows = np.flatnonzero(owner == t)
-            start = rows[apart[rows]][0]  # the merged block takes the first one's place
-            kept = [r for r in rows if r == start or not apart[r]]
-            constrains = (~apart[rows] & ~shared[rows]).any()  # a block besides the merged one
-            blocks = [key if r == start else first_keys[r] for r in kept]
-            per_pair[t] = blocks if key == other and constrains else None
-    dim = catalog[0].dim
-    return [
-        (i, j, Context(dim, tuple(k)))
-        for (i, j), k in zip(pairs.tolist(), per_pair)
-        if k is not None
-    ]
+    first_at: dict[frozenset[str], int] = {}  # each distinct key set's first catalog index
+    for c, ctx in enumerate(catalog):
+        first_at.setdefault(ctx.key_set, c)
+    at = list(first_at.values())
+    if len(at) < 2:
+        return at, None
+    names, stack, pairs, label, other, root, first, second = _pair_blocks(
+        registry, [catalog[c] for c in at]
+    )
+    if not len(pairs):  # no pair has several blocks
+        return at, None
+    n, width = len(names), first.shape[1]
+
+    def apart(gaps: np.ndarray, owners) -> np.ndarray:  # the registry's rule
+        same, rejected = identity_rule(gaps, registry.tol)
+        if rejected.any():
+            i, j = (at[c] for c in pairs[owners[rejected.argmax()]])
+            message = f"catalog contexts {i} and {j}: the two sides of a meet block are closer"
+            raise ValueError(message + f" than the grid but not within tol {registry.tol}")
+        return ~same
+
+    one = [np.where(s[:, 1] == n, s[:, 0], n) for s in (first, second)]  # each side's atom, or n
+    shared = (one[0] == one[1]) & (one[0] < n)
+    atom = np.where(one[0] < n, one[0], one[1])
+    owner, name = np.nonzero(root)  # the pair and the name of each block row
+    loose = np.bincount(owner[~shared], minlength=len(pairs))  # blocks not shared, per pair
+    # the pairs of a padded context: one loose block, one atom on one side only
+    coarsening = np.zeros(len(pairs), dtype=bool)
+    coarsening[owner[~shared & (loose[owner] == 1) & ((one[0] < n) != (one[1] < n))]] = True
+    keep = loose > 1
+    if not (keep | coarsening).any():
+        return at, None
+    checked = np.flatnonzero(keep[owner] & ~shared)
+    torn = np.zeros(len(first), dtype=bool)
+    torn[checked] = apart(_side_gaps(stack, first[checked], second[checked]), owner[checked])
+    for p in np.unique(owner[torn]).tolist():
+        t = np.flatnonzero(torn & (owner == p))
+        sides = [np.sort(s[t], None)[:width] for s in (first, second)]
+        # torn blocks merge; the pair is trivial if the merged sides are apart, and it
+        # constrains nothing if no block besides them is loose
+        if apart(_side_gaps(stack, *(s[None] for s in sides)), [p])[0] or loose[p] == t.size:
+            keep[p] = False
+            continue
+        label[p, np.isin(label[p], name[t])] = name[t[0]]
+        other[p, np.isin(other[p], name[t])] = name[t[0]]
+        root[p, name[t[1:]]] = False
+        first[t[0]], atom[t[0]] = sides[0], n
+    alive = root[owner, name]  # the block rows that no merge dropped
+    first, atom = first[alive], atom[alive]
+    return at, (names, stack, pairs, label, other, root, first, atom, keep, coarsening)
 
 
 def _pair_blocks(registry: ProjectionRegistry, catalog: Sequence[Context]) -> tuple:
@@ -380,86 +421,30 @@ class CatalogMeets:
 
 def catalog_meets(registry: ProjectionRegistry, catalog: Sequence[Context]) -> CatalogMeets:
     """The distinct contexts of ``catalog`` and the meet of each pair of them that
-    constrains a section beyond one value per key, from :func:`_pair_blocks`.
+    constrains a section beyond one value per key, as :func:`_pair_meets` decides them.
 
     A choice of one atom per context is a global section iff the chosen atoms
     of every pair lie in one block of the pair's meet. A block of one pair's
     meet that lies in a third context's algebra is a sum of that context's
     blocks with either side, so identities between block sums of different
-    pairs add no constraint, and no block sum is registered. Per pair:
-
-    - all its blocks but one are shared atoms (one atom, one key, on both
-      sides), and the other has one atom on one side only: that side's
-      context is a coarsening of the other (a padded context), a node below
-      it, and not maximal;
-    - else at most one block is not a shared atom: the pair is dropped, as
-      :func:`_meets` drops it;
-    - else the two sides of each block that is not a shared atom are summed
-      and compared by the registry's rule, :func:`~contextua.opalg.identity_rule`
-      at ``registry.tol``: the same projection, they are one block; a
-      rejected pair is an error; distinct, the block was torn by an overlap
-      below the squared grid. A pair's torn blocks merge into one, decided
-      by the same rule, and the pair is kept as :func:`_meets` keeps it. A
-      kept pair's torn blocks are relabelled as the first of them, so its
-      block places, key rows and lookups are read as any other pair's.
-
-    A kept meet is a node below both contexts and below every context above
-    either. A block whose side is one atom has that atom's key row; any other
-    block has a key row of its own.
+    pairs add no constraint, and no block sum is registered. A kept meet is a
+    node below both contexts and below every context above either; a padded
+    context is a node below the context it coarsens, and not maximal. A
+    block whose side is one atom has that atom's key row; any other block,
+    a merged one among them, has a key row of its own.
     """
-    first_at: dict[frozenset[str], int] = {}  # each distinct key set's first catalog index
-    for c, ctx in enumerate(catalog):
-        first_at.setdefault(frozenset(ctx.atoms), c)
-    at = list(first_at.values())
+    at, decided = _pair_meets(registry, catalog)
     nodes = tuple(catalog[c] for c in at)
     keys = tuple(dict.fromkeys(k for node in nodes for k in node.atoms))
     index = {k: t for t, k in enumerate(keys)}
     rows = [[index[k] for k in node.atoms] for node in nodes]
     coarser: dict[int, list[tuple[int, list[int]]]] = {}  # c: each (d, lookup) with c below d
     meets: list[tuple[tuple[int, list[int]], ...]] = []  # per meet, each context's lookup
-    if len(nodes) > 1:
-        names, stack, pairs, label, other, root, first, second = _pair_blocks(registry, nodes)
-        n, width, sizes = len(names), first.shape[1], [len(node.atoms) for node in nodes]
-        row_of = np.array([index[k] for k in names] + [-1])  # name index n is no atom
-
-        def whole(sides: np.ndarray) -> np.ndarray:  # the atom that each side is, or n
-            return np.where(sides[:, 1] == n, sides[:, 0], n)
-
-        def apart(gaps: np.ndarray, owners: np.ndarray) -> np.ndarray:  # the registry's rule
-            same, rejected = identity_rule(gaps, registry.tol)
-            if rejected.any():
-                i, j = (at[c] for c in pairs[owners[rejected.argmax()]])
-                message = f"catalog contexts {i} and {j}: the two sides of a meet block are closer"
-                raise ValueError(message + f" than the grid but not within tol {registry.tol}")
-            return ~same
-
-        one = (whole(first), whole(second))
-        shared = (one[0] == one[1]) & (one[0] < n)
-        owner, name = np.nonzero(root)  # the pair and the name of each block row
-        loose = np.bincount(owner[~shared], minlength=len(pairs))  # blocks not shared, per pair
-        # the pairs of a padded context: one loose block, one atom on one side only
-        coarsening = np.zeros(len(pairs), dtype=bool)
-        coarsening[owner[~shared & (loose[owner] == 1) & ((one[0] < n) != (one[1] < n))]] = True
-        keep = loose > 1
-        checked = np.flatnonzero(keep[owner] & ~shared)
-        torn = np.zeros(len(first), dtype=bool)
-        torn[checked] = apart(_side_gaps(stack, first[checked], second[checked]), owner[checked])
-        key_rows = np.where(one[0] < n, row_of[one[0]], row_of[one[1]])  # -1: a row of its own
-        for p in np.unique(owner[torn]).tolist():
-            t = np.flatnonzero(torn & (owner == p))
-            sides = [np.sort(s[t], None)[None, :width] for s in (first, second)]
-            # torn blocks merge; the pair is trivial if the merged sides are apart, and it
-            # constrains nothing if no block besides them is loose
-            if apart(_side_gaps(stack, *sides), [p])[0] or loose[p] == t.size:
-                keep[p] = False
-                continue
-            # the merged block takes the first one's name and row. Each of its sides holds
-            # the atoms of two torn blocks or more (one alone stays apart): its own key row
-            label[p, np.isin(label[p], name[t])] = name[t[0]]
-            other[p, np.isin(other[p], name[t])] = name[t[0]]
-            root[p, name[t[1:]]] = False
-            key_rows[t[0]] = -1
-        key_rows = key_rows[root[owner, name]].tolist()  # the rows that no merge dropped
+    if decided is not None:
+        names, _, pairs, label, other, root, _, atom, keep, coarsening = decided
+        sizes = [len(node.atoms) for node in nodes]
+        row_of = np.array([index[k] for k in names] + [-1])  # the last name index is no atom
+        key_rows = row_of[atom].tolist()  # -1: a row of its own
         edges = [0, *np.cumsum(root.sum(axis=1)).tolist()]  # pair p's rows: edges[p : p + 2]
         used = np.flatnonzero(coarsening | keep)
         order = np.cumsum(root[used], axis=1) - 1  # each block's place among its pair's blocks
@@ -531,35 +516,6 @@ def _side_gaps(stack: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.n
         part = slice(start, start + step)
         gaps[part] = np.abs(sums[of_first[part]] - sums[of_second[part]]).max(axis=(1, 2))
     return gaps
-
-
-def _side_keys(
-    registry: ProjectionRegistry,
-    keys: list[str],
-    stack: np.ndarray,
-    first: np.ndarray,
-    second: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The keys of the two sides of each block: the atoms of its row of ``first`` and of
-    ``second``, rows of ``stack`` (keys ``keys``), sorted and padded with ``len(keys)``.
-
-    A one-atom side is that atom. Each distinct set of several atoms is summed once
-    (:func:`_set_sums`): the sets that are some block's first side are registered in
-    the order their first-side blocks come, and the others are looked up.
-    """
-    n = len(keys)
-    sides = np.concatenate([first, second])
-    multi = np.flatnonzero(sides[:, 1] < n)
-    sums, seen_at, inverse = _set_sums(stack, sides[multi])
-    on_first = multi[seen_at] < len(first)
-    registered = np.flatnonzero(on_first)[np.argsort(multi[seen_at][on_first])]
-    looked_up = np.flatnonzero(~on_first)
-    resolved = np.empty(len(sums), dtype=object)
-    resolved[registered] = registry.register_many(sums[registered])
-    resolved[looked_up] = registry.find_many(sums[looked_up])
-    side_keys = np.array(keys + [None], dtype=object)[sides[:, 0]]
-    side_keys[multi] = resolved[inverse]
-    return side_keys[: len(first)], side_keys[len(first) :]
 
 
 def poset_from_nodes(

@@ -16,7 +16,7 @@ from contextua.bell import SectionClassification
 from contextua.catalogs import bundled_text
 from contextua.contexts import context_from_projections, poset_from_nodes
 from contextua.gleason import ProbSection, context_measure, hermitian_basis
-from contextua.opalg import TOL, CanonicalizationError, canonical_keys, max_norm
+from contextua.opalg import TOL, CanonicalizationError, canonical_keys, identity_rule, max_norm
 from contextua.scenario import ScenarioError, _catalog, _parse_index
 from contextua.spectral import EnumerationResult
 from contextua.wigner import JordanReport, PosetMap
@@ -329,28 +329,40 @@ def constrains(sides):
     return sum(not is_shared(mine, theirs) for mine, theirs in sides) > 1
 
 
-def pairwise_meet(registry, first, second, index, overlap, resolved):
-    """Reference blocks of the meet of two contexts, or None when it is trivial or carries
-    no constraint.
+def pairwise_meet(registry, first, second, index, overlap):
+    """Reference blocks of the meet of two contexts, each as its atom keys on each side,
+    or None when the meet is trivial or carries no constraint.
 
     The blocks are those of :func:`meet_sides`. A meet that does not
-    :func:`constrains` is None. Otherwise each block is listed as its atom
-    keys on each side and the keys of their sums: the first side's
-    registered, the second side's looked up, one ``register`` or ``find`` at
-    a time, memoised in ``resolved`` by atom keys.
+    :func:`constrains` is None. Otherwise each block's two side sums are
+    compared by :func:`same_sum`, one block at a time. Blocks whose sides
+    are distinct merge into one, in the first one's place, compared the same
+    way. The meet is None when that block's sides are still distinct, or
+    when no other block but shared atoms is left.
     """
     sides = meet_sides(first, second, index, overlap)
     if not constrains(sides):
         return None
-    return [
-        (
-            mine,
-            theirs,
-            block_key(registry, mine, registry.register, resolved),
-            block_key(registry, theirs, lambda m: find_one(registry, m), resolved),
-        )
-        for mine, theirs in sides
-    ]
+    torn = [b for b, (mine, theirs) in enumerate(sides) if not same_sum(registry, mine, theirs)]
+    if torn:
+        merged = tuple([k for b in torn for k in sides[b][s]] for s in (0, 1))
+        if not same_sum(registry, *merged):
+            return None
+        if all(is_shared(*block) for b, block in enumerate(sides) if b not in torn):
+            return None
+        kept = [b for b in range(len(sides)) if b == torn[0] or b not in torn]
+        sides = [merged if b == torn[0] else sides[b] for b in kept]
+    return sides
+
+
+def same_sum(registry, mine, theirs):
+    """Whether the atoms ``mine`` and ``theirs`` sum to one projection by the registry's
+    rule; a ValueError where the rule rejects the two sums."""
+    gap = max_norm(sum(registry.matrices(mine)) - sum(registry.matrices(theirs)))
+    same, rejected = identity_rule(gap, registry.tol)
+    if rejected:
+        raise ValueError("the two sides of a meet block are closer than the grid")
+    return bool(same)
 
 
 def is_shared(mine, theirs):
@@ -358,37 +370,15 @@ def is_shared(mine, theirs):
     return len(mine) == len(theirs) == 1 and mine == theirs
 
 
-def merged_meet(registry, dim, blocks):
-    """Reference meet from ``pairwise_meet``'s blocks, or None.
-
-    Blocks whose two sides have distinct keys merge into one block, in the
-    first one's place; their sums are registered and looked up afresh. The
-    meet is None when that block's sides are still distinct, or when no
-    other block but shared atoms is left.
-    """
-    apart = [b[2] != b[3] for b in blocks]
-    if any(apart):
-        torn = [b for b, a in zip(blocks, apart) if a]
-        key = block_key(registry, [k for b in torn for k in b[0]], registry.register, {})
-        theirs = [k for b in torn for k in b[1]]
-        if block_key(registry, theirs, lambda m: find_one(registry, m), {}) != key:
-            return None
-        if all(is_shared(b[0], b[1]) for b, a in zip(blocks, apart) if not a):
-            return None
-        start = apart.index(True)
-        blocks = [(None, None, key) if t == start else b for t, b in enumerate(blocks)]
-        blocks = [b for t, (b, a) in enumerate(zip(blocks, apart)) if t == start or not a]
-    return cx.Context(dim, tuple(b[2] for b in blocks))
-
-
-def block_key(registry, block, resolve, resolved):
-    """Key of the sum of the atoms of ``block``: the atom itself, or ``resolve`` of the sum."""
-    if len(block) == 1:
-        return block[0]
-    members = frozenset(block)
-    if members not in resolved:
-        resolved[members] = resolve(sum(registry.matrices(block)))
-    return resolved[members]
+def merged_meet(registry, dim, sides):
+    """Reference meet from :func:`pairwise_meet`'s blocks: a block with a one-atom side is
+    that atom, and each other block's first-side sum is registered, one at a time."""
+    keys = [
+        mine[0] if len(mine) == 1 else theirs[0] if len(theirs) == 1
+        else registry.register(sum(registry.matrices(mine)))
+        for mine, theirs in sides
+    ]
+    return cx.Context(dim, tuple(keys))
 
 
 def atom_overlaps(catalog, registry):
@@ -401,7 +391,7 @@ def atom_overlaps(catalog, registry):
 
 def pairwise_meet_poset(catalog, registry):
     """Reference build: the library's node list from one ``pairwise_meet`` per catalog pair,
-    then one ``merged_meet`` per pair, ordered from the unscreened einsum dominance table."""
+    then one ``merged_meet`` per kept pair, ordered from the unscreened einsum dominance table."""
     nodes, generators, seen = [], [], set()
 
     def add(ctx, origin):
@@ -414,15 +404,14 @@ def pairwise_meet_poset(catalog, registry):
         add(ctx, f"catalog[{idx}]")
     if len(catalog) > 1:
         index, overlap = atom_overlaps(catalog, registry)
-        resolved, found = {}, {}
+        found = {}  # every pair is decided before any block sum is registered
         for i, j in itertools.combinations(range(len(catalog)), 2):
-            blocks = pairwise_meet(registry, catalog[i], catalog[j], index, overlap, resolved)
-            if blocks is not None:
-                found[i, j] = blocks
-        for (i, j), blocks in found.items():
-            meet = merged_meet(registry, catalog[0].dim, blocks)
-            if meet is not None:
-                add(meet, f"meet of catalog[{i}] and catalog[{j}]")
+            sides = pairwise_meet(registry, catalog[i], catalog[j], index, overlap)
+            if sides is not None:
+                found[i, j] = sides
+        for (i, j), sides in found.items():
+            meet = merged_meet(registry, catalog[0].dim, sides)
+            add(meet, f"meet of catalog[{i}] and catalog[{j}]")
     add(cx.trivial_context(registry), "trivial")
     with pytest.MonkeyPatch.context() as mp:  # poset_from_nodes asks for the stack's own table
         mp.setattr(contexts, "dominance_tables", lambda stack, *_: einsum_dominance_table(stack)[None])

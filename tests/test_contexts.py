@@ -517,7 +517,7 @@ class TestBatchedBuildDifferential:
         poset, error = build_outcome(lambda: cx.generate_poset(build_catalog(reg), reg))
         ref, ref_error = build_outcome(lambda: pairwise_meet_poset(build_catalog(ref_reg), ref_reg))
         # a build with several inconsistent blocks may report another one of them
-        # first: the batched build registers every first side before any lookup
+        # first: the batched build compares every pair's blocks before any merge
         assert (error is None) == (ref_error is None), (error, ref_error)
         if ref is None:
             return

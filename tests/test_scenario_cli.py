@@ -1012,7 +1012,8 @@ def torn_pair_doc(bases, jitter, seed):
 
 
 class TestCatalogRouteBranches:
-    """ks-check on catalogs that reach each branch of :func:`contextua.contexts.catalog_meets`."""
+    """ks-check on catalogs that reach each branch of the pairwise meet decision that
+    :func:`contextua.contexts.catalog_meets` and the poset both read."""
 
     @pytest.mark.parametrize("padded", [[0, 1], [3]])
     def test_padded_context_in_either_order(self, tmp_path, capsys, padded):
@@ -1043,6 +1044,17 @@ class TestCatalogRouteBranches:
         assert report["catalog"] == {"contexts": 2, "constrained_pairs": 1, "blocks": 2}
         code, out = run_doc(tmp_path, capsys, "ks-enumerate", doc, "--tol", "1e-5")
         assert (code, json.loads(out.out)["count"]) == (0, 16)
+
+    @pytest.mark.parametrize(
+        "command",
+        ["ks-enumerate", "gleason-roundtrip", "gleason-reconstruct", "wigner-check", "poset-export"],
+    )
+    def test_poset_commands_reject_block_sides_as_ks_check_does(self, tmp_path, capsys, command):
+        # the poset's meets come from the same pairwise decision, so its error names the pair
+        doc = rotated_blocks_doc(3e-7)
+        _, check = run_doc(tmp_path, capsys, "ks-check", doc)
+        code, out = run_doc(tmp_path, capsys, command, doc)
+        assert (code, out.out, out.err) == (1, "", check.err)
 
     @pytest.mark.parametrize(
         "catalog,counts", zip(SPLIT_BLOCK_CATALOGS, [(1, 2, 20), (2, 4, 68), (2, 4, 68)])

@@ -136,11 +136,16 @@ def bundled_poset(name):
 @functools.cache
 def jittered_pauli_poset(bases, jitter, tol, seed):
     """Bundled pauli-c4 bases, each turned by its own small unitary; None when the build
-    rejects two projections closer than the grid."""
+    rejects two projections closer than the grid: two registered projections, or the two
+    sides of a meet block."""
     registry = cx.ProjectionRegistry(4, tol)
     try:
         return cx.generate_poset(pauli_subset_catalog(registry, bases, jitter, seed), registry)
     except CanonicalizationError:
+        return None
+    except ValueError as exc:
+        if "the two sides of a meet block are closer than the grid" not in str(exc):
+            raise
         return None
 
 
